@@ -1,8 +1,7 @@
 """Command-line surface.
 
     cubetri build cube --dim D [--l L] [--m M] [--seed NAME]
-                       [--coloring balanced|random] [--rng-seed N]
-                       [--samples S] [--out PATH]
+                       [--rng-seed N] [--samples S] [--out PATH]
     cubetri verify PATH [--face-to-face] [--volume-only]
     cubetri report table --max-dim D [--out CSV]
     cubetri expect --q-dim N --m M --samples S --rng-seed N
@@ -47,7 +46,6 @@ def _cmd_build(args) -> int:
         l=args.l,
         m=args.m,
         seed=args.seed,
-        coloring=args.coloring,
         rng_seed=args.rng_seed,
         samples=args.samples,
         out=args.out,
@@ -194,7 +192,6 @@ def main(argv: list[str] | None = None) -> int:
     p_cube.add_argument("--l", type=int, default=3)
     p_cube.add_argument("--m", type=int, default=3)
     p_cube.add_argument("--seed", default="i3d2")
-    p_cube.add_argument("--coloring", choices=["balanced", "random"], default="balanced")
     p_cube.add_argument("--rng-seed", type=int, default=0)
     p_cube.add_argument("--samples", type=int, default=1)
     p_cube.add_argument("--out")

@@ -2,13 +2,14 @@
 
 A simplex is a sorted tuple of indices into a :class:`PointConfiguration`;
 a triangulation is a configuration plus a list of such tuples. Validity is
-decided by exact rational feasibility on vertex coordinates:
+decided exactly on vertex coordinates:
 
 * dissection = volumes sum to the ambient volume and all pairs of cells
   have disjoint interiors;
-* face-to-face = for every pair, conv(S1) ∩ conv(S2) = conv(S1 ∩ S2),
-  certified by a separating functional vanishing exactly on the common
-  vertices.
+* face-to-face = for every pair, conv(S1) ∩ conv(S2) = conv(S1 ∩ S2).
+
+Both pair scans use the certificate-first predicates of :mod:`linalg`,
+with each simplex's barycentric rows computed once per scan.
 
 A cheaper ridge-based mode is available for quick scans; the pairwise test
 remains the authoritative oracle.
@@ -97,31 +98,14 @@ def expected_volume(config: PointConfiguration) -> int | None:
     return ambient_normalized_volume(config.label)
 
 
-def _bounding_boxes(tri: Triangulation):
-    boxes = []
-    pts = tri.config.points
-    for s in tri.simplices:
-        coords = [pts[i] for i in s]
-        lo = tuple(min(c[j] for c in coords) for j in range(tri.config.dim))
-        hi = tuple(max(c[j] for c in coords) for j in range(tri.config.dim))
-        boxes.append((lo, hi))
-    return boxes
-
-
-def _boxes_disjoint(b1, b2) -> bool:
-    lo1, hi1 = b1
-    lo2, hi2 = b2
-    return any(hi1[j] < lo2[j] or hi2[j] < lo1[j] for j in range(len(lo1)))
-
-
 def validate_dissection(
     tri: Triangulation, expected: int | None = None, pairwise: bool = True
 ) -> ValidityReport:
     """Exact dissection check: volume census plus pairwise interior tests.
 
-    Degenerate simplices are reported as violations, not raised. The pair
-    scan uses a bounding-box prefilter; set ``pairwise=False`` to skip it
-    (volume census only), e.g. when a structural certificate covers it.
+    Degenerate simplices are reported as violations, not raised. Set
+    ``pairwise=False`` to skip the pair scan (volume census only), e.g.
+    when a structural certificate covers it.
     """
     if expected is None:
         expected = expected_volume(tri.config)
@@ -148,19 +132,19 @@ def validate_dissection(
             violations.append(Violation("duplicate", (s,)))
         seen.add(s)
     if pairwise:
-        boxes = _bounding_boxes(tri)
-        pts = tri.config.points
-        n = len(tri.simplices)
+        cells = [tri.points_of(s) for s in tri.simplices]
+        bary = [linalg.barycentric_rows(p) for p in cells]
+        n = len(cells)
         for i in range(n):
-            si = tri.simplices[i]
-            pi = [pts[k] for k in si]
             for j in range(i + 1, n):
-                if _boxes_disjoint(boxes[i], boxes[j]):
-                    continue
-                sj = tri.simplices[j]
-                pj = [pts[k] for k in sj]
-                if not linalg.simplices_interiors_disjoint(pi, pj):
-                    violations.append(Violation("interior-overlap", (si, sj)))
+                if not linalg.simplices_interiors_disjoint(
+                    cells[i], cells[j], bary[i], bary[j]
+                ):
+                    violations.append(
+                        Violation(
+                            "interior-overlap", (tri.simplices[i], tri.simplices[j])
+                        )
+                    )
     ok = not violations
     return ValidityReport(ok, False, total, violations)
 
@@ -168,30 +152,26 @@ def validate_dissection(
 def validate_face_to_face(
     tri: Triangulation, expected: int | None = None
 ) -> ValidityReport:
-    """Authoritative pairwise face-to-face check (exact LP per pair).
+    """Authoritative pairwise face-to-face check (exact test per pair).
 
-    A feasible separating functional that vanishes exactly on the common
-    vertices certifies both disjoint interiors and a common-face meeting,
-    so a passing report is simultaneously a dissection certificate.
+    Two distinct simplices that meet in a common face have disjoint
+    interiors, so a passing report is simultaneously a dissection
+    certificate.
     """
     if expected is None:
         expected = expected_volume(tri.config)
     base = validate_dissection(tri, expected=expected, pairwise=False)
     violations = list(base.violations)
-    boxes = _bounding_boxes(tri)
-    pts = tri.config.points
-    n = len(tri.simplices)
+    cells = [tri.points_of(s) for s in tri.simplices]
+    bary = [linalg.barycentric_rows(p) for p in cells]
+    n = len(cells)
     for i in range(n):
         si = tri.simplices[i]
-        pi = [pts[k] for k in si]
         for j in range(i + 1, n):
             sj = tri.simplices[j]
             if si == sj:
                 continue  # already reported as duplicate
-            if _boxes_disjoint(boxes[i], boxes[j]):
-                continue
-            pj = [pts[k] for k in sj]
-            if not linalg.simplices_face_to_face(pi, pj):
+            if not linalg.simplices_face_to_face(cells[i], cells[j], bary[i], bary[j]):
                 violations.append(Violation("not-face-to-face", (si, sj)))
     ok = not violations
     return ValidityReport(ok, ok, base.volume_total, violations)

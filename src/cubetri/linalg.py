@@ -1,16 +1,24 @@
-"""Exact integer / rational linear algebra kernels.
+"""Exact integer linear algebra kernels and pair predicates.
 
 All geometric predicates in this package reduce to the routines here:
 fraction-free determinants and ranks over the integers, a batched integer
-determinant for bulk volume accounting, and a small phase-1 simplex solver
-over ``fractions.Fraction`` used as an exact linear feasibility oracle.
-No floating point is ever consulted for a decision.
+determinant for bulk volume accounting, and a phase-1 simplex solver with
+integer pivoting used as an exact linear feasibility oracle.
+
+The pair predicates (face to face, disjoint interiors of simplices or of
+polytopes) are certificate-first. For two full-dimensional simplices, the
+integer barycentric rows of each (:func:`barycentric_rows`, computed once
+per simplex by the caller) often name a facet hyperplane that separates
+the pair, which integer dot products alone show. Every pair the
+certificate does not settle goes to one LP formulation: convex-combination
+(barycentric) feasibility with integer rows, d+1 or d+2 of them, and one
+column per vertex of either side. No floating point is ever consulted for
+a decision.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
+from operator import index, mul
 
 import numpy as np
 
@@ -77,16 +85,16 @@ def rank_int(rows: list[list[int]]) -> int:
     return rank
 
 
-# int64 is safe as long as all Bareiss intermediates (minors of the input)
-# stay below 2**63; for the lattice ranges used here (entries bounded by the
-# summand count, dimension <= 12) the Hadamard bound is checked explicitly.
+# Each vectorized Bareiss step forms the difference of two products of two
+# minors of the input before its exact division. For entries |a| <= c every
+# minor of order j <= n is at most c^j j^(j/2) <= c^n n^(n/2) (Hadamard), so
+# int64 is safe when 2 (c^n n^(n/2))^2 = 2 (c^2 n)^n stays below 2**63.
 def _int64_safe(mats: np.ndarray) -> bool:
     n = mats.shape[1]
-    if n == 0:
+    if mats.size == 0:
         return True
-    maxabs = int(np.abs(mats).max(initial=0))
-    bound = (maxabs * maxabs * n) ** ((n + 1) // 2)  # coarse minor bound
-    return bound < 2**62
+    maxabs = max(int(mats.max()), -int(mats.min()))
+    return (maxabs * maxabs * n) ** n < 2**62
 
 
 def batch_abs_det(mats: np.ndarray) -> np.ndarray:
@@ -109,22 +117,23 @@ def batch_abs_det(mats: np.ndarray) -> np.ndarray:
     alive = np.ones(N, dtype=bool)
     prev = np.ones(N, dtype=np.int64)
     for k in range(n - 1):
-        col = m[:, k:, k]
         need = alive & (m[:, k, k] == 0)
         if need.any():
             idx = np.flatnonzero(need)
-            nz = col[idx] != 0
+            nz = m[idx, k:, k] != 0
             nz[:, 0] = False
             has = nz.any(axis=1)
             dead = idx[~has]
             alive[dead] = False
-            m[dead, k, k] = 1  # keep arithmetic harmless; result masked to 0
+            # A dead matrix is zeroed and pivots on 1 from here on, so its
+            # entries stay zero and no later step divides by zero.
+            m[dead] = 0
             good = idx[has]
             swap_rows = np.argmax(nz[has], axis=1) + k
             tmp = m[good, swap_rows, :].copy()
             m[good, swap_rows, :] = m[good, k, :]
             m[good, k, :] = tmp
-        pivot = m[:, k, k]
+        pivot = np.where(alive, m[:, k, k], 1)
         sub = m[:, k + 1 :, k + 1 :]
         outer = m[:, k + 1 :, k, None] * m[:, None, k, k + 1 :]
         m[:, k + 1 :, k + 1 :] = (sub * pivot[:, None, None] - outer) // prev[
@@ -137,8 +146,9 @@ def batch_abs_det(mats: np.ndarray) -> np.ndarray:
     return out
 
 
-def feasible(rows: list[list], rhs: list) -> bool:
-    """Exact feasibility of {x >= 0 : A x = b} by phase-1 simplex.
+def feasible(rows: list[list[int]], rhs: list[int]) -> bool:
+    """Exact feasibility of {x >= 0 : A x = b} for integer A, b by phase-1
+    simplex.
 
     Integer pivoting: the whole tableau stays a single positive multiple of
     the true rational tableau, every division is exact, and all sign and
@@ -149,16 +159,8 @@ def feasible(rows: list[list], rhs: list) -> bool:
         return True
     n = len(rows[0])
     tab: list[list[int]] = []
-    for i in range(m):
-        row = list(rows[i]) + [rhs[i]]
-        dens = [v.denominator for v in row if isinstance(v, Fraction)]
-        if dens:
-            scale = 1
-            for dnm in dens:
-                scale = scale * dnm // math.gcd(scale, dnm)
-            row = [int(v * scale) for v in row]
-        else:
-            row = [int(v) for v in row]
+    for row, b in zip(rows, rhs):
+        row = [index(v) for v in row] + [index(b)]
         if row[n] < 0:
             row = [-v for v in row]
         tab.append(row)
@@ -210,119 +212,128 @@ def feasible(rows: list[list], rhs: list) -> bool:
         prev = piv
 
 
-def _separation_rows(points_neg, points_pos, equalities):
-    """Rows for: affine g with g=0 on `equalities`, g<=-1 on points_neg,
-    g>=+1 on points_pos. Variables: a+ (d), a- (d), c+, c-, one slack per
-    inequality."""
-    d = len((points_neg + points_pos + equalities)[0])
-    n_slack = len(points_neg) + len(points_pos)
-    rows = []
-    rhs = []
-    slack = 0
+def barycentric_rows(pts) -> tuple[tuple[int, ...], ...] | None:
+    """Integer barycentric rows of a full-dimensional simplex, or None.
 
-    def g_row(p):
-        return [Fraction(x) for x in p] + [Fraction(-x) for x in p] + [
-            Fraction(1),
-            Fraction(-1),
-        ]
+    ``pts`` are d+1 points p_0..p_d of Z^d. Let M be the matrix with rows
+    (p_r, 1) and D its determinant. Row r, applied to (x, 1), is |D| times
+    the barycentric coordinate of x for p_r: zero on the facet opposite
+    p_r, |D| at p_r, negative beyond that facet. The rows are |D| times the
+    inverse of M^T, found by fraction-free Gauss-Jordan elimination on
+    [M^T | I], which ends at [δ I | δ (M^T)^-1] with δ = ±D. None when the
+    points are not d+1 affinely independent points of R^d.
+    """
+    n = len(pts)
+    if n != len(pts[0]) + 1:
+        return None
+    a = [[p[k] for p in pts] + [int(i == k) for i in range(n)] for k in range(n - 1)]
+    a.append([1] * n + [int(i == n - 1) for i in range(n)])
+    prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    break
+            else:
+                return None
+        row_k = a[k]
+        piv = row_k[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(piv * x - f * y) // prev for x, y in zip(a[i], row_k)]
+        prev = piv
+    sign = 1 if prev > 0 else -1
+    return tuple(tuple(sign * v for v in row[n:]) for row in a)
 
-    for u in equalities:
-        rows.append(g_row(u) + [Fraction(0)] * n_slack)
-        rhs.append(0)
-    for v in points_neg:
-        r = g_row(v) + [Fraction(0)] * n_slack
-        r[2 * d + 2 + slack] = Fraction(1)
-        slack += 1
-        rows.append(r)
-        rhs.append(-1)
-    for w in points_pos:
-        r = g_row(w) + [Fraction(0)] * n_slack
-        r[2 * d + 2 + slack] = Fraction(-1)
-        slack += 1
-        rows.append(r)
-        rhs.append(1)
-    return rows, rhs
+
+def _facet_certifies(bary, verts, skip, others, strict: bool) -> bool:
+    """Some row of ``bary`` whose vertex is not in ``skip`` is negative
+    (``strict``) or nonpositive on every point of ``others``. False when
+    ``bary`` is None: a lower-dimensional simplex has no such rows."""
+    if bary is None:
+        return False
+    for row, v in zip(bary, verts):
+        if v not in skip:
+            # row . (p, 1) < 0  iff  row[:d] . p < -row[d]; for integers,
+            # row . (p, 1) <= 0  iff  row[:d] . p < 1 - row[d].
+            bound = -row[-1] if strict else 1 - row[-1]
+            if all(sum(map(mul, row, p)) < bound for p in others):
+                return True
+    return False
 
 
-def simplices_face_to_face(pts_a, pts_b) -> bool:
+def _combination_rows(pts_a, pts_b) -> list[list[int]]:
+    """Rows of Σλa - Σμb = 0 (one per coordinate) and Σλ - Σμ = 0, one
+    column per vertex of A, then of B: the one LP formulation."""
+    d = len(pts_a[0])
+    rows = [[p[k] for p in pts_a] + [-q[k] for q in pts_b] for k in range(d)]
+    rows.append([1] * len(pts_a) + [-1] * len(pts_b))
+    return rows
+
+
+def _hulls_meet_off(pts_a, pts_b, common) -> bool:
+    """A common point of conv(A) and conv(B) with positive weight on a vertex
+    of A outside ``common``:
+    {λ, μ >= 0 : Σλa = Σμb, Σλ = Σμ, Σ_{a ∉ common} λ_a = 1} is feasible."""
+    rows = _combination_rows(pts_a, pts_b)
+    rows.append([int(p not in common) for p in pts_a] + [0] * len(pts_b))
+    return feasible(rows, [0] * (len(rows) - 1) + [1])
+
+
+def _relative_interiors_meet(pts_a, pts_b) -> bool:
+    """Some point has strictly positive convex weights on all of A and on all
+    of B: {λ >= 1, μ >= 1 : Σλa = Σμb, Σλ = Σμ} is feasible. With λ - 1 and
+    μ - 1 as the variables, each right-hand side is minus its row's sum."""
+    rows = _combination_rows(pts_a, pts_b)
+    return feasible(rows, [-sum(r) for r in rows])
+
+
+def simplices_face_to_face(pts_a, pts_b, bary_a=None, bary_b=None) -> bool:
     """Decide conv(A) ∩ conv(B) == conv(A ∩ B) for two simplices.
 
     Works for simplices of any dimension given by affinely independent
-    vertex tuples. Equivalent to the existence of an affine functional that
-    vanishes exactly on the common vertices and strictly separates the rest;
-    decided by exact LP feasibility.
+    vertex tuples. ``bary_a``/``bary_b`` are the :func:`barycentric_rows`
+    of full-dimensional simplices, or None. First the facet certificate: a
+    facet hyperplane of one simplex that misses a vertex outside the common
+    ones and has every other non-common vertex of the other strictly beyond
+    it. Otherwise the LP: by uniqueness of barycentric coordinates the
+    hulls meet outside conv(A ∩ B) iff they share a point with positive
+    weight on A \\ B.
     """
     common = set(pts_a) & set(pts_b)
     only_a = [p for p in pts_a if p not in common]
     only_b = [p for p in pts_b if p not in common]
-    if not only_a and not only_b:
-        # Identical vertex sets: trivially equal hulls.
+    if not only_a or not only_b:
+        # One vertex set contains the other: the smaller is a face of the larger.
         return True
-    rows, rhs = _separation_rows(only_a, only_b, sorted(common))
-    return feasible(rows, rhs)
+    return (
+        _facet_certifies(bary_a, pts_a, common, only_b, strict=True)
+        or _facet_certifies(bary_b, pts_b, common, only_a, strict=True)
+        or not _hulls_meet_off(pts_a, pts_b, common)
+    )
 
 
-def simplices_interiors_disjoint(pts_a, pts_b) -> bool:
+def simplices_interiors_disjoint(pts_a, pts_b, bary_a=None, bary_b=None) -> bool:
     """Decide that two simplices have disjoint (relative) interiors.
 
-    A common relative-interior point exists iff some rational point has
-    strictly positive barycentric coordinates in both, iff the scaled
-    system {λ>=1, μ>=1, Σλp = Σμq, Σλ = Σμ} is feasible.
+    ``bary_a``/``bary_b`` as in :func:`simplices_face_to_face`. A facet
+    hyperplane of one simplex with the other weakly beyond it certifies
+    disjointness; otherwise the barycentric LP decides it.
     """
-    d = len(pts_a[0])
-    na, nb = len(pts_a), len(pts_b)
-    rows = []
-    rhs = []
-    for k in range(d):
-        rows.append([p[k] for p in pts_a] + [-q[k] for q in pts_b])
-        rhs.append(sum(q[k] for q in pts_b) - sum(p[k] for p in pts_a))
-    rows.append([1] * na + [-1] * nb)
-    rhs.append(nb - na)
-    return not feasible(rows, rhs)
+    return (
+        _facet_certifies(bary_a, pts_a, (), pts_b, strict=False)
+        or _facet_certifies(bary_b, pts_b, (), pts_a, strict=False)
+        or not _relative_interiors_meet(pts_a, pts_b)
+    )
 
 
 def polytopes_interiors_disjoint(pts_a, pts_b) -> bool:
     """Disjoint interiors for two full-dimensional V-polytopes.
 
-    Equivalent to proper separation: an affine g <= 0 on A and >= 0 on B
-    with Σ_B g - Σ_A g >= 1 (the margin rules out g identically zero on a
-    full-dimensional vertex set).
+    The interior of conv(V) is exactly the set of strictly positive convex
+    combinations of all of V, so this is the barycentric LP of
+    :func:`simplices_interiors_disjoint` on all vertices of both.
     """
-    d = len(pts_a[0])
-    na, nb = len(pts_a), len(pts_b)
-    n_slack = na + nb + 1
-    rows = []
-    rhs = []
-
-    def g_row(p):
-        return [Fraction(x) for x in p] + [Fraction(-x) for x in p] + [
-            Fraction(1),
-            Fraction(-1),
-        ]
-
-    slack = 0
-    for v in pts_a:
-        r = g_row(v) + [Fraction(0)] * n_slack
-        r[2 * d + 2 + slack] = Fraction(1)
-        slack += 1
-        rows.append(r)
-        rhs.append(0)
-    for w in pts_b:
-        r = g_row(w) + [Fraction(0)] * n_slack
-        r[2 * d + 2 + slack] = Fraction(-1)
-        slack += 1
-        rows.append(r)
-        rhs.append(0)
-    margin = [Fraction(0)] * (2 * d + 2 + n_slack)
-    for w in pts_b:
-        gr = g_row(w)
-        for j in range(2 * d + 2):
-            margin[j] += gr[j]
-    for v in pts_a:
-        gr = g_row(v)
-        for j in range(2 * d + 2):
-            margin[j] -= gr[j]
-    margin[2 * d + 2 + slack] = Fraction(-1)
-    rows.append(margin)
-    rhs.append(1)
-    return feasible(rows, rhs)
+    return not _relative_interiors_meet(pts_a, pts_b)

@@ -83,6 +83,9 @@ class _Enumerator:
                 vols.append(v)
         self.cands = cands
         self.vols = vols
+        self.bary = [
+            linalg.barycentric_rows([self.pts[i] for i in s]) for s in cands
+        ]
         self.by_ridge: dict[tuple, list[int]] = {}
         for ci, s in enumerate(cands):
             for drop in s:
@@ -124,9 +127,12 @@ class _Enumerator:
         key = (a, b) if a < b else (b, a)
         hit = self._compat.get(key)
         if hit is None:
+            i, j = key
             hit = linalg.simplices_face_to_face(
-                [self.pts[i] for i in self.cands[key[0]]],
-                [self.pts[i] for i in self.cands[key[1]]],
+                [self.pts[k] for k in self.cands[i]],
+                [self.pts[k] for k in self.cands[j]],
+                self.bary[i],
+                self.bary[j],
             )
             self._compat[key] = hit
         return hit

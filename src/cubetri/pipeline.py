@@ -67,7 +67,6 @@ class PipelineSpec:
     l: int = 3
     m: int = 3
     seed: str = "i3d2"  # i3d2 | i3d1 | minimal | unimodular
-    coloring: str = "balanced"  # balanced | random
     rng_seed: int = 0
     samples: int = 1
     out: str | None = None
@@ -116,8 +115,8 @@ def _cube_as_point_product(tri: Triangulation) -> Triangulation:
 def _pick_seed(spec: PipelineSpec, n: int) -> tuple[str, int, Triangulation]:
     """Seed triangulation for one step, clamped so that m <= n.
 
-    Should the three-summand seed ever fail its build-time verification,
-    the step falls back to the two-summand seed rather than aborting.
+    A seed that fails its build-time verification raises AssertionError,
+    which fails the run.
     """
     l = spec.l
     if spec.seed == "unimodular":
@@ -128,10 +127,7 @@ def _pick_seed(spec: PipelineSpec, n: int) -> tuple[str, int, Triangulation]:
     if want_m >= 2 and l != 3:
         raise ValueError("seeds i3d1/i3d2 require l == 3")
     if want_m >= 3:
-        try:
-            return "i3d2", 3, cayley_seed("i3d2")
-        except AssertionError:
-            want_m = 2
+        return "i3d2", 3, cayley_seed("i3d2")
     if want_m == 2:
         return "i3d1", 2, cayley_seed("i3d1")
     return "minimal", 1, _cube_as_point_product(minimal_cube(l))

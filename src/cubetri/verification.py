@@ -1,6 +1,6 @@
 """Exact structural validation of lifted product triangulations.
 
-The pairwise LP scan in :mod:`complexes` is authoritative but quadratic.
+The pairwise scan in :mod:`complexes` is authoritative but quadratic.
 Constructed lifts carry enough structure to certify validity exactly with
 far less work:
 
@@ -66,7 +66,7 @@ _model_pair_cache: dict = {}
 
 def _model_signature_ok(lvec: tuple[int, ...], kvec: tuple[int, ...]) -> bool:
     """Within-cell face-to-face for one signature, via the regularity
-    certificate; falls back to pairwise LPs on the model cell."""
+    certificate; falls back to the pairwise predicate on the model cell."""
     key = (lvec, kvec)
     if key in _model_pair_cache:
         return _model_pair_cache[key]
@@ -81,14 +81,12 @@ def _model_signature_ok(lvec: tuple[int, ...], kvec: tuple[int, ...]) -> bool:
                 for h, j in path:
                     verts.append(pts[(b, h, j)])
             cells.append(tuple(sorted(verts)))
-        ok = True
-        for i in range(len(cells)):
-            for j in range(i + 1, len(cells)):
-                if not linalg.simplices_face_to_face(cells[i], cells[j]):
-                    ok = False
-                    break
-            if not ok:
-                break
+        bary = [linalg.barycentric_rows(c) for c in cells]
+        ok = all(
+            linalg.simplices_face_to_face(cells[i], cells[j], bary[i], bary[j])
+            for i in range(len(cells))
+            for j in range(i + 1, len(cells))
+        )
     _model_pair_cache[key] = ok
     return ok
 
@@ -113,6 +111,8 @@ class StructuredChecker:
         key = (w1, w2) if w1 <= w2 else (w2, w1)
         hit = self._wall_cache.get(key)
         if hit is None:
+            # Wall restrictions are lower-dimensional: they have no
+            # barycentric rows, so no facet certificate applies.
             hit = linalg.simplices_face_to_face(list(key[0]), list(key[1]))
             self._wall_cache[key] = hit
         return hit

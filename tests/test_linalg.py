@@ -1,4 +1,5 @@
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -91,6 +92,31 @@ def test_batch_det_matches_scalar():
     got = batch_abs_det(mats)
     for m, v in zip(mats, got):
         assert abs(det_bareiss(m.tolist())) == int(v)
+
+
+def test_batch_det_overflow_guard_matches_scalar():
+    # The vectorized step multiplies two minors before dividing, so the
+    # guard must bound their product, not a single minor: these batches
+    # used to pass the guard and come back wrong.
+    rng = np.random.default_rng(0)
+    for n, c in ((8, 20), (6, 200)):
+        mats = rng.integers(-c, c + 1, size=(2000, n, n))
+        got = batch_abs_det(mats)
+        assert [int(v) for v in got] == [abs(det_bareiss(m.tolist())) for m in mats]
+
+
+def test_batch_det_pipeline_range_stays_int64_without_warnings():
+    # {-1, 0, 1} entries up to 10x10 stay on the int64 path, and matrices
+    # that die early (a zero column) raise no division-by-zero warning.
+    rng = np.random.default_rng(1)
+    mats = rng.integers(-1, 2, size=(3000, 10, 10))
+    mats[::7, :, rng.integers(0, 10)] = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = batch_abs_det(mats)
+    assert got.dtype == np.int64
+    assert (got == 0).any()
+    assert [int(v) for v in got] == [abs(det_bareiss(m.tolist())) for m in mats]
 
 
 def test_rank_small_cases():

@@ -1,6 +1,9 @@
 import math
 import os
 
+import pytest
+
+from cubetri import pipeline
 from cubetri.complexes import efficiency, triangulation_from_json, validate_dissection
 from cubetri.pipeline import (
     PipelineSpec,
@@ -32,6 +35,19 @@ def test_build_d7_dissection_tier():
     last = rep.steps[-1]
     assert last.face_to_face is None and last.dissection_certified
     assert rep.sizes[7] >= 1493
+
+
+def test_failed_seed_verification_fails_the_build(monkeypatch):
+    real = pipeline.cayley_seed
+
+    def failing(name, verify=True):
+        if name == "i3d2":
+            raise AssertionError("i3d2: invalid subdivision")
+        return real(name, verify)
+
+    monkeypatch.setattr(pipeline, "cayley_seed", failing)
+    with pytest.raises(AssertionError, match="i3d2"):
+        build_cube_recursive(PipelineSpec(dim=5))
 
 
 def test_sampling_keeps_best():
