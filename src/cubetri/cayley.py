@@ -17,12 +17,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .complexes import Triangulation, ValidityReport, Violation
+from .complexes import (
+    Triangulation,
+    ValidityReport,
+    Violation,
+    factor_blocks,
+    simplex_factor,
+)
 from .geometry import (
     CubeLabel,
     PointConfiguration,
-    ProductLabel,
-    SimplexLabel,
     affine_rank,
     config_from_label,
     parse_label,
@@ -123,20 +127,10 @@ def _check_fine(base: PointConfiguration, cell: MixedCell) -> str | None:
 def triangulation_to_mixed(tri: Triangulation) -> MixedSubdivision:
     """Fine mixed subdivision corresponding to a triangulation of
     P x simplex(m-1)."""
-    label = tri.config.label
-    if not isinstance(label, ProductLabel) or not isinstance(
-        label.right, SimplexLabel
-    ):
-        raise ValueError("expected a triangulation of a product with a simplex")
-    m = label.right.k + 1
-    base = config_from_label(label.left)
-    cells = []
-    for s in tri.simplices:
-        summands: list[list[int]] = [[] for _ in range(m)]
-        for idx in s:
-            summands[idx % m].append(idx // m)
-        cells.append(MixedCell(tuple(tuple(sorted(b)) for b in summands)))
-    return MixedSubdivision(base, m, tuple(cells))
+    left, m = simplex_factor(tri.config)
+    base = config_from_label(left)
+    cells = tuple(MixedCell(factor_blocks(s, m)) for s in tri.simplices)
+    return MixedSubdivision(base, m, cells)
 
 
 def mixed_to_triangulation(sub: MixedSubdivision) -> Triangulation:

@@ -20,7 +20,6 @@ import sys
 from .cayley import mixed_to_json
 from .coloring import exact_expected_size, monte_carlo_size, size_bound
 from .complexes import (
-    Triangulation,
     triangulation_from_json,
     triangulation_to_json,
     validate_dissection,
@@ -29,9 +28,8 @@ from .complexes import (
 )
 from .geometry import cube_config, product_config, simplex_config
 from .oracle import SearchProblem, min_weighted_size
-from .pipeline import PipelineSpec, build_cube_recursive, report_table
+from .pipeline import PipelineSpec, _pick_seed, build_cube_recursive, report_table
 from .seeds import (
-    cayley_seed,
     minimal_cube,
     seed_i3d1,
     seed_i3d2,
@@ -102,14 +100,10 @@ def _cmd_expect(args) -> int:
         if args.q_dim <= 3
         else build_cube_recursive(PipelineSpec(dim=args.q_dim))[0]
     )
-    m = args.m
-    t0 = cayley_seed("i3d2" if m >= 3 else "i3d1") if m >= 2 else None
-    if t0 is None:
-        cfg = product_config(cube_config(3), simplex_config(0))
-        t0 = Triangulation(cfg, minimal_cube(3).simplices)
     n = args.q_dim + 1
-    t0_ws = weighted_size(t0)
-    bound = size_bound(t_q.size, t0_ws, n, m, 3)
+    spec = PipelineSpec(dim=args.q_dim + 3, m=args.m)
+    seed_name, m, t0 = _pick_seed(spec, n)  # clamps m as build does
+    bound = size_bound(t_q.size, weighted_size(t0), n, m, spec.l)
     nv = len(t_q.config.points)
     exact = ""
     if m**nv <= 2**20:
@@ -117,12 +111,12 @@ def _cmd_expect(args) -> int:
     stats = monte_carlo_size(t_q, t0, m, args.samples, args.rng_seed)
     print("d,m,strategy,seed,size,bound,expected_exact_or_blank")
     print(
-        f"{args.q_dim + 3},{m},random,{args.rng_seed},{stats.minimum},"
+        f"{spec.dim},{m},random,{args.rng_seed},{stats.minimum},"
         f"{float(bound):.3f},{exact}"
     )
     print(
-        f"# samples={stats.samples} mean={float(stats.mean):.3f} "
-        f"min={stats.minimum} max={stats.maximum}"
+        f"# block seed={seed_name} samples={stats.samples} "
+        f"mean={float(stats.mean):.3f} min={stats.minimum} max={stats.maximum}"
     )
     return 0
 

@@ -17,10 +17,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import Simplex, Triangulation
+from .complexes import Simplex, Triangulation, simplex_factor
 from .geometry import (
+    PointConfiguration,
     ProductLabel,
-    SimplexLabel,
     as_cube_if_product_of_cubes,
     config_from_label,
 )
@@ -29,6 +29,7 @@ from .staircase import (
     lift_count,
     multi_staircases,
     product_blocks,
+    restricted_base_cells,
 )
 
 
@@ -91,12 +92,7 @@ class CellProvenance:
 
 
 def _check_inputs(t_q: Triangulation, t0: Triangulation, coloring: Coloring) -> int:
-    label = t0.config.label
-    if not isinstance(label, ProductLabel) or not isinstance(
-        label.right, SimplexLabel
-    ):
-        raise ValueError("t0 must triangulate a product with a simplex factor")
-    m = label.right.k + 1
+    _, m = simplex_factor(t0.config)
     if coloring.m != m:
         raise ValueError("coloring color count must match t0's simplex factor")
     if len(coloring.colors) != len(t_q.config.points):
@@ -104,33 +100,45 @@ def _check_inputs(t_q: Triangulation, t0: Triangulation, coloring: Coloring) -> 
     return m
 
 
+def product_output_config(t_q: Triangulation, t0: Triangulation) -> PointConfiguration:
+    """The configuration P x Q that the product of T_Q and T_0 triangulates."""
+    left, _ = simplex_factor(t0.config)
+    return config_from_label(
+        as_cube_if_product_of_cubes(ProductLabel(left, t_q.config.label))
+    )
+
+
 def iter_product_cells(
     t_q: Triangulation, t0: Triangulation, coloring: Coloring
 ):
-    """Yield (sigma, tau_index, base_face, rows, cols, simplices) per cell.
+    """Yield (provenance, simplices) per (sigma, tau) cell, in output order.
 
     Simplices are vertex-index tuples over the product configuration,
-    indexed by p * len(Q points) + q.
+    indexed by p * len(Q points) + q; ``provenance.start``/``end`` locate
+    the cell's run in the concatenation of all cells' simplices.
     """
     m = _check_inputs(t_q, t0, coloring)
     nq = len(t_q.config.points)
     blocks_list = product_blocks(t0)
+    start = 0
     for sigma in t_q.simplices:
         sigma_by_color: list[list[int]] = [[] for _ in range(m)]
         for q in sigma:
             sigma_by_color[coloring.colors[q]].append(q)
         present = tuple(i for i in range(m) if sigma_by_color[i])
-        absent = [i for i in range(m) if not sigma_by_color[i]]
-        for t_idx, blocks in enumerate(blocks_list):
-            if any(len(blocks[i]) != 1 for i in absent):
-                continue
-            rows = tuple(blocks[i] for i in present)
-            cols = tuple(tuple(sigma_by_color[i]) for i in present)
-            cell = LiftedCell(rows, cols, nq)
-            base_face = frozenset(
-                (p, i) for i in present for p in blocks[i]
+        cols = tuple(tuple(sigma_by_color[i]) for i in present)
+        for t_idx, rows in restricted_base_cells(blocks_list, present):
+            simplices = multi_staircases(LiftedCell(rows, cols, nq))
+            base_face = frozenset((p, i) for i, r in zip(present, rows) for p in r)
+            signature = (tuple(len(r) for r in rows), tuple(len(c) for c in cols))
+            end = start + len(simplices)
+            yield (
+                CellProvenance(
+                    sigma, t_idx, base_face, rows, cols, start, end, signature
+                ),
+                simplices,
             )
-            yield sigma, t_idx, base_face, rows, cols, multi_staircases(cell)
+            start = end
 
 
 def triangulate_product(
@@ -145,35 +153,12 @@ def triangulate_product(
     output to be a triangulation; the checker verifies rather than trusts).
     Returns the triangulation, plus per-cell provenance when requested.
     """
-    label = t0.config.label
-    out_label = as_cube_if_product_of_cubes(
-        ProductLabel(label.left, t_q.config.label)
-    )
-    out_cfg = config_from_label(out_label)
     simplices: list[Simplex] = []
     prov: list[CellProvenance] = []
-    for sigma, t_idx, base_face, rows, cols, cell_simplices in iter_product_cells(
-        t_q, t0, coloring
-    ):
-        start = len(simplices)
+    for cell, cell_simplices in iter_product_cells(t_q, t0, coloring):
         simplices.extend(cell_simplices)
-        if with_provenance:
-            prov.append(
-                CellProvenance(
-                    sigma,
-                    t_idx,
-                    base_face,
-                    rows,
-                    cols,
-                    start,
-                    len(simplices),
-                    (
-                        tuple(len(r) for r in rows),
-                        tuple(len(c) for c in cols),
-                    ),
-                )
-            )
-    tri = Triangulation(out_cfg, tuple(simplices))
+        prov.append(cell)
+    tri = Triangulation(product_output_config(t_q, t0), tuple(simplices))
     if with_provenance:
         return tri, prov
     return tri

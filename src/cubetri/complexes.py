@@ -9,18 +9,27 @@ decided exactly on vertex coordinates:
 * face-to-face = for every pair, conv(S1) ∩ conv(S2) = conv(S1 ∩ S2).
 
 Both pair scans use the certificate-first predicates of :mod:`linalg`,
-with each simplex's barycentric rows computed once per scan.
+with each simplex's barycentric rows computed once per scan. Every volume
+total goes through one census, :func:`volume_census`: batched integer
+determinants over fixed-size chunks of index rows.
 
 A cheaper ridge-based mode is available for quick scans; the pairwise test
 remains the authoritative oracle.
+
+Files hold one simplex per line (:class:`TriangulationWriter`), so a step
+too large to keep in memory is written chunk by chunk in the same format.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TextIO
+
+import numpy as np
 
 from . import linalg
 from .geometry import (
@@ -98,6 +107,41 @@ def expected_volume(config: PointConfiguration) -> int | None:
     return ambient_normalized_volume(config.label)
 
 
+CENSUS_CHUNK = 8192  # rows per batch: bounds the census's working memory
+
+
+def volume_census(points, rows) -> tuple[int, list[int]]:
+    """The volume census: (sum of normalized volumes, positions of the
+    zero-volume rows) for full-dimensional simplices given as index rows
+    into ``points``.
+
+    Exact batched determinants (:func:`linalg.batch_abs_det`), taken over
+    chunks of ``CENSUS_CHUNK`` rows so that the working arrays stay small
+    however many rows there are.
+    """
+    pts = np.asarray(points, dtype=np.int64)
+    total = 0
+    degenerate: list[int] = []
+    for start in range(0, len(rows), CENSUS_CHUNK):
+        coords = pts[np.asarray(rows[start : start + CENSUS_CHUNK], dtype=np.int64)]
+        vols = linalg.batch_abs_det(coords[:, 1:, :] - coords[:, :1, :]).tolist()
+        total += sum(vols)
+        degenerate.extend(start + i for i, v in enumerate(vols) if v == 0)
+    return total, degenerate
+
+
+def volume_total(tri: Triangulation) -> int:
+    """Exact total normalized volume of a full-dimensional triangulation."""
+    return volume_census(tri.config.points, tri.simplices)[0]
+
+
+def batch_volumes_of(points, simplex_rows) -> tuple[int, int]:
+    """(sum of |det|, count of zero dets) for a batch of simplices given as
+    index rows into ``points``."""
+    total, degenerate = volume_census(points, simplex_rows)
+    return total, len(degenerate)
+
+
 def validate_dissection(
     tri: Triangulation, expected: int | None = None, pairwise: bool = True
 ) -> ValidityReport:
@@ -111,17 +155,14 @@ def validate_dissection(
         expected = expected_volume(tri.config)
     violations: list[Violation] = []
     d = tri.config.dim
-    vols = []
+    full = []
     for s in tri.simplices:
-        if len(s) != d + 1:
+        if len(s) == d + 1:
+            full.append(s)
+        else:
             violations.append(Violation("not-full-dimensional", (s,)))
-            vols.append(0)
-            continue
-        v = tri.volume_of(s)
-        if v == 0:
-            violations.append(Violation("degenerate", (s,)))
-        vols.append(v)
-    total = sum(vols)
+    total, degenerate = volume_census(tri.config.points, full)
+    violations.extend(Violation("degenerate", (full[i],)) for i in degenerate)
     if expected is not None and total != expected:
         violations.append(
             Violation("volume-mismatch", (), f"got {total}, expected {expected}")
@@ -222,7 +263,8 @@ def ridge_report(tri: Triangulation) -> ValidityReport:
             s2sign = linalg.det_bareiss(r2)
             if s1sign == 0 or s2sign == 0 or (s1sign > 0) == (s2sign > 0):
                 violations.append(Violation("ridge-same-side", (s1, s2), str(ridge)))
-    total = sum(tri.volume_of(s) for s in tri.simplices if len(s) == tri.config.dim + 1)
+    d = tri.config.dim
+    total, _ = volume_census(pts, [s for s in tri.simplices if len(s) == d + 1])
     ok = not violations
     return ValidityReport(ok, ok, total, violations)
 
@@ -234,7 +276,12 @@ def efficiency(size: int, d: int) -> float:
     return math.exp((math.log(size) - math.lgamma(d + 1)) / d)
 
 
-def _product_factors(config: PointConfiguration) -> tuple[Label, int]:
+def simplex_factor(config: PointConfiguration) -> tuple[Label, int]:
+    """(P, m) for a configuration of P x simplex(m-1).
+
+    Vertex (p, i) of the product has index p * m + i, so ``idx % m`` is its
+    simplex-factor vertex and ``idx // m`` its point of P.
+    """
     label = config.label
     if not isinstance(label, ProductLabel) or not isinstance(
         label.right, SimplexLabel
@@ -243,12 +290,18 @@ def _product_factors(config: PointConfiguration) -> tuple[Label, int]:
     return label.left, label.right.k + 1
 
 
+def factor_blocks(s: Simplex, m: int) -> tuple[tuple[int, ...], ...]:
+    """Points of P under each of the m simplex-factor vertices, sorted."""
+    blocks: list[list[int]] = [[] for _ in range(m)]
+    for idx in s:
+        blocks[idx % m].append(idx // m)
+    return tuple(tuple(sorted(b)) for b in blocks)
+
+
 def simplex_type(s: Simplex, config: PointConfiguration) -> SimplexType:
     """Type (t_1, ..., t_m): per simplex-factor vertex counts minus one."""
-    _, m = _product_factors(config)
-    counts = [0] * m
-    for idx in s:
-        counts[idx % m] += 1
+    _, m = simplex_factor(config)
+    counts = [len(b) for b in factor_blocks(s, m)]
     if any(c == 0 for c in counts):
         raise ValueError("full-dimensional simplex must cover every factor vertex")
     return SimplexType(tuple(c - 1 for c in counts))
@@ -270,22 +323,45 @@ def weighted_efficiency_from(ws: Fraction, l: int, m: int) -> float:
 
 def weighted_efficiency(tri: Triangulation) -> float:
     """(weighted size / m^l)^(1/l) for triangulations of cube(l) x simplex."""
-    left, m = _product_factors(tri.config)
+    left, m = simplex_factor(tri.config)
     if not isinstance(left, CubeLabel):
         raise ValueError("weighted efficiency defined for cube x simplex products")
     return weighted_efficiency_from(weighted_size(tri), left.l, m)
 
 
+class TriangulationWriter:
+    """Writes the triangulation file format incrementally: a header with
+    the configuration, then one simplex per line, then a footer."""
+
+    def __init__(self, fh: TextIO, config: PointConfiguration):
+        if config.label is None:
+            raise ValueError("cannot serialize an unlabeled configuration")
+        self.fh = fh
+        self.first = True
+        fh.write(
+            '{"dim": %d, "label": %s, "points": %s, "simplices": [\n'
+            % (config.dim, json.dumps(str(config.label)), json.dumps(config.points))
+        )
+
+    def write(self, simplices) -> None:
+        if not simplices:
+            return
+        if not self.first:
+            self.fh.write(",\n")
+        # Simplices hold only integers, so "], [" occurs only between two.
+        self.fh.write(json.dumps(simplices)[1:-1].replace("], [", "],\n["))
+        self.first = False
+
+    def close(self) -> None:
+        self.fh.write("\n]}\n")
+
+
 def triangulation_to_json(tri: Triangulation) -> str:
-    if tri.config.label is None:
-        raise ValueError("cannot serialize an unlabeled configuration")
-    obj = {
-        "dim": tri.config.dim,
-        "label": str(tri.config.label),
-        "points": [list(p) for p in tri.config.points],
-        "simplices": [list(s) for s in tri.simplices],
-    }
-    return json.dumps(obj)
+    buf = io.StringIO()
+    writer = TriangulationWriter(buf, tri.config)
+    writer.write(tri.simplices)
+    writer.close()
+    return buf.getvalue()
 
 
 def triangulation_from_json(text: str) -> Triangulation:

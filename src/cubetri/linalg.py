@@ -102,13 +102,13 @@ def batch_abs_det(mats: np.ndarray) -> np.ndarray:
 
     ``mats`` has shape (N, n, n). Runs a vectorized Bareiss elimination in
     int64 when provably overflow-free, otherwise falls back to the scalar
-    routine per matrix.
+    routine per matrix. A 0x0 matrix has determinant 1.
     """
     mats = np.asarray(mats, dtype=np.int64)
     N, n, n2 = mats.shape
     assert n == n2
-    if N == 0:
-        return np.zeros(0, dtype=np.int64)
+    if n == 0:
+        return np.ones(N, dtype=np.int64)
     if not _int64_safe(mats):
         return np.array(
             [abs(det_bareiss(m.tolist())) for m in mats], dtype=object

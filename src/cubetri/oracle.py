@@ -25,8 +25,6 @@ from .complexes import Simplex, Triangulation, simplex_type
 from .geometry import (
     CubeLabel,
     PointConfiguration,
-    ProductLabel,
-    SimplexLabel,
     ambient_normalized_volume,
     facet_inequalities,
     normalized_volume,
@@ -39,28 +37,6 @@ CANDIDATE_GUARD = 10**4
 class SearchProblem:
     config: PointConfiguration
     objective: str = "weighted"  # weighted | cardinality
-
-
-def _solve_cone_coords(cols, g):
-    """Solve M x = g exactly (M square, columns = cols); None if singular."""
-    d = len(g)
-    m = [[Fraction(cols[j][i]) for j in range(d)] + [Fraction(g[i])] for i in range(d)]
-    for c in range(d):
-        piv = None
-        for r in range(c, d):
-            if m[r][c] != 0:
-                piv = r
-                break
-        if piv is None:
-            return None
-        m[c], m[piv] = m[piv], m[c]
-        pv = m[c][c]
-        m[c] = [v / pv for v in m[c]]
-        for r in range(d):
-            if r != c and m[r][c] != 0:
-                f = m[r][c]
-                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
-    return [m[i][d] for i in range(d)]
 
 
 class _Enumerator:
@@ -138,6 +114,15 @@ class _Enumerator:
         return hit
 
     def _generic_direction(self):
+        """Starting cells: the cells at the anchor whose tangent cone holds
+        a generic direction g.
+
+        For a cell vertex r other than the anchor, row r of the cell's
+        barycentric rows gives row[:d] . g = |D| x_r, where x_r is the
+        coordinate of g along the edge from the anchor to r. g is scaled by
+        997 to an integer vector, which keeps every sign. A zero coordinate
+        means g is not generic, and the next g is tried.
+        """
         n = len(self.pts)
         v0 = self.pts[self.anchor]
         base = [
@@ -145,27 +130,19 @@ class _Enumerator:
         ]
         starters = [ci for ci, s in enumerate(self.cands) if self.anchor in s]
         for attempt in range(200):
-            g = [
-                Fraction(base[j]) + Fraction(attempt * 3**j, 997)
-                for j in range(self.d)
-            ]
-            ok_all = True
+            g = [997 * base[j] + attempt * 3**j for j in range(self.d)]
             inside = []
             for ci in starters:
-                s = self.cands[ci]
-                # each generator vector is one column of the cone matrix
-                cols = [
-                    [self.pts[i][j] - v0[j] for j in range(self.d)]
-                    for i in s
+                coords = [
+                    sum(a * b for a, b in zip(row[: self.d], g))
+                    for i, row in zip(self.cands[ci], self.bary[ci])
                     if i != self.anchor
                 ]
-                coords = _solve_cone_coords(cols, g)
-                if coords is None or any(c == 0 for c in coords):
-                    ok_all = False
+                if 0 in coords:
                     break
                 if all(c > 0 for c in coords):
                     inside.append(ci)
-            if ok_all:
+            else:
                 return inside
         raise ArithmeticError("no generic direction found")
 
@@ -218,12 +195,9 @@ def enumerate_triangulations(
 
 
 def _simplex_weight(config: PointConfiguration, s: Simplex) -> Fraction:
-    label = config.label
-    if isinstance(label, ProductLabel) and isinstance(label.right, SimplexLabel):
-        return simplex_type(s, config).weight
-    if isinstance(label, CubeLabel):
-        return Fraction(1, math.factorial(label.l))
-    raise ValueError("weighted objective needs a cube or cube-x-simplex config")
+    if isinstance(config.label, CubeLabel):
+        return Fraction(1, math.factorial(config.label.l))
+    return simplex_type(s, config).weight
 
 
 def min_weighted_size(

@@ -6,12 +6,20 @@ refine the product through the block seed and a coloring, one step at a
 time. Each step multiplies the size by roughly the seed's weighted size
 times (n/m + l)^l, which is what drives the asymptotic efficiency.
 
+Every step is one loop (:func:`_product_step`): a single pass over the
+cells of T_Q x T_0 that checks each cell's per-signature certificate and
+feeds fixed-size chunks of simplices to the volume census and to the file
+writer. Materialization is only a memory policy: the simplices and their
+provenance are kept when the step's dimension is at most
+``materialize_max_dim``, and otherwise the step is streamed, so it must be
+the last one. Either way the same bytes are written.
+
 Validation policy per step (all exact):
 
-* volume census always (batched integer determinants, streamed);
+* volume census always (batched integer determinants, chunked);
 * full pairwise face-to-face up to ``face_check_max_dim`` (default 6) via
-  the structural checker;
-* above that, a dissection certificate: per-cell regularity certificates,
+  the structural checker, on kept steps;
+* otherwise a dissection certificate: per-cell regularity certificates,
   per-cell count identities, the volume census, and the inductively
   verified validity of the inputs. The quadratic pair scan is hopeless at
   millions of cells and is deliberately not attempted there.
@@ -23,27 +31,35 @@ reproduced exactly.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .coloring import (
+    CellProvenance,
     Coloring,
     iter_product_cells,
     make_coloring,
+    product_output_config,
     product_size,
     size_bound,
     triangulate_product,
 )
-from .complexes import Triangulation, efficiency, triangulation_to_json, weighted_size
+from .complexes import (
+    CENSUS_CHUNK,
+    Triangulation,
+    TriangulationWriter,
+    batch_volumes_of,
+    efficiency,
+    weighted_size,
+)
 from .geometry import (
-    ProductLabel,
     ambient_normalized_volume,
-    as_cube_if_product_of_cubes,
-    config_from_label,
     cube_config,
     product_config,
     simplex_config,
@@ -57,8 +73,8 @@ from .seeds import (
     minimal_cube,
     unimodular_cube,
 )
-from .staircase import certify_cell_regular, lift_count
-from .verification import StructuredChecker, batch_volumes_of, volume_total
+from .staircase import certify_cell_regular, multi_staircase_count
+from .verification import StructuredChecker
 
 
 @dataclass
@@ -133,76 +149,65 @@ def _pick_seed(spec: PipelineSpec, n: int) -> tuple[str, int, Triangulation]:
     return "minimal", 1, _cube_as_point_product(minimal_cube(l))
 
 
-def _stream_step(t_q, t0, coloring, out_path=None):
-    """One product step without materializing: (size, volume, certified,
-    zero_volume_count), optionally streaming simplices to a JSON file."""
-    out_lab = as_cube_if_product_of_cubes(
-        ProductLabel(t0.config.label.left, t_q.config.label)
+def _cell_certified(signature, count: int) -> bool:
+    """The per-signature certificate: every block's staircases are strictly
+    regular, and the cell holds as many simplices as the closed form says."""
+    lvec, kvec = signature
+    return certify_cell_regular(lvec, kvec) and count == multi_staircase_count(
+        lvec, kvec
     )
-    out_cfg = config_from_label(out_lab)
-    pts = out_cfg.points
-    size = 0
-    volume = 0
-    zeros = 0
-    certified = True
-    buffer: list[tuple[int, ...]] = []
-    fh = open(out_path, "w") if out_path is not None else None
-    if fh is not None:
-        fh.write(
-            '{"dim": %d, "label": "%s", "points": %s, "simplices": [\n'
-            % (out_cfg.dim, str(out_cfg.label), json.dumps([list(p) for p in pts]))
-        )
-    first = True
-
-    def flush(buffer):
-        nonlocal volume, zeros, first
-        if not buffer:
-            return
-        v, z = batch_volumes_of(pts, buffer)
-        volume += v
-        zeros += z
-        if fh is not None:
-            for s in buffer:
-                if not first:
-                    fh.write(",\n")
-                fh.write(json.dumps(list(s)))
-                first = False
-        buffer.clear()
-
-    for sigma, t_idx, base_face, rows, cols, cell_simplices in iter_product_cells(
-        t_q, t0, coloring
-    ):
-        lvec = tuple(len(r) for r in rows)
-        kvec = tuple(len(c) for c in cols)
-        if not certify_cell_regular(lvec, kvec):
-            certified = False
-        want = 1
-        for l_, k_ in zip(lvec, kvec):
-            want *= lift_count(k_, l_)
-        if len(cell_simplices) != want:
-            certified = False
-        size += len(cell_simplices)
-        buffer.extend(cell_simplices)
-        if len(buffer) >= 65536:
-            flush(buffer)
-    flush(buffer)
-    if fh is not None:
-        fh.write("\n]}\n")
-        fh.close()
-    return size, volume, certified, zeros
 
 
-def _cells_certified(prov) -> bool:
-    for cell in prov:
-        lvec, kvec = cell.signature
-        if not certify_cell_regular(lvec, kvec):
-            return False
-        want = 1
-        for l_, k_ in zip(lvec, kvec):
-            want *= lift_count(k_, l_)
-        if cell.end - cell.start != want:
-            return False
-    return True
+@dataclass
+class _Step:
+    size: int = 0
+    volume_ok: bool = False
+    certified: bool = True
+    tri: Triangulation | None = None  # only when kept
+    provenance: list[CellProvenance] = field(default_factory=list)
+
+
+def _product_step(t_q, t0, coloring, keep: bool, out_path=None) -> _Step:
+    """One product step: a single pass over the cells that certifies each
+    cell, feeds chunks of ``CENSUS_CHUNK`` simplices to the volume census
+    and (with ``out_path``) to the file writer, and keeps the simplices and
+    their provenance only when ``keep``."""
+    cfg = product_output_config(t_q, t0)
+    points = np.asarray(cfg.points, dtype=np.int64)
+    step = _Step()
+    volume = zeros = 0
+    kept: list = []
+    chunk: list = []
+    with open(out_path, "w") if out_path else contextlib.nullcontext() as fh:
+        writer = TriangulationWriter(fh, cfg) if fh else None
+
+        def flush():
+            nonlocal volume, zeros
+            v, z = batch_volumes_of(points, chunk)
+            volume += v
+            zeros += z
+            if writer is not None:
+                writer.write(chunk)
+            chunk.clear()
+
+        for cell, simplices in iter_product_cells(t_q, t0, coloring):
+            step.size += len(simplices)
+            step.certified = step.certified and _cell_certified(
+                cell.signature, len(simplices)
+            )
+            if keep:
+                kept.extend(simplices)
+                step.provenance.append(cell)
+            chunk.extend(simplices)
+            if len(chunk) >= CENSUS_CHUNK:
+                flush()
+        flush()
+        if writer is not None:
+            writer.close()
+    step.volume_ok = volume == ambient_normalized_volume(cfg.label) and zeros == 0
+    if keep:
+        step.tri = Triangulation(cfg, tuple(kept))
+    return step
 
 
 def build_cube_recursive(spec: PipelineSpec):
@@ -243,34 +248,18 @@ def build_cube_recursive(spec: PipelineSpec):
         new_dim = cur + l
         bound = size_bound(current.size, t0_ws, n, m_step, l)
         bound_ok = Fraction(best_size) <= bound
-        is_final = new_dim == spec.dim
-        out_path = spec.out if is_final else None
-        if new_dim <= spec.materialize_max_dim:
-            tri, prov = triangulate_product(current, t0, best, with_provenance=True)
-            vol_ok = volume_total(tri) == ambient_normalized_volume(tri.config.label)
-            if new_dim <= spec.face_check_max_dim:
-                report = StructuredChecker(tri, prov, best).run()
-                f2f: bool | None = report.is_face_to_face
-                diss = report.is_dissection
-            else:
-                f2f = None
-                diss = vol_ok and _cells_certified(prov)
-            if out_path is not None:
-                with open(out_path, "w") as fh:
-                    fh.write(triangulation_to_json(tri))
-            next_current: Triangulation | None = tri
+        keep = new_dim <= spec.materialize_max_dim
+        out_path = spec.out if new_dim == spec.dim else None
+        step = _product_step(current, t0, best, keep, out_path)
+        assert step.size == best_size
+        vol_ok = step.volume_ok
+        if keep and new_dim <= spec.face_check_max_dim:
+            report = StructuredChecker(step.tri, step.provenance, best).run()
+            f2f: bool | None = report.is_face_to_face
+            diss = report.is_dissection
         else:
-            size, volume, certified, zeros = _stream_step(
-                current, t0, best, out_path=out_path
-            )
-            assert size == best_size
-            vol_ok = (
-                volume == ambient_normalized_volume(cube_config(new_dim).label)
-                and zeros == 0
-            )
             f2f = None
-            diss = vol_ok and certified
-            next_current = None
+            diss = vol_ok and step.certified
         steps.append(
             StepReport(
                 cur,
@@ -292,11 +281,11 @@ def build_cube_recursive(spec: PipelineSpec):
         )
         sizes[new_dim] = best_size
         ok = ok and bound_ok and vol_ok and diss and (f2f is not False)
-        if next_current is None:
+        if step.tri is None:
             if new_dim != spec.dim:
                 raise ValueError("cannot continue past a streamed step")
             return None, PipelineReport(steps, sizes, ok)
-        current = next_current
+        current = step.tri
     return current, PipelineReport(steps, sizes, ok)
 
 

@@ -15,14 +15,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .complexes import Simplex, Triangulation
-from .geometry import (
-    ProductLabel,
-    SimplexLabel,
-    config_from_label,
-    product_config,
-    simplex_config,
-)
+from .complexes import Simplex, Triangulation, factor_blocks, simplex_factor
+from .geometry import config_from_label, product_config, simplex_config
 
 
 @lru_cache(maxsize=None)
@@ -121,19 +115,8 @@ def product_blocks(t0: Triangulation) -> list[tuple[tuple[int, ...], ...]]:
     Block i of a simplex holds the base-point indices of its vertices over
     the i-th simplex vertex, in canonical order.
     """
-    label = t0.config.label
-    if not isinstance(label, ProductLabel) or not isinstance(
-        label.right, SimplexLabel
-    ):
-        raise ValueError("expected a product-with-simplex configuration")
-    m = label.right.k + 1
-    out = []
-    for s in t0.simplices:
-        blocks: list[list[int]] = [[] for _ in range(m)]
-        for idx in s:
-            blocks[idx % m].append(idx // m)
-        out.append(tuple(tuple(sorted(b)) for b in blocks))
-    return out
+    _, m = simplex_factor(t0.config)
+    return [factor_blocks(s, m) for s in t0.simplices]
 
 
 def restricted_base_cells(
@@ -161,24 +144,16 @@ def lift_cell(
     Column (i, j) of the target simplex gets the global index
     offset(i) + j where offset(i) = k_1 + ... + k_{i-1}.
     """
-    label = t0.config.label
-    if not isinstance(label, ProductLabel) or not isinstance(
-        label.right, SimplexLabel
-    ):
-        raise ValueError("expected a product-with-simplex configuration")
-    m = label.right.k + 1
+    _, m = simplex_factor(t0.config)
     if len(kvec) != m:
         raise ValueError("kvec length must match the simplex factor")
     if any(k < 1 for k in kvec):
         raise ValueError("kvec entries must be >= 1; restrict to a face first")
     n = sum(kvec)
-    blocks: list[list[int]] = [[] for _ in range(m)]
-    for idx in base_simplex:
-        blocks[idx % m].append(idx // m)
     offsets = [0] * m
     for i in range(1, m):
         offsets[i] = offsets[i - 1] + kvec[i - 1]
-    rows = tuple(tuple(sorted(b)) for b in blocks)
+    rows = factor_blocks(base_simplex, m)
     cols = tuple(
         tuple(range(offsets[i], offsets[i] + kvec[i])) for i in range(m)
     )
@@ -195,13 +170,9 @@ def lift_triangulation(
     face-to-face checker; its size is the sum over base cells of the
     per-cell staircase-count product.
     """
-    label = t0.config.label
-    if not isinstance(label, ProductLabel) or not isinstance(
-        label.right, SimplexLabel
-    ):
-        raise ValueError("expected a product-with-simplex configuration")
+    left, _ = simplex_factor(t0.config)
     n = sum(kvec)
-    left_cfg = config_from_label(label.left)
+    left_cfg = config_from_label(left)
     out_cfg = product_config(left_cfg, simplex_config(n - 1))
     simplices: list[Simplex] = []
     for s in t0.simplices:

@@ -24,10 +24,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import linalg
-from .complexes import Triangulation, ValidityReport, Violation, expected_volume
+from .complexes import (  # re-exported: callers import the census from here
+    Triangulation,
+    ValidityReport,
+    Violation,
+    batch_volumes_of,
+    expected_volume,
+    volume_total,
+)
 from .coloring import CellProvenance, Coloring
 from .staircase import certify_cell_regular, monotone_paths
 
@@ -202,35 +207,3 @@ class StructuredChecker:
             )
         ok = not violations
         return ValidityReport(ok, ok, vol, violations)
-
-
-def volume_total(tri: Triangulation) -> int:
-    """Exact total normalized volume, batched over all simplices."""
-    n = len(tri.simplices)
-    if n == 0:
-        return 0
-    pts = np.asarray(tri.config.points, dtype=np.int64)
-    d = tri.config.dim
-    total = 0
-    chunk = 65536
-    for start in range(0, n, chunk):
-        block = tri.simplices[start : start + chunk]
-        idx = np.asarray(block, dtype=np.int64)
-        coords = pts[idx]  # (b, d+1, d)
-        diffs = coords[:, 1:, :] - coords[:, :1, :]
-        dets = linalg.batch_abs_det(diffs)
-        total += int(dets.sum())
-    return total
-
-
-def batch_volumes_of(points, simplex_rows) -> tuple[int, int]:
-    """(sum of |det|, count of zero dets) for a batch of simplices given as
-    index rows into ``points``."""
-    if not simplex_rows:
-        return 0, 0
-    pts = np.asarray(points, dtype=np.int64)
-    idx = np.asarray(simplex_rows, dtype=np.int64)
-    coords = pts[idx]
-    diffs = coords[:, 1:, :] - coords[:, :1, :]
-    dets = linalg.batch_abs_det(diffs)
-    return int(dets.sum()), int((dets == 0).sum())

@@ -23,6 +23,7 @@ from cubetri.geometry import (
     simplex_config,
 )
 from cubetri.staircase import staircase_triangulation
+from cubetri.verification import batch_volumes_of, volume_total
 
 UNIT_SQUARE = Triangulation(cube_config(2), ((0, 2, 3), (0, 1, 3)))
 
@@ -46,6 +47,31 @@ def test_dissection_volume_deficit():
     report = validate_dissection(tri, expected=2)
     assert not report.is_dissection
     assert any(v.kind == "volume-mismatch" for v in report.violations)
+
+
+def test_dissection_names_degenerate_simplex():
+    cfg = PointConfiguration(None, ((0, 0), (1, 0), (2, 0), (0, 1)), 2)
+    tri = Triangulation(cfg, ((0, 1, 3), (1, 2, 3), (0, 1, 2)))
+    report = validate_dissection(tri, expected=2)
+    assert not report.is_dissection and report.volume_total == 2
+    degenerate = [v for v in report.violations if v.kind == "degenerate"]
+    assert [v.members for v in degenerate] == [((0, 1, 2),)]
+
+
+def test_dissection_names_not_full_dimensional_simplex():
+    tri = Triangulation(cube_config(2), ((0, 2, 3), (3, 0), (0, 1, 3)))
+    report = validate_dissection(tri, expected=2, pairwise=False)
+    assert not report.is_dissection and report.volume_total == 2
+    kinds = [(v.kind, v.members) for v in report.violations]
+    assert kinds == [("not-full-dimensional", ((0, 3),))]
+
+
+def test_zero_dimensional_census():
+    tri = Triangulation(simplex_config(0), ((0,),))
+    report = validate_dissection(tri)
+    assert report.is_dissection and report.volume_total == 1
+    assert volume_total(tri) == 1
+    assert batch_volumes_of(tri.config.points, list(tri.simplices)) == (1, 0)
 
 
 def test_face_to_face_shared_diagonal():

@@ -119,6 +119,12 @@ def test_batch_det_pipeline_range_stays_int64_without_warnings():
     assert [int(v) for v in got] == [abs(det_bareiss(m.tolist())) for m in mats]
 
 
+def test_batch_det_of_empty_matrices_is_one():
+    # the empty product, as for det_bareiss([])
+    assert det_bareiss([]) == 1
+    assert batch_abs_det(np.zeros((3, 0, 0), dtype=np.int64)).tolist() == [1, 1, 1]
+
+
 def test_rank_small_cases():
     assert rank_int([[1, 2], [2, 4]]) == 1
     assert rank_int([[1, 0], [0, 1]]) == 2

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 
@@ -127,7 +128,7 @@ def test_streamed_final_step_matches_materialized(tmp_path):
     tri, rep_m = build_cube_recursive(PipelineSpec(dim=5))
     assert rep_s.sizes == rep_m.sizes
     loaded = triangulation_from_json(open(streamed_path).read())
-    assert set(loaded.simplices) == set(tri.simplices)
+    assert loaded.simplices == tri.simplices
 
 
 def test_cli_expect_and_volume_only(tmp_path, capsys):
@@ -145,8 +146,48 @@ def test_cli_expect_and_volume_only(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_expect_clamps_m_like_build(capsys):
+    from cubetri.cli import main
+
+    # a 2-cube has 3 vertices per simplex, so at most 3 colors are usable
+    assert main(["expect", "--q-dim", "2", "--m", "4", "--samples", "2",
+                 "--rng-seed", "1"]) == 0
+    header, row = capsys.readouterr().out.splitlines()[:2]
+    assert header.split(",")[1] == "m"
+    assert row.split(",")[:2] == ["5", "3"]
+
+
 def test_trivial_dims_return_minimal_cubes():
     for d in (1, 2, 3):
         tri, rep = build_cube_recursive(PipelineSpec(dim=d))
         assert rep.ok and rep.sizes == {d: minimal_cube(d).size}
         assert tri.size == minimal_cube(d).size
+
+
+# The d=8 file of samples=3, rng_seed=1 with the last step streamed: it pins
+# the simplices, their order and the file format.
+D8_SHA256 = "32d8fc648947d248afd185c74d9d0428252e4776bf356256a3d562093a105f20"
+D8_BYTES = 708_036
+
+
+def _d8_file(tmp_path, materialize_max_dim):
+    path = tmp_path / f"d8-{materialize_max_dim}.json"
+    spec = PipelineSpec(dim=8, samples=3, rng_seed=1, out=os.fspath(path),
+                        materialize_max_dim=materialize_max_dim,
+                        face_check_max_dim=4)
+    tri, rep = build_cube_recursive(spec)
+    assert rep.ok and rep.sizes[8] == 16282
+    return tri, path.read_bytes()
+
+
+def test_streamed_d8_file_is_pinned(tmp_path):
+    tri, data = _d8_file(tmp_path, 7)
+    assert tri is None
+    assert len(data) == D8_BYTES
+    assert hashlib.sha256(data).hexdigest() == D8_SHA256
+
+
+def test_materialized_d8_file_matches_streamed_bytes(tmp_path):
+    tri, data = _d8_file(tmp_path, 8)
+    assert tri is not None and tri.size == 16282
+    assert data == _d8_file(tmp_path, 7)[1]
