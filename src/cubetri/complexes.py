@@ -10,11 +10,23 @@ decided exactly on vertex coordinates:
 
 Both pair scans use the certificate-first predicates of :mod:`linalg`,
 with each simplex's barycentric rows computed once per scan. Every volume
-total goes through one census, :func:`volume_census`: batched integer
-determinants over fixed-size chunks of index rows.
+total goes through one census, :func:`signed_volumes`: batched signed
+integer determinants over fixed-size chunks of index rows.
 
-A cheaper ridge-based mode is available for quick scans; the pairwise test
-remains the authoritative oracle.
+:func:`ridge_report` is the certificate that needs neither provenance nor
+a pair scan. It holds for full-dimensional simplices S_1..S_N in a
+d-polytope P when (a) every ridge lies in at most two simplices, (b) a
+ridge in one simplex lies in a facet of P, (c) the two simplices at any
+other ridge lie on opposite sides of it, and (d) the volumes sum to
+vol(P). Crossing a ridge of kind (c) leaves one simplex and enters
+another, and a ridge of kind (b) is only crossed on leaving P, so the
+number of simplices covering a generic point is the same constant c all
+over P. The census gives sum vol(S_i) = c vol(P), so (d) forces c = 1:
+the simplices tile P. With every interior ridge matched this way they
+form a triangulation; this is the characterization of triangulations by
+the pseudo-manifold property in De Loera, Rambau and Santos,
+*Triangulations* (Springer, 2010). The pairwise checks stay the
+authoritative oracle on small inputs.
 
 Files hold one simplex per line (:class:`TriangulationWriter`), so a step
 too large to keep in memory is written chunk by chunk in the same format.
@@ -110,24 +122,34 @@ def expected_volume(config: PointConfiguration) -> int | None:
 CENSUS_CHUNK = 8192  # rows per batch: bounds the census's working memory
 
 
+def signed_volumes(points, rows) -> np.ndarray:
+    """Signed determinants det(p_1 - p_0, ..., p_d - p_0) of full-dimensional
+    simplices given as index rows into ``points``, in row order; their
+    absolute values are the normalized volumes.
+
+    Exact batched determinants (:func:`linalg.batch_det`), taken over chunks
+    of ``CENSUS_CHUNK`` rows so that the working arrays stay small however
+    many rows there are.
+    """
+    pts = np.asarray(points, dtype=np.int64)
+    chunks = [np.zeros(0, dtype=np.int64)]
+    for start in range(0, len(rows), CENSUS_CHUNK):
+        coords = pts[np.asarray(rows[start : start + CENSUS_CHUNK], dtype=np.intp)]
+        chunks.append(linalg.batch_det(coords[:, 1:, :] - coords[:, :1, :]))
+    return np.concatenate(chunks)
+
+
+def _tally(vols: np.ndarray) -> tuple[int, list[int]]:
+    # int64 determinants are below 2**31 (see linalg._int64_safe), so the
+    # int64 sum is exact.
+    return int(np.abs(vols).sum()), np.flatnonzero(vols == 0).tolist()
+
+
 def volume_census(points, rows) -> tuple[int, list[int]]:
     """The volume census: (sum of normalized volumes, positions of the
     zero-volume rows) for full-dimensional simplices given as index rows
-    into ``points``.
-
-    Exact batched determinants (:func:`linalg.batch_abs_det`), taken over
-    chunks of ``CENSUS_CHUNK`` rows so that the working arrays stay small
-    however many rows there are.
-    """
-    pts = np.asarray(points, dtype=np.int64)
-    total = 0
-    degenerate: list[int] = []
-    for start in range(0, len(rows), CENSUS_CHUNK):
-        coords = pts[np.asarray(rows[start : start + CENSUS_CHUNK], dtype=np.int64)]
-        vols = linalg.batch_abs_det(coords[:, 1:, :] - coords[:, :1, :]).tolist()
-        total += sum(vols)
-        degenerate.extend(start + i for i, v in enumerate(vols) if v == 0)
-    return total, degenerate
+    into ``points``."""
+    return _tally(signed_volumes(points, rows))
 
 
 def volume_total(tri: Triangulation) -> int:
@@ -142,6 +164,32 @@ def batch_volumes_of(points, simplex_rows) -> tuple[int, int]:
     return total, len(degenerate)
 
 
+CENSUS_KINDS = ("not-full-dimensional", "degenerate", "volume-mismatch")
+
+
+def _census(tri: Triangulation, expected: int | None):
+    """The census part of every report: (full-dimensional simplices, their
+    signed volumes, total volume, violations). The violations name each
+    simplex that is not full-dimensional, then each degenerate one, then a
+    total that differs from ``expected``."""
+    d = tri.config.dim
+    violations: list[Violation] = []
+    full = []
+    for s in tri.simplices:
+        if len(s) == d + 1:
+            full.append(s)
+        else:
+            violations.append(Violation("not-full-dimensional", (s,)))
+    vols = signed_volumes(tri.config.points, full)
+    total, degenerate = _tally(vols)
+    violations.extend(Violation("degenerate", (full[i],)) for i in degenerate)
+    if expected is not None and total != expected:
+        violations.append(
+            Violation("volume-mismatch", (), f"got {total}, expected {expected}")
+        )
+    return full, vols, total, violations
+
+
 def validate_dissection(
     tri: Triangulation, expected: int | None = None, pairwise: bool = True
 ) -> ValidityReport:
@@ -153,20 +201,7 @@ def validate_dissection(
     """
     if expected is None:
         expected = expected_volume(tri.config)
-    violations: list[Violation] = []
-    d = tri.config.dim
-    full = []
-    for s in tri.simplices:
-        if len(s) == d + 1:
-            full.append(s)
-        else:
-            violations.append(Violation("not-full-dimensional", (s,)))
-    total, degenerate = volume_census(tri.config.points, full)
-    violations.extend(Violation("degenerate", (full[i],)) for i in degenerate)
-    if expected is not None and total != expected:
-        violations.append(
-            Violation("volume-mismatch", (), f"got {total}, expected {expected}")
-        )
+    _, _, total, violations = _census(tri, expected)
     seen = set()
     for s in tri.simplices:
         if s in seen:
@@ -218,53 +253,76 @@ def validate_face_to_face(
     return ValidityReport(ok, ok, base.volume_total, violations)
 
 
-def ridge_report(tri: Triangulation) -> ValidityReport:
-    """Fast local check: every interior ridge in exactly two cells lying on
-    opposite sides, boundary ridges on facets of the labeled polytope.
+def _apex_sides(vols: np.ndarray, d: int) -> np.ndarray:
+    """(N, d+1) sides: entry [i, j] is the orientation of (ridge, apex) when
+    position j is dropped from the sorted simplex i.
 
-    Sound only together with the volume census (run validate_dissection
-    with pairwise=False alongside); the pairwise scan stays authoritative.
+    The affine determinant is alternating in its d+1 points, and moving
+    the apex s_j to the end is a cyclic shift of d-j places, so the side is
+    o(s) (-1)^(d-j), with o(s) the simplex's signed volume.
+    """
+    parity = np.where((d - np.arange(d + 1)) % 2 == 1, -1, 1)
+    return np.sign(vols).astype(np.int8)[:, None] * parity.astype(np.int8)
+
+
+def ridge_report(tri: Triangulation) -> ValidityReport:
+    """The ridge certificate of the module docstring, decided exactly.
+
+    Runs the census of :func:`validate_dissection` against the
+    configuration's volume and reports its violations first. Then pairs the
+    ridges of the full-dimensional simplices by sorting them: a ridge in
+    more than two simplices is ``ridge-overused``, one in a single simplex
+    and on no facet ``open-interior-ridge``, and two simplices on the same
+    side of their ridge (or degenerate) ``ridge-same-side``. Ridge
+    violations come in the order of each ridge's first occurrence. Sides
+    come from the census's signed volumes (:func:`_apex_sides`), so no
+    determinant is taken per ridge.
     """
     if tri.config.label is None:
         raise ValueError("ridge mode needs a labeled configuration")
-    facets = facet_inequalities(tri.config.label)
-    pts = tri.config.points
-    violations: list[Violation] = []
-    ridges: dict[Simplex, list[tuple[Simplex, int]]] = {}
-    for s in tri.simplices:
-        for drop in s:
-            ridge = tuple(i for i in s if i != drop)
-            ridges.setdefault(ridge, []).append((s, drop))
-    for ridge, owners in ridges.items():
-        if len(owners) > 2:
-            violations.append(
-                Violation("ridge-overused", tuple(o[0] for o in owners))
-            )
-            continue
-        rpts = [pts[i] for i in ridge]
-        if len(owners) == 1:
-            on_boundary = any(
-                all(sum(a * x for a, x in zip(av, p)) == b for p in rpts)
-                for av, b in facets
-            )
-            if not on_boundary:
-                violations.append(
-                    Violation("open-interior-ridge", (owners[0][0],), str(ridge))
-                )
-        else:
-            (s1, d1), (s2, d2) = owners
-            # Opposite strict sides of the ridge hyperplane, via the sign of
-            # the (d+1)x(d+1) orientation determinant.
-            p0 = rpts[0]
-            rows = [[p[j] - p0[j] for j in range(tri.config.dim)] for p in rpts[1:]]
-            r1 = rows + [[pts[d1][j] - p0[j] for j in range(tri.config.dim)]]
-            r2 = rows + [[pts[d2][j] - p0[j] for j in range(tri.config.dim)]]
-            s1sign = linalg.det_bareiss(r1)
-            s2sign = linalg.det_bareiss(r2)
-            if s1sign == 0 or s2sign == 0 or (s1sign > 0) == (s2sign > 0):
-                violations.append(Violation("ridge-same-side", (s1, s2), str(ridge)))
+    full, vols, total, violations = _census(tri, expected_volume(tri.config))
     d = tri.config.dim
-    total, _ = volume_census(pts, [s for s in tri.simplices if len(s) == d + 1])
+    pts = np.array(tri.config.points, dtype=np.int64)
+    idx = np.uint16 if len(pts) < 2**16 else np.int64
+    simp = np.array(full, dtype=idx).reshape(-1, d + 1)
+    # Ridge k = i (d+1) + j of the flat array drops position j of simplex i.
+    ridges = np.empty((len(simp), d + 1, d), dtype=idx)
+    for j in range(d + 1):
+        ridges[:, j, :j] = simp[:, :j]
+        ridges[:, j, j:] = simp[:, j + 1 :]
+    ridges = ridges.reshape(len(simp) * (d + 1), d)
+    # Stable, so each group of equal ridges lists them in first-occurrence order.
+    order = np.lexsort(ridges.T[::-1]) if d else np.arange(len(ridges))
+    srt = ridges[order]
+    change = np.ones(len(srt), dtype=bool)
+    change[1:] = (srt[1:] != srt[:-1]).any(axis=1)
+    starts = np.flatnonzero(change)
+    counts = np.diff(starts, append=len(srt))
+    first = order[starts]
+    bad = counts > 2
+    single = np.flatnonzero(counts == 1)
+    facets = facet_inequalities(tri.config.label)
+    a = np.array([av for av, _ in facets], dtype=np.int64).reshape(len(facets), d)
+    b = np.array([bv for _, bv in facets], dtype=np.int64)
+    on_facet = pts @ a.T == b  # (points, facets) incidence
+    for lo in range(0, len(single), CENSUS_CHUNK):
+        grp = single[lo : lo + CENSUS_CHUNK]
+        inside = on_facet[ridges[first[grp]]].all(axis=1).any(axis=1)
+        bad[grp[~inside]] = True
+    pair = np.flatnonzero(counts == 2)
+    sides = _apex_sides(vols, d).reshape(-1)
+    same = sides[first[pair]] * sides[order[starts[pair] + 1]] >= 0
+    bad[pair[same]] = True
+    bad = np.flatnonzero(bad)
+    for g in bad[np.argsort(first[bad])].tolist():
+        owners = [full[k // (d + 1)] for k in order[starts[g] : starts[g] + counts[g]]]
+        ridge = str(tuple(ridges[first[g]].tolist()))
+        if counts[g] > 2:
+            violations.append(Violation("ridge-overused", tuple(owners)))
+        elif counts[g] == 1:
+            violations.append(Violation("open-interior-ridge", tuple(owners), ridge))
+        else:
+            violations.append(Violation("ridge-same-side", tuple(owners), ridge))
     ok = not violations
     return ValidityReport(ok, ok, total, violations)
 

@@ -1,9 +1,10 @@
 """Exact integer linear algebra kernels and pair predicates.
 
 All geometric predicates in this package reduce to the routines here:
-fraction-free determinants and ranks over the integers, a batched integer
-determinant for bulk volume accounting, and a phase-1 simplex solver with
-integer pivoting used as an exact linear feasibility oracle.
+fraction-free determinants and ranks over the integers, a batched signed
+integer determinant for the volume census and ridge orientations, and a
+phase-1 simplex solver with integer pivoting used as an exact linear
+feasibility oracle.
 
 The pair predicates (face to face, disjoint interiors of simplices or of
 polytopes) are certificate-first. For two full-dimensional simplices, the
@@ -97,12 +98,13 @@ def _int64_safe(mats: np.ndarray) -> bool:
     return (maxabs * maxabs * n) ** n < 2**62
 
 
-def batch_abs_det(mats: np.ndarray) -> np.ndarray:
-    """Absolute determinants of a batch of square integer matrices, exactly.
+def batch_det(mats: np.ndarray) -> np.ndarray:
+    """Signed determinants of a batch of square integer matrices, exactly.
 
     ``mats`` has shape (N, n, n). Runs a vectorized Bareiss elimination in
     int64 when provably overflow-free, otherwise falls back to the scalar
-    routine per matrix. A 0x0 matrix has determinant 1.
+    routine per matrix (an object array of Python ints). Each row swap
+    flips the sign of its matrix. A 0x0 matrix has determinant 1.
     """
     mats = np.asarray(mats, dtype=np.int64)
     N, n, n2 = mats.shape
@@ -110,11 +112,10 @@ def batch_abs_det(mats: np.ndarray) -> np.ndarray:
     if n == 0:
         return np.ones(N, dtype=np.int64)
     if not _int64_safe(mats):
-        return np.array(
-            [abs(det_bareiss(m.tolist())) for m in mats], dtype=object
-        )
+        return np.array([det_bareiss(m.tolist()) for m in mats], dtype=object)
     m = mats.copy()
     alive = np.ones(N, dtype=bool)
+    sign = np.ones(N, dtype=np.int64)
     prev = np.ones(N, dtype=np.int64)
     for k in range(n - 1):
         need = alive & (m[:, k, k] == 0)
@@ -133,6 +134,7 @@ def batch_abs_det(mats: np.ndarray) -> np.ndarray:
             tmp = m[good, swap_rows, :].copy()
             m[good, swap_rows, :] = m[good, k, :]
             m[good, k, :] = tmp
+            sign[good] = -sign[good]
         pivot = np.where(alive, m[:, k, k], 1)
         sub = m[:, k + 1 :, k + 1 :]
         outer = m[:, k + 1 :, k, None] * m[:, None, k, k + 1 :]
@@ -141,9 +143,14 @@ def batch_abs_det(mats: np.ndarray) -> np.ndarray:
         ]
         m[:, k + 1 :, k] = 0
         prev = pivot
-    out = np.abs(m[:, n - 1, n - 1])
+    out = sign * m[:, n - 1, n - 1]
     out[~alive] = 0
     return out
+
+
+def batch_abs_det(mats: np.ndarray) -> np.ndarray:
+    """Absolute determinants of a batch, as :func:`batch_det`."""
+    return np.abs(batch_det(mats))
 
 
 def feasible(rows: list[list[int]], rhs: list[int]) -> bool:

@@ -14,6 +14,7 @@ leaves of the search tree biject with the triangulations.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -206,14 +207,13 @@ def min_weighted_size(
     """Minimum of the objective over all triangulations, with a witness."""
     best: Fraction | None = None
     witness: Triangulation | None = None
+    # a candidate's weight is fixed: take it once, not once per triangulation
+    weight = functools.cache(functools.partial(_simplex_weight, problem.config))
     for tri in enumerate_triangulations(problem):
         if problem.objective == "cardinality":
             value = Fraction(tri.size)
         else:
-            value = sum(
-                (_simplex_weight(problem.config, s) for s in tri.simplices),
-                Fraction(0),
-            )
+            value = sum(map(weight, tri.simplices), Fraction(0))
         if best is None or value < best:
             best = value
             witness = tri

@@ -1,0 +1,331 @@
+"""Agreement of the array-native ridge check with the scalar one it replaced.
+
+The reference below is that earlier ``ridge_report``: a dict from each
+ridge to its owners in first-occurrence order, a facet scan per boundary
+ridge and two orientation determinants per shared ridge. The array code
+takes one signed determinant per simplex instead and derives every side
+from it by parity, so the tests pin that identity, the sign of
+``linalg.batch_det``, and the violation list, order included, on valid
+and tampered triangulations.
+"""
+
+import itertools
+import os
+import random
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from cubetri.cli import main
+from cubetri.complexes import (
+    Triangulation,
+    Violation,
+    _apex_sides,
+    ridge_report,
+    triangulation_from_json,
+    triangulation_to_json,
+    validate_dissection,
+)
+from cubetri.geometry import cube_config, facet_inequalities, minkowski_config
+from cubetri.linalg import batch_abs_det, batch_det, det_bareiss
+from cubetri.pipeline import PipelineSpec, build_cube_recursive
+from cubetri.seeds import cayley_seed, minimal_cube, unimodular_cube
+
+RIDGE_KINDS = ("ridge-overused", "open-interior-ridge", "ridge-same-side")
+
+
+# -- reference: the scalar ridge check -----------------------------------------
+
+
+def scalar_ridge_report(tri):
+    """(verdict, volume total, violations) of the scalar ridge check."""
+    facets = facet_inequalities(tri.config.label)
+    pts = tri.config.points
+    violations = []
+    ridges = {}
+    for s in tri.simplices:
+        for drop in s:
+            ridge = tuple(i for i in s if i != drop)
+            ridges.setdefault(ridge, []).append((s, drop))
+    for ridge, owners in ridges.items():
+        if len(owners) > 2:
+            violations.append(
+                Violation("ridge-overused", tuple(o[0] for o in owners))
+            )
+            continue
+        rpts = [pts[i] for i in ridge]
+        if len(owners) == 1:
+            on_boundary = any(
+                all(sum(a * x for a, x in zip(av, p)) == b for p in rpts)
+                for av, b in facets
+            )
+            if not on_boundary:
+                violations.append(
+                    Violation("open-interior-ridge", (owners[0][0],), str(ridge))
+                )
+        else:
+            (s1, d1), (s2, d2) = owners
+            p0 = rpts[0]
+            rows = [[p[j] - p0[j] for j in range(tri.config.dim)] for p in rpts[1:]]
+            r1 = rows + [[pts[d1][j] - p0[j] for j in range(tri.config.dim)]]
+            r2 = rows + [[pts[d2][j] - p0[j] for j in range(tri.config.dim)]]
+            s1sign = det_bareiss(r1)
+            s2sign = det_bareiss(r2)
+            if s1sign == 0 or s2sign == 0 or (s1sign > 0) == (s2sign > 0):
+                violations.append(Violation("ridge-same-side", (s1, s2), str(ridge)))
+    d = tri.config.dim
+    total = sum(tri.volume_of(s) for s in tri.simplices if len(s) == d + 1)
+    return not violations, total, violations
+
+
+def tampered(tri, kind):
+    """One simplex dropped, one duplicated, or one replaced by a different
+    simplex of equal volume (the census stays exact, a ridge breaks)."""
+    simplices = list(tri.simplices)
+    mid = len(simplices) // 2
+    if kind == "drop":
+        del simplices[mid]
+    elif kind == "duplicate":
+        simplices.append(simplices[mid])
+    else:
+        present = set(simplices)
+        n = len(tri.config.points)
+        for i, s in enumerate(simplices):
+            vol = tri.volume_of(s)
+            swaps = (
+                tuple(sorted(set(s) - {out} | {new}))
+                for out in s
+                for new in range(n)
+                if new not in s
+            )
+            s2 = next(
+                (t for t in swaps if t not in present and tri.volume_of(t) == vol),
+                None,
+            )
+            if s2 is not None:
+                simplices[i] = s2
+                break
+    return Triangulation(tri.config, tuple(simplices))
+
+
+def assert_agrees(tri):
+    ok, total, ref = scalar_ridge_report(tri)
+    got = ridge_report(tri)
+    assert got.is_dissection == got.is_face_to_face == ok
+    assert got.volume_total == total
+    ridge = [v for v in got.violations if v.kind in RIDGE_KINDS]
+    assert repr(ridge) == repr(ref)
+    # the census part is validate_dissection's, duplicates aside
+    census = validate_dissection(tri, pairwise=False).violations
+    assert got.violations[: len(got.violations) - len(ridge)] == [
+        v for v in census if v.kind != "duplicate"
+    ]
+    return got
+
+
+# -- fixtures ------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def pipeline_outputs():
+    return {
+        d: build_cube_recursive(
+            PipelineSpec(dim=d, samples=3, rng_seed=1, face_check_max_dim=4)
+        )[0]
+        for d in (4, 5, 6, 7)
+    }
+
+
+def test_agrees_on_pipeline_outputs(pipeline_outputs):
+    for d, tri in pipeline_outputs.items():
+        report = assert_agrees(tri)
+        assert report.is_face_to_face and report.volume_total == np.prod(
+            range(1, d + 1)
+        )
+
+
+@pytest.mark.parametrize("kind", ["drop", "duplicate", "overlap"])
+def test_agrees_on_tampered_outputs(pipeline_outputs, kind):
+    for d in (4, 5, 6):
+        bad = tampered(pipeline_outputs[d], kind)
+        assert bad.simplices != pipeline_outputs[d].simplices
+        assert not assert_agrees(bad).is_dissection
+
+
+def test_agrees_on_seeds_and_small_cubes():
+    for tri in (
+        cayley_seed("i3d1"),
+        cayley_seed("i3d2"),
+        minimal_cube(3),
+        unimodular_cube(3),
+    ):
+        assert assert_agrees(tri).is_face_to_face
+        for kind in ("drop", "duplicate", "overlap"):
+            assert not assert_agrees(tampered(tri, kind)).is_face_to_face
+
+
+def _grid_triangles(m):
+    """[0,m]^2 cut into unit squares, each split along its diagonal."""
+    v = lambda a, b: (m + 1) * a + b  # noqa: E731 (minkowski_config order)
+    return tuple(
+        t
+        for a, b in itertools.product(range(m), repeat=2)
+        for t in ((v(a, b), v(a + 1, b), v(a + 1, b + 1)),
+                  (v(a, b), v(a, b + 1), v(a + 1, b + 1)))
+    )
+
+
+def test_agrees_on_wide_point_indices():
+    # past 256 points, and past 65,536 (the uint16 ridge rows end there)
+    fine = Triangulation(minkowski_config(2, 16), _grid_triangles(16))
+    m = 256
+    corners = (0, m, (m + 1) * m, (m + 1) ** 2 - 1)
+    big = Triangulation(
+        minkowski_config(2, m),
+        ((corners[0], corners[1], corners[3]), (corners[0], corners[2], corners[3])),
+    )
+    for tri in (fine, big):
+        assert assert_agrees(tri).is_face_to_face
+        for kind in ("drop", "duplicate"):
+            assert not assert_agrees(tampered(tri, kind)).is_face_to_face
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_agrees_under_shuffles(pipeline_outputs, data):
+    d = data.draw(st.sampled_from((4, 5)))
+    kind = data.draw(st.sampled_from((None, "drop", "duplicate", "overlap")))
+    tri = pipeline_outputs[d] if kind is None else tampered(pipeline_outputs[d], kind)
+    order = data.draw(st.permutations(tri.simplices))
+    assert_agrees(Triangulation(tri.config, tuple(order)))
+
+
+# -- soundness by itself -------------------------------------------------------
+
+
+def test_rejects_a_diagonal_as_a_third_simplex():
+    tri = Triangulation(cube_config(2), ((0, 1, 2), (1, 2, 3), (0, 3)))
+    report = ridge_report(tri)
+    assert not report.is_dissection and report.volume_total == 2
+    assert [(v.kind, v.members) for v in report.violations] == [
+        ("not-full-dimensional", ((0, 3),))
+    ]
+
+
+def test_rejects_a_degenerate_simplex_in_a_facet():
+    # [0,3]^2 as two triangles, plus three collinear points on the facet
+    # x_1 = 0: every ridge of the flat simplex lies in that facet.
+    cfg = minkowski_config(2, 3)
+    tri = Triangulation(cfg, ((0, 3, 15), (0, 12, 15), (1, 2, 3)))
+    assert scalar_ridge_report(tri)[0]
+    report = ridge_report(tri)
+    assert not report.is_dissection and report.volume_total == 18
+    assert [(v.kind, v.members) for v in report.violations] == [
+        ("degenerate", ((1, 2, 3),))
+    ]
+    # a flat simplex on a ridge of a real one has side 0 there
+    tri = Triangulation(cfg, ((0, 3, 15), (0, 12, 15), (0, 1, 3)))
+    kinds = [v.kind for v in assert_agrees(tri).violations]
+    assert kinds == ["degenerate", "ridge-same-side"]
+
+
+def test_rejects_a_volume_deficit_first():
+    report = ridge_report(Triangulation(cube_config(2), ((0, 1, 2),)))
+    assert [v.kind for v in report.violations] == [
+        "volume-mismatch",
+        "open-interior-ridge",
+    ]
+    assert not ridge_report(Triangulation(cube_config(2), ())).is_dissection
+
+
+# -- the kernels ---------------------------------------------------------------
+
+
+def test_apex_side_is_orientation_times_parity():
+    rng = random.Random(5)
+    for d in range(2, 7):
+        signs = set()
+        for _ in range(40):
+            while True:
+                pts = [tuple(rng.randrange(-3, 4) for _ in range(d)) for _ in range(d + 1)]
+                o = det_bareiss([[p[k] - pts[0][k] for k in range(d)] for p in pts[1:]])
+                if o:
+                    break
+            signs.add(o > 0)
+            sides = _apex_sides(np.array([o]), d)[0]
+            for j in range(d + 1):
+                ridge = pts[:j] + pts[j + 1 :]
+                side = det_bareiss(
+                    [[p[k] - ridge[0][k] for k in range(d)] for p in ridge[1:] + [pts[j]]]
+                )
+                assert sides[j] == (side > 0) - (side < 0)
+        assert signs == {True, False}
+
+
+def _assert_signed(mats):
+    got = batch_det(mats)
+    assert [int(v) for v in got] == [det_bareiss(m.tolist()) for m in mats]
+    assert [int(v) for v in batch_abs_det(mats)] == [abs(int(v)) for v in got]
+
+
+def test_batch_det_keeps_the_sign_on_the_overflow_fallback():
+    mats = np.random.default_rng(0).integers(-200, 201, size=(2000, 6, 6))
+    _assert_signed(mats)
+
+
+def test_batch_det_keeps_the_sign_through_row_swaps():
+    rng = np.random.default_rng(1)
+    mats = rng.integers(-1, 2, size=(3000, 10, 10))
+    mats[::7, :, rng.integers(0, 10)] = 0
+    assert batch_det(mats).dtype == np.int64
+    assert (batch_det(mats) < 0).any()
+    _assert_signed(mats)
+
+
+def test_batch_det_of_empty_matrices():
+    assert batch_det(np.zeros((2, 0, 0), dtype=np.int64)).tolist() == [1, 1]
+
+
+# -- the command line ----------------------------------------------------------
+
+
+def test_verify_volume_only_runs_the_ridge_check(tmp_path, capsys):
+    tri = build_cube_recursive(PipelineSpec(dim=4))[0]
+    good = os.fspath(tmp_path / "good.json")
+    with open(good, "w") as fh:
+        fh.write(triangulation_to_json(tri))
+    assert main(["verify", good, "--volume-only"]) == 0
+    assert "ridges: True (0 violations)" in capsys.readouterr().out
+
+    swapped = tampered(tri, "overlap")
+    assert validate_dissection(swapped, pairwise=False).is_dissection
+    bad = os.fspath(tmp_path / "bad.json")
+    with open(bad, "w") as fh:
+        fh.write(triangulation_to_json(swapped))
+    assert triangulation_from_json(open(bad).read()).simplices == swapped.simplices
+    assert main(["verify", bad, "--volume-only"]) == 1
+    out = capsys.readouterr().out
+    assert "volume census: True" in out and "ridges: False" in out
+
+
+def test_expect_keeps_the_q_dim_step(monkeypatch):
+    from cubetri import cli
+
+    specs = []
+
+    class Stop(Exception):
+        pass
+
+    def capture(spec):
+        specs.append(spec)
+        raise Stop
+
+    monkeypatch.setattr(cli, "build_cube_recursive", capture)
+    with pytest.raises(Stop):
+        main(["expect", "--q-dim", "10", "--m", "3", "--samples", "1"])
+    (spec,) = specs
+    assert spec.dim == 10 and spec.materialize_max_dim >= 10
+
