@@ -21,7 +21,7 @@ from .cayley import mixed_to_json
 from .coloring import exact_expected_size, monte_carlo_size, size_bound
 from .complexes import (
     CENSUS_KINDS,
-    ridge_report,
+    census_and_ridges,
     triangulation_from_json,
     triangulation_to_json,
     validate_dissection,
@@ -69,7 +69,10 @@ def _cmd_build(args) -> int:
 def _cmd_verify(args) -> int:
     with open(args.path) as fh:
         tri = triangulation_from_json(fh.read())
-    report = validate_dissection(tri, pairwise=not args.volume_only)
+    if args.volume_only:
+        report, ridges = census_and_ridges(tri)
+    else:
+        report = validate_dissection(tri)
     mode = "volume census" if args.volume_only else "dissection"
     print(
         f"{mode}: {report.is_dissection} "
@@ -78,7 +81,6 @@ def _cmd_verify(args) -> int:
     ok = report.is_dissection
     shown = list(report.violations)
     if args.volume_only:
-        ridges = ridge_report(tri)
         print(f"ridges: {ridges.is_face_to_face} ({len(ridges.violations)} violations)")
         ok = ok and ridges.is_face_to_face
         # its census violations are the ones above

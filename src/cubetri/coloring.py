@@ -7,6 +7,18 @@ vertices of each T_0 cell the rows. Cells where a color is absent fall back
 to the restriction of T_0 to the corresponding face. All per-cell lifts are
 derived from the one global coloring and the canonical vertex orders, which
 is what makes neighbouring cells agree on shared faces.
+
+One engine, :class:`ProductCells`, generates every product. A cell's
+simplices depend only on its signature (lvec, kvec) up to relabelling its
+rows and columns, so each signature's index template is built once
+(:func:`staircase.signature_template`) and the per-signature certificate
+is checked once per signature, not per cell. The simplices of T_Q with
+one per-color count vector share their T_0 cells and templates; one numpy
+gather and sort yields all their cells, and a scatter on the cumulative
+per-sigma counts puts every row where the cell-by-cell order has it. The
+rows come in slices of consecutive sigmas of a bounded number of
+simplices (:meth:`ProductCells.chunks`; the pipeline uses the census's
+``CENSUS_CHUNK``), so a streamed step never holds all of its rows at once.
 """
 
 from __future__ import annotations
@@ -14,10 +26,15 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .complexes import Simplex, Triangulation, simplex_factor
+import numpy as np
+
+from .complexes import Triangulation, simplex_factor
 from .geometry import (
     PointConfiguration,
     ProductLabel,
@@ -25,11 +42,10 @@ from .geometry import (
     config_from_label,
 )
 from .staircase import (
-    LiftedCell,
     lift_count,
-    multi_staircases,
     product_blocks,
     restricted_base_cells,
+    signature_template,
 )
 
 
@@ -108,37 +124,141 @@ def product_output_config(t_q: Triangulation, t0: Triangulation) -> PointConfigu
     )
 
 
-def iter_product_cells(
-    t_q: Triangulation, t0: Triangulation, coloring: Coloring
-):
-    """Yield (provenance, simplices) per (sigma, tau) cell, in output order.
+class _Group(NamedTuple):
+    """The simplices of T_Q with one per-color count vector. They share
+    their present colors, hence their restricted T_0 cells and templates;
+    only the column values differ from one member to the next."""
 
-    Simplices are vertex-index tuples over the product configuration,
-    indexed by p * len(Q points) + q; ``provenance.start``/``end`` locate
-    the cell's run in the concatenation of all cells' simplices.
+    kvec: tuple[int, ...]  # counts of the present colors
+    members: np.ndarray  # indices into T_Q's simplices, ascending
+    cols: np.ndarray  # (members, K): each member's vertices, by color
+    cells: list  # per T_0 cell: (tau index, rows, lvec, base face, offset, count)
+    rowvals: np.ndarray  # (T, V): p * |Q points| of each template vertex
+    colpos: np.ndarray  # (T, V): position of its column in a row of ``cols``
+
+
+class ProductCells:
+    """The cells P x sigma of T_Q x T_0 under a coloring, generated from
+    per-signature templates (:func:`staircase.signature_template`).
+
+    T_Q's simplices are grouped by their per-color count vector. Within a
+    group the present colors, hence the restricted T_0 cells and their
+    templates, are the same, so a group holds two gather arrays: the row
+    values of its cells' template vertices and the positions of their
+    columns. The sorted index rows of every sigma in a group come from one
+    ``np.sort(rowvals + cols[:, colpos], axis=2)`` and are scattered to
+    their output positions, which the cumulative per-sigma counts give.
+    The order is therefore sigma by sigma, T_0 cell by T_0 cell, then
+    template order.
     """
-    m = _check_inputs(t_q, t0, coloring)
-    nq = len(t_q.config.points)
-    blocks_list = product_blocks(t0)
-    start = 0
-    for sigma in t_q.simplices:
-        sigma_by_color: list[list[int]] = [[] for _ in range(m)]
-        for q in sigma:
-            sigma_by_color[coloring.colors[q]].append(q)
-        present = tuple(i for i in range(m) if sigma_by_color[i])
-        cols = tuple(tuple(sigma_by_color[i]) for i in present)
-        for t_idx, rows in restricted_base_cells(blocks_list, present):
-            simplices = multi_staircases(LiftedCell(rows, cols, nq))
-            base_face = frozenset((p, i) for i, r in zip(present, rows) for p in r)
-            signature = (tuple(len(r) for r in rows), tuple(len(c) for c in cols))
-            end = start + len(simplices)
-            yield (
-                CellProvenance(
-                    sigma, t_idx, base_face, rows, cols, start, end, signature
-                ),
-                simplices,
+
+    def __init__(self, t_q: Triangulation, t0: Triangulation, coloring: Coloring):
+        m = _check_inputs(t_q, t0, coloring)
+        self.t_q = t_q
+        self.config = product_output_config(t_q, t0)
+        nq = len(t_q.config.points)
+        sig = np.array(t_q.simplices, dtype=np.intp)
+        if sig.ndim != 2:
+            raise ValueError("T_Q's simplices must all have the same size")
+        colors = np.array(coloring.colors, dtype=np.intp)[sig]
+        counts = (colors[:, :, None] == np.arange(m)).sum(axis=1)
+        key_of: dict[tuple[int, ...], int] = {}
+        self._group_of = [
+            key_of.setdefault(tuple(c), len(key_of)) for c in counts.tolist()
+        ]
+        group_of = np.array(self._group_of, dtype=np.intp)
+        # Each sigma's vertices by color, in index order within a color.
+        by_color = np.sort(colors * nq + sig, axis=1) % nq
+        blocks_list = product_blocks(t0)
+        width = self.config.dim + 1
+        per_sigma = np.zeros(len(sig), dtype=np.intp)
+        self.signatures: dict = {}  # (lvec, kvec) -> simplices per cell
+        self.groups: list[_Group] = []
+        for g, key in enumerate(key_of):
+            present = tuple(i for i in range(m) if key[i])
+            kvec = tuple(key[i] for i in present)
+            cells = []
+            rowvals = [np.zeros((0, width), dtype=np.intp)]
+            colpos = [np.zeros((0, width), dtype=np.intp)]
+            offset = 0
+            for t_idx, rows in restricted_base_cells(blocks_list, present):
+                lvec = tuple(len(r) for r in rows)
+                tr, tc = signature_template(lvec, kvec)
+                rv = np.array([p for r in rows for p in r], dtype=np.intp)
+                rowvals.append(rv[tr] * nq)
+                colpos.append(tc)
+                base_face = frozenset((p, i) for i, r in zip(present, rows) for p in r)
+                cells.append((t_idx, rows, lvec, base_face, offset, len(tr)))
+                self.signatures[(lvec, kvec)] = len(tr)
+                offset += len(tr)
+            members = np.flatnonzero(group_of == g)
+            per_sigma[members] = offset
+            self.groups.append(
+                _Group(
+                    kvec,
+                    members,
+                    by_color[members],
+                    cells,
+                    np.concatenate(rowvals),
+                    np.concatenate(colpos),
+                )
             )
-            start = end
+        self.starts = np.concatenate(([0], np.cumsum(per_sigma))).astype(np.intp)
+        self.width = width
+
+    def simplex_rows(self, lo: int, hi: int) -> np.ndarray:
+        """Sorted index rows of the cells of sigmas lo..hi-1, in output
+        order, as one (rows, V) array."""
+        starts = self.starts
+        out = np.empty((starts[hi] - starts[lo], self.width), dtype=np.intp)
+        for grp in self.groups:
+            a, b = bisect_left(grp.members, lo), bisect_left(grp.members, hi)
+            if a == b:
+                continue
+            vals = grp.rowvals + grp.cols[a:b][:, grp.colpos]
+            vals.sort(axis=2)
+            at = starts[grp.members[a:b]] - starts[lo]
+            pos = at[:, None] + np.arange(len(grp.rowvals))
+            out[pos.reshape(-1)] = vals.reshape(-1, self.width)
+        return out
+
+    def chunks(self, max_rows: int) -> Iterator[np.ndarray]:
+        """:meth:`simplex_rows` over slices of consecutive sigmas of at most
+        ``max_rows`` rows each (or one sigma, if it alone has more), so the
+        whole step is never held at once."""
+        starts = self.starts
+        n = len(starts) - 1
+        lo = 0
+        while lo < n:
+            hi = bisect_right(starts, starts[lo] + max_rows) - 1
+            hi = min(max(hi, lo + 1), n)
+            yield self.simplex_rows(lo, hi)
+            lo = hi
+
+    def provenance(self) -> list[CellProvenance]:
+        """One record per (sigma, tau) cell, in output order."""
+        out = []
+        for s_idx, sigma in enumerate(self.t_q.simplices):
+            grp = self.groups[self._group_of[s_idx]]
+            flat = grp.cols[bisect_left(grp.members, s_idx)].tolist()
+            bounds = list(itertools.accumulate(grp.kvec, initial=0))
+            cols = tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+            base = int(self.starts[s_idx])
+            for t_idx, rows, lvec, base_face, offset, count in grp.cells:
+                start = base + offset
+                out.append(
+                    CellProvenance(
+                        sigma,
+                        t_idx,
+                        base_face,
+                        rows,
+                        cols,
+                        start,
+                        start + count,
+                        (lvec, grp.kvec),
+                    )
+                )
+        return out
 
 
 def triangulate_product(
@@ -153,14 +273,11 @@ def triangulate_product(
     output to be a triangulation; the checker verifies rather than trusts).
     Returns the triangulation, plus per-cell provenance when requested.
     """
-    simplices: list[Simplex] = []
-    prov: list[CellProvenance] = []
-    for cell, cell_simplices in iter_product_cells(t_q, t0, coloring):
-        simplices.extend(cell_simplices)
-        prov.append(cell)
-    tri = Triangulation(product_output_config(t_q, t0), tuple(simplices))
+    cells = ProductCells(t_q, t0, coloring)
+    rows = cells.simplex_rows(0, len(t_q.simplices))
+    tri = Triangulation(cells.config, tuple(map(tuple, rows.tolist())))
     if with_provenance:
-        return tri, prov
+        return tri, cells.provenance()
     return tri
 
 

@@ -190,6 +190,16 @@ def _census(tri: Triangulation, expected: int | None):
     return full, vols, total, violations
 
 
+def _duplicates(tri: Triangulation) -> list[Violation]:
+    seen = set()
+    out = []
+    for s in tri.simplices:
+        if s in seen:
+            out.append(Violation("duplicate", (s,)))
+        seen.add(s)
+    return out
+
+
 def validate_dissection(
     tri: Triangulation, expected: int | None = None, pairwise: bool = True
 ) -> ValidityReport:
@@ -202,11 +212,7 @@ def validate_dissection(
     if expected is None:
         expected = expected_volume(tri.config)
     _, _, total, violations = _census(tri, expected)
-    seen = set()
-    for s in tri.simplices:
-        if s in seen:
-            violations.append(Violation("duplicate", (s,)))
-        seen.add(s)
+    violations += _duplicates(tri)
     if pairwise:
         cells = [tri.points_of(s) for s in tri.simplices]
         bary = [linalg.barycentric_rows(p) for p in cells]
@@ -265,6 +271,14 @@ def _apex_sides(vols: np.ndarray, d: int) -> np.ndarray:
     return np.sign(vols).astype(np.int8)[:, None] * parity.astype(np.int8)
 
 
+def _ridge_rows(simp: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Vertex rows of the ridges with flat indices ``ks``: ridge
+    k = i (d+1) + j is sorted simplex i without its position j."""
+    d1 = simp.shape[1]
+    keep = ~np.eye(d1, dtype=bool)
+    return simp[ks // d1][keep[ks % d1]].reshape(len(ks), d1 - 1)
+
+
 def ridge_report(tri: Triangulation) -> ValidityReport:
     """The ridge certificate of the module docstring, decided exactly.
 
@@ -278,26 +292,49 @@ def ridge_report(tri: Triangulation) -> ValidityReport:
     come from the census's signed volumes (:func:`_apex_sides`), so no
     determinant is taken per ridge.
     """
+    return _ridges(tri, _census(tri, expected_volume(tri.config)))
+
+
+def census_and_ridges(tri: Triangulation) -> tuple[ValidityReport, ValidityReport]:
+    """``validate_dissection(tri, pairwise=False)`` and ``ridge_report(tri)``
+    from one census: the two linear checks of a large file."""
+    census = _census(tri, expected_volume(tri.config))
+    violations = census[3] + _duplicates(tri)
+    ok = not violations
+    dissection = ValidityReport(ok, False, census[2], violations)
+    return dissection, _ridges(tri, census)
+
+
+def _ridges(tri: Triangulation, census) -> ValidityReport:
+    """:func:`ridge_report` after its census ``(full, vols, total,
+    violations)``; appends to the census's violations."""
     if tri.config.label is None:
         raise ValueError("ridge mode needs a labeled configuration")
-    full, vols, total, violations = _census(tri, expected_volume(tri.config))
+    full, vols, total, violations = census
     d = tri.config.dim
     pts = np.array(tri.config.points, dtype=np.int64)
     idx = np.uint16 if len(pts) < 2**16 else np.int64
     simp = np.array(full, dtype=idx).reshape(-1, d + 1)
-    # Ridge k = i (d+1) + j of the flat array drops position j of simplex i.
-    ridges = np.empty((len(simp), d + 1, d), dtype=idx)
-    for j in range(d + 1):
-        ridges[:, j, :j] = simp[:, :j]
-        ridges[:, j, j:] = simp[:, j + 1 :]
-    ridges = ridges.reshape(len(simp) * (d + 1), d)
+    n_ridges = len(simp) * (d + 1)
+    # Ridge k = i (d+1) + j drops position j of simplex i; its column c is
+    # vertex c of the simplex before position j and vertex c+1 from there.
+    drop = np.arange(d + 1)
+    keys = [
+        np.where(drop > c, simp[:, c, None], simp[:, c + 1, None]).reshape(-1)
+        for c in reversed(range(d))
+    ]
     # Stable, so each group of equal ridges lists them in first-occurrence order.
-    order = np.lexsort(ridges.T[::-1]) if d else np.arange(len(ridges))
-    srt = ridges[order]
-    change = np.ones(len(srt), dtype=bool)
-    change[1:] = (srt[1:] != srt[:-1]).any(axis=1)
+    order = np.lexsort(keys) if d else np.arange(n_ridges)
+    del keys
+    # Sorted ridges are compared chunk by chunk, so neither the ridge array
+    # nor its sorted copy is ever held whole.
+    change = np.ones(n_ridges, dtype=bool)
+    for lo in range(1, n_ridges, CENSUS_CHUNK):
+        rows = _ridge_rows(simp, order[lo - 1 : lo + CENSUS_CHUNK])
+        change[lo : lo + CENSUS_CHUNK] = (rows[1:] != rows[:-1]).any(axis=1)
     starts = np.flatnonzero(change)
-    counts = np.diff(starts, append=len(srt))
+    del change
+    counts = np.diff(starts, append=n_ridges)
     first = order[starts]
     bad = counts > 2
     single = np.flatnonzero(counts == 1)
@@ -307,7 +344,7 @@ def ridge_report(tri: Triangulation) -> ValidityReport:
     on_facet = pts @ a.T == b  # (points, facets) incidence
     for lo in range(0, len(single), CENSUS_CHUNK):
         grp = single[lo : lo + CENSUS_CHUNK]
-        inside = on_facet[ridges[first[grp]]].all(axis=1).any(axis=1)
+        inside = on_facet[_ridge_rows(simp, first[grp])].all(axis=1).any(axis=1)
         bad[grp[~inside]] = True
     pair = np.flatnonzero(counts == 2)
     sides = _apex_sides(vols, d).reshape(-1)
@@ -316,7 +353,7 @@ def ridge_report(tri: Triangulation) -> ValidityReport:
     bad = np.flatnonzero(bad)
     for g in bad[np.argsort(first[bad])].tolist():
         owners = [full[k // (d + 1)] for k in order[starts[g] : starts[g] + counts[g]]]
-        ridge = str(tuple(ridges[first[g]].tolist()))
+        ridge = str(tuple(_ridge_rows(simp, first[g : g + 1])[0].tolist()))
         if counts[g] > 2:
             violations.append(Violation("ridge-overused", tuple(owners)))
         elif counts[g] == 1:

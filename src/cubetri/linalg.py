@@ -105,6 +105,10 @@ def batch_det(mats: np.ndarray) -> np.ndarray:
     int64 when provably overflow-free, otherwise falls back to the scalar
     routine per matrix (an object array of Python ints). Each row swap
     flips the sign of its matrix. A 0x0 matrix has determinant 1.
+
+    The elimination works on an (n, n, N) copy, batch index last, so that
+    each step updates the trailing submatrix of every matrix in place with
+    a few operations on contiguous rows of N entries.
     """
     mats = np.asarray(mats, dtype=np.int64)
     N, n, n2 = mats.shape
@@ -113,39 +117,47 @@ def batch_det(mats: np.ndarray) -> np.ndarray:
         return np.ones(N, dtype=np.int64)
     if not _int64_safe(mats):
         return np.array([det_bareiss(m.tolist()) for m in mats], dtype=object)
-    m = mats.copy()
+    m = mats.transpose(1, 2, 0).copy()  # never a view of the caller's array
+    flat = m.reshape(-1)
     alive = np.ones(N, dtype=bool)
     sign = np.ones(N, dtype=np.int64)
     prev = np.ones(N, dtype=np.int64)
     for k in range(n - 1):
-        need = alive & (m[:, k, k] == 0)
+        need = alive & (m[k, k] == 0)
         if need.any():
             idx = np.flatnonzero(need)
-            nz = m[idx, k:, k] != 0
-            nz[:, 0] = False
-            has = nz.any(axis=1)
+            nz = m[k + 1 :, k, idx] != 0
+            has = nz.any(axis=0)
             dead = idx[~has]
             alive[dead] = False
             # A dead matrix is zeroed and pivots on 1 from here on, so its
-            # entries stay zero and no later step divides by zero.
-            m[dead] = 0
+            # entries, its determinant included, stay zero and no later
+            # step divides by zero.
+            m[:, :, dead] = 0
             good = idx[has]
-            swap_rows = np.argmax(nz[has], axis=1) + k
-            tmp = m[good, swap_rows, :].copy()
-            m[good, swap_rows, :] = m[good, k, :]
-            m[good, k, :] = tmp
+            swap_rows = np.argmax(nz[:, has], axis=0) + k + 1
+            # Flat positions of row k and of the swap row, one column per
+            # matrix to swap: entry (r, c) of matrix b sits at (r n + c) N + b.
+            at = np.arange(0, n * N, N)[:, None] + good
+            at_k = k * n * N + at
+            at_s = swap_rows * (n * N) + at
+            tmp = flat[at_k]
+            flat[at_k] = flat[at_s]
+            flat[at_s] = tmp
             sign[good] = -sign[good]
-        pivot = np.where(alive, m[:, k, k], 1)
-        sub = m[:, k + 1 :, k + 1 :]
-        outer = m[:, k + 1 :, k, None] * m[:, None, k, k + 1 :]
-        m[:, k + 1 :, k + 1 :] = (sub * pivot[:, None, None] - outer) // prev[
-            :, None, None
-        ]
-        m[:, k + 1 :, k] = 0
+        pivot = np.where(alive, m[k, k], 1)
+        # Column k below the pivot is never read again, so only the
+        # trailing submatrix is updated.
+        sub = m[k + 1 :, k + 1 :]
+        sub *= pivot
+        sub -= m[k + 1 :, k, None] * m[k, None, k + 1 :]
+        # prev is a minor, so prev * prev is within the guard's bound.
+        if (prev * prev == 1).all():
+            sub *= prev  # exact division by a unit, without the divide
+        else:
+            sub //= prev
         prev = pivot
-    out = sign * m[:, n - 1, n - 1]
-    out[~alive] = 0
-    return out
+    return sign * m[n - 1, n - 1]
 
 
 def batch_abs_det(mats: np.ndarray) -> np.ndarray:

@@ -6,23 +6,27 @@ refine the product through the block seed and a coloring, one step at a
 time. Each step multiplies the size by roughly the seed's weighted size
 times (n/m + l)^l, which is what drives the asymptotic efficiency.
 
-Every step is one loop (:func:`_product_step`): a single pass over the
-cells of T_Q x T_0 that checks each cell's per-signature certificate and
-feeds fixed-size chunks of simplices to the volume census and to the file
-writer. Materialization is only a memory policy: the simplices and their
-provenance are kept when the step's dimension is at most
-``materialize_max_dim``, and otherwise the step is streamed, so it must be
-the last one. Either way the same bytes are written.
+Every step is one loop (:func:`_product_step`) over the template engine
+of :class:`coloring.ProductCells`. It checks the per-signature certificate
+once per distinct signature, then takes the step's simplices as integer
+arrays in slices of consecutive sigmas of about ``CENSUS_CHUNK`` rows,
+in the cell-by-cell order (a scatter on the cumulative per-sigma counts
+keeps it). Each slice goes to the volume census as an array and to the
+file writer as lists. Materialization is only a memory policy: the
+simplices and their provenance are kept when the step's dimension is at
+most ``materialize_max_dim``, and otherwise the step is streamed, so it
+must be the last one. Either way the same bytes are written.
 
 Validation policy per step (all exact):
 
 * volume census always (batched integer determinants, chunked);
 * full pairwise face-to-face up to ``face_check_max_dim`` (default 6) via
   the structural checker, on kept steps;
-* otherwise a dissection certificate: per-cell regularity certificates,
-  per-cell count identities, the volume census, and the inductively
-  verified validity of the inputs. The quadratic pair scan is hopeless at
-  millions of cells and is deliberately not attempted there.
+* otherwise a dissection certificate: the regularity certificate and the
+  count identity of every cell signature, the volume census of every
+  emitted simplex, and the inductively verified validity of the inputs.
+  The quadratic pair scan is hopeless at millions of cells and is
+  deliberately not attempted there.
 
 The balanced coloring is always kept among the sampled candidates, so the
 identity lift at the first step (where the big factor is a segment) is
@@ -43,9 +47,8 @@ import numpy as np
 from .coloring import (
     CellProvenance,
     Coloring,
-    iter_product_cells,
+    ProductCells,
     make_coloring,
-    product_output_config,
     product_size,
     size_bound,
     triangulate_product,
@@ -149,9 +152,10 @@ def _pick_seed(spec: PipelineSpec, n: int) -> tuple[str, int, Triangulation]:
     return "minimal", 1, _cube_as_point_product(minimal_cube(l))
 
 
-def _cell_certified(signature, count: int) -> bool:
+def _signature_certified(signature, count: int) -> bool:
     """The per-signature certificate: every block's staircases are strictly
-    regular, and the cell holds as many simplices as the closed form says."""
+    regular, and the signature's template holds as many simplices as the
+    closed form says."""
     lvec, kvec = signature
     return certify_cell_regular(lvec, kvec) and count == multi_staircase_count(
         lvec, kvec
@@ -168,45 +172,40 @@ class _Step:
 
 
 def _product_step(t_q, t0, coloring, keep: bool, out_path=None) -> _Step:
-    """One product step: a single pass over the cells that certifies each
-    cell, feeds chunks of ``CENSUS_CHUNK`` simplices to the volume census
-    and (with ``out_path``) to the file writer, and keeps the simplices and
-    their provenance only when ``keep``."""
-    cfg = product_output_config(t_q, t0)
+    """One product step: certifies each distinct cell signature once, then
+    generates the cells in chunks of about ``CENSUS_CHUNK`` simplices
+    (:meth:`ProductCells.chunks`) and feeds each chunk to the volume census
+    and (with ``out_path``) to the file writer. The simplices and their
+    provenance are kept only when ``keep``."""
+    cells = ProductCells(t_q, t0, coloring)
+    cfg = cells.config
     points = np.asarray(cfg.points, dtype=np.int64)
     step = _Step()
+    step.certified = all(
+        _signature_certified(sig, count) for sig, count in cells.signatures.items()
+    )
     volume = zeros = 0
     kept: list = []
-    chunk: list = []
     with open(out_path, "w") if out_path else contextlib.nullcontext() as fh:
         writer = TriangulationWriter(fh, cfg) if fh else None
-
-        def flush():
-            nonlocal volume, zeros
+        for chunk in cells.chunks(CENSUS_CHUNK):
+            step.size += len(chunk)
             v, z = batch_volumes_of(points, chunk)
             volume += v
             zeros += z
+            if writer is None and not keep:
+                continue
+            rows = chunk.tolist()
             if writer is not None:
-                writer.write(chunk)
-            chunk.clear()
-
-        for cell, simplices in iter_product_cells(t_q, t0, coloring):
-            step.size += len(simplices)
-            step.certified = step.certified and _cell_certified(
-                cell.signature, len(simplices)
-            )
+                writer.write(rows)
             if keep:
-                kept.extend(simplices)
-                step.provenance.append(cell)
-            chunk.extend(simplices)
-            if len(chunk) >= CENSUS_CHUNK:
-                flush()
-        flush()
+                kept.extend(map(tuple, rows))
         if writer is not None:
             writer.close()
     step.volume_ok = volume == ambient_normalized_volume(cfg.label) and zeros == 0
     if keep:
         step.tri = Triangulation(cfg, tuple(kept))
+        step.provenance = cells.provenance()
     return step
 
 

@@ -6,6 +6,14 @@ columns a chain of target vertices. A multi-staircase picks a monotone
 lattice path in every block, and the multi-staircases of a cell triangulate
 it. Row order inside a block is the canonical base order, column order the
 canonical target order, so outputs are reproducible byte for byte.
+
+The multi-staircases of a cell depend only on its signature (lvec, kvec),
+the block sizes, up to relabelling rows and columns. Each signature's
+template (:func:`signature_template`, cached) lists them once as row and
+column positions; a cell's simplices are one gather of its row and column
+values through the template and a sort of each row
+(:func:`cell_rows`). :func:`multi_staircases` is that gather for one
+cell; :class:`coloring.ProductCells` runs it for many cells at once.
 """
 
 from __future__ import annotations
@@ -14,6 +22,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .complexes import Simplex, Triangulation, factor_blocks, simplex_factor
 from .geometry import config_from_label, product_config, simplex_config
@@ -94,19 +104,52 @@ class LiftedCell:
         return sum(len(r) * len(c) for r, c in zip(self.rows, self.cols))
 
 
+@lru_cache(maxsize=None)
+def signature_template(
+    lvec: tuple[int, ...], kvec: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The multi-staircases of every cell with signature (lvec, kvec).
+
+    Returns two read-only (T, V) arrays, T the number of multi-staircases
+    and V = sum(l + k - 1) their vertex count: the row position and the
+    column position of each vertex, counted across blocks (block i's rows
+    come after the l_1 + ... + l_{i-1} rows of the blocks before it, and
+    likewise its columns). Template rows follow ``itertools.product`` over
+    the blocks' :func:`monotone_paths`, which is the output order of a
+    cell's simplices.
+    """
+    row_off = list(itertools.accumulate(lvec, initial=0))
+    col_off = list(itertools.accumulate(kvec, initial=0))
+    per_block = [monotone_paths(l, k) for l, k in zip(lvec, kvec)]
+    rows: list[list[int]] = []
+    cols: list[list[int]] = []
+    for combo in itertools.product(*per_block):
+        rows.append([r + h for r, path in zip(row_off, combo) for h, _ in path])
+        cols.append([c + j for c, path in zip(col_off, combo) for _, j in path])
+    width = sum(lvec) + sum(kvec) - len(lvec)
+    tr = np.array(rows, dtype=np.intp).reshape(len(rows), width)
+    tc = np.array(cols, dtype=np.intp).reshape(len(cols), width)
+    tr.flags.writeable = tc.flags.writeable = False
+    return tr, tc
+
+
+def cell_rows(cell: LiftedCell) -> np.ndarray:
+    """The multi-staircases of one lifted cell as a (T, V) array of sorted
+    vertex-index rows, in template order: one gather through the cell's
+    :func:`signature_template`."""
+    lvec = tuple(len(r) for r in cell.rows)
+    kvec = tuple(len(c) for c in cell.cols)
+    tr, tc = signature_template(lvec, kvec)
+    rowvals = np.array([p for r in cell.rows for p in r], dtype=np.intp)
+    colvals = np.array([q for c in cell.cols for q in c], dtype=np.intp)
+    out = rowvals[tr] * cell.n_target + colvals[tc]
+    out.sort(axis=1)
+    return out
+
+
 def multi_staircases(cell: LiftedCell) -> list[Simplex]:
     """All multi-staircases of a lifted cell, as sorted vertex-index tuples."""
-    per_block = [
-        monotone_paths(len(r), len(c)) for r, c in zip(cell.rows, cell.cols)
-    ]
-    out: list[Simplex] = []
-    for combo in itertools.product(*per_block):
-        verts: list[int] = []
-        for (rows, cols), path in zip(zip(cell.rows, cell.cols), combo):
-            for h, j in path:
-                verts.append(cell.out_index(rows[h], cols[j]))
-        out.append(tuple(sorted(verts)))
-    return out
+    return list(map(tuple, cell_rows(cell).tolist()))
 
 
 def product_blocks(t0: Triangulation) -> list[tuple[tuple[int, ...], ...]]:
@@ -174,11 +217,9 @@ def lift_triangulation(
     n = sum(kvec)
     left_cfg = config_from_label(left)
     out_cfg = product_config(left_cfg, simplex_config(n - 1))
-    simplices: list[Simplex] = []
-    for s in t0.simplices:
-        cell = lift_cell(t0, s, kvec)
-        simplices.extend(multi_staircases(cell))
-    return Triangulation(out_cfg, tuple(simplices))
+    rows = [cell_rows(lift_cell(t0, s, kvec)) for s in t0.simplices]
+    simplices = np.concatenate(rows).tolist() if rows else []
+    return Triangulation(out_cfg, tuple(map(tuple, simplices)))
 
 
 def staircase_triangulation(k: int, l: int) -> Triangulation:

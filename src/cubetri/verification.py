@@ -34,11 +34,18 @@ from .complexes import (  # re-exported: callers import the census from here
     volume_total,
 )
 from .coloring import CellProvenance, Coloring
-from .staircase import certify_cell_regular, monotone_paths
+from .staircase import (
+    LiftedCell,
+    certify_cell_regular,
+    multi_staircases,
+    signature_template,
+)
 
 
 def _model_cell_points(lvec, kvec):
-    """Coordinates of the standard model cell for a signature.
+    """Coordinates of the standard model cell for a signature, indexed by
+    (row position, column position) across blocks as in
+    :func:`staircase.signature_template`.
 
     Rows of all blocks become vertices of one standard simplex, columns of
     all blocks vertices of another; the model cell is affinely isomorphic
@@ -47,22 +54,18 @@ def _model_cell_points(lvec, kvec):
     """
     lsum = sum(lvec)
     nsum = sum(kvec)
+    row_off = list(itertools.accumulate(lvec, initial=0))
+    col_off = list(itertools.accumulate(kvec, initial=0))
     pts = {}
-    row_off = 0
-    col_off = 0
-    for b, (l, k) in enumerate(zip(lvec, kvec)):
-        for h in range(l):
-            for j in range(k):
+    for l, k, r0, c0 in zip(lvec, kvec, row_off, col_off):
+        for ri in range(r0, r0 + l):
+            for ci in range(c0, c0 + k):
                 p = [0] * (lsum - 1) + [0] * (nsum - 1)
-                ri = row_off + h
-                ci = col_off + j
                 if ri > 0:
                     p[ri - 1] = 1
                 if ci > 0:
                     p[lsum - 1 + ci - 1] = 1
-                pts[(b, h, j)] = tuple(p)
-        row_off += l
-        col_off += k
+                pts[(ri, ci)] = tuple(p)
     return pts
 
 
@@ -78,14 +81,11 @@ def _model_signature_ok(lvec: tuple[int, ...], kvec: tuple[int, ...]) -> bool:
     ok = certify_cell_regular(lvec, kvec)
     if not ok:
         pts = _model_cell_points(lvec, kvec)
-        per_block = [monotone_paths(l, k) for l, k in zip(lvec, kvec)]
-        cells = []
-        for combo in itertools.product(*per_block):
-            verts = []
-            for b, path in enumerate(combo):
-                for h, j in path:
-                    verts.append(pts[(b, h, j)])
-            cells.append(tuple(sorted(verts)))
+        tr, tc = signature_template(lvec, kvec)
+        cells = [
+            tuple(sorted(pts[rc] for rc in zip(r, c)))
+            for r, c in zip(tr.tolist(), tc.tolist())
+        ]
         bary = [linalg.barycentric_rows(c) for c in cells]
         ok = all(
             linalg.simplices_face_to_face(cells[i], cells[j], bary[i], bary[j])
@@ -140,8 +140,6 @@ class StructuredChecker:
         return list(reps)
 
     def run(self) -> ValidityReport:
-        from .staircase import LiftedCell, multi_staircases
-
         violations: list[Violation] = []
         nq = len(self.coloring.colors)
         # Within-cell certificates, one evaluation per distinct signature,

@@ -6,6 +6,7 @@ import numpy as np
 
 from cubetri.linalg import (
     batch_abs_det,
+    batch_det,
     det_bareiss,
     feasible,
     rank_int,
@@ -123,6 +124,87 @@ def test_batch_det_of_empty_matrices_is_one():
     # the empty product, as for det_bareiss([])
     assert det_bareiss([]) == 1
     assert batch_abs_det(np.zeros((3, 0, 0), dtype=np.int64)).tolist() == [1, 1, 1]
+
+
+def _bareiss_trace(rows):
+    """Steps of the scalar elimination that swap rows, and the step at which
+    the matrix dies (no nonzero pivot), or None."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    swaps, prev = [], 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            i = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if i is None:
+                return swaps, k
+            m[k], m[i] = m[i], m[k]
+            swaps.append(k)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return swaps, None
+
+
+def _assert_exact(mats):
+    mats = np.asarray(mats)
+    got = batch_det(mats)
+    assert got.dtype == np.int64
+    assert [int(v) for v in got] == [det_bareiss(m.tolist()) for m in mats]
+
+
+def test_batch_det_swaps_only_the_matrices_that_need_it():
+    # Row permutations of upper-triangular matrices: whether a matrix needs a
+    # swap at step k depends on its permutation, so every step swaps some
+    # matrices of the batch and not others, with either sign.
+    rng = np.random.default_rng(2)
+    n, count = 7, 400
+    upper = np.triu(rng.integers(-3, 4, size=(count, n, n)), 1)
+    upper[:, np.arange(n), np.arange(n)] = rng.choice([-2, -1, 1, 2], size=(count, n))
+    mats = np.array([u[rng.permutation(n)] for u in upper])
+    swapped = [set(_bareiss_trace(m.tolist())[0]) for m in mats]
+    for k in range(n - 1):
+        assert 0 < sum(k in s for s in swapped) < count, k
+    _assert_exact(mats)
+    assert {int(v) > 0 for v in batch_det(mats)} == {True, False}
+
+
+def test_batch_det_dead_matrices_among_live_ones():
+    # Singular matrices that die at every step (a zero column k below a
+    # zero pivot), mixed in with live ones; no warning, exact zeros.
+    rng = np.random.default_rng(3)
+    n = 6
+    mats = rng.integers(-2, 3, size=(300, n, n))
+    for b in range(0, 300, 3):
+        mats[b, :, (b // 3) % n] = 0
+    deaths = {_bareiss_trace(m.tolist())[1] for m in mats}
+    assert set(range(n - 1)) <= deaths and None in deaths
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_exact(mats)
+    assert (batch_det(mats)[::3] == 0).all()
+
+
+def test_batch_det_of_non_contiguous_inputs():
+    rng = np.random.default_rng(4)
+    big = rng.integers(-1, 2, size=(64, 9, 9))
+    for view in (big[::3, 1:, 1:], big[5:40, ::2, ::2], big.transpose(0, 2, 1)):
+        assert not view.flags.c_contiguous
+        _assert_exact(view)
+    # A batch-last array seen as (N, n, n): transposing it back is
+    # contiguous, and the caller's array must come back unchanged.
+    last = np.ascontiguousarray(big[:, :8, :8].transpose(1, 2, 0))
+    before = last.copy()
+    _assert_exact(last.transpose(2, 0, 1))
+    assert (last == before).all()
+
+
+def test_batch_det_of_one_matrix_and_of_1x1_matrices():
+    _assert_exact(np.array([[[0, 1, 0], [0, 0, 1], [1, 0, 0]]]))
+    _assert_exact(np.array([[[0, 1], [1, 0]]]))
+    assert batch_det(np.array([[[0, 1], [1, 0]]])).tolist() == [-1]
+    assert batch_det(np.array([[[3]], [[-2]], [[0]]])).tolist() == [3, -2, 0]
+    assert batch_det(np.zeros((1, 0, 0), dtype=np.int64)).tolist() == [1]
 
 
 def test_rank_small_cases():
