@@ -190,7 +190,8 @@ def _census(tri: Triangulation, expected: int | None):
     return full, vols, total, violations
 
 
-def _duplicates(tri: Triangulation) -> list[Violation]:
+def duplicate_simplices(tri: Triangulation) -> list[Violation]:
+    """A ``duplicate`` violation for each repeat of an earlier simplex."""
     seen = set()
     out = []
     for s in tri.simplices:
@@ -212,7 +213,7 @@ def validate_dissection(
     if expected is None:
         expected = expected_volume(tri.config)
     _, _, total, violations = _census(tri, expected)
-    violations += _duplicates(tri)
+    violations += duplicate_simplices(tri)
     if pairwise:
         cells = [tri.points_of(s) for s in tri.simplices]
         bary = [linalg.barycentric_rows(p) for p in cells]
@@ -292,25 +293,9 @@ def ridge_report(tri: Triangulation) -> ValidityReport:
     come from the census's signed volumes (:func:`_apex_sides`), so no
     determinant is taken per ridge.
     """
-    return _ridges(tri, _census(tri, expected_volume(tri.config)))
-
-
-def census_and_ridges(tri: Triangulation) -> tuple[ValidityReport, ValidityReport]:
-    """``validate_dissection(tri, pairwise=False)`` and ``ridge_report(tri)``
-    from one census: the two linear checks of a large file."""
-    census = _census(tri, expected_volume(tri.config))
-    violations = census[3] + _duplicates(tri)
-    ok = not violations
-    dissection = ValidityReport(ok, False, census[2], violations)
-    return dissection, _ridges(tri, census)
-
-
-def _ridges(tri: Triangulation, census) -> ValidityReport:
-    """:func:`ridge_report` after its census ``(full, vols, total,
-    violations)``; appends to the census's violations."""
     if tri.config.label is None:
         raise ValueError("ridge mode needs a labeled configuration")
-    full, vols, total, violations = census
+    full, vols, total, violations = _census(tri, expected_volume(tri.config))
     d = tri.config.dim
     pts = np.array(tri.config.points, dtype=np.int64)
     idx = np.uint16 if len(pts) < 2**16 else np.int64

@@ -151,11 +151,13 @@ def batch_det(mats: np.ndarray) -> np.ndarray:
         sub = m[k + 1 :, k + 1 :]
         sub *= pivot
         sub -= m[k + 1 :, k, None] * m[k, None, k + 1 :]
-        # prev is a minor, so prev * prev is within the guard's bound.
-        if (prev * prev == 1).all():
-            sub *= prev  # exact division by a unit, without the divide
-        else:
-            sub //= prev
+        if k:  # prev is 1 at k = 0
+            # prev is a minor, so prev * prev is within the guard's bound.
+            # Dividing exactly by a unit is multiplying by it.
+            if (prev * prev == 1).all():
+                sub *= prev
+            else:
+                sub //= prev
         prev = pivot
     return sign * m[n - 1, n - 1]
 

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from cubetri.cli import main
 from cubetri.complexes import (
+    CENSUS_KINDS,
     Triangulation,
     Violation,
     _apex_sides,
@@ -309,6 +310,34 @@ def test_verify_volume_only_runs_the_ridge_check(tmp_path, capsys):
     assert main(["verify", bad, "--volume-only"]) == 1
     out = capsys.readouterr().out
     assert "volume census: True" in out and "ridges: False" in out
+
+
+@pytest.mark.parametrize("kind", ["none", "drop", "duplicate", "overlap", "flat"])
+def test_verify_volume_only_prints_both_reports(tmp_path, capsys, kind):
+    """The command's output from one census is the output of the census
+    report (``validate_dissection(pairwise=False)``) and the ridge report."""
+    tri = build_cube_recursive(PipelineSpec(dim=4))[0]
+    if kind == "flat":
+        tri = Triangulation(tri.config, tri.simplices + (tri.simplices[0][:-1],))
+    elif kind != "none":
+        tri = tampered(tri, kind)
+    path = os.fspath(tmp_path / "t.json")
+    with open(path, "w") as fh:
+        fh.write(triangulation_to_json(tri))
+    census = validate_dissection(tri, pairwise=False)
+    ridges = ridge_report(tri)
+    shown = census.violations + [
+        v for v in ridges.violations if v.kind not in CENSUS_KINDS
+    ]
+    expected = [
+        f"volume census: {census.is_dissection} "
+        f"(volume {census.volume_total}, {len(census.violations)} violations)",
+        f"ridges: {ridges.is_face_to_face} ({len(ridges.violations)} violations)",
+    ] + [f"  {v}" for v in shown[:10]]
+    code = main(["verify", path, "--volume-only"])
+    assert capsys.readouterr().out.splitlines() == expected
+    assert code == (0 if census.is_dissection and ridges.is_face_to_face else 1)
+    assert code == (0 if kind == "none" else 1)
 
 
 def test_expect_keeps_the_q_dim_step(monkeypatch):
