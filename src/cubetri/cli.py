@@ -50,7 +50,6 @@ def _cmd_build(args) -> int:
         rng_seed=args.rng_seed,
         samples=args.samples,
         out=args.out,
-        face_check_max_dim=args.face_check_max_dim,
     )
     tri, report = build_cube_recursive(spec)
     for st in report.steps:
@@ -209,7 +208,6 @@ def main(argv: list[str] | None = None) -> int:
     p_cube.add_argument("--rng-seed", type=int, default=0)
     p_cube.add_argument("--samples", type=int, default=1)
     p_cube.add_argument("--out")
-    p_cube.add_argument("--face-check-max-dim", type=int, default=6)
     p_cube.set_defaults(func=_cmd_build)
 
     p_verify = sub.add_parser("verify", help="validate a triangulation file")

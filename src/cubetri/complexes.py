@@ -26,7 +26,9 @@ the simplices tile P. With every interior ridge matched this way they
 form a triangulation; this is the characterization of triangulations by
 the pseudo-manifold property in De Loera, Rambau and Santos,
 *Triangulations* (Springer, 2010). The pairwise checks stay the
-authoritative oracle on small inputs.
+authoritative oracle on small inputs. :func:`ridge_violations` is the
+ridge part alone, for a caller (the pipeline) that already holds the
+census's signed volumes.
 
 Files hold one simplex per line (:class:`TriangulationWriter`), so a step
 too large to keep in memory is written chunk by chunk in the same format.
@@ -208,7 +210,7 @@ def validate_dissection(
 
     Degenerate simplices are reported as violations, not raised. Set
     ``pairwise=False`` to skip the pair scan (volume census only), e.g.
-    when a structural certificate covers it.
+    when the ridge certificate covers it.
     """
     if expected is None:
         expected = expected_volume(tri.config)
@@ -280,26 +282,32 @@ def _ridge_rows(simp: np.ndarray, ks: np.ndarray) -> np.ndarray:
     return simp[ks // d1][keep[ks % d1]].reshape(len(ks), d1 - 1)
 
 
-def ridge_report(tri: Triangulation) -> ValidityReport:
-    """The ridge certificate of the module docstring, decided exactly.
+def index_rows(rows, n_points: int) -> np.ndarray:
+    """Index rows as the narrowest array the ridge check takes: ``uint16``
+    below 65,536 points, ``int64`` from there."""
+    return np.asarray(rows, dtype=np.uint16 if n_points < 2**16 else np.int64)
 
-    Runs the census of :func:`validate_dissection` against the
-    configuration's volume and reports its violations first. Then pairs the
-    ridges of the full-dimensional simplices by sorting them: a ridge in
-    more than two simplices is ``ridge-overused``, one in a single simplex
-    and on no facet ``open-interior-ridge``, and two simplices on the same
-    side of their ridge (or degenerate) ``ridge-same-side``. Ridge
-    violations come in the order of each ridge's first occurrence. Sides
-    come from the census's signed volumes (:func:`_apex_sides`), so no
-    determinant is taken per ridge.
+
+def ridge_violations(
+    config: PointConfiguration, simplices, signed_vols
+) -> list[Violation]:
+    """The ridge part of the certificate in the module docstring.
+
+    ``simplices`` are full-dimensional simplices of the labeled ``config``
+    as sorted index rows (tuples or one (N, d+1) array), and
+    ``signed_vols`` their signed volumes (:func:`signed_volumes`). Pairs
+    the ridges by sorting them: a ridge in more than two simplices is
+    ``ridge-overused``, one in a single simplex and on no facet
+    ``open-interior-ridge``, and two simplices on the same side of their
+    ridge (or degenerate) ``ridge-same-side``. Violations come in the
+    order of each ridge's first occurrence. Sides come from the signed
+    volumes (:func:`_apex_sides`), so no determinant is taken per ridge.
     """
-    if tri.config.label is None:
+    if config.label is None:
         raise ValueError("ridge mode needs a labeled configuration")
-    full, vols, total, violations = _census(tri, expected_volume(tri.config))
-    d = tri.config.dim
-    pts = np.array(tri.config.points, dtype=np.int64)
-    idx = np.uint16 if len(pts) < 2**16 else np.int64
-    simp = np.array(full, dtype=idx).reshape(-1, d + 1)
+    d = config.dim
+    pts = np.array(config.points, dtype=np.int64)
+    simp = index_rows(simplices, len(pts)).reshape(-1, d + 1)
     n_ridges = len(simp) * (d + 1)
     # Ridge k = i (d+1) + j drops position j of simplex i; its column c is
     # vertex c of the simplex before position j and vertex c+1 from there.
@@ -323,7 +331,7 @@ def ridge_report(tri: Triangulation) -> ValidityReport:
     first = order[starts]
     bad = counts > 2
     single = np.flatnonzero(counts == 1)
-    facets = facet_inequalities(tri.config.label)
+    facets = facet_inequalities(config.label)
     a = np.array([av for av, _ in facets], dtype=np.int64).reshape(len(facets), d)
     b = np.array([bv for _, bv in facets], dtype=np.int64)
     on_facet = pts @ a.T == b  # (points, facets) incidence
@@ -332,19 +340,31 @@ def ridge_report(tri: Triangulation) -> ValidityReport:
         inside = on_facet[_ridge_rows(simp, first[grp])].all(axis=1).any(axis=1)
         bad[grp[~inside]] = True
     pair = np.flatnonzero(counts == 2)
-    sides = _apex_sides(vols, d).reshape(-1)
+    sides = _apex_sides(signed_vols, d).reshape(-1)
     same = sides[first[pair]] * sides[order[starts[pair] + 1]] >= 0
     bad[pair[same]] = True
     bad = np.flatnonzero(bad)
+    violations: list[Violation] = []
     for g in bad[np.argsort(first[bad])].tolist():
-        owners = [full[k // (d + 1)] for k in order[starts[g] : starts[g] + counts[g]]]
+        ks = order[starts[g] : starts[g] + counts[g]]
+        owners = tuple(map(tuple, simp[ks // (d + 1)].tolist()))
         ridge = str(tuple(_ridge_rows(simp, first[g : g + 1])[0].tolist()))
         if counts[g] > 2:
-            violations.append(Violation("ridge-overused", tuple(owners)))
+            violations.append(Violation("ridge-overused", owners))
         elif counts[g] == 1:
-            violations.append(Violation("open-interior-ridge", tuple(owners), ridge))
+            violations.append(Violation("open-interior-ridge", owners, ridge))
         else:
-            violations.append(Violation("ridge-same-side", tuple(owners), ridge))
+            violations.append(Violation("ridge-same-side", owners, ridge))
+    return violations
+
+
+def ridge_report(tri: Triangulation) -> ValidityReport:
+    """The ridge certificate of the module docstring, decided exactly: the
+    census of :func:`validate_dissection` against the configuration's
+    volume, whose violations come first, then :func:`ridge_violations` on
+    the census's signed volumes."""
+    full, vols, total, violations = _census(tri, expected_volume(tri.config))
+    violations += ridge_violations(tri.config, full, vols)
     ok = not violations
     return ValidityReport(ok, ok, total, violations)
 

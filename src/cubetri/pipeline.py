@@ -13,20 +13,21 @@ arrays in slices of consecutive sigmas of about ``CENSUS_CHUNK`` rows,
 in the cell-by-cell order (a scatter on the cumulative per-sigma counts
 keeps it). Each slice goes to the volume census as an array and to the
 file writer as lists. Materialization is only a memory policy: the
-simplices and their provenance are kept when the step's dimension is at
-most ``materialize_max_dim``, and otherwise the step is streamed, so it
-must be the last one. Either way the same bytes are written.
+simplices are kept when the step's dimension is at most
+``materialize_max_dim``, and otherwise the step is streamed, so it must
+be the last one. Either way the same bytes are written.
 
 Validation policy per step (all exact):
 
-* volume census always (batched integer determinants, chunked);
-* full pairwise face-to-face up to ``face_check_max_dim`` (default 6) via
-  the structural checker, on kept steps;
-* otherwise a dissection certificate: the regularity certificate and the
-  count identity of every cell signature, the volume census of every
+* volume census always (batched signed integer determinants, chunked);
+* on kept steps up to ``face_check_max_dim`` (default 9, every kept step
+  by default), the ridge certificate of :mod:`complexes` on the kept rows
+  and the census's signed volumes. It trusts neither provenance nor the
+  inputs, and its verdict is the step's face-to-face and dissection
+  verdict;
+* on other steps a dissection certificate: the regularity certificate and
+  the count identity of every cell signature, the volume census of every
   emitted simplex, and the inductively verified validity of the inputs.
-  The quadratic pair scan is hopeless at millions of cells and is
-  deliberately not attempted there.
 
 The balanced coloring is always kept among the sampled candidates, so the
 identity lift at the first step (where the big factor is a segment) is
@@ -45,7 +46,6 @@ from fractions import Fraction
 import numpy as np
 
 from .coloring import (
-    CellProvenance,
     Coloring,
     ProductCells,
     make_coloring,
@@ -57,8 +57,10 @@ from .complexes import (
     CENSUS_CHUNK,
     Triangulation,
     TriangulationWriter,
-    batch_volumes_of,
     efficiency,
+    index_rows,
+    ridge_violations,
+    signed_volumes,
     weighted_size,
 )
 from .geometry import (
@@ -77,7 +79,6 @@ from .seeds import (
     unimodular_cube,
 )
 from .staircase import certify_cell_regular, multi_staircase_count
-from .verification import StructuredChecker
 
 
 @dataclass
@@ -89,7 +90,7 @@ class PipelineSpec:
     rng_seed: int = 0
     samples: int = 1
     out: str | None = None
-    face_check_max_dim: int = 6
+    face_check_max_dim: int = 9
     materialize_max_dim: int = 9
 
     def __post_init__(self):
@@ -110,7 +111,9 @@ class StepReport:
     bound: Fraction
     bound_ok: bool
     volume_ok: bool
-    face_to_face: bool | None  # None when only the dissection tier ran
+    # The ridge certificate's verdict; None on a step it did not run on
+    # (streamed, or above face_check_max_dim), certified as a dissection.
+    face_to_face: bool | None
     dissection_certified: bool
     coloring_strategy: str
     sample_sizes: list[int] = field(default_factory=list)
@@ -166,33 +169,39 @@ def _signature_certified(signature, count: int) -> bool:
 class _Step:
     size: int = 0
     volume_ok: bool = False
-    certified: bool = True
+    face_to_face: bool | None = None  # only when certified by the ridges
+    dissection: bool = False
     tri: Triangulation | None = None  # only when kept
-    provenance: list[CellProvenance] = field(default_factory=list)
 
 
-def _product_step(t_q, t0, coloring, keep: bool, out_path=None) -> _Step:
-    """One product step: certifies each distinct cell signature once, then
-    generates the cells in chunks of about ``CENSUS_CHUNK`` simplices
-    (:meth:`ProductCells.chunks`) and feeds each chunk to the volume census
-    and (with ``out_path``) to the file writer. The simplices and their
-    provenance are kept only when ``keep``."""
+def _product_step(
+    t_q, t0, coloring, keep: bool, certify: bool, out_path=None
+) -> _Step:
+    """One product step: generates the cells in chunks of about
+    ``CENSUS_CHUNK`` simplices (:meth:`ProductCells.chunks`) and feeds each
+    chunk to the volume census and (with ``out_path``) to the file writer.
+    The simplices are kept only when ``keep``. With ``certify`` (a kept
+    step), the ridge certificate runs on the kept rows and the census's
+    signed volumes; otherwise each distinct cell signature is certified
+    once for the dissection tier."""
     cells = ProductCells(t_q, t0, coloring)
     cfg = cells.config
     points = np.asarray(cfg.points, dtype=np.int64)
     step = _Step()
-    step.certified = all(
-        _signature_certified(sig, count) for sig, count in cells.signatures.items()
-    )
     volume = zeros = 0
     kept: list = []
+    rows_kept: list = []  # chunks and their signed volumes, when certifying
+    vols_kept: list = []
     with open(out_path, "w") if out_path else contextlib.nullcontext() as fh:
         writer = TriangulationWriter(fh, cfg) if fh else None
         for chunk in cells.chunks(CENSUS_CHUNK):
             step.size += len(chunk)
-            v, z = batch_volumes_of(points, chunk)
-            volume += v
-            zeros += z
+            vols = signed_volumes(points, chunk)
+            volume += int(np.abs(vols).sum())
+            zeros += int(np.count_nonzero(vols == 0))
+            if certify:
+                rows_kept.append(index_rows(chunk, len(points)))
+                vols_kept.append(vols)
             if writer is None and not keep:
                 continue
             rows = chunk.tolist()
@@ -205,7 +214,16 @@ def _product_step(t_q, t0, coloring, keep: bool, out_path=None) -> _Step:
     step.volume_ok = volume == ambient_normalized_volume(cfg.label) and zeros == 0
     if keep:
         step.tri = Triangulation(cfg, tuple(kept))
-        step.provenance = cells.provenance()
+    if certify:
+        ridges = ridge_violations(
+            cfg, np.concatenate(rows_kept), np.concatenate(vols_kept)
+        )
+        step.face_to_face = step.dissection = step.volume_ok and not ridges
+    else:
+        step.dissection = step.volume_ok and all(
+            _signature_certified(sig, count)
+            for sig, count in cells.signatures.items()
+        )
     return step
 
 
@@ -248,17 +266,10 @@ def build_cube_recursive(spec: PipelineSpec):
         bound = size_bound(current.size, t0_ws, n, m_step, l)
         bound_ok = Fraction(best_size) <= bound
         keep = new_dim <= spec.materialize_max_dim
+        certify = keep and new_dim <= spec.face_check_max_dim
         out_path = spec.out if new_dim == spec.dim else None
-        step = _product_step(current, t0, best, keep, out_path)
+        step = _product_step(current, t0, best, keep, certify, out_path)
         assert step.size == best_size
-        vol_ok = step.volume_ok
-        if keep and new_dim <= spec.face_check_max_dim:
-            report = StructuredChecker(step.tri, step.provenance, best).run()
-            f2f: bool | None = report.is_face_to_face
-            diss = report.is_dissection
-        else:
-            f2f = None
-            diss = vol_ok and step.certified
         steps.append(
             StepReport(
                 cur,
@@ -271,15 +282,15 @@ def build_cube_recursive(spec: PipelineSpec):
                 t0_ws,
                 bound,
                 bound_ok,
-                vol_ok,
-                f2f,
-                diss,
+                step.volume_ok,
+                step.face_to_face,
+                step.dissection,
                 best.strategy,
                 sample_sizes,
             )
         )
         sizes[new_dim] = best_size
-        ok = ok and bound_ok and vol_ok and diss and (f2f is not False)
+        ok = ok and bound_ok and step.volume_ok and step.dissection
         if step.tri is None:
             if new_dim != spec.dim:
                 raise ValueError("cannot continue past a streamed step")

@@ -221,7 +221,7 @@ def test_criterion_8_pipeline_validity():
         tri, rep = build_cube_recursive(PipelineSpec(dim=d, samples=3, rng_seed=1))
         for st in rep.steps:
             ok &= st.bound_ok and st.volume_ok and st.dissection_certified
-            if st.dim_to <= 6:
+            if st.dim_to <= 9:
                 ok &= st.face_to_face is True
         # authoritative pairwise oracle on the materialized small outputs
         if d <= 6 and tri is not None:
@@ -229,7 +229,7 @@ def test_criterion_8_pipeline_validity():
         ok &= rep.ok
         details.append(f"d{d}:{rep.sizes[d]}")
     _announce(
-        "criterion 8: pipeline d=4..10 valid (f2f <= 6, dissection 7..10, bounds)",
+        "criterion 8: pipeline d=4..10 valid (f2f <= 9, dissection 10, bounds)",
         ok,
         " ".join(details) + f"; {time.time() - t0:.1f}s",
     )

@@ -31,11 +31,18 @@ def test_build_d5_valid():
 
 
 def test_build_d7_dissection_tier():
+    # Every kept step is certified by the ridge check; only a streamed step
+    # falls back to the dissection tier.
     tri, rep = build_cube_recursive(PipelineSpec(dim=7))
     assert rep.ok
+    assert all(st.face_to_face is True for st in rep.steps)
+    assert rep.steps[-1].dissection_certified
+    assert rep.sizes[7] >= 1493
+    tri, rep = build_cube_recursive(PipelineSpec(dim=7, materialize_max_dim=6))
+    assert tri is None and rep.ok
     last = rep.steps[-1]
     assert last.face_to_face is None and last.dissection_certified
-    assert rep.sizes[7] >= 1493
+    assert rep.steps[0].face_to_face is True
 
 
 def test_failed_seed_verification_fails_the_build(monkeypatch):

@@ -1,0 +1,145 @@
+"""Agreement of the ridge certificate with the pairwise face-to-face oracle,
+and the pipeline's use of it.
+
+``ridge_report`` is the pipeline's only face-to-face tier; the pairwise
+``validate_face_to_face`` tests every pair of simplices and stays the
+authoritative reference. Their verdicts must agree on valid and tampered
+triangulations: the pipeline's outputs, the block seeds, a product whose
+coloring leaves colors absent from some cells, and a dissection that is
+not face to face. On a kept step the pipeline runs the ridge part on the
+step's own rows and census, so a corrupted row must fail the run even
+when the volume census cannot see it.
+"""
+
+import pytest
+from test_ridges import tampered
+
+from cubetri import pipeline
+from cubetri.coloring import Coloring, ProductCells, triangulate_product
+from cubetri.complexes import Triangulation, ridge_report, validate_face_to_face
+from cubetri.geometry import minkowski_config, normalized_volume
+from cubetri.pipeline import PipelineSpec, build_cube_recursive
+from cubetri.seeds import cayley_seed, minimal_cube
+
+KINDS = ("drop", "duplicate", "overlap")
+
+
+def same_verdict(tri):
+    """The common verdict of the ridge check and the pairwise oracle."""
+    ridges = ridge_report(tri)
+    oracle = validate_face_to_face(tri)
+    assert ridges.is_face_to_face == ridges.is_dissection == oracle.is_face_to_face
+    assert ridges.volume_total == oracle.volume_total
+    return ridges.is_face_to_face
+
+
+@pytest.fixture(scope="module")
+def pipeline_outputs():
+    return {
+        d: build_cube_recursive(PipelineSpec(dim=d, samples=3, rng_seed=1))[0]
+        for d in (4, 5, 6)
+    }
+
+
+@pytest.mark.parametrize("kind", (None,) + KINDS)
+def test_agrees_on_pipeline_outputs(pipeline_outputs, kind):
+    for tri in pipeline_outputs.values():
+        if kind is None:
+            assert same_verdict(tri)
+        else:
+            assert not same_verdict(tampered(tri, kind))
+
+
+def _restricted_product():
+    # color 1 never appears in the first triangle of T_Q
+    coloring = Coloring((0, 0, 2, 1), 3, "explicit")
+    return triangulate_product(minimal_cube(2), cayley_seed("i3d2"), coloring)
+
+
+def _big_square(simplices):
+    # [0,2]^2 on its nine lattice points; (a, b) has index 3a + b
+    return Triangulation(minkowski_config(2, 2), simplices)
+
+
+# Three triangles with a hanging vertex (1, 1) on the interior of the
+# first one's edge: a dissection, not a complex.
+T_VERTEX = ((0, 6, 8), (0, 4, 2), (2, 4, 8))
+# The four triangles through the center point: a genuine complex.
+FAN = ((0, 6, 4), (6, 8, 4), (8, 2, 4), (0, 2, 4))
+
+
+@pytest.mark.parametrize(
+    "make",
+    (
+        lambda: cayley_seed("i3d1"),
+        lambda: cayley_seed("i3d2"),
+        _restricted_product,
+        lambda: _big_square(FAN),
+    ),
+    ids=("i3d1", "i3d2", "restricted-coloring", "fan"),
+)
+def test_agrees_on_valid_and_tampered_fixtures(make):
+    tri = make()
+    assert same_verdict(tri)
+    for kind in KINDS:
+        assert not same_verdict(tampered(tri, kind))
+
+
+def test_agrees_on_the_t_vertex():
+    tri = _big_square(T_VERTEX)
+    assert ridge_report(tri).volume_total == 8
+    assert not same_verdict(tri)
+    kinds = {v.kind for v in ridge_report(tri).violations}
+    assert kinds == {"open-interior-ridge"}
+
+
+# -- the pipeline's ridge tier ---------------------------------------------------
+
+
+def _equal_volume_swap(points, s):
+    """Another sorted simplex of the same volume: one vertex of s replaced."""
+    vol = normalized_volume([points[i] for i in s])
+    for out in s:
+        for new in range(len(points)):
+            t = sorted(set(s) - {out} | {new})
+            if new not in s and normalized_volume([points[i] for i in t]) == vol:
+                return t
+    raise AssertionError("no equal-volume replacement")
+
+
+def test_corrupted_kept_row_fails_the_run(monkeypatch):
+    real = ProductCells.simplex_rows
+
+    def corrupted(self, lo, hi):
+        rows = real(self, lo, hi)
+        if lo == 0:
+            rows[0] = _equal_volume_swap(self.config.points, rows[0].tolist())
+        return rows
+
+    monkeypatch.setattr(ProductCells, "simplex_rows", corrupted)
+    tri, report = build_cube_recursive(PipelineSpec(dim=4))
+    (step,) = report.steps
+    # the census cannot see the swap; the ridge check must
+    assert step.volume_ok
+    assert step.face_to_face is False and step.dissection_certified is False
+    assert report.ok is False
+    assert not same_verdict(tri)
+
+
+def test_ridge_tier_runs_on_certified_kept_steps_only(monkeypatch):
+    calls = []
+    real = pipeline.ridge_violations
+
+    def counted(config, simplices, signed_vols):
+        calls.append(config.dim)
+        return real(config, simplices, signed_vols)
+
+    monkeypatch.setattr(pipeline, "ridge_violations", counted)
+    _, rep = build_cube_recursive(PipelineSpec(dim=7, materialize_max_dim=6))
+    assert calls == [4] and rep.ok
+    calls.clear()
+    _, rep = build_cube_recursive(
+        PipelineSpec(dim=8, materialize_max_dim=7, face_check_max_dim=4)
+    )
+    assert calls == [] and rep.ok
+    assert [st.face_to_face for st in rep.steps] == [None, None]

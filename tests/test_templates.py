@@ -230,14 +230,3 @@ def test_structured_checker_catches_swapped_simplices_inside_a_cell():
     kinds = [v.kind for v in report.violations]
     assert kinds == ["cell-simplices-mismatch"]
     assert report.violations[0].members == (cell.sigma, cell.tau_index)
-
-
-def test_model_signature_fallback_runs_on_the_templates(monkeypatch):
-    # Without the regularity certificate, the within-cell check falls back
-    # to the pairwise predicate on the model cell's template simplices.
-    from cubetri import verification
-
-    monkeypatch.setattr(verification, "certify_cell_regular", lambda lvec, kvec: False)
-    monkeypatch.setattr(verification, "_model_pair_cache", {})
-    assert verification._model_signature_ok((2, 2), (2, 3))
-    assert verification._model_signature_ok((1, 3, 2), (2, 1, 2))
