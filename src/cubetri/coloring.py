@@ -318,9 +318,6 @@ def size_bound(tq_size: int, t0_weighted: Fraction, n: int, m: int, l: int) -> F
     return tq_size * Fraction(t0_weighted) * (Fraction(n, m) + l) ** l
 
 
-ENUMERATION_GUARD = 2**20
-
-
 def _multinomial_expectation(n: int, m: int, lvecs) -> Fraction:
     """E over uniform colorings of one n-vertex cell of the size term."""
     total = Fraction(0)
@@ -345,34 +342,18 @@ def _multinomial_expectation(n: int, m: int, lvecs) -> Fraction:
     return total
 
 
-def exact_expected_size(
-    t_q: Triangulation, t0: Triangulation, m: int, method: str = "auto"
-) -> Fraction:
+def exact_expected_size(t_q: Triangulation, t0: Triangulation, m: int) -> Fraction:
     """Exact average size of the product triangulation over all colorings.
 
-    ``enumerate`` averages the closed-form size over every coloring of Q's
-    vertex set (guarded at 2^20 colorings); ``multinomial`` sums the exact
-    per-cell expectation of the staircase-count product under the uniform
-    multinomial color distribution. Both routes agree exactly.
+    The n vertices of a simplex of T_Q are distinct, so under a uniform
+    coloring their colors are independent and uniform: each simplex's size
+    term has the same multinomial expectation, and by linearity the
+    average over all m^|Q| colorings is |T_Q| times that expectation.
     """
     _check_inputs(t_q, t0, make_coloring(len(t_q.config.points), m))
-    nv = len(t_q.config.points)
     lvecs = [tuple(len(b) for b in blocks) for blocks in product_blocks(t0)]
-    if method == "auto":
-        method = "enumerate" if m**nv <= ENUMERATION_GUARD else "multinomial"
-    if method == "enumerate":
-        if m**nv > ENUMERATION_GUARD:
-            raise ValueError("coloring space too large to enumerate")
-        total = Fraction(0)
-        for colors in itertools.product(range(m), repeat=nv):
-            coloring = Coloring(colors, m, "explicit")
-            total += product_size(t_q, t0, coloring)
-        return total / m**nv
-    if method == "multinomial":
-        n = t_q.config.dim + 1
-        per_cell = _multinomial_expectation(n, m, lvecs)
-        return len(t_q.simplices) * per_cell
-    raise ValueError(f"unknown method {method!r}")
+    n = t_q.config.dim + 1
+    return len(t_q.simplices) * _multinomial_expectation(n, m, lvecs)
 
 
 @dataclass

@@ -147,22 +147,15 @@ def _tally(vols: np.ndarray) -> tuple[int, list[int]]:
     return int(np.abs(vols).sum()), np.flatnonzero(vols == 0).tolist()
 
 
-def volume_census(points, rows) -> tuple[int, list[int]]:
-    """The volume census: (sum of normalized volumes, positions of the
-    zero-volume rows) for full-dimensional simplices given as index rows
-    into ``points``."""
-    return _tally(signed_volumes(points, rows))
-
-
 def volume_total(tri: Triangulation) -> int:
     """Exact total normalized volume of a full-dimensional triangulation."""
-    return volume_census(tri.config.points, tri.simplices)[0]
+    return _tally(signed_volumes(tri.config.points, tri.simplices))[0]
 
 
 def batch_volumes_of(points, simplex_rows) -> tuple[int, int]:
     """(sum of |det|, count of zero dets) for a batch of simplices given as
     index rows into ``points``."""
-    total, degenerate = volume_census(points, simplex_rows)
+    total, degenerate = _tally(signed_volumes(points, simplex_rows))
     return total, len(degenerate)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .linalg import det_bareiss, rank_int
 
@@ -112,12 +112,6 @@ class PointConfiguration:
     label: Label | None
     points: tuple[Point, ...]
     dim: int
-    _index: dict[Point, int] | None = field(default=None, repr=False)
-
-    def index_of(self, p: Point) -> int:
-        if self._index is None:
-            self._index = {q: i for i, q in enumerate(self.points)}
-        return self._index[p]
 
     def __len__(self) -> int:
         return len(self.points)

@@ -326,36 +326,21 @@ def haiman_baseline_sizes(d_max: int) -> dict[int, int]:
     return best
 
 
-def report_table(
-    d_max: int,
-    spec_template: PipelineSpec | None = None,
-    pipeline_sizes: dict[int, int] | None = None,
-    pipeline_bounds: dict[int, Fraction] | None = None,
-) -> str:
+def report_table(d_max: int) -> str:
     """CSV report: per-dimension constants, bounds, and achieved sizes.
 
     Columns: d,size,efficiency,bound,hadamard,smith,phi_known,rho_known,
     haiman. Two footer rows carry the asymptotic targets of the two seeds.
+    Sizes and bounds come from default builds of the last three dimensions.
     """
-    if pipeline_sizes is None:
-        pipeline_sizes = {d: minimal_cube(d).size for d in range(1, min(3, d_max) + 1)}
-        pipeline_bounds = {}
-        for target in range(max(4, d_max - 2), d_max + 1):
-            spec = PipelineSpec(
-                dim=target,
-                l=spec_template.l if spec_template else 3,
-                m=spec_template.m if spec_template else 3,
-                seed=spec_template.seed if spec_template else "i3d2",
-                samples=spec_template.samples if spec_template else 1,
-                rng_seed=spec_template.rng_seed if spec_template else 0,
-            )
-            _, rep = build_cube_recursive(spec)
-            for dd, ss in rep.sizes.items():
-                pipeline_sizes.setdefault(dd, ss)
-            for st in rep.steps:
-                pipeline_bounds.setdefault(st.dim_to, st.bound)
-    if pipeline_bounds is None:
-        pipeline_bounds = {}
+    sizes = {d: minimal_cube(d).size for d in range(1, min(3, d_max) + 1)}
+    bounds: dict[int, Fraction] = {}
+    for target in range(max(4, d_max - 2), d_max + 1):
+        _, rep = build_cube_recursive(PipelineSpec(dim=target))
+        for dd, ss in rep.sizes.items():
+            sizes.setdefault(dd, ss)
+        for st in rep.steps:
+            bounds.setdefault(st.dim_to, st.bound)
     haiman = haiman_baseline_sizes(max(d_max, 3))
     buf = io.StringIO()
     w = csv.writer(buf)
@@ -373,9 +358,9 @@ def report_table(
         ]
     )
     for d in range(1, d_max + 1):
-        size = pipeline_sizes.get(d, "")
+        size = sizes.get(d, "")
         eff = f"{efficiency(size, d):.4f}" if size != "" else ""
-        bound = pipeline_bounds.get(d, "")
+        bound = bounds.get(d, "")
         if bound != "":
             bound = f"{float(bound):.2f}"
         had = f"{hadamard_lower(d):.4f}"

@@ -26,6 +26,7 @@ two-square seed and is valid by construction.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -195,8 +196,17 @@ _I3D2_CELLS = (
     ((6,), (2, 4, 6), (6, 7)),
 )
 
-_seed_cache: dict[str, MixedSubdivision] = {}
-_seed_verified: set[str] = set()
+# name -> (summands, cells, cell census, weighted size); the census counts
+# cells by their summand dimensions in decreasing order.
+_SEEDS = {
+    "i3d1": (2, _I3D1_CELLS, {(3, 0): 10, (2, 1): 6}, Fraction(14, 3)),
+    "i3d2": (
+        3,
+        _I3D2_CELLS,
+        {(2, 1, 0): 20, (3, 0, 0): 16, (1, 1, 1): 2},
+        Fraction(44, 3),
+    ),
+}
 
 
 def _census(sub: MixedSubdivision) -> dict[tuple[int, ...], int]:
@@ -207,43 +217,12 @@ def _census(sub: MixedSubdivision) -> dict[tuple[int, ...], int]:
     return out
 
 
-def seed_i3d1(verify: bool = True) -> MixedSubdivision:
-    """Fine mixed subdivision of [0,2]^3: 10 tetrahedra + 6 prisms,
-    weighted size 14/3; its Cayley triangulation has 16 cells."""
-    if "i3d1" not in _seed_cache:
-        _seed_cache["i3d1"] = MixedSubdivision(
-            cube_config(3), 2, tuple(MixedCell(c) for c in _I3D1_CELLS)
-        )
-    if verify and "i3d1" not in _seed_verified:
-        _verify_seed(
-            _seed_cache["i3d1"],
-            census={(3, 0): 10, (2, 1): 6},
-            weighted=Fraction(14, 3),
-            name="i3d1",
-        )
-        _seed_verified.add("i3d1")
-    return _seed_cache["i3d1"]
-
-
-def seed_i3d2(verify: bool = True) -> MixedSubdivision:
-    """Fine mixed subdivision of [0,3]^3: 20 prisms + 16 tetrahedra + 2
-    parallelepipeds, weighted size 44/3."""
-    if "i3d2" not in _seed_cache:
-        _seed_cache["i3d2"] = MixedSubdivision(
-            cube_config(3), 3, tuple(MixedCell(c) for c in _I3D2_CELLS)
-        )
-    if verify and "i3d2" not in _seed_verified:
-        _verify_seed(
-            _seed_cache["i3d2"],
-            census={(2, 1, 0): 20, (3, 0, 0): 16, (1, 1, 1): 2},
-            weighted=Fraction(44, 3),
-            name="i3d2",
-        )
-        _seed_verified.add("i3d2")
-    return _seed_cache["i3d2"]
-
-
-def _verify_seed(sub, census, weighted, name):
+@functools.cache
+def _seed(name: str) -> MixedSubdivision:
+    """The named seed, built and verified. Only a verified seed is cached,
+    so a failed verification raises again on every call."""
+    m, cells, census, weighted = _SEEDS[name]
+    sub = MixedSubdivision(cube_config(3), m, tuple(MixedCell(c) for c in cells))
     got = _census(sub)
     if got != census:
         raise AssertionError(f"{name}: cell census {got}, expected {census}")
@@ -253,15 +232,26 @@ def _verify_seed(sub, census, weighted, name):
     report = validate_mixed(sub)
     if not report.is_dissection:
         raise AssertionError(f"{name}: invalid subdivision: {report.violations[:5]}")
+    return sub
 
 
-def cayley_seed(name: str, verify: bool = True) -> Triangulation:
+def seed_i3d1() -> MixedSubdivision:
+    """Fine mixed subdivision of [0,2]^3: 10 tetrahedra + 6 prisms,
+    weighted size 14/3; its Cayley triangulation has 16 cells."""
+    return _seed("i3d1")
+
+
+def seed_i3d2() -> MixedSubdivision:
+    """Fine mixed subdivision of [0,3]^3: 20 prisms + 16 tetrahedra + 2
+    parallelepipeds, weighted size 44/3."""
+    return _seed("i3d2")
+
+
+def cayley_seed(name: str) -> Triangulation:
     """The Cayley triangulation of a named seed (i3d1 | i3d2)."""
-    if name == "i3d1":
-        return mixed_to_triangulation(seed_i3d1(verify))
-    if name == "i3d2":
-        return mixed_to_triangulation(seed_i3d2(verify))
-    raise ValueError(f"unknown seed {name!r}")
+    if name not in _SEEDS:
+        raise ValueError(f"unknown seed {name!r}")
+    return mixed_to_triangulation(_seed(name))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import random
 import time
 from fractions import Fraction
 
-from helpers import two_triangle_prism
+from helpers import enumerated_expected_size, two_triangle_prism
 
 from cubetri.cayley import (
     count_area2_squares,
@@ -189,8 +189,8 @@ def test_criterion_6_product_bound():
     seed = cayley_seed("i3d1")
     bound = size_bound(5, Fraction(14, 3), 4, 2, 3)
     ok = bound == Fraction(8750, 3)
-    e_enum = exact_expected_size(t_q, seed, 2, method="enumerate")  # 2^8 colorings
-    e_mult = exact_expected_size(t_q, seed, 2, method="multinomial")
+    e_enum = enumerated_expected_size(t_q, seed, 2)  # 2^8 colorings
+    e_mult = exact_expected_size(t_q, seed, 2)
     ok &= e_enum == e_mult
     ok &= e_enum <= bound
     _announce(

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from helpers import enumerated_expected_size
 
 from cubetri.coloring import (
     Coloring,
@@ -88,18 +89,12 @@ def test_size_bound_examples():
 
 
 def test_exact_expected_size_two_paths_agree():
-    t_q = minimal_cube(1)
-    t0 = cayley_seed("i3d1")
-    e1 = exact_expected_size(t_q, t0, 2, method="enumerate")
-    e2 = exact_expected_size(t_q, t0, 2, method="multinomial")
-    assert e1 == e2
-    # average over the four colorings of the two segment endpoints
-    sizes = []
-    for c0 in range(2):
-        for c1 in range(2):
-            coloring = Coloring((c0, c1), 2, "explicit")
-            sizes.append(product_size(t_q, t0, coloring))
-    assert e1 == Fraction(sum(sizes), 4)
+    for q_dim, seed, m in [(1, "i3d1", 2), (2, "i3d1", 2), (3, "i3d1", 2),
+                           (1, "i3d2", 3), (2, "i3d2", 3), (3, "i3d2", 3)]:
+        t_q = minimal_cube(q_dim)
+        t0 = cayley_seed(seed)
+        want = enumerated_expected_size(t_q, t0, m)
+        assert exact_expected_size(t_q, t0, m) == want, (q_dim, seed)
 
 
 def test_expected_size_below_bound():

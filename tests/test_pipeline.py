@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -48,10 +49,10 @@ def test_build_d7_dissection_tier():
 def test_failed_seed_verification_fails_the_build(monkeypatch):
     real = pipeline.cayley_seed
 
-    def failing(name, verify=True):
+    def failing(name):
         if name == "i3d2":
             raise AssertionError("i3d2: invalid subdivision")
-        return real(name, verify)
+        return real(name)
 
     monkeypatch.setattr(pipeline, "cayley_seed", failing)
     with pytest.raises(AssertionError, match="i3d2"):
@@ -145,7 +146,7 @@ def test_cli_expect_and_volume_only(tmp_path, capsys):
                  "--rng-seed", "1"]) == 0
     out = os.fspath(tmp_path / "t5.json")
     assert main(["build", "cube", "--dim", "5", "--out", out]) == 0
-    assert main(["verify", out, "--volume-only"]) == 0
+    assert main(["verify", out]) == 0
     assert main(["seeds", "show", "square_family(4)"]) == 0
     assert main(["seeds", "show", "minimal_cube(3)"]) == 0
     assert main(["seeds", "show", "unimodular_cube(3)"]) == 0
@@ -198,3 +199,16 @@ def test_materialized_d8_file_matches_streamed_bytes(tmp_path):
     tri, data = _d8_file(tmp_path, 8)
     assert tri is not None and tri.size == 16282
     assert data == _d8_file(tmp_path, 7)[1]
+
+
+def test_cli_expect_prints_the_exact_value_past_enumeration(capsys):
+    from cubetri.cli import main
+
+    # 3^16 colorings of the 4-cube's vertices: too many to enumerate, and
+    # the multinomial sum still gives the exact value
+    assert main(["expect", "--q-dim", "4", "--m", "3", "--samples", "2",
+                 "--rng-seed", "1"]) == 0
+    header, row = capsys.readouterr().out.splitlines()[:2]
+    assert header.split(",")[-1] == "expected_exact"
+    exact = Fraction(row.split(",")[-1])
+    assert exact > 0

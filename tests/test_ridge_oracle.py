@@ -5,19 +5,31 @@ and the pipeline's use of it.
 ``validate_face_to_face`` tests every pair of simplices and stays the
 authoritative reference. Their verdicts must agree on valid and tampered
 triangulations: the pipeline's outputs, the block seeds, a product whose
-coloring leaves colors absent from some cells, and a dissection that is
-not face to face. On a kept step the pipeline runs the ridge part on the
+coloring leaves colors absent from some cells, a dissection that is not
+face to face, every triangulation of five small configurations with each
+one-vertex change of a simplex, and drawn tamperings of a pipeline output. On a kept step the pipeline runs the ridge part on the
 step's own rows and census, so a corrupted row must fail the run even
 when the volume census cannot see it.
 """
 
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_ridges import tampered
 
 from cubetri import pipeline
 from cubetri.coloring import Coloring, ProductCells, triangulate_product
 from cubetri.complexes import Triangulation, ridge_report, validate_face_to_face
-from cubetri.geometry import minkowski_config, normalized_volume
+from cubetri.geometry import (
+    cube_config,
+    minkowski_config,
+    normalized_volume,
+    product_config,
+    simplex_config,
+)
+from cubetri.oracle import SearchProblem, enumerate_triangulations
 from cubetri.pipeline import PipelineSpec, build_cube_recursive
 from cubetri.seeds import cayley_seed, minimal_cube
 
@@ -91,6 +103,74 @@ def test_agrees_on_the_t_vertex():
     assert not same_verdict(tri)
     kinds = {v.kind for v in ridge_report(tri).violations}
     assert kinds == {"open-interior-ridge"}
+
+
+SMALL_CONFIGS = {
+    "cube(3)": lambda: cube_config(3),
+    "cube(2)xsimplex(1)": lambda: product_config(cube_config(2), simplex_config(1)),
+    "cube(1)xsimplex(2)": lambda: product_config(cube_config(1), simplex_config(2)),
+    "cube(1)xsimplex(3)": lambda: product_config(cube_config(1), simplex_config(3)),
+    "simplex(2)xsimplex(2)": lambda: product_config(
+        simplex_config(2), simplex_config(2)
+    ),
+}
+
+
+def _replace_vertex(tri, i, out, new):
+    """``tri`` with vertex ``out`` of simplex i replaced by point ``new``."""
+    simplices = list(tri.simplices)
+    simplices[i] = tuple(sorted(set(simplices[i]) - {out} | {new}))
+    return Triangulation(tri.config, tuple(simplices))
+
+
+@pytest.mark.parametrize("name", SMALL_CONFIGS)
+def test_agrees_on_every_small_triangulation_and_its_one_vertex_changes(name):
+    """Every triangulation the oracle enumerates is accepted by both checks,
+    and both give one verdict and volume on each change of one vertex of
+    its last simplex to another point of the configuration."""
+    config = SMALL_CONFIGS[name]()
+    n = len(config.points)
+    count = 0
+    for tri in enumerate_triangulations(SearchProblem(config)):
+        assert same_verdict(tri)
+        last = tri.simplices[-1]
+        for out in last:
+            for new in range(n):
+                if new not in last:
+                    same_verdict(_replace_vertex(tri, len(tri.simplices) - 1, out, new))
+        count += 1
+    assert count > 0
+
+
+@functools.cache
+def _d4_output():
+    return build_cube_recursive(PipelineSpec(dim=4, samples=3, rng_seed=1))[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(("drop", "duplicate", "replace")), data=st.data())
+def test_agrees_on_drawn_tamperings_of_the_d4_output(kind, data):
+    tri = _d4_output()
+    i = data.draw(st.integers(0, tri.size - 1), label="simplex")
+    simplices = list(tri.simplices)
+    if kind == "drop":
+        del simplices[i]
+        bad = Triangulation(tri.config, tuple(simplices))
+    elif kind == "duplicate":
+        at = data.draw(st.integers(0, tri.size), label="position")
+        simplices.insert(at, simplices[i])
+        bad = Triangulation(tri.config, tuple(simplices))
+    else:
+        out = data.draw(st.sampled_from(simplices[i]), label="out")
+        new = data.draw(
+            st.sampled_from(
+                [p for p in range(len(tri.config.points)) if p not in simplices[i]]
+            ),
+            label="new",
+        )
+        bad = _replace_vertex(tri, i, out, new)
+    # a simplex is the hull of its vertices, so no change tiles the cube
+    assert not same_verdict(bad)
 
 
 # -- the pipeline's ridge tier ---------------------------------------------------

@@ -28,6 +28,7 @@ from cubetri.complexes import (
     triangulation_from_json,
     triangulation_to_json,
     validate_dissection,
+    validate_face_to_face,
 )
 from cubetri.geometry import cube_config, facet_inequalities, minkowski_config
 from cubetri.linalg import batch_abs_det, batch_det, det_bareiss
@@ -298,7 +299,7 @@ def test_verify_volume_only_runs_the_ridge_check(tmp_path, capsys):
     good = os.fspath(tmp_path / "good.json")
     with open(good, "w") as fh:
         fh.write(triangulation_to_json(tri))
-    assert main(["verify", good, "--volume-only"]) == 0
+    assert main(["verify", good]) == 0
     assert "ridges: True (0 violations)" in capsys.readouterr().out
 
     swapped = tampered(tri, "overlap")
@@ -307,14 +308,14 @@ def test_verify_volume_only_runs_the_ridge_check(tmp_path, capsys):
     with open(bad, "w") as fh:
         fh.write(triangulation_to_json(swapped))
     assert triangulation_from_json(open(bad).read()).simplices == swapped.simplices
-    assert main(["verify", bad, "--volume-only"]) == 1
+    assert main(["verify", bad]) == 1
     out = capsys.readouterr().out
     assert "volume census: True" in out and "ridges: False" in out
 
 
 @pytest.mark.parametrize("kind", ["none", "drop", "duplicate", "overlap", "flat"])
 def test_verify_volume_only_prints_both_reports(tmp_path, capsys, kind):
-    """The command's output from one census is the output of the census
+    """Plain ``verify`` prints, from one census, the output of the census
     report (``validate_dissection(pairwise=False)``) and the ridge report."""
     tri = build_cube_recursive(PipelineSpec(dim=4))[0]
     if kind == "flat":
@@ -334,10 +335,58 @@ def test_verify_volume_only_prints_both_reports(tmp_path, capsys, kind):
         f"(volume {census.volume_total}, {len(census.violations)} violations)",
         f"ridges: {ridges.is_face_to_face} ({len(ridges.violations)} violations)",
     ] + [f"  {v}" for v in shown[:10]]
-    code = main(["verify", path, "--volume-only"])
+    code = main(["verify", path])
     assert capsys.readouterr().out.splitlines() == expected
     assert code == (0 if census.is_dissection and ridges.is_face_to_face else 1)
     assert code == (0 if kind == "none" else 1)
+
+
+@pytest.mark.parametrize("kind", ["none", "drop", "duplicate", "overlap", "flat"])
+def test_verify_face_to_face_prints_the_pairwise_reports(
+    tmp_path, capsys, monkeypatch, kind
+):
+    """``verify --face-to-face`` prints the pairwise dissection and
+    face-to-face reports; the interior scan runs only when the face-to-face
+    scan fails, since a passing one certifies the dissection."""
+    from cubetri import cli
+
+    tri = build_cube_recursive(PipelineSpec(dim=4))[0]
+    if kind == "flat":
+        tri = Triangulation(tri.config, tri.simplices + (tri.simplices[0][:-1],))
+    elif kind != "none":
+        tri = tampered(tri, kind)
+    path = os.fspath(tmp_path / "t.json")
+    with open(path, "w") as fh:
+        fh.write(triangulation_to_json(tri))
+    diss = validate_dissection(tri)
+    f2f = validate_face_to_face(tri)
+    expected = [
+        f"dissection: {diss.is_dissection} "
+        f"(volume {diss.volume_total}, {len(diss.violations)} violations)",
+        f"face-to-face: {f2f.is_face_to_face} ({len(f2f.violations)} violations)",
+    ] + [f"  {v}" for v in diss.violations[:10]]
+    scans = []
+
+    def interior_scan(*args, **kwargs):
+        scans.append(kwargs.get("pairwise", True))
+        return validate_dissection(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "validate_dissection", interior_scan)
+    code = main(["verify", path, "--face-to-face"])
+    assert capsys.readouterr().out.splitlines() == expected
+    assert code == (0 if diss.is_dissection and f2f.is_face_to_face else 1)
+    assert code == (0 if kind == "none" else 1)
+    assert scans == ([] if kind == "none" else [True])
+
+
+def test_verify_rejects_the_removed_volume_only_flag(tmp_path, capsys):
+    path = os.fspath(tmp_path / "t.json")
+    with open(path, "w") as fh:
+        fh.write(triangulation_to_json(minimal_cube(3)))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", path, "--volume-only"])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_expect_keeps_the_q_dim_step(monkeypatch):

@@ -110,3 +110,17 @@ def test_rho_phi_consistency():
         from cubetri.complexes import efficiency
 
         assert abs(efficiency(kc.phi, d) - kc.rho) < 5.1e-4
+
+
+def test_failed_seed_verification_raises_on_every_call(monkeypatch):
+    from cubetri import seeds
+
+    # the i3d1 cells with a wrong weighted size: verification must fail
+    _, cells, census, _ = seeds._SEEDS["i3d1"]
+    monkeypatch.setitem(seeds._SEEDS, "broken", (2, cells, census, Fraction(5)))
+    for _ in range(2):
+        with pytest.raises(AssertionError, match="broken: weighted size"):
+            cayley_seed("broken")
+    with pytest.raises(ValueError, match="unknown seed"):
+        cayley_seed("i3d3")
+    assert seed_i3d1() is seed_i3d1()

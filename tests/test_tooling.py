@@ -1,8 +1,9 @@
-"""The benchmark's tracer must find every function it traces.
+"""The benchmark must find every function it traces and everything it calls.
 
 ``perfbench/spans.py`` replaces each traced function under every name it
-is looked up by; a rename or move in ``cubetri`` should fail here rather
-than in a benchmark run.
+is looked up by, and ``perfbench/workloads.py`` calls the package with
+options, classes and seeds of its own; a rename, move or removal in
+``cubetri`` should fail here rather than in a benchmark run.
 """
 
 import importlib
@@ -25,3 +26,20 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
         tracer.uninstall()
     for layer in layers:
         assert spans._resolve(layer)[2] is before[layer], layer
+
+
+def test_benchmark_parts_run_against_the_package(monkeypatch, tmp_path):
+    """One pass of each benchmark part at seed 1: set-up, operation, gates
+    and negative controls. What the workloads call in ``cubetri`` (options,
+    classes, seeds) must keep working, so a removal fails here first."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    for name in ("build-d8", "certify-d5", "verify-d8", "oracle-small"):
+        part = workloads.WORKLOADS[name]
+        work = tmp_path / name
+        work.mkdir()
+        state = part.setup(1, str(work))
+        assert part.gates(state, part.op(state)) == [], name
+        controls = part.controls(state)
+        assert controls, name
+        assert [check for check, held in controls if not held] == [], name
