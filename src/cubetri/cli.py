@@ -10,8 +10,11 @@
 
 ``verify`` certifies a file by the volume census and the ridge check,
 both linear in its size; ``--face-to-face`` runs the quadratic pairwise
-dissection and face-to-face scans instead. ``expect`` prints the exact
-expected size over uniform colorings next to sampled sizes.
+dissection and face-to-face scans instead. Either way a file whose
+``dim`` or indices the reader rejects (an entry that is not an integer
+index of a point) prints one ``invalid file: ...`` line. ``expect``
+prints the exact expected size over uniform colorings next to sampled
+sizes.
 
 Exit code 0 iff every requested validation passed.
 """
@@ -73,7 +76,12 @@ def _cmd_build(args) -> int:
 
 def _cmd_verify(args) -> int:
     with open(args.path) as fh:
-        tri = triangulation_from_json(fh.read())
+        text = fh.read()
+    try:
+        tri = triangulation_from_json(text)
+    except ValueError as exc:
+        print(f"invalid file: {exc}")
+        return 1
     if args.face_to_face:
         # A passing face-to-face scan certifies the dissection too (same
         # census, no violations), so the interior scan runs only on failure.

@@ -157,9 +157,10 @@ class ProductCells:
         self.t_q = t_q
         self.config = product_output_config(t_q, t0)
         nq = len(t_q.config.points)
-        sig = np.array(t_q.simplices, dtype=np.intp)
-        if sig.ndim != 2:
-            raise ValueError("T_Q's simplices must all have the same size")
+        try:
+            sig = t_q.rows.astype(np.intp)
+        except ValueError:
+            raise ValueError("T_Q's simplices must all have the same size") from None
         colors = np.array(coloring.colors, dtype=np.intp)[sig]
         counts = (colors[:, :, None] == np.arange(m)).sum(axis=1)
         key_of: dict[tuple[int, ...], int] = {}
@@ -274,8 +275,7 @@ def triangulate_product(
     Returns the triangulation, plus per-cell provenance when requested.
     """
     cells = ProductCells(t_q, t0, coloring)
-    rows = cells.simplex_rows(0, len(t_q.simplices))
-    tri = Triangulation(cells.config, tuple(map(tuple, rows.tolist())))
+    tri = Triangulation(cells.config, cells.simplex_rows(0, t_q.size))
     if with_provenance:
         return tri, cells.provenance()
     return tri
@@ -285,27 +285,25 @@ def product_size(
     t_q: Triangulation, t0: Triangulation, coloring: Coloring
 ) -> int:
     """Closed-form size of triangulate_product: sum over (sigma, tau) of the
-    per-block staircase-count product, with the absent-color conventions."""
+    per-block staircase-count product, with the absent-color conventions.
+    Each distinct per-color count vector of T_Q's simplices is summed once,
+    times the number of simplices that have it."""
     m = _check_inputs(t_q, t0, coloring)
     lvecs = [tuple(len(b) for b in blocks) for blocks in product_blocks(t0)]
-    cache: dict[tuple[int, ...], int] = {}
+    colors = np.array(coloring.colors, dtype=np.intp)[t_q.rows]
+    counts = (colors[:, :, None] == np.arange(m)).sum(axis=1)
+    keys, mult = np.unique(counts, axis=0, return_counts=True)
     total = 0
-    for sigma in t_q.simplices:
-        counts = [0] * m
-        for q in sigma:
-            counts[coloring.colors[q]] += 1
-        key = tuple(counts)
-        if key not in cache:
-            s = 0
-            for lvec in lvecs:
-                term = 1
-                for k, l in zip(key, lvec):
-                    term *= lift_count(k, l)
-                    if term == 0:
-                        break
-                s += term
-            cache[key] = s
-        total += cache[key]
+    for key, times in zip(keys.tolist(), mult.tolist()):
+        s = 0
+        for lvec in lvecs:
+            term = 1
+            for k, l in zip(key, lvec):
+                term *= lift_count(k, l)
+                if term == 0:
+                    break
+            s += term
+        total += times * s
     return total
 
 

@@ -1,8 +1,12 @@
 """Triangulations: representation, exact validity checking, and accounting.
 
-A simplex is a sorted tuple of indices into a :class:`PointConfiguration`;
-a triangulation is a configuration plus a list of such tuples. Validity is
-decided exactly on vertex coordinates:
+A simplex is a sorted row of indices into a :class:`PointConfiguration`.
+A :class:`Triangulation` holds its simplices as one (N, d+1) index array,
+the form the generator, the file reader and writer, the census, the
+duplicate scan and the ridge check all take, or, when built from tuples,
+as a tuple of sorted tuples, the form the pair scans and the oracle take;
+each view is derived from the other on first use. Validity is decided
+exactly on vertex coordinates:
 
 * dissection = volumes sum to the ambient volume and all pairs of cells
   have disjoint interiors;
@@ -32,6 +36,10 @@ census's signed volumes.
 
 Files hold one simplex per line (:class:`TriangulationWriter`), so a step
 too large to keep in memory is written chunk by chunk in the same format.
+:func:`triangulation_from_json` reads a file in exactly that layout
+straight to an index array, block by block, and any other JSON layout
+through ``json.loads``; both reject an index that is not an ``int`` of
+range ``[0, len(points))`` and a ``dim`` that is not the label's.
 """
 
 from __future__ import annotations
@@ -62,17 +70,65 @@ from .geometry import (
 Simplex = tuple[int, ...]
 
 
-@dataclass
 class Triangulation:
-    config: PointConfiguration
-    simplices: tuple[Simplex, ...]
+    """A configuration and its simplices, as index rows sorted ascending.
 
-    def __post_init__(self):
-        self.simplices = tuple(tuple(sorted(s)) for s in self.simplices)
+    Built from an (N, k) integer array, the simplices are held as that
+    array (:attr:`rows`, sorted once by ``np.sort(axis=1)`` in the
+    :func:`index_rows` dtype, every index checked against the points).
+    Built from any iterable of index tuples, they are held as the tuple of
+    sorted tuples (:attr:`simplices`), which may mix sizes. Each view is
+    derived from the other on first use and cached; neither cache is part
+    of equality, which compares the configuration and the simplices.
+    """
+
+    __slots__ = ("config", "_rows", "_simplices")
+
+    def __init__(self, config: PointConfiguration, simplices):
+        self.config = config
+        if isinstance(simplices, np.ndarray):
+            if simplices.ndim != 2 or simplices.dtype.kind not in "iu":
+                raise ValueError("simplices must be one 2-d integer array")
+            if simplices.size and (
+                simplices.min() < 0 or simplices.max() >= len(config.points)
+            ):
+                raise ValueError("simplex index out of range")
+            self._rows = np.sort(index_rows(simplices, len(config.points)), axis=1)
+            self._simplices = None
+        else:
+            self._rows = None
+            self._simplices = tuple(tuple(sorted(s)) for s in simplices)
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The simplices as one (N, k) index array; ValueError when they
+        have different sizes."""
+        rows = _uniform_rows(self)
+        if rows is None:
+            raise ValueError("simplices of different sizes have no index array")
+        return rows
+
+    @property
+    def simplices(self) -> tuple[Simplex, ...]:
+        if self._simplices is None:
+            self._simplices = tuple(map(tuple, self._rows.tolist()))
+        return self._simplices
 
     @property
     def size(self) -> int:
-        return len(self.simplices)
+        return len(self._simplices if self._rows is None else self._rows)
+
+    def __eq__(self, other):
+        if not isinstance(other, Triangulation):
+            return NotImplemented
+        if self.config != other.config or self.size != other.size:
+            return False
+        if self._rows is not None and other._rows is not None and self.size:
+            return np.array_equal(self._rows, other._rows)
+        return self.simplices == other.simplices
+
+    def __repr__(self):
+        return f"Triangulation({self.config.label}, size={self.size})"
 
     def points_of(self, s: Simplex) -> list[tuple[int, ...]]:
         pts = self.config.points
@@ -80,6 +136,20 @@ class Triangulation:
 
     def volume_of(self, s: Simplex) -> int:
         return normalized_volume(self.points_of(s))
+
+
+def _uniform_rows(tri: Triangulation) -> np.ndarray | None:
+    """``tri.rows``, built and cached on first use, or None when the
+    simplices have different sizes."""
+    if tri._rows is None:
+        simplices = tri._simplices
+        if len(set(map(len, simplices))) > 1:
+            return None
+        width = len(simplices[0]) if simplices else tri.config.dim + 1
+        tri._rows = index_rows(simplices, len(tri.config.points)).reshape(
+            len(simplices), width
+        )
+    return tri._rows
 
 
 @dataclass(frozen=True)
@@ -149,7 +219,7 @@ def _tally(vols: np.ndarray) -> tuple[int, list[int]]:
 
 def volume_total(tri: Triangulation) -> int:
     """Exact total normalized volume of a full-dimensional triangulation."""
-    return _tally(signed_volumes(tri.config.points, tri.simplices))[0]
+    return _tally(signed_volumes(tri.config.points, tri.rows))[0]
 
 
 def batch_volumes_of(points, simplex_rows) -> tuple[int, int]:
@@ -163,21 +233,24 @@ CENSUS_KINDS = ("not-full-dimensional", "degenerate", "volume-mismatch")
 
 
 def _census(tri: Triangulation, expected: int | None):
-    """The census part of every report: (full-dimensional simplices, their
-    signed volumes, total volume, violations). The violations name each
-    simplex that is not full-dimensional, then each degenerate one, then a
-    total that differs from ``expected``."""
-    d = tri.config.dim
-    violations: list[Violation] = []
-    full = []
-    for s in tri.simplices:
-        if len(s) == d + 1:
-            full.append(s)
-        else:
-            violations.append(Violation("not-full-dimensional", (s,)))
+    """The census part of every report: (full-dimensional simplices as index
+    rows, their signed volumes, total volume, violations). The violations
+    name each simplex that is not full-dimensional, then each degenerate
+    one, then a total that differs from ``expected``."""
+    d1 = tri.config.dim + 1
+    rows = _uniform_rows(tri)
+    if rows is not None and rows.shape[1] == d1:
+        full, flat = rows, []
+    else:
+        full = [s for s in tri.simplices if len(s) == d1]
+        flat = [s for s in tri.simplices if len(s) != d1]
+        full = index_rows(full, len(tri.config.points)).reshape(len(full), d1)
+    violations = [Violation("not-full-dimensional", (s,)) for s in flat]
     vols = signed_volumes(tri.config.points, full)
     total, degenerate = _tally(vols)
-    violations.extend(Violation("degenerate", (full[i],)) for i in degenerate)
+    violations.extend(
+        Violation("degenerate", (tuple(full[i].tolist()),)) for i in degenerate
+    )
     if expected is not None and total != expected:
         violations.append(
             Violation("volume-mismatch", (), f"got {total}, expected {expected}")
@@ -186,14 +259,25 @@ def _census(tri: Triangulation, expected: int | None):
 
 
 def duplicate_simplices(tri: Triangulation) -> list[Violation]:
-    """A ``duplicate`` violation for each repeat of an earlier simplex."""
-    seen = set()
-    out = []
-    for s in tri.simplices:
-        if s in seen:
-            out.append(Violation("duplicate", (s,)))
-        seen.add(s)
-    return out
+    """A ``duplicate`` violation for each repeat of an earlier simplex, in
+    order. Equal rows are adjacent after a stable lexicographic sort, with
+    the earliest first."""
+    rows = _uniform_rows(tri)
+    if rows is None:  # simplices of different sizes: a set of tuples
+        seen = set()
+        out = []
+        for s in tri.simplices:
+            if s in seen:
+                out.append(Violation("duplicate", (s,)))
+            seen.add(s)
+        return out
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    repeat = (ordered[1:] == ordered[:-1]).all(axis=1)
+    return [
+        Violation("duplicate", (tuple(rows[i].tolist()),))
+        for i in np.sort(order[1:][repeat]).tolist()
+    ]
 
 
 def validate_dissection(
@@ -278,7 +362,11 @@ def _ridge_rows(simp: np.ndarray, ks: np.ndarray) -> np.ndarray:
 def index_rows(rows, n_points: int) -> np.ndarray:
     """Index rows as the narrowest array the ridge check takes: ``uint16``
     below 65,536 points, ``int64`` from there."""
-    return np.asarray(rows, dtype=np.uint16 if n_points < 2**16 else np.int64)
+    return np.asarray(rows, dtype=_index_dtype(n_points))
+
+
+def _index_dtype(n_points: int):
+    return np.uint16 if n_points < 2**16 else np.int64
 
 
 def ridge_violations(
@@ -424,44 +512,181 @@ def weighted_efficiency(tri: Triangulation) -> float:
 
 class TriangulationWriter:
     """Writes the triangulation file format incrementally: a header with
-    the configuration, then one simplex per line, then a footer."""
+    the configuration, then one simplex per line, then a footer.
+
+    An index array is encoded through tables of the indices' decimal
+    strings (:func:`_encode_rows`); a sequence of tuples, which may mix
+    sizes, through ``json.dumps``. Both give the same bytes for the same
+    rows.
+    """
 
     def __init__(self, fh: TextIO, config: PointConfiguration):
         if config.label is None:
             raise ValueError("cannot serialize an unlabeled configuration")
         self.fh = fh
         self.first = True
-        fh.write(
-            '{"dim": %d, "label": %s, "points": %s, "simplices": [\n'
-            % (config.dim, json.dumps(str(config.label)), json.dumps(config.points))
-        )
+        self.tables = _row_tables(len(config.points))
+        fh.write(_header(config))
 
     def write(self, simplices) -> None:
-        if not simplices:
+        if not len(simplices):
             return
         if not self.first:
             self.fh.write(",\n")
-        # Simplices hold only integers, so "], [" occurs only between two.
-        self.fh.write(json.dumps(simplices)[1:-1].replace("], [", "],\n["))
+        if isinstance(simplices, np.ndarray):
+            self.fh.write(_encode_rows(self.tables, simplices))
+        else:
+            # Simplices hold only integers, so "], [" occurs only between two.
+            self.fh.write(json.dumps(simplices)[1:-1].replace("], [", "],\n["))
         self.first = False
 
     def close(self) -> None:
-        self.fh.write("\n]}\n")
+        self.fh.write(_FOOTER)
+
+
+_FOOTER = "\n]}\n"
+
+
+def _header(config: PointConfiguration) -> str:
+    return '{"dim": %d, "label": %s, "points": %s, "simplices": [\n' % (
+        config.dim,
+        json.dumps(str(config.label)),
+        json.dumps(config.points),
+    )
+
+
+def _row_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each index's decimal string followed by ``", "`` (inside a row) and
+    by ``"],\\n["`` (ending one), as object arrays indexed by the index."""
+    inner = np.array([f"{i}, " for i in range(n)], dtype=object)
+    last = np.array([f"{i}],\n[" for i in range(n)], dtype=object)
+    return inner, last
+
+
+def _encode_rows(tables: tuple[np.ndarray, np.ndarray], rows: np.ndarray) -> str:
+    """Rows ``[a, b, c]`` one per line, joined by ``,\\n``: the body of a
+    file, or one chunk of it. One gather through :func:`_row_tables` and
+    one join."""
+    inner, last = tables
+    tokens = inner[rows]
+    tokens[:, -1] = last[rows[:, -1]]
+    return "[" + "".join(tokens.ravel().tolist())[:-4] + "]"
 
 
 def triangulation_to_json(tri: Triangulation) -> str:
     buf = io.StringIO()
     writer = TriangulationWriter(buf, tri.config)
-    writer.write(tri.simplices)
+    writer.write(tri.simplices if tri._rows is None else tri._rows)
     writer.close()
     return buf.getvalue()
 
 
-def triangulation_from_json(text: str) -> Triangulation:
-    obj = json.loads(text)
-    label = parse_label(obj["label"])
-    config = config_from_label(label)
-    pts = tuple(tuple(p) for p in obj["points"])
-    if pts != config.points:
+READ_BLOCK = 1 << 20  # characters of the body parsed at a time
+_BRACKETS_AS_SPACES = str.maketrans("[],\n", "    ")
+
+
+def _config_of(obj) -> PointConfiguration:
+    """The labeled configuration a parsed file names; ValueError unless its
+    points and dimension are the label's."""
+    config = config_from_label(parse_label(obj["label"]))
+    if tuple(tuple(p) for p in obj["points"]) != config.points:
         raise ValueError("points array does not follow the canonical order")
-    return Triangulation(config, tuple(tuple(s) for s in obj["simplices"]))
+    if type(obj["dim"]) is not int or obj["dim"] != config.dim:
+        raise ValueError(f"dim {obj['dim']!r} is not the label's {config.dim}")
+    return config
+
+
+def _check_simplices(simplices, n_points: int) -> None:
+    """ValueError unless every simplex is a list of ``int`` (not ``bool``)
+    indices of the ``n_points`` points."""
+    if type(simplices) is not list:
+        raise ValueError("simplices must be a list")
+    for s in simplices:
+        if type(s) is not list:
+            raise ValueError(f"simplex {s!r} is not a list")
+        for i in s:
+            if type(i) is not int:
+                raise ValueError(f"simplex index {i!r} is not an integer")
+            if not 0 <= i < n_points:
+                raise ValueError(f"simplex index {i} out of range")
+
+
+def _read_layout(text: str) -> Triangulation | None:
+    """The triangulation of a file in exactly the writer's layout, or None.
+
+    The header line is parsed with ``json`` and must re-encode to itself.
+    The body is parsed in blocks of about ``READ_BLOCK`` characters, each
+    with brackets and commas turned to spaces by one ``np.fromstring``;
+    every index must be in range, and each block must re-encode through
+    the writer to exactly its own text. So a file this accepts is the
+    writer's output for the rows it returns, and ``json.loads`` would read
+    the same rows from it.
+    """
+    head_end = text.find("\n") + 1
+    if not (
+        text.startswith('{"dim": ')
+        and text.endswith(_FOOTER)
+        and text.endswith('"simplices": [\n', 0, head_end)
+    ):
+        return None
+    try:
+        config = _config_of(json.loads(text[:head_end] + "]}"))
+    except (ValueError, KeyError, TypeError):
+        return None
+    if _header(config) != text[:head_end]:
+        return None
+    body_end = len(text) - len(_FOOTER)
+    d1, n = config.dim + 1, len(config.points)
+    n_rows = text.count("\n", head_end, body_end) + 1 if body_end > head_end else 0
+    rows = np.empty((n_rows, d1), dtype=_index_dtype(n))
+    tables = _row_tables(n)
+    lo = head_end
+    done = 0
+    while lo < body_end:
+        hi = text.find(",\n", lo + READ_BLOCK, body_end)
+        hi = body_end if hi < 0 else hi
+        block = text[lo:hi]
+        try:
+            vals = np.fromstring(
+                block.translate(_BRACKETS_AS_SPACES), dtype=np.int64, sep=" "
+            )
+        except ValueError:
+            return None
+        k = len(vals) // d1
+        if (
+            k == 0
+            or len(vals) != k * d1
+            or done + k > n_rows
+            or vals.min() < 0
+            or vals.max() >= n
+        ):
+            return None
+        vals = vals.reshape(k, d1)
+        if _encode_rows(tables, vals) != block:
+            return None
+        rows[done : done + k] = vals
+        done += k
+        lo = hi + 2
+    if done != n_rows:
+        return None
+    return Triangulation(config, rows)
+
+
+def triangulation_from_json(text: str) -> Triangulation:
+    """Read a triangulation file.
+
+    A file in the writer's layout is parsed straight to an index array
+    (:func:`_read_layout`); any other JSON text goes through
+    ``json.loads``. Either way a ValueError rejects points out of the
+    label's canonical order, a ``dim`` that is not the label's, and any
+    simplex entry that is not an ``int`` index of a point, and equal files
+    give equal triangulations.
+    """
+    tri = _read_layout(text)
+    if tri is not None:
+        return tri
+    obj = json.loads(text)
+    config = _config_of(obj)
+    simplices = obj["simplices"]
+    _check_simplices(simplices, len(config.points))
+    return Triangulation(config, simplices)

@@ -11,8 +11,10 @@ of :class:`coloring.ProductCells`. It checks the per-signature certificate
 once per distinct signature, then takes the step's simplices as integer
 arrays in slices of consecutive sigmas of about ``CENSUS_CHUNK`` rows,
 in the cell-by-cell order (a scatter on the cumulative per-sigma counts
-keeps it). Each slice goes to the volume census as an array and to the
-file writer as lists. Materialization is only a memory policy: the
+keeps it). Each slice goes as the same array to the volume census, to
+the file writer and, on a kept step, to the step's triangulation, which
+holds its simplices as one index array: no simplex becomes a Python
+tuple on the way. Materialization is only a memory policy: the
 simplices are kept when the step's dimension is at most
 ``materialize_max_dim``, and otherwise the step is streamed, so it must
 be the last one. Either way the same bytes are written.
@@ -189,9 +191,8 @@ def _product_step(
     points = np.asarray(cfg.points, dtype=np.int64)
     step = _Step()
     volume = zeros = 0
-    kept: list = []
-    rows_kept: list = []  # chunks and their signed volumes, when certifying
-    vols_kept: list = []
+    kept: list = []  # chunks, when keeping
+    vols_kept: list = []  # their signed volumes, when certifying
     with open(out_path, "w") if out_path else contextlib.nullcontext() as fh:
         writer = TriangulationWriter(fh, cfg) if fh else None
         for chunk in cells.chunks(CENSUS_CHUNK):
@@ -199,25 +200,19 @@ def _product_step(
             vols = signed_volumes(points, chunk)
             volume += int(np.abs(vols).sum())
             zeros += int(np.count_nonzero(vols == 0))
-            if certify:
-                rows_kept.append(index_rows(chunk, len(points)))
-                vols_kept.append(vols)
-            if writer is None and not keep:
-                continue
-            rows = chunk.tolist()
             if writer is not None:
-                writer.write(rows)
+                writer.write(chunk)
             if keep:
-                kept.extend(map(tuple, rows))
+                kept.append(index_rows(chunk, len(points)))
+            if certify:
+                vols_kept.append(vols)
         if writer is not None:
             writer.close()
     step.volume_ok = volume == ambient_normalized_volume(cfg.label) and zeros == 0
     if keep:
-        step.tri = Triangulation(cfg, tuple(kept))
+        step.tri = Triangulation(cfg, np.concatenate(kept))
     if certify:
-        ridges = ridge_violations(
-            cfg, np.concatenate(rows_kept), np.concatenate(vols_kept)
-        )
+        ridges = ridge_violations(cfg, step.tri.rows, np.concatenate(vols_kept))
         step.face_to_face = step.dissection = step.volume_ok and not ridges
     else:
         step.dissection = step.volume_ok and all(

@@ -218,8 +218,7 @@ def lift_triangulation(
     left_cfg = config_from_label(left)
     out_cfg = product_config(left_cfg, simplex_config(n - 1))
     rows = [cell_rows(lift_cell(t0, s, kvec)) for s in t0.simplices]
-    simplices = np.concatenate(rows).tolist() if rows else []
-    return Triangulation(out_cfg, tuple(map(tuple, simplices)))
+    return Triangulation(out_cfg, np.concatenate(rows) if rows else ())
 
 
 def staircase_triangulation(k: int, l: int) -> Triangulation:

@@ -1,12 +1,19 @@
 """Shared helpers for the test suite."""
 
 import itertools
+import json
 from fractions import Fraction
 
 from cubetri.cayley import MixedCell, MixedSubdivision, mixed_to_triangulation
 from cubetri.coloring import Coloring, product_size
 from cubetri.complexes import Triangulation
-from cubetri.geometry import cube_config, product_config, simplex_config
+from cubetri.geometry import (
+    config_from_label,
+    cube_config,
+    parse_label,
+    product_config,
+    simplex_config,
+)
 
 
 def two_triangle_prism() -> Triangulation:
@@ -35,3 +42,30 @@ def enumerated_expected_size(t_q: Triangulation, t0: Triangulation, m: int) -> F
         for colors in itertools.product(range(m), repeat=nv)
     )
     return Fraction(total, m**nv)
+
+
+def reference_to_json(config, simplices) -> str:
+    """The triangulation file format written with ``json.dumps``: the
+    reference for the writer's table encoding."""
+    body = json.dumps([list(s) for s in simplices])[1:-1].replace("], [", "],\n[")
+    return (
+        '{"dim": %d, "label": %s, "points": %s, "simplices": [\n%s\n]}\n'
+        % (config.dim, json.dumps(str(config.label)), json.dumps(config.points), body)
+    )
+
+
+def reference_from_json(text: str) -> Triangulation:
+    """The ``json.loads`` reader, with the index validation of
+    ``triangulation_from_json``: the reference for its array reader."""
+    obj = json.loads(text)
+    config = config_from_label(parse_label(obj["label"]))
+    if tuple(tuple(p) for p in obj["points"]) != config.points:
+        raise ValueError("points array does not follow the canonical order")
+    if type(obj["dim"]) is not int or obj["dim"] != config.dim:
+        raise ValueError("dim is not the label's")
+    n = len(config.points)
+    for s in obj["simplices"]:
+        for i in s:
+            if type(i) is not int or not 0 <= i < n:
+                raise ValueError(f"bad simplex index {i!r}")
+    return Triangulation(config, tuple(tuple(s) for s in obj["simplices"]))

@@ -43,3 +43,30 @@ def test_benchmark_parts_run_against_the_package(monkeypatch, tmp_path):
         controls = part.controls(state)
         assert controls, name
         assert [check for check, held in controls if not held] == [], name
+
+
+def test_benchmark_lift_round_trips_as_arrays(monkeypatch):
+    """The perfbench d=4 lift goes through the writer and the reader as an
+    index array: no simplex becomes a tuple on the way."""
+    import numpy as np
+
+    from cubetri.complexes import (
+        Triangulation,
+        triangulation_from_json,
+        triangulation_to_json,
+    )
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    tri, _, _ = workloads._small_lift(4)
+    calls = []
+    tuples = Triangulation.simplices
+
+    def counted(self):
+        calls.append(self)
+        return tuples.fget(self)
+
+    monkeypatch.setattr(Triangulation, "simplices", property(counted))
+    back = triangulation_from_json(triangulation_to_json(tri))
+    assert calls == []
+    assert back.config == tri.config and np.array_equal(back.rows, tri.rows)
