@@ -40,7 +40,6 @@ from .complexes import (
     triangulation_to_json,
     validate_dissection,
     validate_face_to_face,
-    weighted_efficiency,
     weighted_size,
 )
 from .geometry import (

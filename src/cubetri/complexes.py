@@ -32,7 +32,9 @@ the pseudo-manifold property in De Loera, Rambau and Santos,
 *Triangulations* (Springer, 2010). The pairwise checks stay the
 authoritative oracle on small inputs. :func:`ridge_violations` is the
 ridge part alone, for a caller (the pipeline) that already holds the
-census's signed volumes.
+census's signed volumes. The oracle's enumerator takes its volumes, ridge
+sides and boundary ridges from the same census, :func:`_apex_sides` and
+:func:`facet_incidence`.
 
 Files hold one simplex per line (:class:`TriangulationWriter`), so a step
 too large to keep in memory is written chunk by chunk in the same format.
@@ -59,12 +61,12 @@ from .geometry import (
     PointConfiguration,
     ProductLabel,
     SimplexLabel,
-    CubeLabel,
     ambient_normalized_volume,
     config_from_label,
     facet_inequalities,
     normalized_volume,
     parse_label,
+    point_count,
 )
 
 Simplex = tuple[int, ...]
@@ -369,6 +371,16 @@ def _index_dtype(n_points: int):
     return np.uint16 if n_points < 2**16 else np.int64
 
 
+def facet_incidence(config: PointConfiguration) -> np.ndarray:
+    """(points, facets) incidence of a labeled configuration: entry [p, f]
+    is whether point p lies on facet f of its polytope."""
+    facets = facet_inequalities(config.label)
+    a = np.array([av for av, _ in facets], dtype=np.int64)
+    b = np.array([bv for _, bv in facets], dtype=np.int64)
+    pts = np.array(config.points, dtype=np.int64)
+    return pts @ a.reshape(len(facets), config.dim).T == b
+
+
 def ridge_violations(
     config: PointConfiguration, simplices, signed_vols
 ) -> list[Violation]:
@@ -387,8 +399,7 @@ def ridge_violations(
     if config.label is None:
         raise ValueError("ridge mode needs a labeled configuration")
     d = config.dim
-    pts = np.array(config.points, dtype=np.int64)
-    simp = index_rows(simplices, len(pts)).reshape(-1, d + 1)
+    simp = index_rows(simplices, len(config.points)).reshape(-1, d + 1)
     n_ridges = len(simp) * (d + 1)
     # Ridge k = i (d+1) + j drops position j of simplex i; its column c is
     # vertex c of the simplex before position j and vertex c+1 from there.
@@ -412,10 +423,7 @@ def ridge_violations(
     first = order[starts]
     bad = counts > 2
     single = np.flatnonzero(counts == 1)
-    facets = facet_inequalities(config.label)
-    a = np.array([av for av, _ in facets], dtype=np.int64).reshape(len(facets), d)
-    b = np.array([bv for _, bv in facets], dtype=np.int64)
-    on_facet = pts @ a.T == b  # (points, facets) incidence
+    on_facet = facet_incidence(config)
     for lo in range(0, len(single), CENSUS_CHUNK):
         grp = single[lo : lo + CENSUS_CHUNK]
         inside = on_facet[_ridge_rows(simp, first[grp])].all(axis=1).any(axis=1)
@@ -502,14 +510,6 @@ def weighted_efficiency_from(ws: Fraction, l: int, m: int) -> float:
     )
 
 
-def weighted_efficiency(tri: Triangulation) -> float:
-    """(weighted size / m^l)^(1/l) for triangulations of cube(l) x simplex."""
-    left, m = simplex_factor(tri.config)
-    if not isinstance(left, CubeLabel):
-        raise ValueError("weighted efficiency defined for cube x simplex products")
-    return weighted_efficiency_from(weighted_size(tri), left.l, m)
-
-
 class TriangulationWriter:
     """Writes the triangulation file format incrementally: a header with
     the configuration, then one simplex per line, then a footer.
@@ -588,8 +588,16 @@ _BRACKETS_AS_SPACES = str.maketrans("[],\n", "    ")
 def _config_of(obj) -> PointConfiguration:
     """The labeled configuration a parsed file names; ValueError unless its
     points and dimension are the label's."""
-    config = config_from_label(parse_label(obj["label"]))
-    if tuple(tuple(p) for p in obj["points"]) != config.points:
+    label = parse_label(obj["label"])
+    points = obj["points"]
+    # Sizes first, so that building the label's points costs no more than
+    # the file's own points allow.
+    if type(points) is not list or len(points) != point_count(label):
+        raise ValueError(f"points array does not hold the {label} points")
+    if type(points[0]) is not list or len(points[0]) != label.dim:
+        raise ValueError(f"points are not {label.dim}-dimensional")
+    config = config_from_label(label)
+    if tuple(tuple(p) for p in points) != config.points:
         raise ValueError("points array does not follow the canonical order")
     if type(obj["dim"]) is not int or obj["dim"] != config.dim:
         raise ValueError(f"dim {obj['dim']!r} is not the label's {config.dim}")

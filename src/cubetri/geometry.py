@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 from .linalg import det_bareiss, rank_int
@@ -166,6 +167,20 @@ def config_from_label(label: Label) -> PointConfiguration:
             config_from_label(label.left), config_from_label(label.right)
         )
     raise ValueError(f"unsupported label {label}")
+
+
+def point_count(label: Label) -> int:
+    """``len(config_from_label(label).points)`` from the label alone, capped
+    at ``sys.maxsize + 1`` (no list is longer) so that no huge power is taken."""
+    cap = sys.maxsize + 1
+    if isinstance(label, SimplexLabel):
+        return min(label.k + 1, cap)
+    if isinstance(label, ProductLabel):
+        return min(point_count(label.left) * point_count(label.right), cap)
+    if not isinstance(label, (CubeLabel, MinkowskiLabel)):
+        raise ValueError(f"unsupported label {label}")
+    base = 2 if isinstance(label, CubeLabel) else label.m + 1
+    return min(base ** min(label.l, cap.bit_length()), cap)
 
 
 def normalized_volume(vertices: list[Point]) -> int:

@@ -10,6 +10,11 @@ tangent cone at the anchor vertex contains a fixed generic direction; the
 search branches over those starting cells, then repeatedly completes the
 lexicographically first open ridge. Both steps are deterministic, so the
 leaves of the search tree biject with the triangulations.
+
+The search takes no determinant of its own: one census of every
+(d+1)-subset (:func:`complexes.signed_volumes`) gives the candidates, their
+volumes and, by :func:`complexes._apex_sides`, their ridge sides;
+:func:`complexes.facet_incidence` gives the boundary ridges.
 """
 
 from __future__ import annotations
@@ -21,15 +26,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
+import numpy as np
+
 from . import linalg
-from .complexes import Simplex, Triangulation, simplex_type
-from .geometry import (
-    CubeLabel,
-    PointConfiguration,
-    ambient_normalized_volume,
-    facet_inequalities,
-    normalized_volume,
+from .complexes import (
+    Simplex,
+    Triangulation,
+    _apex_sides,
+    facet_incidence,
+    signed_volumes,
+    simplex_type,
 )
+from .geometry import CubeLabel, PointConfiguration, ambient_normalized_volume
 
 CANDIDATE_GUARD = 10**4
 
@@ -42,7 +50,6 @@ class SearchProblem:
 
 class _Enumerator:
     def __init__(self, config: PointConfiguration, anchor: int = 0):
-        self.config = config
         self.pts = config.points
         self.d = config.dim
         self.expected = ambient_normalized_volume(config.label)
@@ -51,54 +58,25 @@ class _Enumerator:
         pool = math.comb(n, self.d + 1)
         if pool > CANDIDATE_GUARD:
             raise ValueError(f"candidate pool {pool} exceeds guard {CANDIDATE_GUARD}")
-        cands = []
-        vols = []
-        for combo in itertools.combinations(range(n), self.d + 1):
-            v = normalized_volume([self.pts[i] for i in combo])
-            if v > 0:
-                cands.append(combo)
-                vols.append(v)
-        self.cands = cands
-        self.vols = vols
+        combos = np.array(list(itertools.combinations(range(n), self.d + 1)), np.intp)
+        signed = signed_volumes(self.pts, combos)
+        live = np.flatnonzero(signed)
+        self.cands = list(map(tuple, combos[live].tolist()))
+        self.vols = np.abs(signed[live]).tolist()
         self.bary = [
-            linalg.barycentric_rows([self.pts[i] for i in s]) for s in cands
+            linalg.barycentric_rows([self.pts[i] for i in s]) for s in self.cands
         ]
-        self.by_ridge: dict[tuple, list[int]] = {}
-        for ci, s in enumerate(cands):
-            for drop in s:
-                ridge = tuple(i for i in s if i != drop)
-                self.by_ridge.setdefault(ridge, []).append(ci)
-        facets = facet_inequalities(config.label)
-        self._facets = facets
-        self._boundary_cache: dict[tuple, bool] = {}
-        self._side_cache: dict[tuple, int] = {}
+        # ridge -> {candidate: side of the candidate's apex}, candidates ascending
+        self.by_ridge: dict[tuple, dict[int, int]] = {}
+        sides = _apex_sides(signed[live], self.d).tolist()
+        for ci, (s, side) in enumerate(zip(self.cands, sides)):
+            for j in range(self.d + 1):
+                self.by_ridge.setdefault(s[:j] + s[j + 1 :], {})[ci] = side[j]
+        ridges = list(self.by_ridge)
+        rows = np.array(ridges, dtype=np.intp).reshape(len(ridges), self.d)
+        on_facet = facet_incidence(config)[rows].all(axis=1).any(axis=1)
+        self.boundary = set(itertools.compress(ridges, on_facet.tolist()))
         self._compat: dict[tuple[int, int], bool] = {}
-
-    def _is_boundary(self, ridge: tuple) -> bool:
-        hit = self._boundary_cache.get(ridge)
-        if hit is None:
-            rpts = [self.pts[i] for i in ridge]
-            hit = any(
-                all(sum(a * x for a, x in zip(av, p)) == b for p in rpts)
-                for av, b in self._facets
-            )
-            self._boundary_cache[ridge] = hit
-        return hit
-
-    def _side(self, ridge: tuple, vertex: int) -> int:
-        """Sign of the orientation determinant of (ridge, vertex)."""
-        key = ridge + (vertex,)
-        hit = self._side_cache.get(key)
-        if hit is None:
-            p0 = self.pts[ridge[0]]
-            rows = [
-                [self.pts[i][j] - p0[j] for j in range(self.d)] for i in ridge[1:]
-            ]
-            rows.append([self.pts[vertex][j] - p0[j] for j in range(self.d)])
-            det = linalg.det_bareiss(rows)
-            hit = (det > 0) - (det < 0)
-            self._side_cache[key] = hit
-        return hit
 
     def _compatible(self, a: int, b: int) -> bool:
         key = (a, b) if a < b else (b, a)
@@ -155,12 +133,12 @@ class _Enumerator:
     def _open_after(self, open_ridges, new):
         out = dict(open_ridges)
         s = self.cands[new]
-        for drop in s:
-            ridge = tuple(i for i in s if i != drop)
+        for j in range(self.d + 1):
+            ridge = s[:j] + s[j + 1 :]
             if ridge in out:
                 del out[ridge]
-            elif not self._is_boundary(ridge):
-                out[ridge] = (new, drop)
+            elif ridge not in self.boundary:
+                out[ridge] = new
         return out
 
     def _extend(self, chosen: list[int], open_ridges: dict) -> Iterator[list[int]]:
@@ -171,13 +149,11 @@ class _Enumerator:
             yield list(chosen)
             return
         ridge = min(open_ridges)
-        owner, opp = open_ridges[ridge]
-        owner_side = self._side(ridge, opp)
-        for ci in self.by_ridge.get(ridge, ()):
-            if ci == owner:
-                continue
-            extra = next(i for i in self.cands[ci] if i not in ridge)
-            if self._side(ridge, extra) * owner_side >= 0:
+        sides = self.by_ridge[ridge]
+        owner_side = sides[open_ridges[ridge]]
+        for ci, side in sides.items():
+            # the owner itself is on its own side
+            if side == owner_side:
                 continue
             if all(self._compatible(ci, cj) for cj in chosen):
                 yield from self._extend(

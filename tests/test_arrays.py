@@ -9,6 +9,7 @@ writer must write the bytes of the ``json.dumps`` writer
 import io
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from cubetri.complexes import (
     triangulation_to_json,
     validate_dissection,
 )
+from cubetri.geometry import config_from_label, parse_label, point_count
 from cubetri.pipeline import PipelineSpec, build_cube_recursive
 from cubetri.seeds import cayley_seed, minimal_cube
 
@@ -249,6 +251,65 @@ def test_out_of_order_points_still_raise():
             triangulation_from_json(bad)
         with pytest.raises(ValueError):
             reference_from_json(bad)
+
+
+# -- a label is built only for a file that lists all its points ------------------
+
+
+@pytest.mark.parametrize(
+    "text",
+    ("cube(0)", "cube(4)", "simplex(3)", "minkowski(cube(2),3)",
+     "cube(2)xsimplex(1)", "simplex(2)xminkowski(cube(1),2)xcube(1)"),
+)
+def test_point_count_is_the_label_configuration_size(text):
+    label = parse_label(text)
+    assert point_count(label) == len(config_from_label(label).points)
+
+
+def test_point_count_of_a_huge_label_is_capped():
+    huge = ("cube(1000000000)", "minkowski(cube(1000000000),2)", "cube(40)xcube(40)")
+    for text in huge:
+        assert point_count(parse_label(text)) == sys.maxsize + 1
+    assert point_count(parse_label("minkowski(cube(1000000000),0)")) == 1
+
+
+# Labels of 2^40 points or more, far too many to build.
+HUGE_LABELS = ("cube(40)", "cube(37)xsimplex(1)", "minkowski(cube(1000000000),2)")
+
+
+def _huge_label_file(label: str, layout: int) -> str:
+    """The 3-cube's file with its label edited, in the writer's layout (0)
+    or in ``json.dumps``'s (1)."""
+    text = triangulation_to_json(minimal_cube(3))
+    edited = text.replace('"cube(3)"', f'"{label}"', 1)
+    assert edited != text
+    return edited if layout == 0 else json.dumps(json.loads(edited))
+
+
+@pytest.mark.parametrize("label", HUGE_LABELS)
+@pytest.mark.parametrize("layout", (0, 1))
+def test_reader_rejects_a_label_before_building_it(label, layout):
+    with pytest.raises(ValueError, match="points array"):
+        triangulation_from_json(_huge_label_file(label, layout))
+
+
+def test_reader_rejects_a_label_dimension_before_building_it():
+    # One point, as many as the label has, but the label's has 10^9
+    # coordinates.
+    obj = {"dim": 2, "label": "minkowski(cube(1000000000),0)", "points": [[0, 0]]}
+    with pytest.raises(ValueError, match="dimensional"):
+        triangulation_from_json(json.dumps({**obj, "simplices": []}))
+
+
+@pytest.mark.parametrize("label", HUGE_LABELS)
+@pytest.mark.parametrize("layout", (0, 1))
+def test_verify_rejects_a_label_before_building_it(tmp_path, capsys, label, layout):
+    path = os.fspath(tmp_path / "huge.json")
+    with open(path, "w") as fh:
+        fh.write(_huge_label_file(label, layout))
+    assert main(["verify", path]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("invalid file: ")
 
 
 # -- invalid indices reach neither checker ----------------------------------------

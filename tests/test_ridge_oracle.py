@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_ridges import tampered
 
-from cubetri import pipeline
+from cubetri import linalg, pipeline
 from cubetri.coloring import Coloring, ProductCells, triangulate_product
 from cubetri.complexes import Triangulation, ridge_report, validate_face_to_face
 from cubetri.geometry import (
@@ -53,6 +53,31 @@ def pipeline_outputs():
     }
 
 
+@pytest.fixture(scope="module")
+def face_to_face_verdicts():
+    """Pair verdicts shared by the parameters below, keyed on the two
+    vertex-coordinate tuples: a tampered output keeps most of its pairs."""
+    return {}
+
+
+@pytest.fixture
+def memo_face_to_face(monkeypatch, face_to_face_verdicts):
+    """``linalg.simplices_face_to_face`` memoized in ``face_to_face_verdicts``.
+    The predicate is a function of the coordinates alone, so no verdict
+    changes."""
+    exact = linalg.simplices_face_to_face
+
+    def memo(pts_a, pts_b, bary_a=None, bary_b=None):
+        key = (tuple(pts_a), tuple(pts_b))
+        hit = face_to_face_verdicts.get(key)
+        if hit is None:
+            hit = face_to_face_verdicts[key] = exact(pts_a, pts_b, bary_a, bary_b)
+        return hit
+
+    monkeypatch.setattr(linalg, "simplices_face_to_face", memo)
+
+
+@pytest.mark.usefixtures("memo_face_to_face")
 @pytest.mark.parametrize("kind", (None,) + KINDS)
 def test_agrees_on_pipeline_outputs(pipeline_outputs, kind):
     for tri in pipeline_outputs.values():
