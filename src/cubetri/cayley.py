@@ -209,7 +209,7 @@ def summand_projection(sub: MixedSubdivision, i: int) -> Triangulation:
     return Triangulation(sub.base, tuple(seen))
 
 
-def validate_mixed(sub: MixedSubdivision, fine: bool = True) -> ValidityReport:
+def validate_mixed(sub: MixedSubdivision) -> ValidityReport:
     """Exact geometric validation: fineness per cell, volume census against
     m^l * l!, and pairwise disjoint interiors of the realized cells."""
     violations: list[Violation] = []
@@ -217,10 +217,9 @@ def validate_mixed(sub: MixedSubdivision, fine: bool = True) -> ValidityReport:
     vols = []
     realized = []
     for cell in sub.cells:
-        if fine:
-            err = _check_fine(sub.base, cell)
-            if err:
-                violations.append(Violation("not-fine", (cell.summands,), err))
+        err = _check_fine(sub.base, cell)
+        if err:
+            violations.append(Violation("not-fine", (cell.summands,), err))
         v = cell_normalized_volume(sub.base, cell)
         if v == 0:
             violations.append(Violation("degenerate", (cell.summands,)))

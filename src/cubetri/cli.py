@@ -11,12 +11,13 @@
 ``verify`` certifies a file by the volume census and the ridge check,
 both linear in its size; ``--face-to-face`` runs the quadratic pairwise
 dissection and face-to-face scans instead. Either way a file whose
-``dim`` or indices the reader rejects (an entry that is not an integer
-index of a point) prints one ``invalid file: ...`` line. ``expect``
-prints the exact expected size over uniform colorings next to sampled
-sizes.
+``dim`` or simplices the reader rejects (an entry that is not an integer
+index of a point, or simplices of different sizes) prints one
+``invalid file: ...`` line. ``expect`` prints the exact expected size
+over uniform colorings next to sampled sizes.
 
-Exit code 0 iff every requested validation passed.
+Exit code 0 iff every requested validation passed; 2 for a spec that
+``build`` rejects, with one ``invalid spec: ...`` line.
 """
 
 from __future__ import annotations
@@ -39,7 +40,13 @@ from .complexes import (
 )
 from .geometry import cube_config, product_config, simplex_config
 from .oracle import SearchProblem, min_weighted_size
-from .pipeline import PipelineSpec, _pick_seed, build_cube_recursive, report_table
+from .pipeline import (
+    SEEDS,
+    PipelineSpec,
+    _pick_seed,
+    build_cube_recursive,
+    report_table,
+)
 from .seeds import (
     minimal_cube,
     seed_i3d1,
@@ -50,15 +57,12 @@ from .seeds import (
 
 
 def _cmd_build(args) -> int:
-    spec = PipelineSpec(
-        dim=args.dim,
-        l=args.l,
-        m=args.m,
-        seed=args.seed,
-        rng_seed=args.rng_seed,
-        samples=args.samples,
-        out=args.out,
-    )
+    try:
+        spec = PipelineSpec(dim=args.dim, l=args.l, m=args.m, seed=args.seed,
+                            rng_seed=args.rng_seed, samples=args.samples, out=args.out)
+    except ValueError as exc:
+        print(f"invalid spec: {exc}", file=sys.stderr)
+        return 2
     tri, report = build_cube_recursive(spec)
     for st in report.steps:
         f2f = "-" if st.face_to_face is None else str(st.face_to_face)
@@ -212,7 +216,7 @@ def main(argv: list[str] | None = None) -> int:
     p_cube.add_argument("--dim", type=int, required=True)
     p_cube.add_argument("--l", type=int, default=3)
     p_cube.add_argument("--m", type=int, default=3)
-    p_cube.add_argument("--seed", default="i3d2")
+    p_cube.add_argument("--seed", choices=SEEDS, default="i3d2")
     p_cube.add_argument("--rng-seed", type=int, default=0)
     p_cube.add_argument("--samples", type=int, default=1)
     p_cube.add_argument("--out")

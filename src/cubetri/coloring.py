@@ -157,10 +157,7 @@ class ProductCells:
         self.t_q = t_q
         self.config = product_output_config(t_q, t0)
         nq = len(t_q.config.points)
-        try:
-            sig = t_q.rows.astype(np.intp)
-        except ValueError:
-            raise ValueError("T_Q's simplices must all have the same size") from None
+        sig = t_q.rows.astype(np.intp)
         colors = np.array(coloring.colors, dtype=np.intp)[sig]
         counts = (colors[:, :, None] == np.arange(m)).sum(axis=1)
         key_of: dict[tuple[int, ...], int] = {}

@@ -1,12 +1,11 @@
 """Triangulations: representation, exact validity checking, and accounting.
 
 A simplex is a sorted row of indices into a :class:`PointConfiguration`.
-A :class:`Triangulation` holds its simplices as one (N, d+1) index array,
-the form the generator, the file reader and writer, the census, the
-duplicate scan and the ridge check all take, or, when built from tuples,
-as a tuple of sorted tuples, the form the pair scans and the oracle take;
-each view is derived from the other on first use. Validity is decided
-exactly on vertex coordinates:
+A :class:`Triangulation` holds its simplices as one index array, the form
+the generator, the file reader and writer, the census, the duplicate scan
+and the ridge check all take; simplices of different sizes are rejected
+where they enter. A tuple of tuples built from it on first use is the form
+the pair scans take. Validity is decided exactly on vertex coordinates:
 
 * dissection = volumes sum to the ambient volume and all pairs of cells
   have disjoint interiors;
@@ -41,7 +40,8 @@ too large to keep in memory is written chunk by chunk in the same format.
 :func:`triangulation_from_json` reads a file in exactly that layout
 straight to an index array, block by block, and any other JSON layout
 through ``json.loads``; both reject an index that is not an ``int`` of
-range ``[0, len(points))`` and a ``dim`` that is not the label's.
+range ``[0, len(points))``, simplices of different sizes and a ``dim``
+that is not the label's.
 """
 
 from __future__ import annotations
@@ -73,61 +73,45 @@ Simplex = tuple[int, ...]
 
 
 class Triangulation:
-    """A configuration and its simplices, as index rows sorted ascending.
+    """A configuration and its simplices, as one read-only (N, k) index
+    array :attr:`rows` in the :func:`index_rows` dtype, each row sorted.
 
-    Built from an (N, k) integer array, the simplices are held as that
-    array (:attr:`rows`, sorted once by ``np.sort(axis=1)`` in the
-    :func:`index_rows` dtype, every index checked against the points).
-    Built from any iterable of index tuples, they are held as the tuple of
-    sorted tuples (:attr:`simplices`), which may mix sizes. Each view is
-    derived from the other on first use and cached; neither cache is part
-    of equality, which compares the configuration and the simplices.
+    An integer array and an iterable of index tuples pass the same checks:
+    one 2-d integer array (tuples of different sizes are rejected), every
+    index one of the points. :attr:`simplices` is the rows as a tuple of
+    tuples, built on first use; equality compares configuration and rows.
     """
 
-    __slots__ = ("config", "_rows", "_simplices")
+    __slots__ = ("config", "rows", "_simplices")
 
     def __init__(self, config: PointConfiguration, simplices):
         self.config = config
-        if isinstance(simplices, np.ndarray):
-            if simplices.ndim != 2 or simplices.dtype.kind not in "iu":
-                raise ValueError("simplices must be one 2-d integer array")
-            if simplices.size and (
-                simplices.min() < 0 or simplices.max() >= len(config.points)
-            ):
-                raise ValueError("simplex index out of range")
-            self._rows = np.sort(index_rows(simplices, len(config.points)), axis=1)
-            self._simplices = None
-        else:
-            self._rows = None
-            self._simplices = tuple(tuple(sorted(s)) for s in simplices)
-
-    @property
-    def rows(self) -> np.ndarray:
-        """The simplices as one (N, k) index array; ValueError when they
-        have different sizes."""
-        rows = _uniform_rows(self)
-        if rows is None:
-            raise ValueError("simplices of different sizes have no index array")
-        return rows
+        if not isinstance(simplices, np.ndarray):
+            simplices = _tuple_rows(simplices, config.dim + 1)
+        if simplices.ndim != 2 or simplices.dtype.kind not in "iu":
+            raise ValueError("simplices must be one 2-d integer array")
+        if simplices.size and (
+            simplices.min() < 0 or simplices.max() >= len(config.points)
+        ):
+            raise ValueError("simplex index out of range")
+        self.rows = np.sort(index_rows(simplices, len(config.points)), axis=1)
+        self.rows.flags.writeable = False
+        self._simplices = None
 
     @property
     def simplices(self) -> tuple[Simplex, ...]:
         if self._simplices is None:
-            self._simplices = tuple(map(tuple, self._rows.tolist()))
+            self._simplices = tuple(map(tuple, self.rows.tolist()))
         return self._simplices
 
     @property
     def size(self) -> int:
-        return len(self._simplices if self._rows is None else self._rows)
+        return len(self.rows)
 
     def __eq__(self, other):
         if not isinstance(other, Triangulation):
             return NotImplemented
-        if self.config != other.config or self.size != other.size:
-            return False
-        if self._rows is not None and other._rows is not None and self.size:
-            return np.array_equal(self._rows, other._rows)
-        return self.simplices == other.simplices
+        return self.config == other.config and np.array_equal(self.rows, other.rows)
 
     def __repr__(self):
         return f"Triangulation({self.config.label}, size={self.size})"
@@ -140,18 +124,14 @@ class Triangulation:
         return normalized_volume(self.points_of(s))
 
 
-def _uniform_rows(tri: Triangulation) -> np.ndarray | None:
-    """``tri.rows``, built and cached on first use, or None when the
-    simplices have different sizes."""
-    if tri._rows is None:
-        simplices = tri._simplices
-        if len(set(map(len, simplices))) > 1:
-            return None
-        width = len(simplices[0]) if simplices else tri.config.dim + 1
-        tri._rows = index_rows(simplices, len(tri.config.points)).reshape(
-            len(simplices), width
-        )
-    return tri._rows
+def _tuple_rows(simplices, width: int) -> np.ndarray:
+    """Index tuples as one array (of ``width`` columns if there are none);
+    ValueError naming the first simplex whose size is not the first's."""
+    simplices = [tuple(s) for s in simplices]
+    for s in simplices:
+        if len(s) != len(simplices[0]):
+            raise ValueError(f"simplices of different sizes: {s} and {simplices[0]}")
+    return np.array(simplices) if simplices else np.empty((0, width), np.int64)
 
 
 @dataclass(frozen=True)
@@ -239,15 +219,11 @@ def _census(tri: Triangulation, expected: int | None):
     rows, their signed volumes, total volume, violations). The violations
     name each simplex that is not full-dimensional, then each degenerate
     one, then a total that differs from ``expected``."""
-    d1 = tri.config.dim + 1
-    rows = _uniform_rows(tri)
-    if rows is not None and rows.shape[1] == d1:
-        full, flat = rows, []
-    else:
-        full = [s for s in tri.simplices if len(s) == d1]
-        flat = [s for s in tri.simplices if len(s) != d1]
-        full = index_rows(full, len(tri.config.points)).reshape(len(full), d1)
-    violations = [Violation("not-full-dimensional", (s,)) for s in flat]
+    full = tri.rows
+    violations = []
+    if full.shape[1] != tri.config.dim + 1:
+        violations = [Violation("not-full-dimensional", (s,)) for s in tri.simplices]
+        full = full[:0]
     vols = signed_volumes(tri.config.points, full)
     total, degenerate = _tally(vols)
     violations.extend(
@@ -264,15 +240,7 @@ def duplicate_simplices(tri: Triangulation) -> list[Violation]:
     """A ``duplicate`` violation for each repeat of an earlier simplex, in
     order. Equal rows are adjacent after a stable lexicographic sort, with
     the earliest first."""
-    rows = _uniform_rows(tri)
-    if rows is None:  # simplices of different sizes: a set of tuples
-        seen = set()
-        out = []
-        for s in tri.simplices:
-            if s in seen:
-                out.append(Violation("duplicate", (s,)))
-            seen.add(s)
-        return out
+    rows = tri.rows
     order = np.lexsort(rows.T[::-1])
     ordered = rows[order]
     repeat = (ordered[1:] == ordered[:-1]).all(axis=1)
@@ -514,10 +482,9 @@ class TriangulationWriter:
     """Writes the triangulation file format incrementally: a header with
     the configuration, then one simplex per line, then a footer.
 
-    An index array is encoded through tables of the indices' decimal
-    strings (:func:`_encode_rows`); a sequence of tuples, which may mix
-    sizes, through ``json.dumps``. Both give the same bytes for the same
-    rows.
+    Each chunk is an (N, k) index array, encoded through tables of the
+    indices' decimal strings (:func:`_encode_rows`), so it gives the bytes
+    ``json.dumps`` gives for the same rows.
     """
 
     def __init__(self, fh: TextIO, config: PointConfiguration):
@@ -528,16 +495,12 @@ class TriangulationWriter:
         self.tables = _row_tables(len(config.points))
         fh.write(_header(config))
 
-    def write(self, simplices) -> None:
+    def write(self, simplices: np.ndarray) -> None:
         if not len(simplices):
             return
         if not self.first:
             self.fh.write(",\n")
-        if isinstance(simplices, np.ndarray):
-            self.fh.write(_encode_rows(self.tables, simplices))
-        else:
-            # Simplices hold only integers, so "], [" occurs only between two.
-            self.fh.write(json.dumps(simplices)[1:-1].replace("], [", "],\n["))
+        self.fh.write(_encode_rows(self.tables, simplices))
         self.first = False
 
     def close(self) -> None:
@@ -576,7 +539,7 @@ def _encode_rows(tables: tuple[np.ndarray, np.ndarray], rows: np.ndarray) -> str
 def triangulation_to_json(tri: Triangulation) -> str:
     buf = io.StringIO()
     writer = TriangulationWriter(buf, tri.config)
-    writer.write(tri.simplices if tri._rows is None else tri._rows)
+    writer.write(tri.rows)
     writer.close()
     return buf.getvalue()
 
@@ -604,9 +567,9 @@ def _config_of(obj) -> PointConfiguration:
     return config
 
 
-def _check_simplices(simplices, n_points: int) -> None:
+def _check_simplices(simplices) -> None:
     """ValueError unless every simplex is a list of ``int`` (not ``bool``)
-    indices of the ``n_points`` points."""
+    entries; :class:`Triangulation` checks their sizes and range."""
     if type(simplices) is not list:
         raise ValueError("simplices must be a list")
     for s in simplices:
@@ -615,8 +578,6 @@ def _check_simplices(simplices, n_points: int) -> None:
         for i in s:
             if type(i) is not int:
                 raise ValueError(f"simplex index {i!r} is not an integer")
-            if not 0 <= i < n_points:
-                raise ValueError(f"simplex index {i} out of range")
 
 
 def _read_layout(text: str) -> Triangulation | None:
@@ -686,9 +647,9 @@ def triangulation_from_json(text: str) -> Triangulation:
     A file in the writer's layout is parsed straight to an index array
     (:func:`_read_layout`); any other JSON text goes through
     ``json.loads``. Either way a ValueError rejects points out of the
-    label's canonical order, a ``dim`` that is not the label's, and any
-    simplex entry that is not an ``int`` index of a point, and equal files
-    give equal triangulations.
+    label's canonical order, a ``dim`` that is not the label's, simplices
+    of different sizes and any entry that is not an ``int`` index of a
+    point, and equal files give equal triangulations.
     """
     tri = _read_layout(text)
     if tri is not None:
@@ -696,5 +657,5 @@ def triangulation_from_json(text: str) -> Triangulation:
     obj = json.loads(text)
     config = _config_of(obj)
     simplices = obj["simplices"]
-    _check_simplices(simplices, len(config.points))
+    _check_simplices(simplices)
     return Triangulation(config, simplices)

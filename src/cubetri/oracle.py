@@ -61,7 +61,8 @@ class _Enumerator:
         combos = np.array(list(itertools.combinations(range(n), self.d + 1)), np.intp)
         signed = signed_volumes(self.pts, combos)
         live = np.flatnonzero(signed)
-        self.cands = list(map(tuple, combos[live].tolist()))
+        self.cand_rows = combos[live]
+        self.cands = list(map(tuple, self.cand_rows.tolist()))
         self.vols = np.abs(signed[live]).tolist()
         self.bary = [
             linalg.barycentric_rows([self.pts[i] for i in s]) for s in self.cands
@@ -167,8 +168,7 @@ def enumerate_triangulations(
     """Every face-to-face triangulation of the configuration, exactly once."""
     enum = _Enumerator(problem.config, anchor=anchor)
     for chosen in enum.enumerate():
-        simplices = tuple(enum.cands[c] for c in sorted(chosen))
-        yield Triangulation(problem.config, simplices)
+        yield Triangulation(problem.config, enum.cand_rows[sorted(chosen)])
 
 
 def _simplex_weight(config: PointConfiguration, s: Simplex) -> Fraction:

@@ -83,12 +83,15 @@ from .seeds import (
 from .staircase import certify_cell_regular, multi_staircase_count
 
 
+SEEDS = ("i3d2", "i3d1", "minimal", "unimodular")  # the first two are block seeds
+
+
 @dataclass
 class PipelineSpec:
     dim: int
     l: int = 3
     m: int = 3
-    seed: str = "i3d2"  # i3d2 | i3d1 | minimal | unimodular
+    seed: str = "i3d2"  # one of SEEDS
     rng_seed: int = 0
     samples: int = 1
     out: str | None = None
@@ -97,7 +100,11 @@ class PipelineSpec:
 
     def __post_init__(self):
         if self.dim < 1 or self.l < 1 or self.m < 1 or self.samples < 1:
-            raise ValueError("invalid pipeline spec")
+            raise ValueError("dim, l, m and samples must be positive")
+        if self.seed not in SEEDS:
+            raise ValueError(f"unknown seed {self.seed!r}, not one of {SEEDS}")
+        if self.seed in SEEDS[:2] and self.m >= 2 and self.l != 3:
+            raise ValueError(f"seed {self.seed} with m >= 2 requires l == 3")
 
 
 @dataclass
@@ -133,7 +140,7 @@ def _cube_as_point_product(tri: Triangulation) -> Triangulation:
     the point lists coincide, so indices carry over unchanged."""
     l = tri.config.dim
     cfg = product_config(cube_config(l), simplex_config(0))
-    return Triangulation(cfg, tri.simplices)
+    return Triangulation(cfg, tri.rows)
 
 
 def _pick_seed(spec: PipelineSpec, n: int) -> tuple[str, int, Triangulation]:
@@ -148,8 +155,6 @@ def _pick_seed(spec: PipelineSpec, n: int) -> tuple[str, int, Triangulation]:
     if spec.seed == "minimal":
         return "minimal", 1, _cube_as_point_product(minimal_cube(l))
     want_m = min(spec.m, 3 if spec.seed == "i3d2" else 2, n)
-    if want_m >= 2 and l != 3:
-        raise ValueError("seeds i3d1/i3d2 require l == 3")
     if want_m >= 3:
         return "i3d2", 3, cayley_seed("i3d2")
     if want_m == 2:

@@ -25,7 +25,6 @@ from cubetri.complexes import (
     duplicate_simplices,
     triangulation_from_json,
     triangulation_to_json,
-    validate_dissection,
 )
 from cubetri.geometry import config_from_label, parse_label, point_count
 from cubetri.pipeline import PipelineSpec, build_cube_recursive
@@ -80,6 +79,8 @@ def test_array_and_tuple_triangulations_are_equal():
         assert from_array.simplices == from_tuples.simplices == tuples
         assert np.array_equal(from_array.rows, from_tuples.rows)
         assert from_array.rows.dtype == from_tuples.rows.dtype == np.uint16
+        assert not from_array.rows.flags.writeable
+        assert not from_tuples.rows.flags.writeable
         for s in tuples[:20]:
             assert from_array.volume_of(s) == from_tuples.volume_of(s)
     other = Triangulation(tri.config, rows[1:])
@@ -95,14 +96,24 @@ def test_array_triangulation_rejects_bad_arrays():
             Triangulation(cfg, bad)
 
 
-def test_ragged_triangulation_keeps_its_tuples():
+def test_ragged_simplices_are_rejected():
     tri = minimal_cube(3)
-    flat = Triangulation(tri.config, tri.simplices + (tri.simplices[0][:-1],))
-    with pytest.raises(ValueError):
-        flat.rows
-    report = validate_dissection(flat, pairwise=False)
-    assert [v.kind for v in report.violations] == ["not-full-dimensional"]
-    assert triangulation_from_json(triangulation_to_json(flat)) == flat
+    ragged = tri.simplices + (tri.simplices[0][:-1],)
+    with pytest.raises(ValueError, match="different sizes") as exc:
+        Triangulation(tri.config, ragged)
+    assert str(ragged[-1]) in str(exc.value)
+    text = reference_to_json(tri.config, ragged)
+    for layout in (text, json.dumps(json.loads(text))):
+        for read in (triangulation_from_json, reference_from_json):
+            with pytest.raises(ValueError, match="different sizes"):
+                read(layout)
+    # Tuples go through the array checks: 0.5 and -1 would name point 0 and
+    # the last point once truncated or wrapped.
+    for value in (0.5, -1, len(tri.config.points)):
+        bad = list(tri.simplices)
+        bad[2] = (value,) + bad[2][1:]
+        with pytest.raises(ValueError):
+            Triangulation(tri.config, bad)
 
 
 @pytest.mark.parametrize("dim", (4, 5))
@@ -180,21 +191,23 @@ def _layouts(text: str) -> dict[str, str]:
     }
 
 
-def _small_texts() -> list[str]:
-    """Small files in every layout, and the d=4 output without its footer
-    (which both readers must reject)."""
+def _small_texts() -> tuple[list[str], list[str]]:
+    """(small files in every layout, files both readers must reject): a
+    ragged file in every layout, and the d=4 output without its footer."""
     d4 = build_cube_recursive(_spec(4))[0]
     cube = minimal_cube(3)
-    flat = Triangulation(cube.config, cube.simplices + ((0, 1, 2),))
-    texts = [
+    readable = [
         text
-        for tri in (d4, cube, flat)
+        for tri in (d4, cube)
         for text in _layouts(triangulation_to_json(tri)).values()
     ]
-    return texts + [triangulation_to_json(d4)[: -len("\n]}\n")]]
+    ragged = reference_to_json(cube.config, cube.simplices + ((0, 1, 2),))
+    rejected = list(_layouts(ragged).values())
+    return readable, rejected + [triangulation_to_json(d4)[: -len("\n]}\n")]]
 
 
-SMALL_TEXTS = _small_texts()
+READABLE_TEXTS, REJECTED_TEXTS = _small_texts()
+SMALL_TEXTS = READABLE_TEXTS + REJECTED_TEXTS
 
 
 def _outcome(read, text):
@@ -232,12 +245,12 @@ def test_reader_outcome_matches_the_reference(text, edit, where, char):
 
 
 def test_every_small_layout_reads_alike():
-    *readable, no_footer = SMALL_TEXTS
-    for text in readable:
+    for text in READABLE_TEXTS:
         assert _same(triangulation_from_json(text), reference_from_json(text))
-    for read in (triangulation_from_json, reference_from_json):
-        with pytest.raises(ValueError):
-            read(no_footer)
+    for text in REJECTED_TEXTS:
+        for read in (triangulation_from_json, reference_from_json):
+            with pytest.raises(ValueError):
+                read(text)
 
 
 def test_out_of_order_points_still_raise():

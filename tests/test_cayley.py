@@ -179,6 +179,15 @@ def test_validate_mixed_catches_overlap():
     assert "interior-overlap" in kinds and "volume-mismatch" in kinds
 
 
+def test_validate_mixed_always_checks_fineness():
+    # one summand is the whole square: not a simplex
+    bad = MixedSubdivision(cube_config(2), 2, (MixedCell(((0, 1, 2, 3), (0,))),))
+    report = validate_mixed(bad)
+    assert [v.kind for v in report.violations] == [
+        "not-fine", "degenerate", "volume-mismatch"
+    ]
+
+
 def test_decompose_cell_recovers_summands():
     sub = seed_i3d1()
     from cubetri.cayley import cell_points

@@ -59,11 +59,18 @@ def test_dissection_names_degenerate_simplex():
 
 
 def test_dissection_names_not_full_dimensional_simplex():
-    tri = Triangulation(cube_config(2), ((0, 2, 3), (3, 0), (0, 1, 3)))
+    with pytest.raises(ValueError, match="different sizes"):
+        Triangulation(cube_config(2), ((0, 2, 3), (3, 0), (0, 1, 3)))
+    # The two diagonals of the square: simplices of one size, but not d+1.
+    tri = Triangulation(cube_config(2), ((3, 0), (1, 2)))
     report = validate_dissection(tri, expected=2, pairwise=False)
-    assert not report.is_dissection and report.volume_total == 2
+    assert not report.is_dissection and report.volume_total == 0
     kinds = [(v.kind, v.members) for v in report.violations]
-    assert kinds == [("not-full-dimensional", ((0, 3),))]
+    assert kinds == [
+        ("not-full-dimensional", ((0, 3),)),
+        ("not-full-dimensional", ((1, 2),)),
+        ("volume-mismatch", ()),
+    ]
 
 
 def test_zero_dimensional_census():

@@ -119,6 +119,53 @@ def test_cli_smoke(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "kw, match",
+    [
+        ({"seed": "foo"}, "unknown seed"),
+        ({"seed": "I3D2"}, "unknown seed"),
+        ({"l": 2}, "requires l == 3"),
+        ({"seed": "i3d1", "l": 4, "m": 2}, "requires l == 3"),
+        ({"samples": 0}, "must be positive"),
+    ],
+)
+def test_spec_rejects_seeds_it_cannot_build(kw, match):
+    with pytest.raises(ValueError, match=match):
+        PipelineSpec(dim=5, **kw)
+
+
+def test_spec_takes_a_block_seed_of_one_color_or_a_plain_seed_at_any_l():
+    for kw in ({"l": 2, "m": 1}, {"l": 2, "seed": "minimal"},
+               {"l": 4, "seed": "unimodular"}):
+        spec = PipelineSpec(dim=5, **kw)
+        assert pipeline._pick_seed(spec, 3)[1] == 1
+
+
+@pytest.mark.parametrize("argv", [["--seed", "foo"], ["--seed", "I3D2"]])
+def test_cli_build_rejects_an_unknown_seed(capsys, argv):
+    from cubetri.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "cube", "--dim", "5", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "invalid choice" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, match",
+    [(["--l", "2"], "requires l == 3"), (["--samples", "0"], "must be positive")],
+)
+def test_cli_build_prints_one_line_for_an_invalid_spec(capsys, argv, match):
+    from cubetri.cli import main
+
+    assert main(["build", "cube", "--dim", "5", *argv]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("invalid spec: ")
+    assert match in lines[0] and captured.out == ""
+
+
 def test_ridge_mode_agrees_on_pipeline_output():
     from cubetri.complexes import ridge_report, validate_dissection
 

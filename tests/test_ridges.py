@@ -15,6 +15,7 @@ import random
 
 import numpy as np
 import pytest
+from helpers import reference_to_json
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -208,12 +209,20 @@ def test_agrees_under_shuffles(pipeline_outputs, data):
 # -- soundness by itself -------------------------------------------------------
 
 
+# Simplices of one size that are not full-dimensional: the two diagonals of
+# the square.
+DIAGONALS = Triangulation(cube_config(2), ((0, 3), (1, 2)))
+
+
 def test_rejects_a_diagonal_as_a_third_simplex():
-    tri = Triangulation(cube_config(2), ((0, 1, 2), (1, 2, 3), (0, 3)))
-    report = ridge_report(tri)
-    assert not report.is_dissection and report.volume_total == 2
+    with pytest.raises(ValueError, match="different sizes"):
+        Triangulation(cube_config(2), ((0, 1, 2), (1, 2, 3), (0, 3)))
+    report = ridge_report(DIAGONALS)
+    assert not report.is_dissection and report.volume_total == 0
     assert [(v.kind, v.members) for v in report.violations] == [
-        ("not-full-dimensional", ((0, 3),))
+        ("not-full-dimensional", ((0, 3),)),
+        ("not-full-dimensional", ((1, 2),)),
+        ("volume-mismatch", ()),
     ]
 
 
@@ -319,7 +328,7 @@ def test_verify_volume_only_prints_both_reports(tmp_path, capsys, kind):
     report (``validate_dissection(pairwise=False)``) and the ridge report."""
     tri = build_cube_recursive(PipelineSpec(dim=4))[0]
     if kind == "flat":
-        tri = Triangulation(tri.config, tri.simplices + (tri.simplices[0][:-1],))
+        tri = DIAGONALS
     elif kind != "none":
         tri = tampered(tri, kind)
     path = os.fspath(tmp_path / "t.json")
@@ -352,7 +361,7 @@ def test_verify_face_to_face_prints_the_pairwise_reports(
 
     tri = build_cube_recursive(PipelineSpec(dim=4))[0]
     if kind == "flat":
-        tri = Triangulation(tri.config, tri.simplices + (tri.simplices[0][:-1],))
+        tri = DIAGONALS
     elif kind != "none":
         tri = tampered(tri, kind)
     path = os.fspath(tmp_path / "t.json")
@@ -377,6 +386,19 @@ def test_verify_face_to_face_prints_the_pairwise_reports(
     assert code == (0 if diss.is_dissection and f2f.is_face_to_face else 1)
     assert code == (0 if kind == "none" else 1)
     assert scans == ([] if kind == "none" else [True])
+
+
+@pytest.mark.parametrize("mode", ([], ["--face-to-face"]))
+def test_verify_rejects_a_ragged_file(tmp_path, capsys, mode):
+    tri = minimal_cube(3)
+    path = os.fspath(tmp_path / "ragged.json")
+    with open(path, "w") as fh:
+        fh.write(reference_to_json(tri.config, tri.simplices + ((0, 1, 2),)))
+    assert main(["verify", path, *mode]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("invalid file: ")
+    assert "different sizes" in lines[0] and "Traceback" not in captured.err
 
 
 def test_verify_rejects_the_removed_volume_only_flag(tmp_path, capsys):
