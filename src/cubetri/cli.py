@@ -17,7 +17,7 @@ index of a point, or simplices of different sizes) prints one
 over uniform colorings next to sampled sizes.
 
 Exit code 0 iff every requested validation passed; 2 for a spec that
-``build`` rejects, with one ``invalid spec: ...`` line.
+``build`` or ``expect`` rejects, with one ``invalid spec: ...`` line.
 """
 
 from __future__ import annotations
@@ -129,6 +129,13 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_expect(args) -> int:
+    try:
+        if args.q_dim < 1:
+            raise ValueError("q-dim must be positive")
+        spec = PipelineSpec(dim=args.q_dim + 3, m=args.m, samples=args.samples)
+    except ValueError as exc:
+        print(f"invalid spec: {exc}", file=sys.stderr)
+        return 2
     t_q = (
         minimal_cube(args.q_dim)
         if args.q_dim <= 3
@@ -137,7 +144,6 @@ def _cmd_expect(args) -> int:
         )[0]
     )
     n = args.q_dim + 1
-    spec = PipelineSpec(dim=args.q_dim + 3, m=args.m)
     seed_name, m, t0 = _pick_seed(spec, n)  # clamps m as build does
     bound = size_bound(t_q.size, weighted_size(t0), n, m, spec.l)
     exact = exact_expected_size(t_q, t0, m)

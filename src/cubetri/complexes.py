@@ -178,25 +178,58 @@ CENSUS_CHUNK = 8192  # rows per batch: bounds the census's working memory
 
 def signed_volumes(points, rows) -> np.ndarray:
     """Signed determinants det(p_1 - p_0, ..., p_d - p_0) of full-dimensional
-    simplices given as index rows into ``points``, in row order; their
-    absolute values are the normalized volumes.
+    simplices given as index rows into ``points``, in row order, as int64;
+    their absolute values are the normalized volumes.
 
-    Exact batched determinants (:func:`linalg.batch_det`), taken over chunks
-    of ``CENSUS_CHUNK`` rows so that the working arrays stay small however
-    many rows there are.
+    Every entry p_r[c] - p_0[c] is at most the range (max - min) of
+    coordinate c over ``points``, so one guard on the largest range
+    (:func:`linalg.exact_dtype`) picks the dtype of the whole census. Each
+    chunk of ``CENSUS_CHUNK`` rows, which bounds the working memory, is
+    gathered straight into the (d, d, N) layout of
+    :func:`linalg.batch_last_det`: rows vertex differences, columns
+    coordinates, batch last. When neither int32 nor int64 is wide enough,
+    each simplex goes to :func:`linalg.det_bareiss` on exact Python-int
+    differences; a volume that int64 cannot hold raises OverflowError.
     """
+    out = np.zeros(len(rows), dtype=np.int64)
+    if not len(out):
+        return out
     pts = np.asarray(points, dtype=np.int64)
-    chunks = [np.zeros(0, dtype=np.int64)]
+    n_pts, d = pts.shape
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    span = max((int(b) - int(a) for a, b in zip(lo, hi)), default=0)
+    dtype = linalg.exact_dtype(span, d)
+    if dtype is None:
+        exact = pts.astype(object)
+    else:
+        # Shifted to a zero minimum, every coordinate lies in [0, span] and
+        # fits dtype. Entry c P + p is coordinate c of point p.
+        table = (pts - lo).T.astype(dtype).ravel()
+        offsets = np.arange(0, d * n_pts, n_pts)[:, None]
     for start in range(0, len(rows), CENSUS_CHUNK):
-        coords = pts[np.asarray(rows[start : start + CENSUS_CHUNK], dtype=np.intp)]
-        chunks.append(linalg.batch_det(coords[:, 1:, :] - coords[:, :1, :]))
-    return np.concatenate(chunks)
+        chunk = np.asarray(rows[start : start + CENSUS_CHUNK])
+        stop = start + len(chunk)
+        if dtype is None:
+            coords = exact[chunk]
+            diffs = (coords[:, 1:] - coords[:, :1]).tolist()
+            out[start:stop] = [linalg.det_bareiss(m) for m in diffs]
+            continue
+        verts = chunk.T.astype(np.intp, order="C")  # (d+1, N)
+        g = table[verts[:, None, :] + offsets]  # (d+1, d, N), C-contiguous
+        out[start:stop] = linalg.batch_last_det(np.subtract(g[1:], g[:1]))
+    return out
 
 
 def _tally(vols: np.ndarray) -> tuple[int, list[int]]:
-    # int64 determinants are below 2**31 (see linalg._int64_safe), so the
-    # int64 sum is exact.
-    return int(np.abs(vols).sum()), np.flatnonzero(vols == 0).tolist()
+    # The int64 sum is exact while N max|v| < 2**63. Census volumes of the
+    # int32 path are below 2**31 (linalg.exact_dtype), so only points with
+    # huge coordinates can need Python's sum.
+    big = max(int(vols.max()), -int(vols.min())) if len(vols) else 0
+    if big * len(vols) < 2**63:
+        total = int(np.abs(vols).sum())
+    else:
+        total = sum(map(abs, vols.tolist()))
+    return total, np.flatnonzero(vols == 0).tolist()
 
 
 def volume_total(tri: Triangulation) -> int:

@@ -6,6 +6,11 @@ integer determinant for the volume census and ridge orientations, and a
 phase-1 simplex solver with integer pivoting used as an exact linear
 feasibility oracle.
 
+The batched determinant is one fraction-free elimination on a batch-last
+(n, n, N) array (:func:`batch_last_det`), run in int32 or int64 as one
+guard proves exact (:func:`exact_dtype`); a batch neither width can hold
+goes to the scalar :func:`det_bareiss`.
+
 The pair predicates (face to face, disjoint interiors of simplices or of
 polytopes) are certificate-first. For two full-dimensional simplices, the
 integer barycentric rows of each (:func:`barycentric_rows`, computed once
@@ -86,42 +91,53 @@ def rank_int(rows: list[list[int]]) -> int:
     return rank
 
 
-# Each vectorized Bareiss step forms the difference of two products of two
-# minors of the input before its exact division. For entries |a| <= c every
-# minor of order j <= n is at most c^j j^(j/2) <= c^n n^(n/2) (Hadamard), so
-# int64 is safe when 2 (c^n n^(n/2))^2 = 2 (c^2 n)^n stays below 2**63.
-def _int64_safe(mats: np.ndarray) -> bool:
-    n = mats.shape[1]
-    if mats.size == 0:
-        return True
-    maxabs = max(int(mats.max()), -int(mats.min()))
-    return (maxabs * maxabs * n) ** n < 2**62
+def exact_dtype(c: int, n: int):
+    """The narrower of int32 and int64 in which :func:`batch_last_det` is
+    exact on n x n matrices with integer entries |a| <= c, or None when
+    neither is wide enough (callers then take :func:`det_bareiss`).
 
-
-def batch_det(mats: np.ndarray) -> np.ndarray:
-    """Signed determinants of a batch of square integer matrices, exactly.
-
-    ``mats`` has shape (N, n, n). Runs a vectorized Bareiss elimination in
-    int64 when provably overflow-free, otherwise falls back to the scalar
-    routine per matrix (an object array of Python ints). Each row swap
-    flips the sign of its matrix. A 0x0 matrix has determinant 1.
-
-    The elimination works on an (n, n, N) copy, batch index last, so that
-    each step updates the trailing submatrix of every matrix in place with
-    a few operations on contiguous rows of N entries.
+    Proof. By Sylvester's identity, each entry that Bareiss elimination
+    (*Math. Comp.* 22, 1968) holds after step k, row swaps included, is a
+    minor of order k+2 of the input, up to sign. Before its exact division,
+    step k forms a_kk a_ij - a_ik a_kj from entries of step k-1: two
+    products of minors of order k+1 <= n-1 and their difference. The
+    divisor, a_kk of step k-1, is a nonzero integer, so a quotient is no
+    larger than its dividend. Hadamard's bound makes a minor of order j at
+    most (c sqrt(j))^j, which for c >= 1 and j <= n-1 is at most
+    (c^2 (n-1))^((n-1)/2). So every product is at most (c^2 (n-1))^(n-1)
+    and every value formed at most 2 (c^2 (n-1))^(n-1) (for c = 0 all are
+    0). For n >= 2 that bound is at least c, so it covers the input too;
+    for n <= 1 nothing is eliminated and the entries themselves must fit.
+    A signed type of b bits holds every value when the bound is below
+    2^(b-1).
     """
-    mats = np.asarray(mats, dtype=np.int64)
-    N, n, n2 = mats.shape
-    assert n == n2
+    bound = c if n < 2 else 2 * (c * c * (n - 1)) ** (n - 1)
+    for dtype in (np.int32, np.int64):
+        if bound < 2 ** (np.iinfo(dtype).bits - 1):
+            return dtype
+    return None
+
+
+def batch_last_det(m: np.ndarray) -> np.ndarray:
+    """Signed determinants of the matrices m[:, :, b] of a C-contiguous
+    (n, n, N) integer array, as int64, by vectorized Bareiss elimination
+    in m's own dtype. Overwrites m. Exact when m's dtype is at least as
+    wide as the one :func:`exact_dtype` picks for its entries. Each row
+    swap flips the sign of its matrix; a 0x0 matrix has determinant 1.
+
+    With the batch index last, each step updates the trailing submatrix of
+    every matrix in place with a few operations on contiguous rows of N
+    entries.
+    """
+    n, _, N = m.shape
+    if not m.flags.c_contiguous:
+        raise ValueError("batch_last_det needs a C-contiguous array")
     if n == 0:
         return np.ones(N, dtype=np.int64)
-    if not _int64_safe(mats):
-        return np.array([det_bareiss(m.tolist()) for m in mats], dtype=object)
-    m = mats.transpose(1, 2, 0).copy()  # never a view of the caller's array
     flat = m.reshape(-1)
     alive = np.ones(N, dtype=bool)
     sign = np.ones(N, dtype=np.int64)
-    prev = np.ones(N, dtype=np.int64)
+    prev = np.ones(N, dtype=m.dtype)
     for k in range(n - 1):
         need = alive & (m[k, k] == 0)
         if need.any():
@@ -160,6 +176,26 @@ def batch_det(mats: np.ndarray) -> np.ndarray:
                 sub //= prev
         prev = pivot
     return sign * m[n - 1, n - 1]
+
+
+def batch_det(mats: np.ndarray) -> np.ndarray:
+    """Signed determinants of a batch of square integer matrices, exactly.
+
+    ``mats`` has shape (N, n, n). The batch is copied to the (n, n, N)
+    layout of :func:`batch_last_det` in the dtype :func:`exact_dtype` picks
+    for its largest absolute entry, int32 or int64, and the result is int64.
+    When neither is wide enough, each matrix goes to :func:`det_bareiss`
+    and the result is an object array of Python ints.
+    """
+    mats = np.asarray(mats, dtype=np.int64)
+    N, n, n2 = mats.shape
+    assert n == n2
+    c = max(int(mats.max()), -int(mats.min())) if mats.size else 0
+    dtype = exact_dtype(c, n)
+    if dtype is None:
+        return np.array([det_bareiss(m.tolist()) for m in mats], dtype=object)
+    # astype copies, so the caller's array is never overwritten.
+    return batch_last_det(mats.transpose(1, 2, 0).astype(dtype, order="C"))
 
 
 def batch_abs_det(mats: np.ndarray) -> np.ndarray:

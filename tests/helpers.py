@@ -4,6 +4,8 @@ import itertools
 import json
 from fractions import Fraction
 
+import numpy as np
+
 from cubetri.cayley import MixedCell, MixedSubdivision, mixed_to_triangulation
 from cubetri.coloring import Coloring, product_size
 from cubetri.complexes import Triangulation
@@ -14,6 +16,7 @@ from cubetri.geometry import (
     product_config,
     simplex_config,
 )
+from cubetri.linalg import exact_dtype
 
 
 def two_triangle_prism() -> Triangulation:
@@ -69,3 +72,16 @@ def reference_from_json(text: str) -> Triangulation:
             if type(i) is not int or not 0 <= i < n:
                 raise ValueError(f"bad simplex index {i!r}")
     return Triangulation(config, tuple(tuple(s) for s in obj["simplices"]))
+
+
+def path_edges(n: int) -> list[int]:
+    """The last entry bound c that :func:`linalg.exact_dtype` sends to int32
+    for n x n matrices, the first past it, and the same for int64."""
+    edges = []
+    for ok in ((np.int32,), (np.int32, np.int64)):
+        lo, hi = 0, 2**64  # exact_dtype(lo, n) is in ok, exact_dtype(hi, n) not
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if exact_dtype(mid, n) in ok else (lo, mid)
+        edges += [lo, hi]
+    return edges

@@ -3,11 +3,13 @@ import warnings
 from fractions import Fraction
 
 import numpy as np
+from helpers import path_edges
 
 from cubetri.linalg import (
     batch_abs_det,
     batch_det,
     det_bareiss,
+    exact_dtype,
     feasible,
     rank_int,
     simplices_face_to_face,
@@ -124,6 +126,54 @@ def test_batch_det_of_empty_matrices_is_one():
     # the empty product, as for det_bareiss([])
     assert det_bareiss([]) == 1
     assert batch_abs_det(np.zeros((3, 0, 0), dtype=np.int64)).tolist() == [1, 1, 1]
+
+
+def test_exact_dtype_at_its_bound():
+    # 2 (c^2 (n-1))^(n-1) < 2^(bits-1): for n = 2 that is 2 c^2 < 2^31 up
+    # to c = 2^15 - 1, and 2 c^2 < 2^63 up to c = 2^31 - 1.
+    assert exact_dtype(2**15 - 1, 2) is np.int32
+    assert exact_dtype(2**15, 2) is np.int64
+    assert exact_dtype(2**31 - 1, 2) is np.int64
+    assert exact_dtype(2**31, 2) is None
+    # n = 3: 8 c^4 < 2^31 up to c = 2^7 - 1, and < 2^63 up to c = 2^15 - 1
+    assert exact_dtype(2**7 - 1, 3) is np.int32
+    assert exact_dtype(2**7, 3) is np.int64
+    assert exact_dtype(2**15 - 1, 3) is np.int64
+    assert exact_dtype(2**15, 3) is None
+    # n = 10, the d=10 census: 2 * 9^9 < 2^31 at c = 1, and c = 2 is past it
+    assert exact_dtype(1, 10) is np.int32
+    assert exact_dtype(2, 10) is np.int64
+    # nothing is eliminated for n <= 1, so only the entries must fit
+    assert exact_dtype(2**31 - 1, 1) is np.int32
+    assert exact_dtype(2**31, 1) is np.int64
+    assert exact_dtype(2**63, 1) is None
+    assert exact_dtype(0, 0) is np.int32
+
+
+def test_batch_det_is_exact_on_either_side_of_each_bound():
+    # [[c, c], [-c, c]] reaches the bound 2 c^2 in its one elimination
+    # step: at c = 2^15 that is 2^31, one past int32, and at c = 2^31 it
+    # is 2^63, one past int64.
+    for c in (2**15 - 1, 2**15, 2**31 - 1):
+        got = batch_det(np.array([[[c, c], [-c, c]], [[c, -c], [c, c]]]))
+        assert got.dtype == np.int64
+        assert got.tolist() == [2 * c * c] * 2
+    got = batch_det(np.array([[[2**31, 2**31], [-(2**31), 2**31]]]))
+    assert got.dtype == object and got.tolist() == [2**63]
+    assert batch_det(np.array([[[2**31]], [[-(2**31)]]])).tolist() == [2**31, -(2**31)]
+
+
+def test_batch_det_matches_scalar_at_each_path_edge():
+    # Random matrices whose largest entry is the last c of each path and
+    # the first c past it: int32, int64, then the scalar fallback.
+    rng = np.random.default_rng(5)
+    for n in (3, 4, 6):
+        for c in path_edges(n):
+            mats = rng.integers(-c, c + 1, size=(300, n, n))
+            mats[:, 0, 0] = c  # the guard sees exactly c
+            mats[::5, :, n - 1] = 0  # and some matrices die
+            got = batch_det(mats)
+            assert [int(v) for v in got] == [det_bareiss(m.tolist()) for m in mats]
 
 
 def _bareiss_trace(rows):

@@ -166,6 +166,24 @@ def test_cli_build_prints_one_line_for_an_invalid_spec(capsys, argv, match):
     assert match in lines[0] and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, match",
+    [
+        (["--q-dim", "2", "--m", "0"], "must be positive"),
+        (["--q-dim", "0", "--m", "2"], "q-dim must be positive"),
+        (["--q-dim", "2", "--m", "2", "--samples", "0"], "must be positive"),
+    ],
+)
+def test_cli_expect_prints_one_line_for_an_invalid_spec(capsys, argv, match):
+    from cubetri.cli import main
+
+    assert main(["expect", *argv]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("invalid spec: ")
+    assert match in lines[0] and captured.out == ""
+
+
 def test_ridge_mode_agrees_on_pipeline_output():
     from cubetri.complexes import ridge_report, validate_dissection
 

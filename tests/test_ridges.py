@@ -12,10 +12,11 @@ and tampered triangulations.
 import itertools
 import os
 import random
+import warnings
 
 import numpy as np
 import pytest
-from helpers import reference_to_json
+from helpers import path_edges, reference_to_json
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -25,16 +26,25 @@ from cubetri.complexes import (
     Triangulation,
     Violation,
     _apex_sides,
+    batch_volumes_of,
     ridge_report,
+    signed_volumes,
     triangulation_from_json,
     triangulation_to_json,
     validate_dissection,
     validate_face_to_face,
 )
 from cubetri.geometry import cube_config, facet_inequalities, minkowski_config
-from cubetri.linalg import batch_abs_det, batch_det, det_bareiss
+from cubetri.cayley import cell_points
+from cubetri.linalg import batch_abs_det, batch_det, det_bareiss, exact_dtype
 from cubetri.pipeline import PipelineSpec, build_cube_recursive
-from cubetri.seeds import cayley_seed, minimal_cube, unimodular_cube
+from cubetri.seeds import (
+    cayley_seed,
+    minimal_cube,
+    seed_i3d1,
+    seed_i3d2,
+    unimodular_cube,
+)
 
 RIDGE_KINDS = ("ridge-overused", "open-interior-ridge", "ridge-same-side")
 
@@ -298,6 +308,86 @@ def test_batch_det_keeps_the_sign_through_row_swaps():
 
 def test_batch_det_of_empty_matrices():
     assert batch_det(np.zeros((2, 0, 0), dtype=np.int64)).tolist() == [1, 1]
+
+
+# -- the census ----------------------------------------------------------------
+
+
+def _assert_census_exact(points, rows):
+    """signed_volumes equals the scalar determinant of each simplex's vertex
+    differences, in int64 and without a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = signed_volumes(points, rows)
+    assert got.dtype == np.int64
+    want = [
+        det_bareiss([[a - b for a, b in zip(points[v], points[s[0]])] for v in s[1:]])
+        for s in np.asarray(rows).tolist()
+    ]
+    assert got.tolist() == want
+    return got
+
+
+def test_census_matches_scalar_on_pipeline_outputs(pipeline_outputs):
+    tris = dict(pipeline_outputs)
+    tris[8] = build_cube_recursive(
+        PipelineSpec(dim=8, samples=3, rng_seed=1, materialize_max_dim=8)
+    )[0]
+    for d, tri in tris.items():
+        assert exact_dtype(1, d) is np.int32
+        vols = _assert_census_exact(tri.config.points, tri.rows)
+        assert (vols > 0).any() and (vols < 0).any()
+
+
+def test_census_matches_scalar_on_the_seeds_mixed_cells():
+    # Each mixed cell of a seed spans lattice points of [0,m]^3, so the
+    # census sees coordinate ranges 2 and 3. Every 4-subset of a cell's
+    # points is a row, flat ones included.
+    for sub in (seed_i3d1(), seed_i3d2()):
+        cfg = minkowski_config(3, sub.m)
+        where = {p: i for i, p in enumerate(cfg.points)}
+        rows = sorted(
+            {
+                combo
+                for cell in sub.cells
+                for combo in itertools.combinations(
+                    sorted(where[p] for p in cell_points(sub.base, cell)), 4
+                )
+            }
+        )
+        vols = _assert_census_exact(cfg.points, rows)
+        assert (vols == 0).any() and (vols != 0).any()
+        assert {max(p) for p in cfg.points} == set(range(sub.m + 1))
+
+
+def test_census_matches_scalar_at_each_path_edge():
+    # Points whose largest coordinate range is the last one of each path
+    # and the first one past it: int32, int64, then the scalar fallback.
+    rng = np.random.default_rng(6)
+    for d in (2, 3, 5):
+        for span in path_edges(d):
+            pts = rng.integers(0, span + 1, size=(40, d)).tolist()
+            pts[0][0], pts[1][0] = 0, span
+            rows = np.sort(
+                np.array([rng.choice(40, d + 1, replace=False) for _ in range(300)]),
+                axis=1,
+            )
+            rows[::7, 1] = rows[::7, 0]  # repeated vertex: a dead matrix
+            rows[::7].sort(axis=1)
+            _assert_census_exact([tuple(p) for p in pts], rows)
+
+
+def test_census_totals_past_int64_are_exact():
+    # Two triangles of a square of side 2^31 on the scalar path: each
+    # volume is 2^62 and their sum 2^63 no longer fits int64.
+    s = 2**31
+    pts = ((0, 0), (s, 0), (0, s), (s, s))
+    vols = _assert_census_exact(pts, [(0, 1, 3), (0, 2, 3)])
+    assert vols.tolist() == [2**62, -(2**62)]
+    assert batch_volumes_of(pts, [(0, 1, 3), (0, 2, 3), (0, 1, 2)]) == (3 * 2**62, 0)
+    # at side 2^32 a volume is 2^64, which int64 cannot hold
+    with pytest.raises(OverflowError):
+        signed_volumes(tuple((2 * x, 2 * y) for x, y in pts), [(0, 1, 3)])
 
 
 # -- the command line ----------------------------------------------------------
