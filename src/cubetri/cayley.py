@@ -5,29 +5,30 @@ A simplex of P x simplex(m-1) splits into the vertex sets over each simplex
 vertex; those sets, read as an ordered list of summands, are a mixed cell
 of P + ... + P. The map is a bijection on cells and round-trips exactly.
 Mixed subdivisions store summand lists (the data the correspondence and the
-small-dimension constructions actually use); geometry is derived on demand.
+small-dimension constructions actually use). Their geometry is checked on
+the Cayley triangulation alone: :func:`validate_mixed` is the ridge
+certificate of :func:`mixed_to_triangulation`.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
 from .complexes import (
+    Simplex,
     Triangulation,
     ValidityReport,
     Violation,
     factor_blocks,
+    ridge_certificate,
     simplex_factor,
 )
 from .geometry import (
     CubeLabel,
     PointConfiguration,
-    affine_rank,
     config_from_label,
     parse_label,
     product_config,
@@ -54,76 +55,6 @@ class MixedSubdivision:
     cells: tuple[MixedCell, ...]
 
 
-def _cell_edges(base: PointConfiguration, cell: MixedCell):
-    """Edge vectors of the distinct summands, with multiplicities.
-
-    Returns (edges, groups) where groups lists (multiplicity, dim) per
-    distinct summand; repeated summands arise from scaled subdivisions and
-    contribute a dilation factor, not new directions.
-    """
-    pts = base.points
-    counts: dict[Summand, int] = {}
-    for b in cell.summands:
-        counts[b] = counts.get(b, 0) + 1
-    edges = []
-    groups = []
-    for b, mult in counts.items():
-        t = len(b) - 1
-        p0 = pts[b[0]]
-        for i in b[1:]:
-            edges.append([pts[i][j] - p0[j] for j in range(base.dim)])
-        groups.append((mult, t))
-    return edges, groups
-
-
-def cell_normalized_volume(base: PointConfiguration, cell: MixedCell) -> Fraction:
-    """Normalized volume (l! times Euclidean) of the geometric cell.
-
-    The cell is the Minkowski sum of dilated simplices in complementary
-    directions: an affine image of a product of standard simplices, so the
-    volume is |det(edges)| * l! * prod(mult^dim) / prod(dim!).
-    """
-    l = base.dim
-    edges, groups = _cell_edges(base, cell)
-    if sum(t for _, t in groups) != l:
-        return Fraction(0)
-    det = abs(linalg.det_bareiss(edges))
-    vol = Fraction(det * math.factorial(l))
-    for mult, t in groups:
-        vol = vol * mult**t / math.factorial(t)
-    return vol
-
-
-def cell_points(base: PointConfiguration, cell: MixedCell) -> list[tuple[int, ...]]:
-    """All pairwise-sum lattice points of the cell (its V-description)."""
-    pts = base.points
-    sums = set()
-    for combo in itertools.product(*[b for b in cell.summands]):
-        total = tuple(
-            sum(pts[i][j] for i in combo) for j in range(base.dim)
-        )
-        sums.add(total)
-    return sorted(sums)
-
-
-def _check_fine(base: PointConfiguration, cell: MixedCell) -> str | None:
-    l = base.dim
-    pts = base.points
-    total_dim = 0
-    for b in cell.summands:
-        if not b:
-            return "empty summand"
-        if affine_rank([pts[i] for i in b]) != len(b) - 1:
-            return "summand not a simplex"
-        total_dim += len(b) - 1
-    if total_dim != l:
-        return f"summand dimensions sum to {total_dim}, not {l}"
-    edges, _ = _cell_edges(base, cell)
-    if len(edges) != l or abs(linalg.det_bareiss(edges)) == 0:
-        return "summands not in complementary directions"
-    return None
-
-
 def triangulation_to_mixed(tri: Triangulation) -> MixedSubdivision:
     """Fine mixed subdivision corresponding to a triangulation of
     P x simplex(m-1)."""
@@ -133,23 +64,33 @@ def triangulation_to_mixed(tri: Triangulation) -> MixedSubdivision:
     return MixedSubdivision(base, m, cells)
 
 
+def _cayley_simplex(cell: MixedCell, m: int, l: int) -> Simplex:
+    """The Cayley simplex of ``cell``: point p of summand i is vertex
+    p m + i of P x simplex(m-1). ValueError for a cell that cannot give
+    one: a summand count other than m, an empty summand, or a vertex count
+    other than l + m (summand dimensions that do not sum to l)."""
+    summands = cell.summands
+    if len(summands) != m:
+        raise ValueError(f"cell {summands}: {len(summands)} summands, not {m}")
+    if not all(summands):
+        raise ValueError(f"cell {summands}: empty summand")
+    verts = tuple(sorted(p * m + i for i, b in enumerate(summands) for p in b))
+    if len(verts) != l + m:
+        raise ValueError(f"cell {summands}: {len(verts)} Cayley vertices, not {l + m}")
+    return verts
+
+
 def mixed_to_triangulation(sub: MixedSubdivision) -> Triangulation:
-    """Inverse of :func:`triangulation_to_mixed`; rejects non-fine cells."""
-    m = sub.m
-    cfg = product_config(sub.base, simplex_config(m - 1))
-    simplices = []
-    for cell in sub.cells:
-        if len(cell.summands) != m:
-            raise ValueError("cell summand count does not match m")
-        err = _check_fine(sub.base, cell)
-        if err:
-            raise ValueError(f"non-fine cell {cell.summands}: {err}")
-        verts = []
-        for i, b in enumerate(cell.summands):
-            for p in b:
-                verts.append(p * m + i)
-        simplices.append(tuple(sorted(verts)))
-    return Triangulation(cfg, tuple(simplices))
+    """Inverse of :func:`triangulation_to_mixed`: the Cayley simplices of
+    the cells, in cell order. Raises ValueError only for a cell that has no
+    Cayley simplex (:func:`_cayley_simplex`). A cell whose summands are
+    affinely dependent or not in complementary directions gives a
+    degenerate simplex; deciding fineness and tiling is
+    :func:`validate_mixed`'s job."""
+    cfg = product_config(sub.base, simplex_config(sub.m - 1))
+    return Triangulation(
+        cfg, [_cayley_simplex(c, sub.m, sub.base.dim) for c in sub.cells]
+    )
 
 
 def scale_mixed(sub: MixedSubdivision, kvec: tuple[int, ...]) -> MixedSubdivision:
@@ -210,81 +151,39 @@ def summand_projection(sub: MixedSubdivision, i: int) -> Triangulation:
 
 
 def validate_mixed(sub: MixedSubdivision) -> ValidityReport:
-    """Exact geometric validation: fineness per cell, volume census against
-    m^l * l!, and pairwise disjoint interiors of the realized cells."""
+    """Exact validation through the Cayley trick: the cells form a fine
+    mixed subdivision of P + ... + P exactly when their Cayley simplices
+    triangulate P x simplex(m-1) (Huber, Rambau and Santos, *J. Eur. Math.
+    Soc.* 2, 2000), which :func:`complexes.ridge_certificate` decides.
+
+    A cell that has no Cayley simplex is one ``not-fine`` violation and
+    stays out of the check; the violations of the census and the ridge
+    check of the other cells follow, in :func:`complexes.ridge_report`'s
+    order. ``volume_total`` is the mixed volume of the cells, m^l l! for a
+    subdivision: each cell's Cayley volume, from the same census, times
+    l! / prod(dim B_i!).
+    """
+    l, m = sub.base.dim, sub.m
     violations: list[Violation] = []
-    l = sub.base.dim
-    vols = []
-    realized = []
+    kept = []
     for cell in sub.cells:
-        err = _check_fine(sub.base, cell)
-        if err:
-            violations.append(Violation("not-fine", (cell.summands,), err))
-        v = cell_normalized_volume(sub.base, cell)
-        if v == 0:
-            violations.append(Violation("degenerate", (cell.summands,)))
-        vols.append(v)
-        realized.append(cell_points(sub.base, cell))
-    total = sum(vols, Fraction(0))
-    expected = Fraction(sub.m**l * math.factorial(l))
-    if total != expected:
-        violations.append(
-            Violation("volume-mismatch", (), f"got {total}, expected {expected}")
-        )
-    n = len(sub.cells)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not linalg.polytopes_interiors_disjoint(realized[i], realized[j]):
-                violations.append(
-                    Violation(
-                        "interior-overlap",
-                        (sub.cells[i].summands, sub.cells[j].summands),
-                    )
-                )
+        try:
+            _cayley_simplex(cell, m, l)
+        except ValueError as exc:
+            violations.append(Violation("not-fine", (cell.summands,), str(exc)))
+            continue
+        kept.append(cell)
+    tri = mixed_to_triangulation(MixedSubdivision(sub.base, m, tuple(kept)))
+    vols, _, found = ridge_certificate(tri)
+    violations += found
+    total = 0
+    for vol, cell in zip(vols.tolist(), kept):
+        share = math.factorial(l)
+        for b in cell.summands:
+            share //= math.factorial(len(b) - 1)
+        total += abs(vol) * share
     ok = not violations
-    # volume_total reported as an int when integral (fine cells always are)
-    vt = int(total) if total.denominator == 1 else total
-    return ValidityReport(ok, False, vt, violations)
-
-
-def decompose_cell(
-    base: PointConfiguration, m: int, target_points: list[tuple[int, ...]]
-) -> MixedCell | None:
-    """Search for a fine summand decomposition of a cell given only by its
-    vertex set. Brute force over simplex summands with dimension pruning;
-    intended for reconstructing cells from drawings, not for bulk use."""
-    l = base.dim
-    target = set(map(tuple, target_points))
-    pts = base.points
-    nb = len(pts)
-    simplices_by_dim: dict[int, list[Summand]] = {}
-    for size in range(1, l + 2):
-        out = []
-        for combo in itertools.combinations(range(nb), size):
-            if affine_rank([pts[i] for i in combo]) == size - 1:
-                out.append(combo)
-        simplices_by_dim[size - 1] = out
-
-    def rec(pos: int, remaining_dim: int, acc: list[Summand]):
-        if pos == m:
-            if remaining_dim != 0:
-                return None
-            cell = MixedCell(tuple(acc))
-            if _check_fine(base, cell) is None and set(
-                map(tuple, cell_points(base, cell))
-            ) == target:
-                return cell
-            return None
-        for t in range(min(remaining_dim, l) + 1):
-            for b in simplices_by_dim[t]:
-                acc.append(b)
-                got = rec(pos + 1, remaining_dim - t, acc)
-                acc.pop()
-                if got is not None:
-                    return got
-        return None
-
-    return rec(0, l, [])
+    return ValidityReport(ok, ok, total, violations)
 
 
 def mixed_to_json(sub: MixedSubdivision) -> str:

@@ -17,7 +17,8 @@ index of a point, or simplices of different sizes) prints one
 over uniform colorings next to sampled sizes.
 
 Exit code 0 iff every requested validation passed; 2 for a spec that
-``build`` or ``expect`` rejects, with one ``invalid spec: ...`` line.
+``build``, ``expect``, ``seeds show`` or ``oracle`` rejects, with one
+``invalid spec: ...`` line.
 """
 
 from __future__ import annotations
@@ -160,23 +161,30 @@ def _cmd_expect(args) -> int:
     return 0
 
 
-def _cmd_seeds_show(args) -> int:
-    name = args.name
+def _seed_text(name: str) -> str:
+    """The JSON of a catalog object; ValueError for a name or size the
+    catalog does not hold."""
     msq = re.fullmatch(r"square_family\((\d+)\)", name)
     mmin = re.fullmatch(r"minimal_cube\((\d+)\)", name)
     muni = re.fullmatch(r"unimodular_cube\((\d+)\)", name)
     if name == "i3d1":
-        text = mixed_to_json(seed_i3d1())
-    elif name == "i3d2":
-        text = mixed_to_json(seed_i3d2())
-    elif msq:
-        text = mixed_to_json(square_family(int(msq.group(1))))
-    elif mmin:
-        text = triangulation_to_json(minimal_cube(int(mmin.group(1))))
-    elif muni:
-        text = triangulation_to_json(unimodular_cube(int(muni.group(1))))
-    else:
-        print(f"unknown seed {name!r}", file=sys.stderr)
+        return mixed_to_json(seed_i3d1())
+    if name == "i3d2":
+        return mixed_to_json(seed_i3d2())
+    if msq:
+        return mixed_to_json(square_family(int(msq.group(1))))
+    if mmin:
+        return triangulation_to_json(minimal_cube(int(mmin.group(1))))
+    if muni:
+        return triangulation_to_json(unimodular_cube(int(muni.group(1))))
+    raise ValueError(f"unknown seed {name!r}")
+
+
+def _cmd_seeds_show(args) -> int:
+    try:
+        text = _seed_text(args.name)
+    except ValueError as exc:
+        print(f"invalid spec: {exc}", file=sys.stderr)
         return 2
     if args.out:
         with open(args.out, "w") as fh:
@@ -198,7 +206,11 @@ def _parse_config_name(name: str):
 
 
 def _cmd_oracle(args) -> int:
-    cfg = _parse_config_name(args.config)
+    try:
+        cfg = _parse_config_name(args.config)
+    except ValueError as exc:
+        print(f"invalid spec: {exc}", file=sys.stderr)
+        return 2
     problem = SearchProblem(cfg, objective=args.objective)
     value, witness = min_weighted_size(problem)
     print(f"minimum {args.objective} over {args.config}: {value}")

@@ -31,9 +31,10 @@ the pseudo-manifold property in De Loera, Rambau and Santos,
 *Triangulations* (Springer, 2010). The pairwise checks stay the
 authoritative oracle on small inputs. :func:`ridge_violations` is the
 ridge part alone, for a caller (the pipeline) that already holds the
-census's signed volumes. The oracle's enumerator takes its volumes, ridge
-sides and boundary ridges from the same census, :func:`_apex_sides` and
-:func:`facet_incidence`.
+census's signed volumes; :func:`ridge_certificate` returns them with the
+verdict, for a caller (:func:`cayley.validate_mixed`) that needs them. The
+oracle's enumerator takes its volumes, ridge sides and boundary ridges
+from the same census, :func:`_apex_sides` and :func:`facet_incidence`.
 
 Files hold one simplex per line (:class:`TriangulationWriter`), so a step
 too large to keep in memory is written chunk by chunk in the same format.
@@ -183,8 +184,9 @@ def signed_volumes(points, rows) -> np.ndarray:
 
     Every entry p_r[c] - p_0[c] is at most the range (max - min) of
     coordinate c over ``points``, so one guard on the largest range
-    (:func:`linalg.exact_dtype`) picks the dtype of the whole census. Each
-    chunk of ``CENSUS_CHUNK`` rows, which bounds the working memory, is
+    (:func:`linalg.exact_dtype`, on Python ints when a coordinate does not
+    fit int64) picks the dtype of the whole census. Each chunk of
+    ``CENSUS_CHUNK`` rows, which bounds the working memory, is
     gathered straight into the (d, d, N) layout of
     :func:`linalg.batch_last_det`: rows vertex differences, columns
     coordinates, batch last. When neither int32 nor int64 is wide enough,
@@ -194,7 +196,7 @@ def signed_volumes(points, rows) -> np.ndarray:
     out = np.zeros(len(rows), dtype=np.int64)
     if not len(out):
         return out
-    pts = np.asarray(points, dtype=np.int64)
+    pts = linalg.int_array(points)
     n_pts, d = pts.shape
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     span = max((int(b) - int(a) for a, b in zip(lo, hi)), default=0)
@@ -212,7 +214,10 @@ def signed_volumes(points, rows) -> np.ndarray:
         if dtype is None:
             coords = exact[chunk]
             diffs = (coords[:, 1:] - coords[:, :1]).tolist()
-            out[start:stop] = [linalg.det_bareiss(m) for m in diffs]
+            try:
+                out[start:stop] = [linalg.det_bareiss(m) for m in diffs]
+            except OverflowError:
+                raise OverflowError("a signed volume int64 cannot hold") from None
             continue
         verts = chunk.T.astype(np.intp, order="C")  # (d+1, N)
         g = table[verts[:, None, :] + offsets]  # (d+1, d, N), C-contiguous
@@ -448,13 +453,20 @@ def ridge_violations(
     return violations
 
 
-def ridge_report(tri: Triangulation) -> ValidityReport:
-    """The ridge certificate of the module docstring, decided exactly: the
-    census of :func:`validate_dissection` against the configuration's
-    volume, whose violations come first, then :func:`ridge_violations` on
-    the census's signed volumes."""
+def ridge_certificate(tri: Triangulation) -> tuple[np.ndarray, int, list[Violation]]:
+    """The ridge certificate of the module docstring, decided exactly, as
+    (signed volumes of the full-dimensional rows, total volume,
+    violations): the census of :func:`validate_dissection` against the
+    configuration's volume, whose violations come first, then
+    :func:`ridge_violations` on the census's signed volumes."""
     full, vols, total, violations = _census(tri, expected_volume(tri.config))
     violations += ridge_violations(tri.config, full, vols)
+    return vols, total, violations
+
+
+def ridge_report(tri: Triangulation) -> ValidityReport:
+    """:func:`ridge_certificate` as a report."""
+    _, total, violations = ridge_certificate(tri)
     ok = not violations
     return ValidityReport(ok, ok, total, violations)
 

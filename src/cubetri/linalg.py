@@ -19,7 +19,9 @@ the pair, which integer dot products alone show. Every pair the
 certificate does not settle goes to one LP formulation: convex-combination
 (barycentric) feasibility with integer rows, d+1 or d+2 of them, and one
 column per vertex of either side. No floating point is ever consulted for
-a decision.
+a decision. The polytope predicate has no caller in the package: mixed
+cells are checked on their Cayley simplices (:mod:`cayley`), and only the
+tests and the benchmark's tracer still call it.
 """
 
 from __future__ import annotations
@@ -178,16 +180,26 @@ def batch_last_det(m: np.ndarray) -> np.ndarray:
     return sign * m[n - 1, n - 1]
 
 
+def int_array(values) -> np.ndarray:
+    """``values`` as an int64 array, or as an object array of Python ints
+    when some value does not fit int64."""
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return np.asarray(values, dtype=object)
+
+
 def batch_det(mats: np.ndarray) -> np.ndarray:
     """Signed determinants of a batch of square integer matrices, exactly.
 
     ``mats`` has shape (N, n, n). The batch is copied to the (n, n, N)
     layout of :func:`batch_last_det` in the dtype :func:`exact_dtype` picks
     for its largest absolute entry, int32 or int64, and the result is int64.
-    When neither is wide enough, each matrix goes to :func:`det_bareiss`
-    and the result is an object array of Python ints.
+    When neither is wide enough (entries beyond int64 included), each
+    matrix goes to :func:`det_bareiss` and the result is an object array of
+    Python ints.
     """
-    mats = np.asarray(mats, dtype=np.int64)
+    mats = int_array(mats)
     N, n, n2 = mats.shape
     assert n == n2
     c = max(int(mats.max()), -int(mats.min())) if mats.size else 0

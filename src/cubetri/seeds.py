@@ -18,8 +18,10 @@ significant first):
   prisms and joining tetrahedra at the ends. 20 prisms + 16 tetrahedra +
   2 parallelepipeds, weighted size 44/3.
 
-Both are verified on first construction: partition of the target box,
-fineness of every cell, census, weighted size. The square family for any
+Both are verified on first construction: the cell census and the weighted
+size, then the ridge certificate of the Cayley triangulation, which holds
+exactly when the cells are fine and partition the target box (the Cayley
+trick; see :func:`cayley.validate_mixed`). The square family for any
 number of summands is generated as the block lift of the optimal
 two-square seed and is valid by construction.
 """
@@ -37,9 +39,8 @@ from .cayley import (
     mixed_to_triangulation,
     mixed_weighted_size,
     triangulation_to_mixed,
-    validate_mixed,
 )
-from .complexes import Simplex, Triangulation
+from .complexes import Simplex, Triangulation, ridge_report
 from .geometry import cube_config
 from .staircase import lift_triangulation
 
@@ -218,9 +219,10 @@ def _census(sub: MixedSubdivision) -> dict[tuple[int, ...], int]:
 
 
 @functools.cache
-def _seed(name: str) -> MixedSubdivision:
-    """The named seed, built and verified. Only a verified seed is cached,
-    so a failed verification raises again on every call."""
+def _seed(name: str) -> tuple[MixedSubdivision, Triangulation]:
+    """The named seed and its Cayley triangulation, built once and
+    certified by :func:`complexes.ridge_report`. Only a certified seed is
+    cached, so a failed verification raises again on every call."""
     m, cells, census, weighted = _SEEDS[name]
     sub = MixedSubdivision(cube_config(3), m, tuple(MixedCell(c) for c in cells))
     got = _census(sub)
@@ -229,29 +231,34 @@ def _seed(name: str) -> MixedSubdivision:
     ws = mixed_weighted_size(sub)
     if ws != weighted:
         raise AssertionError(f"{name}: weighted size {ws}, expected {weighted}")
-    report = validate_mixed(sub)
+    try:
+        tri = mixed_to_triangulation(sub)
+    except ValueError as exc:
+        raise AssertionError(f"{name}: {exc}") from None
+    report = ridge_report(tri)
     if not report.is_dissection:
         raise AssertionError(f"{name}: invalid subdivision: {report.violations[:5]}")
-    return sub
+    return sub, tri
 
 
 def seed_i3d1() -> MixedSubdivision:
     """Fine mixed subdivision of [0,2]^3: 10 tetrahedra + 6 prisms,
     weighted size 14/3; its Cayley triangulation has 16 cells."""
-    return _seed("i3d1")
+    return _seed("i3d1")[0]
 
 
 def seed_i3d2() -> MixedSubdivision:
     """Fine mixed subdivision of [0,3]^3: 20 prisms + 16 tetrahedra + 2
     parallelepipeds, weighted size 44/3."""
-    return _seed("i3d2")
+    return _seed("i3d2")[0]
 
 
 def cayley_seed(name: str) -> Triangulation:
-    """The Cayley triangulation of a named seed (i3d1 | i3d2)."""
+    """The certified Cayley triangulation of a named seed (i3d1 | i3d2),
+    cached with its read-only rows."""
     if name not in _SEEDS:
         raise ValueError(f"unknown seed {name!r}")
-    return mixed_to_triangulation(_seed(name))
+    return _seed(name)[1]
 
 
 @dataclass(frozen=True)

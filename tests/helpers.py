@@ -2,21 +2,24 @@
 
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from cubetri.cayley import MixedCell, MixedSubdivision, mixed_to_triangulation
 from cubetri.coloring import Coloring, product_size
-from cubetri.complexes import Triangulation
+from cubetri.complexes import Triangulation, ValidityReport, Violation
 from cubetri.geometry import (
+    PointConfiguration,
+    affine_rank,
     config_from_label,
     cube_config,
     parse_label,
     product_config,
     simplex_config,
 )
-from cubetri.linalg import exact_dtype
+from cubetri.linalg import det_bareiss, exact_dtype, polytopes_interiors_disjoint
 
 
 def two_triangle_prism() -> Triangulation:
@@ -85,3 +88,112 @@ def path_edges(n: int) -> list[int]:
             lo, hi = (mid, hi) if exact_dtype(mid, n) in ok else (lo, mid)
         edges += [lo, hi]
     return edges
+
+
+# -- mixed cells realized as polytopes: the reference for validate_mixed ----
+
+
+def _cell_edges(base: PointConfiguration, cell: MixedCell):
+    """Edge vectors of the distinct summands, with multiplicities.
+
+    Returns (edges, groups) where groups lists (multiplicity, dim) per
+    distinct summand; repeated summands arise from scaled subdivisions and
+    contribute a dilation factor, not new directions.
+    """
+    pts = base.points
+    counts: dict = {}
+    for b in cell.summands:
+        counts[b] = counts.get(b, 0) + 1
+    edges = []
+    groups = []
+    for b, mult in counts.items():
+        t = len(b) - 1
+        p0 = pts[b[0]]
+        for i in b[1:]:
+            edges.append([pts[i][j] - p0[j] for j in range(base.dim)])
+        groups.append((mult, t))
+    return edges, groups
+
+
+def cell_normalized_volume(base: PointConfiguration, cell: MixedCell) -> Fraction:
+    """Normalized volume (l! times Euclidean) of the geometric cell.
+
+    The cell is the Minkowski sum of dilated simplices in complementary
+    directions: an affine image of a product of standard simplices, so the
+    volume is |det(edges)| * l! * prod(mult^dim) / prod(dim!).
+    """
+    l = base.dim
+    edges, groups = _cell_edges(base, cell)
+    if sum(t for _, t in groups) != l:
+        return Fraction(0)
+    det = abs(det_bareiss(edges))
+    vol = Fraction(det * math.factorial(l))
+    for mult, t in groups:
+        vol = vol * mult**t / math.factorial(t)
+    return vol
+
+
+def cell_points(base: PointConfiguration, cell: MixedCell) -> list[tuple[int, ...]]:
+    """All pairwise-sum lattice points of the cell (its V-description)."""
+    pts = base.points
+    sums = set()
+    for combo in itertools.product(*[b for b in cell.summands]):
+        total = tuple(sum(pts[i][j] for i in combo) for j in range(base.dim))
+        sums.add(total)
+    return sorted(sums)
+
+
+def _check_fine(base: PointConfiguration, cell: MixedCell) -> str | None:
+    l = base.dim
+    pts = base.points
+    total_dim = 0
+    for b in cell.summands:
+        if not b:
+            return "empty summand"
+        if affine_rank([pts[i] for i in b]) != len(b) - 1:
+            return "summand not a simplex"
+        total_dim += len(b) - 1
+    if total_dim != l:
+        return f"summand dimensions sum to {total_dim}, not {l}"
+    edges, _ = _cell_edges(base, cell)
+    if len(edges) != l or abs(det_bareiss(edges)) == 0:
+        return "summands not in complementary directions"
+    return None
+
+
+def reference_validate_mixed(sub: MixedSubdivision) -> ValidityReport:
+    """The geometric check of mixed cells without the Cayley trick:
+    fineness per cell, volume census against m^l * l!, and pairwise
+    disjoint interiors of the realized cells by the exact polytope LP."""
+    violations: list[Violation] = []
+    l = sub.base.dim
+    vols = []
+    realized = []
+    for cell in sub.cells:
+        err = _check_fine(sub.base, cell)
+        if err:
+            violations.append(Violation("not-fine", (cell.summands,), err))
+        v = cell_normalized_volume(sub.base, cell)
+        if v == 0:
+            violations.append(Violation("degenerate", (cell.summands,)))
+        vols.append(v)
+        realized.append(cell_points(sub.base, cell))
+    total = sum(vols, Fraction(0))
+    expected = Fraction(sub.m**l * math.factorial(l))
+    if total != expected:
+        violations.append(
+            Violation("volume-mismatch", (), f"got {total}, expected {expected}")
+        )
+    n = len(sub.cells)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not polytopes_interiors_disjoint(realized[i], realized[j]):
+                violations.append(
+                    Violation(
+                        "interior-overlap",
+                        (sub.cells[i].summands, sub.cells[j].summands),
+                    )
+                )
+    ok = not violations
+    vt = int(total) if total.denominator == 1 else total
+    return ValidityReport(ok, False, vt, violations)

@@ -1,13 +1,14 @@
 import math
 
 import pytest
+from helpers import cell_normalized_volume, cell_points, reference_validate_mixed
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubetri.cayley import (
     MixedCell,
     MixedSubdivision,
-    cell_normalized_volume,
     count_area2_squares,
-    decompose_cell,
     mixed_from_json,
     mixed_to_json,
     mixed_to_triangulation,
@@ -19,7 +20,7 @@ from cubetri.cayley import (
 )
 from cubetri.complexes import validate_face_to_face, weighted_size
 from cubetri.geometry import cube_config
-from cubetri.seeds import cayley_seed, seed_i3d1, square_family
+from cubetri.seeds import cayley_seed, seed_i3d1, seed_i3d2, square_family
 
 
 def test_round_trip_i3d1():
@@ -44,8 +45,6 @@ def test_segment_case():
 
 
 def _cell_pts(sub, cell):
-    from cubetri.cayley import cell_points
-
     return cell_points(sub.base, cell)
 
 
@@ -175,29 +174,64 @@ def test_validate_mixed_catches_overlap():
     )
     report = validate_mixed(bad)
     assert not report.is_dissection
-    kinds = {v.kind for v in report.violations}
-    assert "interior-overlap" in kinds and "volume-mismatch" in kinds
-
-
-def test_validate_mixed_always_checks_fineness():
-    # one summand is the whole square: not a simplex
-    bad = MixedSubdivision(cube_config(2), 2, (MixedCell(((0, 1, 2, 3), (0,))),))
-    report = validate_mixed(bad)
+    # the repeated triangle overlaps itself: its Cayley simplex's diagonal
+    # lies in three simplices and its two boundary edges in two on one side
     assert [v.kind for v in report.violations] == [
-        "not-fine", "degenerate", "volume-mismatch"
+        "volume-mismatch", "ridge-same-side", "ridge-overused", "ridge-same-side"
     ]
 
 
-def test_decompose_cell_recovers_summands():
-    sub = seed_i3d1()
-    from cubetri.cayley import cell_points
+def test_validate_mixed_always_checks_fineness():
+    # one summand is the whole square: not a simplex, so no Cayley simplex
+    bad = MixedSubdivision(cube_config(2), 2, (MixedCell(((0, 1, 2, 3), (0,))),))
+    report = validate_mixed(bad)
+    assert [v.kind for v in report.violations] == ["not-fine", "volume-mismatch"]
+    assert report.volume_total == 0
 
-    # the doubled central tetrahedron, given only by its vertex set
-    cell = sub.cells[8]
-    target = cell_points(sub.base, cell)
-    found = decompose_cell(sub.base, 2, target)
-    assert found is not None
-    assert set(map(tuple, cell_points(sub.base, found))) == set(map(tuple, target))
+
+TAMPER_BASES = {
+    "i3d1": seed_i3d1,
+    "i3d2": seed_i3d2,
+    **{f"square_family({m})": lambda m=m: square_family(m) for m in range(2, 6)},
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    name=st.sampled_from(sorted(TAMPER_BASES)),
+    kind=st.sampled_from(("drop", "duplicate", "vertex")),
+    data=st.data(),
+)
+def test_validate_mixed_agrees_with_the_reference_on_tamperings(name, kind, data):
+    sub = TAMPER_BASES[name]()
+    cells = list(sub.cells)
+    i = data.draw(st.integers(0, len(cells) - 1), label="cell")
+    if kind == "drop":
+        del cells[i]
+    elif kind == "duplicate":
+        cells.insert(data.draw(st.integers(0, len(cells)), label="at"), cells[i])
+    else:
+        summands = [list(b) for b in cells[i].summands]
+        j = data.draw(st.integers(0, len(summands) - 1), label="summand")
+        k = data.draw(st.integers(0, len(summands[j]) - 1), label="vertex")
+        old = summands[j][k]
+        summands[j][k] = data.draw(
+            st.integers(0, len(sub.base.points) - 1).filter(lambda p: p != old),
+            label="new vertex",
+        )
+        cells[i] = MixedCell(tuple(map(tuple, summands)))
+    bad = MixedSubdivision(sub.base, sub.m, tuple(cells))
+    got = validate_mixed(bad)
+    assert got.is_dissection == reference_validate_mixed(bad).is_dissection
+    assert not got.is_dissection
+
+
+def test_validate_mixed_agrees_with_the_reference_on_valid_input():
+    for sub in (seed_i3d1(), seed_i3d2(), *(square_family(m) for m in range(1, 8))):
+        got, want = validate_mixed(sub), reference_validate_mixed(sub)
+        assert got.is_dissection and want.is_dissection
+        l = sub.base.dim
+        assert got.volume_total == want.volume_total == sub.m**l * math.factorial(l)
 
 
 def test_mixed_json_round_trip():

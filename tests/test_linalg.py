@@ -163,6 +163,16 @@ def test_batch_det_is_exact_on_either_side_of_each_bound():
     assert batch_det(np.array([[[2**31]], [[-(2**31)]]])).tolist() == [2**31, -(2**31)]
 
 
+def test_batch_det_takes_entries_beyond_int64_to_the_scalar_path():
+    got = batch_det(np.array([[[2**70]]], dtype=object))
+    assert got.dtype == object and got.tolist() == [2**70]
+    got = batch_det([[[2**70, 1], [2**63, 2]], [[1, 0], [0, 1]]])
+    assert got.dtype == object and got.tolist() == [2**71 - 2**63, 1]
+    # an object array whose entries fit int64 takes the int64 paths
+    got = batch_det(np.array([[[3, 1], [1, 2]]], dtype=object))
+    assert got.dtype == np.int64 and got.tolist() == [5]
+
+
 def test_batch_det_matches_scalar_at_each_path_edge():
     # Random matrices whose largest entry is the last c of each path and
     # the first c past it: int32, int64, then the scalar fallback.

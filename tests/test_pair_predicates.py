@@ -14,11 +14,12 @@ against a Fraction simplex.
 
 import itertools
 
+from helpers import cell_points
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from cubetri import linalg
-from cubetri.cayley import MixedCell, MixedSubdivision, cell_points
+from cubetri.cayley import MixedCell, MixedSubdivision
 from cubetri.coloring import make_coloring, triangulate_product
 from cubetri.complexes import Triangulation
 from cubetri.geometry import PointConfiguration, affine_rank, cube_config

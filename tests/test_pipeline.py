@@ -184,6 +184,26 @@ def test_cli_expect_prints_one_line_for_an_invalid_spec(capsys, argv, match):
     assert match in lines[0] and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, match",
+    [
+        (["seeds", "show", "square_family(0)"], "at least one summand"),
+        (["seeds", "show", "minimal_cube(4)"], "d in {1,2,3}"),
+        (["seeds", "show", "unimodular_cube(9)"], "1 <= d <= 8"),
+        (["seeds", "show", "nonsense"], "unknown seed 'nonsense'"),
+        (["oracle", "min-weighted", "--config", "foo"], "unknown configuration"),
+    ],
+)
+def test_cli_seeds_and_oracle_print_one_line_for_an_invalid_spec(capsys, argv, match):
+    from cubetri.cli import main
+
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("invalid spec: ")
+    assert match in lines[0] and captured.out == ""
+
+
 def test_ridge_mode_agrees_on_pipeline_output():
     from cubetri.complexes import ridge_report, validate_dissection
 

@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 import pytest
-from helpers import path_edges, reference_to_json
+from helpers import cell_points, path_edges, reference_to_json
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -35,7 +35,6 @@ from cubetri.complexes import (
     validate_face_to_face,
 )
 from cubetri.geometry import cube_config, facet_inequalities, minkowski_config
-from cubetri.cayley import cell_points
 from cubetri.linalg import batch_abs_det, batch_det, det_bareiss, exact_dtype
 from cubetri.pipeline import PipelineSpec, build_cube_recursive
 from cubetri.seeds import (
@@ -388,6 +387,17 @@ def test_census_totals_past_int64_are_exact():
     # at side 2^32 a volume is 2^64, which int64 cannot hold
     with pytest.raises(OverflowError):
         signed_volumes(tuple((2 * x, 2 * y) for x, y in pts), [(0, 1, 3)])
+
+
+def test_census_takes_coordinates_beyond_int64():
+    # a range that fits after the shift to a zero minimum is exact on the
+    # batched path; a volume beyond int64 is the documented OverflowError
+    assert signed_volumes([(2**70,), (2**70 + 1,)], [(0, 1)]).tolist() == [1]
+    pts = [(2**70, 5), (2**70 + 2, 5), (2**70, 8)]
+    _assert_census_exact(pts, [(0, 1, 2)])
+    with pytest.raises(OverflowError, match="int64 cannot hold"):
+        signed_volumes([(0,), (2**70,)], [(0, 1)])
+    assert batch_det(np.array([[[2**70]]], dtype=object)).tolist() == [2**70]
 
 
 # -- the command line ----------------------------------------------------------

@@ -2,13 +2,21 @@ import math
 from fractions import Fraction
 
 import pytest
+from helpers import reference_validate_mixed
 
-from cubetri.cayley import mixed_weighted_size, validate_mixed
+from cubetri import linalg, seeds
+from cubetri.cayley import (
+    MixedCell,
+    MixedSubdivision,
+    mixed_weighted_size,
+    validate_mixed,
+)
 from cubetri.complexes import (
     validate_face_to_face,
     weighted_efficiency_from,
     weighted_size,
 )
+from cubetri.geometry import cube_config
 from cubetri.seeds import (
     cayley_seed,
     known_constants,
@@ -124,3 +132,34 @@ def test_failed_seed_verification_raises_on_every_call(monkeypatch):
     with pytest.raises(ValueError, match="unknown seed"):
         cayley_seed("i3d3")
     assert seed_i3d1() is seed_i3d1()
+
+
+def test_seed_check_runs_no_lp(monkeypatch):
+    subs = [square_family(m) for m in range(2, 8)]
+
+    def no_lp(rows, rhs):
+        raise AssertionError("an LP was run")
+
+    monkeypatch.setattr(linalg, "feasible", no_lp)
+    seeds._seed.cache_clear()
+    assert cayley_seed("i3d1").size == 16
+    assert cayley_seed("i3d2").size == 38
+    for sub in subs:
+        assert validate_mixed(sub).is_dissection
+    # the patch bites: the pairwise polytope check does run LPs
+    with pytest.raises(AssertionError, match="an LP was run"):
+        reference_validate_mixed(subs[0])
+
+
+def test_a_seed_with_one_vertex_changed_fails_on_every_call(monkeypatch):
+    # the first corner tetrahedron of i3d1 with vertex 4 moved to 5: the
+    # census and the weighted size still hold, the tiling does not
+    m, cells, census, weighted = seeds._SEEDS["i3d1"]
+    assert cells[0] == ((0,), (0, 1, 2, 4))
+    bad = (((0,), (0, 1, 2, 5)),) + cells[1:]
+    monkeypatch.setitem(seeds._SEEDS, "broken", (m, bad, census, weighted))
+    for _ in range(2):
+        with pytest.raises(AssertionError, match="broken: invalid subdivision"):
+            cayley_seed("broken")
+    sub = MixedSubdivision(cube_config(3), m, tuple(map(MixedCell, bad)))
+    assert not reference_validate_mixed(sub).is_dissection
