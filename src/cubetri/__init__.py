@@ -22,10 +22,12 @@ from .cayley import (
 from .coloring import (
     Coloring,
     exact_expected_size,
+    lift_triangulation,
     make_coloring,
     monte_carlo_size,
     product_size,
     size_bound,
+    staircase_triangulation,
     triangulate_product,
 )
 from .complexes import (
@@ -71,14 +73,7 @@ from .seeds import (
     square_family,
     unimodular_cube,
 )
-from .staircase import (
-    LiftedCell,
-    lift_cell,
-    lift_triangulation,
-    multi_staircase_count,
-    multi_staircases,
-    staircase_triangulation,
-)
+from .staircase import LiftedCell, multi_staircase_count, multi_staircases
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

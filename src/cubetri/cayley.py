@@ -64,17 +64,22 @@ def triangulation_to_mixed(tri: Triangulation) -> MixedSubdivision:
     return MixedSubdivision(base, m, cells)
 
 
-def _cayley_simplex(cell: MixedCell, m: int, l: int) -> Simplex:
+def _cayley_simplex(cell: MixedCell, base: PointConfiguration, m: int) -> Simplex:
     """The Cayley simplex of ``cell``: point p of summand i is vertex
     p m + i of P x simplex(m-1). ValueError for a cell that cannot give
-    one: a summand count other than m, an empty summand, or a vertex count
-    other than l + m (summand dimensions that do not sum to l)."""
+    one: a summand count other than m, an empty summand, an index that is
+    not a point of P, or a vertex count other than l + m (summand
+    dimensions that do not sum to l)."""
     summands = cell.summands
     if len(summands) != m:
         raise ValueError(f"cell {summands}: {len(summands)} summands, not {m}")
     if not all(summands):
         raise ValueError(f"cell {summands}: empty summand")
+    n = len(base.points)
+    if not all(0 <= p < n for b in summands for p in b):
+        raise ValueError(f"cell {summands}: an index is not a point of {base.label}")
     verts = tuple(sorted(p * m + i for i, b in enumerate(summands) for p in b))
+    l = base.dim
     if len(verts) != l + m:
         raise ValueError(f"cell {summands}: {len(verts)} Cayley vertices, not {l + m}")
     return verts
@@ -88,9 +93,7 @@ def mixed_to_triangulation(sub: MixedSubdivision) -> Triangulation:
     degenerate simplex; deciding fineness and tiling is
     :func:`validate_mixed`'s job."""
     cfg = product_config(sub.base, simplex_config(sub.m - 1))
-    return Triangulation(
-        cfg, [_cayley_simplex(c, sub.m, sub.base.dim) for c in sub.cells]
-    )
+    return Triangulation(cfg, [_cayley_simplex(c, sub.base, sub.m) for c in sub.cells])
 
 
 def scale_mixed(sub: MixedSubdivision, kvec: tuple[int, ...]) -> MixedSubdivision:
@@ -163,18 +166,19 @@ def validate_mixed(sub: MixedSubdivision) -> ValidityReport:
     subdivision: each cell's Cayley volume, from the same census, times
     l! / prod(dim B_i!).
     """
-    l, m = sub.base.dim, sub.m
     violations: list[Violation] = []
-    kept = []
+    kept, simplices = [], []
     for cell in sub.cells:
         try:
-            _cayley_simplex(cell, m, l)
+            simplex = _cayley_simplex(cell, sub.base, sub.m)
         except ValueError as exc:
             violations.append(Violation("not-fine", (cell.summands,), str(exc)))
-            continue
-        kept.append(cell)
-    tri = mixed_to_triangulation(MixedSubdivision(sub.base, m, tuple(kept)))
-    vols, _, found = ridge_certificate(tri)
+        else:
+            kept.append(cell)
+            simplices.append(simplex)
+    l = sub.base.dim
+    cfg = product_config(sub.base, simplex_config(sub.m - 1))
+    vols, _, found = ridge_certificate(Triangulation(cfg, simplices))
     violations += found
     total = 0
     for vol, cell in zip(vols.tolist(), kept):
@@ -196,9 +200,20 @@ def mixed_to_json(sub: MixedSubdivision) -> str:
 
 
 def mixed_from_json(text: str) -> MixedSubdivision:
+    """Read :func:`mixed_to_json`'s text. ValueError for an ``m`` that is
+    not a positive ``int`` and for a summand entry that is not an ``int``
+    index of a base point; whether the cells subdivide is
+    :func:`validate_mixed`'s question."""
     obj = json.loads(text)
     base = config_from_label(parse_label(obj["base"]))
+    m = obj["m"]
+    if type(m) is not int or m < 1:
+        raise ValueError(f"m {m!r} is not a positive integer")
     cells = tuple(
         MixedCell(tuple(tuple(b) for b in cell)) for cell in obj["cells"]
     )
-    return MixedSubdivision(base, obj["m"], cells)
+    n = len(base.points)
+    for p in (p for cell in cells for b in cell.summands for p in b):
+        if type(p) is not int or not 0 <= p < n:
+            raise ValueError(f"summand entry {p!r} is not a point of {base.label}")
+    return MixedSubdivision(base, m, cells)

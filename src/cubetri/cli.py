@@ -207,11 +207,10 @@ def _parse_config_name(name: str):
 
 def _cmd_oracle(args) -> int:
     try:
-        cfg = _parse_config_name(args.config)
+        problem = SearchProblem(_parse_config_name(args.config), args.objective)
     except ValueError as exc:
         print(f"invalid spec: {exc}", file=sys.stderr)
         return 2
-    problem = SearchProblem(cfg, objective=args.objective)
     value, witness = min_weighted_size(problem)
     print(f"minimum {args.objective} over {args.config}: {value}")
     text = triangulation_to_json(witness)

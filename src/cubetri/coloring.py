@@ -19,6 +19,10 @@ per-sigma counts puts every row where the cell-by-cell order has it. The
 rows come in slices of consecutive sigmas of a bounded number of
 simplices (:meth:`ProductCells.chunks`; the pipeline uses the census's
 ``CENSUS_CHUNK``), so a streamed step never holds all of its rows at once.
+
+The block lift (:func:`lift_triangulation`) and the staircase
+triangulation of simplex(k) x simplex(l) (:func:`staircase_triangulation`)
+are products with one colored simplex, so they come from it too.
 """
 
 from __future__ import annotations
@@ -34,19 +38,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .complexes import Triangulation, simplex_factor
+from .complexes import Triangulation, factor_blocks, simplex_factor
 from .geometry import (
     PointConfiguration,
     ProductLabel,
     as_cube_if_product_of_cubes,
     config_from_label,
+    product_config,
+    simplex_config,
 )
-from .staircase import (
-    lift_count,
-    product_blocks,
-    restricted_base_cells,
-    signature_template,
-)
+from .staircase import lift_count, signature_template
 
 
 @dataclass(frozen=True)
@@ -99,12 +100,21 @@ class CellProvenance:
 
     sigma: tuple[int, ...]
     tau_index: int
-    base_face: frozenset  # (base index, color) pairs actually lifted
     rows: tuple[tuple[int, ...], ...]
     cols: tuple[tuple[int, ...], ...]
     start: int
     end: int
     signature: tuple[tuple[int, ...], tuple[int, ...]]  # (lvec, kvec), present
+
+
+def product_blocks(t0: Triangulation) -> list[tuple[tuple[int, ...], ...]]:
+    """Per-simplex factor blocks of a triangulation of P x simplex(m-1).
+
+    Block i of a simplex holds the base-point indices of its vertices over
+    the i-th simplex vertex, in canonical order.
+    """
+    _, m = simplex_factor(t0.config)
+    return [factor_blocks(s, m) for s in t0.simplices]
 
 
 def _check_inputs(t_q: Triangulation, t0: Triangulation, coloring: Coloring) -> int:
@@ -132,7 +142,7 @@ class _Group(NamedTuple):
     kvec: tuple[int, ...]  # counts of the present colors
     members: np.ndarray  # indices into T_Q's simplices, ascending
     cols: np.ndarray  # (members, K): each member's vertices, by color
-    cells: list  # per T_0 cell: (tau index, rows, lvec, base face, offset, count)
+    cells: list  # per T_0 cell: (tau index, rows, lvec, offset, count)
     rowvals: np.ndarray  # (T, V): p * |Q points| of each template vertex
     colpos: np.ndarray  # (T, V): position of its column in a row of ``cols``
 
@@ -179,14 +189,18 @@ class ProductCells:
             rowvals = [np.zeros((0, width), dtype=np.intp)]
             colpos = [np.zeros((0, width), dtype=np.intp)]
             offset = 0
-            for t_idx, rows in restricted_base_cells(blocks_list, present):
+            for t_idx, blocks in enumerate(blocks_list):
+                # T_0 restricted to the face of the present colors: a cell
+                # survives iff each absent color's block is one vertex.
+                if any(len(blocks[i]) != 1 for i in range(m) if not key[i]):
+                    continue
+                rows = tuple(blocks[i] for i in present)
                 lvec = tuple(len(r) for r in rows)
                 tr, tc = signature_template(lvec, kvec)
                 rv = np.array([p for r in rows for p in r], dtype=np.intp)
                 rowvals.append(rv[tr] * nq)
                 colpos.append(tc)
-                base_face = frozenset((p, i) for i, r in zip(present, rows) for p in r)
-                cells.append((t_idx, rows, lvec, base_face, offset, len(tr)))
+                cells.append((t_idx, rows, lvec, offset, len(tr)))
                 self.signatures[(lvec, kvec)] = len(tr)
                 offset += len(tr)
             members = np.flatnonzero(group_of == g)
@@ -242,13 +256,12 @@ class ProductCells:
             bounds = list(itertools.accumulate(grp.kvec, initial=0))
             cols = tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
             base = int(self.starts[s_idx])
-            for t_idx, rows, lvec, base_face, offset, count in grp.cells:
+            for t_idx, rows, lvec, offset, count in grp.cells:
                 start = base + offset
                 out.append(
                     CellProvenance(
                         sigma,
                         t_idx,
-                        base_face,
                         rows,
                         cols,
                         start,
@@ -278,30 +291,75 @@ def triangulate_product(
     return tri
 
 
+def lift_triangulation(t0: Triangulation, kvec: tuple[int, ...]) -> Triangulation:
+    """Multi-staircase lift of P x simplex(m-1) to P x simplex(n-1), n =
+    sum(kvec): the product of T_0 with the one simplex of simplex(n-1),
+    its vertices colored k_1 times 0, then k_2 times 1, and so on.
+
+    kvec entries must be positive (an absent color is handled by callers
+    via restriction to the corresponding face). Its size is the sum over
+    base cells of the per-cell staircase-count product.
+    """
+    _, m = simplex_factor(t0.config)
+    if len(kvec) != m:
+        raise ValueError("kvec length must match the simplex factor")
+    if any(k < 1 for k in kvec):
+        raise ValueError("kvec entries must be >= 1; restrict to a face first")
+    n = sum(kvec)
+    colors = tuple(i for i, k in enumerate(kvec) for _ in range(k))
+    t_q = Triangulation(simplex_config(n - 1), (tuple(range(n)),))
+    return triangulate_product(t_q, t0, Coloring(colors, m, "explicit"))
+
+
+def staircase_triangulation(k: int, l: int) -> Triangulation:
+    """The staircase triangulation of simplex(k) x simplex(l): the lift of
+    simplex(k) x simplex(0) by (l + 1,).
+
+    Exactly C(k+l, k) cells, one per monotone staircase of the
+    (k+1) x (l+1) grid; every cell is unimodular.
+    """
+    if k < 0 or l < 0:
+        raise ValueError("factor dimensions must be >= 0")
+    t0 = Triangulation(
+        product_config(simplex_config(k), simplex_config(0)), (tuple(range(k + 1)),)
+    )
+    return lift_triangulation(t0, (l + 1,))
+
+
+def _lvecs(t0: Triangulation) -> list[tuple[int, ...]]:
+    return [tuple(len(b) for b in blocks) for blocks in product_blocks(t0)]
+
+
+def _sigma_size(kvec, lvecs) -> int:
+    """Simplices over one sigma of T_Q with per-color counts kvec: the sum
+    over T_0 cells of the per-block staircase-count product, with the
+    absent-color conventions of :func:`staircase.lift_count`."""
+    total = 0
+    for lvec in lvecs:
+        term = 1
+        for k, l in zip(kvec, lvec):
+            term *= lift_count(k, l)
+            if term == 0:
+                break
+        total += term
+    return total
+
+
 def product_size(
     t_q: Triangulation, t0: Triangulation, coloring: Coloring
 ) -> int:
-    """Closed-form size of triangulate_product: sum over (sigma, tau) of the
-    per-block staircase-count product, with the absent-color conventions.
-    Each distinct per-color count vector of T_Q's simplices is summed once,
-    times the number of simplices that have it."""
+    """Closed-form size of triangulate_product: the per-sigma size term
+    of each distinct per-color count vector of T_Q's simplices, times the
+    number of simplices that have it."""
     m = _check_inputs(t_q, t0, coloring)
-    lvecs = [tuple(len(b) for b in blocks) for blocks in product_blocks(t0)]
+    lvecs = _lvecs(t0)
     colors = np.array(coloring.colors, dtype=np.intp)[t_q.rows]
     counts = (colors[:, :, None] == np.arange(m)).sum(axis=1)
     keys, mult = np.unique(counts, axis=0, return_counts=True)
-    total = 0
-    for key, times in zip(keys.tolist(), mult.tolist()):
-        s = 0
-        for lvec in lvecs:
-            term = 1
-            for k, l in zip(key, lvec):
-                term *= lift_count(k, l)
-                if term == 0:
-                    break
-            s += term
-        total += times * s
-    return total
+    return sum(
+        times * _sigma_size(key, lvecs)
+        for key, times in zip(keys.tolist(), mult.tolist())
+    )
 
 
 def size_bound(tq_size: int, t0_weighted: Fraction, n: int, m: int, l: int) -> Fraction:
@@ -314,7 +372,8 @@ def size_bound(tq_size: int, t0_weighted: Fraction, n: int, m: int, l: int) -> F
 
 
 def _multinomial_expectation(n: int, m: int, lvecs) -> Fraction:
-    """E over uniform colorings of one n-vertex cell of the size term."""
+    """E over uniform colorings of one n-vertex sigma of
+    :func:`_sigma_size`."""
     total = Fraction(0)
     denom = m**n
     for kvec in itertools.product(range(n + 1), repeat=m - 1):
@@ -325,15 +384,7 @@ def _multinomial_expectation(n: int, m: int, lvecs) -> Fraction:
         weight = math.factorial(n)
         for k in full:
             weight //= math.factorial(k)
-        term = 0
-        for lvec in lvecs:
-            prod = 1
-            for k, l in zip(full, lvec):
-                prod *= lift_count(k, l)
-                if prod == 0:
-                    break
-            term += prod
-        total += Fraction(weight * term, denom)
+        total += Fraction(weight * _sigma_size(full, lvecs), denom)
     return total
 
 
@@ -346,9 +397,8 @@ def exact_expected_size(t_q: Triangulation, t0: Triangulation, m: int) -> Fracti
     average over all m^|Q| colorings is |T_Q| times that expectation.
     """
     _check_inputs(t_q, t0, make_coloring(len(t_q.config.points), m))
-    lvecs = [tuple(len(b) for b in blocks) for blocks in product_blocks(t0)]
     n = t_q.config.dim + 1
-    return len(t_q.simplices) * _multinomial_expectation(n, m, lvecs)
+    return len(t_q.simplices) * _multinomial_expectation(n, m, _lvecs(t0))
 
 
 @dataclass

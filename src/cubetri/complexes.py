@@ -595,7 +595,9 @@ _BRACKETS_AS_SPACES = str.maketrans("[],\n", "    ")
 
 def _config_of(obj) -> PointConfiguration:
     """The labeled configuration a parsed file names; ValueError unless its
-    points and dimension are the label's."""
+    label is a string and its points and dimension are the label's."""
+    if type(obj["label"]) is not str:
+        raise ValueError(f"label {obj['label']!r} is not a string")
     label = parse_label(obj["label"])
     points = obj["points"]
     # Sizes first, so that building the label's points costs no more than
@@ -691,7 +693,9 @@ def triangulation_from_json(text: str) -> Triangulation:
 
     A file in the writer's layout is parsed straight to an index array
     (:func:`_read_layout`); any other JSON text goes through
-    ``json.loads``. Either way a ValueError rejects points out of the
+    ``json.loads``. Either way a ValueError rejects text that is not an
+    object with the keys ``dim``, ``label``, ``points`` and
+    ``simplices``, a label that is not a string, points out of the
     label's canonical order, a ``dim`` that is not the label's, simplices
     of different sizes and any entry that is not an ``int`` index of a
     point, and equal files give equal triangulations.
@@ -700,6 +704,8 @@ def triangulation_from_json(text: str) -> Triangulation:
     if tri is not None:
         return tri
     obj = json.loads(text)
+    if type(obj) is not dict or not {"dim", "label", "points", "simplices"} <= obj.keys():
+        raise ValueError("not an object with the keys dim, label, points and simplices")
     config = _config_of(obj)
     simplices = obj["simplices"]
     _check_simplices(simplices)

@@ -42,10 +42,17 @@ from .geometry import CubeLabel, PointConfiguration, ambient_normalized_volume
 CANDIDATE_GUARD = 10**4
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchProblem:
+    """ValueError, before any search, past ``CANDIDATE_GUARD`` (d+1)-subsets."""
+
     config: PointConfiguration
     objective: str = "weighted"  # weighted | cardinality
+
+    def __post_init__(self):
+        pool = math.comb(len(self.config.points), self.config.dim + 1)
+        if pool > CANDIDATE_GUARD:
+            raise ValueError(f"candidate pool {pool} exceeds guard {CANDIDATE_GUARD}")
 
 
 class _Enumerator:
@@ -55,9 +62,6 @@ class _Enumerator:
         self.expected = ambient_normalized_volume(config.label)
         self.anchor = anchor
         n = len(self.pts)
-        pool = math.comb(n, self.d + 1)
-        if pool > CANDIDATE_GUARD:
-            raise ValueError(f"candidate pool {pool} exceeds guard {CANDIDATE_GUARD}")
         combos = np.array(list(itertools.combinations(range(n), self.d + 1)), np.intp)
         signed = signed_volumes(self.pts, combos)
         live = np.flatnonzero(signed)

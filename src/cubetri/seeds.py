@@ -23,7 +23,8 @@ size, then the ridge certificate of the Cayley triangulation, which holds
 exactly when the cells are fine and partition the target box (the Cayley
 trick; see :func:`cayley.validate_mixed`). The square family for any
 number of summands is generated as the block lift of the optimal
-two-square seed and is valid by construction.
+two-square seed (:func:`coloring.lift_triangulation`, one product of the
+template cell engine) and is valid by construction.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ from .cayley import (
     mixed_weighted_size,
     triangulation_to_mixed,
 )
+from .coloring import lift_triangulation
 from .complexes import Simplex, Triangulation, ridge_report
 from .geometry import cube_config
-from .staircase import lift_triangulation
 
 
 def unimodular_cube(d: int) -> Triangulation:

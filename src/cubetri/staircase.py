@@ -1,4 +1,4 @@
-"""Staircase triangulations of simplex products and the block lift.
+"""Multi-staircases of one lifted cell: templates, counts and regularity.
 
 A cell of a lifted product decomposes into blocks, one per factor vertex
 (or color); block i is a grid with rows a chain of base vertices and
@@ -11,9 +11,17 @@ The multi-staircases of a cell depend only on its signature (lvec, kvec),
 the block sizes, up to relabelling rows and columns. Each signature's
 template (:func:`signature_template`, cached) lists them once as row and
 column positions; a cell's simplices are one gather of its row and column
-values through the template and a sort of each row
-(:func:`cell_rows`). :func:`multi_staircases` is that gather for one
-cell; :class:`coloring.ProductCells` runs it for many cells at once.
+values through the template and a sort of each row.
+:class:`coloring.ProductCells` runs that gather for many cells at once,
+and every product comes from it: the block lift and the staircase
+triangulation of simplex(k) x simplex(l) included
+(:func:`coloring.lift_triangulation`,
+:func:`coloring.staircase_triangulation`). :func:`multi_staircases` is
+the gather for one cell, the per-cell recompute that
+:class:`verification.StructuredChecker` holds a product's runs against.
+The counts (:func:`lift_count`, :func:`multi_staircase_count`) size a
+product without building it, and :func:`staircase_block_regular`
+certifies that a block's staircases tile it.
 """
 
 from __future__ import annotations
@@ -25,8 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .complexes import Simplex, Triangulation, factor_blocks, simplex_factor
-from .geometry import config_from_label, product_config, simplex_config
+from .complexes import Simplex
 
 
 @lru_cache(maxsize=None)
@@ -89,19 +96,13 @@ class LiftedCell:
     """One lifted cell: per-block row vertices (base) and column vertices.
 
     ``rows[i]`` are base-point indices in canonical order; ``cols[i]`` are
-    target-point indices in canonical order; ``out_index(p, q)`` maps a
-    (row, column) pair to a vertex index of the ambient product.
+    target-point indices in canonical order; the product vertex of row
+    point p and column point q is ``p * n_target + q``.
     """
 
     rows: tuple[tuple[int, ...], ...]
     cols: tuple[tuple[int, ...], ...]
     n_target: int
-
-    def out_index(self, p: int, q: int) -> int:
-        return p * self.n_target + q
-
-    def vertex_count(self) -> int:
-        return sum(len(r) * len(c) for r, c in zip(self.rows, self.cols))
 
 
 @lru_cache(maxsize=None)
@@ -133,10 +134,10 @@ def signature_template(
     return tr, tc
 
 
-def cell_rows(cell: LiftedCell) -> np.ndarray:
-    """The multi-staircases of one lifted cell as a (T, V) array of sorted
-    vertex-index rows, in template order: one gather through the cell's
-    :func:`signature_template`."""
+def multi_staircases(cell: LiftedCell) -> list[Simplex]:
+    """All multi-staircases of one lifted cell, as sorted vertex-index
+    tuples in template order: one gather of the cell's row and column
+    values through its :func:`signature_template`."""
     lvec = tuple(len(r) for r in cell.rows)
     kvec = tuple(len(c) for c in cell.cols)
     tr, tc = signature_template(lvec, kvec)
@@ -144,97 +145,7 @@ def cell_rows(cell: LiftedCell) -> np.ndarray:
     colvals = np.array([q for c in cell.cols for q in c], dtype=np.intp)
     out = rowvals[tr] * cell.n_target + colvals[tc]
     out.sort(axis=1)
-    return out
-
-
-def multi_staircases(cell: LiftedCell) -> list[Simplex]:
-    """All multi-staircases of a lifted cell, as sorted vertex-index tuples."""
-    return list(map(tuple, cell_rows(cell).tolist()))
-
-
-def product_blocks(t0: Triangulation) -> list[tuple[tuple[int, ...], ...]]:
-    """Per-simplex factor blocks of a triangulation of P x simplex(m-1).
-
-    Block i of a simplex holds the base-point indices of its vertices over
-    the i-th simplex vertex, in canonical order.
-    """
-    _, m = simplex_factor(t0.config)
-    return [factor_blocks(s, m) for s in t0.simplices]
-
-
-def restricted_base_cells(
-    blocks_list: list[tuple[tuple[int, ...], ...]], present: tuple[int, ...]
-) -> list[tuple[int, tuple[tuple[int, ...], ...]]]:
-    """Base cells induced on the face spanned by the ``present`` factors.
-
-    A cell survives iff every absent block is a single vertex; in a valid
-    face-to-face triangulation each surviving restriction occurs exactly
-    once.
-    """
-    absent = [i for i in range(len(blocks_list[0])) if i not in present]
-    out = []
-    for t_idx, blocks in enumerate(blocks_list):
-        if all(len(blocks[i]) == 1 for i in absent):
-            out.append((t_idx, tuple(blocks[i] for i in present)))
-    return out
-
-
-def lift_cell(
-    t0: Triangulation, base_simplex: Simplex, kvec: tuple[int, ...]
-) -> LiftedCell:
-    """Lift one cell of a triangulation of P x simplex(m-1) by kvec.
-
-    Column (i, j) of the target simplex gets the global index
-    offset(i) + j where offset(i) = k_1 + ... + k_{i-1}.
-    """
-    _, m = simplex_factor(t0.config)
-    if len(kvec) != m:
-        raise ValueError("kvec length must match the simplex factor")
-    if any(k < 1 for k in kvec):
-        raise ValueError("kvec entries must be >= 1; restrict to a face first")
-    n = sum(kvec)
-    offsets = [0] * m
-    for i in range(1, m):
-        offsets[i] = offsets[i - 1] + kvec[i - 1]
-    rows = factor_blocks(base_simplex, m)
-    cols = tuple(
-        tuple(range(offsets[i], offsets[i] + kvec[i])) for i in range(m)
-    )
-    return LiftedCell(rows, cols, n)
-
-
-def lift_triangulation(
-    t0: Triangulation, kvec: tuple[int, ...]
-) -> Triangulation:
-    """Multi-staircase lift of P x simplex(m-1) to P x simplex(n-1).
-
-    kvec entries must be positive (an absent color is handled by callers
-    via restriction to the corresponding face). The output passes the
-    face-to-face checker; its size is the sum over base cells of the
-    per-cell staircase-count product.
-    """
-    left, _ = simplex_factor(t0.config)
-    n = sum(kvec)
-    left_cfg = config_from_label(left)
-    out_cfg = product_config(left_cfg, simplex_config(n - 1))
-    rows = [cell_rows(lift_cell(t0, s, kvec)) for s in t0.simplices]
-    return Triangulation(out_cfg, np.concatenate(rows) if rows else ())
-
-
-def staircase_triangulation(k: int, l: int) -> Triangulation:
-    """The staircase triangulation of simplex(k) x simplex(l).
-
-    Exactly C(k+l, k) cells, one per monotone staircase of the
-    (k+1) x (l+1) grid; every cell is unimodular.
-    """
-    if k < 0 or l < 0:
-        raise ValueError("factor dimensions must be >= 0")
-    cfg = product_config(simplex_config(k), simplex_config(l))
-    ncols = l + 1
-    simplices = []
-    for path in monotone_paths(k + 1, l + 1):
-        simplices.append(tuple(sorted(i * ncols + j for i, j in path)))
-    return Triangulation(cfg, tuple(simplices))
+    return list(map(tuple, out.tolist()))
 
 
 @lru_cache(maxsize=None)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 
 from cubetri.cayley import MixedCell, MixedSubdivision, mixed_to_triangulation
-from cubetri.coloring import Coloring, product_size
+from cubetri.coloring import Coloring, product_size, triangulate_product
 from cubetri.complexes import Triangulation, ValidityReport, Violation
 from cubetri.geometry import (
     PointConfiguration,
@@ -64,6 +64,10 @@ def reference_from_json(text: str) -> Triangulation:
     """The ``json.loads`` reader, with the index validation of
     ``triangulation_from_json``: the reference for its array reader."""
     obj = json.loads(text)
+    if type(obj) is not dict or not {"dim", "label", "points", "simplices"} <= obj.keys():
+        raise ValueError("not a triangulation file")
+    if type(obj["label"]) is not str:
+        raise ValueError("label is not a string")
     config = config_from_label(parse_label(obj["label"]))
     if tuple(tuple(p) for p in obj["points"]) != config.points:
         raise ValueError("points array does not follow the canonical order")
@@ -197,3 +201,16 @@ def reference_validate_mixed(sub: MixedSubdivision) -> ValidityReport:
     ok = not violations
     vt = int(total) if total.denominator == 1 else total
     return ValidityReport(ok, False, vt, violations)
+
+
+def lift_provenance(t0: Triangulation, kvec):
+    """The block lift of ``t0`` by ``kvec``, its cells and its coloring,
+    from ``triangulate_product(..., with_provenance=True)``: the product
+    with the one simplex of simplex(n-1), its vertices colored k_1 times
+    0, then k_2 times 1, and so on."""
+    n = sum(kvec)
+    t_q = Triangulation(simplex_config(n - 1), (tuple(range(n)),))
+    colors = tuple(i for i, k in enumerate(kvec) for _ in range(k))
+    coloring = Coloring(colors, len(kvec), "explicit")
+    tri, prov = triangulate_product(t_q, t0, coloring, with_provenance=True)
+    return tri, prov, coloring

@@ -11,7 +11,7 @@ import random
 import time
 from fractions import Fraction
 
-from helpers import enumerated_expected_size, two_triangle_prism
+from helpers import enumerated_expected_size, lift_provenance, two_triangle_prism
 
 from cubetri.cayley import (
     count_area2_squares,
@@ -20,11 +20,12 @@ from cubetri.cayley import (
 )
 from cubetri.coloring import (
     exact_expected_size,
+    lift_triangulation,
+    product_blocks,
     size_bound,
-    triangulate_product,
+    staircase_triangulation,
 )
 from cubetri.complexes import (
-    Triangulation,
     efficiency,
     validate_face_to_face,
     weighted_efficiency_from,
@@ -51,12 +52,7 @@ from cubetri.seeds import (
     seed_i3d2,
     square_family,
 )
-from cubetri.staircase import (
-    multi_staircase_count,
-    product_blocks,
-    staircase_block_regular,
-    staircase_triangulation,
-)
+from cubetri.staircase import multi_staircase_count, staircase_block_regular
 from cubetri.verification import StructuredChecker
 
 
@@ -142,16 +138,6 @@ def test_criterion_4_seed_i3d2():
     )
 
 
-def _lift_with_provenance(t0_tri, kvec):
-    n = sum(kvec)
-    t_q = Triangulation(simplex_config(n - 1), (tuple(range(n)),))
-    colors = tuple(i for i, k in enumerate(kvec) for _ in range(k))
-    from cubetri.coloring import Coloring
-
-    coloring = Coloring(colors, len(kvec), "explicit")
-    return triangulate_product(t_q, t0_tri, coloring, with_provenance=True), coloring
-
-
 def test_criterion_5_lift_size_identity():
     t0 = time.time()
     rng = random.Random(20250808)
@@ -159,8 +145,6 @@ def test_criterion_5_lift_size_identity():
     prism3 = staircase_triangulation(1, 2)  # segment x triangle
     seeds = [("prism m=2", prism2, 2), ("prism m=3", prism3, 3), ("i3d1", cayley_seed("i3d1"), 2)]
     ok = True
-    from cubetri.staircase import lift_triangulation
-
     for case in range(20):
         name, base, m = seeds[rng.randrange(len(seeds))]
         while True:
@@ -173,7 +157,7 @@ def test_criterion_5_lift_size_identity():
             for bl in product_blocks(base)
         )
         ok &= lifted.size == closed
-        (tri, prov), coloring = _lift_with_provenance(base, kvec)
+        tri, prov, coloring = lift_provenance(base, kvec)
         ok &= set(tri.simplices) == set(lifted.simplices)
         ok &= StructuredChecker(tri, prov, coloring).run().is_face_to_face
     _announce(

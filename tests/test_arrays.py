@@ -352,6 +352,16 @@ def _bad_files(tri) -> dict[str, tuple[str, str]]:
     wrong_dim = text.replace('{"dim": %d' % dim, '{"dim": %d' % (dim + 1), 1)
     assert wrong_dim != text
     out["dim"] = (wrong_dim, json.dumps(json.loads(wrong_dim)))
+    # Well-formed JSON that is not a triangulation file has no writer's
+    # layout: compact and indented json.dumps text instead.
+    for key in ("label", "points", "simplices"):
+        obj = json.loads(text)
+        del obj[key]
+        out[f"no {key}"] = (json.dumps(obj), json.dumps(obj, indent=1))
+    obj = json.loads(text)
+    obj["label"] = 5
+    out["label 5"] = (json.dumps(obj), json.dumps(obj, indent=1))
+    out["list"] = ("[1,2]", json.dumps([1, 2], indent=1))
     return out
 
 

@@ -1,7 +1,13 @@
+import json
 import math
 
 import pytest
-from helpers import cell_normalized_volume, cell_points, reference_validate_mixed
+from helpers import (
+    cell_normalized_volume,
+    cell_points,
+    lift_provenance,
+    reference_validate_mixed,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -99,16 +105,17 @@ def test_scale_volumes():
 def test_scaled_cell_volumes_match_lift_counts():
     # per-cell: the scaled Minkowski volume and the lifted-cell volume are
     # both products over blocks, tied to the same base determinant
-    from cubetri.staircase import lift_cell, multi_staircases, product_blocks
+    from cubetri.staircase import LiftedCell, multi_staircases
 
     t0 = cayley_seed("i3d1")
-    sub = seed_i3d1()
     kvec = (2, 1)
+    _, prov, _ = lift_provenance(t0, kvec)
+    assert [cell.tau_index for cell in prov] == list(range(t0.size))
     lifted_total = 0
-    for s, cell in zip(t0.simplices, sub.cells):
-        lc = lift_cell(t0, s, kvec)
-        staircases = multi_staircases(lc)
-        base_vol = t0.volume_of(s)
+    for cell in prov:
+        staircases = multi_staircases(LiftedCell(cell.rows, cell.cols, sum(kvec)))
+        assert len(staircases) == cell.end - cell.start
+        base_vol = t0.volume_of(t0.simplices[cell.tau_index])
         lifted_total += base_vol * len(staircases)
     assert lifted_total == 60  # cube(3) x simplex(2) ambient volume
 
@@ -182,11 +189,12 @@ def test_validate_mixed_catches_overlap():
 
 
 def test_validate_mixed_always_checks_fineness():
-    # one summand is the whole square: not a simplex, so no Cayley simplex
-    bad = MixedSubdivision(cube_config(2), 2, (MixedCell(((0, 1, 2, 3), (0,))),))
-    report = validate_mixed(bad)
-    assert [v.kind for v in report.violations] == ["not-fine", "volume-mismatch"]
-    assert report.volume_total == 0
+    # one summand is the whole square: not a simplex, so no Cayley simplex;
+    # nor has a cell with a vertex that is not a point of the base
+    for m, cell in ((2, ((0, 1, 2, 3), (0,))), (1, ((0, 2, 9),))):
+        report = validate_mixed(MixedSubdivision(cube_config(2), m, (MixedCell(cell),)))
+        assert [v.kind for v in report.violations] == ["not-fine", "volume-mismatch"]
+        assert report.volume_total == 0
 
 
 TAMPER_BASES = {
@@ -196,13 +204,16 @@ TAMPER_BASES = {
 }
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     name=st.sampled_from(sorted(TAMPER_BASES)),
-    kind=st.sampled_from(("drop", "duplicate", "vertex")),
+    kind=st.sampled_from(("drop", "duplicate", "vertex", "outside")),
     data=st.data(),
 )
 def test_validate_mixed_agrees_with_the_reference_on_tamperings(name, kind, data):
+    """Every tampering is rejected. A vertex moved outside the base
+    (``outside``) has no point for the reference to realize; it must be
+    one ``not-fine`` violation of the one cell that has it."""
     sub = TAMPER_BASES[name]()
     cells = list(sub.cells)
     i = data.draw(st.integers(0, len(cells) - 1), label="cell")
@@ -211,19 +222,29 @@ def test_validate_mixed_agrees_with_the_reference_on_tamperings(name, kind, data
     elif kind == "duplicate":
         cells.insert(data.draw(st.integers(0, len(cells)), label="at"), cells[i])
     else:
+        n = len(sub.base.points)
         summands = [list(b) for b in cells[i].summands]
         j = data.draw(st.integers(0, len(summands) - 1), label="summand")
         k = data.draw(st.integers(0, len(summands[j]) - 1), label="vertex")
         old = summands[j][k]
+        inside = st.integers(0, n - 1).filter(lambda p: p != old)
+        outside = st.integers(-3, -1) | st.integers(n, n + 3)
         summands[j][k] = data.draw(
-            st.integers(0, len(sub.base.points) - 1).filter(lambda p: p != old),
-            label="new vertex",
+            inside if kind == "vertex" else outside, label="new vertex"
         )
         cells[i] = MixedCell(tuple(map(tuple, summands)))
     bad = MixedSubdivision(sub.base, sub.m, tuple(cells))
     got = validate_mixed(bad)
-    assert got.is_dissection == reference_validate_mixed(bad).is_dissection
     assert not got.is_dissection
+    if kind == "outside":
+        not_fine = [v.members for v in got.violations if v.kind == "not-fine"]
+        assert not_fine == [(cells[i].summands,)]
+        with pytest.raises(ValueError):
+            mixed_to_triangulation(bad)
+        with pytest.raises(ValueError):
+            mixed_from_json(mixed_to_json(bad))
+    else:
+        assert got.is_dissection == reference_validate_mixed(bad).is_dissection
 
 
 def test_validate_mixed_agrees_with_the_reference_on_valid_input():
@@ -239,6 +260,27 @@ def test_mixed_json_round_trip():
     back = mixed_from_json(mixed_to_json(sub))
     assert back.cells == sub.cells and back.m == sub.m
     assert str(back.base.label) == "cube(3)"
+
+
+@pytest.mark.parametrize(
+    "m, cell",
+    [
+        (0, [[0, 2, 3]]),
+        (-1, [[0, 2, 3]]),
+        (True, [[0, 2, 3]]),
+        (1.0, [[0, 2, 3]]),
+        ("1", [[0, 2, 3]]),
+        (1, [[0, 2, 9]]),
+        (1, [[0, 2, -1]]),
+        (1, [[0, 2, 3.0]]),
+        (1, [[0, 2, True]]),
+        (1, [[0, 2, "3"]]),
+    ],
+)
+def test_mixed_from_json_rejects_bad_m_and_indices(m, cell):
+    text = json.dumps({"base": "cube(2)", "m": m, "cells": [cell]})
+    with pytest.raises(ValueError):
+        mixed_from_json(text)
 
 
 def test_mixed_weighted_size_equals_cayley_i3d2():
@@ -261,22 +303,24 @@ def test_scaled_cells_match_lift_cells_per_cell():
     # combinatorial factor must give the same integer, cell by cell
     from fractions import Fraction
 
-    from cubetri.staircase import lift_cell, lift_count, multi_staircases
+    from cubetri.staircase import LiftedCell, lift_count, multi_staircases
 
     t0 = cayley_seed("i3d1")
     sub = seed_i3d1()
     kvec = (2, 2)
     scaled = scale_mixed(sub, kvec)
+    _, prov, _ = lift_provenance(t0, kvec)
+    assert [cell.tau_index for cell in prov] == list(range(t0.size))
     lifted_cfg_vol_check = 0
-    for s, base_cell, scaled_cell in zip(t0.simplices, sub.cells, scaled.cells):
+    for s, base_cell, scaled_cell, lc in zip(t0.simplices, sub.cells, scaled.cells, prov):
         dims = base_cell.dims()
         l = sum(dims)
         comb_scaled = Fraction(math.factorial(l))
         for k, t in zip(kvec, dims):
             comb_scaled = comb_scaled * k**t / math.factorial(t)
         det_from_scaled = cell_normalized_volume(scaled.base, scaled_cell) / comb_scaled
-        lc = lift_cell(t0, s, kvec)
-        count = len(multi_staircases(lc))
+        count = len(multi_staircases(LiftedCell(lc.rows, lc.cols, sum(kvec))))
+        assert count == lc.end - lc.start
         comb_lift = 1
         for k, t in zip(kvec, dims):
             comb_lift *= lift_count(k, t + 1)

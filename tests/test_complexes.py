@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from cubetri.coloring import staircase_triangulation
 from cubetri.complexes import (
     Triangulation,
     efficiency,
@@ -22,7 +23,6 @@ from cubetri.geometry import (
     product_config,
     simplex_config,
 )
-from cubetri.staircase import staircase_triangulation
 from cubetri.verification import batch_volumes_of, volume_total
 
 UNIT_SQUARE = Triangulation(cube_config(2), ((0, 2, 3), (0, 1, 3)))

@@ -73,8 +73,9 @@ def test_every_witness_face_to_face():
 
 
 def test_guard():
-    with pytest.raises(ValueError):
-        count_triangulations(SearchProblem(cube_config(5)))
+    # the guard holds when the problem is built, before any search
+    with pytest.raises(ValueError, match="exceeds guard"):
+        SearchProblem(cube_config(5))
 
 
 def test_oracle_minima_match_known_efficiency_rows():

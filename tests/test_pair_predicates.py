@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from cubetri import linalg
 from cubetri.cayley import MixedCell, MixedSubdivision
-from cubetri.coloring import make_coloring, triangulate_product
+from cubetri.coloring import make_coloring, staircase_triangulation, triangulate_product
 from cubetri.complexes import Triangulation
 from cubetri.geometry import PointConfiguration, affine_rank, cube_config
 from cubetri.linalg import (
@@ -37,7 +37,6 @@ from cubetri.seeds import (
     seed_i3d2,
     unimodular_cube,
 )
-from cubetri.staircase import staircase_triangulation
 
 # -- reference: the separation-LP formulations --------------------------------
 

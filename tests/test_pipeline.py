@@ -192,6 +192,7 @@ def test_cli_expect_prints_one_line_for_an_invalid_spec(capsys, argv, match):
         (["seeds", "show", "unimodular_cube(9)"], "1 <= d <= 8"),
         (["seeds", "show", "nonsense"], "unknown seed 'nonsense'"),
         (["oracle", "min-weighted", "--config", "foo"], "unknown configuration"),
+        (["oracle", "min-weighted", "--config", "i5"], "exceeds guard"),
     ],
 )
 def test_cli_seeds_and_oracle_print_one_line_for_an_invalid_spec(capsys, argv, match):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from cubetri import linalg, seeds
 from cubetri.cayley import (
     MixedCell,
     MixedSubdivision,
+    mixed_to_json,
     mixed_weighted_size,
     validate_mixed,
 )
@@ -55,6 +57,14 @@ def test_square_family_census():
         from cubetri.cayley import count_area2_squares
 
         assert count_area2_squares(sub) == (m * m) // 4
+
+
+def test_square_family_keeps_its_order():
+    # First 16 hex characters of the SHA-256 of the files of
+    # square_family(1..7), written before the block lift became a product
+    # of ProductCells.
+    text = "".join(mixed_to_json(square_family(m)) for m in range(1, 8))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "46df39476e458f38"
 
 
 def test_square_family_validates_geometrically():

@@ -1,23 +1,22 @@
+import hashlib
 import math
 import random
 
 import pytest
 
-from helpers import two_triangle_prism
+from helpers import lift_provenance, two_triangle_prism
 
-from cubetri.complexes import validate_face_to_face
+from cubetri.coloring import lift_triangulation, product_blocks, staircase_triangulation
+from cubetri.complexes import triangulation_to_json, validate_face_to_face
 from cubetri.geometry import ambient_normalized_volume
 from cubetri.staircase import (
+    LiftedCell,
     certify_cell_regular,
-    lift_cell,
     lift_count,
-    lift_triangulation,
     monotone_paths,
     multi_staircase_count,
     multi_staircases,
-    product_blocks,
     staircase_block_regular,
-    staircase_triangulation,
 )
 
 
@@ -32,6 +31,24 @@ def test_staircase_sizes_small():
 def test_staircase_k0():
     tri = staircase_triangulation(3, 0)
     assert tri.size == 1
+
+
+def test_staircase_triangulations_keep_their_order():
+    # First 16 hex characters of the SHA-256 of the files of every
+    # staircase triangulation for k, l in 0..4, written before the
+    # staircase triangulation became a product of ProductCells.
+    text = "".join(
+        triangulation_to_json(staircase_triangulation(k, l))
+        for k in range(5)
+        for l in range(5)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "d468881e27fd3191"
+
+
+def test_staircase_rejects_negative_dimensions():
+    for k, l in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError):
+            staircase_triangulation(k, l)
 
 
 def test_staircase_face_to_face_small():
@@ -71,10 +88,11 @@ def test_lift_count_degenerate_conventions():
 def test_lift_cell_example():
     # cell {(p1,v1),(p2,v1),(p3,v2)} lifted by (2,1): five vertices
     prism = two_triangle_prism()
-    cell = lift_cell(prism, prism.simplices[0], (2, 1))
-    assert cell.vertex_count() == 5
-    rows_sq = sum(len(r) * len(c) for r, c in zip(cell.rows, cell.cols))
-    assert rows_sq == 5
+    _, prov, _ = lift_provenance(prism, (2, 1))
+    cell = prov[0]
+    assert cell.tau_index == 0
+    assert cell.cols == ((0, 1), (2,))
+    assert sum(len(r) * len(c) for r, c in zip(cell.rows, cell.cols)) == 5
 
 
 def test_lift_cell_type11_has_four_staircases():
@@ -85,13 +103,16 @@ def test_lift_cell_type11_has_four_staircases():
 
     t2 = mixed_to_triangulation(square_seed_m2())
     diamond = next(
-        s
-        for s, blocks in zip(t2.simplices, product_blocks(t2))
+        t_idx
+        for t_idx, blocks in enumerate(product_blocks(t2))
         if all(len(b) == 2 for b in blocks)
     )
-    cell = lift_cell(t2, diamond, (2, 2))
-    assert cell.vertex_count() == 8
-    assert len(multi_staircases(cell)) == 4
+    tri, prov, _ = lift_provenance(t2, (2, 2))
+    cell = next(c for c in prov if c.tau_index == diamond)
+    assert sum(len(r) * len(c) for r, c in zip(cell.rows, cell.cols)) == 8
+    staircases = multi_staircases(LiftedCell(cell.rows, cell.cols, 4))
+    assert len(staircases) == cell.end - cell.start == 4
+    assert staircases == list(tri.simplices[cell.start : cell.end])
 
 
 def test_identity_lift():
@@ -110,8 +131,9 @@ def test_lift_prism_to_i_x_d2():
 
 def test_lift_rejects_zero_entries():
     prism = two_triangle_prism()
-    with pytest.raises(ValueError):
-        lift_triangulation(prism, (2, 0))
+    for kvec in ((2, 0), (2,), (1, 1, 1)):
+        with pytest.raises(ValueError):
+            lift_triangulation(prism, kvec)
 
 
 def test_lift_size_matches_closed_form_i3d1():

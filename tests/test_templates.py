@@ -21,21 +21,20 @@ from cubetri.coloring import (
     Coloring,
     ProductCells,
     _check_inputs,
+    lift_triangulation,
     make_coloring,
+    product_blocks,
     product_size,
     triangulate_product,
 )
-from cubetri.complexes import Triangulation, simplex_factor
+from cubetri.complexes import Triangulation, factor_blocks, simplex_factor
+from cubetri.geometry import config_from_label, product_config, simplex_config
 from cubetri.pipeline import PipelineSpec, _cube_as_point_product, build_cube_recursive
 from cubetri.seeds import cayley_seed, minimal_cube, unimodular_cube
 from cubetri.staircase import (
     LiftedCell,
-    lift_cell,
-    lift_triangulation,
     monotone_paths,
     multi_staircases,
-    product_blocks,
-    restricted_base_cells,
     signature_template,
 )
 from cubetri.verification import StructuredChecker
@@ -50,7 +49,7 @@ def reference_multi_staircases(cell):
         verts = []
         for (rows, cols), path in zip(zip(cell.rows, cell.cols), combo):
             for h, j in path:
-                verts.append(cell.out_index(rows[h], cols[j]))
+                verts.append(rows[h] * cell.n_target + cols[j])
         out.append(tuple(sorted(verts)))
     return out
 
@@ -67,22 +66,35 @@ def reference_product_cells(t_q, t0, coloring):
             sigma_by_color[coloring.colors[q]].append(q)
         present = tuple(i for i in range(m) if sigma_by_color[i])
         cols = tuple(tuple(sigma_by_color[i]) for i in present)
-        for t_idx, rows in restricted_base_cells(blocks_list, present):
+        for t_idx, blocks in enumerate(blocks_list):
+            # the restriction of T_0 to the face of the present colors
+            if any(len(blocks[i]) != 1 for i in range(m) if i not in present):
+                continue
+            rows = tuple(blocks[i] for i in present)
             simplices = reference_multi_staircases(LiftedCell(rows, cols, nq))
-            base_face = frozenset((p, i) for i, r in zip(present, rows) for p in r)
             signature = (tuple(len(r) for r in rows), tuple(len(c) for c in cols))
             end = start + len(simplices)
             yield (
-                CellProvenance(sigma, t_idx, base_face, rows, cols, start, end, signature),
+                CellProvenance(sigma, t_idx, rows, cols, start, end, signature),
                 simplices,
             )
             start = end
 
 
+def reference_lift_cells(t0, kvec):
+    """The lifted cells of t0 by kvec, one per simplex: its factor blocks
+    as rows, and k_i consecutive columns of simplex(n-1) per block, the
+    columns of block i after those of the blocks before it."""
+    _, m = simplex_factor(t0.config)
+    bounds = list(itertools.accumulate(kvec, initial=0))
+    cols = tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:]))
+    return [LiftedCell(factor_blocks(s, m), cols, bounds[-1]) for s in t0.simplices]
+
+
 def reference_lift(t0, kvec):
     out = []
-    for s in t0.simplices:
-        out.extend(reference_multi_staircases(lift_cell(t0, s, kvec)))
+    for cell in reference_lift_cells(t0, kvec):
+        out.extend(reference_multi_staircases(cell))
     return out
 
 
@@ -98,7 +110,7 @@ def seed(name):
 
 
 SEEDS = ("i3d1", "i3d2", "minimal", "unimodular")
-PROV_FIELDS = ("sigma", "tau_index", "rows", "cols", "base_face", "start", "end", "signature")
+PROV_FIELDS = ("sigma", "tau_index", "rows", "cols", "start", "end", "signature")
 
 
 def colorings(nq, m):
@@ -187,17 +199,18 @@ def test_engine_matches_reference_on_random_colorings(seed_name, q_dim, data):
 @pytest.mark.parametrize("seed_name", SEEDS)
 def test_lift_triangulation_matches_reference(seed_name):
     t0 = seed(seed_name)
-    _, m = simplex_factor(t0.config)
+    left, m = simplex_factor(t0.config)
     for kvec in itertools.product((1, 2, 3), repeat=m):
         lifted = lift_triangulation(t0, kvec)
         assert list(lifted.simplices) == reference_lift(t0, kvec)
+        want = product_config(config_from_label(left), simplex_config(sum(kvec) - 1))
+        assert lifted.config == want
 
 
 def test_multi_staircases_matches_reference_per_cell():
     t0 = cayley_seed("i3d2")
-    for s in t0.simplices:
-        for kvec in ((1, 1, 1), (2, 3, 1), (4, 2, 3)):
-            cell = lift_cell(t0, s, kvec)
+    for kvec in ((1, 1, 1), (2, 3, 1), (4, 2, 3)):
+        for cell in reference_lift_cells(t0, kvec):
             assert multi_staircases(cell) == reference_multi_staircases(cell)
     # arbitrary labels, not only the canonical lift's consecutive columns
     cell = LiftedCell(((0, 5), (2,), (1, 3, 4)), ((7, 9), (3, 8), (1,)), 10)
