@@ -200,18 +200,23 @@ def mixed_to_json(sub: MixedSubdivision) -> str:
 
 
 def mixed_from_json(text: str) -> MixedSubdivision:
-    """Read :func:`mixed_to_json`'s text. ValueError for an ``m`` that is
-    not a positive ``int`` and for a summand entry that is not an ``int``
-    index of a base point; whether the cells subdivide is
-    :func:`validate_mixed`'s question."""
+    """Read :func:`mixed_to_json`'s text. ValueError unless it is an object
+    with a string ``base``, a positive ``int`` ``m`` and ``cells`` that are
+    lists of summand lists of ``int`` indices of base points; whether the
+    cells subdivide is :func:`validate_mixed`'s question."""
     obj = json.loads(text)
+    if type(obj) is not dict or type(obj.get("base")) is not str:
+        raise ValueError("not a mixed subdivision file")
     base = config_from_label(parse_label(obj["base"]))
-    m = obj["m"]
+    m = obj.get("m")
     if type(m) is not int or m < 1:
         raise ValueError(f"m {m!r} is not a positive integer")
-    cells = tuple(
-        MixedCell(tuple(tuple(b) for b in cell)) for cell in obj["cells"]
-    )
+    cells = obj.get("cells")
+    if type(cells) is not list or not all(
+        type(c) is list and all(type(b) is list for b in c) for c in cells
+    ):
+        raise ValueError("cells are not lists of summand lists")
+    cells = tuple(MixedCell(tuple(map(tuple, c))) for c in cells)
     n = len(base.points)
     for p in (p for cell in cells for b in cell.summands for p in b):
         if type(p) is not int or not 0 <= p < n:

@@ -10,11 +10,11 @@
 
 ``verify`` certifies a file by the volume census and the ridge check,
 both linear in its size; ``--face-to-face`` runs the quadratic pairwise
-dissection and face-to-face scans instead. Either way a file whose
-``dim`` or simplices the reader rejects (an entry that is not an integer
-index of a point, or simplices of different sizes) prints one
-``invalid file: ...`` line. ``expect`` prints the exact expected size
-over uniform colorings next to sampled sizes.
+dissection and face-to-face scans instead. Either way a file that cannot
+be read or decoded, or whose ``dim`` or simplices the reader rejects (an
+entry that is not an integer index of a point, or simplices of different
+sizes), prints one ``invalid file: ...`` line. ``expect`` prints the exact
+expected size over uniform colorings next to sampled sizes.
 
 Exit code 0 iff every requested validation passed; 2 for a spec that
 ``build``, ``expect``, ``seeds show`` or ``oracle`` rejects, with one
@@ -80,11 +80,10 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    with open(args.path) as fh:
-        text = fh.read()
     try:
-        tri = triangulation_from_json(text)
-    except ValueError as exc:
+        with open(args.path) as fh:
+            tri = triangulation_from_json(fh.read())
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
         print(f"invalid file: {exc}")
         return 1
     if args.face_to_face:

@@ -33,8 +33,8 @@ authoritative oracle on small inputs. :func:`ridge_violations` is the
 ridge part alone, for a caller (the pipeline) that already holds the
 census's signed volumes; :func:`ridge_certificate` returns them with the
 verdict, for a caller (:func:`cayley.validate_mixed`) that needs them. The
-oracle's enumerator takes its volumes, ridge sides and boundary ridges
-from the same census, :func:`_apex_sides` and :func:`facet_incidence`.
+oracle's search grows cells under the same ridge conditions, on the same
+census, :func:`_apex_sides` and :func:`facet_incidence`.
 
 Files hold one simplex per line (:class:`TriangulationWriter`), so a step
 too large to keep in memory is written chunk by chunk in the same format.
@@ -184,14 +184,13 @@ def signed_volumes(points, rows) -> np.ndarray:
 
     Every entry p_r[c] - p_0[c] is at most the range (max - min) of
     coordinate c over ``points``, so one guard on the largest range
-    (:func:`linalg.exact_dtype`, on Python ints when a coordinate does not
-    fit int64) picks the dtype of the whole census. Each chunk of
-    ``CENSUS_CHUNK`` rows, which bounds the working memory, is
+    (:func:`linalg.exact_dtype`) picks the dtype of the whole census: int32,
+    int64, or Python ints (``object``) when neither is wide enough. Each
+    chunk of ``CENSUS_CHUNK`` rows, which bounds the working memory, is
     gathered straight into the (d, d, N) layout of
     :func:`linalg.batch_last_det`: rows vertex differences, columns
-    coordinates, batch last. When neither int32 nor int64 is wide enough,
-    each simplex goes to :func:`linalg.det_bareiss` on exact Python-int
-    differences; a volume that int64 cannot hold raises OverflowError.
+    coordinates, batch last. A volume that int64 cannot hold raises
+    OverflowError.
     """
     out = np.zeros(len(rows), dtype=np.int64)
     if not len(out):
@@ -200,28 +199,22 @@ def signed_volumes(points, rows) -> np.ndarray:
     n_pts, d = pts.shape
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     span = max((int(b) - int(a) for a, b in zip(lo, hi)), default=0)
-    dtype = linalg.exact_dtype(span, d)
-    if dtype is None:
-        exact = pts.astype(object)
-    else:
-        # Shifted to a zero minimum, every coordinate lies in [0, span] and
-        # fits dtype. Entry c P + p is coordinate c of point p.
-        table = (pts - lo).T.astype(dtype).ravel()
-        offsets = np.arange(0, d * n_pts, n_pts)[:, None]
+    dtype = linalg.exact_dtype(span, d) or object
+    if dtype is object:  # then the shift below might not fit int64
+        pts = pts.astype(object)
+    # Shifted to a zero minimum, every coordinate lies in [0, span] and
+    # fits dtype. Entry c P + p is coordinate c of point p.
+    table = (pts - lo).T.astype(dtype).ravel()
+    offsets = np.arange(0, d * n_pts, n_pts)[:, None]
     for start in range(0, len(rows), CENSUS_CHUNK):
         chunk = np.asarray(rows[start : start + CENSUS_CHUNK])
-        stop = start + len(chunk)
-        if dtype is None:
-            coords = exact[chunk]
-            diffs = (coords[:, 1:] - coords[:, :1]).tolist()
-            try:
-                out[start:stop] = [linalg.det_bareiss(m) for m in diffs]
-            except OverflowError:
-                raise OverflowError("a signed volume int64 cannot hold") from None
-            continue
         verts = chunk.T.astype(np.intp, order="C")  # (d+1, N)
         g = table[verts[:, None, :] + offsets]  # (d+1, d, N), C-contiguous
-        out[start:stop] = linalg.batch_last_det(np.subtract(g[1:], g[:1]))
+        g = np.subtract(g[1:], g[:1])  # (d, d, N) vertex differences
+        try:
+            out[start : start + len(chunk)] = linalg.batch_last_det(g)
+        except OverflowError:
+            raise OverflowError("a signed volume int64 cannot hold") from None
     return out
 
 

@@ -7,21 +7,21 @@ phase-1 simplex solver with integer pivoting used as an exact linear
 feasibility oracle.
 
 The batched determinant is one fraction-free elimination on a batch-last
-(n, n, N) array (:func:`batch_last_det`), run in int32 or int64 as one
-guard proves exact (:func:`exact_dtype`); a batch neither width can hold
-goes to the scalar :func:`det_bareiss`.
+(n, n, N) array (:func:`batch_last_det`), in int32 or int64 as one guard
+proves exact (:func:`exact_dtype`), else in Python ints. The scalar
+:func:`det_bareiss` is the tests' reference for it.
 
 The pair predicates (face to face, disjoint interiors of simplices or of
-polytopes) are certificate-first. For two full-dimensional simplices, the
-integer barycentric rows of each (:func:`barycentric_rows`, computed once
-per simplex by the caller) often name a facet hyperplane that separates
-the pair, which integer dot products alone show. Every pair the
-certificate does not settle goes to one LP formulation: convex-combination
-(barycentric) feasibility with integer rows, d+1 or d+2 of them, and one
-column per vertex of either side. No floating point is ever consulted for
-a decision. The polytope predicate has no caller in the package: mixed
-cells are checked on their Cayley simplices (:mod:`cayley`), and only the
-tests and the benchmark's tracer still call it.
+polytopes), and with them the LP and the barycentric rows, serve only the
+pairwise reference scans of :mod:`complexes`. They are certificate-first.
+For two full-dimensional simplices, the integer barycentric rows of each
+(:func:`barycentric_rows`, computed once per simplex by the caller) often
+name a facet hyperplane that separates the pair, which integer dot
+products alone show. Every pair the certificate does not settle goes to
+one LP formulation: convex-combination (barycentric) feasibility with
+integer rows, d+1 or d+2 of them, and one column per vertex of either
+side. No floating point is ever consulted for a decision. Only the tests
+and the benchmark's tracer call the polytope predicate.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ def rank_int(rows: list[list[int]]) -> int:
 def exact_dtype(c: int, n: int):
     """The narrower of int32 and int64 in which :func:`batch_last_det` is
     exact on n x n matrices with integer entries |a| <= c, or None when
-    neither is wide enough (callers then take :func:`det_bareiss`).
+    neither is wide enough (callers then run it on Python ints, ``object``).
 
     Proof. By Sylvester's identity, each entry that Bareiss elimination
     (*Math. Comp.* 22, 1968) holds after step k, row swaps included, is a
@@ -122,10 +122,11 @@ def exact_dtype(c: int, n: int):
 
 def batch_last_det(m: np.ndarray) -> np.ndarray:
     """Signed determinants of the matrices m[:, :, b] of a C-contiguous
-    (n, n, N) integer array, as int64, by vectorized Bareiss elimination
-    in m's own dtype. Overwrites m. Exact when m's dtype is at least as
-    wide as the one :func:`exact_dtype` picks for its entries. Each row
-    swap flips the sign of its matrix; a 0x0 matrix has determinant 1.
+    (n, n, N) integer array, by vectorized Bareiss elimination in m's own
+    dtype, as int64 (as Python ints for an ``object`` array). Overwrites m.
+    Exact when m's dtype is ``object`` or at least as wide as the one
+    :func:`exact_dtype` picks for its entries. Each row swap flips the sign
+    of its matrix; a 0x0 matrix has determinant 1.
 
     With the batch index last, each step updates the trailing submatrix of
     every matrix in place with a few operations on contiguous rows of N
@@ -194,18 +195,15 @@ def batch_det(mats: np.ndarray) -> np.ndarray:
 
     ``mats`` has shape (N, n, n). The batch is copied to the (n, n, N)
     layout of :func:`batch_last_det` in the dtype :func:`exact_dtype` picks
-    for its largest absolute entry, int32 or int64, and the result is int64.
-    When neither is wide enough (entries beyond int64 included), each
-    matrix goes to :func:`det_bareiss` and the result is an object array of
-    Python ints.
+    for its largest absolute entry, and the result is int64; when neither
+    int32 nor int64 is wide enough (entries beyond int64 included), the
+    copy and the result are object arrays of Python ints.
     """
     mats = int_array(mats)
     N, n, n2 = mats.shape
     assert n == n2
     c = max(int(mats.max()), -int(mats.min())) if mats.size else 0
-    dtype = exact_dtype(c, n)
-    if dtype is None:
-        return np.array([det_bareiss(m.tolist()) for m in mats], dtype=object)
+    dtype = exact_dtype(c, n) or object
     # astype copies, so the caller's array is never overwritten.
     return batch_last_det(mats.transpose(1, 2, 0).astype(dtype, order="C"))
 

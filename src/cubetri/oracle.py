@@ -11,10 +11,12 @@ search branches over those starting cells, then repeatedly completes the
 lexicographically first open ridge. Both steps are deterministic, so the
 leaves of the search tree biject with the triangulations.
 
-The search takes no determinant of its own: one census of every
-(d+1)-subset (:func:`complexes.signed_volumes`) gives the candidates, their
-volumes and, by :func:`complexes._apex_sides`, their ridge sides;
-:func:`complexes.facet_incidence` gives the boundary ridges.
+A cell joins only under the ridge conditions of
+:func:`complexes.ridge_violations`, so a closed leaf passes the ridge
+certificate. The search takes no determinant of its own: censuses
+(:func:`complexes.signed_volumes`) give the candidates, their volumes,
+their ridge sides (:func:`complexes._apex_sides`) and the starting cells,
+and :func:`complexes.facet_incidence` the boundary ridges.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from typing import Iterator
 
 import numpy as np
 
-from . import linalg
 from .complexes import (
     Simplex,
     Triangulation,
@@ -44,12 +45,15 @@ CANDIDATE_GUARD = 10**4
 
 @dataclass(frozen=True)
 class SearchProblem:
-    """ValueError, before any search, past ``CANDIDATE_GUARD`` (d+1)-subsets."""
+    """ValueError, before any search, for a dimension below 1 or past
+    ``CANDIDATE_GUARD`` (d+1)-subsets."""
 
     config: PointConfiguration
     objective: str = "weighted"  # weighted | cardinality
 
     def __post_init__(self):
+        if self.config.dim < 1:
+            raise ValueError(f"dimension {self.config.dim} is below 1")
         pool = math.comb(len(self.config.points), self.config.dim + 1)
         if pool > CANDIDATE_GUARD:
             raise ValueError(f"candidate pool {pool} exceeds guard {CANDIDATE_GUARD}")
@@ -65,105 +69,105 @@ class _Enumerator:
         combos = np.array(list(itertools.combinations(range(n), self.d + 1)), np.intp)
         signed = signed_volumes(self.pts, combos)
         live = np.flatnonzero(signed)
+        self.signed = signed[live]
         self.cand_rows = combos[live]
         self.cands = list(map(tuple, self.cand_rows.tolist()))
-        self.vols = np.abs(signed[live]).tolist()
-        self.bary = [
-            linalg.barycentric_rows([self.pts[i] for i in s]) for s in self.cands
-        ]
+        self.vols = np.abs(self.signed).tolist()
         # ridge -> {candidate: side of the candidate's apex}, candidates ascending
         self.by_ridge: dict[tuple, dict[int, int]] = {}
-        sides = _apex_sides(signed[live], self.d).tolist()
+        sides = _apex_sides(self.signed, self.d).tolist()
         for ci, (s, side) in enumerate(zip(self.cands, sides)):
             for j in range(self.d + 1):
                 self.by_ridge.setdefault(s[:j] + s[j + 1 :], {})[ci] = side[j]
-        ridges = list(self.by_ridge)
+        # The search names ridges by their rank in lexicographic order, so
+        # the smallest open one is the lexicographically first.
+        ridges = sorted(self.by_ridge)
+        rank = {r: i for i, r in enumerate(ridges)}
+        self.sides = [self.by_ridge[r] for r in ridges]
         rows = np.array(ridges, dtype=np.intp).reshape(len(ridges), self.d)
         on_facet = facet_incidence(config)[rows].all(axis=1).any(axis=1)
         self.boundary = set(itertools.compress(ridges, on_facet.tolist()))
-        self._compat: dict[tuple[int, int], bool] = {}
-
-    def _compatible(self, a: int, b: int) -> bool:
-        key = (a, b) if a < b else (b, a)
-        hit = self._compat.get(key)
-        if hit is None:
-            i, j = key
-            hit = linalg.simplices_face_to_face(
-                [self.pts[k] for k in self.cands[i]],
-                [self.pts[k] for k in self.cands[j]],
-                self.bary[i],
-                self.bary[j],
-            )
-            self._compat[key] = hit
-        return hit
+        # candidate -> ranks of its ridges: all, off the boundary, on it
+        self.ridges = []
+        for s in self.cands:
+            faces = [s[:j] + s[j + 1 :] for j in range(self.d + 1)]
+            inner = [rank[r] for r in faces if r not in self.boundary]
+            outer = [rank[r] for r in faces if r in self.boundary]
+            self.ridges.append((frozenset(inner + outer), inner, outer))
 
     def _generic_direction(self):
         """Starting cells: the cells at the anchor whose tangent cone holds
         a generic direction g.
 
-        For a cell vertex r other than the anchor, row r of the cell's
-        barycentric rows gives row[:d] . g = |D| x_r, where x_r is the
-        coordinate of g along the edge from the anchor to r. g is scaled by
-        997 to an integer vector, which keeps every sign. A zero coordinate
-        means g is not generic, and the next g is tried.
-        """
+        With the point anchor + g in place of a cell vertex r other than the
+        anchor, the cell's signed volume is scaled by x_r, the coordinate of
+        g along the edge from the anchor to r, so one census of those
+        simplices gives the sign of every x_r. g is scaled by 997 to an
+        integer vector, which keeps every sign. A zero coordinate means g is
+        not generic, and the next g is tried."""
         n = len(self.pts)
         v0 = self.pts[self.anchor]
-        base = [
-            sum(p[j] for p in self.pts) - n * v0[j] for j in range(self.d)
-        ]
-        starters = [ci for ci, s in enumerate(self.cands) if self.anchor in s]
+        base = [sum(p[j] for p in self.pts) - n * v0[j] for j in range(self.d)]
+        starters = np.flatnonzero((self.cand_rows == self.anchor).any(axis=1))
+        rows = self.cand_rows[starters]
+        # Row k: starter k // d with its (k % d)-th vertex other than the
+        # anchor replaced by point n, anchor + g.
+        moved = rows[rows != self.anchor]
+        swapped = np.repeat(rows, self.d, axis=0)
+        swapped[swapped == moved[:, None]] = n
+        orient = np.repeat(np.sign(self.signed[starters]), self.d)
         for attempt in range(200):
             g = [997 * base[j] + attempt * 3**j for j in range(self.d)]
-            inside = []
-            for ci in starters:
-                coords = [
-                    sum(a * b for a, b in zip(row[: self.d], g))
-                    for i, row in zip(self.cands[ci], self.bary[ci])
-                    if i != self.anchor
-                ]
-                if 0 in coords:
-                    break
-                if all(c > 0 for c in coords):
-                    inside.append(ci)
-            else:
-                return inside
+            point = tuple(a + b for a, b in zip(v0, g))
+            x = signed_volumes(self.pts + (point,), swapped) * orient
+            if x.all():
+                return starters[(x > 0).reshape(-1, self.d).all(axis=1)].tolist()
         raise ArithmeticError("no generic direction found")
 
     def enumerate(self) -> Iterator[list[int]]:
-        starters = self._generic_direction()
-        for start in starters:
-            yield from self._extend([start], self._open_after({}, start))
+        yield from self._extend([], ({}, frozenset(), 0), self._generic_direction())
 
-    def _open_after(self, open_ridges, new):
+    def _after(self, state, new: int):
+        """The state (open ridge -> its one cell, full ridges, volume) once
+        candidate ``new`` joins, or None when one of its ridges is full (an
+        interior ridge in two cells, a facet ridge in one), it lies on a
+        ridge's side with that ridge's owner, or the open ridges exceed the
+        volume left: each needs one more cell, which closes at most d+1 of
+        them and has normalized volume at least 1."""
+        open_ridges, full, volume = state
+        faces, inner, outer = self.ridges[new]
+        if not full.isdisjoint(faces):
+            return None
+        met = [r for r in inner if r in open_ridges]
+        for r in met:
+            sides = self.sides[r]
+            if sides[open_ridges[r]] == sides[new]:
+                return None
+        volume += self.vols[new]
+        n_open = len(open_ridges) + len(inner) - 2 * len(met)
+        if volume + (n_open + self.d) // (self.d + 1) > self.expected:
+            return None
         out = dict(open_ridges)
-        s = self.cands[new]
-        for j in range(self.d + 1):
-            ridge = s[:j] + s[j + 1 :]
-            if ridge in out:
-                del out[ridge]
-            elif ridge not in self.boundary:
-                out[ridge] = new
-        return out
+        for r in met:
+            del out[r]
+        out.update((r, new) for r in inner if r not in open_ridges)
+        return out, full.union(met, outer), volume
 
-    def _extend(self, chosen: list[int], open_ridges: dict) -> Iterator[list[int]]:
-        if not open_ridges:
-            total = sum(self.vols[c] for c in chosen)
-            if total != self.expected:
-                raise AssertionError("closed complex does not fill the polytope")
-            yield list(chosen)
-            return
-        ridge = min(open_ridges)
-        sides = self.by_ridge[ridge]
-        owner_side = sides[open_ridges[ridge]]
-        for ci, side in sides.items():
-            # the owner itself is on its own side
-            if side == owner_side:
+    def _extend(self, chosen: list[int], state, cands) -> Iterator[list[int]]:
+        """Every completion of ``chosen`` by one of ``cands`` and then, cell
+        by cell, across the lexicographically first open ridge."""
+        for ci in cands:
+            after = self._after(state, ci)
+            if after is None:
                 continue
-            if all(self._compatible(ci, cj) for cj in chosen):
-                yield from self._extend(
-                    chosen + [ci], self._open_after(open_ridges, ci)
-                )
+            open_ridges, _, volume = after
+            if open_ridges:
+                first = self.sides[min(open_ridges)]
+                yield from self._extend(chosen + [ci], after, first)
+            elif volume != self.expected:
+                raise AssertionError("closed complex does not fill the polytope")
+            else:
+                yield chosen + [ci]
 
 
 def enumerate_triangulations(

@@ -390,3 +390,16 @@ def test_verify_rejects_bad_indices_and_dim(tmp_path, capsys, name, layout, mode
     lines = captured.out.splitlines()
     assert len(lines) == 1 and lines[0].startswith("invalid file: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("name", ("undecodable", "missing"))
+@pytest.mark.parametrize("mode", ([], ["--face-to-face"]))
+def test_verify_rejects_an_unreadable_file(tmp_path, capsys, name, mode):
+    path = tmp_path / "file.json"
+    if name == "undecodable":
+        path.write_bytes(b"\xff\xfe{")
+    assert main(["verify", os.fspath(path), *mode]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("invalid file: ")
+    assert "Traceback" not in captured.err

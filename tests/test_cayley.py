@@ -262,23 +262,39 @@ def test_mixed_json_round_trip():
     assert str(back.base.label) == "cube(3)"
 
 
+BAD_M_AND_CELLS = [
+    (0, [[0, 2, 3]]),
+    (-1, [[0, 2, 3]]),
+    (True, [[0, 2, 3]]),
+    (1.0, [[0, 2, 3]]),
+    ("1", [[0, 2, 3]]),
+    (1, [[0, 2, 9]]),
+    (1, [[0, 2, -1]]),
+    (1, [[0, 2, 3.0]]),
+    (1, [[0, 2, True]]),
+    (1, [[0, 2, "3"]]),
+]
+GOOD = {"base": "cube(2)", "m": 1, "cells": [[[0, 2, 3]]]}
+
+
 @pytest.mark.parametrize(
-    "m, cell",
+    "text",
     [
-        (0, [[0, 2, 3]]),
-        (-1, [[0, 2, 3]]),
-        (True, [[0, 2, 3]]),
-        (1.0, [[0, 2, 3]]),
-        ("1", [[0, 2, 3]]),
-        (1, [[0, 2, 9]]),
-        (1, [[0, 2, -1]]),
-        (1, [[0, 2, 3.0]]),
-        (1, [[0, 2, True]]),
-        (1, [[0, 2, "3"]]),
+        pytest.param(
+            json.dumps({"base": "cube(2)", "m": m, "cells": [cell]}), id=f"{m}-cell{i}"
+        )
+        for i, (m, cell) in enumerate(BAD_M_AND_CELLS)
+    ]
+    + [
+        pytest.param("[1]", id="list"),
+        pytest.param(json.dumps({**GOOD, "cells": [5]}), id="cell 5"),
+        pytest.param(json.dumps({**GOOD, "cells": 5}), id="cells 5"),
+        pytest.param(json.dumps({**GOOD, "base": 3}), id="base 3"),
+        pytest.param(json.dumps({"base": "cube(2)", "m": 1}), id="no cells"),
     ],
 )
-def test_mixed_from_json_rejects_bad_m_and_indices(m, cell):
-    text = json.dumps({"base": "cube(2)", "m": m, "cells": [cell]})
+def test_mixed_from_json_rejects_bad_m_and_indices(text):
+    mixed_from_json(json.dumps(GOOD))  # the document the bad ones edit reads
     with pytest.raises(ValueError):
         mixed_from_json(text)
 

@@ -3,11 +3,14 @@ import warnings
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from helpers import path_edges
 
+from cubetri.complexes import signed_volumes
 from cubetri.linalg import (
     batch_abs_det,
     batch_det,
+    batch_last_det,
     det_bareiss,
     exact_dtype,
     feasible,
@@ -163,7 +166,7 @@ def test_batch_det_is_exact_on_either_side_of_each_bound():
     assert batch_det(np.array([[[2**31]], [[-(2**31)]]])).tolist() == [2**31, -(2**31)]
 
 
-def test_batch_det_takes_entries_beyond_int64_to_the_scalar_path():
+def test_batch_det_takes_entries_beyond_int64_to_python_ints():
     got = batch_det(np.array([[[2**70]]], dtype=object))
     assert got.dtype == object and got.tolist() == [2**70]
     got = batch_det([[[2**70, 1], [2**63, 2]], [[1, 0], [0, 1]]])
@@ -175,7 +178,7 @@ def test_batch_det_takes_entries_beyond_int64_to_the_scalar_path():
 
 def test_batch_det_matches_scalar_at_each_path_edge():
     # Random matrices whose largest entry is the last c of each path and
-    # the first c past it: int32, int64, then the scalar fallback.
+    # the first c past it: int32, int64, then Python ints.
     rng = np.random.default_rng(5)
     for n in (3, 4, 6):
         for c in path_edges(n):
@@ -184,6 +187,59 @@ def test_batch_det_matches_scalar_at_each_path_edge():
             mats[::5, :, n - 1] = 0  # and some matrices die
             got = batch_det(mats)
             assert [int(v) for v in got] == [det_bareiss(m.tolist()) for m in mats]
+
+
+def _big_matrices(rng, n, count):
+    """``count`` random n x n matrices with entries of up to 200 bits, about
+    a third of them zero, so that pivots vanish, rows swap and some
+    matrices are singular; a few have a repeated row."""
+    mats = []
+    for _ in range(count):
+        m = [[rng.getrandbits(rng.randint(1, 200)) for _ in range(n)] for _ in range(n)]
+        for row in m:
+            for j in range(n):
+                row[j] *= 0 if rng.random() < 0.35 else rng.choice((-1, 1))
+        if n > 1 and rng.random() < 0.1:
+            m[-1] = list(m[0])
+        mats.append(m)
+    return mats
+
+
+def test_the_python_int_path_matches_the_scalar_reference():
+    rng = random.Random(14)
+    swapped = singular = 0
+    for batch in range(60):
+        n = 1 + batch % 6
+        mats = _big_matrices(rng, n, 20)
+        want = [det_bareiss(m) for m in mats]
+        swapped += sum(m[0][0] == 0 and w != 0 for m, w in zip(mats, want))
+        singular += want.count(0)
+        got = batch_det(mats)
+        assert got.dtype == object and got.tolist() == want
+        last = np.ascontiguousarray(np.array(mats, dtype=object).transpose(1, 2, 0))
+        assert batch_last_det(last).tolist() == want
+    assert swapped > 20 and singular > 20
+    # A census whose span only Python ints can hold: small simplices among
+    # points that include one far point, which sets the span.
+    for d in (2, 3, 4):
+        pts = [tuple(rng.randint(0, 2) for _ in range(d)) for _ in range(12)]
+        pts.append((2**200,) * d)
+        # the origin, then e_1 .. e_(d-1): with the far point a simplex of
+        # volume 2^200
+        pts += [tuple(int(i == k) for i in range(d)) for k in range(-1, d - 1)]
+        assert exact_dtype(2**200, d) is None
+        rows = [rng.sample(range(12), d + 1) for _ in range(200)]
+        want = [
+            det_bareiss([[a - b for a, b in zip(pts[v], pts[s[0]])] for v in s[1:]])
+            for s in rows
+        ]
+        assert 0 in want and signed_volumes(pts, rows).tolist() == want
+        with pytest.raises(OverflowError, match="^a signed volume int64 cannot hold$"):
+            signed_volumes(pts, [[*range(13, 13 + d), 12]])
+    # int64 coordinates whose range 2^63 int64 cannot hold: the shift to a
+    # zero minimum is taken in Python ints too
+    pts = [(-(2**62), 0), (2**62, 0), (0, 0), (0, 1)]
+    assert signed_volumes(pts, [(2, 3, 1)]).tolist() == [-(2**62)]
 
 
 def _bareiss_trace(rows):

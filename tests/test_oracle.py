@@ -3,6 +3,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from helpers import ReferenceEnumerator
 
 from cubetri.complexes import validate_face_to_face, weighted_size
 from cubetri.geometry import (
@@ -203,3 +204,65 @@ def test_enumeration_order_is_pinned(name):
         ]
         assert len(tris) == count
         assert hashlib.sha256(repr(tris).encode()).hexdigest()[:16] == want
+
+
+# -- the ridge search against the LP-pruned reference --------------------------
+
+REFERENCE_CASES = {name: cfg for name, (cfg, *_) in PINNED.items()} | {
+    "cube(1)xsimplex(5)": product_config(cube_config(1), simplex_config(5)),
+    "simplex(2)xsimplex(3)": product_config(simplex_config(2), simplex_config(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
+def test_ridge_search_matches_the_lp_reference(name):
+    cfg = REFERENCE_CASES[name]
+    for anchor in (0, len(cfg.points) - 1):
+        enum = _Enumerator(cfg, anchor=anchor)
+        ref = ReferenceEnumerator(cfg, anchor=anchor)
+        assert enum._generic_direction() == ref._generic_direction()
+        assert list(enum.enumerate()) == list(ref.enumerate())
+
+
+def test_production_paths_take_no_lp_and_no_scalar_determinant(monkeypatch):
+    from cubetri import linalg, seeds
+    from cubetri.cayley import validate_mixed
+    from cubetri.complexes import ridge_report
+    from cubetri.pipeline import PipelineSpec, build_cube_recursive
+
+    def refuse(*args):
+        raise AssertionError("a pairwise or scalar kernel was run")
+
+    for name in ("feasible", "barycentric_rows", "det_bareiss"):
+        monkeypatch.setattr(linalg, name, refuse)
+    seeds._seed.cache_clear()
+    for cfg, *_ in PINNED.values():
+        min_weighted_size(SearchProblem(cfg))
+    for dim in (4, 5, 6):
+        tri, report = build_cube_recursive(PipelineSpec(dim=dim))
+        assert report.ok and ridge_report(tri).is_face_to_face
+    assert validate_mixed(seeds.seed_i3d1()).is_dissection
+    assert validate_mixed(seeds.seed_i3d2()).is_dissection
+    # the patch bites: the pairwise reference scan does run them
+    with pytest.raises(AssertionError, match="pairwise or scalar"):
+        validate_face_to_face(tri)
+
+
+@pytest.mark.parametrize("name", ["cube(3)", "cube(1)xsimplex(3)"])
+def test_a_full_ridge_takes_no_further_cell(name):
+    # A facet ridge in one chosen cell, or an interior ridge in two, refuses
+    # every further cell that contains it.
+    enum = _Enumerator(PINNED[name][0])
+    empty = ({}, frozenset(), 0)
+    refused = 0
+    for ridge, sides in enum.by_ridge.items():
+        for a in sides:
+            state = enum._after(empty, a)
+            if ridge not in enum.boundary:
+                b = next((b for b in sides if sides[b] != sides[a]), None)
+                state = None if b is None else enum._after(state, b)
+            for c in sides:
+                if state is not None and c != a:
+                    assert enum._after(state, c) is None
+                    refused += 1
+    assert refused

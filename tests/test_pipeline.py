@@ -193,6 +193,7 @@ def test_cli_expect_prints_one_line_for_an_invalid_spec(capsys, argv, match):
         (["seeds", "show", "nonsense"], "unknown seed 'nonsense'"),
         (["oracle", "min-weighted", "--config", "foo"], "unknown configuration"),
         (["oracle", "min-weighted", "--config", "i5"], "exceeds guard"),
+        (["oracle", "min-weighted", "--config", "i0"], "dimension 0 is below 1"),
     ],
 )
 def test_cli_seeds_and_oracle_print_one_line_for_an_invalid_spec(capsys, argv, match):

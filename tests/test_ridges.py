@@ -361,7 +361,7 @@ def test_census_matches_scalar_on_the_seeds_mixed_cells():
 
 def test_census_matches_scalar_at_each_path_edge():
     # Points whose largest coordinate range is the last one of each path
-    # and the first one past it: int32, int64, then the scalar fallback.
+    # and the first one past it: int32, int64, then Python ints.
     rng = np.random.default_rng(6)
     for d in (2, 3, 5):
         for span in path_edges(d):
@@ -377,7 +377,7 @@ def test_census_matches_scalar_at_each_path_edge():
 
 
 def test_census_totals_past_int64_are_exact():
-    # Two triangles of a square of side 2^31 on the scalar path: each
+    # Two triangles of a square of side 2^31 on the Python-int path: each
     # volume is 2^62 and their sum 2^63 no longer fits int64.
     s = 2**31
     pts = ((0, 0), (s, 0), (0, s), (s, s))
