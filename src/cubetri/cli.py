@@ -17,13 +17,15 @@ sizes), prints one ``invalid file: ...`` line. ``expect`` prints the exact
 expected size over uniform colorings next to sampled sizes.
 
 Exit code 0 iff every requested validation passed; 2 for a spec that
-``build``, ``expect``, ``seeds show`` or ``oracle`` rejects, with one
-``invalid spec: ...`` line.
+``build``, ``report table``, ``expect``, ``seeds show`` or ``oracle``
+rejects, with one ``invalid spec: ...`` line. An ``--out`` in a missing
+directory is such a spec, rejected before any work.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 
@@ -57,8 +59,15 @@ from .seeds import (
 )
 
 
+def _check_out(path: str | None) -> None:
+    """ValueError unless ``path`` is unset or in an existing directory."""
+    if path and not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValueError(f"no directory for --out {path!r}")
+
+
 def _cmd_build(args) -> int:
     try:
+        _check_out(args.out)
         spec = PipelineSpec(dim=args.dim, l=args.l, m=args.m, seed=args.seed,
                             rng_seed=args.rng_seed, samples=args.samples, out=args.out)
     except ValueError as exc:
@@ -118,6 +127,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    try:
+        _check_out(args.out)
+    except ValueError as exc:
+        print(f"invalid spec: {exc}", file=sys.stderr)
+        return 2
     csv_text = report_table(args.max_dim)
     if args.out:
         with open(args.out, "w") as fh:
@@ -181,6 +195,7 @@ def _seed_text(name: str) -> str:
 
 def _cmd_seeds_show(args) -> int:
     try:
+        _check_out(args.out)
         text = _seed_text(args.name)
     except ValueError as exc:
         print(f"invalid spec: {exc}", file=sys.stderr)
@@ -206,6 +221,7 @@ def _parse_config_name(name: str):
 
 def _cmd_oracle(args) -> int:
     try:
+        _check_out(args.out)
         problem = SearchProblem(_parse_config_name(args.config), args.objective)
     except ValueError as exc:
         print(f"invalid spec: {exc}", file=sys.stderr)

@@ -13,11 +13,13 @@ simplices depend only on its signature (lvec, kvec) up to relabelling its
 rows and columns, so each signature's index template is built once
 (:func:`staircase.signature_template`) and the per-signature certificate
 is checked once per signature, not per cell. The simplices of T_Q with
-one per-color count vector share their T_0 cells and templates; one numpy
-gather and sort yields all their cells, and a scatter on the cumulative
-per-sigma counts puts every row where the cell-by-cell order has it. The
-rows come in slices of consecutive sigmas of a bounded number of
-simplices (:meth:`ProductCells.chunks`; the pipeline uses the census's
+one per-color count vector share their T_0 cells and templates, so every
+group's template rows sit in one table, and a sigma's rows are its
+group's run of it. One gather of that table and of the sigmas' vertices,
+and one sort of each row, yields the rows of any run of consecutive
+sigmas already in the cell-by-cell order. The rows come in slices of
+consecutive sigmas of a bounded number of simplices
+(:meth:`ProductCells.chunks`; the pipeline uses the census's
 ``CENSUS_CHUNK``), so a streamed step never holds all of its rows at once.
 
 The block lift (:func:`lift_triangulation`) and the staircase
@@ -30,11 +32,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
@@ -63,18 +64,14 @@ class Coloring:
 
 
 def make_coloring(
-    q_vertices: int,
-    m: int,
-    strategy: str = "balanced",
-    rng_seed: int | None = None,
-    explicit: dict[int, int] | None = None,
+    q_vertices: int, m: int, strategy: str = "balanced", rng_seed: int | None = None
 ) -> Coloring:
     """Color the vertices 0..q_vertices-1 with m colors.
 
     ``balanced`` assigns round-robin in canonical vertex order; ``random``
     draws i.i.d. uniform colors from a seeded Mersenne Twister (identical
-    seeds give identical colorings on every platform); ``explicit`` passes
-    a user map through unchanged.
+    seeds give identical colorings on every platform). A given coloring
+    is a :class:`Coloring` built directly.
     """
     if m < 1:
         raise ValueError("need at least one color")
@@ -84,12 +81,6 @@ def make_coloring(
         rng = random.Random(rng_seed)
         return Coloring(
             tuple(rng.randrange(m) for _ in range(q_vertices)), m, strategy, rng_seed
-        )
-    if strategy == "explicit":
-        if explicit is None or sorted(explicit) != list(range(q_vertices)):
-            raise ValueError("explicit coloring must cover every vertex")
-        return Coloring(
-            tuple(explicit[i] for i in range(q_vertices)), m, strategy
         )
     raise ValueError(f"unknown strategy {strategy!r}")
 
@@ -134,32 +125,19 @@ def product_output_config(t_q: Triangulation, t0: Triangulation) -> PointConfigu
     )
 
 
-class _Group(NamedTuple):
-    """The simplices of T_Q with one per-color count vector. They share
-    their present colors, hence their restricted T_0 cells and templates;
-    only the column values differ from one member to the next."""
-
-    kvec: tuple[int, ...]  # counts of the present colors
-    members: np.ndarray  # indices into T_Q's simplices, ascending
-    cols: np.ndarray  # (members, K): each member's vertices, by color
-    cells: list  # per T_0 cell: (tau index, rows, lvec, offset, count)
-    rowvals: np.ndarray  # (T, V): p * |Q points| of each template vertex
-    colpos: np.ndarray  # (T, V): position of its column in a row of ``cols``
-
-
 class ProductCells:
     """The cells P x sigma of T_Q x T_0 under a coloring, generated from
     per-signature templates (:func:`staircase.signature_template`).
 
     T_Q's simplices are grouped by their per-color count vector. Within a
     group the present colors, hence the restricted T_0 cells and their
-    templates, are the same, so a group holds two gather arrays: the row
-    values of its cells' template vertices and the positions of their
-    columns. The sorted index rows of every sigma in a group come from one
-    ``np.sort(rowvals + cols[:, colpos], axis=2)`` and are scattered to
-    their output positions, which the cumulative per-sigma counts give.
-    The order is therefore sigma by sigma, T_0 cell by T_0 cell, then
-    template order.
+    templates, are the same. One template table holds every group's rows,
+    group after group: the row values of each template vertex and the
+    position of its column in a sigma's vertices by color. A sigma's rows
+    are its group's run of the table, so the sorted index rows of any run
+    of consecutive sigmas come from one gather of the table and of the
+    sigmas' vertices, and one ``sort(axis=1)``. The order is therefore
+    sigma by sigma, T_0 cell by T_0 cell, then template order.
     """
 
     def __init__(self, t_q: Triangulation, t0: Triangulation, coloring: Coloring):
@@ -171,23 +149,25 @@ class ProductCells:
         colors = np.array(coloring.colors, dtype=np.intp)[sig]
         counts = (colors[:, :, None] == np.arange(m)).sum(axis=1)
         key_of: dict[tuple[int, ...], int] = {}
-        self._group_of = [
-            key_of.setdefault(tuple(c), len(key_of)) for c in counts.tolist()
-        ]
-        group_of = np.array(self._group_of, dtype=np.intp)
+        self._group = np.array(
+            [key_of.setdefault(tuple(c), len(key_of)) for c in counts.tolist()],
+            dtype=np.intp,
+        )
         # Each sigma's vertices by color, in index order within a color.
-        by_color = np.sort(colors * nq + sig, axis=1) % nq
+        self._by_color = np.sort(colors * nq + sig, axis=1) % nq
         blocks_list = product_blocks(t0)
         width = self.config.dim + 1
-        per_sigma = np.zeros(len(sig), dtype=np.intp)
         self.signatures: dict = {}  # (lvec, kvec) -> simplices per cell
-        self.groups: list[_Group] = []
-        for g, key in enumerate(key_of):
+        # Per group: (kvec, cells), each cell (tau index, rows, lvec,
+        # offset, count); its template rows are _count rows from _first.
+        self._cells: list = []
+        rowvals = [np.zeros((0, width), dtype=np.intp)]
+        colpos = [np.zeros((0, width), dtype=np.intp)]
+        sizes = []
+        for key in key_of:
             present = tuple(i for i in range(m) if key[i])
             kvec = tuple(key[i] for i in present)
             cells = []
-            rowvals = [np.zeros((0, width), dtype=np.intp)]
-            colpos = [np.zeros((0, width), dtype=np.intp)]
             offset = 0
             for t_idx, blocks in enumerate(blocks_list):
                 # T_0 restricted to the face of the present colors: a cell
@@ -203,35 +183,28 @@ class ProductCells:
                 cells.append((t_idx, rows, lvec, offset, len(tr)))
                 self.signatures[(lvec, kvec)] = len(tr)
                 offset += len(tr)
-            members = np.flatnonzero(group_of == g)
-            per_sigma[members] = offset
-            self.groups.append(
-                _Group(
-                    kvec,
-                    members,
-                    by_color[members],
-                    cells,
-                    np.concatenate(rowvals),
-                    np.concatenate(colpos),
-                )
-            )
+            self._cells.append((kvec, cells))
+            sizes.append(offset)
+        self._rowvals = np.concatenate(rowvals)
+        self._colpos = np.concatenate(colpos)
+        self._count = np.array(sizes, dtype=np.intp)
+        self._first = np.cumsum(self._count) - self._count
+        per_sigma = self._count[self._group]
         self.starts = np.concatenate(([0], np.cumsum(per_sigma))).astype(np.intp)
-        self.width = width
 
     def simplex_rows(self, lo: int, hi: int) -> np.ndarray:
         """Sorted index rows of the cells of sigmas lo..hi-1, in output
         order, as one (rows, V) array."""
-        starts = self.starts
-        out = np.empty((starts[hi] - starts[lo], self.width), dtype=np.intp)
-        for grp in self.groups:
-            a, b = bisect_left(grp.members, lo), bisect_left(grp.members, hi)
-            if a == b:
-                continue
-            vals = grp.rowvals + grp.cols[a:b][:, grp.colpos]
-            vals.sort(axis=2)
-            at = starts[grp.members[a:b]] - starts[lo]
-            pos = at[:, None] + np.arange(len(grp.rowvals))
-            out[pos.reshape(-1)] = vals.reshape(-1, self.width)
+        group = self._group[lo:hi]
+        counts = self._count[group]
+        # Output row r of sigma s is row r - (starts[s] - starts[lo]) of
+        # its group's run, which begins at first[group].
+        shift = self._first[group] - (self.starts[lo:hi] - self.starts[lo])
+        tmpl = np.arange(self.starts[hi] - self.starts[lo]) + np.repeat(shift, counts)
+        nv = self._by_color.shape[1]
+        at = np.repeat(np.arange(lo, hi) * nv, counts)[:, None] + self._colpos[tmpl]
+        out = self._rowvals[tmpl] + self._by_color.reshape(-1)[at]
+        out.sort(axis=1)
         return out
 
     def chunks(self, max_rows: int) -> Iterator[np.ndarray]:
@@ -251,22 +224,16 @@ class ProductCells:
         """One record per (sigma, tau) cell, in output order."""
         out = []
         for s_idx, sigma in enumerate(self.t_q.simplices):
-            grp = self.groups[self._group_of[s_idx]]
-            flat = grp.cols[bisect_left(grp.members, s_idx)].tolist()
-            bounds = list(itertools.accumulate(grp.kvec, initial=0))
+            kvec, cells = self._cells[self._group[s_idx]]
+            flat = self._by_color[s_idx].tolist()
+            bounds = list(itertools.accumulate(kvec, initial=0))
             cols = tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
             base = int(self.starts[s_idx])
-            for t_idx, rows, lvec, offset, count in grp.cells:
+            for t_idx, rows, lvec, offset, count in cells:
                 start = base + offset
                 out.append(
                     CellProvenance(
-                        sigma,
-                        t_idx,
-                        rows,
-                        cols,
-                        start,
-                        start + count,
-                        (lvec, grp.kvec),
+                        sigma, t_idx, rows, cols, start, start + count, (lvec, kvec)
                     )
                 )
         return out
@@ -398,7 +365,7 @@ def exact_expected_size(t_q: Triangulation, t0: Triangulation, m: int) -> Fracti
     """
     _check_inputs(t_q, t0, make_coloring(len(t_q.config.points), m))
     n = t_q.config.dim + 1
-    return len(t_q.simplices) * _multinomial_expectation(n, m, _lvecs(t0))
+    return t_q.size * _multinomial_expectation(n, m, _lvecs(t0))
 
 
 @dataclass

@@ -10,8 +10,8 @@ Every step is one loop (:func:`_product_step`) over the template engine
 of :class:`coloring.ProductCells`. It checks the per-signature certificate
 once per distinct signature, then takes the step's simplices as integer
 arrays in slices of consecutive sigmas of about ``CENSUS_CHUNK`` rows,
-in the cell-by-cell order (a scatter on the cumulative per-sigma counts
-keeps it). Each slice goes as the same array to the volume census, to
+in the cell-by-cell order (one gather of the engine's template table
+gives it). Each slice goes as the same array to the volume census, to
 the file writer and, on a kept step, to the step's triangulation, which
 holds its simplices as one index array: no simplex becomes a Python
 tuple on the way. Materialization is only a memory policy: the
@@ -105,6 +105,14 @@ class PipelineSpec:
             raise ValueError(f"unknown seed {self.seed!r}, not one of {SEEDS}")
         if self.seed in SEEDS[:2] and self.m >= 2 and self.l != 3:
             raise ValueError(f"seed {self.seed} with m >= 2 requires l == 3")
+        # The base is a minimal cube, and a step without a block seed takes
+        # a minimal cube of dimension l (a unimodular one for that seed).
+        base = (self.dim - 1) % self.l + 1
+        if base > 3:
+            raise ValueError(f"base dimension (dim-1) % l + 1 = {base} is above 3")
+        kind, top = ("unimodular", 8) if self.seed == "unimodular" else ("minimal", 3)
+        if self.dim > base and self.l > top:
+            raise ValueError(f"l = {self.l} is above {top}, the largest {kind} cube")
 
 
 @dataclass

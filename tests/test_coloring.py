@@ -38,8 +38,6 @@ def test_make_coloring_single_color():
 
 def test_make_coloring_explicit_validation():
     with pytest.raises(ValueError):
-        make_coloring(3, 2, "explicit", explicit={0: 0, 1: 1})
-    with pytest.raises(ValueError):
         Coloring((0, 5), 2, "explicit")
 
 

@@ -154,7 +154,13 @@ def test_cli_build_rejects_an_unknown_seed(capsys, argv):
 
 @pytest.mark.parametrize(
     "argv, match",
-    [(["--l", "2"], "requires l == 3"), (["--samples", "0"], "must be positive")],
+    [
+        (["--l", "2"], "requires l == 3"),
+        (["--samples", "0"], "must be positive"),
+        (["--dim", "4", "--l", "4", "--seed", "unimodular"], "base dimension"),
+        (["--l", "4", "--seed", "i3d2", "--m", "1"], "l = 4 is above 3"),
+        (["--dim", "10", "--l", "9", "--seed", "unimodular"], "l = 9 is above 8"),
+    ],
 )
 def test_cli_build_prints_one_line_for_an_invalid_spec(capsys, argv, match):
     from cubetri.cli import main
@@ -164,6 +170,34 @@ def test_cli_build_prints_one_line_for_an_invalid_spec(capsys, argv, match):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("invalid spec: ")
     assert match in lines[0] and captured.out == ""
+
+
+def test_unimodular_seed_builds_steps_past_l_3():
+    tri, rep = build_cube_recursive(PipelineSpec(dim=5, l=4, seed="unimodular"))
+    assert tri.size == math.factorial(5) and rep.ok
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "cube", "--dim", "4"],
+        ["seeds", "show", "i3d1"],
+        ["oracle", "min-weighted", "--config", "i2d1"],
+        ["report", "table", "--max-dim", "4"],
+    ],
+)
+def test_cli_out_in_a_missing_directory_is_an_invalid_spec(capsys, tmp_path, argv):
+    from cubetri.cli import main
+
+    out = tmp_path / "missing" / "x.json"
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("invalid spec: ")
+    assert "no directory for --out" in lines[0]
+    assert list(tmp_path.iterdir()) == []
+    if argv[0] == "build":
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize(
