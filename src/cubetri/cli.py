@@ -2,24 +2,25 @@
 
     cubetri build cube --dim D [--l L] [--m M] [--seed NAME]
                        [--rng-seed N] [--samples S] [--out PATH]
-    cubetri verify PATH [--face-to-face]
+    cubetri verify PATH
     cubetri report table --max-dim D [--out CSV]
     cubetri expect --q-dim N --m M --samples S --rng-seed N
     cubetri seeds show NAME [--out PATH]
     cubetri oracle min-weighted --config NAME [--objective weighted|cardinality]
 
 ``verify`` certifies a file by the volume census and the ridge check,
-both linear in its size; ``--face-to-face`` runs the quadratic pairwise
-dissection and face-to-face scans instead. Either way a file that cannot
-be read or decoded, or whose ``dim`` or simplices the reader rejects (an
-entry that is not an integer index of a point, or simplices of different
-sizes), prints one ``invalid file: ...`` line. ``expect`` prints the exact
-expected size over uniform colorings next to sampled sizes.
+both linear in its size. A file that cannot be read or decoded, or whose
+``dim`` or simplices the reader rejects (an entry that is not an integer
+index of a point, or simplices of different sizes), prints one
+``invalid file: ...`` line. ``expect`` prints the exact expected size over
+uniform colorings next to sampled sizes.
 
 Exit code 0 iff every requested validation passed; 2 for a spec that
 ``build``, ``report table``, ``expect``, ``seeds show`` or ``oracle``
-rejects, with one ``invalid spec: ...`` line. An ``--out`` in a missing
-directory is such a spec, rejected before any work.
+rejects, with one ``invalid spec: ...`` line before any work. Such specs
+include an ``--out`` that is a directory or lies in a missing one, and a
+build (for ``report table``, its largest) whose middle step would be
+streamed.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ from .complexes import (
     ridge_report,
     triangulation_from_json,
     triangulation_to_json,
-    validate_dissection,
-    validate_face_to_face,
     weighted_size,
 )
 from .geometry import cube_config, product_config, simplex_config
@@ -50,29 +49,33 @@ from .pipeline import (
     build_cube_recursive,
     report_table,
 )
-from .seeds import (
-    minimal_cube,
-    seed_i3d1,
-    seed_i3d2,
-    square_family,
-    unimodular_cube,
-)
+from .seeds import minimal_cube, seed_i3d1, seed_i3d2, square_family, unimodular_cube
 
 
 def _check_out(path: str | None) -> None:
-    """ValueError unless ``path`` is unset or in an existing directory."""
+    """ValueError unless ``path`` is unset or a file in an existing directory."""
+    if path and os.path.isdir(path):
+        raise ValueError(f"--out {path!r} is a directory")
     if path and not os.path.isdir(os.path.dirname(path) or "."):
         raise ValueError(f"no directory for --out {path!r}")
 
 
-def _cmd_build(args) -> int:
-    try:
-        _check_out(args.out)
-        spec = PipelineSpec(dim=args.dim, l=args.l, m=args.m, seed=args.seed,
-                            rng_seed=args.rng_seed, samples=args.samples, out=args.out)
-    except ValueError as exc:
-        print(f"invalid spec: {exc}", file=sys.stderr)
-        return 2
+def _emit(text: str, out: str | None, end: str = "\n") -> None:
+    """Write ``text`` to the file ``out``, or to stdout followed by ``end``."""
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+        print(f"wrote {out}")
+    else:
+        sys.stdout.write(text + end)
+
+
+def _build_spec(args) -> PipelineSpec:
+    return PipelineSpec(dim=args.dim, l=args.l, m=args.m, seed=args.seed,
+                        rng_seed=args.rng_seed, samples=args.samples, out=args.out)
+
+
+def _cmd_build(args, spec: PipelineSpec) -> int:
     tri, report = build_cube_recursive(spec)
     for st in report.steps:
         f2f = "-" if st.face_to_face is None else str(st.face_to_face)
@@ -88,75 +91,51 @@ def _cmd_build(args) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, path: str) -> int:
     try:
-        with open(args.path) as fh:
+        with open(path) as fh:
             tri = triangulation_from_json(fh.read())
     except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
         print(f"invalid file: {exc}")
         return 1
-    if args.face_to_face:
-        # A passing face-to-face scan certifies the dissection too (same
-        # census, no violations), so the interior scan runs only on failure.
-        f2f = validate_face_to_face(tri)
-        report = f2f if f2f.is_face_to_face else validate_dissection(tri)
-        print(
-            f"dissection: {report.is_dissection} "
-            f"(volume {report.volume_total}, {len(report.violations)} violations)"
-        )
-        print(f"face-to-face: {f2f.is_face_to_face} ({len(f2f.violations)} violations)")
-        ok = f2f.is_face_to_face
-        shown = list(report.violations)
-    else:
-        # The census's violations lead the ridge report's, so one census
-        # serves both lines.
-        ridges = ridge_report(tri)
-        shown = [v for v in ridges.violations if v.kind in CENSUS_KINDS]
-        shown += duplicate_simplices(tri)
-        ok = not shown
-        print(
-            f"volume census: {ok} "
-            f"(volume {ridges.volume_total}, {len(shown)} violations)"
-        )
-        print(f"ridges: {ridges.is_face_to_face} ({len(ridges.violations)} violations)")
-        ok = ok and ridges.is_face_to_face
-        shown += [v for v in ridges.violations if v.kind not in CENSUS_KINDS]
+    # The census's violations lead the ridge report's: one census, two lines.
+    ridges = ridge_report(tri)
+    shown = [v for v in ridges.violations if v.kind in CENSUS_KINDS]
+    shown += duplicate_simplices(tri)
+    census_ok = not shown
+    print(f"volume census: {census_ok} "
+          f"(volume {ridges.volume_total}, {len(shown)} violations)")
+    print(f"ridges: {ridges.is_face_to_face} ({len(ridges.violations)} violations)")
+    shown += [v for v in ridges.violations if v.kind not in CENSUS_KINDS]
     for v in shown[:10]:
         print(f"  {v}")
-    return 0 if ok else 1
+    return 0 if census_ok and ridges.is_face_to_face else 1
 
 
-def _cmd_report(args) -> int:
-    try:
-        _check_out(args.out)
-    except ValueError as exc:
-        print(f"invalid spec: {exc}", file=sys.stderr)
-        return 2
-    csv_text = report_table(args.max_dim)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(csv_text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(csv_text)
+def _report_dim(args) -> int:
+    """``--max-dim``, once the largest build of the table passes as a spec."""
+    if args.max_dim >= 4:
+        PipelineSpec(dim=args.max_dim)
+    return args.max_dim
+
+
+def _cmd_report(args, max_dim: int) -> int:
+    _emit(report_table(max_dim), args.out, end="")
     return 0
 
 
-def _cmd_expect(args) -> int:
-    try:
-        if args.q_dim < 1:
-            raise ValueError("q-dim must be positive")
-        spec = PipelineSpec(dim=args.q_dim + 3, m=args.m, samples=args.samples)
-    except ValueError as exc:
-        print(f"invalid spec: {exc}", file=sys.stderr)
-        return 2
-    t_q = (
-        minimal_cube(args.q_dim)
-        if args.q_dim <= 3
-        else build_cube_recursive(
-            PipelineSpec(dim=args.q_dim, materialize_max_dim=args.q_dim)
-        )[0]
-    )
+def _expect_specs(args) -> tuple[PipelineSpec, PipelineSpec]:
+    """The build of T_Q, and the step on it whose colorings are sampled."""
+    if args.q_dim < 1:
+        raise ValueError("q-dim must be positive")
+    t_q = PipelineSpec(dim=args.q_dim, materialize_max_dim=args.q_dim)
+    return t_q, PipelineSpec(dim=args.q_dim + 3, m=args.m, samples=args.samples,
+                             materialize_max_dim=args.q_dim)
+
+
+def _cmd_expect(args, specs: tuple[PipelineSpec, PipelineSpec]) -> int:
+    tq_spec, spec = specs
+    t_q = build_cube_recursive(tq_spec)[0]
     n = args.q_dim + 1
     seed_name, m, t0 = _pick_seed(spec, n)  # clamps m as build does
     bound = size_bound(t_q.size, weighted_size(t0), n, m, spec.l)
@@ -193,48 +172,25 @@ def _seed_text(name: str) -> str:
     raise ValueError(f"unknown seed {name!r}")
 
 
-def _cmd_seeds_show(args) -> int:
-    try:
-        _check_out(args.out)
-        text = _seed_text(args.name)
-    except ValueError as exc:
-        print(f"invalid spec: {exc}", file=sys.stderr)
-        return 2
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
-    else:
-        print(text)
+def _cmd_seeds_show(args, text: str) -> int:
+    _emit(text, args.out)
     return 0
 
 
-def _parse_config_name(name: str):
-    m = re.fullmatch(r"[iI](\d+)(?:[dD](\d+))?", name)
+def _search_problem(args) -> SearchProblem:
+    m = re.fullmatch(r"[iI](\d+)(?:[dD](\d+))?", args.config)
     if not m:
-        raise ValueError(f"unknown configuration name {name!r} (try i2d1, i3)")
-    l = int(m.group(1))
-    if m.group(2) is None:
-        return cube_config(l)
-    return product_config(cube_config(l), simplex_config(int(m.group(2))))
+        raise ValueError(f"unknown configuration name {args.config!r} (try i2d1, i3)")
+    cfg = cube_config(int(m.group(1)))
+    if m.group(2) is not None:
+        cfg = product_config(cfg, simplex_config(int(m.group(2))))
+    return SearchProblem(cfg, args.objective)
 
 
-def _cmd_oracle(args) -> int:
-    try:
-        _check_out(args.out)
-        problem = SearchProblem(_parse_config_name(args.config), args.objective)
-    except ValueError as exc:
-        print(f"invalid spec: {exc}", file=sys.stderr)
-        return 2
+def _cmd_oracle(args, problem: SearchProblem) -> int:
     value, witness = min_weighted_size(problem)
     print(f"minimum {args.objective} over {args.config}: {value}")
-    text = triangulation_to_json(witness)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
-    else:
-        print(text)
+    _emit(triangulation_to_json(witness), args.out)
     return 0
 
 
@@ -252,38 +208,32 @@ def main(argv: list[str] | None = None) -> int:
     p_cube.add_argument("--rng-seed", type=int, default=0)
     p_cube.add_argument("--samples", type=int, default=1)
     p_cube.add_argument("--out")
-    p_cube.set_defaults(func=_cmd_build)
+    p_cube.set_defaults(func=_cmd_build, check=_build_spec)
 
     p_verify = sub.add_parser("verify", help="validate a triangulation file")
     p_verify.add_argument("path")
-    p_verify.add_argument(
-        "--face-to-face",
-        action="store_true",
-        help="run the quadratic pairwise dissection and face-to-face scans "
-        "instead of the volume census and the ridge check",
-    )
-    p_verify.set_defaults(func=_cmd_verify)
+    p_verify.set_defaults(func=_cmd_verify, check=lambda a: a.path)
 
     p_report = sub.add_parser("report", help="reporting tables")
     sub_report = p_report.add_subparsers(dest="what", required=True)
     p_table = sub_report.add_parser("table", help="per-dimension CSV table")
     p_table.add_argument("--max-dim", type=int, required=True)
     p_table.add_argument("--out")
-    p_table.set_defaults(func=_cmd_report)
+    p_table.set_defaults(func=_cmd_report, check=_report_dim)
 
     p_expect = sub.add_parser("expect", help="expected-size statistics")
     p_expect.add_argument("--q-dim", type=int, required=True)
     p_expect.add_argument("--m", type=int, required=True)
     p_expect.add_argument("--samples", type=int, default=16)
     p_expect.add_argument("--rng-seed", type=int, default=0)
-    p_expect.set_defaults(func=_cmd_expect)
+    p_expect.set_defaults(func=_cmd_expect, check=_expect_specs)
 
     p_seeds = sub.add_parser("seeds", help="seed catalog")
     sub_seeds = p_seeds.add_subparsers(dest="what", required=True)
     p_show = sub_seeds.add_parser("show", help="dump a catalog object as JSON")
     p_show.add_argument("name")
     p_show.add_argument("--out")
-    p_show.set_defaults(func=_cmd_seeds_show)
+    p_show.set_defaults(func=_cmd_seeds_show, check=lambda a: _seed_text(a.name))
 
     p_oracle = sub.add_parser("oracle", help="exhaustive minimum search")
     sub_oracle = p_oracle.add_subparsers(dest="what", required=True)
@@ -293,10 +243,17 @@ def main(argv: list[str] | None = None) -> int:
         "--objective", choices=["weighted", "cardinality"], default="weighted"
     )
     p_min.add_argument("--out")
-    p_min.set_defaults(func=_cmd_oracle)
+    p_min.set_defaults(func=_cmd_oracle, check=_search_problem)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    # Each spec is checked once, before any work; the command takes the result.
+    try:
+        _check_out(getattr(args, "out", None))
+        checked = args.check(args)
+    except ValueError as exc:
+        print(f"invalid spec: {exc}", file=sys.stderr)
+        return 2
+    return args.func(args, checked)
 
 
 if __name__ == "__main__":

@@ -16,8 +16,9 @@ the file writer and, on a kept step, to the step's triangulation, which
 holds its simplices as one index array: no simplex becomes a Python
 tuple on the way. Materialization is only a memory policy: the
 simplices are kept when the step's dimension is at most
-``materialize_max_dim``, and otherwise the step is streamed, so it must
-be the last one. Either way the same bytes are written.
+``materialize_max_dim``, and otherwise the step is streamed. Only the last
+step may be streamed: a spec whose middle step lands above
+``materialize_max_dim`` is rejected. Either way the same bytes are written.
 
 Validation policy per step (all exact):
 
@@ -113,6 +114,13 @@ class PipelineSpec:
         kind, top = ("unimodular", 8) if self.seed == "unimodular" else ("minimal", 3)
         if self.dim > base and self.l > top:
             raise ValueError(f"l = {self.l} is above {top}, the largest {kind} cube")
+        # Each step builds on the kept rows of the one before it.
+        if self.dim - self.l > max(base, self.materialize_max_dim):
+            raise ValueError(
+                f"the step to dimension {self.dim - self.l} is above "
+                f"materialize_max_dim = {self.materialize_max_dim}, and only "
+                "the last step may be streamed"
+            )
 
 
 @dataclass
@@ -248,8 +256,7 @@ def build_cube_recursive(spec: PipelineSpec):
     steps: list[StepReport] = []
     ok = True
     rng_counter = 0
-    while current.config.dim < spec.dim:
-        cur = current.config.dim
+    for cur in range(base_dim, spec.dim, l):
         n = cur + 1
         seed_name, m_step, t0 = _pick_seed(spec, n)
         t0_ws = weighted_size(t0)
@@ -299,11 +306,7 @@ def build_cube_recursive(spec: PipelineSpec):
         )
         sizes[new_dim] = best_size
         ok = ok and bound_ok and step.volume_ok and step.dissection
-        if step.tri is None:
-            if new_dim != spec.dim:
-                raise ValueError("cannot continue past a streamed step")
-            return None, PipelineReport(steps, sizes, ok)
-        current = step.tri
+        current = step.tri  # None only when the last step was streamed
     return current, PipelineReport(steps, sizes, ok)
 
 

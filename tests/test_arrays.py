@@ -380,7 +380,7 @@ def test_reader_rejects_bad_indices_and_dim(name, layout):
 
 @pytest.mark.parametrize("name", sorted(BAD_D4))
 @pytest.mark.parametrize("layout", (0, 1))
-@pytest.mark.parametrize("mode", ([], ["--face-to-face"]))
+@pytest.mark.parametrize("mode", ([],))  # verify's one mode; keeps the test ids
 def test_verify_rejects_bad_indices_and_dim(tmp_path, capsys, name, layout, mode):
     path = os.fspath(tmp_path / "bad.json")
     with open(path, "w") as fh:
@@ -393,7 +393,7 @@ def test_verify_rejects_bad_indices_and_dim(tmp_path, capsys, name, layout, mode
 
 
 @pytest.mark.parametrize("name", ("undecodable", "missing"))
-@pytest.mark.parametrize("mode", ([], ["--face-to-face"]))
+@pytest.mark.parametrize("mode", ([],))  # verify's one mode; keeps the test ids
 def test_verify_rejects_an_unreadable_file(tmp_path, capsys, name, mode):
     path = tmp_path / "file.json"
     if name == "undecodable":

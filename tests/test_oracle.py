@@ -224,9 +224,12 @@ def test_ridge_search_matches_the_lp_reference(name):
         assert list(enum.enumerate()) == list(ref.enumerate())
 
 
-def test_production_paths_take_no_lp_and_no_scalar_determinant(monkeypatch):
+def test_production_paths_take_no_lp_and_no_scalar_determinant(
+    monkeypatch, tmp_path, capsys
+):
     from cubetri import linalg, seeds
     from cubetri.cayley import validate_mixed
+    from cubetri.cli import main
     from cubetri.complexes import ridge_report
     from cubetri.pipeline import PipelineSpec, build_cube_recursive
 
@@ -243,6 +246,10 @@ def test_production_paths_take_no_lp_and_no_scalar_determinant(monkeypatch):
         assert report.ok and ridge_report(tri).is_face_to_face
     assert validate_mixed(seeds.seed_i3d1()).is_dissection
     assert validate_mixed(seeds.seed_i3d2()).is_dissection
+    path = tmp_path / "t5.json"
+    build_cube_recursive(PipelineSpec(dim=5, out=str(path)))
+    assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("volume census: True")
     # the patch bites: the pairwise reference scan does run them
     with pytest.raises(AssertionError, match="pairwise or scalar"):
         validate_face_to_face(tri)

@@ -109,7 +109,7 @@ def test_cli_smoke(tmp_path, capsys):
 
     out = os.fspath(tmp_path / "t4.json")
     assert main(["build", "cube", "--dim", "4", "--out", out]) == 0
-    assert main(["verify", out, "--face-to-face"]) == 0
+    assert main(["verify", out]) == 0
     assert main(["seeds", "show", "i3d1"]) == 0
     assert main(["oracle", "min-weighted", "--config", "i1d1"]) == 0
     csvp = os.fspath(tmp_path / "r.csv")
@@ -160,6 +160,7 @@ def test_cli_build_rejects_an_unknown_seed(capsys, argv):
         (["--dim", "4", "--l", "4", "--seed", "unimodular"], "base dimension"),
         (["--l", "4", "--seed", "i3d2", "--m", "1"], "l = 4 is above 3"),
         (["--dim", "10", "--l", "9", "--seed", "unimodular"], "l = 9 is above 8"),
+        (["--dim", "13"], "only the last step may be streamed"),
     ],
 )
 def test_cli_build_prints_one_line_for_an_invalid_spec(capsys, argv, match):
@@ -170,6 +171,30 @@ def test_cli_build_prints_one_line_for_an_invalid_spec(capsys, argv, match):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("invalid spec: ")
     assert match in lines[0] and captured.out == ""
+
+
+def test_spec_rejects_a_streamed_middle_step():
+    for kw in ({"dim": 13}, {"dim": 8, "materialize_max_dim": 4},
+               {"dim": 7, "l": 2, "m": 1, "materialize_max_dim": 4}):
+        with pytest.raises(ValueError, match="only the last step may be streamed"):
+            PipelineSpec(**kw)
+    for kw in ({"dim": 12}, {"dim": 13, "materialize_max_dim": 10},
+               {"dim": 8, "materialize_max_dim": 5}, {"dim": 10}):
+        PipelineSpec(**kw)
+
+
+def test_cli_report_checks_its_largest_build_first(capsys):
+    from time import perf_counter
+
+    from cubetri.cli import main
+
+    start = perf_counter()
+    assert main(["report", "table", "--max-dim", "13"]) == 2
+    assert perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("invalid spec: ")
+    assert "only the last step may be streamed" in lines[0] and captured.out == ""
 
 
 def test_unimodular_seed_builds_steps_past_l_3():
@@ -189,15 +214,39 @@ def test_unimodular_seed_builds_steps_past_l_3():
 def test_cli_out_in_a_missing_directory_is_an_invalid_spec(capsys, tmp_path, argv):
     from cubetri.cli import main
 
-    out = tmp_path / "missing" / "x.json"
-    assert main([*argv, "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("invalid spec: ")
-    assert "no directory for --out" in lines[0]
-    assert list(tmp_path.iterdir()) == []
-    if argv[0] == "build":
-        assert captured.out == ""
+    for out, match in ((tmp_path / "missing" / "x.json", "no directory for --out"),
+                       (tmp_path, "is a directory")):
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("invalid spec: ")
+        assert match in lines[0] and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, end",
+    [
+        (["seeds", "show", "i3d1"], "\n"),
+        (["oracle", "min-weighted", "--config", "i1d1"], "\n"),
+        (["report", "table", "--max-dim", "4"], ""),
+    ],
+)
+def test_cli_out_writes_the_text_stdout_shows(capsys, tmp_path, argv, end):
+    from cubetri.cli import main
+
+    path = tmp_path / "out.txt"
+    assert main([*argv, "--out", str(path)]) == 0
+    with_out = capsys.readouterr().out.splitlines()
+    assert main(argv) == 0
+    shown = capsys.readouterr().out
+    wrote = [f"wrote {path}"]
+    if argv[0] == "oracle":
+        minimum, _, shown = shown.partition("\n")
+        assert minimum.startswith("minimum weighted over i1d1: ")
+        wrote.insert(0, minimum)
+    assert with_out == wrote
+    assert shown == path.read_bytes().decode() + end
 
 
 @pytest.mark.parametrize(

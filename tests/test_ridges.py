@@ -32,7 +32,6 @@ from cubetri.complexes import (
     triangulation_from_json,
     triangulation_to_json,
     validate_dissection,
-    validate_face_to_face,
 )
 from cubetri.geometry import cube_config, facet_inequalities, minkowski_config
 from cubetri.linalg import batch_abs_det, batch_det, det_bareiss, exact_dtype
@@ -450,45 +449,7 @@ def test_verify_volume_only_prints_both_reports(tmp_path, capsys, kind):
     assert code == (0 if kind == "none" else 1)
 
 
-@pytest.mark.parametrize("kind", ["none", "drop", "duplicate", "overlap", "flat"])
-def test_verify_face_to_face_prints_the_pairwise_reports(
-    tmp_path, capsys, monkeypatch, kind
-):
-    """``verify --face-to-face`` prints the pairwise dissection and
-    face-to-face reports; the interior scan runs only when the face-to-face
-    scan fails, since a passing one certifies the dissection."""
-    from cubetri import cli
-
-    tri = build_cube_recursive(PipelineSpec(dim=4))[0]
-    if kind == "flat":
-        tri = DIAGONALS
-    elif kind != "none":
-        tri = tampered(tri, kind)
-    path = os.fspath(tmp_path / "t.json")
-    with open(path, "w") as fh:
-        fh.write(triangulation_to_json(tri))
-    diss = validate_dissection(tri)
-    f2f = validate_face_to_face(tri)
-    expected = [
-        f"dissection: {diss.is_dissection} "
-        f"(volume {diss.volume_total}, {len(diss.violations)} violations)",
-        f"face-to-face: {f2f.is_face_to_face} ({len(f2f.violations)} violations)",
-    ] + [f"  {v}" for v in diss.violations[:10]]
-    scans = []
-
-    def interior_scan(*args, **kwargs):
-        scans.append(kwargs.get("pairwise", True))
-        return validate_dissection(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "validate_dissection", interior_scan)
-    code = main(["verify", path, "--face-to-face"])
-    assert capsys.readouterr().out.splitlines() == expected
-    assert code == (0 if diss.is_dissection and f2f.is_face_to_face else 1)
-    assert code == (0 if kind == "none" else 1)
-    assert scans == ([] if kind == "none" else [True])
-
-
-@pytest.mark.parametrize("mode", ([], ["--face-to-face"]))
+@pytest.mark.parametrize("mode", ([],))  # verify's one mode; keeps the test ids
 def test_verify_rejects_a_ragged_file(tmp_path, capsys, mode):
     tri = minimal_cube(3)
     path = os.fspath(tmp_path / "ragged.json")
@@ -505,10 +466,11 @@ def test_verify_rejects_the_removed_volume_only_flag(tmp_path, capsys):
     path = os.fspath(tmp_path / "t.json")
     with open(path, "w") as fh:
         fh.write(triangulation_to_json(minimal_cube(3)))
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", path, "--volume-only"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    for flag in ("--volume-only", "--face-to-face"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", path, flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_expect_keeps_the_q_dim_step(monkeypatch):
