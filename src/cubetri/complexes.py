@@ -5,16 +5,19 @@ A :class:`Triangulation` holds its simplices as one index array, the form
 the generator, the file reader and writer, the census, the duplicate scan
 and the ridge check all take; simplices of different sizes are rejected
 where they enter. A tuple of tuples built from it on first use is the form
-the pair scans take. Validity is decided exactly on vertex coordinates:
+the pair scan takes. Validity is decided exactly on vertex coordinates:
 
 * dissection = volumes sum to the ambient volume and all pairs of cells
   have disjoint interiors;
 * face-to-face = for every pair, conv(S1) ∩ conv(S2) = conv(S1 ∩ S2).
 
-Both pair scans use the certificate-first predicates of :mod:`linalg`,
-with each simplex's barycentric rows computed once per scan. Every volume
-total goes through one census, :func:`signed_volumes`: batched signed
-integer determinants over fixed-size chunks of index rows.
+Both validators take the census once and try the ridge certificate below
+on it first; only a refusal runs the pair scan, :func:`_pair_scan`, which
+then gives the verdict and the ordered violations. The pair scan uses the
+certificate-first predicates of :mod:`linalg`, with each simplex's
+barycentric rows computed once per scan, and is the tests' reference.
+Every volume total goes through one census, :func:`signed_volumes`:
+batched signed integer determinants over fixed-size chunks of index rows.
 
 :func:`ridge_report` is the certificate that needs neither provenance nor
 a pair scan. It holds for full-dimensional simplices S_1..S_N in a
@@ -28,9 +31,8 @@ over P. The census gives sum vol(S_i) = c vol(P), so (d) forces c = 1:
 the simplices tile P. With every interior ridge matched this way they
 form a triangulation; this is the characterization of triangulations by
 the pseudo-manifold property in De Loera, Rambau and Santos,
-*Triangulations* (Springer, 2010). The pairwise checks stay the
-authoritative oracle on small inputs. :func:`ridge_violations` is the
-ridge part alone, for a caller (the pipeline) that already holds the
+*Triangulations* (Springer, 2010). :func:`ridge_violations` is the ridge
+part alone, for a caller (the pipeline) that already holds the
 census's signed volumes; :func:`ridge_certificate` returns them with the
 verdict, for a caller (:func:`cayley.validate_mixed`) that needs them. The
 oracle's search grows cells under the same ridge conditions, on the same
@@ -284,38 +286,27 @@ def duplicate_simplices(tri: Triangulation) -> list[Violation]:
 def validate_dissection(
     tri: Triangulation, expected: int | None = None, pairwise: bool = True
 ) -> ValidityReport:
-    """Exact dissection check: volume census plus pairwise interior tests.
+    """Exact dissection check: volume census, duplicates and, with
+    ``pairwise``, disjoint interiors, decided certificate first
+    (:func:`_certificate_first`).
 
-    Degenerate simplices are reported as violations, not raised. Set
-    ``pairwise=False`` to skip the pair scan (volume census only), e.g.
-    when the ridge certificate covers it.
+    Degenerate simplices are reported as violations, not raised.
+    ``pairwise=False`` is the census and the duplicate scan alone.
     """
     if expected is None:
         expected = expected_volume(tri.config)
+    if pairwise:
+        return _certificate_first(tri, expected, face_to_face=False)
     _, _, total, violations = _census(tri, expected)
     violations += duplicate_simplices(tri)
-    if pairwise:
-        cells = [tri.points_of(s) for s in tri.simplices]
-        bary = [linalg.barycentric_rows(p) for p in cells]
-        n = len(cells)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if not linalg.simplices_interiors_disjoint(
-                    cells[i], cells[j], bary[i], bary[j]
-                ):
-                    violations.append(
-                        Violation(
-                            "interior-overlap", (tri.simplices[i], tri.simplices[j])
-                        )
-                    )
-    ok = not violations
-    return ValidityReport(ok, False, total, violations)
+    return ValidityReport(not violations, False, total, violations)
 
 
 def validate_face_to_face(
     tri: Triangulation, expected: int | None = None
 ) -> ValidityReport:
-    """Authoritative pairwise face-to-face check (exact test per pair).
+    """Exact face-to-face check, decided certificate first
+    (:func:`_certificate_first`).
 
     Two distinct simplices that meet in a common face have disjoint
     interiors, so a passing report is simultaneously a dissection
@@ -323,21 +314,59 @@ def validate_face_to_face(
     """
     if expected is None:
         expected = expected_volume(tri.config)
-    base = validate_dissection(tri, expected=expected, pairwise=False)
-    violations = list(base.violations)
-    cells = [tri.points_of(s) for s in tri.simplices]
+    return _certificate_first(tri, expected, face_to_face=True)
+
+
+def _certificate_first(
+    tri: Triangulation, expected: int | None, face_to_face: bool
+) -> ValidityReport:
+    """The pair scan's report (:func:`_pair_scan`), from the ridge
+    certificate when it applies and accepts.
+
+    The census is taken once. The certificate runs on its signed volumes
+    only for the input its proof covers: the census found nothing, the
+    points are the label's own and ``expected`` is the label's volume. An
+    input it accepts is a triangulation, whose pairs all meet face to face,
+    so the pair scan would report nothing; every other input goes to the
+    pair scan, which gives the verdict and the ordered violations.
+    """
+    full, vols, total, violations = census = _census(tri, expected)
+    config = tri.config
+    if (
+        not violations
+        and config.label is not None
+        and expected == expected_volume(config)
+        and config == config_from_label(config.label)
+        and not ridge_violations(config, full, vols)
+    ):
+        return ValidityReport(True, face_to_face, total)
+    return _pair_scan(tri, census, face_to_face)
+
+
+def _pair_scan(tri: Triangulation, census, face_to_face: bool) -> ValidityReport:
+    """The report of the census's violations, then the duplicates, then a
+    violation for each pair (i < j, in order) that the exact pair
+    predicate of :mod:`linalg` refuses: ``not-face-to-face`` with
+    ``face_to_face`` (a simplex is not paired with its own repeat),
+    ``interior-overlap`` without. Each simplex's barycentric rows are
+    computed once. No certificate: the tests' reference."""
+    _, _, total, violations = census
+    violations += duplicate_simplices(tri)
+    if face_to_face:
+        kind, meets = "not-face-to-face", linalg.simplices_face_to_face
+    else:
+        kind, meets = "interior-overlap", linalg.simplices_interiors_disjoint
+    simplices = tri.simplices
+    cells = [tri.points_of(s) for s in simplices]
     bary = [linalg.barycentric_rows(p) for p in cells]
-    n = len(cells)
-    for i in range(n):
-        si = tri.simplices[i]
-        for j in range(i + 1, n):
-            sj = tri.simplices[j]
-            if si == sj:
+    for i in range(len(cells)):
+        for j in range(i + 1, len(cells)):
+            if face_to_face and simplices[i] == simplices[j]:
                 continue  # already reported as duplicate
-            if not linalg.simplices_face_to_face(cells[i], cells[j], bary[i], bary[j]):
-                violations.append(Violation("not-face-to-face", (si, sj)))
+            if not meets(cells[i], cells[j], bary[i], bary[j]):
+                violations.append(Violation(kind, (simplices[i], simplices[j])))
     ok = not violations
-    return ValidityReport(ok, ok, base.volume_total, violations)
+    return ValidityReport(ok, face_to_face and ok, total, violations)
 
 
 def _apex_sides(vols: np.ndarray, d: int) -> np.ndarray:

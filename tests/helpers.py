@@ -16,6 +16,9 @@ from cubetri.complexes import (
     ValidityReport,
     Violation,
     _apex_sides,
+    _census,
+    _pair_scan,
+    expected_volume,
     facet_incidence,
     signed_volumes,
 )
@@ -89,6 +92,27 @@ def reference_from_json(text: str) -> Triangulation:
             if type(i) is not int or not 0 <= i < n:
                 raise ValueError(f"bad simplex index {i!r}")
     return Triangulation(config, tuple(tuple(s) for s in obj["simplices"]))
+
+
+def reference_validate_dissection(
+    tri: Triangulation, expected: int | None = None
+) -> ValidityReport:
+    """``validate_dissection`` without the ridge certificate: the census and
+    the exact pair scan on every input. The reference it is held to."""
+    if expected is None:
+        expected = expected_volume(tri.config)
+    return _pair_scan(tri, _census(tri, expected), face_to_face=False)
+
+
+def reference_validate_face_to_face(
+    tri: Triangulation, expected: int | None = None
+) -> ValidityReport:
+    """``validate_face_to_face`` without the ridge certificate: the census
+    and the exact pair scan on every input. The pairwise oracle the ridge
+    certificate is held to."""
+    if expected is None:
+        expected = expected_volume(tri.config)
+    return _pair_scan(tri, _census(tri, expected), face_to_face=True)
 
 
 def path_edges(n: int) -> list[int]:

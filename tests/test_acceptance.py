@@ -11,7 +11,12 @@ import random
 import time
 from fractions import Fraction
 
-from helpers import enumerated_expected_size, lift_provenance, two_triangle_prism
+from helpers import (
+    enumerated_expected_size,
+    lift_provenance,
+    reference_validate_face_to_face,
+    two_triangle_prism,
+)
 
 from cubetri.cayley import (
     count_area2_squares,
@@ -27,7 +32,6 @@ from cubetri.coloring import (
 )
 from cubetri.complexes import (
     efficiency,
-    validate_face_to_face,
     weighted_efficiency_from,
 )
 from cubetri.geometry import (
@@ -75,7 +79,7 @@ def test_criterion_1_staircase_correctness():
             ok &= staircase_block_regular(k + 1, l + 1)
             ok &= tri.size == ambient_normalized_volume(tri.config.label)
             if k + l <= 5:  # cross-check the certificate pairwise
-                ok &= validate_face_to_face(tri).is_face_to_face
+                ok &= reference_validate_face_to_face(tri).is_face_to_face
     _announce(
         "criterion 1: staircase sizes/unimodularity/face-to-face (k,l <= 5)",
         ok,
@@ -109,7 +113,7 @@ def test_criterion_3_seed_i3d1():
     ok &= mixed_weighted_size(sub) == Fraction(14, 3)
     tri = cayley_seed("i3d1")
     ok &= tri.size == 16 == known_constants(4).phi
-    ok &= validate_face_to_face(tri).is_face_to_face
+    ok &= reference_validate_face_to_face(tri).is_face_to_face
     ok &= round(weighted_efficiency_from(Fraction(14, 3), 3, 2), 4) == 0.8355
     _announce(
         "criterion 3: i3d1 census (10,6), weighted 14/3, 16 cells, 0.8355",
@@ -209,7 +213,7 @@ def test_criterion_8_pipeline_validity():
                 ok &= st.face_to_face is True
         # authoritative pairwise oracle on the materialized small outputs
         if d <= 6 and tri is not None:
-            ok &= validate_face_to_face(tri).is_face_to_face
+            ok &= reference_validate_face_to_face(tri).is_face_to_face
         ok &= rep.ok
         details.append(f"d{d}:{rep.sizes[d]}")
     _announce(

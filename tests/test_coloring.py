@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from helpers import enumerated_expected_size
+from helpers import enumerated_expected_size, reference_validate_face_to_face
 
 from cubetri.coloring import (
     Coloring,
@@ -13,7 +13,7 @@ from cubetri.coloring import (
     size_bound,
     triangulate_product,
 )
-from cubetri.complexes import validate_face_to_face, weighted_size
+from cubetri.complexes import weighted_size
 from cubetri.geometry import cube_config, product_config, simplex_config
 from cubetri.seeds import cayley_seed, minimal_cube, square_seed_m2
 from cubetri.verification import StructuredChecker
@@ -74,7 +74,7 @@ def test_product_best_weighted_square_seed():
     tri, prov = triangulate_product(t_q, t0, coloring, with_provenance=True)
     assert tri.size == product_size(t_q, t0, coloring)
     assert StructuredChecker(tri, prov, coloring).run().is_face_to_face
-    assert validate_face_to_face(tri).is_face_to_face
+    assert reference_validate_face_to_face(tri).is_face_to_face
 
 
 def test_size_bound_examples():
@@ -185,7 +185,7 @@ def test_structured_checker_agrees_with_pairwise_on_restricted_case():
     coloring = Coloring((0, 0, 2, 1), 3, "explicit")
     tri, prov = triangulate_product(t_q, t0, coloring, with_provenance=True)
     structured = StructuredChecker(tri, prov, coloring).run()
-    authoritative = validate_face_to_face(tri)
+    authoritative = reference_validate_face_to_face(tri)
     assert structured.is_face_to_face == authoritative.is_face_to_face == True
     assert structured.volume_total == authoritative.volume_total
 

@@ -3,9 +3,9 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from helpers import ReferenceEnumerator
+from helpers import ReferenceEnumerator, reference_validate_face_to_face
 
-from cubetri.complexes import validate_face_to_face, weighted_size
+from cubetri.complexes import weighted_size
 from cubetri.geometry import (
     cube_config,
     facet_inequalities,
@@ -45,7 +45,7 @@ def test_cube_counts_and_minimum():
     assert count_triangulations(p, anchor=7) == 74
     value, witness = min_weighted_size(p)
     assert value == 5 and witness.size == 5
-    assert validate_face_to_face(witness).is_face_to_face
+    assert reference_validate_face_to_face(witness).is_face_to_face
 
 
 def test_square_pair_minimum_weighted():
@@ -53,7 +53,7 @@ def test_square_pair_minimum_weighted():
     value, witness = min_weighted_size(SearchProblem(cfg))
     assert value == 3
     assert weighted_size(witness) == 3
-    assert validate_face_to_face(witness).is_face_to_face
+    assert reference_validate_face_to_face(witness).is_face_to_face
     # same geometry as the 3-cube, so the census must agree too
     assert count_triangulations(SearchProblem(cfg)) == 74
 
@@ -70,7 +70,7 @@ def test_prism_minimum_is_m():
 def test_every_witness_face_to_face():
     cfg = product_config(cube_config(1), simplex_config(2))
     for tri in enumerate_triangulations(SearchProblem(cfg)):
-        assert validate_face_to_face(tri).is_face_to_face
+        assert reference_validate_face_to_face(tri).is_face_to_face
 
 
 def test_guard():
@@ -252,7 +252,7 @@ def test_production_paths_take_no_lp_and_no_scalar_determinant(
     assert capsys.readouterr().out.startswith("volume census: True")
     # the patch bites: the pairwise reference scan does run them
     with pytest.raises(AssertionError, match="pairwise or scalar"):
-        validate_face_to_face(tri)
+        reference_validate_face_to_face(tri)
 
 
 @pytest.mark.parametrize("name", ["cube(3)", "cube(1)xsimplex(3)"])

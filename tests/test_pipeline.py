@@ -104,6 +104,18 @@ def test_report_table():
     assert "0.840" in row7 and "1493" in row7
 
 
+def test_report_table_checks_every_spec_before_any_build(monkeypatch):
+    # d=13 puts a middle step above the streamed limit: its spec is refused
+    # before d=11 and d=12 are built
+    built = []
+    monkeypatch.setattr(
+        pipeline, "build_cube_recursive", lambda spec: built.append(spec)
+    )
+    with pytest.raises(ValueError, match="streamed"):
+        report_table(13)
+    assert built == []
+
+
 def test_cli_smoke(tmp_path, capsys):
     from cubetri.cli import main
 

@@ -1,15 +1,17 @@
 """Agreement of the ridge certificate with the pairwise face-to-face oracle,
 and the pipeline's use of it.
 
-``ridge_report`` is the pipeline's only face-to-face tier; the pairwise
-``validate_face_to_face`` tests every pair of simplices and stays the
-authoritative reference. Their verdicts must agree on valid and tampered
-triangulations: the pipeline's outputs, the block seeds, a product whose
-coloring leaves colors absent from some cells, a dissection that is not
-face to face, every triangulation of five small configurations with each
-one-vertex change of a simplex, and drawn tamperings of a pipeline output. On a kept step the pipeline runs the ridge part on the
-step's own rows and census, so a corrupted row must fail the run even
-when the volume census cannot see it.
+``ridge_report`` is the pipeline's only face-to-face tier, and the
+validators try it first; the pairwise reference
+``reference_validate_face_to_face`` (the census and the pair scan, no
+certificate) tests every pair of simplices. Their verdicts must agree on
+valid and tampered triangulations: the pipeline's outputs, the block
+seeds, a product whose coloring leaves colors absent from some cells, a
+dissection that is not face to face, every triangulation of five small
+configurations with each one-vertex change of a simplex, and drawn
+tamperings of a pipeline output. On a kept step the pipeline runs the
+ridge part on the step's own rows and census, so a corrupted row must
+fail the run even when the volume census cannot see it.
 """
 
 import functools
@@ -17,12 +19,19 @@ import functools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import reference_validate_dissection, reference_validate_face_to_face
 from test_ridges import tampered
 
-from cubetri import linalg, pipeline
+from cubetri import complexes, linalg, pipeline
 from cubetri.coloring import Coloring, ProductCells, triangulate_product
-from cubetri.complexes import Triangulation, ridge_report, validate_face_to_face
+from cubetri.complexes import (
+    Triangulation,
+    ridge_report,
+    validate_dissection,
+    validate_face_to_face,
+)
 from cubetri.geometry import (
+    PointConfiguration,
     cube_config,
     minkowski_config,
     normalized_volume,
@@ -39,7 +48,7 @@ KINDS = ("drop", "duplicate", "overlap")
 def same_verdict(tri):
     """The common verdict of the ridge check and the pairwise oracle."""
     ridges = ridge_report(tri)
-    oracle = validate_face_to_face(tri)
+    oracle = reference_validate_face_to_face(tri)
     assert ridges.is_face_to_face == ridges.is_dissection == oracle.is_face_to_face
     assert ridges.volume_total == oracle.volume_total
     return ridges.is_face_to_face
@@ -128,6 +137,96 @@ def test_agrees_on_the_t_vertex():
     assert not same_verdict(tri)
     kinds = {v.kind for v in ridge_report(tri).violations}
     assert kinds == {"open-interior-ridge"}
+
+
+# -- the validators: the certificate first, the pair scan after a refusal ------
+
+VALIDATORS = (
+    (validate_dissection, reference_validate_dissection),
+    (validate_face_to_face, reference_validate_face_to_face),
+)
+
+
+@pytest.mark.usefixtures("memo_face_to_face")
+@pytest.mark.parametrize("name", ("d4", "d5", "d6", "i3d1", "i3d2"))
+def test_validators_certify_valid_inputs_with_no_pair_scan(
+    monkeypatch, pipeline_outputs, name
+):
+    if name.startswith("d"):
+        tri = pipeline_outputs[int(name[1:])]
+    else:
+        tri = cayley_seed(name)
+    want = [reference(tri) for _, reference in VALIDATORS]
+    assert want[1].is_face_to_face and not want[1].violations
+
+    def refuse(*args):
+        raise AssertionError("the pair scan was run")
+
+    monkeypatch.setattr(linalg, "feasible", refuse)
+    monkeypatch.setattr(linalg, "barycentric_rows", refuse)
+    assert [validate(tri) for validate, _ in VALIDATORS] == want
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_validators_report_the_pair_scan_on_tampered_d4(kind):
+    tri = tampered(_d4_output(), kind)
+    for validate, reference in VALIDATORS:
+        report = validate(tri)
+        assert report == reference(tri) and report.violations
+
+
+@pytest.mark.parametrize("simplices", (T_VERTEX, FAN), ids=("t-vertex", "fan"))
+def test_validators_report_the_pair_scan_on_the_big_square(simplices):
+    tri = _big_square(simplices)
+    for validate, reference in VALIDATORS:
+        assert validate(tri) == reference(tri)
+
+
+def test_the_t_vertex_is_a_dissection_and_not_face_to_face():
+    tri = _big_square(T_VERTEX)
+    assert validate_dissection(tri).is_dissection
+    report = validate_face_to_face(tri)
+    assert not report.is_face_to_face
+    assert {v.kind for v in report.violations} == {"not-face-to-face"}
+
+
+def test_inputs_outside_the_certificate_reach_the_pair_scan(monkeypatch):
+    scanned = []
+    scan = complexes._pair_scan
+
+    def spy(tri, census, face_to_face):
+        scanned.append(face_to_face)
+        return scan(tri, census, face_to_face)
+
+    monkeypatch.setattr(complexes, "_pair_scan", spy)
+    square = cube_config(2)
+    # the square's points, but not in the label's order: the ridge check
+    # alone accepts it, the validators do not take its word
+    shuffled = PointConfiguration(square.label, square.points[::-1], 2)
+    tri = Triangulation(shuffled, ((0, 2, 3), (0, 1, 3)))
+    assert ridge_report(tri).is_face_to_face
+    for validate, reference in VALIDATORS:
+        assert validate(tri) == reference(tri)
+    # [0,2]^2 covered twice, by its two halves and by its eight unit
+    # triangles: only the volume against the label's tells it apart, so an
+    # ``expected`` of twice that volume must not reach the certificate
+    twice = _big_square(((0, 6, 8), (0, 2, 8)) + _grid_triangles())
+    assert [v.kind for v in ridge_report(twice).violations] == ["volume-mismatch"]
+    for validate, reference in VALIDATORS:
+        report = validate(twice, expected=16)
+        assert report == reference(twice, expected=16) and not report
+    assert scanned == [False, True, False, True]
+
+
+def _grid_triangles():
+    """The eight unit triangles of [0,2]^2: each unit square cut along its
+    diagonal through (a, b) and (a+1, b+1)."""
+    out = ()
+    for a in (0, 1):
+        for b in (0, 1):
+            corner = 3 * a + b
+            out += ((corner, corner + 3, corner + 4), (corner, corner + 1, corner + 4))
+    return out
 
 
 SMALL_CONFIGS = {
