@@ -22,8 +22,10 @@ from .complexes import (
     Triangulation,
     ValidityReport,
     Violation,
+    _census,
+    expected_volume,
     factor_blocks,
-    ridge_certificate,
+    ridge_violations,
     simplex_factor,
 )
 from .geometry import (
@@ -157,7 +159,8 @@ def validate_mixed(sub: MixedSubdivision) -> ValidityReport:
     """Exact validation through the Cayley trick: the cells form a fine
     mixed subdivision of P + ... + P exactly when their Cayley simplices
     triangulate P x simplex(m-1) (Huber, Rambau and Santos, *J. Eur. Math.
-    Soc.* 2, 2000), which :func:`complexes.ridge_certificate` decides.
+    Soc.* 2, 2000), which the census and the ridge check of
+    :mod:`complexes` decide, as in :func:`complexes.ridge_report`.
 
     A cell that has no Cayley simplex is one ``not-fine`` violation and
     stays out of the check; the violations of the census and the ridge
@@ -178,8 +181,8 @@ def validate_mixed(sub: MixedSubdivision) -> ValidityReport:
             simplices.append(simplex)
     l = sub.base.dim
     cfg = product_config(sub.base, simplex_config(sub.m - 1))
-    vols, _, found = ridge_certificate(Triangulation(cfg, simplices))
-    violations += found
+    full, vols, _, found = _census(Triangulation(cfg, simplices), expected_volume(cfg))
+    violations += found + ridge_violations(cfg, full, vols)
     total = 0
     for vol, cell in zip(vols.tolist(), kept):
         share = math.factorial(l)

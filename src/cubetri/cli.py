@@ -33,9 +33,10 @@ import sys
 from .cayley import mixed_to_json
 from .coloring import exact_expected_size, monte_carlo_size, size_bound
 from .complexes import (
-    CENSUS_KINDS,
+    _census,
     duplicate_simplices,
-    ridge_report,
+    expected_volume,
+    ridge_violations,
     triangulation_from_json,
     triangulation_to_json,
     weighted_size,
@@ -98,18 +99,18 @@ def _cmd_verify(args, path: str) -> int:
     except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
         print(f"invalid file: {exc}")
         return 1
-    # The census's violations lead the ridge report's: one census, two lines.
-    ridges = ridge_report(tri)
-    shown = [v for v in ridges.violations if v.kind in CENSUS_KINDS]
-    shown += duplicate_simplices(tri)
-    census_ok = not shown
+    # One census feeds both lines; the ridge line counts its violations too.
+    full, vols, total, census = _census(tri, expected_volume(tri.config))
+    duplicates = duplicate_simplices(tri)
+    ridges = ridge_violations(tri.config, full, vols)
+    census_ok = not census and not duplicates
+    ridges_ok = not census and not ridges
     print(f"volume census: {census_ok} "
-          f"(volume {ridges.volume_total}, {len(shown)} violations)")
-    print(f"ridges: {ridges.is_face_to_face} ({len(ridges.violations)} violations)")
-    shown += [v for v in ridges.violations if v.kind not in CENSUS_KINDS]
-    for v in shown[:10]:
+          f"(volume {total}, {len(census) + len(duplicates)} violations)")
+    print(f"ridges: {ridges_ok} ({len(census) + len(ridges)} violations)")
+    for v in (census + duplicates + ridges)[:10]:
         print(f"  {v}")
-    return 0 if census_ok and ridges.is_face_to_face else 1
+    return 0 if census_ok and ridges_ok else 1
 
 
 def _report_dim(args) -> int:

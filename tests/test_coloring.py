@@ -38,7 +38,7 @@ def test_make_coloring_single_color():
 
 def test_make_coloring_explicit_validation():
     with pytest.raises(ValueError):
-        Coloring((0, 5), 2, "explicit")
+        Coloring((0, 5), 2)
 
 
 def test_haiman_product_m1():
@@ -137,7 +137,7 @@ def test_restricted_colors_size_identity():
     # the closed form via the face-restriction conventions
     t_q = minimal_cube(2)
     t0 = cayley_seed("i3d2")
-    coloring = Coloring((0, 0, 1, 2), 3, "explicit")
+    coloring = Coloring((0, 0, 1, 2), 3)
     tri = triangulate_product(t_q, t0, coloring)
     assert tri.size == product_size(t_q, t0, coloring)
     from cubetri.verification import volume_total
@@ -182,7 +182,7 @@ def test_structured_checker_agrees_with_pairwise_on_restricted_case():
     # authoritative pairwise oracle
     t_q = minimal_cube(2)
     t0 = cayley_seed("i3d2")
-    coloring = Coloring((0, 0, 2, 1), 3, "explicit")
+    coloring = Coloring((0, 0, 2, 1), 3)
     tri, prov = triangulate_product(t_q, t0, coloring, with_provenance=True)
     structured = StructuredChecker(tri, prov, coloring).run()
     authoritative = reference_validate_face_to_face(tri)

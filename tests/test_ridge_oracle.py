@@ -19,14 +19,22 @@ import functools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import reference_validate_dissection, reference_validate_face_to_face
+from helpers import (
+    memo_face_to_face,
+    reference_validate_dissection,
+    reference_validate_face_to_face,
+    small_default_builds,
+    small_default_references,
+)
 from test_ridges import tampered
 
 from cubetri import complexes, linalg, pipeline
+from cubetri.cli import main
 from cubetri.coloring import Coloring, ProductCells, triangulate_product
 from cubetri.complexes import (
     Triangulation,
     ridge_report,
+    triangulation_to_json,
     validate_dissection,
     validate_face_to_face,
 )
@@ -45,10 +53,12 @@ from cubetri.seeds import cayley_seed, minimal_cube
 KINDS = ("drop", "duplicate", "overlap")
 
 
-def same_verdict(tri):
-    """The common verdict of the ridge check and the pairwise oracle."""
+def same_verdict(tri, oracle=None):
+    """The common verdict of the ridge check and the pairwise oracle (its
+    report on ``tri``, when given)."""
     ridges = ridge_report(tri)
-    oracle = reference_validate_face_to_face(tri)
+    if oracle is None:
+        oracle = reference_validate_face_to_face(tri)
     assert ridges.is_face_to_face == ridges.is_dissection == oracle.is_face_to_face
     assert ridges.volume_total == oracle.volume_total
     return ridges.is_face_to_face
@@ -56,49 +66,30 @@ def same_verdict(tri):
 
 @pytest.fixture(scope="module")
 def pipeline_outputs():
-    return {
-        d: build_cube_recursive(PipelineSpec(dim=d, samples=3, rng_seed=1))[0]
-        for d in (4, 5, 6)
-    }
-
-
-@pytest.fixture(scope="module")
-def face_to_face_verdicts():
-    """Pair verdicts shared by the parameters below, keyed on the two
-    vertex-coordinate tuples: a tampered output keeps most of its pairs."""
-    return {}
+    return {d: tri for d, (tri, _) in small_default_builds().items()}
 
 
 @pytest.fixture
-def memo_face_to_face(monkeypatch, face_to_face_verdicts):
-    """``linalg.simplices_face_to_face`` memoized in ``face_to_face_verdicts``.
-    The predicate is a function of the coordinates alone, so no verdict
-    changes."""
-    exact = linalg.simplices_face_to_face
-
-    def memo(pts_a, pts_b, bary_a=None, bary_b=None):
-        key = (tuple(pts_a), tuple(pts_b))
-        hit = face_to_face_verdicts.get(key)
-        if hit is None:
-            hit = face_to_face_verdicts[key] = exact(pts_a, pts_b, bary_a, bary_b)
-        return hit
-
-    monkeypatch.setattr(linalg, "simplices_face_to_face", memo)
+def memo_pair_verdicts(monkeypatch):
+    """The pair predicate memoized across tests (``memo_face_to_face``): a
+    tampered output keeps most of its pairs."""
+    monkeypatch.setattr(linalg, "simplices_face_to_face", memo_face_to_face)
 
 
-@pytest.mark.usefixtures("memo_face_to_face")
+@pytest.mark.usefixtures("memo_pair_verdicts")
 @pytest.mark.parametrize("kind", (None,) + KINDS)
 def test_agrees_on_pipeline_outputs(pipeline_outputs, kind):
-    for tri in pipeline_outputs.values():
+    references = small_default_references()
+    for d, tri in pipeline_outputs.items():
         if kind is None:
-            assert same_verdict(tri)
+            assert same_verdict(tri, references[d])
         else:
             assert not same_verdict(tampered(tri, kind))
 
 
 def _restricted_product():
     # color 1 never appears in the first triangle of T_Q
-    coloring = Coloring((0, 0, 2, 1), 3, "explicit")
+    coloring = Coloring((0, 0, 2, 1), 3)
     return triangulate_product(minimal_cube(2), cayley_seed("i3d2"), coloring)
 
 
@@ -147,7 +138,26 @@ VALIDATORS = (
 )
 
 
-@pytest.mark.usefixtures("memo_face_to_face")
+@pytest.mark.parametrize(
+    "config", (simplex_config(0), cube_config(0)), ids=("simplex(0)", "cube(0)")
+)
+def test_the_point_has_one_triangulation(tmp_path, capsys, config):
+    """A point has no facet; its one ridge, the empty one, is its boundary."""
+    point = Triangulation(config, ((0,),))
+    assert ridge_report(point).is_face_to_face
+    path = tmp_path / "point.json"
+    path.write_text(triangulation_to_json(point))
+    assert main(["verify", str(path)]) == 0
+    assert "ridges: True (0 violations)" in capsys.readouterr().out
+    twice = Triangulation(config, ((0,), (0,)))
+    kinds = [v.kind for v in ridge_report(twice).violations]
+    assert kinds == ["volume-mismatch", "ridge-same-side"]
+    for tri in (point, twice):
+        for validate, reference in VALIDATORS:
+            assert validate(tri) == reference(tri)
+
+
+@pytest.mark.usefixtures("memo_pair_verdicts")
 @pytest.mark.parametrize("name", ("d4", "d5", "d6", "i3d1", "i3d2"))
 def test_validators_certify_valid_inputs_with_no_pair_scan(
     monkeypatch, pipeline_outputs, name

@@ -173,3 +173,19 @@ def test_a_seed_with_one_vertex_changed_fails_on_every_call(monkeypatch):
             cayley_seed("broken")
     sub = MixedSubdivision(cube_config(3), m, tuple(map(MixedCell, bad)))
     assert not reference_validate_mixed(sub).is_dissection
+
+
+def test_a_seed_with_a_cell_off_the_cube_fails_until_restored(monkeypatch):
+    # vertex 4 of the first corner tetrahedron of i3d1 moved to 8, not a
+    # point of cube(3): the census and the weighted size still hold, but
+    # the cell has no Cayley simplex
+    m, cells, census, weighted = seeds._SEEDS["i3d1"]
+    bad = (((0,), (0, 1, 2, 8)),) + cells[1:]
+    seeds._seed.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setitem(seeds._SEEDS, "i3d1", (m, bad, census, weighted))
+        for _ in range(2):
+            with pytest.raises(AssertionError, match="i3d1: invalid subdivision"):
+                cayley_seed("i3d1")
+    assert cayley_seed("i3d1").size == 16
+    assert validate_mixed(seed_i3d1()).is_dissection

@@ -72,12 +72,8 @@ def reference_product_cells(t_q, t0, coloring):
                 continue
             rows = tuple(blocks[i] for i in present)
             simplices = reference_multi_staircases(LiftedCell(rows, cols, nq))
-            signature = (tuple(len(r) for r in rows), tuple(len(c) for c in cols))
             end = start + len(simplices)
-            yield (
-                CellProvenance(sigma, t_idx, rows, cols, start, end, signature),
-                simplices,
-            )
+            yield CellProvenance(sigma, t_idx, rows, cols, start, end), simplices
             start = end
 
 
@@ -110,7 +106,7 @@ def seed(name):
 
 
 SEEDS = ("i3d1", "i3d2", "minimal", "unimodular")
-PROV_FIELDS = ("sigma", "tau_index", "rows", "cols", "start", "end", "signature")
+PROV_FIELDS = ("sigma", "tau_index", "rows", "cols", "start", "end")
 
 
 def colorings(nq, m):
@@ -119,8 +115,8 @@ def colorings(nq, m):
     on the first vertex only (absent from the cells that miss it)."""
     out = [make_coloring(nq, m, "balanced")]
     out += [make_coloring(nq, m, "random", rng_seed=s) for s in (1, 2)]
-    out.append(Coloring((m - 1,) * nq, m, "explicit"))
-    out.append(Coloring((0,) + tuple(1 % m for _ in range(nq - 1)), m, "explicit"))
+    out.append(Coloring((m - 1,) * nq, m))
+    out.append(Coloring((0,) + tuple(1 % m for _ in range(nq - 1)), m))
     return out
 
 
@@ -161,7 +157,7 @@ def test_engine_matches_reference_on_pipeline_outputs(dim):
             ("i3d1", make_coloring(nq, 2, "balanced")),
             ("minimal", make_coloring(nq, 1, "balanced")),
             ("unimodular", make_coloring(nq, 1, "balanced")),
-            ("i3d2", Coloring((0,) * (nq - 1) + (1,), 3, "explicit")),
+            ("i3d2", Coloring((0,) * (nq - 1) + (1,), 3)),
         ]
     for name, coloring in cases:
         assert_same_as_reference(t_q, seed(name), coloring)
@@ -193,7 +189,7 @@ def test_engine_matches_reference_on_random_colorings(seed_name, q_dim, data):
     t_q = minimal_cube(q_dim)
     nq = len(t_q.config.points)
     colors = data.draw(st.lists(st.integers(0, m - 1), min_size=nq, max_size=nq))
-    assert_same_as_reference(t_q, t0, Coloring(tuple(colors), m, "explicit"))
+    assert_same_as_reference(t_q, t0, Coloring(tuple(colors), m))
 
 
 @pytest.mark.parametrize("seed_name", SEEDS)

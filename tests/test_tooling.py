@@ -7,6 +7,9 @@ options, classes and seeds of its own; a rename, move or removal in
 """
 
 import importlib
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -70,3 +73,31 @@ def test_benchmark_lift_round_trips_as_arrays(monkeypatch):
     back = triangulation_from_json(triangulation_to_json(tri))
     assert calls == []
     assert back.config == tri.config and np.array_equal(back.rows, tri.rows)
+
+
+def test_a_failing_given_test_leaves_the_session_running(tmp_path):
+    """A failing ``@given`` test fails alone under the repo's warning
+    filters. On a failure hypothesis's pytest plugin imports libcst, whose
+    import warns a DeprecationWarning from ``mypy_extensions``; turned into
+    an error, it ends the session in an INTERNALERROR (exit 3) and leaves
+    every later test unrun."""
+    (tmp_path / "test_pair.py").write_text(textwrap.dedent("""
+        from hypothesis import given, strategies as st
+
+        @given(st.integers())
+        def test_fails(x):
+            assert x < 5
+
+        def test_passes():
+            pass
+    """))
+    config = PERFBENCH.parent / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "--rootdir",
+         str(tmp_path), "-p", "no:cacheprovider", "-q", "test_pair.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    out = run.stdout + run.stderr
+    assert run.returncode == 1, out
+    assert "INTERNALERROR" not in out
+    assert "1 failed, 1 passed" in run.stdout, out
