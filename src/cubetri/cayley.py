@@ -169,6 +169,13 @@ def validate_mixed(sub: MixedSubdivision) -> ValidityReport:
     subdivision: each cell's Cayley volume, from the same census, times
     l! / prod(dim B_i!).
     """
+    return _checked_cayley(sub)[0]
+
+
+def _checked_cayley(sub: MixedSubdivision) -> tuple[ValidityReport, Triangulation]:
+    """:func:`validate_mixed`'s report and the Cayley triangulation it
+    checked, of the cells that have a Cayley simplex; when the report
+    holds, that is :func:`mixed_to_triangulation` of ``sub``."""
     violations: list[Violation] = []
     kept, simplices = [], []
     for cell in sub.cells:
@@ -181,7 +188,8 @@ def validate_mixed(sub: MixedSubdivision) -> ValidityReport:
             simplices.append(simplex)
     l = sub.base.dim
     cfg = product_config(sub.base, simplex_config(sub.m - 1))
-    full, vols, _, found = _census(Triangulation(cfg, simplices), expected_volume(cfg))
+    tri = Triangulation(cfg, simplices)
+    full, vols, _, found = _census(tri, expected_volume(cfg))
     violations += found + ridge_violations(cfg, full, vols)
     total = 0
     for vol, cell in zip(vols.tolist(), kept):
@@ -190,7 +198,7 @@ def validate_mixed(sub: MixedSubdivision) -> ValidityReport:
             share //= math.factorial(len(b) - 1)
         total += abs(vol) * share
     ok = not violations
-    return ValidityReport(ok, ok, total, violations)
+    return ValidityReport(ok, ok, total, violations), tri
 
 
 def mixed_to_json(sub: MixedSubdivision) -> str:

@@ -59,6 +59,7 @@ import numpy as np
 
 from . import linalg
 from .geometry import (
+    CubeLabel,
     Label,
     PointConfiguration,
     ProductLabel,
@@ -520,12 +521,29 @@ def simplex_type(s: Simplex, config: PointConfiguration) -> SimplexType:
     return SimplexType(tuple(c - 1 for c in counts))
 
 
+def simplex_costs(
+    config: PointConfiguration, rows: np.ndarray
+) -> tuple[list[int], int]:
+    """(costs, den): each row's weight as an integer cost over one
+    denominator. On P x simplex(m-1), with P of dimension l, a row of type
+    (t_1, ..., t_m) weighs 1/∏ t_i!, so its cost is the multinomial
+    l!/∏ t_i! and den is l!. On cube(l), which is cube(l) x simplex(0),
+    every row costs 1 and den is l!. ValueError for any other
+    configuration and for a row with no vertex over some simplex vertex."""
+    if isinstance(config.label, CubeLabel):
+        return [1] * len(rows), math.factorial(config.label.l)
+    left, m = simplex_factor(config)
+    counts = (rows[:, :, None] % m == np.arange(m)).sum(axis=1)
+    if not counts.all():
+        raise ValueError("full-dimensional simplex must cover every factor vertex")
+    fact = np.array([math.factorial(k) for k in range(left.dim + 1)], dtype=object)
+    return (fact[-1] // fact[counts - 1].prod(axis=1)).tolist(), fact[-1]
+
+
 def weighted_size(tri: Triangulation) -> Fraction:
-    """Sum of 1/∏ t_i! over all simplices of a product-with-simplex config."""
-    total = Fraction(0)
-    for s in tri.simplices:
-        total += simplex_type(s, tri.config).weight
-    return total
+    """Sum of 1/∏ t_i! over the simplices, from :func:`simplex_costs`."""
+    costs, den = simplex_costs(tri.config, tri.rows)
+    return Fraction(sum(costs), den)
 
 
 def weighted_efficiency_from(ws: Fraction, l: int, m: int) -> float:

@@ -2,8 +2,17 @@
 
 Replaces integer programming over the universal polytope at desk scale:
 every face-to-face triangulation of the configuration is produced exactly
-once by a canonical ridge-driven backtracking search, and minima of weight
-functionals are certified by exhaustion.
+once by a canonical ridge-driven backtracking search, and the minimum of
+the objective is the same search run as a branch-and-bound.
+
+Minimum: each candidate has an integer cost (:func:`complexes.simplex_costs`,
+or 1 per cell for ``cardinality``), and r is the least ratio of cost to
+normalized volume over the candidates. The cells still to come fill the
+volume left, so they cost at least r times it, and a branch is cut when
+its cost so far plus that bound reaches the best total found. Costs are
+positive and only a strictly smaller total replaces the best, so the
+witness is the first minimal triangulation in enumeration order, the one
+an exhaustive scan keeps.
 
 Canonical enumeration: each triangulation contains exactly one cell whose
 tangent cone at the anchor vertex contains a fixed generic direction; the
@@ -21,7 +30,6 @@ and :func:`complexes.facet_incidence` the boundary ridges.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -31,14 +39,13 @@ from typing import Iterator
 import numpy as np
 
 from .complexes import (
-    Simplex,
     Triangulation,
     _apex_sides,
     facet_incidence,
     signed_volumes,
-    simplex_type,
+    simplex_costs,
 )
-from .geometry import CubeLabel, PointConfiguration, ambient_normalized_volume
+from .geometry import PointConfiguration, ambient_normalized_volume
 
 CANDIDATE_GUARD = 10**4
 
@@ -94,6 +101,11 @@ class _Enumerator:
             inner = [rank[r] for r in faces if r not in self.boundary]
             outer = [rank[r] for r in faces if r in self.boundary]
             self.ridges.append((frozenset(inner + outer), inner, outer))
+        # the search's cost model, exhaustive until :meth:`minimum` sets it:
+        # candidate costs, r = rate[0] / rate[1] and the best total so far
+        self.costs = [0] * len(self.cands)
+        self.rate = (0, 1)
+        self.best = math.inf
 
     def _generic_direction(self):
         """Starting cells: the cells at the anchor whose tangent cone holds
@@ -125,7 +137,27 @@ class _Enumerator:
         raise ArithmeticError("no generic direction found")
 
     def enumerate(self) -> Iterator[list[int]]:
-        yield from self._extend([], ({}, frozenset(), 0), self._generic_direction())
+        for chosen, _ in self._search():
+            yield chosen
+
+    def minimum(self, costs: list[int]) -> tuple[int, list[int]]:
+        """The least total of ``costs`` (positive) over the triangulations,
+        and the first triangulation in enumeration order that reaches it.
+        Leaves the enumerator bounded by that total."""
+        rn, rd = costs[0], self.vols[0]
+        for c, v in zip(costs, self.vols):
+            if c * rd < rn * v:
+                rn, rd = c, v
+        self.costs, self.rate = costs, (rn, rd)
+        witness = None
+        for chosen, total in self._search():
+            witness, self.best = chosen, total
+        if witness is None:
+            raise ValueError("no triangulation found (inconsistent configuration)")
+        return self.best, witness
+
+    def _search(self) -> Iterator[tuple[list[int], int]]:
+        return self._extend([], ({}, frozenset(), 0), self._generic_direction())
 
     def _after(self, state, new: int):
         """The state (open ridge -> its one cell, full ridges, volume) once
@@ -153,21 +185,30 @@ class _Enumerator:
         out.update((r, new) for r in inner if r not in open_ridges)
         return out, full.union(met, outer), volume
 
-    def _extend(self, chosen: list[int], state, cands) -> Iterator[list[int]]:
-        """Every completion of ``chosen`` by one of ``cands`` and then, cell
-        by cell, across the lexicographically first open ridge."""
+    def _extend(
+        self, chosen: list[int], state, cands, spent: int = 0
+    ) -> Iterator[tuple[list[int], int]]:
+        """Every completion of ``chosen``, whose cells cost ``spent``, by one
+        of ``cands`` and then, cell by cell, across the lexicographically
+        first open ridge, with its total cost. A branch is cut when
+        spent + r (expected - volume) >= best, cross-multiplied by r's
+        denominator, and a leaf is kept only below ``self.best``, which the
+        caller may lower between leaves."""
+        rn, rd = self.rate
         for ci in cands:
             after = self._after(state, ci)
             if after is None:
                 continue
             open_ridges, _, volume = after
+            cost = spent + self.costs[ci]
             if open_ridges:
-                first = self.sides[min(open_ridges)]
-                yield from self._extend(chosen + [ci], after, first)
+                if cost * rd + rn * (self.expected - volume) < self.best * rd:
+                    first = self.sides[min(open_ridges)]
+                    yield from self._extend(chosen + [ci], after, first, cost)
             elif volume != self.expected:
                 raise AssertionError("closed complex does not fill the polytope")
-            else:
-                yield chosen + [ci]
+            elif cost < self.best:
+                yield chosen + [ci], cost
 
 
 def enumerate_triangulations(
@@ -179,31 +220,19 @@ def enumerate_triangulations(
         yield Triangulation(problem.config, enum.cand_rows[sorted(chosen)])
 
 
-def _simplex_weight(config: PointConfiguration, s: Simplex) -> Fraction:
-    if isinstance(config.label, CubeLabel):
-        return Fraction(1, math.factorial(config.label.l))
-    return simplex_type(s, config).weight
-
-
 def min_weighted_size(
     problem: SearchProblem,
 ) -> tuple[Fraction, Triangulation]:
-    """Minimum of the objective over all triangulations, with a witness."""
-    best: Fraction | None = None
-    witness: Triangulation | None = None
-    # a candidate's weight is fixed: take it once, not once per triangulation
-    weight = functools.cache(functools.partial(_simplex_weight, problem.config))
-    for tri in enumerate_triangulations(problem):
-        if problem.objective == "cardinality":
-            value = Fraction(tri.size)
-        else:
-            value = sum(map(weight, tri.simplices), Fraction(0))
-        if best is None or value < best:
-            best = value
-            witness = tri
-    if best is None:
-        raise ValueError("no triangulation found (inconsistent configuration)")
-    return best, witness
+    """Minimum of the objective over all triangulations, with a witness:
+    the first minimal triangulation in enumeration order."""
+    enum = _Enumerator(problem.config)
+    if problem.objective == "cardinality":
+        costs, den = [1] * len(enum.cands), 1
+    else:
+        costs, den = simplex_costs(problem.config, enum.cand_rows)
+    total, chosen = enum.minimum(costs)
+    witness = Triangulation(problem.config, enum.cand_rows[sorted(chosen)])
+    return Fraction(total, den), witness
 
 
 def count_triangulations(problem: SearchProblem, anchor: int = 0) -> int:

@@ -37,10 +37,10 @@ from fractions import Fraction
 from .cayley import (
     MixedCell,
     MixedSubdivision,
+    _checked_cayley,
     mixed_to_triangulation,
     mixed_weighted_size,
     triangulation_to_mixed,
-    validate_mixed,
 )
 from .coloring import lift_triangulation
 from .complexes import Simplex, Triangulation
@@ -223,8 +223,9 @@ def _census(sub: MixedSubdivision) -> dict[tuple[int, ...], int]:
 @functools.cache
 def _seed(name: str) -> tuple[MixedSubdivision, Triangulation]:
     """The named seed and its Cayley triangulation, built once and
-    certified by :func:`cayley.validate_mixed`. Only a certified seed is
-    cached, so a failed verification raises again on every call."""
+    certified by :func:`cayley.validate_mixed`'s check, which builds the
+    triangulation it checks. Only a certified seed is cached, so a failed
+    verification raises again on every call."""
     m, cells, census, weighted = _SEEDS[name]
     sub = MixedSubdivision(cube_config(3), m, tuple(MixedCell(c) for c in cells))
     got = _census(sub)
@@ -233,10 +234,10 @@ def _seed(name: str) -> tuple[MixedSubdivision, Triangulation]:
     ws = mixed_weighted_size(sub)
     if ws != weighted:
         raise AssertionError(f"{name}: weighted size {ws}, expected {weighted}")
-    report = validate_mixed(sub)
+    report, tri = _checked_cayley(sub)
     if not report.is_dissection:
         raise AssertionError(f"{name}: invalid subdivision: {report.violations[:5]}")
-    return sub, mixed_to_triangulation(sub)
+    return sub, tri
 
 
 def seed_i3d1() -> MixedSubdivision:

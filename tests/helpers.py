@@ -23,8 +23,10 @@ from cubetri.complexes import (
     expected_volume,
     facet_incidence,
     signed_volumes,
+    simplex_type,
 )
 from cubetri.geometry import (
+    CubeLabel,
     PointConfiguration,
     affine_rank,
     ambient_normalized_volume,
@@ -35,6 +37,7 @@ from cubetri.geometry import (
     simplex_config,
 )
 from cubetri.linalg import det_bareiss, exact_dtype, polytopes_interiors_disjoint
+from cubetri.oracle import enumerate_triangulations
 from cubetri.pipeline import PipelineSpec, build_cube_recursive
 
 
@@ -410,3 +413,32 @@ class ReferenceEnumerator:
                 yield from self._extend(
                     chosen + [ci], self._open_after(open_ridges, ci)
                 )
+
+
+# -- the exhaustive minimum: the reference for the oracle's branch-and-bound --
+
+
+def reference_min_weighted_size(problem) -> tuple[Fraction, Triangulation]:
+    """The oracle's minimum by exhaustion: the objective of every
+    enumerated triangulation as a sum of ``Fraction`` weights, 1/l! per
+    cell of cube(l) and 1/∏ t_i! per cell of a product, the first minimal
+    triangulation as the witness."""
+    config = problem.config
+
+    @functools.cache
+    def weight(s):
+        if isinstance(config.label, CubeLabel):
+            return Fraction(1, math.factorial(config.label.l))
+        return simplex_type(s, config).weight
+
+    best = witness = None
+    for tri in enumerate_triangulations(problem):
+        if problem.objective == "cardinality":
+            value = Fraction(tri.size)
+        else:
+            value = sum(map(weight, tri.simplices), Fraction(0))
+        if best is None or value < best:
+            best, witness = value, tri
+    if best is None:
+        raise ValueError("no triangulation found (inconsistent configuration)")
+    return best, witness

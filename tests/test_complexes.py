@@ -170,6 +170,24 @@ def test_weighted_size_prism_is_m():
             assert weighted_size(tri) == m
 
 
+def test_weighted_size_sums_the_type_weights():
+    # the integer costs over one denominator give the sum of 1/prod t_i!
+    from cubetri.cayley import mixed_to_triangulation
+    from cubetri.seeds import cayley_seed, minimal_cube, square_family
+
+    tris = [cayley_seed("i3d1"), cayley_seed("i3d2")]
+    tris += [mixed_to_triangulation(square_family(m)) for m in (2, 3, 5)]
+    for tri in tris:
+        weights = (simplex_type(s, tri.config).weight for s in tri.simplices)
+        assert weighted_size(tri) == sum(weights, Fraction(0))
+    # a cube is cube x simplex(0): every cell weighs 1/l!
+    assert weighted_size(minimal_cube(3)) == Fraction(5, 6)
+    with pytest.raises(ValueError, match="cover every factor vertex"):
+        # all four vertices over the first simplex vertex
+        prism = product_config(cube_config(2), simplex_config(1))
+        weighted_size(Triangulation(prism, ((0, 2, 4, 6),)))
+
+
 def test_json_round_trip():
     tri = staircase_triangulation(1, 1)
     text = triangulation_to_json(tri)

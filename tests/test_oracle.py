@@ -3,7 +3,11 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from helpers import ReferenceEnumerator, reference_validate_face_to_face
+from helpers import (
+    ReferenceEnumerator,
+    reference_min_weighted_size,
+    reference_validate_face_to_face,
+)
 
 from cubetri.complexes import weighted_size
 from cubetri.geometry import (
@@ -222,6 +226,26 @@ def test_ridge_search_matches_the_lp_reference(name):
         ref = ReferenceEnumerator(cfg, anchor=anchor)
         assert enum._generic_direction() == ref._generic_direction()
         assert list(enum.enumerate()) == list(ref.enumerate())
+
+
+# -- the branch-and-bound against the exhaustive minimum ------------------------
+
+MINIMUM_CASES = {name: cfg for name, (cfg, *_) in PINNED.items()} | {
+    "simplex(2)xsimplex(1)": product_config(simplex_config(2), simplex_config(1)),
+    "cube(2)xsimplex(2)": product_config(cube_config(2), simplex_config(2)),
+}
+
+
+@pytest.mark.parametrize("objective", ["weighted", "cardinality"])
+@pytest.mark.parametrize("name", sorted(MINIMUM_CASES))
+def test_minimum_matches_the_exhaustive_reference(name, objective):
+    # the same value and the same witness: the first minimal triangulation
+    # in enumeration order
+    problem = SearchProblem(MINIMUM_CASES[name], objective)
+    value, witness = min_weighted_size(problem)
+    want, reference = reference_min_weighted_size(problem)
+    assert value == want
+    assert witness.rows.tolist() == reference.rows.tolist()
 
 
 def test_production_paths_take_no_lp_and_no_scalar_determinant(

@@ -236,6 +236,25 @@ def test_cli_out_in_a_missing_directory_is_an_invalid_spec(capsys, tmp_path, arg
         assert list(tmp_path.iterdir()) == []
 
 
+# the witness both objectives print for i2d2, the first minimal one in
+# enumeration order
+I2D2_WITNESS_SHA256 = "395986a30885ea8735c1eead85686dda778b06e04e0cf1f26d0996b2c6cf1a79"
+
+
+@pytest.mark.parametrize(
+    "objective, minimum", [("weighted", "7"), ("cardinality", "10")]
+)
+def test_cli_oracle_minimum_over_i2d2_is_pinned(capsys, objective, minimum):
+    from cubetri.cli import main
+
+    argv = ["oracle", "min-weighted", "--config", "i2d2", "--objective", objective]
+    assert main(argv) == 0
+    line, _, text = capsys.readouterr().out.partition("\n")
+    assert line == f"minimum {objective} over i2d2: {minimum}"
+    assert text.endswith("\n")
+    assert hashlib.sha256(text[:-1].encode()).hexdigest() == I2D2_WITNESS_SHA256
+
+
 @pytest.mark.parametrize(
     "argv, end",
     [

@@ -189,3 +189,21 @@ def test_a_seed_with_a_cell_off_the_cube_fails_until_restored(monkeypatch):
                 cayley_seed("i3d1")
     assert cayley_seed("i3d1").size == 16
     assert validate_mixed(seed_i3d1()).is_dissection
+
+
+def test_a_seed_builds_its_cayley_simplices_once(monkeypatch):
+    # the certificate checks the Cayley triangulation the cache keeps
+    from cubetri import cayley
+
+    calls = []
+    build = cayley._cayley_simplex
+
+    def counted(*args):
+        calls.append(args[0])
+        return build(*args)
+
+    monkeypatch.setattr(cayley, "_cayley_simplex", counted)
+    seeds._seed.cache_clear()
+    tri = cayley_seed("i3d2")
+    assert len(calls) == len(seed_i3d2().cells) == 38
+    assert tri == cayley.mixed_to_triangulation(seed_i3d2())
