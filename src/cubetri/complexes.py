@@ -189,30 +189,33 @@ def signed_volumes(points, rows) -> np.ndarray:
     (:func:`linalg.exact_dtype`) picks the dtype of the whole census: int32,
     int64, or Python ints (``object``) when neither is wide enough. Each
     chunk of ``CENSUS_CHUNK`` rows, which bounds the working memory, is
-    gathered straight into the (d, d, N) layout of
+    written straight into the (d, d, N) layout of
     :func:`linalg.batch_last_det`: rows vertex differences, columns
-    coordinates, batch last. A volume that int64 cannot hold raises
-    OverflowError.
+    coordinates, batch last. Row r is the (d, N) block of vertex r's
+    coordinates, taken from a (d, points) table by the chunk's vertex
+    column, minus that of vertex 0, so no index array of the chunk's size
+    is built. A volume that int64 cannot hold raises OverflowError.
     """
     out = np.zeros(len(rows), dtype=np.int64)
     if not len(out):
         return out
     pts = linalg.int_array(points)
-    n_pts, d = pts.shape
+    d = pts.shape[1]
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     span = max((int(b) - int(a) for a, b in zip(lo, hi)), default=0)
     dtype = linalg.exact_dtype(span, d) or object
     if dtype is object:  # then the shift below might not fit int64
         pts = pts.astype(object)
     # Shifted to a zero minimum, every coordinate lies in [0, span] and
-    # fits dtype. Entry c P + p is coordinate c of point p.
-    table = (pts - lo).T.astype(dtype).ravel()
-    offsets = np.arange(0, d * n_pts, n_pts)[:, None]
+    # fits dtype. Entry (c, p) is coordinate c of point p.
+    table = (pts - lo).T.astype(dtype, order="C")
     for start in range(0, len(rows), CENSUS_CHUNK):
         chunk = np.asarray(rows[start : start + CENSUS_CHUNK])
         verts = chunk.T.astype(np.intp, order="C")  # (d+1, N)
-        g = table[verts[:, None, :] + offsets]  # (d+1, d, N), C-contiguous
-        g = np.subtract(g[1:], g[:1])  # (d, d, N) vertex differences
+        g = np.empty((d, d, len(chunk)), dtype=dtype)
+        base = table.take(verts[0], axis=1)  # (d, N) coordinates of p_0
+        for r in range(d):
+            np.subtract(table.take(verts[r + 1], axis=1), base, out=g[r])
         try:
             out[start : start + len(chunk)] = linalg.batch_last_det(g)
         except OverflowError:

@@ -8,8 +8,10 @@ feasibility oracle.
 
 The batched determinant is one fraction-free elimination on a batch-last
 (n, n, N) array (:func:`batch_last_det`), in int32 or int64 as one guard
-proves exact (:func:`exact_dtype`), else in Python ints. The scalar
-:func:`det_bareiss` is the tests' reference for it.
+proves exact (:func:`exact_dtype`), else in Python ints. On the integer
+dtypes its exact divisions are a shift and a multiplication by an inverse
+modulo 2^b, not ``//``. The scalar :func:`det_bareiss` is the tests'
+reference for it.
 
 The pair predicates (face to face, disjoint interiors of simplices or of
 polytopes), and with them the LP and the barycentric rows, serve only the
@@ -112,6 +114,13 @@ def exact_dtype(c: int, n: int):
     for n <= 1 nothing is eliminated and the entries themselves must fit.
     A signed type of b bits holds every value when the bound is below
     2^(b-1).
+
+    The exact division (:func:`_divide_exactly`) forms no other value: it
+    shifts the dividend right by the divisor's t trailing zero bits, which
+    is exact and no larger, then multiplies by an inverse modulo 2^b with
+    wrap-around. That product is the quotient modulo 2^b, and the quotient,
+    an entry of step k, lies in (-2^(b-1), 2^(b-1)) by the bound above, so
+    it is the quotient itself.
     """
     bound = c if n < 2 else 2 * (c * c * (n - 1)) ** (n - 1)
     for dtype in (np.int32, np.int64):
@@ -128,9 +137,14 @@ def batch_last_det(m: np.ndarray) -> np.ndarray:
     :func:`exact_dtype` picks for its entries. Each row swap flips the sign
     of its matrix; a 0x0 matrix has determinant 1.
 
-    With the batch index last, each step updates the trailing submatrix of
-    every matrix in place with a few operations on contiguous rows of N
-    entries.
+    With the batch index last, each step works on contiguous rows of N
+    entries. Step k scans column k below the diagonal of the whole batch in
+    one pass: weighting its nonzero entries by n - row and taking the
+    maximum over the rows names each matrix's first nonzero row, the one a
+    zero pivot swaps with, or none, for a matrix that is singular. Only
+    columns k..n-1 of the two rows are swapped, since the columns left of
+    k are never read again. The trailing submatrix is then updated in place
+    and divided exactly by the previous pivot (:func:`_divide_exactly`).
     """
     n, _, N = m.shape
     if not m.flags.c_contiguous:
@@ -141,29 +155,32 @@ def batch_last_det(m: np.ndarray) -> np.ndarray:
     alive = np.ones(N, dtype=bool)
     sign = np.ones(N, dtype=np.int64)
     prev = np.ones(N, dtype=m.dtype)
+    # weights[k:] are n - row for the rows k+1..n-1
+    weights = np.arange(n - 1, 0, -1, dtype=np.min_scalar_type(n))[:, None]
     for k in range(n - 1):
         need = alive & (m[k, k] == 0)
         if need.any():
-            idx = np.flatnonzero(need)
-            nz = m[k + 1 :, k, idx] != 0
-            has = nz.any(axis=0)
-            dead = idx[~has]
-            alive[dead] = False
-            # A dead matrix is zeroed and pivots on 1 from here on, so its
-            # entries, its determinant included, stay zero and no later
-            # step divides by zero.
-            m[:, :, dead] = 0
-            good = idx[has]
-            swap_rows = np.argmax(nz[:, has], axis=0) + k + 1
-            # Flat positions of row k and of the swap row, one column per
-            # matrix to swap: entry (r, c) of matrix b sits at (r n + c) N + b.
-            at = np.arange(0, n * N, N)[:, None] + good
-            at_k = k * n * N + at
-            at_s = swap_rows * (n * N) + at
+            # The largest weight on a nonzero of column k below the pivot:
+            # the first nonzero row is n - key, and none where key = 0.
+            key = ((m[k + 1 :, k] != 0) * weights[k:]).max(axis=0)
+            swap = need & (key != 0)
+            dead = need ^ swap
+            if dead.any():
+                # A dead matrix is zeroed and pivots on 1 from here on, so
+                # its entries, its determinant included, stay zero and no
+                # later step divides by zero.
+                alive &= ~dead
+                m[k:, k:, dead] = 0
+            good = np.flatnonzero(swap)
+            # Flat positions of columns k.. of row k and of the swap row, one
+            # column per matrix to swap: entry (r, c) of matrix b sits at
+            # (r n + c) N + b.
+            at_k = np.arange(k * (n + 1) * N, (k + 1) * n * N, N)[:, None] + good
+            at_s = at_k + (n - k - key[good].astype(np.intp)) * (n * N)
             tmp = flat[at_k]
             flat[at_k] = flat[at_s]
             flat[at_s] = tmp
-            sign[good] = -sign[good]
+            np.negative(sign, out=sign, where=swap)
         pivot = np.where(alive, m[k, k], 1)
         # Column k below the pivot is never read again, so only the
         # trailing submatrix is updated.
@@ -171,14 +188,51 @@ def batch_last_det(m: np.ndarray) -> np.ndarray:
         sub *= pivot
         sub -= m[k + 1 :, k, None] * m[k, None, k + 1 :]
         if k:  # prev is 1 at k = 0
-            # prev is a minor, so prev * prev is within the guard's bound.
-            # Dividing exactly by a unit is multiplying by it.
-            if (prev * prev == 1).all():
-                sub *= prev
-            else:
-                sub //= prev
+            _divide_exactly(sub, prev)
         prev = pivot
     return sign * m[n - 1, n - 1]
+
+
+def _divide_exactly(a: np.ndarray, divisor: np.ndarray) -> None:
+    """a //= divisor in place, broadcast over a's last axis, for a divisor
+    that divides every entry of a and is nonzero.
+
+    An ``object`` array takes ``//``. A b-bit integer array takes
+    Jebelean's exact division (*J. Symbolic Computation* 15, 1993) and no
+    ``//``: write the divisor as 2^t u with u odd, shift the t trailing
+    zeros out of a (exact, since 2^t divides every entry), and multiply by
+    the inverse of u modulo 2^b, with wrap-around on the unsigned view.
+    The product is the quotient modulo 2^b, and the quotient is the true
+    one when it fits the dtype, which :func:`exact_dtype` proves. Newton's
+    step x <- x (2 - u x) doubles the number of correct low bits of the
+    inverse, and x = u is right in 3 (u u = 1 mod 8 for every odd u), so
+    4 steps reach 32 bits and 5 reach 64.
+    """
+    # The divisor is a minor, so its square is within exact_dtype's bound.
+    # Dividing exactly by a unit is multiplying by it.
+    if (divisor * divisor == 1).all():
+        a *= divisor
+        return
+    if a.dtype == object:
+        a //= divisor
+        return
+    # The lowest set bit 2^t of the divisor is a float with exponent t + 1.
+    t = np.frexp(divisor & -divisor)[1] - 1
+    if t.any():
+        t = t.astype(a.dtype)
+        a >>= t
+        divisor = divisor >> t
+    unsigned = np.dtype(f"u{a.dtype.itemsize}")
+    u = divisor.view(unsigned)
+    inv = u.copy()
+    correct = 3
+    while correct < 8 * a.dtype.itemsize:
+        step = u * inv
+        np.subtract(2, step, out=step)
+        inv *= step
+        correct *= 2
+    quotient = a.view(unsigned)
+    quotient *= inv
 
 
 def int_array(values) -> np.ndarray:

@@ -8,8 +8,11 @@ the objective is the same search run as a branch-and-bound.
 Minimum: each candidate has an integer cost (:func:`complexes.simplex_costs`,
 or 1 per cell for ``cardinality``), and r is the least ratio of cost to
 normalized volume over the candidates. The cells still to come fill the
-volume left, so they cost at least r times it, and a branch is cut when
-its cost so far plus that bound reaches the best total found. Costs are
+volume left, so they cost at least r times it; their cost is an integer,
+so at least that bound's ceiling. Every open ridge needs one more cell,
+which closes at most d+1 of them, so they also cost at least the least
+candidate cost times ceil(open ridges / (d+1)). A branch is cut when its
+cost so far plus the larger bound reaches the best total found. Costs are
 positive and only a strictly smaller total replaces the best, so the
 witness is the first minimal triangulation in enumeration order, the one
 an exhaustive scan keeps.
@@ -102,8 +105,10 @@ class _Enumerator:
             outer = [rank[r] for r in faces if r in self.boundary]
             self.ridges.append((frozenset(inner + outer), inner, outer))
         # the search's cost model, exhaustive until :meth:`minimum` sets it:
-        # candidate costs, r = rate[0] / rate[1] and the best total so far
+        # candidate costs, the least of them, r = rate[0] / rate[1] and the
+        # best total so far
         self.costs = [0] * len(self.cands)
+        self.least = 0
         self.rate = (0, 1)
         self.best = math.inf
 
@@ -113,25 +118,37 @@ class _Enumerator:
 
         With the point anchor + g in place of a cell vertex r other than the
         anchor, the cell's signed volume is scaled by x_r, the coordinate of
-        g along the edge from the anchor to r, so one census of those
-        simplices gives the sign of every x_r. g is scaled by 997 to an
-        integer vector, which keeps every sign. A zero coordinate means g is
-        not generic, and the next g is tried."""
+        g along the edge from the anchor to r, so a census of those
+        simplices gives the sign of every x_r. Attempt a tries
+        g = 997 base + a w, with base the offset of the centroid from the
+        anchor (times n) and w = (1, 3, 9, ...); the factor 997 keeps every
+        sign of base. A zero coordinate means g is not generic, and the next
+        attempt is tried. The first g is not generic on symmetric
+        configurations such as cube(3). A simplex's signed volume is affine
+        in each vertex and zero with that vertex at the anchor, so linear in
+        g: one census with anchor + base and anchor + w in place gives every
+        attempt's x as 997 x(base) + a x(w), from small coordinates."""
         n = len(self.pts)
         v0 = self.pts[self.anchor]
         base = [sum(p[j] for p in self.pts) - n * v0[j] for j in range(self.d)]
+        step = [3**j for j in range(self.d)]
         starters = np.flatnonzero((self.cand_rows == self.anchor).any(axis=1))
         rows = self.cand_rows[starters]
         # Row k: starter k // d with its (k % d)-th vertex other than the
-        # anchor replaced by point n, anchor + g.
+        # anchor replaced by point n (anchor + base), then the same rows
+        # with point n + 1 (anchor + w).
         moved = rows[rows != self.anchor]
         swapped = np.repeat(rows, self.d, axis=0)
-        swapped[swapped == moved[:, None]] = n
+        at = swapped == moved[:, None]
+        both = np.concatenate([np.where(at, n, swapped), np.where(at, n + 1, swapped)])
+        points = self.pts + tuple(tuple(map(sum, zip(v0, u))) for u in (base, step))
         orient = np.repeat(np.sign(self.signed[starters]), self.d)
+        x_base, x_step = signed_volumes(points, both).reshape(2, -1) * orient
+        big = max(abs(int(v)) for x in (x_base, x_step) for v in (x.min(), x.max()))
+        if (997 + 199) * big >= 2**63:  # then x may not fit int64
+            x_base, x_step = x_base.astype(object), x_step.astype(object)
         for attempt in range(200):
-            g = [997 * base[j] + attempt * 3**j for j in range(self.d)]
-            point = tuple(a + b for a, b in zip(v0, g))
-            x = signed_volumes(self.pts + (point,), swapped) * orient
+            x = 997 * x_base + attempt * x_step
             if x.all():
                 return starters[(x > 0).reshape(-1, self.d).all(axis=1)].tolist()
         raise ArithmeticError("no generic direction found")
@@ -148,7 +165,7 @@ class _Enumerator:
         for c, v in zip(costs, self.vols):
             if c * rd < rn * v:
                 rn, rd = c, v
-        self.costs, self.rate = costs, (rn, rd)
+        self.costs, self.least, self.rate = costs, min(costs), (rn, rd)
         witness = None
         for chosen, total in self._search():
             witness, self.best = chosen, total
@@ -190,10 +207,12 @@ class _Enumerator:
     ) -> Iterator[tuple[list[int], int]]:
         """Every completion of ``chosen``, whose cells cost ``spent``, by one
         of ``cands`` and then, cell by cell, across the lexicographically
-        first open ridge, with its total cost. A branch is cut when
-        spent + r (expected - volume) >= best, cross-multiplied by r's
-        denominator, and a leaf is kept only below ``self.best``, which the
-        caller may lower between leaves."""
+        first open ridge, with its total cost. The cells still to come cost
+        an integer R of at least r (expected - volume), so at least its
+        ceiling, and at least the least cost times ceil(open / (d+1)), the
+        cells the open ridges still need. A branch is cut when spent plus
+        the larger bound reaches best, and a leaf is kept only below
+        ``self.best``, which the caller may lower between leaves."""
         rn, rd = self.rate
         for ci in cands:
             after = self._after(state, ci)
@@ -202,7 +221,11 @@ class _Enumerator:
             open_ridges, _, volume = after
             cost = spent + self.costs[ci]
             if open_ridges:
-                if cost * rd + rn * (self.expected - volume) < self.best * rd:
+                rest = max(
+                    -(-rn * (self.expected - volume) // rd),
+                    self.least * -(-len(open_ridges) // (self.d + 1)),
+                )
+                if cost + rest < self.best:
                     first = self.sides[min(open_ridges)]
                     yield from self._extend(chosen + [ci], after, first, cost)
             elif volume != self.expected:

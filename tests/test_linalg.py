@@ -1,3 +1,4 @@
+import hashlib
 import random
 import warnings
 from fractions import Fraction
@@ -5,6 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from helpers import path_edges
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubetri.complexes import signed_volumes
 from cubetri.linalg import (
@@ -18,6 +21,7 @@ from cubetri.linalg import (
     simplices_face_to_face,
     simplices_interiors_disjoint,
 )
+from cubetri.pipeline import PipelineSpec, build_cube_recursive
 
 
 def _det_fraction(rows):
@@ -321,6 +325,111 @@ def test_batch_det_of_one_matrix_and_of_1x1_matrices():
     assert batch_det(np.array([[[0, 1], [1, 0]]])).tolist() == [-1]
     assert batch_det(np.array([[[3]], [[-2]], [[0]]])).tolist() == [3, -2, 0]
     assert batch_det(np.zeros((1, 0, 0), dtype=np.int64)).tolist() == [1]
+
+
+def _kernel(mats, dtype):
+    """batch_last_det of (N, n, n) matrices in ``dtype``, as Python ints,
+    with every warning an error."""
+    last = np.ascontiguousarray(np.asarray(mats).transpose(1, 2, 0)).astype(dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return batch_last_det(last).tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 10),
+    wide=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    zeros=st.sampled_from([0.0, 0.3, 0.6]),
+)
+def test_batch_last_det_is_exact_at_the_largest_admitted_entry(n, wide, seed, zeros):
+    # At the last c exact_dtype sends to int32 (or to int64), the kernel in
+    # that dtype equals the scalar reference. Half the batch has every
+    # entry at +-c, the size Hadamard's bound is reached at, and zeros make
+    # pivots vanish, so rows swap and some matrices die.
+    c = path_edges(n)[2 if wide else 0]
+    dtype = np.int64 if wide else np.int32
+    assert exact_dtype(c, n) is dtype
+    rng = np.random.default_rng(seed)
+    mats = rng.integers(-c, c, size=(16, n, n), endpoint=True)
+    mats[:8] = c * rng.choice([-1, 1], size=(8, n, n))
+    mats[rng.random(mats.shape) < zeros] = 0
+    assert _kernel(mats, dtype) == [det_bareiss(m.tolist()) for m in mats]
+
+
+def test_batch_last_det_with_a_zero_pivot_at_every_step():
+    # Upper-triangular U with its rows cycled to U_1 .. U_(n-1), U_0: at
+    # step k the diagonal holds a zero, and the only nonzero entry below it
+    # is in the last row, so every step swaps; the determinant is
+    # (-1)^(n-1) times U's diagonal product. The uncycled U, mixed in,
+    # never swaps. Pivots are even, negative and not units.
+    rng = np.random.default_rng(6)
+    for n in (2, 5, 8):
+        upper = np.triu(rng.integers(-3, 4, size=(60, n, n)), 1)
+        diag = rng.choice([-4, -2, -1, 1, 2, 3], size=(60, n))
+        upper[:, range(n), range(n)] = diag
+        cycled = upper[:, np.roll(np.arange(n), -1)]
+        for m in cycled:
+            assert _bareiss_trace(m.tolist()) == (list(range(n - 1)), None)
+        mats = np.concatenate([cycled, upper])
+        want = [(-1) ** (n - 1) * int(p) for p in diag.prod(axis=1)]
+        want += [int(p) for p in diag.prod(axis=1)]
+        assert [det_bareiss(m.tolist()) for m in mats] == want
+        for dtype in {exact_dtype(4, n), np.int64}:
+            assert _kernel(mats, dtype) == want
+
+
+def test_batch_last_det_divides_by_even_and_negative_pivots():
+    # L U with L unit lower triangular swaps no row, and its Bareiss pivots
+    # are its leading principal minors, the prefix products of U's
+    # diagonal: here even, negative and not units, so each division shifts
+    # out a power of two and multiplies by an odd inverse.
+    rng = np.random.default_rng(7)
+    n = 5
+    lower = np.tril(rng.integers(-1, 2, size=(300, n, n)), -1) + np.eye(n, dtype=int)
+    upper = np.triu(rng.integers(-1, 2, size=(300, n, n)), 1)
+    diag = rng.choice([-4, -3, -2, 2, 3, 6], size=(300, n))
+    upper[:, range(n), range(n)] = diag
+    mats = lower @ upper
+    want = [int(p) for p in diag.prod(axis=1)]
+    assert [det_bareiss(m.tolist()) for m in mats] == want
+    dtype = exact_dtype(int(np.abs(mats).max()), n)
+    assert dtype is not None
+    for dtype in {dtype, np.int64}:
+        assert _kernel(mats, dtype) == want
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_batch_last_det_dead_matrices_among_live_ones(dtype):
+    # A zero column kills a matrix at some step; every step sees deaths,
+    # next to live matrices that swap rows, in both integer dtypes.
+    rng = np.random.default_rng(8)
+    n = 7
+    mats = rng.integers(-1, 2, size=(420, n, n))
+    for b in range(0, 420, 2):
+        mats[b, :, (b // 2) % n] = 0
+    trace = [_bareiss_trace(m.tolist()) for m in mats]
+    assert set(range(n - 1)) <= {death for _, death in trace}
+    assert any(swaps and death is None for swaps, death in trace)
+    assert exact_dtype(1, n) is np.int32
+    got = _kernel(mats, dtype)
+    assert got == [det_bareiss(m.tolist()) for m in mats]
+    assert got[::2] == [0] * 210
+
+
+# SHA-256 of the little-endian int64 signed volumes of the default d=7
+# output (samples=3, rng_seed=1), in row order: pins each sign, not only
+# each |det|.
+D7_SIGNED_SHA256 = "ad8647c547f7cbd846405a76bd604c9e294dbb9e71c4867837279afd102f0153"
+
+
+def test_census_signs_of_the_d7_output_are_pinned():
+    tri = build_cube_recursive(PipelineSpec(dim=7, samples=3, rng_seed=1))[0]
+    vols = signed_volumes(tri.config.points, tri.rows)
+    assert len(vols) == 2155 and (vols < 0).any() and (vols > 0).any()
+    digest = hashlib.sha256(vols.astype("<i8").tobytes()).hexdigest()
+    assert digest == D7_SIGNED_SHA256
 
 
 def test_rank_small_cases():

@@ -9,7 +9,8 @@ from helpers import (
     reference_validate_face_to_face,
 )
 
-from cubetri.complexes import weighted_size
+from cubetri import oracle
+from cubetri.complexes import signed_volumes, weighted_size
 from cubetri.geometry import (
     cube_config,
     facet_inequalities,
@@ -226,6 +227,23 @@ def test_ridge_search_matches_the_lp_reference(name):
         ref = ReferenceEnumerator(cfg, anchor=anchor)
         assert enum._generic_direction() == ref._generic_direction()
         assert list(enum.enumerate()) == list(ref.enumerate())
+
+
+def test_the_generic_direction_takes_one_census(monkeypatch):
+    # On cube(3) the first direction is not generic and the second is. One
+    # census for the candidates and one, with two more points, for every
+    # direction tried, not one per direction.
+    calls = []
+
+    def counting(points, rows):
+        calls.append(len(points))
+        return signed_volumes(points, rows)
+
+    monkeypatch.setattr(oracle, "signed_volumes", counting)
+    cfg = cube_config(3)
+    enum = _Enumerator(cfg)
+    assert enum._generic_direction() == ReferenceEnumerator(cfg)._generic_direction()
+    assert calls == [8, 10]
 
 
 # -- the branch-and-bound against the exhaustive minimum ------------------------
