@@ -13,7 +13,6 @@ from .cayley import (
     mixed_from_json,
     mixed_to_json,
     mixed_to_triangulation,
-    mixed_weighted_size,
     scale_mixed,
     summand_projection,
     triangulation_to_mixed,
@@ -32,12 +31,10 @@ from .coloring import (
 )
 from .complexes import (
     Simplex,
-    SimplexType,
     Triangulation,
     ValidityReport,
     efficiency,
     ridge_report,
-    simplex_type,
     triangulation_from_json,
     triangulation_to_json,
     validate_dissection,

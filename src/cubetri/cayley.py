@@ -7,15 +7,14 @@ of P + ... + P. The map is a bijection on cells and round-trips exactly.
 Mixed subdivisions store summand lists (the data the correspondence and the
 small-dimension constructions actually use). Their geometry is checked on
 the Cayley triangulation alone: :func:`validate_mixed` is the ridge
-certificate of :func:`mixed_to_triangulation`.
+certificate of :func:`mixed_to_triangulation`, and a subdivision's
+weighted size is ``weighted_size(mixed_to_triangulation(sub))``.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .complexes import (
     Simplex,
@@ -26,6 +25,7 @@ from .complexes import (
     expected_volume,
     factor_blocks,
     ridge_violations,
+    simplex_costs,
     simplex_factor,
 )
 from .geometry import (
@@ -114,18 +114,6 @@ def scale_mixed(sub: MixedSubdivision, kvec: tuple[int, ...]) -> MixedSubdivisio
     return MixedSubdivision(sub.base, sum(kvec), tuple(cells))
 
 
-def mixed_weighted_size(sub: MixedSubdivision) -> Fraction:
-    """Sum over cells of prod_i 1/(dim B_i)!; equals the weighted size of
-    the corresponding Cayley triangulation."""
-    total = Fraction(0)
-    for cell in sub.cells:
-        w = Fraction(1)
-        for b in cell.summands:
-            w /= math.factorial(len(b) - 1)
-        total += w
-    return total
-
-
 def count_area2_squares(sub: MixedSubdivision) -> int:
     """Cells of a planar sum of unit squares whose two segment summands are
     the two opposite diagonals."""
@@ -167,7 +155,7 @@ def validate_mixed(sub: MixedSubdivision) -> ValidityReport:
     check of the other cells follow, in :func:`complexes.ridge_report`'s
     order. ``volume_total`` is the mixed volume of the cells, m^l l! for a
     subdivision: each cell's Cayley volume, from the same census, times
-    l! / prod(dim B_i!).
+    its cost l! / prod(dim B_i!) (:func:`complexes.simplex_costs`).
     """
     return _checked_cayley(sub)[0]
 
@@ -177,26 +165,18 @@ def _checked_cayley(sub: MixedSubdivision) -> tuple[ValidityReport, Triangulatio
     checked, of the cells that have a Cayley simplex; when the report
     holds, that is :func:`mixed_to_triangulation` of ``sub``."""
     violations: list[Violation] = []
-    kept, simplices = [], []
+    simplices = []
     for cell in sub.cells:
         try:
-            simplex = _cayley_simplex(cell, sub.base, sub.m)
+            simplices.append(_cayley_simplex(cell, sub.base, sub.m))
         except ValueError as exc:
             violations.append(Violation("not-fine", (cell.summands,), str(exc)))
-        else:
-            kept.append(cell)
-            simplices.append(simplex)
-    l = sub.base.dim
     cfg = product_config(sub.base, simplex_config(sub.m - 1))
     tri = Triangulation(cfg, simplices)
     full, vols, _, found = _census(tri, expected_volume(cfg))
     violations += found + ridge_violations(cfg, full, vols)
-    total = 0
-    for vol, cell in zip(vols.tolist(), kept):
-        share = math.factorial(l)
-        for b in cell.summands:
-            share //= math.factorial(len(b) - 1)
-        total += abs(vol) * share
+    shares, _ = simplex_costs(cfg, tri.rows)
+    total = sum(abs(vol) * share for vol, share in zip(vols.tolist(), shares))
     ok = not violations
     return ValidityReport(ok, ok, total, violations), tri
 

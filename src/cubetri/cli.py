@@ -13,7 +13,7 @@ both linear in its size. A file that cannot be read or decoded, or whose
 ``dim`` or simplices the reader rejects (an entry that is not an integer
 index of a point, or simplices of different sizes), prints one
 ``invalid file: ...`` line. ``expect`` prints the exact expected size over
-uniform colorings next to sampled sizes.
+uniform colorings next to sampled sizes, for ``--q-dim`` 1..10.
 
 Exit code 0 iff every requested validation passed; 2 for a spec that
 ``build``, ``report table``, ``expect``, ``seeds show`` or ``oracle``
@@ -126,9 +126,12 @@ def _cmd_report(args, max_dim: int) -> int:
 
 
 def _expect_specs(args) -> tuple[PipelineSpec, PipelineSpec]:
-    """The build of T_Q, and the step on it whose colorings are sampled."""
+    """The build of T_Q, kept whole (about 11.7 million rows at d = 11, so
+    d <= 10), and the step on it whose colorings are sampled."""
     if args.q_dim < 1:
         raise ValueError("q-dim must be positive")
+    if args.q_dim > 10:
+        raise ValueError(f"q-dim {args.q_dim} is above 10, the largest T_Q kept")
     t_q = PipelineSpec(dim=args.q_dim, materialize_max_dim=args.q_dim)
     return t_q, PipelineSpec(dim=args.q_dim + 3, m=args.m, samples=args.samples,
                              materialize_max_dim=args.q_dim)

@@ -137,18 +137,6 @@ def _tuple_rows(simplices, width: int) -> np.ndarray:
     return np.array(simplices) if simplices else np.empty((0, width), np.int64)
 
 
-@dataclass(frozen=True)
-class SimplexType:
-    t: tuple[int, ...]
-
-    @property
-    def weight(self) -> Fraction:
-        w = Fraction(1)
-        for ti in self.t:
-            w /= math.factorial(ti)
-        return w
-
-
 @dataclass
 class Violation:
     kind: str
@@ -515,21 +503,13 @@ def factor_blocks(s: Simplex, m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(b)) for b in blocks)
 
 
-def simplex_type(s: Simplex, config: PointConfiguration) -> SimplexType:
-    """Type (t_1, ..., t_m): per simplex-factor vertex counts minus one."""
-    _, m = simplex_factor(config)
-    counts = [len(b) for b in factor_blocks(s, m)]
-    if any(c == 0 for c in counts):
-        raise ValueError("full-dimensional simplex must cover every factor vertex")
-    return SimplexType(tuple(c - 1 for c in counts))
-
-
 def simplex_costs(
     config: PointConfiguration, rows: np.ndarray
 ) -> tuple[list[int], int]:
     """(costs, den): each row's weight as an integer cost over one
-    denominator. On P x simplex(m-1), with P of dimension l, a row of type
-    (t_1, ..., t_m) weighs 1/∏ t_i!, so its cost is the multinomial
+    denominator; no other code weighs a cell. On P x simplex(m-1), with P
+    of dimension l, a row of type (t_1, ..., t_m) (its :func:`factor_blocks`
+    sizes minus one) weighs 1/∏ t_i!, so its cost is the multinomial
     l!/∏ t_i! and den is l!. On cube(l), which is cube(l) x simplex(0),
     every row costs 1 and den is l!. ValueError for any other
     configuration and for a row with no vertex over some simplex vertex."""

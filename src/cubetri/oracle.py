@@ -18,7 +18,7 @@ witness is the first minimal triangulation in enumeration order, the one
 an exhaustive scan keeps.
 
 Canonical enumeration: each triangulation contains exactly one cell whose
-tangent cone at the anchor vertex contains a fixed generic direction; the
+tangent cone at the anchor, vertex 0, contains a fixed generic direction; the
 search branches over those starting cells, then repeatedly completes the
 lexicographically first open ridge. Both steps are deterministic, so the
 leaves of the search tree biject with the triangulations.
@@ -70,11 +70,12 @@ class SearchProblem:
 
 
 class _Enumerator:
-    def __init__(self, config: PointConfiguration, anchor: int = 0):
+    def __init__(self, config: PointConfiguration):
         self.pts = config.points
         self.d = config.dim
         self.expected = ambient_normalized_volume(config.label)
-        self.anchor = anchor
+        # Any vertex can anchor the starting cells; the search uses vertex 0.
+        self.anchor = 0
         n = len(self.pts)
         combos = np.array(list(itertools.combinations(range(n), self.d + 1)), np.intp)
         signed = signed_volumes(self.pts, combos)
@@ -234,11 +235,9 @@ class _Enumerator:
                 yield chosen + [ci], cost
 
 
-def enumerate_triangulations(
-    problem: SearchProblem, anchor: int = 0
-) -> Iterator[Triangulation]:
+def enumerate_triangulations(problem: SearchProblem) -> Iterator[Triangulation]:
     """Every face-to-face triangulation of the configuration, exactly once."""
-    enum = _Enumerator(problem.config, anchor=anchor)
+    enum = _Enumerator(problem.config)
     for chosen in enum.enumerate():
         yield Triangulation(problem.config, enum.cand_rows[sorted(chosen)])
 
@@ -258,5 +257,5 @@ def min_weighted_size(
     return Fraction(total, den), witness
 
 
-def count_triangulations(problem: SearchProblem, anchor: int = 0) -> int:
-    return sum(1 for _ in enumerate_triangulations(problem, anchor=anchor))
+def count_triangulations(problem: SearchProblem) -> int:
+    return sum(1 for _ in enumerate_triangulations(problem))

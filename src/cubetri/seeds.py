@@ -18,10 +18,11 @@ significant first):
   prisms and joining tetrahedra at the ends. 20 prisms + 16 tetrahedra +
   2 parallelepipeds, weighted size 44/3.
 
-Both are verified on first construction: the cell census and the weighted
-size, then :func:`cayley.validate_mixed`: the ridge certificate of the
-Cayley triangulation, which holds exactly when the cells are fine and
-partition the target box (the Cayley trick). The square family for any
+Both are verified on first construction: the cell census, then
+:func:`cayley.validate_mixed`: the ridge certificate of the Cayley
+triangulation, which holds exactly when the cells are fine and partition
+the target box (the Cayley trick), then that triangulation's weighted
+size. The square family for any
 number of summands is generated as the block lift of the optimal
 two-square seed (:func:`coloring.lift_triangulation`, one product of the
 template cell engine) and is valid by construction.
@@ -39,11 +40,10 @@ from .cayley import (
     MixedSubdivision,
     _checked_cayley,
     mixed_to_triangulation,
-    mixed_weighted_size,
     triangulation_to_mixed,
 )
 from .coloring import lift_triangulation
-from .complexes import Simplex, Triangulation
+from .complexes import Simplex, Triangulation, weighted_size
 from .geometry import cube_config
 
 
@@ -109,7 +109,8 @@ def square_seed_m2() -> MixedSubdivision:
 
 def square_family(m: int) -> MixedSubdivision:
     """Fine mixed subdivision of m unit squares with floor(m^2/4) diagonal
-    squares and weighted size ceil(3 m^2 / 4).
+    squares and weighted size ceil(3 m^2 / 4), for 1 <= m <= 64 (3,136
+    cells of 64 summands; m = 200 would take about 1 GB to build).
 
     Built as the block lift of the two-square seed by (ceil(m/2),
     floor(m/2)): lifted diamond cells are exactly the pairs of one main
@@ -118,6 +119,8 @@ def square_family(m: int) -> MixedSubdivision:
     """
     if m < 1:
         raise ValueError("need at least one summand")
+    if m > 64:
+        raise ValueError("square_family materializes 1 <= m <= 64 only")
     if m == 1:
         base = cube_config(2)
         return MixedSubdivision(
@@ -222,21 +225,21 @@ def _census(sub: MixedSubdivision) -> dict[tuple[int, ...], int]:
 
 @functools.cache
 def _seed(name: str) -> tuple[MixedSubdivision, Triangulation]:
-    """The named seed and its Cayley triangulation, built once and
-    certified by :func:`cayley.validate_mixed`'s check, which builds the
-    triangulation it checks. Only a certified seed is cached, so a failed
-    verification raises again on every call."""
+    """The named seed and its Cayley triangulation, built once: its cell
+    census, then :func:`cayley.validate_mixed`'s certificate, which builds
+    the triangulation it checks, then that triangulation's weighted size.
+    Only a checked seed is cached, so a failed check raises on every call."""
     m, cells, census, weighted = _SEEDS[name]
     sub = MixedSubdivision(cube_config(3), m, tuple(MixedCell(c) for c in cells))
     got = _census(sub)
     if got != census:
         raise AssertionError(f"{name}: cell census {got}, expected {census}")
-    ws = mixed_weighted_size(sub)
-    if ws != weighted:
-        raise AssertionError(f"{name}: weighted size {ws}, expected {weighted}")
     report, tri = _checked_cayley(sub)
     if not report.is_dissection:
         raise AssertionError(f"{name}: invalid subdivision: {report.violations[:5]}")
+    ws = weighted_size(tri)
+    if ws != weighted:
+        raise AssertionError(f"{name}: weighted size {ws}, expected {weighted}")
     return sub, tri
 
 

@@ -22,8 +22,9 @@ from cubetri.complexes import (
     _pair_scan,
     expected_volume,
     facet_incidence,
+    factor_blocks,
     signed_volumes,
-    simplex_type,
+    simplex_factor,
 )
 from cubetri.geometry import (
     CubeLabel,
@@ -415,6 +416,25 @@ class ReferenceEnumerator:
                 )
 
 
+# -- weights, one cell at a time: the references for complexes.simplex_costs --
+
+
+def _blocks_weight(blocks) -> Fraction:
+    """1/∏ t_i! over blocks of t_i + 1 points each."""
+    return Fraction(1, math.prod(math.factorial(len(b) - 1) for b in blocks))
+
+
+def type_weight(s, config: PointConfiguration) -> Fraction:
+    """The weight of a simplex of P x simplex(m-1): its type (t_1, ...,
+    t_m) is its block sizes minus one."""
+    return _blocks_weight(factor_blocks(s, simplex_factor(config)[1]))
+
+
+def mixed_weighted_size(sub: MixedSubdivision) -> Fraction:
+    """Sum over the cells of ∏ 1/(dim B_i)!, from the summands alone."""
+    return sum((_blocks_weight(cell.summands) for cell in sub.cells), Fraction(0))
+
+
 # -- the exhaustive minimum: the reference for the oracle's branch-and-bound --
 
 
@@ -429,7 +449,7 @@ def reference_min_weighted_size(problem) -> tuple[Fraction, Triangulation]:
     def weight(s):
         if isinstance(config.label, CubeLabel):
             return Fraction(1, math.factorial(config.label.l))
-        return simplex_type(s, config).weight
+        return type_weight(s, config)
 
     best = witness = None
     for tri in enumerate_triangulations(problem):

@@ -22,7 +22,7 @@ from helpers import (
 
 from cubetri.cayley import (
     count_area2_squares,
-    mixed_weighted_size,
+    mixed_to_triangulation,
     validate_mixed,
 )
 from cubetri.coloring import (
@@ -35,6 +35,7 @@ from cubetri.coloring import (
 from cubetri.complexes import (
     efficiency,
     weighted_efficiency_from,
+    weighted_size,
 )
 from cubetri.geometry import (
     ambient_normalized_volume,
@@ -94,7 +95,7 @@ def test_criterion_2_square_family():
     ok = True
     for m in range(2, 11):
         sub = square_family(m)
-        ok &= mixed_weighted_size(sub) == math.ceil(3 * m * m / 4)
+        ok &= weighted_size(mixed_to_triangulation(sub)) == math.ceil(3 * m * m / 4)
         ok &= count_area2_squares(sub) == (m * m) // 4
     value, witness = min_weighted_size(
         SearchProblem(product_config(cube_config(2), simplex_config(1)))
@@ -112,7 +113,7 @@ def test_criterion_3_seed_i3d1():
     sub = seed_i3d1()
     dims = [tuple(sorted(c.dims(), reverse=True)) for c in sub.cells]
     ok = dims.count((3, 0)) == 10 and dims.count((2, 1)) == 6
-    ok &= mixed_weighted_size(sub) == Fraction(14, 3)
+    ok &= weighted_size(mixed_to_triangulation(sub)) == Fraction(14, 3)
     tri = cayley_seed("i3d1")
     ok &= tri.size == 16 == known_constants(4).phi
     ok &= reference_validate_face_to_face(tri).is_face_to_face
@@ -133,7 +134,7 @@ def test_criterion_4_seed_i3d2():
         and dims.count((3, 0, 0)) == 16
         and dims.count((1, 1, 1)) == 2
     )
-    ok &= mixed_weighted_size(sub) == Fraction(44, 3)
+    ok &= weighted_size(mixed_to_triangulation(sub)) == Fraction(44, 3)
     report = validate_mixed(sub)  # exact partition of [0,3]^3 + fineness
     ok &= report.is_dissection and report.volume_total == 27 * 6
     ok &= round(weighted_efficiency_from(Fraction(44, 3), 3, 3), 4) == 0.8159

@@ -1,12 +1,15 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
 from helpers import (
     cell_normalized_volume,
     cell_points,
     lift_provenance,
+    mixed_weighted_size,
     reference_validate_mixed,
+    type_weight,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,13 +21,17 @@ from cubetri.cayley import (
     mixed_from_json,
     mixed_to_json,
     mixed_to_triangulation,
-    mixed_weighted_size,
     scale_mixed,
     summand_projection,
     triangulation_to_mixed,
     validate_mixed,
 )
-from cubetri.complexes import validate_face_to_face, weighted_size
+from cubetri.complexes import (
+    factor_blocks,
+    simplex_costs,
+    validate_face_to_face,
+    weighted_size,
+)
 from cubetri.geometry import cube_config
 from cubetri.seeds import cayley_seed, seed_i3d1, seed_i3d2, square_family
 
@@ -57,11 +64,11 @@ def _cell_pts(sub, cell):
 def test_cell_shapes_match_types():
     sub = seed_i3d1()
     tri = mixed_to_triangulation(sub)
-    from cubetri.complexes import simplex_type
-
-    for cell, s in zip(sub.cells, tri.simplices):
-        t = simplex_type(s, tri.config)
-        assert tuple(len(b) - 1 for b in cell.summands) == t.t
+    costs, den = simplex_costs(tri.config, tri.rows)
+    for cell, s, cost in zip(sub.cells, tri.simplices, costs, strict=True):
+        t = tuple(len(b) - 1 for b in factor_blocks(s, sub.m))
+        assert cell.dims() == t
+        assert Fraction(cost, den) == type_weight(s, tri.config)
 
 
 def test_mixed_weighted_size_equals_cayley():
@@ -346,3 +353,30 @@ def test_scaled_cells_match_lift_cells_per_cell():
         lifted_cfg_vol_check += count * t0.volume_of(s)
     # total matches the ambient volume of cube(3) x simplex(3)
     assert lifted_cfg_vol_check == 120
+
+
+def test_every_weight_comes_from_simplex_costs(monkeypatch):
+    # The weighted size, the mixed volume and the seeds' weight check all
+    # weigh cells by complexes.simplex_costs, and by nothing else.
+    from cubetri import cayley, complexes, oracle, seeds
+    from cubetri.oracle import SearchProblem, min_weighted_size
+
+    sub = seed_i3d1()
+    tri = cayley_seed("i3d1")
+
+    def no_costs(config, rows):
+        raise RuntimeError("a cell was weighed")
+
+    for module in (complexes, cayley, oracle):
+        monkeypatch.setattr(module, "simplex_costs", no_costs)
+    with pytest.raises(RuntimeError, match="weighed"):
+        weighted_size(tri)
+    with pytest.raises(RuntimeError, match="weighed"):
+        validate_mixed(sub)
+    with pytest.raises(RuntimeError, match="weighed"):
+        min_weighted_size(SearchProblem(cube_config(2)))
+    seeds._seed.cache_clear()
+    with pytest.raises(RuntimeError, match="weighed"):
+        cayley_seed("i3d1")
+    monkeypatch.undo()
+    assert cayley_seed("i3d1") == tri

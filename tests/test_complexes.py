@@ -4,13 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from helpers import type_weight
 
 from cubetri.coloring import staircase_triangulation
 from cubetri.complexes import (
     Triangulation,
     efficiency,
+    factor_blocks,
     ridge_report,
-    simplex_type,
     triangulation_from_json,
     triangulation_to_json,
     validate_dissection,
@@ -145,20 +146,24 @@ def test_efficiency_values():
 
 
 def test_simplex_type_examples():
+    # A simplex's type is its block sizes minus one; the library weighs it
+    # as the one-cell triangulation's weighted size.
+    def check(s, config, m, t, weight):
+        assert tuple(len(b) - 1 for b in factor_blocks(s, m)) == t
+        assert weighted_size(Triangulation(config, (s,))) == weight
+        assert type_weight(s, config) == weight
+
     # two vertices over the first simplex vertex, one over the second
     prism = product_config(cube_config(1), simplex_config(1))
-    t = simplex_type((0, 2, 3), prism)
-    assert t.t == (1, 0) and t.weight == 1
+    check((0, 2, 3), prism, 2, (1, 0), 1)
 
     cube_as_product = product_config(cube_config(3), simplex_config(0))
-    t = simplex_type((0, 1, 2, 4), cube_as_product)
-    assert t.t == (3,) and t.weight == Fraction(1, 6)
+    check((0, 1, 2, 4), cube_as_product, 1, (3,), Fraction(1, 6))
 
     p31 = product_config(cube_config(3), simplex_config(1))
     # three vertices over v1, two over v2
     s = (0 * 2, 1 * 2, 2 * 2, 4 * 2 + 1, 5 * 2 + 1)
-    t = simplex_type(tuple(sorted(s)), p31)
-    assert t.t == (2, 1) and t.weight == Fraction(1, 2)
+    check(tuple(sorted(s)), p31, 2, (2, 1), Fraction(1, 2))
 
 
 def test_weighted_size_prism_is_m():
@@ -178,7 +183,7 @@ def test_weighted_size_sums_the_type_weights():
     tris = [cayley_seed("i3d1"), cayley_seed("i3d2")]
     tris += [mixed_to_triangulation(square_family(m)) for m in (2, 3, 5)]
     for tri in tris:
-        weights = (simplex_type(s, tri.config).weight for s in tri.simplices)
+        weights = (type_weight(s, tri.config) for s in tri.simplices)
         assert weighted_size(tri) == sum(weights, Fraction(0))
     # a cube is cube x simplex(0): every cell weighs 1/l!
     assert weighted_size(minimal_cube(3)) == Fraction(5, 6)

@@ -10,7 +10,7 @@ from helpers import (
 )
 
 from cubetri import oracle
-from cubetri.complexes import signed_volumes, weighted_size
+from cubetri.complexes import Triangulation, signed_volumes, weighted_size
 from cubetri.geometry import (
     cube_config,
     facet_inequalities,
@@ -26,6 +26,20 @@ from cubetri.oracle import (
     enumerate_triangulations,
     min_weighted_size,
 )
+
+
+def anchored(cfg, anchor):
+    """An enumerator whose starting cells are those at ``anchor``, not at
+    vertex 0: any vertex gives a canonical enumeration."""
+    enum = _Enumerator(cfg)
+    enum.anchor = anchor
+    return enum
+
+
+def anchored_triangulations(cfg, anchor):
+    """:func:`enumerate_triangulations`, with the starting cells at ``anchor``."""
+    enum = anchored(cfg, anchor)
+    return [Triangulation(cfg, enum.cand_rows[sorted(c)]) for c in enum.enumerate()]
 
 
 def test_segment_single_triangulation():
@@ -46,8 +60,8 @@ def test_cube_counts_and_minimum():
     # the 3-cube has 74 triangulations; two independent canonical
     # enumerations must agree, and the smallest has five cells
     p = SearchProblem(cube_config(3), objective="cardinality")
-    assert count_triangulations(p, anchor=0) == 74
-    assert count_triangulations(p, anchor=7) == 74
+    assert count_triangulations(p) == 74
+    assert len(anchored_triangulations(p.config, 7)) == 74
     value, witness = min_weighted_size(p)
     assert value == 5 and witness.size == 5
     assert reference_validate_face_to_face(witness).is_face_to_face
@@ -96,13 +110,13 @@ def test_oracle_minima_match_known_efficiency_rows():
         value, _ = min_weighted_size(SearchProblem(cfg))
         assert value == expected
     # the family construction is optimal at m=2: oracle minimum equals it
-    from cubetri.cayley import mixed_weighted_size
+    from cubetri.cayley import mixed_to_triangulation
     from cubetri.seeds import square_family
 
     value, _ = min_weighted_size(
         SearchProblem(product_config(cube_config(2), simplex_config(1)))
     )
-    assert value == mixed_weighted_size(square_family(2))
+    assert value == weighted_size(mixed_to_triangulation(square_family(2)))
 
 
 # -- the census against the scalar code it replaced ----------------------------
@@ -202,11 +216,10 @@ def test_census_matches_the_scalar_reference(name):
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_enumeration_order_is_pinned(name):
     cfg, count, *hashes = PINNED[name]
-    for anchor, want in zip((0, len(cfg.points) - 1), hashes):
-        tris = [
-            t.simplices
-            for t in enumerate_triangulations(SearchProblem(cfg), anchor=anchor)
-        ]
+    at_first = list(enumerate_triangulations(SearchProblem(cfg)))
+    at_last = anchored_triangulations(cfg, len(cfg.points) - 1)
+    for found, want in zip((at_first, at_last), hashes):
+        tris = [t.simplices for t in found]
         assert len(tris) == count
         assert hashlib.sha256(repr(tris).encode()).hexdigest()[:16] == want
 
@@ -223,7 +236,7 @@ REFERENCE_CASES = {name: cfg for name, (cfg, *_) in PINNED.items()} | {
 def test_ridge_search_matches_the_lp_reference(name):
     cfg = REFERENCE_CASES[name]
     for anchor in (0, len(cfg.points) - 1):
-        enum = _Enumerator(cfg, anchor=anchor)
+        enum = anchored(cfg, anchor)
         ref = ReferenceEnumerator(cfg, anchor=anchor)
         assert enum._generic_direction() == ref._generic_direction()
         assert list(enum.enumerate()) == list(ref.enumerate())

@@ -286,16 +286,23 @@ def test_cli_out_writes_the_text_stdout_shows(capsys, tmp_path, argv, end):
         (["--q-dim", "2", "--m", "0"], "must be positive"),
         (["--q-dim", "0", "--m", "2"], "q-dim must be positive"),
         (["--q-dim", "2", "--m", "2", "--samples", "0"], "must be positive"),
+        # T_Q is kept whole: about 11.7 million rows at d = 11
+        (["--q-dim", "11", "--m", "3", "--samples", "1"], "above 10"),
     ],
 )
-def test_cli_expect_prints_one_line_for_an_invalid_spec(capsys, argv, match):
-    from cubetri.cli import main
+def test_cli_expect_prints_one_line_for_an_invalid_spec(
+    monkeypatch, capsys, argv, match
+):
+    from cubetri import cli
 
-    assert main(["expect", *argv]) == 2
+    built = []
+    monkeypatch.setattr(cli, "build_cube_recursive", lambda spec: built.append(spec))
+    assert cli.main(["expect", *argv]) == 2
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("invalid spec: ")
     assert match in lines[0] and captured.out == ""
+    assert built == []
 
 
 @pytest.mark.parametrize(
@@ -308,6 +315,7 @@ def test_cli_expect_prints_one_line_for_an_invalid_spec(capsys, argv, match):
         (["oracle", "min-weighted", "--config", "foo"], "unknown configuration"),
         (["oracle", "min-weighted", "--config", "i5"], "exceeds guard"),
         (["oracle", "min-weighted", "--config", "i0"], "dimension 0 is below 1"),
+        (["seeds", "show", "square_family(65)"], "1 <= m <= 64"),
     ],
 )
 def test_cli_seeds_and_oracle_print_one_line_for_an_invalid_spec(capsys, argv, match):

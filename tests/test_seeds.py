@@ -10,7 +10,7 @@ from cubetri.cayley import (
     MixedCell,
     MixedSubdivision,
     mixed_to_json,
-    mixed_weighted_size,
+    mixed_to_triangulation,
     validate_mixed,
 )
 from cubetri.complexes import (
@@ -53,7 +53,7 @@ def test_minimal_cubes():
 def test_square_family_census():
     for m in range(1, 11):
         sub = square_family(m)
-        assert mixed_weighted_size(sub) == math.ceil(3 * m * m / 4)
+        assert weighted_size(mixed_to_triangulation(sub)) == math.ceil(3 * m * m / 4)
         from cubetri.cayley import count_area2_squares
 
         assert count_area2_squares(sub) == (m * m) // 4
@@ -73,7 +73,7 @@ def test_square_family_validates_geometrically():
 
 
 def test_square_family_weighted_efficiency_m3():
-    ws = mixed_weighted_size(square_family(3))
+    ws = weighted_size(mixed_to_triangulation(square_family(3)))
     assert ws == 7
     assert abs(weighted_efficiency_from(Fraction(7), 2, 3) - (7 / 9) ** 0.5) < 1e-12
 
@@ -82,7 +82,7 @@ def test_seed_i3d1():
     sub = seed_i3d1()
     dims = sorted(tuple(sorted(c.dims(), reverse=True)) for c in sub.cells)
     assert dims.count((3, 0)) == 10 and dims.count((2, 1)) == 6
-    assert mixed_weighted_size(sub) == Fraction(14, 3)
+    assert weighted_size(mixed_to_triangulation(sub)) == Fraction(14, 3)
     tri = cayley_seed("i3d1")
     assert tri.size == 16 == known_constants(4).phi
     assert weighted_size(tri) == Fraction(14, 3)
@@ -99,7 +99,7 @@ def test_seed_i3d2():
     assert dims.count((2, 1, 0)) == 20
     assert dims.count((3, 0, 0)) == 16
     assert dims.count((1, 1, 1)) == 2
-    assert mixed_weighted_size(sub) == Fraction(44, 3)
+    assert weighted_size(mixed_to_triangulation(sub)) == Fraction(44, 3)
     assert round(weighted_efficiency_from(Fraction(44, 3), 3, 3), 4) == 0.8159
     tri = cayley_seed("i3d2")
     assert tri.size == 38

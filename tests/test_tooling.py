@@ -3,9 +3,12 @@
 ``perfbench/spans.py`` replaces each traced function under every name it
 is looked up by, and ``perfbench/workloads.py`` calls the package with
 options, classes and seeds of its own; a rename, move or removal in
-``cubetri`` should fail here rather than in a benchmark run.
+``cubetri`` should fail here rather than in a benchmark run. The package's
+modules also import nothing they leave unused, so a removal does not
+leave its imports behind.
 """
 
+import ast
 import importlib
 import subprocess
 import sys
@@ -13,6 +16,49 @@ import textwrap
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cubetri"
+
+
+def unused_imports(path: Path) -> list[str]:
+    """``file:line name`` for each name an import in ``path`` binds and
+    the module never reads. ``__future__`` imports are directives, and in
+    ``verification.py`` an import whose first line says ``re-exported``
+    is there for other modules to import."""
+    text = path.read_text()
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if path.name == "verification.py" and "re-exported" in lines[node.lineno - 1]:
+            continue
+        for alias in node.names:
+            name = (alias.asname or alias.name).split(".")[0]
+            if name not in read:
+                unused.append(f"{path.name}:{node.lineno} {name}")
+    return unused
+
+
+def test_package_modules_leave_no_import_unused():
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert len(modules) > 5
+    assert [u for path in modules for u in unused_imports(path)] == []
+
+
+def test_the_unused_import_check_sees_one(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "import math\n"
+        "import numpy as np\n"
+        "from fractions import Fraction  # re-exported\n"
+        "x = np.zeros(1)\n"
+    )
+    assert unused_imports(module) == ["module.py:2 math", "module.py:4 Fraction"]
 
 
 def test_tracer_installs_and_uninstalls(monkeypatch):
