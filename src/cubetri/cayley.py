@@ -22,7 +22,6 @@ from .complexes import (
     ValidityReport,
     Violation,
     _census,
-    expected_volume,
     factor_blocks,
     ridge_violations,
     simplex_costs,
@@ -31,7 +30,6 @@ from .complexes import (
 from .geometry import (
     CubeLabel,
     PointConfiguration,
-    config_from_label,
     parse_label,
     product_config,
     simplex_config,
@@ -61,7 +59,7 @@ def triangulation_to_mixed(tri: Triangulation) -> MixedSubdivision:
     """Fine mixed subdivision corresponding to a triangulation of
     P x simplex(m-1)."""
     left, m = simplex_factor(tri.config)
-    base = config_from_label(left)
+    base = PointConfiguration(left)
     cells = tuple(MixedCell(factor_blocks(s, m)) for s in tri.simplices)
     return MixedSubdivision(base, m, cells)
 
@@ -173,7 +171,7 @@ def _checked_cayley(sub: MixedSubdivision) -> tuple[ValidityReport, Triangulatio
             violations.append(Violation("not-fine", (cell.summands,), str(exc)))
     cfg = product_config(sub.base, simplex_config(sub.m - 1))
     tri = Triangulation(cfg, simplices)
-    full, vols, _, found = _census(tri, expected_volume(cfg))
+    full, vols, _, found = _census(tri)
     violations += found + ridge_violations(cfg, full, vols)
     shares, _ = simplex_costs(cfg, tri.rows)
     total = sum(abs(vol) * share for vol, share in zip(vols.tolist(), shares))
@@ -198,7 +196,7 @@ def mixed_from_json(text: str) -> MixedSubdivision:
     obj = json.loads(text)
     if type(obj) is not dict or type(obj.get("base")) is not str:
         raise ValueError("not a mixed subdivision file")
-    base = config_from_label(parse_label(obj["base"]))
+    base = PointConfiguration(parse_label(obj["base"]))
     m = obj.get("m")
     if type(m) is not int or m < 1:
         raise ValueError(f"m {m!r} is not a positive integer")

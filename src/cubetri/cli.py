@@ -35,7 +35,6 @@ from .coloring import exact_expected_size, monte_carlo_size, size_bound
 from .complexes import (
     _census,
     duplicate_simplices,
-    expected_volume,
     ridge_violations,
     triangulation_from_json,
     triangulation_to_json,
@@ -100,7 +99,7 @@ def _cmd_verify(args, path: str) -> int:
         print(f"invalid file: {exc}")
         return 1
     # One census feeds both lines; the ridge line counts its violations too.
-    full, vols, total, census = _census(tri, expected_volume(tri.config))
+    full, vols, total, census = _census(tri)
     duplicates = duplicate_simplices(tri)
     ridges = ridge_violations(tri.config, full, vols)
     census_ok = not census and not duplicates

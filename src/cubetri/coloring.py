@@ -44,7 +44,6 @@ from .geometry import (
     PointConfiguration,
     ProductLabel,
     as_cube_if_product_of_cubes,
-    config_from_label,
     product_config,
     simplex_config,
 )
@@ -67,15 +66,18 @@ def make_coloring(
     """Color the vertices 0..q_vertices-1 with m colors.
 
     ``balanced`` assigns round-robin in canonical vertex order; ``random``
-    draws i.i.d. uniform colors from a seeded Mersenne Twister (identical
-    seeds give identical colorings on every platform). A given coloring
-    is a :class:`Coloring` built directly.
+    draws i.i.d. uniform colors from a Mersenne Twister seeded with
+    ``rng_seed``, which it needs (identical seeds give identical colorings
+    on every platform). A given coloring is a :class:`Coloring` built
+    directly.
     """
     if m < 1:
         raise ValueError("need at least one color")
     if strategy == "balanced":
         return Coloring(tuple(i % m for i in range(q_vertices)), m)
     if strategy == "random":
+        if rng_seed is None:
+            raise ValueError("a random coloring needs an rng_seed")
         rng = random.Random(rng_seed)
         return Coloring(tuple(rng.randrange(m) for _ in range(q_vertices)), m)
     raise ValueError(f"unknown strategy {strategy!r}")
@@ -115,7 +117,7 @@ def _check_inputs(t_q: Triangulation, t0: Triangulation, coloring: Coloring) -> 
 def product_output_config(t_q: Triangulation, t0: Triangulation) -> PointConfiguration:
     """The configuration P x Q that the product of T_Q and T_0 triangulates."""
     left, _ = simplex_factor(t0.config)
-    return config_from_label(
+    return PointConfiguration(
         as_cube_if_product_of_cubes(ProductLabel(left, t_q.config.label))
     )
 

@@ -11,11 +11,14 @@ the pair scan takes. Validity is decided exactly on vertex coordinates:
   have disjoint interiors;
 * face-to-face = for every pair, conv(S1) ∩ conv(S2) = conv(S1 ∩ S2).
 
-Both validators take the census once and try the ridge certificate below
-on it first; only a refusal runs the pair scan, :func:`_pair_scan`, which
-then gives the verdict and the ordered violations. The pair scan uses the
-certificate-first predicates of :mod:`linalg`, with each simplex's
-barycentric rows computed once per scan, and is the tests' reference.
+A configuration is its label (:mod:`geometry`), so the census checks every
+total against the label's volume and the certificate below takes the
+label's facets. Both validators take the census once and try the ridge
+certificate on it first; only a refusal runs the pair scan,
+:func:`_pair_scan`, which then gives the verdict and the ordered
+violations. The pair scan uses the certificate-first predicates of
+:mod:`linalg`, with each simplex's barycentric rows computed once per
+scan, and is the tests' reference.
 Every volume total goes through one census, :func:`signed_volumes`:
 batched signed integer determinants over fixed-size chunks of index rows.
 
@@ -65,7 +68,6 @@ from .geometry import (
     ProductLabel,
     SimplexLabel,
     ambient_normalized_volume,
-    config_from_label,
     facet_inequalities,
     normalized_volume,
     parse_label,
@@ -158,9 +160,7 @@ class ValidityReport:
         return self.is_dissection
 
 
-def expected_volume(config: PointConfiguration) -> int | None:
-    if config.label is None:
-        return None
+def expected_volume(config: PointConfiguration) -> int:
     return ambient_normalized_volume(config.label)
 
 
@@ -235,11 +235,11 @@ def batch_volumes_of(points, simplex_rows) -> tuple[int, int]:
     return total, len(degenerate)
 
 
-def _census(tri: Triangulation, expected: int | None):
+def _census(tri: Triangulation):
     """The census part of every report: (full-dimensional simplices as index
     rows, their signed volumes, total volume, violations). The violations
     name each simplex that is not full-dimensional, then each degenerate
-    one, then a total that differs from ``expected``."""
+    one, then a total that is not the label's volume."""
     full = tri.rows
     violations = []
     if full.shape[1] != tri.config.dim + 1:
@@ -250,7 +250,8 @@ def _census(tri: Triangulation, expected: int | None):
     violations.extend(
         Violation("degenerate", (tuple(full[i].tolist()),)) for i in degenerate
     )
-    if expected is not None and total != expected:
+    expected = expected_volume(tri.config)
+    if total != expected:
         violations.append(
             Violation("volume-mismatch", (), f"got {total}, expected {expected}")
         )
@@ -271,9 +272,7 @@ def duplicate_simplices(tri: Triangulation) -> list[Violation]:
     ]
 
 
-def validate_dissection(
-    tri: Triangulation, expected: int | None = None, pairwise: bool = True
-) -> ValidityReport:
+def validate_dissection(tri: Triangulation, pairwise: bool = True) -> ValidityReport:
     """Exact dissection check: volume census, duplicates and, with
     ``pairwise``, disjoint interiors, decided certificate first
     (:func:`_certificate_first`).
@@ -281,18 +280,14 @@ def validate_dissection(
     Degenerate simplices are reported as violations, not raised.
     ``pairwise=False`` is the census and the duplicate scan alone.
     """
-    if expected is None:
-        expected = expected_volume(tri.config)
     if pairwise:
-        return _certificate_first(tri, expected, face_to_face=False)
-    _, _, total, violations = _census(tri, expected)
+        return _certificate_first(tri, face_to_face=False)
+    _, _, total, violations = _census(tri)
     violations += duplicate_simplices(tri)
     return ValidityReport(not violations, False, total, violations)
 
 
-def validate_face_to_face(
-    tri: Triangulation, expected: int | None = None
-) -> ValidityReport:
+def validate_face_to_face(tri: Triangulation) -> ValidityReport:
     """Exact face-to-face check, decided certificate first
     (:func:`_certificate_first`).
 
@@ -300,33 +295,21 @@ def validate_face_to_face(
     interiors, so a passing report is simultaneously a dissection
     certificate.
     """
-    if expected is None:
-        expected = expected_volume(tri.config)
-    return _certificate_first(tri, expected, face_to_face=True)
+    return _certificate_first(tri, face_to_face=True)
 
 
-def _certificate_first(
-    tri: Triangulation, expected: int | None, face_to_face: bool
-) -> ValidityReport:
+def _certificate_first(tri: Triangulation, face_to_face: bool) -> ValidityReport:
     """The pair scan's report (:func:`_pair_scan`), from the ridge
-    certificate when it applies and accepts.
+    certificate when it accepts.
 
-    The census is taken once. The certificate runs on its signed volumes
-    only for the input its proof covers: the census found nothing, the
-    points are the label's own and ``expected`` is the label's volume. An
-    input it accepts is a triangulation, whose pairs all meet face to face,
-    so the pair scan would report nothing; every other input goes to the
-    pair scan, which gives the verdict and the ordered violations.
+    The census against the label's volume is taken once, and the
+    certificate runs on its signed volumes when it found nothing. An input
+    it accepts is a triangulation, whose pairs all meet face to face, so
+    the pair scan would report nothing; every other input goes to the pair
+    scan, which gives the verdict and the ordered violations.
     """
-    full, vols, total, violations = census = _census(tri, expected)
-    config = tri.config
-    if (
-        not violations
-        and config.label is not None
-        and expected == expected_volume(config)
-        and config == config_from_label(config.label)
-        and not ridge_violations(config, full, vols)
-    ):
+    full, vols, total, violations = census = _census(tri)
+    if not violations and not ridge_violations(tri.config, full, vols):
         return ValidityReport(True, face_to_face, total)
     return _pair_scan(tri, census, face_to_face)
 
@@ -388,8 +371,8 @@ def _index_dtype(n_points: int):
 
 
 def facet_incidence(config: PointConfiguration) -> np.ndarray:
-    """(points, facets) incidence of a labeled configuration: entry [p, f]
-    is whether point p lies on facet f of its polytope."""
+    """(points, facets) incidence of a configuration: entry [p, f] is
+    whether point p lies on facet f of its polytope."""
     facets = facet_inequalities(config.label)
     a = np.array([av for av, _ in facets], dtype=np.int64)
     b = np.array([bv for _, bv in facets], dtype=np.int64)
@@ -402,7 +385,7 @@ def ridge_violations(
 ) -> list[Violation]:
     """The ridge part of the certificate in the module docstring.
 
-    ``simplices`` are full-dimensional simplices of the labeled ``config``
+    ``simplices`` are full-dimensional simplices of ``config``
     as sorted index rows (tuples or one (N, d+1) array), and
     ``signed_vols`` their signed volumes (:func:`signed_volumes`). Pairs
     the ridges by sorting them: a ridge in more than two simplices is
@@ -412,8 +395,6 @@ def ridge_violations(
     order of each ridge's first occurrence. Sides come from the signed
     volumes (:func:`_apex_sides`), so no determinant is taken per ridge.
     """
-    if config.label is None:
-        raise ValueError("ridge mode needs a labeled configuration")
     d = config.dim
     simp = index_rows(simplices, len(config.points)).reshape(-1, d + 1)
     n_ridges = len(simp) * (d + 1)
@@ -466,9 +447,9 @@ def ridge_violations(
 
 def ridge_report(tri: Triangulation) -> ValidityReport:
     """The ridge certificate of the module docstring, decided exactly: the
-    census against the configuration's volume, whose violations come
-    first, then :func:`ridge_violations` on the census's signed volumes."""
-    full, vols, total, violations = _census(tri, expected_volume(tri.config))
+    census against the label's volume, whose violations come first, then
+    :func:`ridge_violations` on the census's signed volumes."""
+    full, vols, total, violations = _census(tri)
     violations += ridge_violations(tri.config, full, vols)
     ok = not violations
     return ValidityReport(ok, ok, total, violations)
@@ -545,8 +526,6 @@ class TriangulationWriter:
     """
 
     def __init__(self, fh: TextIO, config: PointConfiguration):
-        if config.label is None:
-            raise ValueError("cannot serialize an unlabeled configuration")
         self.fh = fh
         self.first = True
         self.tables = _row_tables(len(config.points))
@@ -606,8 +585,8 @@ _BRACKETS_AS_SPACES = str.maketrans("[],\n", "    ")
 
 
 def _config_of(obj) -> PointConfiguration:
-    """The labeled configuration a parsed file names; ValueError unless its
-    label is a string and its points and dimension are the label's."""
+    """The configuration a parsed file names; ValueError unless its label
+    is a string and its points and dimension are the label's."""
     if type(obj["label"]) is not str:
         raise ValueError(f"label {obj['label']!r} is not a string")
     label = parse_label(obj["label"])
@@ -618,7 +597,7 @@ def _config_of(obj) -> PointConfiguration:
         raise ValueError(f"points array does not hold the {label} points")
     if type(points[0]) is not list or len(points[0]) != label.dim:
         raise ValueError(f"points are not {label.dim}-dimensional")
-    config = config_from_label(label)
+    config = PointConfiguration(label)
     if tuple(tuple(p) for p in points) != config.points:
         raise ValueError("points array does not follow the canonical order")
     if type(obj["dim"]) is not int or obj["dim"] != config.dim:

@@ -1,6 +1,9 @@
 """Lattice point configurations for cubes, simplices, products, and sums.
 
-Canonical vertex orders, fixed once and referenced by every construction:
+A :class:`PointConfiguration` is a label and nothing else: its points are
+the lattice points of the labeled polytope, listed in the label's
+canonical order, and its dimension is the label's. The canonical orders
+are fixed once and referenced by every construction:
 
 * ``cube(l)``: {0,1}^l enumerated as a binary counter, first coordinate most
   significant (equivalently, lexicographic order of coordinate tuples).
@@ -18,7 +21,7 @@ import itertools
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .linalg import det_bareiss, rank_int
 
@@ -102,75 +105,66 @@ def parse_label(s: str) -> Label:
     return lab
 
 
-@dataclass
-class PointConfiguration:
-    """An ordered list of distinct lattice points with an optional label.
+def _points(label: Label) -> tuple[Point, ...]:
+    """The label's lattice points in the canonical order of the module
+    docstring."""
+    if isinstance(label, CubeLabel):
+        return tuple(itertools.product((0, 1), repeat=label.l))
+    if isinstance(label, SimplexLabel):
+        k = label.k
+        units = tuple(tuple(int(j == i) for j in range(k)) for i in range(k))
+        return ((0,) * k,) + units
+    if isinstance(label, MinkowskiLabel):
+        return tuple(itertools.product(range(label.m + 1), repeat=label.l))
+    if isinstance(label, ProductLabel):
+        right = _points(label.right)
+        return tuple(p + q for p in _points(label.left) for q in right)
+    raise ValueError(f"unsupported label {label}")
 
-    The index order is the canonical total order used by every downstream
-    tie-break; instances are treated as immutable.
+
+@dataclass(frozen=True)
+class PointConfiguration:
+    """The lattice points of a labeled polytope, in the label's canonical
+    order: the total order used by every downstream tie-break.
+
+    ``points`` and ``dim`` follow from the label, so two configurations
+    are equal exactly when their labels are.
     """
 
-    label: Label | None
-    points: tuple[Point, ...]
-    dim: int
+    label: Label
+    points: tuple[Point, ...] = field(init=False, repr=False, compare=False)
+    dim: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "points", _points(self.label))
+        object.__setattr__(self, "dim", self.label.dim)
 
     def __len__(self) -> int:
         return len(self.points)
 
 
-def _cube_points(l: int) -> tuple[Point, ...]:
-    return tuple(itertools.product((0, 1), repeat=l))
-
-
-def _simplex_points(k: int) -> tuple[Point, ...]:
-    pts = [tuple(0 for _ in range(k))]
-    for i in range(k):
-        e = [0] * k
-        e[i] = 1
-        pts.append(tuple(e))
-    return tuple(pts)
-
-
 def cube_config(l: int) -> PointConfiguration:
     if l < 0:
         raise ValueError("cube dimension must be >= 0")
-    return PointConfiguration(CubeLabel(l), _cube_points(l), l)
+    return PointConfiguration(CubeLabel(l))
 
 
 def simplex_config(k: int) -> PointConfiguration:
     if k < 0:
         raise ValueError("simplex dimension must be >= 0")
-    return PointConfiguration(SimplexLabel(k), _simplex_points(k), k)
+    return PointConfiguration(SimplexLabel(k))
 
 
 def product_config(a: PointConfiguration, b: PointConfiguration) -> PointConfiguration:
-    if a.label is None or b.label is None:
-        raise ValueError("product factors need labels")
-    pts = tuple(p + q for p in a.points for q in b.points)
-    return PointConfiguration(ProductLabel(a.label, b.label), pts, a.dim + b.dim)
+    return PointConfiguration(ProductLabel(a.label, b.label))
 
 
 def minkowski_config(l: int, m: int) -> PointConfiguration:
-    pts = tuple(itertools.product(range(m + 1), repeat=l))
-    return PointConfiguration(MinkowskiLabel(l, m), pts, l)
-
-
-def config_from_label(label: Label) -> PointConfiguration:
-    if isinstance(label, CubeLabel):
-        return cube_config(label.l)
-    if isinstance(label, SimplexLabel):
-        return simplex_config(label.k)
-    if isinstance(label, MinkowskiLabel):
-        return minkowski_config(label.l, label.m)
-    if isinstance(label, ProductLabel):
-        return product_config(
-            config_from_label(label.left), config_from_label(label.right)
-        )
-    raise ValueError(f"unsupported label {label}")
+    return PointConfiguration(MinkowskiLabel(l, m))
 
 
 def point_count(label: Label) -> int:
-    """``len(config_from_label(label).points)`` from the label alone, capped
+    """``len(PointConfiguration(label).points)`` from the label alone, capped
     at ``sys.maxsize + 1`` (no list is longer) so that no huge power is taken."""
     cap = sys.maxsize + 1
     if isinstance(label, SimplexLabel):

@@ -55,13 +55,16 @@ CANDIDATE_GUARD = 10**4
 
 @dataclass(frozen=True)
 class SearchProblem:
-    """ValueError, before any search, for a dimension below 1 or past
+    """ValueError, before any search, for an objective other than
+    ``weighted`` and ``cardinality``, a dimension below 1 or past
     ``CANDIDATE_GUARD`` (d+1)-subsets."""
 
     config: PointConfiguration
     objective: str = "weighted"  # weighted | cardinality
 
     def __post_init__(self):
+        if self.objective not in ("weighted", "cardinality"):
+            raise ValueError(f"unknown objective {self.objective!r}")
         if self.config.dim < 1:
             raise ValueError(f"dimension {self.config.dim} is below 1")
         pool = math.comb(len(self.config.points), self.config.dim + 1)

@@ -128,12 +128,9 @@ class PipelineSpec:
 class StepReport:
     dim_from: int
     dim_to: int
-    n: int
     m_used: int
     seed_used: str
-    tq_size: int
     size: int
-    t0_weighted: Fraction
     bound: Fraction
     bound_ok: bool
     volume_ok: bool
@@ -290,12 +287,9 @@ def build_cube_recursive(spec: PipelineSpec):
             StepReport(
                 cur,
                 new_dim,
-                n,
                 m_step,
                 seed_name,
-                current.size,
                 best_size,
-                t0_ws,
                 bound,
                 bound_ok,
                 step.volume_ok,
@@ -310,15 +304,10 @@ def build_cube_recursive(spec: PipelineSpec):
     return current, PipelineReport(steps, sizes, ok)
 
 
-def build_cube_haiman(
-    d: int, split: tuple[int, int], t_k: Triangulation, t_l: Triangulation
-) -> Triangulation:
-    """Staircase refinement of T_k x T_l: size |T_k| |T_l| C(k+l, k)."""
-    k, l = split
-    if k + l != d:
-        raise ValueError("split must sum to the target dimension")
-    if t_k.config.dim != k or t_l.config.dim != l:
-        raise ValueError("factor triangulations do not match the split")
+def build_cube_haiman(t_k: Triangulation, t_l: Triangulation) -> Triangulation:
+    """Staircase refinement of T_k x T_l: size |T_k| |T_l| C(k+l, k), with
+    k and l the factors' dimensions."""
+    k, l = t_k.config.dim, t_l.config.dim
     t0 = _cube_as_point_product(t_k)
     coloring = make_coloring(len(t_l.config.points), 1, "balanced")
     tri = triangulate_product(t_l, t0, coloring)

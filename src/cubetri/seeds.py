@@ -43,7 +43,12 @@ from .cayley import (
     triangulation_to_mixed,
 )
 from .coloring import lift_triangulation
-from .complexes import Simplex, Triangulation, weighted_size
+from .complexes import (
+    Simplex,
+    Triangulation,
+    weighted_efficiency_from,
+    weighted_size,
+)
 from .geometry import cube_config
 
 
@@ -279,8 +284,9 @@ _PHI = {1: 1, 2: 2, 3: 5, 4: 16, 5: 67, 6: 308, 7: 1493, 8: 11944}
 _RHO = {1: 1.0, 2: 1.0, 3: 0.941, 4: 0.904, 5: 0.890, 6: 0.868, 7: 0.840, 8: 0.859}
 _SMITH = {1: 1.0, 2: 1.0, 3: 0.941, 4: 0.889, 5: 0.833, 6: 0.789, 7: 0.751, 8: 0.718}
 
-ASYMPTOTIC_TARGET_2 = 0.8355  # limit efficiency reachable from the 2-summand seed
-ASYMPTOTIC_TARGET_3 = 0.8159  # limit efficiency reachable from the 3-summand seed
+# limit efficiencies reachable from the 2- and 3-summand seeds of [0,m]^3
+ASYMPTOTIC_TARGET_2 = weighted_efficiency_from(_SEEDS["i3d1"][3], 3, 2)
+ASYMPTOTIC_TARGET_3 = weighted_efficiency_from(_SEEDS["i3d2"][3], 3, 3)
 
 
 def hadamard_lower(d: int) -> float:

@@ -20,7 +20,6 @@ from cubetri.complexes import (
     _apex_sides,
     _census,
     _pair_scan,
-    expected_volume,
     facet_incidence,
     factor_blocks,
     signed_volumes,
@@ -31,7 +30,6 @@ from cubetri.geometry import (
     PointConfiguration,
     affine_rank,
     ambient_normalized_volume,
-    config_from_label,
     cube_config,
     parse_label,
     product_config,
@@ -88,7 +86,7 @@ def reference_from_json(text: str) -> Triangulation:
         raise ValueError("not a triangulation file")
     if type(obj["label"]) is not str:
         raise ValueError("label is not a string")
-    config = config_from_label(parse_label(obj["label"]))
+    config = PointConfiguration(parse_label(obj["label"]))
     if tuple(tuple(p) for p in obj["points"]) != config.points:
         raise ValueError("points array does not follow the canonical order")
     if type(obj["dim"]) is not int or obj["dim"] != config.dim:
@@ -101,25 +99,17 @@ def reference_from_json(text: str) -> Triangulation:
     return Triangulation(config, tuple(tuple(s) for s in obj["simplices"]))
 
 
-def reference_validate_dissection(
-    tri: Triangulation, expected: int | None = None
-) -> ValidityReport:
+def reference_validate_dissection(tri: Triangulation) -> ValidityReport:
     """``validate_dissection`` without the ridge certificate: the census and
     the exact pair scan on every input. The reference it is held to."""
-    if expected is None:
-        expected = expected_volume(tri.config)
-    return _pair_scan(tri, _census(tri, expected), face_to_face=False)
+    return _pair_scan(tri, _census(tri), face_to_face=False)
 
 
-def reference_validate_face_to_face(
-    tri: Triangulation, expected: int | None = None
-) -> ValidityReport:
+def reference_validate_face_to_face(tri: Triangulation) -> ValidityReport:
     """``validate_face_to_face`` without the ridge certificate: the census
     and the exact pair scan on every input. The pairwise oracle the ridge
     certificate is held to."""
-    if expected is None:
-        expected = expected_volume(tri.config)
-    return _pair_scan(tri, _census(tri, expected), face_to_face=True)
+    return _pair_scan(tri, _census(tri), face_to_face=True)
 
 
 # -- the default pipeline outputs and their pairwise verdicts ----------------

@@ -194,8 +194,8 @@ def test_criterion_6_product_bound():
 def test_criterion_7_m1_reduction():
     t0 = time.time()
     t2, t3 = minimal_cube(2), minimal_cube(3)
-    h4 = build_cube_haiman(4, (2, 2), t2, t2)
-    h6 = build_cube_haiman(6, (3, 3), t3, t3)
+    h4 = build_cube_haiman(t2, t2)
+    h6 = build_cube_haiman(t3, t3)
     ok = h4.size == 24 and h6.size == 500
     _announce(
         "criterion 7: m=1 reduction gives Haiman sizes 24 and 500",

@@ -26,7 +26,7 @@ from cubetri.complexes import (
     triangulation_from_json,
     triangulation_to_json,
 )
-from cubetri.geometry import config_from_label, parse_label, point_count
+from cubetri.geometry import PointConfiguration, parse_label, point_count
 from cubetri.pipeline import PipelineSpec, build_cube_recursive
 from cubetri.seeds import cayley_seed, minimal_cube
 
@@ -276,7 +276,7 @@ def test_out_of_order_points_still_raise():
 )
 def test_point_count_is_the_label_configuration_size(text):
     label = parse_label(text)
-    assert point_count(label) == len(config_from_label(label).points)
+    assert point_count(label) == len(PointConfiguration(label).points)
 
 
 def test_point_count_of_a_huge_label_is_capped():

@@ -150,7 +150,7 @@ def test_summand_projection_square_family():
         for i in range(m):
             proj = summand_projection(sub, i)
             assert proj.size == 2
-            assert validate_face_to_face(proj, expected=2).is_face_to_face
+            assert validate_face_to_face(proj).is_face_to_face
             # the two cells share one diagonal: either {0,3} or {1,2}
             shared = frozenset(proj.simplices[0]) & frozenset(proj.simplices[1])
             assert shared in (frozenset({0, 3}), frozenset({1, 2}))
@@ -176,7 +176,7 @@ def test_summand_projection_i3d1_is_minimal_triangulation():
     sub = seed_i3d1()
     proj = summand_projection(sub, 0)
     assert proj.size in (5, 6)
-    assert validate_face_to_face(proj, expected=6).is_face_to_face
+    assert validate_face_to_face(proj).is_face_to_face
 
 
 def test_validate_mixed_catches_overlap():
@@ -317,7 +317,7 @@ def test_summand_projection_i3d1_second_copy():
     sub = seed_i3d1()
     proj = summand_projection(sub, 1)
     assert proj.size in (5, 6)
-    assert validate_face_to_face(proj, expected=6).is_face_to_face
+    assert validate_face_to_face(proj).is_face_to_face
 
 
 def test_scaled_cells_match_lift_cells_per_cell():

@@ -32,6 +32,12 @@ def test_make_coloring_random_deterministic():
     assert make_coloring(8, 2, "random", rng_seed=8).colors != a.colors
 
 
+def test_make_coloring_random_needs_a_seed():
+    # an unseeded generator would draw from OS entropy
+    with pytest.raises(ValueError, match="rng_seed"):
+        make_coloring(8, 2, "random")
+
+
 def test_make_coloring_single_color():
     assert make_coloring(4, 1, "balanced").colors == (0, 0, 0, 0)
 

@@ -19,24 +19,26 @@ from cubetri.complexes import (
     weighted_size,
 )
 from cubetri.geometry import (
-    PointConfiguration,
     cube_config,
+    minkowski_config,
     product_config,
     simplex_config,
 )
 from cubetri.verification import batch_volumes_of, volume_total
 
 UNIT_SQUARE = Triangulation(cube_config(2), ((0, 2, 3), (0, 1, 3)))
+# [0,2]^2 on its nine lattice points; (a, b) has index 3a + b
+BIG_SQUARE = minkowski_config(2, 2)
 
 
 def test_dissection_unit_square():
-    report = validate_dissection(UNIT_SQUARE, expected=2)
+    report = validate_dissection(UNIT_SQUARE)
     assert report.is_dissection and report.volume_total == 2
 
 
 def test_dissection_duplicate_overlaps():
     tri = Triangulation(cube_config(2), ((0, 2, 3), (0, 1, 3), (0, 1, 3)))
-    report = validate_dissection(tri, expected=2)
+    report = validate_dissection(tri)
     assert not report.is_dissection
     kinds = {v.kind for v in report.violations}
     assert "duplicate" in kinds or "interior-overlap" in kinds
@@ -45,18 +47,18 @@ def test_dissection_duplicate_overlaps():
 
 def test_dissection_volume_deficit():
     tri = Triangulation(cube_config(2), ((0, 2, 3),))
-    report = validate_dissection(tri, expected=2)
+    report = validate_dissection(tri)
     assert not report.is_dissection
     assert any(v.kind == "volume-mismatch" for v in report.violations)
 
 
 def test_dissection_names_degenerate_simplex():
-    cfg = PointConfiguration(None, ((0, 0), (1, 0), (2, 0), (0, 1)), 2)
-    tri = Triangulation(cfg, ((0, 1, 3), (1, 2, 3), (0, 1, 2)))
-    report = validate_dissection(tri, expected=2)
+    # (0,0), (1,0) and (2,0), indices 0, 3 and 6, lie on one line
+    tri = Triangulation(BIG_SQUARE, ((0, 1, 3), (1, 3, 6), (0, 3, 6)))
+    report = validate_dissection(tri)
     assert not report.is_dissection and report.volume_total == 2
     degenerate = [v for v in report.violations if v.kind == "degenerate"]
-    assert [v.members for v in degenerate] == [((0, 1, 2),)]
+    assert [v.members for v in degenerate] == [((0, 3, 6),)]
 
 
 def test_dissection_names_not_full_dimensional_simplex():
@@ -64,7 +66,7 @@ def test_dissection_names_not_full_dimensional_simplex():
         Triangulation(cube_config(2), ((0, 2, 3), (3, 0), (0, 1, 3)))
     # The two diagonals of the square: simplices of one size, but not d+1.
     tri = Triangulation(cube_config(2), ((3, 0), (1, 2)))
-    report = validate_dissection(tri, expected=2, pairwise=False)
+    report = validate_dissection(tri, pairwise=False)
     assert not report.is_dissection and report.volume_total == 0
     kinds = [(v.kind, v.members) for v in report.violations]
     assert kinds == [
@@ -83,31 +85,25 @@ def test_zero_dimensional_census():
 
 
 def test_face_to_face_shared_diagonal():
-    report = validate_face_to_face(UNIT_SQUARE, expected=2)
+    report = validate_face_to_face(UNIT_SQUARE)
     assert report.is_face_to_face and report.is_dissection
-
-
-def _big_square_config(points):
-    return PointConfiguration(None, tuple(points), 2)
 
 
 def test_face_to_face_t_vertex_fails():
     # Three triangles tiling [0,2]^2 where a hanging vertex sits on the
     # interior of another triangle's edge: a dissection, not a complex.
-    cfg = _big_square_config([(0, 0), (2, 0), (2, 2), (0, 2), (1, 1)])
-    tri = Triangulation(cfg, ((0, 1, 2), (0, 4, 3), (3, 4, 2)))
-    diss = validate_dissection(tri, expected=8)
+    tri = Triangulation(BIG_SQUARE, ((0, 6, 8), (0, 4, 2), (2, 4, 8)))
+    diss = validate_dissection(tri)
     assert diss.is_dissection
-    report = validate_face_to_face(tri, expected=8)
+    report = validate_face_to_face(tri)
     assert not report.is_face_to_face
     assert any(v.kind == "not-face-to-face" for v in report.violations)
 
 
 def test_face_to_face_fan_passes():
     # The four-triangle fan through the center point is a genuine complex.
-    cfg = _big_square_config([(0, 0), (2, 0), (2, 2), (0, 2), (1, 1)])
-    tri = Triangulation(cfg, ((0, 1, 4), (1, 2, 4), (2, 3, 4), (0, 3, 4)))
-    report = validate_face_to_face(tri, expected=8)
+    tri = Triangulation(BIG_SQUARE, ((0, 6, 4), (6, 8, 4), (8, 2, 4), (0, 2, 4)))
+    report = validate_face_to_face(tri)
     assert report.is_face_to_face
 
 

@@ -3,9 +3,9 @@ import random
 import pytest
 
 from cubetri.geometry import (
+    PointConfiguration,
     affine_rank,
     ambient_normalized_volume,
-    config_from_label,
     cube_config,
     minkowski_config,
     normalized_volume,
@@ -81,13 +81,20 @@ def test_canonical_orders():
     assert p.points == ((0, 0), (0, 1), (1, 0), (1, 1))
     mk = minkowski_config(1, 2)
     assert mk.points == ((0,), (1,), (2,))
-    # a product of cubes lists points exactly like the combined cube
+    # a product of cubes lists points exactly like the combined cube, but
+    # a configuration is its label, so the two are not equal
     pc = product_config(cube_config(2), cube_config(1))
     assert pc.points == cube_config(3).points
+    assert pc != cube_config(3)
+    # equal labels give equal configurations
+    for text in ["cube(3)", "simplex(2)", "cube(2)xsimplex(1)", "minkowski(cube(2),3)"]:
+        a, b = PointConfiguration(parse_label(text)), PointConfiguration(parse_label(text))
+        assert a == b and hash(a) == hash(b) and a.points == b.points
+    assert pc == product_config(cube_config(2), cube_config(1))
 
 
 def test_config_from_label_round_trip():
     for text in ["cube(3)", "cube(2)xsimplex(1)", "minkowski(cube(3),2)"]:
-        cfg = config_from_label(parse_label(text))
+        cfg = PointConfiguration(parse_label(text))
         assert str(cfg.label) == text
         assert len(set(cfg.points)) == len(cfg.points)

@@ -98,6 +98,12 @@ def test_guard():
         SearchProblem(cube_config(5))
 
 
+def test_unknown_objective_is_rejected():
+    # before any search, and not read as the weighted size
+    with pytest.raises(ValueError, match="unknown objective 'bogus'"):
+        SearchProblem(cube_config(2), objective="bogus")
+
+
 def test_oracle_minima_match_known_efficiency_rows():
     # guarded cases: l = 1 (all prisms unimodular), l = 2 with one or two
     # summands, and the 3-cube

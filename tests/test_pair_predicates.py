@@ -22,7 +22,7 @@ from cubetri import linalg
 from cubetri.cayley import MixedCell, MixedSubdivision
 from cubetri.coloring import make_coloring, staircase_triangulation, triangulate_product
 from cubetri.complexes import Triangulation
-from cubetri.geometry import PointConfiguration, affine_rank, cube_config
+from cubetri.geometry import affine_rank, cube_config, minkowski_config
 from cubetri.linalg import (
     barycentric_rows,
     feasible,
@@ -174,13 +174,13 @@ def _lift(q_dim, seed, m):
 
 def _fixtures():
     square = cube_config(2)
-    big = PointConfiguration(None, ((0, 0), (2, 0), (2, 2), (0, 2), (1, 1)), 2)
+    big = minkowski_config(2, 2)  # [0,2]^2; (a, b) has index 3a + b
     lift4 = _lift(1, "i3d1", 2)
     return {
         "unit square": Triangulation(square, ((0, 2, 3), (0, 1, 3))),
         "duplicate": Triangulation(square, ((0, 2, 3), (0, 1, 3), (0, 1, 3))),
-        "t-vertex": Triangulation(big, ((0, 1, 2), (0, 4, 3), (3, 4, 2))),
-        "fan": Triangulation(big, ((0, 1, 4), (1, 2, 4), (2, 3, 4), (0, 3, 4))),
+        "t-vertex": Triangulation(big, ((0, 6, 8), (0, 4, 2), (2, 4, 8))),
+        "fan": Triangulation(big, ((0, 6, 4), (6, 8, 4), (8, 2, 4), (0, 2, 4))),
         "staircase 2x2": staircase_triangulation(2, 2),
         "staircase 1x3": staircase_triangulation(1, 3),
         "minimal cube 3": minimal_cube(3),

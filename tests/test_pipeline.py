@@ -71,9 +71,9 @@ def test_sampling_keeps_best():
 
 def test_haiman_sizes():
     t2, t3 = minimal_cube(2), minimal_cube(3)
-    assert build_cube_haiman(4, (2, 2), t2, t2).size == 24
-    assert build_cube_haiman(6, (3, 3), t3, t3).size == 500
-    assert build_cube_haiman(2, (1, 1), minimal_cube(1), minimal_cube(1)).size == 2
+    assert build_cube_haiman(t2, t2).size == 24
+    assert build_cube_haiman(t3, t3).size == 500
+    assert build_cube_haiman(minimal_cube(1), minimal_cube(1)).size == 2
 
 
 def test_haiman_submultiplicativity():

@@ -28,7 +28,7 @@ from cubetri.coloring import (
     triangulate_product,
 )
 from cubetri.complexes import Triangulation, factor_blocks, simplex_factor
-from cubetri.geometry import config_from_label, product_config, simplex_config
+from cubetri.geometry import PointConfiguration, product_config, simplex_config
 from cubetri.pipeline import PipelineSpec, _cube_as_point_product, build_cube_recursive
 from cubetri.seeds import cayley_seed, minimal_cube, unimodular_cube
 from cubetri.staircase import (
@@ -199,7 +199,7 @@ def test_lift_triangulation_matches_reference(seed_name):
     for kvec in itertools.product((1, 2, 3), repeat=m):
         lifted = lift_triangulation(t0, kvec)
         assert list(lifted.simplices) == reference_lift(t0, kvec)
-        want = product_config(config_from_label(left), simplex_config(sum(kvec) - 1))
+        want = product_config(PointConfiguration(left), simplex_config(sum(kvec) - 1))
         assert lifted.config == want
 
 
