@@ -39,7 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .complexes import Triangulation, factor_blocks, simplex_factor
+from .complexes import Triangulation, factor_blocks, index_rows, simplex_factor
 from .geometry import (
     PointConfiguration,
     ProductLabel,
@@ -134,7 +134,10 @@ class ProductCells:
     are its group's run of the table, so the sorted index rows of any run
     of consecutive sigmas come from one gather of the table and of the
     sigmas' vertices, and one ``sort(axis=1)``. The order is therefore
-    sigma by sigma, T_0 cell by T_0 cell, then template order.
+    sigma by sigma, T_0 cell by T_0 cell, then template order. The table's
+    row values and the sigmas' vertices are held in the output's index
+    dtype (:func:`complexes.index_rows`: ``uint16`` below 65,536 points),
+    so a slice of rows is gathered and sorted in it.
     """
 
     def __init__(self, t_q: Triangulation, t0: Triangulation, coloring: Coloring):
@@ -150,8 +153,9 @@ class ProductCells:
             [key_of.setdefault(tuple(c), len(key_of)) for c in counts.tolist()],
             dtype=np.intp,
         )
+        n_points = len(self.config.points)
         # Each sigma's vertices by color, in index order within a color.
-        self._by_color = np.sort(colors * nq + sig, axis=1) % nq
+        self._by_color = index_rows(np.sort(colors * nq + sig, axis=1) % nq, n_points)
         blocks_list = product_blocks(t0)
         width = self.config.dim + 1
         self.signatures: dict = {}  # (lvec, kvec) -> simplices per cell
@@ -182,7 +186,7 @@ class ProductCells:
                 offset += len(tr)
             self._cells.append((kvec, cells))
             sizes.append(offset)
-        self._rowvals = np.concatenate(rowvals)
+        self._rowvals = index_rows(np.concatenate(rowvals), n_points)
         self._colpos = np.concatenate(colpos)
         self._count = np.array(sizes, dtype=np.intp)
         self._first = np.cumsum(self._count) - self._count
@@ -191,7 +195,8 @@ class ProductCells:
 
     def simplex_rows(self, lo: int, hi: int) -> np.ndarray:
         """Sorted index rows of the cells of sigmas lo..hi-1, in output
-        order, as one (rows, V) array."""
+        order, as one (rows, V) array in the index dtype. Every sum of a
+        row value and a vertex is a point index, so it never overflows."""
         group = self._group[lo:hi]
         counts = self._count[group]
         # Output row r of sigma s is row r - (starts[s] - starts[lo]) of

@@ -34,11 +34,19 @@ over P. The census gives sum vol(S_i) = c vol(P), so (d) forces c = 1:
 the simplices tile P. With every interior ridge matched this way they
 form a triangulation; this is the characterization of triangulations by
 the pseudo-manifold property in De Loera, Rambau and Santos,
-*Triangulations* (Springer, 2010). Every caller takes the one census,
-:func:`_census` (or :func:`_tally` on a chunk's signed volumes), and then
-:func:`ridge_violations`, the ridge part alone, on the census's signed
-volumes. The oracle's search grows cells under the same ridge conditions,
-on the same census, :func:`_apex_sides` and :func:`facet_incidence`.
+*Triangulations* (Springer, 2010), §4.5. Every caller takes the one
+census, :func:`_census` (or :func:`_tally` on a chunk's signed volumes),
+and then :func:`ridge_violations`, the ridge part alone, on the census's
+signed volumes. The oracle's search grows cells under the same ridge
+conditions, on the same census, :func:`_apex_sides` and
+:func:`facet_incidence`.
+
+Every step and check holds one bounded, narrow slice of its data at a
+time, besides the index rows themselves: the census takes chunks of
+``CENSUS_CHUNK`` rows, the ridge check matches the ridges in buckets of
+first-vertex ranges of about ``RIDGE_BUCKET`` ridges, one index-dtype
+column per vertex position, and the reader parses ``READ_BLOCK``
+characters at a time.
 
 Files hold one simplex per line (:class:`TriangulationWriter`), so a step
 too large to keep in memory is written chunk by chunk in the same format.
@@ -180,9 +188,10 @@ def signed_volumes(points, rows) -> np.ndarray:
     written straight into the (d, d, N) layout of
     :func:`linalg.batch_last_det`: rows vertex differences, columns
     coordinates, batch last. Row r is the (d, N) block of vertex r's
-    coordinates, taken from a (d, points) table by the chunk's vertex
-    column, minus that of vertex 0, so no index array of the chunk's size
-    is built. A volume that int64 cannot hold raises OverflowError.
+    coordinates, taken from a (d, points) table by the chunk's own column
+    of vertex r (in the index dtype), minus that of vertex 0, so no index
+    array of the chunk's size is built. A volume that int64 cannot hold
+    raises OverflowError.
     """
     out = np.zeros(len(rows), dtype=np.int64)
     if not len(out):
@@ -199,11 +208,10 @@ def signed_volumes(points, rows) -> np.ndarray:
     table = (pts - lo).T.astype(dtype, order="C")
     for start in range(0, len(rows), CENSUS_CHUNK):
         chunk = np.asarray(rows[start : start + CENSUS_CHUNK])
-        verts = chunk.T.astype(np.intp, order="C")  # (d+1, N)
         g = np.empty((d, d, len(chunk)), dtype=dtype)
-        base = table.take(verts[0], axis=1)  # (d, N) coordinates of p_0
+        base = table.take(chunk[:, 0], axis=1)  # (d, N) coordinates of p_0
         for r in range(d):
-            np.subtract(table.take(verts[r + 1], axis=1), base, out=g[r])
+            np.subtract(table.take(chunk[:, r + 1], axis=1), base, out=g[r])
         try:
             out[start : start + len(chunk)] = linalg.batch_last_det(g)
         except OverflowError:
@@ -260,12 +268,14 @@ def _census(tri: Triangulation):
 
 def duplicate_simplices(tri: Triangulation) -> list[Violation]:
     """A ``duplicate`` violation for each repeat of an earlier simplex, in
-    order. Equal rows are adjacent after a stable lexicographic sort, with
-    the earliest first."""
+    order. Equal rows are adjacent after one stable lexicographic sort, with
+    the earliest first; each sorted column is compared as one 1-d array."""
     rows = tri.rows
     order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
-    repeat = (ordered[1:] == ordered[:-1]).all(axis=1)
+    repeat = np.ones(max(len(rows) - 1, 0), dtype=bool)
+    for col in rows.T:
+        key = col[order]
+        repeat &= key[1:] == key[:-1]
     return [
         Violation("duplicate", (tuple(rows[i].tolist()),))
         for i in np.sort(order[1:][repeat]).tolist()
@@ -361,8 +371,8 @@ def _ridge_rows(simp: np.ndarray, ks: np.ndarray) -> np.ndarray:
 
 
 def index_rows(rows, n_points: int) -> np.ndarray:
-    """Index rows as the narrowest array the ridge check takes: ``uint16``
-    below 65,536 points, ``int64`` from there."""
+    """Index rows as the narrowest array the steps and checks take:
+    ``uint16`` below 65,536 points, ``int64`` from there."""
     return np.asarray(rows, dtype=_index_dtype(n_points))
 
 
@@ -380,6 +390,9 @@ def facet_incidence(config: PointConfiguration) -> np.ndarray:
     return pts @ a.reshape(len(facets), config.dim).T == b
 
 
+RIDGE_BUCKET = 1 << 18  # ridges matched at a time: bounds the ridge check's memory
+
+
 def ridge_violations(
     config: PointConfiguration, simplices, signed_vols
 ) -> list[Violation]:
@@ -394,55 +407,158 @@ def ridge_violations(
     ridge (or degenerate) ``ridge-same-side``. Violations come in the
     order of each ridge's first occurrence. Sides come from the signed
     volumes (:func:`_apex_sides`), so no determinant is taken per ridge.
+
+    Equal ridges share their first vertex, so the ridges are sorted in
+    buckets of first-vertex ranges (:func:`_ridge_buckets`), as in the
+    distribution pass of an external sort (Knuth, *TAOCP* vol. 3, §5.4).
+    A bucket holds at most ``RIDGE_BUCKET`` ridges, or one vertex's if it
+    alone has more, and never splits a group of equal ridges, so the
+    working memory is that of one bucket (:func:`_bucket_violations`).
     """
     d = config.dim
     simp = index_rows(simplices, len(config.points)).reshape(-1, d + 1)
-    n_ridges = len(simp) * (d + 1)
-    # Ridge k = i (d+1) + j drops position j of simplex i; its column c is
-    # vertex c of the simplex before position j and vertex c+1 from there.
-    drop = np.arange(d + 1)
-    keys = [
-        np.where(drop > c, simp[:, c, None], simp[:, c + 1, None]).reshape(-1)
-        for c in reversed(range(d))
-    ]
+    vols = np.asarray(signed_vols)
+    masks = _facet_masks(config)
+    found: list[tuple[int, Violation]] = []
+    for rows, valid in _ridge_buckets(simp, len(config.points)):
+        found += _bucket_violations(simp, rows, valid, vols, masks)
+    found.sort(key=lambda item: item[0])
+    return [v for _, v in found]
+
+
+def _ridge_buckets(simp: np.ndarray, n_points: int):
+    """The buckets of :func:`ridge_violations` as pairs (rows, valid): the
+    ascending indices of the simplices that own the bucket's ridges, and a
+    (rows, d+1) mask whose entry [r, j] tells whether the ridge without
+    position j of simplex rows[r] is in the bucket. Ridge j of a sorted
+    simplex starts at its vertex 0 for j >= 1 and at its vertex 1 for
+    j = 0; bucket b holds the ridges that start at vertices
+    cuts[b]..cuts[b+1]-1 (:func:`_bucket_cuts`)."""
+    n, d1 = simp.shape
+    if not n:
+        return
+    if d1 == 1:  # a point's one ridge, the empty one, is the same for all
+        yield np.arange(n), np.ones((n, 1), dtype=bool)
+        return
+    cuts = _bucket_cuts(simp, n_points)
+    bucket = np.searchsorted(cuts, np.arange(n_points), side="right") - 1
+    bucket = bucket.astype(np.min_scalar_type(len(cuts)))
+    head, second = bucket[simp[:, 0]], bucket[simp[:, 1]]
+    for b in range(len(cuts) - 1):
+        in_head, in_second = head == b, second == b
+        rows = np.flatnonzero(in_head | in_second)
+        valid = np.empty((len(rows), d1), dtype=bool)
+        valid[:, 0] = in_second[rows]
+        valid[:, 1:] = in_head[rows, None]
+        yield rows, valid
+
+
+def _bucket_cuts(simp: np.ndarray, n_points: int) -> list[int]:
+    """Ascending first vertices of the buckets, then ``n_points``. A bucket
+    takes vertices while its ridges stay within ``RIDGE_BUCKET``, and at
+    least the next vertex that starts a ridge."""
+    per_vertex = (simp.shape[1] - 1) * np.bincount(simp[:, 0], minlength=n_points)
+    per_vertex += np.bincount(simp[:, 1], minlength=n_points)
+    cum = np.cumsum(per_vertex)
+    cuts = [0]
+    done = 0  # ridges that start before the last cut
+    while done < cum[-1]:
+        hi = np.searchsorted(cum, [done + RIDGE_BUCKET, done], side="right")
+        cuts.append(int(max(hi[0], hi[1] + 1)))
+        done = int(cum[cuts[-1] - 1])
+    cuts[-1] = n_points  # the vertices past it start no ridge
+    return cuts
+
+
+def _bucket_violations(
+    simp: np.ndarray,
+    rows: np.ndarray,
+    valid: np.ndarray,
+    vols: np.ndarray,
+    masks: np.ndarray,
+) -> list[tuple[int, Violation]]:
+    """(first flat ridge, violation) for each bad group of equal ridges in
+    one bucket of :func:`_ridge_buckets`; ridge k = i (d+1) + j is sorted
+    simplex i without its position j.
+
+    The bucket's d ridge columns are built by slice assignment in the
+    index dtype, in ascending flat order, so one stable ``np.lexsort``
+    lists each group in first-occurrence order. The group starts come from
+    comparing each sorted column as one 1-d array, and the groups of one,
+    two and more ridges from the starts one and two places on. A single
+    ridge lies on a facet when the facet bitmasks of its vertices
+    (:func:`_facet_masks`) share a bit; two ridges pair when their apexes
+    lie on opposite sides (:func:`_apex_sides`).
+    """
+    d1 = simp.shape[1]
+    d = d1 - 1
+    sub = simp[rows]
+    n = int(np.count_nonzero(valid))
+    # Column c of the ridge without position j is vertex c of the simplex
+    # for j > c and vertex c+1 for j <= c.
+    cols = []
+    block = np.empty(valid.shape, dtype=simp.dtype)
+    for c in range(d):
+        block[:, : c + 1] = sub[:, c + 1, None]
+        block[:, c + 1 :] = sub[:, c, None]
+        cols.append(block[valid])
+    del block
     # Stable, so each group of equal ridges lists them in first-occurrence order.
-    order = np.lexsort(keys) if d else np.arange(n_ridges)
-    del keys
-    # Sorted ridges are compared chunk by chunk, so neither the ridge array
-    # nor its sorted copy is ever held whole.
-    change = np.ones(n_ridges, dtype=bool)
-    for lo in range(1, n_ridges, CENSUS_CHUNK):
-        rows = _ridge_rows(simp, order[lo - 1 : lo + CENSUS_CHUNK])
-        change[lo : lo + CENSUS_CHUNK] = (rows[1:] != rows[:-1]).any(axis=1)
-    starts = np.flatnonzero(change)
-    del change
-    counts = np.diff(starts, append=n_ridges)
-    first = order[starts]
-    bad = counts > 2
+    order = np.lexsort(cols[::-1]) if d else np.arange(n)
+    # starts[p]: a group starts at sorted position p; starts[n] and
+    # starts[n+1] close the last group.
+    starts = np.ones(n + 2, dtype=bool)
+    starts[1:n] = False
+    while cols:
+        key = cols.pop(0)[order]
+        starts[1:n] |= key[1:] != key[:-1]
+        del key
+    one, two = starts[1 : n + 1], starts[2:]
+    bad = starts[:n] & ~one & ~two  # more than two ridges
+    # Ridge r of the bucket is in simplex rows[owner] and drops position j;
+    # a row holds its ridge 0 or not, then its ridges 1..d or none.
+    per_row = valid[:, 0] + d * valid[:, -1]
+    before = np.cumsum(per_row) - per_row
+
+    def locate(r):
+        owner = np.searchsorted(before, r, side="right") - 1
+        return owner, r - before[owner] + ~valid[owner, 0]
+
     # A point has no facet, and its one ridge, the empty one, is its boundary.
-    single = np.flatnonzero(counts == 1) if d else np.zeros(0, np.intp)
-    on_facet = facet_incidence(config)
-    for lo in range(0, len(single), CENSUS_CHUNK):
-        grp = single[lo : lo + CENSUS_CHUNK]
-        inside = on_facet[_ridge_rows(simp, first[grp])].all(axis=1).any(axis=1)
-        bad[grp[~inside]] = True
-    pair = np.flatnonzero(counts == 2)
-    sides = _apex_sides(signed_vols, d).reshape(-1)
-    same = sides[first[pair]] * sides[order[starts[pair] + 1]] >= 0
-    bad[pair[same]] = True
-    bad = np.flatnonzero(bad)
-    violations: list[Violation] = []
-    for g in bad[np.argsort(first[bad])].tolist():
-        ks = order[starts[g] : starts[g] + counts[g]]
-        owners = tuple(map(tuple, simp[ks // (d + 1)].tolist()))
-        ridge = str(tuple(_ridge_rows(simp, first[g : g + 1])[0].tolist()))
-        if counts[g] > 2:
-            violations.append(Violation("ridge-overused", owners))
-        elif counts[g] == 1:
-            violations.append(Violation("open-interior-ridge", owners, ridge))
-        else:
-            violations.append(Violation("ridge-same-side", owners, ridge))
-    return violations
+    single = np.flatnonzero(starts[:n] & one) if d else np.zeros(0, np.intp)
+    if len(single):
+        owner, j = locate(order[single])
+        common = np.full((len(single), masks.shape[1]), ~np.uint64(0))
+        for c in range(d):
+            common &= masks[sub[owner, c + (j <= c)]]
+        bad[single[~common.any(axis=1)]] = True
+    sides = _apex_sides(vols[rows], d)[valid][order]
+    bad[:-1] |= starts[: n - 1] & ~one[:-1] & two[:-1] & (sides[:-1] * sides[1:] >= 0)
+    del sides
+    out = []
+    groups = np.flatnonzero(starts)
+    for p in np.flatnonzero(bad).tolist():
+        size = int(groups[np.searchsorted(groups, p, side="right")]) - p
+        owner, j = locate(order[p : p + size])
+        owners = tuple(map(tuple, sub[owner].tolist()))
+        k = int(rows[owner[0]]) * d1 + int(j[0])  # the first ridge's flat index
+        if size > 2:
+            out.append((k, Violation("ridge-overused", owners)))
+            continue
+        ridge = str(tuple(_ridge_rows(simp, np.array([k]))[0].tolist()))
+        kind = "open-interior-ridge" if size == 1 else "ridge-same-side"
+        out.append((k, Violation(kind, owners, ridge)))
+    return out
+
+
+def _facet_masks(config: PointConfiguration) -> np.ndarray:
+    """:func:`facet_incidence` as (points, words) ``uint64`` bitmasks: bit
+    f % 64 of word f // 64 in row p is whether point p lies on facet f."""
+    on = facet_incidence(config)
+    words = max(1, -(-on.shape[1] // 64))
+    bits = np.zeros((on.shape[0], 64 * words), dtype=bool)
+    bits[:, : on.shape[1]] = on
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8")
 
 
 def ridge_report(tri: Triangulation) -> ValidityReport:
@@ -580,7 +696,7 @@ def triangulation_to_json(tri: Triangulation) -> str:
     return buf.getvalue()
 
 
-READ_BLOCK = 1 << 20  # characters of the body parsed at a time
+READ_BLOCK = 1 << 18  # characters of the body parsed at a time
 _BRACKETS_AS_SPACES = str.maketrans("[],\n", "    ")
 
 

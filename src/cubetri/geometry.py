@@ -32,6 +32,10 @@ Point = tuple[int, ...]
 class CubeLabel:
     l: int
 
+    def __post_init__(self):
+        if self.l < 0:
+            raise ValueError("cube dimension must be >= 0")
+
     @property
     def dim(self) -> int:
         return self.l
@@ -43,6 +47,10 @@ class CubeLabel:
 @dataclass(frozen=True)
 class SimplexLabel:
     k: int
+
+    def __post_init__(self):
+        if self.k < 0:
+            raise ValueError("simplex dimension must be >= 0")
 
     @property
     def dim(self) -> int:
@@ -69,6 +77,10 @@ class ProductLabel:
 class MinkowskiLabel:
     l: int
     m: int  # number of cube(l) summands
+
+    def __post_init__(self):
+        if self.l < 0 or self.m < 0:
+            raise ValueError("minkowski dimension and summand count must be >= 0")
 
     @property
     def dim(self) -> int:
@@ -144,14 +156,10 @@ class PointConfiguration:
 
 
 def cube_config(l: int) -> PointConfiguration:
-    if l < 0:
-        raise ValueError("cube dimension must be >= 0")
     return PointConfiguration(CubeLabel(l))
 
 
 def simplex_config(k: int) -> PointConfiguration:
-    if k < 0:
-        raise ValueError("simplex dimension must be >= 0")
     return PointConfiguration(SimplexLabel(k))
 
 

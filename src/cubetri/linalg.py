@@ -143,8 +143,10 @@ def batch_last_det(m: np.ndarray) -> np.ndarray:
     maximum over the rows names each matrix's first nonzero row, the one a
     zero pivot swaps with, or none, for a matrix that is singular. Only
     columns k..n-1 of the two rows are swapped, since the columns left of
-    k are never read again. The trailing submatrix is then updated in place
-    and divided exactly by the previous pivot (:func:`_divide_exactly`).
+    k are never read again. The trailing submatrix is then updated in place:
+    scaled by the pivot, less the outer product of column k and row k,
+    formed one row at a time in one (n-1, N) buffer, and divided exactly by
+    the previous pivot (:func:`_divide_exactly`).
     """
     n, _, N = m.shape
     if not m.flags.c_contiguous:
@@ -155,6 +157,7 @@ def batch_last_det(m: np.ndarray) -> np.ndarray:
     alive = np.ones(N, dtype=bool)
     sign = np.ones(N, dtype=np.int64)
     prev = np.ones(N, dtype=m.dtype)
+    buf = np.empty((n - 1, N), dtype=m.dtype)  # one row of the outer product
     # weights[k:] are n - row for the rows k+1..n-1
     weights = np.arange(n - 1, 0, -1, dtype=np.min_scalar_type(n))[:, None]
     for k in range(n - 1):
@@ -183,10 +186,13 @@ def batch_last_det(m: np.ndarray) -> np.ndarray:
             np.negative(sign, out=sign, where=swap)
         pivot = np.where(alive, m[k, k], 1)
         # Column k below the pivot is never read again, so only the
-        # trailing submatrix is updated.
+        # trailing submatrix is updated, row by row through one buffer.
         sub = m[k + 1 :, k + 1 :]
         sub *= pivot
-        sub -= m[k + 1 :, k, None] * m[k, None, k + 1 :]
+        outer = buf[: n - k - 1]
+        for i in range(k + 1, n):
+            np.multiply(m[k, k + 1 :], m[i, k], out=outer)
+            m[i, k + 1 :] -= outer
         if k:  # prev is 1 at k = 0
             _divide_exactly(sub, prev)
         prev = pivot

@@ -62,7 +62,6 @@ from .complexes import (
     TriangulationWriter,
     _tally,
     efficiency,
-    index_rows,
     ridge_violations,
     signed_volumes,
     weighted_size,
@@ -222,7 +221,7 @@ def _product_step(
             if writer is not None:
                 writer.write(chunk)
             if keep:
-                kept.append(index_rows(chunk, len(points)))
+                kept.append(chunk)
             if certify:
                 vols_kept.append(vols)
         if writer is not None:

@@ -3,7 +3,11 @@ import random
 import pytest
 
 from cubetri.geometry import (
+    CubeLabel,
+    MinkowskiLabel,
     PointConfiguration,
+    ProductLabel,
+    SimplexLabel,
     affine_rank,
     ambient_normalized_volume,
     cube_config,
@@ -98,3 +102,30 @@ def test_config_from_label_round_trip():
         cfg = PointConfiguration(parse_label(text))
         assert str(cfg.label) == text
         assert len(set(cfg.points)) == len(cfg.points)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: CubeLabel(-1),
+        lambda: SimplexLabel(-1),
+        lambda: MinkowskiLabel(-1, 2),
+        lambda: MinkowskiLabel(2, -1),
+        lambda: cube_config(-1),
+        lambda: simplex_config(-1),
+        lambda: minkowski_config(2, -1),
+        lambda: product_config(cube_config(2), simplex_config(-1)),
+        lambda: PointConfiguration(ProductLabel(SimplexLabel(-2), CubeLabel(1))),
+    ],
+    ids=["cube", "simplex", "minkowski-l", "minkowski-m", "cube_config",
+         "simplex_config", "minkowski_config", "product", "product-label"],
+)
+def test_negative_sizes_are_rejected(make):
+    with pytest.raises(ValueError, match="must be >= 0"):
+        make()
+
+
+def test_zero_sizes_are_accepted():
+    assert cube_config(0).points == ((),)
+    assert simplex_config(0).points == ((),)
+    assert minkowski_config(2, 0).points == ((0, 0),)

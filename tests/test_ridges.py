@@ -12,6 +12,7 @@ and tampered triangulations.
 import itertools
 import os
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from helpers import cell_points, path_edges, reference_to_json
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cubetri import complexes
 from cubetri.cli import main
 from cubetri.complexes import (
     Triangulation,
@@ -27,12 +29,18 @@ from cubetri.complexes import (
     _apex_sides,
     batch_volumes_of,
     ridge_report,
+    ridge_violations,
     signed_volumes,
     triangulation_from_json,
     triangulation_to_json,
     validate_dissection,
 )
-from cubetri.geometry import cube_config, facet_inequalities, minkowski_config
+from cubetri.geometry import (
+    cube_config,
+    facet_inequalities,
+    minkowski_config,
+    simplex_config,
+)
 from cubetri.linalg import batch_abs_det, batch_det, det_bareiss, exact_dtype
 from cubetri.pipeline import PipelineSpec, build_cube_recursive
 from cubetri.seeds import (
@@ -213,6 +221,82 @@ def test_agrees_under_shuffles(pipeline_outputs, data):
     assert_agrees(Triangulation(tri.config, tuple(order)))
 
 
+# -- the bucketed matcher at its edges -----------------------------------------
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """Buckets of about 50 ridges, which split every output above d=3 into
+    many, and census chunks of 3 rows."""
+    monkeypatch.setattr(complexes, "RIDGE_BUCKET", 50)
+    monkeypatch.setattr(complexes, "CENSUS_CHUNK", 3)
+
+
+@pytest.mark.parametrize("kind", [None, "drop", "duplicate", "overlap"])
+def test_small_buckets_agree_on_pipeline_outputs(pipeline_outputs, small_chunks, kind):
+    for d, tri in pipeline_outputs.items():
+        cuts = complexes._bucket_cuts(tri.rows, len(tri.config.points))
+        assert len(cuts) > 2  # 2 buckets at d=4, 37 at d=7
+        if kind is None:
+            assert assert_agrees(tri).is_face_to_face
+        else:
+            assert not assert_agrees(tampered(tri, kind)).is_dissection
+
+
+def test_small_buckets_agree_on_a_duplicate_at_a_bucket_cut(
+    pipeline_outputs, small_chunks
+):
+    for d, tri in pipeline_outputs.items():
+        rows = tri.rows
+        cuts = complexes._bucket_cuts(rows, len(tri.config.points))[1:-1]
+        at_cut = np.flatnonzero(np.isin(rows[:, 0], cuts))
+        assert len(at_cut)
+        for i in (at_cut[0], at_cut[-1]):
+            doubled = Triangulation(tri.config, np.concatenate([rows, rows[i : i + 1]]))
+            assert not assert_agrees(doubled).is_dissection
+
+
+def test_more_than_64_facets(tmp_path):
+    """simplex(64) has 65 facets, so each point's facet mask takes two
+    words; the ridge without vertex 0 lies on facet 64 alone."""
+    cfg = simplex_config(64)
+    assert len(facet_inequalities(cfg.label)) == 65
+    tri = Triangulation(cfg, (tuple(range(65)),))
+    assert ridge_report(tri).is_face_to_face
+    path = os.fspath(tmp_path / "simplex64.json")
+    with open(path, "w") as fh:
+        fh.write(triangulation_to_json(tri))
+    assert main(["verify", path]) == 0
+    doubled = assert_agrees(Triangulation(cfg, tri.simplices * 2))
+    assert [v.kind for v in doubled.violations] == (
+        ["volume-mismatch"] + ["ridge-same-side"] * 65
+    )
+
+
+@pytest.fixture(scope="module")
+def d8_output():
+    return build_cube_recursive(
+        PipelineSpec(dim=8, samples=3, rng_seed=1, materialize_max_dim=8)
+    )[0]
+
+
+def test_buckets_bound_the_ridge_check_memory(d8_output, monkeypatch):
+    tri = d8_output
+    vols = signed_volumes(tri.config.points, tri.rows)
+
+    def peak(bucket):
+        monkeypatch.setattr(complexes, "RIDGE_BUCKET", bucket)
+        tracemalloc.start()
+        try:
+            assert ridge_violations(tri.config, tri.rows, vols) == []
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    whole = peak(tri.size * 9)  # one bucket
+    assert peak(1 << 12) < whole / 2
+
+
 # -- soundness by itself -------------------------------------------------------
 
 
@@ -325,11 +409,9 @@ def _assert_census_exact(points, rows):
     return got
 
 
-def test_census_matches_scalar_on_pipeline_outputs(pipeline_outputs):
+def test_census_matches_scalar_on_pipeline_outputs(pipeline_outputs, d8_output):
     tris = dict(pipeline_outputs)
-    tris[8] = build_cube_recursive(
-        PipelineSpec(dim=8, samples=3, rng_seed=1, materialize_max_dim=8)
-    )[0]
+    tris[8] = d8_output
     for d, tri in tris.items():
         assert exact_dtype(1, d) is np.int32
         vols = _assert_census_exact(tri.config.points, tri.rows)
