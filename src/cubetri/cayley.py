@@ -31,11 +31,14 @@ from .geometry import (
     CubeLabel,
     PointConfiguration,
     parse_label,
+    point_count,
     product_config,
     simplex_config,
 )
 
 Summand = tuple[int, ...]
+
+MIXED_BASE_GUARD = 2**16  # base points a read file may name: cube(16)
 
 
 @dataclass(frozen=True)
@@ -190,13 +193,17 @@ def mixed_to_json(sub: MixedSubdivision) -> str:
 
 def mixed_from_json(text: str) -> MixedSubdivision:
     """Read :func:`mixed_to_json`'s text. ValueError unless it is an object
-    with a string ``base``, a positive ``int`` ``m`` and ``cells`` that are
+    with a string ``base`` of at most ``MIXED_BASE_GUARD`` points (sized
+    before any is built), a positive ``int`` ``m`` and ``cells`` that are
     lists of summand lists of ``int`` indices of base points; whether the
     cells subdivide is :func:`validate_mixed`'s question."""
     obj = json.loads(text)
     if type(obj) is not dict or type(obj.get("base")) is not str:
         raise ValueError("not a mixed subdivision file")
-    base = PointConfiguration(parse_label(obj["base"]))
+    label = parse_label(obj["base"])
+    if point_count(label) > MIXED_BASE_GUARD:
+        raise ValueError(f"base {label} has more than {MIXED_BASE_GUARD} points")
+    base = PointConfiguration(label)
     m = obj.get("m")
     if type(m) is not int or m < 1:
         raise ValueError(f"m {m!r} is not a positive integer")

@@ -1,12 +1,13 @@
 """Product triangulations driven by a vertex coloring of the big factor.
 
-Given a triangulation T_Q of Q, a triangulation T_0 of P x simplex(m-1) and
-an m-coloring of Q's vertices, every cell P x sigma is lifted block-wise:
-the vertices of sigma colored i become the columns of block i, the base
-vertices of each T_0 cell the rows. Cells where a color is absent fall back
-to the restriction of T_0 to the corresponding face. All per-cell lifts are
-derived from the one global coloring and the canonical vertex orders, which
-is what makes neighbouring cells agree on shared faces.
+Given a triangulation T_Q of Q, a triangulation T_0 of P x simplex(m-1) (of
+P itself for m = 1, :func:`complexes.simplex_factor`) and an m-coloring of
+Q's vertices, every cell P x sigma is lifted block-wise: the vertices of
+sigma colored i become the columns of block i, the base vertices of each
+T_0 cell the rows. Cells where a color is absent fall back to the
+restriction of T_0 to the corresponding face. All per-cell lifts are
+derived from the one global coloring and the canonical vertex orders,
+which is what makes neighbouring cells agree on shared faces.
 
 One engine, :class:`ProductCells`, generates every product. A cell's
 simplices depend only on its signature (lvec, kvec) up to relabelling its
@@ -44,7 +45,6 @@ from .geometry import (
     PointConfiguration,
     ProductLabel,
     as_cube_if_product_of_cubes,
-    product_config,
     simplex_config,
 )
 from .staircase import lift_count, signature_template
@@ -278,16 +278,14 @@ def lift_triangulation(t0: Triangulation, kvec: tuple[int, ...]) -> Triangulatio
 
 def staircase_triangulation(k: int, l: int) -> Triangulation:
     """The staircase triangulation of simplex(k) x simplex(l): the lift of
-    simplex(k) x simplex(0) by (l + 1,).
+    simplex(k), which is simplex(k) x simplex(0), by (l + 1,).
 
     Exactly C(k+l, k) cells, one per monotone staircase of the
     (k+1) x (l+1) grid; every cell is unimodular.
     """
     if k < 0 or l < 0:
         raise ValueError("factor dimensions must be >= 0")
-    t0 = Triangulation(
-        product_config(simplex_config(k), simplex_config(0)), (tuple(range(k + 1)),)
-    )
+    t0 = Triangulation(simplex_config(k), (tuple(range(k + 1)),))
     return lift_triangulation(t0, (l + 1,))
 
 

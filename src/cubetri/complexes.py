@@ -38,8 +38,8 @@ the pseudo-manifold property in De Loera, Rambau and Santos,
 census, :func:`_census` (or :func:`_tally` on a chunk's signed volumes),
 and then :func:`ridge_violations`, the ridge part alone, on the census's
 signed volumes. The oracle's search grows cells under the same ridge
-conditions, on the same census, :func:`_apex_sides` and
-:func:`facet_incidence`.
+conditions, on the same census, ridge names (:func:`_ridge_rows`), apex
+sides (:func:`_apex_sides`) and facet test (:func:`_facet_masks`).
 
 Every step and check holds one bounded, narrow slice of its data at a
 time, besides the index rows themselves: the census takes chunks of
@@ -70,7 +70,6 @@ import numpy as np
 
 from . import linalg
 from .geometry import (
-    CubeLabel,
     Label,
     PointConfiguration,
     ProductLabel,
@@ -380,16 +379,6 @@ def _index_dtype(n_points: int):
     return np.uint16 if n_points < 2**16 else np.int64
 
 
-def facet_incidence(config: PointConfiguration) -> np.ndarray:
-    """(points, facets) incidence of a configuration: entry [p, f] is
-    whether point p lies on facet f of its polytope."""
-    facets = facet_inequalities(config.label)
-    a = np.array([av for av, _ in facets], dtype=np.int64)
-    b = np.array([bv for _, bv in facets], dtype=np.int64)
-    pts = np.array(config.points, dtype=np.int64)
-    return pts @ a.reshape(len(facets), config.dim).T == b
-
-
 RIDGE_BUCKET = 1 << 18  # ridges matched at a time: bounds the ridge check's memory
 
 
@@ -552,9 +541,13 @@ def _bucket_violations(
 
 
 def _facet_masks(config: PointConfiguration) -> np.ndarray:
-    """:func:`facet_incidence` as (points, words) ``uint64`` bitmasks: bit
-    f % 64 of word f // 64 in row p is whether point p lies on facet f."""
-    on = facet_incidence(config)
+    """(points, words) ``uint64`` bitmasks: bit f % 64 of word f // 64 in
+    row p is whether point p lies on facet f of the configuration's polytope."""
+    facets = facet_inequalities(config.label)
+    a = np.array([av for av, _ in facets], dtype=np.int64)
+    b = np.array([bv for _, bv in facets], dtype=np.int64)
+    pts = np.array(config.points, dtype=np.int64)
+    on = pts @ a.reshape(len(facets), config.dim).T == b
     words = max(1, -(-on.shape[1] // 64))
     bits = np.zeros((on.shape[0], 64 * words), dtype=bool)
     bits[:, : on.shape[1]] = on
@@ -579,17 +572,17 @@ def efficiency(size: int, d: int) -> float:
 
 
 def simplex_factor(config: PointConfiguration) -> tuple[Label, int]:
-    """(P, m) for a configuration of P x simplex(m-1).
+    """(P, m) for a configuration of P x simplex(m-1); a label that does
+    not end in ``simplex(k)`` is P itself with m = 1, as P x simplex(0)
+    has P's points in the same order.
 
     Vertex (p, i) of the product has index p * m + i, so ``idx % m`` is its
     simplex-factor vertex and ``idx // m`` its point of P.
     """
     label = config.label
-    if not isinstance(label, ProductLabel) or not isinstance(
-        label.right, SimplexLabel
-    ):
-        raise ValueError("configuration is not a product with a simplex factor")
-    return label.left, label.right.k + 1
+    if isinstance(label, ProductLabel) and isinstance(label.right, SimplexLabel):
+        return label.left, label.right.k + 1
+    return label, 1
 
 
 def factor_blocks(s: Simplex, m: int) -> tuple[tuple[int, ...], ...]:
@@ -604,14 +597,15 @@ def simplex_costs(
     config: PointConfiguration, rows: np.ndarray
 ) -> tuple[list[int], int]:
     """(costs, den): each row's weight as an integer cost over one
-    denominator; no other code weighs a cell. On P x simplex(m-1), with P
-    of dimension l, a row of type (t_1, ..., t_m) (its :func:`factor_blocks`
-    sizes minus one) weighs 1/∏ t_i!, so its cost is the multinomial
-    l!/∏ t_i! and den is l!. On cube(l), which is cube(l) x simplex(0),
-    every row costs 1 and den is l!. ValueError for any other
-    configuration and for a row with no vertex over some simplex vertex."""
-    if isinstance(config.label, CubeLabel):
-        return [1] * len(rows), math.factorial(config.label.l)
+    denominator; no other code weighs a cell. On P x simplex(m-1)
+    (:func:`simplex_factor`: m = 1 for a label with no simplex factor),
+    with P of dimension l, a row of type (t_1, ..., t_m) (its
+    :func:`factor_blocks` sizes minus one) weighs 1/∏ t_i!, so its cost is
+    the multinomial l!/∏ t_i! and den is l!. ValueError for rows that are
+    not of d+1 vertices and for a row with no vertex over some simplex
+    vertex."""
+    if rows.shape[1] != config.dim + 1:
+        raise ValueError(f"rows of {rows.shape[1]} vertices, not {config.dim + 1}")
     left, m = simplex_factor(config)
     counts = (rows[:, :, None] % m == np.arange(m)).sum(axis=1)
     if not counts.all():

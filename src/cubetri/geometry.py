@@ -13,6 +13,9 @@ are fixed once and referenced by every construction:
   (A index, B index). For two cubes this coincides with the canonical order
   of the combined cube.
 * ``minkowski(cube(l), m)``: all lattice points of [0, m]^l, lexicographic.
+
+``cube(l)`` is ``minkowski(cube(l), 1)`` under its own name (its ``m`` is
+1), so the two share each formula for points, count, volume and facets.
 """
 
 from __future__ import annotations
@@ -39,6 +42,10 @@ class CubeLabel:
     @property
     def dim(self) -> int:
         return self.l
+
+    @property
+    def m(self) -> int:
+        return 1  # one cube(l) summand: the unit box [0, 1]^l
 
     def __str__(self) -> str:
         return f"cube({self.l})"
@@ -120,14 +127,12 @@ def parse_label(s: str) -> Label:
 def _points(label: Label) -> tuple[Point, ...]:
     """The label's lattice points in the canonical order of the module
     docstring."""
-    if isinstance(label, CubeLabel):
-        return tuple(itertools.product((0, 1), repeat=label.l))
+    if isinstance(label, (CubeLabel, MinkowskiLabel)):
+        return tuple(itertools.product(range(label.m + 1), repeat=label.l))
     if isinstance(label, SimplexLabel):
         k = label.k
         units = tuple(tuple(int(j == i) for j in range(k)) for i in range(k))
         return ((0,) * k,) + units
-    if isinstance(label, MinkowskiLabel):
-        return tuple(itertools.product(range(label.m + 1), repeat=label.l))
     if isinstance(label, ProductLabel):
         right = _points(label.right)
         return tuple(p + q for p in _points(label.left) for q in right)
@@ -181,8 +186,7 @@ def point_count(label: Label) -> int:
         return min(point_count(label.left) * point_count(label.right), cap)
     if not isinstance(label, (CubeLabel, MinkowskiLabel)):
         raise ValueError(f"unsupported label {label}")
-    base = 2 if isinstance(label, CubeLabel) else label.m + 1
-    return min(base ** min(label.l, cap.bit_length()), cap)
+    return min((label.m + 1) ** min(label.l, cap.bit_length()), cap)
 
 
 def normalized_volume(vertices: list[Point]) -> int:
@@ -216,12 +220,10 @@ def affine_rank(points: list[Point]) -> int:
 
 def ambient_normalized_volume(label: Label) -> int:
     """Normalized volume (d! times Euclidean volume) of the labeled polytope."""
-    if isinstance(label, CubeLabel):
-        return math.factorial(label.l)
+    if isinstance(label, (CubeLabel, MinkowskiLabel)):
+        return label.m**label.l * math.factorial(label.l)
     if isinstance(label, SimplexLabel):
         return 1
-    if isinstance(label, MinkowskiLabel):
-        return label.m**label.l * math.factorial(label.l)
     if isinstance(label, ProductLabel):
         da, db = label.left.dim, label.right.dim
         return (
@@ -234,40 +236,20 @@ def ambient_normalized_volume(label: Label) -> int:
 
 def facet_inequalities(label: Label) -> list[tuple[tuple[int, ...], int]]:
     """Facets of the labeled polytope as pairs (a, b) meaning a·x <= b."""
-    if isinstance(label, CubeLabel):
+    if isinstance(label, (CubeLabel, MinkowskiLabel)):
         out = []
         for i in range(label.l):
-            e = [0] * label.l
-            e[i] = 1
-            out.append((tuple(e), 1))
-            out.append((tuple(-v for v in e), 0))
+            e = tuple(int(j == i) for j in range(label.l))
+            out += [(e, label.m), (tuple(-v for v in e), 0)]
         return out
     if isinstance(label, SimplexLabel):
         k = label.k
-        out = []
-        for i in range(k):
-            e = [0] * k
-            e[i] = -1
-            out.append((tuple(e), 0))
-        if k >= 1:
-            out.append((tuple(1 for _ in range(k)), 1))
-        return out
-    if isinstance(label, MinkowskiLabel):
-        out = []
-        for i in range(label.l):
-            e = [0] * label.l
-            e[i] = 1
-            out.append((tuple(e), label.m))
-            out.append((tuple(-v for v in e), 0))
-        return out
+        out = [(tuple(-int(j == i) for j in range(k)), 0) for i in range(k)]
+        return out + [((1,) * k, 1)] if k else out
     if isinstance(label, ProductLabel):
         da, db = label.left.dim, label.right.dim
-        out = []
-        for a, b in facet_inequalities(label.left):
-            out.append((a + tuple(0 for _ in range(db)), b))
-        for a, b in facet_inequalities(label.right):
-            out.append((tuple(0 for _ in range(da)) + a, b))
-        return out
+        left = [(a + (0,) * db, b) for a, b in facet_inequalities(label.left)]
+        return left + [((0,) * da + a, b) for a, b in facet_inequalities(label.right)]
     raise ValueError(f"unsupported label {label}")
 
 

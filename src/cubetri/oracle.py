@@ -27,8 +27,10 @@ A cell joins only under the ridge conditions of
 :func:`complexes.ridge_violations`, so a closed leaf passes the ridge
 certificate. The search takes no determinant of its own: censuses
 (:func:`complexes.signed_volumes`) give the candidates, their volumes,
-their ridge sides (:func:`complexes._apex_sides`) and the starting cells,
-and :func:`complexes.facet_incidence` the boundary ridges.
+their ridge sides (:func:`complexes._apex_sides`) and the starting cells.
+The ridges are named and matched by the certificate's code
+(:func:`complexes._ridge_rows`, one stable sort), and the facet bitmasks
+of :func:`complexes._facet_masks` tell the boundary ones.
 """
 
 from __future__ import annotations
@@ -44,7 +46,9 @@ import numpy as np
 from .complexes import (
     Triangulation,
     _apex_sides,
-    facet_incidence,
+    _facet_masks,
+    _ridge_rows,
+    index_rows,
     signed_volumes,
     simplex_costs,
 )
@@ -85,33 +89,45 @@ class _Enumerator:
         live = np.flatnonzero(signed)
         self.signed = signed[live]
         self.cand_rows = combos[live]
-        self.cands = list(map(tuple, self.cand_rows.tolist()))
         self.vols = np.abs(self.signed).tolist()
-        # ridge -> {candidate: side of the candidate's apex}, candidates ascending
-        self.by_ridge: dict[tuple, dict[int, int]] = {}
-        sides = _apex_sides(self.signed, self.d).tolist()
-        for ci, (s, side) in enumerate(zip(self.cands, sides)):
-            for j in range(self.d + 1):
-                self.by_ridge.setdefault(s[:j] + s[j + 1 :], {})[ci] = side[j]
-        # The search names ridges by their rank in lexicographic order, so
-        # the smallest open one is the lexicographically first.
-        ridges = sorted(self.by_ridge)
-        rank = {r: i for i, r in enumerate(ridges)}
-        self.sides = [self.by_ridge[r] for r in ridges]
-        rows = np.array(ridges, dtype=np.intp).reshape(len(ridges), self.d)
-        on_facet = facet_incidence(config)[rows].all(axis=1).any(axis=1)
-        self.boundary = set(itertools.compress(ridges, on_facet.tolist()))
+        # Ridge k = i (d+1) + j is candidate i without its position j, in the
+        # index dtype, as in the certificate. One stable sort lists equal
+        # ridges together, candidates ascending; a ridge is named by its
+        # rank in lexicographic order, so the smallest open one is the first.
+        d1 = self.d + 1
+        simp = index_rows(self.cand_rows, n)
+        flat = _ridge_rows(simp, np.arange(len(simp) * d1))
+        order = np.lexsort(flat.T[::-1])
+        ranked = flat[order]
+        starts = np.ones(len(order), dtype=bool)
+        starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+        self.ridge_rows = ranked[starts]
+        rank = np.empty(len(order), dtype=np.intp)
+        rank[order] = np.cumsum(starts) - 1
+        # ridge -> {candidate: side of the candidate's apex}, candidates
+        # ascending: the run of ridge r in sorted order
+        owner = (order // d1).tolist()
+        side = _apex_sides(self.signed, self.d).ravel()[order].tolist()
+        cuts = np.flatnonzero(np.append(starts, True)).tolist()
+        self.sides = [
+            dict(zip(owner[a:b], side[a:b])) for a, b in zip(cuts, cuts[1:])
+        ]
+        # A ridge is on the boundary when its vertices share a facet.
+        masks = _facet_masks(config)[self.ridge_rows]
+        boundary = np.bitwise_and.reduce(masks, axis=1).any(axis=1)
+        self.boundary = boundary.tolist()
         # candidate -> ranks of its ridges: all, off the boundary, on it
-        self.ridges = []
-        for s in self.cands:
-            faces = [s[:j] + s[j + 1 :] for j in range(self.d + 1)]
-            inner = [rank[r] for r in faces if r not in self.boundary]
-            outer = [rank[r] for r in faces if r in self.boundary]
-            self.ridges.append((frozenset(inner + outer), inner, outer))
+        faces = rank.reshape(-1, d1)
+        outer = boundary[faces]
+        split = (d1 - outer.sum(axis=1)).tolist()
+        faces = np.take_along_axis(faces, np.argsort(outer, axis=1, kind="stable"), 1)
+        self.ridges = [
+            (frozenset(f), f[:k], f[k:]) for f, k in zip(faces.tolist(), split)
+        ]
         # the search's cost model, exhaustive until :meth:`minimum` sets it:
         # candidate costs, the least of them, r = rate[0] / rate[1] and the
         # best total so far
-        self.costs = [0] * len(self.cands)
+        self.costs = [0] * len(self.cand_rows)
         self.least = 0
         self.rate = (0, 1)
         self.best = math.inf
@@ -252,7 +268,7 @@ def min_weighted_size(
     the first minimal triangulation in enumeration order."""
     enum = _Enumerator(problem.config)
     if problem.objective == "cardinality":
-        costs, den = [1] * len(enum.cands), 1
+        costs, den = [1] * len(enum.cand_rows), 1
     else:
         costs, den = simplex_costs(problem.config, enum.cand_rows)
     total, chosen = enum.minimum(costs)

@@ -64,14 +64,10 @@ from .complexes import (
     efficiency,
     ridge_violations,
     signed_volumes,
+    triangulation_to_json,
     weighted_size,
 )
-from .geometry import (
-    ambient_normalized_volume,
-    cube_config,
-    product_config,
-    simplex_config,
-)
+from .geometry import ambient_normalized_volume
 from .seeds import (
     ASYMPTOTIC_TARGET_2,
     ASYMPTOTIC_TARGET_3,
@@ -147,31 +143,21 @@ class PipelineReport:
     ok: bool
 
 
-def _cube_as_point_product(tri: Triangulation) -> Triangulation:
-    """Reinterpret a cube triangulation as one of cube(l) x simplex(0);
-    the point lists coincide, so indices carry over unchanged."""
-    l = tri.config.dim
-    cfg = product_config(cube_config(l), simplex_config(0))
-    return Triangulation(cfg, tri.rows)
-
-
 def _pick_seed(spec: PipelineSpec, n: int) -> tuple[str, int, Triangulation]:
-    """Seed triangulation for one step, clamped so that m <= n.
+    """Seed triangulation for one step, clamped so that m <= n; a cube
+    triangulation is its own seed with m = 1.
 
     A seed that fails its build-time verification raises AssertionError,
     which fails the run.
     """
-    l = spec.l
     if spec.seed == "unimodular":
-        return "unimodular", 1, _cube_as_point_product(unimodular_cube(l))
-    if spec.seed == "minimal":
-        return "minimal", 1, _cube_as_point_product(minimal_cube(l))
-    want_m = min(spec.m, 3 if spec.seed == "i3d2" else 2, n)
+        return "unimodular", 1, unimodular_cube(spec.l)
+    want_m = min(spec.m, {"i3d2": 3, "i3d1": 2}.get(spec.seed, 1), n)
     if want_m >= 3:
         return "i3d2", 3, cayley_seed("i3d2")
     if want_m == 2:
         return "i3d1", 2, cayley_seed("i3d1")
-    return "minimal", 1, _cube_as_point_product(minimal_cube(l))
+    return "minimal", 1, minimal_cube(spec.l)
 
 
 def _signature_certified(signature, count: int) -> bool:
@@ -244,11 +230,15 @@ def build_cube_recursive(spec: PipelineSpec):
     """Build a triangulation of the target cube by repeated product steps.
 
     Returns (triangulation_or_None, PipelineReport); the triangulation is
-    None when the final step exceeded the materialization threshold.
+    None when the final step exceeded the materialization threshold. With
+    no step (dim <= l) the base is the output, and ``spec.out`` gets it.
     """
     l = spec.l
     base_dim = ((spec.dim - 1) % l) + 1
     current = minimal_cube(base_dim)
+    if base_dim == spec.dim and spec.out:
+        with open(spec.out, "w") as fh:
+            fh.write(triangulation_to_json(current))
     sizes = {base_dim: current.size}
     steps: list[StepReport] = []
     ok = True
@@ -266,14 +256,9 @@ def build_cube_recursive(spec: PipelineSpec):
                 )
             )
             rng_counter += 1
-        best = None
-        best_size = None
-        sample_sizes = []
-        for coloring in candidates:
-            s = product_size(current, t0, coloring)
-            sample_sizes.append(s)
-            if best_size is None or s < best_size:
-                best, best_size = coloring, s
+        sample_sizes = [product_size(current, t0, c) for c in candidates]
+        best_size = min(sample_sizes)
+        best = candidates[sample_sizes.index(best_size)]  # the first smallest
         new_dim = cur + l
         bound = size_bound(current.size, t0_ws, n, m_step, l)
         bound_ok = Fraction(best_size) <= bound
@@ -307,9 +292,8 @@ def build_cube_haiman(t_k: Triangulation, t_l: Triangulation) -> Triangulation:
     """Staircase refinement of T_k x T_l: size |T_k| |T_l| C(k+l, k), with
     k and l the factors' dimensions."""
     k, l = t_k.config.dim, t_l.config.dim
-    t0 = _cube_as_point_product(t_k)
     coloring = make_coloring(len(t_l.config.points), 1, "balanced")
-    tri = triangulate_product(t_l, t0, coloring)
+    tri = triangulate_product(t_l, t_k, coloring)
     expected = t_k.size * t_l.size * math.comb(k + l, k)
     if tri.size != expected:
         raise AssertionError("refinement size disagrees with the closed form")
@@ -345,19 +329,8 @@ def report_table(d_max: int) -> str:
     haiman = haiman_baseline_sizes(max(d_max, 3))
     buf = io.StringIO()
     w = csv.writer(buf)
-    w.writerow(
-        [
-            "d",
-            "size",
-            "efficiency",
-            "bound",
-            "hadamard",
-            "smith",
-            "phi_known",
-            "rho_known",
-            "haiman",
-        ]
-    )
+    header = "d size efficiency bound hadamard smith phi_known rho_known haiman"
+    w.writerow(header.split())
     for d in range(1, d_max + 1):
         size = sizes.get(d, "")
         eff = f"{efficiency(size, d):.4f}" if size != "" else ""

@@ -20,7 +20,6 @@ from cubetri.complexes import (
     _apex_sides,
     _census,
     _pair_scan,
-    facet_incidence,
     factor_blocks,
     signed_volumes,
     simplex_factor,
@@ -31,6 +30,7 @@ from cubetri.geometry import (
     affine_rank,
     ambient_normalized_volume,
     cube_config,
+    facet_inequalities,
     parse_label,
     product_config,
     simplex_config,
@@ -317,10 +317,17 @@ class ReferenceEnumerator:
         for ci, (s, side) in enumerate(zip(self.cands, sides)):
             for j in range(self.d + 1):
                 self.by_ridge.setdefault(s[:j] + s[j + 1 :], {})[ci] = side[j]
-        ridges = list(self.by_ridge)
-        rows = np.array(ridges, dtype=np.intp).reshape(len(ridges), self.d)
-        on_facet = facet_incidence(config)[rows].all(axis=1).any(axis=1)
-        self.boundary = set(itertools.compress(ridges, on_facet.tolist()))
+        # a ridge is on the boundary when all its points satisfy one facet
+        # inequality with equality, one ridge at a time
+        facets = facet_inequalities(config.label)
+        self.boundary = {
+            ridge
+            for ridge in self.by_ridge
+            if any(
+                all(sum(a * x for a, x in zip(av, self.pts[i])) == b for i in ridge)
+                for av, b in facets
+            )
+        }
         self._compat: dict[tuple[int, int], bool] = {}
 
     def _compatible(self, a: int, b: int) -> bool:

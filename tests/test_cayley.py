@@ -32,8 +32,8 @@ from cubetri.complexes import (
     validate_face_to_face,
     weighted_size,
 )
-from cubetri.geometry import cube_config
-from cubetri.seeds import cayley_seed, seed_i3d1, seed_i3d2, square_family
+from cubetri.geometry import cube_config, minkowski_config
+from cubetri.seeds import cayley_seed, minimal_cube, seed_i3d1, seed_i3d2, square_family
 
 
 def test_round_trip_i3d1():
@@ -380,3 +380,44 @@ def test_every_weight_comes_from_simplex_costs(monkeypatch):
         cayley_seed("i3d1")
     monkeypatch.undo()
     assert cayley_seed("i3d1") == tri
+
+
+@pytest.mark.parametrize("l", [17, 40])
+def test_mixed_from_json_sizes_the_base_before_building_it(monkeypatch, l):
+    from cubetri import geometry
+
+    def refuse(label):
+        raise AssertionError(f"built the points of {label}")
+
+    monkeypatch.setattr(geometry, "_points", refuse)
+    text = json.dumps({"base": f"cube({l})", "m": 1, "cells": []})
+    with pytest.raises(ValueError, match="more than 65536 points"):
+        mixed_from_json(text)
+
+
+@pytest.mark.parametrize(
+    "sub",
+    [
+        seed_i3d1(),
+        seed_i3d2(),
+        square_family(5),
+        MixedSubdivision(minkowski_config(3, 3), 1, (MixedCell(((0, 1, 4, 13),)),)),
+        MixedSubdivision(cube_config(16), 1, ()),
+    ],
+    ids=["i3d1", "i3d2", "square_family(5)", "minkowski(cube(3),3)", "cube(16)"],
+)
+def test_mixed_json_round_trips_within_the_base_guard(sub):
+    back = mixed_from_json(mixed_to_json(sub))
+    assert (back.base, back.m, back.cells) == (sub.base, sub.m, sub.cells)
+
+
+def test_a_triangulation_with_no_simplex_factor_is_an_m1_subdivision():
+    # cube(3) is cube(3) x simplex(0): one summand per cell, the cell itself
+    tri = minimal_cube(3)
+    sub = triangulation_to_mixed(tri)
+    assert (sub.base, sub.m) == (tri.config, 1)
+    assert [c.summands for c in sub.cells] == [(s,) for s in tri.simplices]
+    back = mixed_to_triangulation(sub)
+    assert str(back.config.label) == "cube(3)xsimplex(0)"
+    assert back.rows.tolist() == tri.rows.tolist()
+    assert validate_mixed(sub).is_dissection

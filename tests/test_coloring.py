@@ -7,6 +7,7 @@ from helpers import enumerated_expected_size, reference_validate_face_to_face
 from cubetri.coloring import (
     Coloring,
     exact_expected_size,
+    lift_triangulation,
     make_coloring,
     monte_carlo_size,
     product_size,
@@ -15,7 +16,7 @@ from cubetri.coloring import (
 )
 from cubetri.complexes import weighted_size
 from cubetri.geometry import cube_config, product_config, simplex_config
-from cubetri.seeds import cayley_seed, minimal_cube, square_seed_m2
+from cubetri.seeds import cayley_seed, minimal_cube, square_seed_m2, unimodular_cube
 from cubetri.verification import StructuredChecker
 from cubetri.cayley import mixed_to_triangulation
 
@@ -214,3 +215,24 @@ def test_structured_checker_catches_tampering():
     report = StructuredChecker(tampered, prov, coloring).run()
     assert not report.is_face_to_face
     assert any(v.kind == "cell-simplices-mismatch" for v in report.violations)
+
+
+@pytest.mark.parametrize("make_t0", [minimal_cube, unimodular_cube])
+@pytest.mark.parametrize("q_dim", [1, 2, 3])
+def test_a_cube_triangulation_is_its_own_m1_seed(make_t0, q_dim):
+    # t0 on cube(3) and the same rows on cube(3) x simplex(0) give the same
+    # product: P x simplex(0) has P's points in P's order
+    from helpers import cube_as_point_product
+
+    t0, t_q = make_t0(3), minimal_cube(q_dim)
+    relabelled = cube_as_point_product(t0)
+    assert relabelled.config != t0.config
+    coloring = make_coloring(len(t_q.config.points), 1, "balanced")
+    got = triangulate_product(t_q, t0, coloring)
+    want = triangulate_product(t_q, relabelled, coloring)
+    assert got.config.label == want.config.label
+    assert str(got.config.label) == f"cube({3 + q_dim})"
+    assert got.rows.tolist() == want.rows.tolist()
+    assert product_size(t_q, t0, coloring) == got.size
+    lifted = lift_triangulation(t0, (q_dim + 1,))
+    assert lifted == lift_triangulation(relabelled, (q_dim + 1,))

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from helpers import type_weight
 
@@ -12,6 +13,8 @@ from cubetri.complexes import (
     efficiency,
     factor_blocks,
     ridge_report,
+    simplex_costs,
+    simplex_factor,
     triangulation_from_json,
     triangulation_to_json,
     validate_dissection,
@@ -19,11 +22,14 @@ from cubetri.complexes import (
     weighted_size,
 )
 from cubetri.geometry import (
+    PointConfiguration,
     cube_config,
     minkowski_config,
+    parse_label,
     product_config,
     simplex_config,
 )
+from cubetri.seeds import minimal_cube, unimodular_cube
 from cubetri.verification import batch_volumes_of, volume_total
 
 UNIT_SQUARE = Triangulation(cube_config(2), ((0, 2, 3), (0, 1, 3)))
@@ -213,3 +219,40 @@ def test_weighted_size_bounded_by_unimodular_total():
         assert ws <= 4
         unimodular = all(tri.volume_of(s) == 1 for s in tri.simplices)
         assert (ws == 4) == unimodular
+
+
+@pytest.mark.parametrize(
+    "label, factor, m",
+    [
+        ("cube(3)", "cube(3)", 1),
+        ("simplex(2)", "simplex(2)", 1),
+        ("minkowski(cube(2),3)", "minkowski(cube(2),3)", 1),
+        ("cube(2)xcube(1)", "cube(2)xcube(1)", 1),
+        ("cube(3)xsimplex(2)", "cube(3)", 3),
+    ],
+)
+def test_every_label_has_a_simplex_factor(label, factor, m):
+    # a label with no simplex factor is P x simplex(0): the same points
+    cfg = PointConfiguration(parse_label(label))
+    left, got = simplex_factor(cfg)
+    assert (str(left), got) == (factor, m)
+    if m == 1:
+        assert product_config(PointConfiguration(left), simplex_config(0)).points == (
+            cfg.points
+        )
+
+
+def test_a_label_with_no_simplex_factor_costs_one_per_cell():
+    # m = 1: every row is of type (l,), costing l!/l! = 1 over l!
+    tri = unimodular_cube(3)
+    assert simplex_costs(tri.config, tri.rows) == ([1] * 6, 6)
+    assert weighted_size(minimal_cube(3)) == Fraction(5, 6)
+    assert simplex_costs(BIG_SQUARE, np.array([[0, 1, 3]])) == ([1], 2)
+
+
+@pytest.mark.parametrize("label", ["cube(2)", "cube(2)xsimplex(0)", "cube(1)xsimplex(1)"])
+def test_only_full_dimensional_rows_have_a_weight(label):
+    cfg = PointConfiguration(parse_label(label))
+    for rows in ([(0, 1)], [(0, 1, 2, 3)]):
+        with pytest.raises(ValueError, match="vertices, not 3"):
+            weighted_size(Triangulation(cfg, rows))

@@ -11,9 +11,11 @@ from cubetri.geometry import (
     affine_rank,
     ambient_normalized_volume,
     cube_config,
+    facet_inequalities,
     minkowski_config,
     normalized_volume,
     parse_label,
+    point_count,
     product_config,
     simplex_config,
 )
@@ -129,3 +131,17 @@ def test_zero_sizes_are_accepted():
     assert cube_config(0).points == ((),)
     assert simplex_config(0).points == ((),)
     assert minkowski_config(2, 0).points == ((0, 0),)
+
+
+@pytest.mark.parametrize("l", range(6))
+def test_a_cube_is_the_unit_box(l):
+    # cube(l) is minkowski(cube(l), 1) under its own name
+    cube, box = CubeLabel(l), MinkowskiLabel(l, 1)
+    assert cube.m == 1
+    assert PointConfiguration(cube).points == PointConfiguration(box).points
+    assert point_count(cube) == point_count(box) == 2**l
+    assert ambient_normalized_volume(cube) == ambient_normalized_volume(box)
+    assert facet_inequalities(cube) == facet_inequalities(box)
+    assert str(cube) == f"cube({l})" != str(box)
+    assert parse_label(str(cube)) == cube != box
+    assert PointConfiguration(cube) != PointConfiguration(box)

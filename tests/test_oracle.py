@@ -205,18 +205,36 @@ def test_census_matches_the_scalar_reference(name):
     cfg = PINNED[name][0]
     enum = _Enumerator(cfg)
     cands, vols = scalar_census(cfg)
-    assert enum.cands == cands
+    assert enum.cand_rows.tolist() == [list(s) for s in cands]
     assert enum.vols == vols
-    assert enum.boundary == {
-        ridge for ridge in enum.by_ridge if scalar_is_boundary(cfg, ridge)
-    }
+    # ridges are named by their rank in ridge_rows
+    ridges = list(map(tuple, enum.ridge_rows.tolist()))
+    rank = {ridge: r for r, ridge in enumerate(ridges)}
+    assert len(rank) == len(ridges)
+    assert enum.boundary == [scalar_is_boundary(cfg, ridge) for ridge in ridges]
     n_sides = 0
     for ci, s in enumerate(cands):
+        faces = []
         for drop in s:
             ridge = tuple(i for i in s if i != drop)
-            assert enum.by_ridge[ridge][ci] == scalar_side(cfg, ridge, drop)
+            faces.append(rank[ridge])
+            assert enum.sides[rank[ridge]][ci] == scalar_side(cfg, ridge, drop)
             n_sides += 1
-    assert n_sides == sum(map(len, enum.by_ridge.values()))
+        assert enum.ridges[ci] == (
+            frozenset(faces),
+            [r for r in faces if not enum.boundary[r]],
+            [r for r in faces if enum.boundary[r]],
+        )
+    assert n_sides == sum(map(len, enum.sides))
+    # candidates ascending within each ridge
+    assert all(list(sides) == sorted(sides) for sides in enum.sides)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_ridge_ranks_are_lexicographic(name):
+    # the first open ridge by rank is the lexicographically first
+    rows = _Enumerator(PINNED[name][0]).ridge_rows.tolist()
+    assert all(a < b for a, b in zip(rows, rows[1:]))
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
@@ -323,10 +341,10 @@ def test_a_full_ridge_takes_no_further_cell(name):
     enum = _Enumerator(PINNED[name][0])
     empty = ({}, frozenset(), 0)
     refused = 0
-    for ridge, sides in enum.by_ridge.items():
+    for ridge, sides in enumerate(enum.sides):
         for a in sides:
             state = enum._after(empty, a)
-            if ridge not in enum.boundary:
+            if not enum.boundary[ridge]:
                 b = next((b for b in sides if sides[b] != sides[a]), None)
                 state = None if b is None else enum._after(state, b)
             for c in sides:

@@ -6,7 +6,12 @@ from fractions import Fraction
 import pytest
 
 from cubetri import pipeline
-from cubetri.complexes import efficiency, triangulation_from_json, validate_dissection
+from cubetri.complexes import (
+    efficiency,
+    triangulation_from_json,
+    triangulation_to_json,
+    validate_dissection,
+)
 from cubetri.pipeline import (
     PipelineSpec,
     build_cube_haiman,
@@ -421,3 +426,19 @@ def test_cli_expect_prints_the_exact_value_past_enumeration(capsys):
     assert header.split(",")[-1] == "expected_exact"
     exact = Fraction(row.split(",")[-1])
     assert exact > 0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_a_build_with_no_product_step_writes_its_file(tmp_path, capsys, dim):
+    # dim <= l: the base is the output, written by the one writer
+    from cubetri.cli import main
+
+    out = os.fspath(tmp_path / f"t{dim}.json")
+    assert main(["build", "cube", "--dim", str(dim), "--out", out]) == 0
+    with open(out) as fh:
+        assert fh.read() == triangulation_to_json(minimal_cube(dim))
+    capsys.readouterr()
+    assert main(["verify", out]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("volume census: True")
+    assert lines[1].startswith("ridges: True")

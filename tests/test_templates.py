@@ -29,7 +29,7 @@ from cubetri.coloring import (
 )
 from cubetri.complexes import Triangulation, factor_blocks, simplex_factor
 from cubetri.geometry import PointConfiguration, product_config, simplex_config
-from cubetri.pipeline import PipelineSpec, _cube_as_point_product, build_cube_recursive
+from cubetri.pipeline import PipelineSpec, build_cube_recursive
 from cubetri.seeds import cayley_seed, minimal_cube, unimodular_cube
 from cubetri.staircase import (
     LiftedCell,
@@ -98,10 +98,11 @@ def reference_lift(t0, kvec):
 
 
 def seed(name):
+    # a cube triangulation is its own seed, with m = 1
     if name == "minimal":
-        return _cube_as_point_product(minimal_cube(3))
+        return minimal_cube(3)
     if name == "unimodular":
-        return _cube_as_point_product(unimodular_cube(3))
+        return unimodular_cube(3)
     return cayley_seed(name)
 
 

@@ -61,6 +61,75 @@ def test_the_unused_import_check_sees_one(tmp_path):
     assert unused_imports(module) == ["module.py:2 math", "module.py:4 Fraction"]
 
 
+def callers(name: str) -> set[str]:
+    """``module.function`` for each function of the package that calls
+    ``name``, as a bare name or an attribute (``module`` for a call outside
+    any function)."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where.split('.')[0]}.{node.name}"
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if called == name:
+                found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in PACKAGE.glob("*.py"):
+        visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def identifiers(path: Path) -> set[str]:
+    """Every name the code of ``path`` binds or reads: names, attributes,
+    functions, classes and arguments; comments and strings are not code."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, ast.arg):
+            out.add(node.arg)
+    return out
+
+
+def test_each_decision_has_one_owner():
+    """The oracle takes its ridges and facets from the certificate, and a
+    label with no simplex factor is P x simplex(0) through
+    ``complexes.simplex_factor``: the second owners stay gone."""
+    gone = {"facet_incidence", "_cube_as_point_product", "by_ridge"}
+    found = {
+        f"{path.name}: {name}"
+        for path in PACKAGE.glob("*.py")
+        for name in identifiers(path) & gone
+    }
+    assert found == set()
+    # besides its own recursion over product factors
+    assert callers("facet_inequalities") - {"geometry.facet_inequalities"} == {
+        "complexes._facet_masks"
+    }
+
+
+def test_the_owner_checks_see_a_second_owner(tmp_path, monkeypatch):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "def facet_incidence(config):\n"
+        "    return geometry.facet_inequalities(config.label)\n"
+        "class E:\n"
+        "    def __init__(self):\n"
+        "        self.by_ridge = {}  # by_ridge in a comment is not code\n"
+    )
+    assert identifiers(module) >= {"facet_incidence", "by_ridge"}
+    monkeypatch.setattr(sys.modules[__name__], "PACKAGE", tmp_path)
+    assert callers("facet_inequalities") == {"module.facet_incidence"}
+
+
 def test_tracer_installs_and_uninstalls(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     spans = importlib.import_module("spans")
