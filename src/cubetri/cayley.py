@@ -39,6 +39,7 @@ from .geometry import (
 Summand = tuple[int, ...]
 
 MIXED_BASE_GUARD = 2**16  # base points a read file may name: cube(16)
+MIXED_CAYLEY_GUARD = 2**20  # its Cayley coordinates: cube(16) at m = 1
 
 
 @dataclass(frozen=True)
@@ -193,20 +194,25 @@ def mixed_to_json(sub: MixedSubdivision) -> str:
 
 def mixed_from_json(text: str) -> MixedSubdivision:
     """Read :func:`mixed_to_json`'s text. ValueError unless it is an object
-    with a string ``base`` of at most ``MIXED_BASE_GUARD`` points (sized
-    before any is built), a positive ``int`` ``m`` and ``cells`` that are
-    lists of summand lists of ``int`` indices of base points; whether the
-    cells subdivide is :func:`validate_mixed`'s question."""
+    with a string ``base`` of at most ``MIXED_BASE_GUARD`` points, a
+    positive ``int`` ``m`` whose Cayley configuration, base x simplex(m-1),
+    has at most ``MIXED_CAYLEY_GUARD`` coordinates (both sized before any
+    point is built), and ``cells`` that are lists of summand lists of
+    ``int`` indices of base points; whether the cells subdivide is
+    :func:`validate_mixed`'s question."""
     obj = json.loads(text)
     if type(obj) is not dict or type(obj.get("base")) is not str:
         raise ValueError("not a mixed subdivision file")
     label = parse_label(obj["base"])
     if point_count(label) > MIXED_BASE_GUARD:
         raise ValueError(f"base {label} has more than {MIXED_BASE_GUARD} points")
-    base = PointConfiguration(label)
     m = obj.get("m")
     if type(m) is not int or m < 1:
         raise ValueError(f"m {m!r} is not a positive integer")
+    if point_count(label) * m * (label.dim + m - 1) > MIXED_CAYLEY_GUARD:
+        raise ValueError(f"base {label} at m = {m} has more Cayley coordinates "
+                         f"than MIXED_CAYLEY_GUARD = {MIXED_CAYLEY_GUARD}")
+    base = PointConfiguration(label)
     cells = obj.get("cells")
     if type(cells) is not list or not all(
         type(c) is list and all(type(b) is list for b in c) for c in cells

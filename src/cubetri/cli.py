@@ -1,10 +1,10 @@
 """Command-line surface.
 
-    cubetri build cube --dim D [--l L] [--m M] [--seed NAME]
+    cubetri build cube --dim D [--l L] [--seed NAME]
                        [--rng-seed N] [--samples S] [--out PATH]
     cubetri verify PATH
     cubetri report table --max-dim D [--out CSV]
-    cubetri expect --q-dim N --m M --samples S --rng-seed N
+    cubetri expect --q-dim N [--seed NAME] [--samples S] [--rng-seed N]
     cubetri seeds show NAME [--out PATH]
     cubetri oracle min-weighted --config NAME [--objective weighted|cardinality]
 
@@ -14,6 +14,11 @@ both linear in its size. A file that cannot be read or decoded, or whose
 index of a point, or simplices of different sizes), prints one
 ``invalid file: ...`` line. ``expect`` prints the exact expected size over
 uniform colorings next to sampled sizes, for ``--q-dim`` 1..10.
+
+``--seed`` sets the colors m of a step: 3 for i3d2 (the paper's k = 3,
+m = 2 triangulation of I^3 x simplex(2)), 2 for i3d1 and 1 for minimal
+and unimodular, clamped to the vertex count of a simplex of the cube the
+step refines.
 
 Exit code 0 iff every requested validation passed; 2 for a spec that
 ``build``, ``report table``, ``expect``, ``seeds show`` or ``oracle``
@@ -29,6 +34,7 @@ import argparse
 import os
 import re
 import sys
+from dataclasses import replace
 
 from .cayley import mixed_to_json
 from .coloring import exact_expected_size, monte_carlo_size, size_bound
@@ -71,7 +77,7 @@ def _emit(text: str, out: str | None, end: str = "\n") -> None:
 
 
 def _build_spec(args) -> PipelineSpec:
-    return PipelineSpec(dim=args.dim, l=args.l, m=args.m, seed=args.seed,
+    return PipelineSpec(dim=args.dim, l=args.l, seed=args.seed,
                         rng_seed=args.rng_seed, samples=args.samples, out=args.out)
 
 
@@ -124,29 +130,28 @@ def _cmd_report(args, max_dim: int) -> int:
     return 0
 
 
-def _expect_specs(args) -> tuple[PipelineSpec, PipelineSpec]:
+def _expect_spec(args) -> PipelineSpec:
     """The build of T_Q, kept whole (about 11.7 million rows at d = 11, so
-    d <= 10), and the step on it whose colorings are sampled."""
+    d <= 10). The step on it takes ``--seed`` and samples its colorings."""
     if args.q_dim < 1:
         raise ValueError("q-dim must be positive")
     if args.q_dim > 10:
         raise ValueError(f"q-dim {args.q_dim} is above 10, the largest T_Q kept")
-    t_q = PipelineSpec(dim=args.q_dim, materialize_max_dim=args.q_dim)
-    return t_q, PipelineSpec(dim=args.q_dim + 3, m=args.m, samples=args.samples,
-                             materialize_max_dim=args.q_dim)
+    if args.samples < 1:
+        raise ValueError("samples must be positive")
+    return PipelineSpec(dim=args.q_dim, materialize_max_dim=args.q_dim)
 
 
-def _cmd_expect(args, specs: tuple[PipelineSpec, PipelineSpec]) -> int:
-    tq_spec, spec = specs
-    t_q = build_cube_recursive(tq_spec)[0]
+def _cmd_expect(args, spec: PipelineSpec) -> int:
+    t_q = build_cube_recursive(spec)[0]
     n = args.q_dim + 1
-    seed_name, m, t0 = _pick_seed(spec, n)  # clamps m as build does
+    seed_name, m, t0 = _pick_seed(replace(spec, seed=args.seed), n)  # as build does
     bound = size_bound(t_q.size, weighted_size(t0), n, m, spec.l)
     exact = exact_expected_size(t_q, t0, m)
     stats = monte_carlo_size(t_q, t0, m, args.samples, args.rng_seed)
     print("d,m,strategy,seed,size,bound,expected_exact")
     print(
-        f"{spec.dim},{m},random,{args.rng_seed},{stats.minimum},"
+        f"{spec.dim + spec.l},{m},random,{args.rng_seed},{stats.minimum},"
         f"{float(bound):.3f},{exact}"
     )
     print(
@@ -206,7 +211,6 @@ def main(argv: list[str] | None = None) -> int:
     p_cube = sub_build.add_parser("cube", help="triangulate a cube recursively")
     p_cube.add_argument("--dim", type=int, required=True)
     p_cube.add_argument("--l", type=int, default=3)
-    p_cube.add_argument("--m", type=int, default=3)
     p_cube.add_argument("--seed", choices=SEEDS, default="i3d2")
     p_cube.add_argument("--rng-seed", type=int, default=0)
     p_cube.add_argument("--samples", type=int, default=1)
@@ -226,10 +230,10 @@ def main(argv: list[str] | None = None) -> int:
 
     p_expect = sub.add_parser("expect", help="expected-size statistics")
     p_expect.add_argument("--q-dim", type=int, required=True)
-    p_expect.add_argument("--m", type=int, required=True)
+    p_expect.add_argument("--seed", choices=SEEDS, default="i3d2")
     p_expect.add_argument("--samples", type=int, default=16)
     p_expect.add_argument("--rng-seed", type=int, default=0)
-    p_expect.set_defaults(func=_cmd_expect, check=_expect_specs)
+    p_expect.set_defaults(func=_cmd_expect, check=_expect_spec)
 
     p_seeds = sub.add_parser("seeds", help="seed catalog")
     sub_seeds = p_seeds.add_subparsers(dest="what", required=True)

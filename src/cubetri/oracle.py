@@ -139,15 +139,15 @@ class _Enumerator:
         With the point anchor + g in place of a cell vertex r other than the
         anchor, the cell's signed volume is scaled by x_r, the coordinate of
         g along the edge from the anchor to r, so a census of those
-        simplices gives the sign of every x_r. Attempt a tries
-        g = 997 base + a w, with base the offset of the centroid from the
-        anchor (times n) and w = (1, 3, 9, ...); the factor 997 keeps every
-        sign of base. A zero coordinate means g is not generic, and the next
-        attempt is tried. The first g is not generic on symmetric
-        configurations such as cube(3). A simplex's signed volume is affine
-        in each vertex and zero with that vertex at the anchor, so linear in
-        g: one census with anchor + base and anchor + w in place gives every
-        attempt's x as 997 x(base) + a x(w), from small coordinates."""
+        simplices gives the sign of every x_r. A simplex's signed volume is
+        affine in each vertex and zero with that vertex at the anchor, so
+        linear in g. The direction is g = base + eps w for an infinitesimal
+        eps > 0, with base the offset of the centroid from the anchor (times
+        n) and w = (1, 3, 9, ...): one census with anchor + base and
+        anchor + w in place gives x(base) and x(w), and the sign of x_r is
+        that of x(base)_r, or of x(w)_r where x(base)_r is 0. base alone is
+        not generic on symmetric configurations such as cube(3). Where both
+        are 0, g is not generic for any eps: ArithmeticError."""
         n = len(self.pts)
         v0 = self.pts[self.anchor]
         base = [sum(p[j] for p in self.pts) - n * v0[j] for j in range(self.d)]
@@ -164,14 +164,10 @@ class _Enumerator:
         points = self.pts + tuple(tuple(map(sum, zip(v0, u))) for u in (base, step))
         orient = np.repeat(np.sign(self.signed[starters]), self.d)
         x_base, x_step = signed_volumes(points, both).reshape(2, -1) * orient
-        big = max(abs(int(v)) for x in (x_base, x_step) for v in (x.min(), x.max()))
-        if (997 + 199) * big >= 2**63:  # then x may not fit int64
-            x_base, x_step = x_base.astype(object), x_step.astype(object)
-        for attempt in range(200):
-            x = 997 * x_base + attempt * x_step
-            if x.all():
-                return starters[(x > 0).reshape(-1, self.d).all(axis=1)].tolist()
-        raise ArithmeticError("no generic direction found")
+        x = np.where(x_base != 0, x_base, x_step)
+        if not x.all():
+            raise ArithmeticError("no generic direction found")
+        return starters[(x > 0).reshape(-1, self.d).all(axis=1)].tolist()
 
     def enumerate(self) -> Iterator[list[int]]:
         for chosen, _ in self._search():

@@ -71,6 +71,7 @@ from .geometry import ambient_normalized_volume
 from .seeds import (
     ASYMPTOTIC_TARGET_2,
     ASYMPTOTIC_TARGET_3,
+    _SEEDS,
     cayley_seed,
     hadamard_lower,
     known_constants,
@@ -85,9 +86,12 @@ SEEDS = ("i3d2", "i3d1", "minimal", "unimodular")  # the first two are block see
 
 @dataclass
 class PipelineSpec:
+    """One build. The seed sets the colors m of each step: a block seed's
+    summand count (i3d2: 3, i3d1: 2, clamped to n by :func:`_pick_seed`),
+    and 1 for a cube seed."""
+
     dim: int
     l: int = 3
-    m: int = 3
     seed: str = "i3d2"  # one of SEEDS
     rng_seed: int = 0
     samples: int = 1
@@ -96,12 +100,12 @@ class PipelineSpec:
     materialize_max_dim: int = 9
 
     def __post_init__(self):
-        if self.dim < 1 or self.l < 1 or self.m < 1 or self.samples < 1:
-            raise ValueError("dim, l, m and samples must be positive")
+        if self.dim < 1 or self.l < 1 or self.samples < 1:
+            raise ValueError("dim, l and samples must be positive")
         if self.seed not in SEEDS:
             raise ValueError(f"unknown seed {self.seed!r}, not one of {SEEDS}")
-        if self.seed in SEEDS[:2] and self.m >= 2 and self.l != 3:
-            raise ValueError(f"seed {self.seed} with m >= 2 requires l == 3")
+        if self.seed in SEEDS[:2] and self.l != 3:
+            raise ValueError(f"block seed {self.seed} requires l == 3")
         # The base is a minimal cube, and a step without a block seed takes
         # a minimal cube of dimension l (a unimodular one for that seed).
         base = (self.dim - 1) % self.l + 1
@@ -144,19 +148,20 @@ class PipelineReport:
 
 
 def _pick_seed(spec: PipelineSpec, n: int) -> tuple[str, int, Triangulation]:
-    """Seed triangulation for one step, clamped so that m <= n; a cube
-    triangulation is its own seed with m = 1.
+    """Seed triangulation and colors m for one step. A block seed's m is
+    its summand count in the seeds catalog, clamped so that m <= n: the
+    block seed of most colors within that, else a minimal cube with
+    m = 1. A cube triangulation is its own seed with m = 1.
 
     A seed that fails its build-time verification raises AssertionError,
     which fails the run.
     """
     if spec.seed == "unimodular":
         return "unimodular", 1, unimodular_cube(spec.l)
-    want_m = min(spec.m, {"i3d2": 3, "i3d1": 2}.get(spec.seed, 1), n)
-    if want_m >= 3:
-        return "i3d2", 3, cayley_seed("i3d2")
-    if want_m == 2:
-        return "i3d1", 2, cayley_seed("i3d1")
+    want_m = min(_SEEDS.get(spec.seed, (1,))[0], n)
+    for name in SEEDS[:2]:  # most colors first
+        if _SEEDS[name][0] <= want_m:
+            return name, _SEEDS[name][0], cayley_seed(name)
     return "minimal", 1, minimal_cube(spec.l)
 
 

@@ -396,6 +396,26 @@ def test_mixed_from_json_sizes_the_base_before_building_it(monkeypatch, l):
 
 
 @pytest.mark.parametrize(
+    "base, m",
+    [("cube(1)", 725), ("cube(1)", 10**100), ("cube(16)", 2), ("simplex(2000)", 1)],
+)
+def test_mixed_from_json_sizes_the_cayley_configuration_before_building_it(
+    monkeypatch, base, m
+):
+    # base x simplex(m-1): len(base) m points of dimension l + m - 1, past
+    # MIXED_CAYLEY_GUARD coordinates; cube(1) at m = 725 is 2 725 725
+    from cubetri import geometry
+
+    def refuse(label):
+        raise AssertionError(f"built the points of {label}")
+
+    monkeypatch.setattr(geometry, "_points", refuse)
+    text = json.dumps({"base": base, "m": m, "cells": []})
+    with pytest.raises(ValueError, match="than MIXED_CAYLEY_GUARD = 1048576"):
+        mixed_from_json(text)
+
+
+@pytest.mark.parametrize(
     "sub",
     [
         seed_i3d1(),
@@ -403,8 +423,11 @@ def test_mixed_from_json_sizes_the_base_before_building_it(monkeypatch, l):
         square_family(5),
         MixedSubdivision(minkowski_config(3, 3), 1, (MixedCell(((0, 1, 4, 13),)),)),
         MixedSubdivision(cube_config(16), 1, ()),
+        square_family(64),
+        MixedSubdivision(cube_config(1), 724, ()),
     ],
-    ids=["i3d1", "i3d2", "square_family(5)", "minkowski(cube(3),3)", "cube(16)"],
+    ids=["i3d1", "i3d2", "square_family(5)", "minkowski(cube(3),3)", "cube(16)",
+         "square_family(64)", "cube(1) at m = 724"],
 )
 def test_mixed_json_round_trips_within_the_base_guard(sub):
     back = mixed_from_json(mixed_to_json(sub))

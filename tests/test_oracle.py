@@ -12,9 +12,11 @@ from helpers import (
 from cubetri import oracle
 from cubetri.complexes import Triangulation, signed_volumes, weighted_size
 from cubetri.geometry import (
+    PointConfiguration,
     cube_config,
     facet_inequalities,
     normalized_volume,
+    parse_label,
     product_config,
     simplex_config,
 )
@@ -267,9 +269,9 @@ def test_ridge_search_matches_the_lp_reference(name):
 
 
 def test_the_generic_direction_takes_one_census(monkeypatch):
-    # On cube(3) the first direction is not generic and the second is. One
-    # census for the candidates and one, with two more points, for every
-    # direction tried, not one per direction.
+    # On cube(3) the centroid direction alone is not generic, and the
+    # perturbation decides. One census for the candidates and one, with two
+    # more points, for the centroid and the perturbation.
     calls = []
 
     def counting(points, rows):
@@ -281,6 +283,34 @@ def test_the_generic_direction_takes_one_census(monkeypatch):
     enum = _Enumerator(cfg)
     assert enum._generic_direction() == ReferenceEnumerator(cfg)._generic_direction()
     assert calls == [8, 10]
+
+
+STARTING_CELL_LABELS = (
+    [f"cube({l})" for l in range(1, 5)]
+    + [f"simplex({k})" for k in range(1, 6)]
+    + [f"cube(1)xsimplex({k})" for k in range(1, 7)]
+    + [f"cube(2)xsimplex({k})" for k in range(1, 4)]
+    + ["cube(3)xsimplex(1)"]
+    + [f"simplex(1)xsimplex({k})" for k in range(1, 6)]
+    + [f"simplex({a})xsimplex({b})" for a, b in ((2, 1), (2, 2), (2, 3), (2, 4),
+                                               (3, 1), (3, 2), (4, 1))]
+    + ["cube(1)xcube(1)", "cube(1)xcube(2)", "cube(2)xcube(1)", "simplex(2)xcube(1)"]
+    + [f"minkowski(cube(1),{m})" for m in (2, 3, 4)]
+    + [f"minkowski(cube(2),{m})" for m in (2, 3, 4)]
+    + ["simplex(1)xsimplex(1)xsimplex(1)", "cube(1)xsimplex(1)xsimplex(2)",
+       "cube(1)xcube(1)xsimplex(2)"]
+)
+
+
+@pytest.mark.parametrize("text", STARTING_CELL_LABELS)
+def test_the_exact_perturbation_starts_where_the_search_did(text):
+    # base + eps w for an infinitesimal eps picks the cells that the
+    # reference's search over 997 base + a w, a = 0, 1, ..., picks: on these
+    # labels its first generic direction has every sign of base, and those
+    # of w where base has none.
+    cfg = PointConfiguration(parse_label(text))
+    want = ReferenceEnumerator(cfg)._generic_direction()
+    assert _Enumerator(cfg)._generic_direction() == want
 
 
 # -- the branch-and-bound against the exhaustive minimum ------------------------

@@ -142,7 +142,7 @@ def test_cli_smoke(tmp_path, capsys):
         ({"seed": "foo"}, "unknown seed"),
         ({"seed": "I3D2"}, "unknown seed"),
         ({"l": 2}, "requires l == 3"),
-        ({"seed": "i3d1", "l": 4, "m": 2}, "requires l == 3"),
+        ({"seed": "i3d1", "l": 4}, "requires l == 3"),
         ({"samples": 0}, "must be positive"),
     ],
 )
@@ -152,8 +152,7 @@ def test_spec_rejects_seeds_it_cannot_build(kw, match):
 
 
 def test_spec_takes_a_block_seed_of_one_color_or_a_plain_seed_at_any_l():
-    for kw in ({"l": 2, "m": 1}, {"l": 2, "seed": "minimal"},
-               {"l": 4, "seed": "unimodular"}):
+    for kw in ({"l": 2, "seed": "minimal"}, {"l": 4, "seed": "unimodular"}):
         spec = PipelineSpec(dim=5, **kw)
         assert pipeline._pick_seed(spec, 3)[1] == 1
 
@@ -175,7 +174,7 @@ def test_cli_build_rejects_an_unknown_seed(capsys, argv):
         (["--l", "2"], "requires l == 3"),
         (["--samples", "0"], "must be positive"),
         (["--dim", "4", "--l", "4", "--seed", "unimodular"], "base dimension"),
-        (["--l", "4", "--seed", "i3d2", "--m", "1"], "l = 4 is above 3"),
+        (["--l", "4", "--seed", "minimal"], "l = 4 is above 3"),
         (["--dim", "10", "--l", "9", "--seed", "unimodular"], "l = 9 is above 8"),
         (["--dim", "13"], "only the last step may be streamed"),
     ],
@@ -192,7 +191,7 @@ def test_cli_build_prints_one_line_for_an_invalid_spec(capsys, argv, match):
 
 def test_spec_rejects_a_streamed_middle_step():
     for kw in ({"dim": 13}, {"dim": 8, "materialize_max_dim": 4},
-               {"dim": 7, "l": 2, "m": 1, "materialize_max_dim": 4}):
+               {"dim": 7, "l": 2, "seed": "minimal", "materialize_max_dim": 4}):
         with pytest.raises(ValueError, match="only the last step may be streamed"):
             PipelineSpec(**kw)
     for kw in ({"dim": 12}, {"dim": 13, "materialize_max_dim": 10},
@@ -288,11 +287,11 @@ def test_cli_out_writes_the_text_stdout_shows(capsys, tmp_path, argv, end):
 @pytest.mark.parametrize(
     "argv, match",
     [
-        (["--q-dim", "2", "--m", "0"], "must be positive"),
-        (["--q-dim", "0", "--m", "2"], "q-dim must be positive"),
-        (["--q-dim", "2", "--m", "2", "--samples", "0"], "must be positive"),
+        (["--q-dim", "2", "--samples", "-1"], "must be positive"),
+        (["--q-dim", "0", "--seed", "i3d1"], "q-dim must be positive"),
+        (["--q-dim", "2", "--seed", "i3d1", "--samples", "0"], "must be positive"),
         # T_Q is kept whole: about 11.7 million rows at d = 11
-        (["--q-dim", "11", "--m", "3", "--samples", "1"], "above 10"),
+        (["--q-dim", "11", "--seed", "i3d2", "--samples", "1"], "above 10"),
     ],
 )
 def test_cli_expect_prints_one_line_for_an_invalid_spec(
@@ -356,7 +355,7 @@ def test_streamed_final_step_matches_materialized(tmp_path):
 def test_cli_expect_and_volume_only(tmp_path, capsys):
     from cubetri.cli import main
 
-    assert main(["expect", "--q-dim", "2", "--m", "2", "--samples", "4",
+    assert main(["expect", "--q-dim", "2", "--seed", "i3d1", "--samples", "4",
                  "--rng-seed", "1"]) == 0
     out = os.fspath(tmp_path / "t5.json")
     assert main(["build", "cube", "--dim", "5", "--out", out]) == 0
@@ -371,12 +370,27 @@ def test_cli_expect_and_volume_only(tmp_path, capsys):
 def test_cli_expect_clamps_m_like_build(capsys):
     from cubetri.cli import main
 
-    # a 2-cube has 3 vertices per simplex, so at most 3 colors are usable
-    assert main(["expect", "--q-dim", "2", "--m", "4", "--samples", "2",
+    # a segment has 2 vertices per simplex, so at most 2 colors are usable:
+    # i3d2's 3 colors fall back to i3d1's 2
+    assert main(["expect", "--q-dim", "1", "--seed", "i3d2", "--samples", "2",
                  "--rng-seed", "1"]) == 0
-    header, row = capsys.readouterr().out.splitlines()[:2]
+    header, row, note = capsys.readouterr().out.splitlines()
     assert header.split(",")[1] == "m"
-    assert row.split(",")[:2] == ["5", "3"]
+    assert row.split(",")[:2] == ["4", "2"]
+    assert note.startswith("# block seed=i3d1 ")
+
+
+@pytest.mark.parametrize("command", [["build", "cube", "--dim", "5"],
+                                     ["expect", "--q-dim", "2"]])
+def test_cli_has_no_m_option(capsys, command):
+    # the seed sets m: --m 2 is --seed i3d1
+    from cubetri.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--m", "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --m 2" in captured.err and captured.out == ""
 
 
 def test_trivial_dims_return_minimal_cubes():
@@ -420,7 +434,7 @@ def test_cli_expect_prints_the_exact_value_past_enumeration(capsys):
 
     # 3^16 colorings of the 4-cube's vertices: too many to enumerate, and
     # the multinomial sum still gives the exact value
-    assert main(["expect", "--q-dim", "4", "--m", "3", "--samples", "2",
+    assert main(["expect", "--q-dim", "4", "--seed", "i3d2", "--samples", "2",
                  "--rng-seed", "1"]) == 0
     header, row = capsys.readouterr().out.splitlines()[:2]
     assert header.split(",")[-1] == "expected_exact"

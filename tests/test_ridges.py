@@ -571,7 +571,7 @@ def test_expect_keeps_the_q_dim_step(monkeypatch):
 
     monkeypatch.setattr(cli, "build_cube_recursive", capture)
     with pytest.raises(Stop):
-        main(["expect", "--q-dim", "10", "--m", "3", "--samples", "1"])
+        main(["expect", "--q-dim", "10", "--seed", "i3d2", "--samples", "1"])
     (spec,) = specs
     assert spec.dim == 10 and spec.materialize_max_dim >= 10
 

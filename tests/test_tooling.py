@@ -5,7 +5,8 @@ is looked up by, and ``perfbench/workloads.py`` calls the package with
 options, classes and seeds of its own; a rename, move or removal in
 ``cubetri`` should fail here rather than in a benchmark run. The package's
 modules also import nothing they leave unused, so a removal does not
-leave its imports behind.
+leave its imports behind, and each ``build cube`` flag is a spec field
+that the pipeline reads.
 """
 
 import ast
@@ -128,6 +129,79 @@ def test_the_owner_checks_see_a_second_owner(tmp_path, monkeypatch):
     assert identifiers(module) >= {"facet_incidence", "by_ridge"}
     monkeypatch.setattr(sys.modules[__name__], "PACKAGE", tmp_path)
     assert callers("facet_inequalities") == {"module.facet_incidence"}
+
+
+def spec_uses(cli_path: Path, pipeline_path: Path) -> tuple[dict, set[str]]:
+    """``--flag -> field`` for each ``build cube`` flag: the keyword of its
+    own name that ``_build_spec`` passes it to ``PipelineSpec`` as, or None
+    (not passed, or under another name). Then the attributes the pipeline
+    reads off a ``spec``; ``__post_init__`` reads its checks off ``self``."""
+    cli_tree = ast.parse(cli_path.read_text())
+    flags = [
+        node.args[0].value
+        for node in ast.walk(cli_tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "add_argument"
+        and getattr(node.func.value, "id", None) == "p_cube"
+    ]
+    (build_spec,) = (
+        node for node in ast.walk(cli_tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_build_spec"
+    )
+    passed = {
+        kw.value.attr: kw.arg
+        for node in ast.walk(build_spec)
+        if isinstance(node, ast.Call)
+        for kw in node.keywords
+        if isinstance(kw.value, ast.Attribute)
+    }
+    sets = {}
+    for flag in flags:
+        name = flag.lstrip("-").replace("-", "_")
+        sets[flag] = name if passed.get(name) == name else None
+    read = {
+        node.attr
+        for node in ast.walk(ast.parse(pipeline_path.read_text()))
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "spec"
+    }
+    return sets, read
+
+
+def test_every_build_flag_sets_a_spec_field_that_the_pipeline_reads():
+    """A ``build cube`` flag is the ``PipelineSpec`` field of its name, and
+    the pipeline reads every field past the spec's checks: no flag is
+    dropped or renamed on the way, and no field only passes the checks."""
+    from dataclasses import fields
+
+    from cubetri.pipeline import PipelineSpec
+
+    names = {f.name for f in fields(PipelineSpec)}
+    sets, read = spec_uses(PACKAGE / "cli.py", PACKAGE / "pipeline.py")
+    assert len(sets) >= 6
+    assert {flag: field for flag, field in sets.items() if field not in names} == {}
+    assert names - read == set()
+
+
+def test_the_spec_check_sees_a_dropped_flag_and_an_unread_field(tmp_path):
+    cli = tmp_path / "cli.py"
+    cli.write_text(
+        "def _build_spec(args):\n"
+        "    return PipelineSpec(dim=args.dim, colors=args.m)\n"
+        "p_cube.add_argument('--dim')\n"
+        "p_cube.add_argument('--m')\n"
+        "p_cube.add_argument('--out')\n"
+    )
+    pipeline = tmp_path / "pipeline.py"
+    pipeline.write_text(
+        "class PipelineSpec:\n"
+        "    def __post_init__(self):\n"
+        "        assert self.m > 0\n"
+        "def build(spec):\n"
+        "    return spec.dim\n"
+    )
+    sets, read = spec_uses(cli, pipeline)
+    assert sets == {"--dim": "dim", "--m": None, "--out": None}
+    assert read == {"dim"}
 
 
 def test_tracer_installs_and_uninstalls(monkeypatch):
