@@ -55,7 +55,7 @@ from .pipeline import (
     build_cube_recursive,
     report_table,
 )
-from .seeds import minimal_cube, seed_i3d1, seed_i3d2, square_family, unimodular_cube
+from .seeds import _SEEDS, _seed, minimal_cube, square_family, unimodular_cube
 
 
 def _check_out(path: str | None) -> None:
@@ -119,7 +119,10 @@ def _cmd_verify(args, path: str) -> int:
 
 
 def _report_dim(args) -> int:
-    """``--max-dim``, once the largest build of the table passes as a spec."""
+    """``--max-dim``, once it is positive and the largest build of the
+    table passes as a spec."""
+    if args.max_dim < 1:
+        raise ValueError("max-dim must be positive")
     if args.max_dim >= 4:
         PipelineSpec(dim=args.max_dim)
     return args.max_dim
@@ -167,10 +170,8 @@ def _seed_text(name: str) -> str:
     msq = re.fullmatch(r"square_family\((\d+)\)", name)
     mmin = re.fullmatch(r"minimal_cube\((\d+)\)", name)
     muni = re.fullmatch(r"unimodular_cube\((\d+)\)", name)
-    if name == "i3d1":
-        return mixed_to_json(seed_i3d1())
-    if name == "i3d2":
-        return mixed_to_json(seed_i3d2())
+    if name in _SEEDS:
+        return mixed_to_json(_seed(name)[0])
     if msq:
         return mixed_to_json(square_family(int(msq.group(1))))
     if mmin:

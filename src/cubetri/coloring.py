@@ -5,9 +5,17 @@ P itself for m = 1, :func:`complexes.simplex_factor`) and an m-coloring of
 Q's vertices, every cell P x sigma is lifted block-wise: the vertices of
 sigma colored i become the columns of block i, the base vertices of each
 T_0 cell the rows. Cells where a color is absent fall back to the
-restriction of T_0 to the corresponding face. All per-cell lifts are
-derived from the one global coloring and the canonical vertex orders,
-which is what makes neighbouring cells agree on shared faces.
+restriction of T_0 to the corresponding face: a T_0 cell survives iff
+each absent color's block is one vertex. All per-cell lifts are derived
+from the one global coloring and the canonical vertex orders, which is
+what makes neighbouring cells agree on shared faces.
+
+The sigmas of T_Q are grouped by their per-color count vectors in one
+place (:func:`_color_groups`), and the surviving T_0 cells of a count
+vector come from one rule (:func:`_surviving_cells`). The generator and
+the closed-form sizes (:func:`product_size`, :func:`exact_expected_size`)
+both take them from there, the sizes with the per-cell staircase counts
+of :func:`staircase.multi_staircase_count`.
 
 One engine, :class:`ProductCells`, generates every product. A cell's
 simplices depend only on its signature (lvec, kvec) up to relabelling its
@@ -34,9 +42,11 @@ import itertools
 import math
 import random
 from bisect import bisect_right
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,7 +57,7 @@ from .geometry import (
     as_cube_if_product_of_cubes,
     simplex_config,
 )
-from .staircase import lift_count, signature_template
+from .staircase import multi_staircase_count, signature_template
 
 
 @dataclass(frozen=True)
@@ -114,6 +124,41 @@ def _check_inputs(t_q: Triangulation, t0: Triangulation, coloring: Coloring) -> 
     return m
 
 
+def _color_groups(
+    t_q: Triangulation, t0: Triangulation, coloring: Coloring
+) -> tuple[np.ndarray, list, np.ndarray, list[int]]:
+    """The simplices of T_Q grouped by their per-color count vectors, once
+    the inputs are checked: (colors, keys, group, times). ``colors`` holds
+    the color of each vertex of each sigma, ``keys`` the distinct count
+    vectors in ascending order, ``group[s]`` sigma s's key and ``times``
+    how many sigmas have each key."""
+    m = _check_inputs(t_q, t0, coloring)
+    colors = np.array(coloring.colors, dtype=np.intp)[t_q.rows]
+    counts = (colors[:, :, None] == np.arange(m)).sum(axis=1)
+    keys, group, times = np.unique(
+        counts, axis=0, return_inverse=True, return_counts=True
+    )
+    # The inverse's shape for axis=0 changed across numpy 2.0.x; flatten it.
+    return colors, keys.tolist(), group.reshape(-1), times.tolist()
+
+
+def _block_sizes(blocks_list) -> tuple[tuple[int, ...], ...]:
+    """The block sizes of each T_0 cell, from :func:`product_blocks`."""
+    return tuple(tuple(map(len, blocks)) for blocks in blocks_list)
+
+
+def _surviving_cells(lvecs, key) -> tuple[tuple[int, ...], list[int]]:
+    """(present, cells) on a sigma with per-color counts ``key``, given the
+    block sizes ``lvecs`` of the T_0 cells: the colors present in sigma,
+    and the T_0 cells of the restriction of T_0 to their face. A cell
+    survives iff each absent color's block is one vertex; its blocks of
+    the present colors are its rows."""
+    present = tuple(i for i, k in enumerate(key) if k)
+    absent = [i for i, k in enumerate(key) if not k]
+    cells = [t for t, lvec in enumerate(lvecs) if all(lvec[i] == 1 for i in absent)]
+    return present, cells
+
+
 def product_output_config(t_q: Triangulation, t0: Triangulation) -> PointConfiguration:
     """The configuration P x Q that the product of T_Q and T_0 triangulates."""
     left, _ = simplex_factor(t0.config)
@@ -141,22 +186,16 @@ class ProductCells:
     """
 
     def __init__(self, t_q: Triangulation, t0: Triangulation, coloring: Coloring):
-        m = _check_inputs(t_q, t0, coloring)
+        colors, keys, self._group, _ = _color_groups(t_q, t0, coloring)
         self.t_q = t_q
         self.config = product_output_config(t_q, t0)
         nq = len(t_q.config.points)
         sig = t_q.rows.astype(np.intp)
-        colors = np.array(coloring.colors, dtype=np.intp)[sig]
-        counts = (colors[:, :, None] == np.arange(m)).sum(axis=1)
-        key_of: dict[tuple[int, ...], int] = {}
-        self._group = np.array(
-            [key_of.setdefault(tuple(c), len(key_of)) for c in counts.tolist()],
-            dtype=np.intp,
-        )
         n_points = len(self.config.points)
         # Each sigma's vertices by color, in index order within a color.
         self._by_color = index_rows(np.sort(colors * nq + sig, axis=1) % nq, n_points)
         blocks_list = product_blocks(t0)
+        lvecs = _block_sizes(blocks_list)
         width = self.config.dim + 1
         self.signatures: dict = {}  # (lvec, kvec) -> simplices per cell
         # Per group: (kvec, cells), each cell (tau index, rows, offset,
@@ -165,17 +204,13 @@ class ProductCells:
         rowvals = [np.zeros((0, width), dtype=np.intp)]
         colpos = [np.zeros((0, width), dtype=np.intp)]
         sizes = []
-        for key in key_of:
-            present = tuple(i for i in range(m) if key[i])
+        for key in keys:
+            present, survivors = _surviving_cells(lvecs, key)
             kvec = tuple(key[i] for i in present)
             cells = []
             offset = 0
-            for t_idx, blocks in enumerate(blocks_list):
-                # T_0 restricted to the face of the present colors: a cell
-                # survives iff each absent color's block is one vertex.
-                if any(len(blocks[i]) != 1 for i in range(m) if not key[i]):
-                    continue
-                rows = tuple(blocks[i] for i in present)
+            for t_idx in survivors:
+                rows = tuple(blocks_list[t_idx][i] for i in present)
                 lvec = tuple(len(r) for r in rows)
                 tr, tc = signature_template(lvec, kvec)
                 rv = np.array([p for r in rows for p in r], dtype=np.intp)
@@ -289,22 +324,25 @@ def staircase_triangulation(k: int, l: int) -> Triangulation:
     return lift_triangulation(t0, (l + 1,))
 
 
-def _lvecs(t0: Triangulation) -> list[tuple[int, ...]]:
-    return [tuple(len(b) for b in blocks) for blocks in product_blocks(t0)]
+def _cell_types(t0: Triangulation) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(block sizes, cells) for each distinct block-size vector of T_0's
+    cells (:func:`product_blocks`): what a closed-form size needs of T_0."""
+    return tuple(Counter(_block_sizes(product_blocks(t0))).items())
 
 
-def _sigma_size(kvec, lvecs) -> int:
-    """Simplices over one sigma of T_Q with per-color counts kvec: the sum
-    over T_0 cells of the per-block staircase-count product, with the
-    absent-color conventions of :func:`staircase.lift_count`."""
+@lru_cache(maxsize=None)
+def _sigma_size(cell_types, key: tuple[int, ...]) -> int:
+    """Simplices over one sigma of T_Q with per-color counts ``key``: the
+    sum over the surviving T_0 cells (:func:`_surviving_cells`) of the
+    staircase count of their blocks of the present colors
+    (:func:`staircase.multi_staircase_count`), one count per distinct
+    block-size vector (:func:`_cell_types`). Cached, as the steps and the
+    expectation ask for a few keys many times."""
+    present, survivors = _surviving_cells([lvec for lvec, _ in cell_types], key)
+    kvec = [key[i] for i in present]
     total = 0
-    for lvec in lvecs:
-        term = 1
-        for k, l in zip(kvec, lvec):
-            term *= lift_count(k, l)
-            if term == 0:
-                break
-        total += term
+    for lvec, cells in (cell_types[t] for t in survivors):
+        total += cells * multi_staircase_count([lvec[i] for i in present], kvec)
     return total
 
 
@@ -314,15 +352,9 @@ def product_size(
     """Closed-form size of triangulate_product: the per-sigma size term
     of each distinct per-color count vector of T_Q's simplices, times the
     number of simplices that have it."""
-    m = _check_inputs(t_q, t0, coloring)
-    lvecs = _lvecs(t0)
-    colors = np.array(coloring.colors, dtype=np.intp)[t_q.rows]
-    counts = (colors[:, :, None] == np.arange(m)).sum(axis=1)
-    keys, mult = np.unique(counts, axis=0, return_counts=True)
-    return sum(
-        times * _sigma_size(key, lvecs)
-        for key, times in zip(keys.tolist(), mult.tolist())
-    )
+    _, keys, _, times = _color_groups(t_q, t0, coloring)
+    types = _cell_types(t0)
+    return sum(n * _sigma_size(types, tuple(key)) for key, n in zip(keys, times))
 
 
 def size_bound(tq_size: int, t0_weighted: Fraction, n: int, m: int, l: int) -> Fraction:
@@ -334,7 +366,7 @@ def size_bound(tq_size: int, t0_weighted: Fraction, n: int, m: int, l: int) -> F
     return tq_size * Fraction(t0_weighted) * (Fraction(n, m) + l) ** l
 
 
-def _multinomial_expectation(n: int, m: int, lvecs) -> Fraction:
+def _multinomial_expectation(n: int, m: int, cell_types) -> Fraction:
     """E over uniform colorings of one n-vertex sigma of
     :func:`_sigma_size`."""
     total = Fraction(0)
@@ -347,7 +379,7 @@ def _multinomial_expectation(n: int, m: int, lvecs) -> Fraction:
         weight = math.factorial(n)
         for k in full:
             weight //= math.factorial(k)
-        total += Fraction(weight * _sigma_size(full, lvecs), denom)
+        total += Fraction(weight * _sigma_size(cell_types, full), denom)
     return total
 
 
@@ -361,7 +393,7 @@ def exact_expected_size(t_q: Triangulation, t0: Triangulation, m: int) -> Fracti
     """
     _check_inputs(t_q, t0, make_coloring(len(t_q.config.points), m))
     n = t_q.config.dim + 1
-    return t_q.size * _multinomial_expectation(n, m, _lvecs(t0))
+    return t_q.size * _multinomial_expectation(n, m, _cell_types(t0))
 
 
 @dataclass

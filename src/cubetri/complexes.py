@@ -37,9 +37,12 @@ the pseudo-manifold property in De Loera, Rambau and Santos,
 *Triangulations* (Springer, 2010), §4.5. Every caller takes the one
 census, :func:`_census` (or :func:`_tally` on a chunk's signed volumes),
 and then :func:`ridge_violations`, the ridge part alone, on the census's
-signed volumes. The oracle's search grows cells under the same ridge
-conditions, on the same census, ridge names (:func:`_ridge_rows`), apex
-sides (:func:`_apex_sides`) and facet test (:func:`_facet_masks`).
+signed volumes. Equal ridges are matched as runs of equal rows
+(:func:`_runs`, one stable lexicographic sort), which also finds the
+duplicate simplices. The oracle's search grows cells under the same ridge
+conditions, on the same census, ridge names (:func:`_ridge_rows`) and
+their runs, apex sides (:func:`_apex_sides`) and facet test
+(:func:`_facet_masks`).
 
 Every step and check holds one bounded, narrow slice of its data at a
 time, besides the index rows themselves: the census takes chunks of
@@ -267,18 +270,32 @@ def _census(tri: Triangulation):
 
 def duplicate_simplices(tri: Triangulation) -> list[Violation]:
     """A ``duplicate`` violation for each repeat of an earlier simplex, in
-    order. Equal rows are adjacent after one stable lexicographic sort, with
-    the earliest first; each sorted column is compared as one 1-d array."""
+    order: each row of a run of equal rows (:func:`_runs`) but its first."""
     rows = tri.rows
-    order = np.lexsort(rows.T[::-1])
-    repeat = np.ones(max(len(rows) - 1, 0), dtype=bool)
-    for col in rows.T:
-        key = col[order]
-        repeat &= key[1:] == key[:-1]
+    order, starts = _runs(list(rows.T), len(rows))
     return [
         Violation("duplicate", (tuple(rows[i].tolist()),))
-        for i in np.sort(order[1:][repeat]).tolist()
+        for i in np.sort(order[~starts[:-1]]).tolist()
     ]
+
+
+def _runs(cols: list, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The runs of equal rows among n rows given as a list of columns:
+    (order, starts). ``order`` is one stable lexicographic sort of the
+    rows, first column first, so each run lists its rows ascending;
+    ``starts[p]`` tells whether a run starts at sorted position p, and
+    ``starts[n]`` closes the last. Each sorted column is compared as one
+    1-d array and taken off ``cols`` first, which is left empty, so no
+    column outlives its comparison. With no column, all n rows are equal.
+    """
+    order = np.lexsort(cols[::-1]) if cols else np.arange(n)
+    starts = np.ones(n + 1, dtype=bool)
+    starts[1:n] = False
+    while cols:
+        key = cols.pop(0)[order]
+        starts[1:n] |= key[1:] != key[:-1]
+        del key
+    return order, starts
 
 
 def validate_dissection(tri: Triangulation, pairwise: bool = True) -> ValidityReport:
@@ -471,13 +488,12 @@ def _bucket_violations(
     simplex i without its position j.
 
     The bucket's d ridge columns are built by slice assignment in the
-    index dtype, in ascending flat order, so one stable ``np.lexsort``
-    lists each group in first-occurrence order. The group starts come from
-    comparing each sorted column as one 1-d array, and the groups of one,
-    two and more ridges from the starts one and two places on. A single
-    ridge lies on a facet when the facet bitmasks of its vertices
-    (:func:`_facet_masks`) share a bit; two ridges pair when their apexes
-    lie on opposite sides (:func:`_apex_sides`).
+    index dtype, in ascending flat order, so the runs of equal ridges
+    (:func:`_runs`) list each group in first-occurrence order. The groups
+    of one, two and more ridges come from the run starts one and two
+    places on. A single ridge lies on a facet when the facet bitmasks of
+    its vertices (:func:`_facet_masks`) share a bit; two ridges pair when
+    their apexes lie on opposite sides (:func:`_apex_sides`).
     """
     d1 = simp.shape[1]
     d = d1 - 1
@@ -492,18 +508,10 @@ def _bucket_violations(
         block[:, c + 1 :] = sub[:, c, None]
         cols.append(block[valid])
     del block
-    # Stable, so each group of equal ridges lists them in first-occurrence order.
-    order = np.lexsort(cols[::-1]) if d else np.arange(n)
-    # starts[p]: a group starts at sorted position p; starts[n] and
-    # starts[n+1] close the last group.
-    starts = np.ones(n + 2, dtype=bool)
-    starts[1:n] = False
-    while cols:
-        key = cols.pop(0)[order]
-        starts[1:n] |= key[1:] != key[:-1]
-        del key
-    one, two = starts[1 : n + 1], starts[2:]
-    bad = starts[:n] & ~one & ~two  # more than two ridges
+    order, starts = _runs(cols, n)
+    first, last = starts[:n], starts[1:]  # sorted ridge p opens, closes a group
+    bad = first & ~last
+    bad[:-1] &= ~starts[2:]  # more than two ridges
     # Ridge r of the bucket is in simplex rows[owner] and drops position j;
     # a row holds its ridge 0 or not, then its ridges 1..d or none.
     per_row = valid[:, 0] + d * valid[:, -1]
@@ -514,7 +522,7 @@ def _bucket_violations(
         return owner, r - before[owner] + ~valid[owner, 0]
 
     # A point has no facet, and its one ridge, the empty one, is its boundary.
-    single = np.flatnonzero(starts[:n] & one) if d else np.zeros(0, np.intp)
+    single = np.flatnonzero(first & last) if d else np.zeros(0, np.intp)
     if len(single):
         owner, j = locate(order[single])
         common = np.full((len(single), masks.shape[1]), ~np.uint64(0))
@@ -522,7 +530,7 @@ def _bucket_violations(
             common &= masks[sub[owner, c + (j <= c)]]
         bad[single[~common.any(axis=1)]] = True
     sides = _apex_sides(vols[rows], d)[valid][order]
-    bad[:-1] |= starts[: n - 1] & ~one[:-1] & two[:-1] & (sides[:-1] * sides[1:] >= 0)
+    bad[:-1] |= first[:-1] & ~last[:-1] & starts[2:] & (sides[:-1] * sides[1:] >= 0)
     del sides
     out = []
     groups = np.flatnonzero(starts)

@@ -29,8 +29,9 @@ certificate. The search takes no determinant of its own: censuses
 (:func:`complexes.signed_volumes`) give the candidates, their volumes,
 their ridge sides (:func:`complexes._apex_sides`) and the starting cells.
 The ridges are named and matched by the certificate's code
-(:func:`complexes._ridge_rows`, one stable sort), and the facet bitmasks
-of :func:`complexes._facet_masks` tell the boundary ones.
+(:func:`complexes._ridge_rows` and its runs of equal rows,
+:func:`complexes._runs`), and the facet bitmasks of
+:func:`complexes._facet_masks` tell the boundary ones.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .complexes import (
     _apex_sides,
     _facet_masks,
     _ridge_rows,
+    _runs,
     index_rows,
     signed_volumes,
     simplex_costs,
@@ -91,24 +93,22 @@ class _Enumerator:
         self.cand_rows = combos[live]
         self.vols = np.abs(self.signed).tolist()
         # Ridge k = i (d+1) + j is candidate i without its position j, in the
-        # index dtype, as in the certificate. One stable sort lists equal
-        # ridges together, candidates ascending; a ridge is named by its
-        # rank in lexicographic order, so the smallest open one is the first.
+        # index dtype, as in the certificate. Its runs of equal ridges list
+        # them together, candidates ascending; a ridge is named by its rank
+        # in lexicographic order, so the smallest open one is the first.
         d1 = self.d + 1
         simp = index_rows(self.cand_rows, n)
         flat = _ridge_rows(simp, np.arange(len(simp) * d1))
-        order = np.lexsort(flat.T[::-1])
-        ranked = flat[order]
-        starts = np.ones(len(order), dtype=bool)
-        starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-        self.ridge_rows = ranked[starts]
+        order, starts = _runs(list(flat.T), len(flat))
+        cuts = np.flatnonzero(starts)
+        self.ridge_rows = flat[order[cuts[:-1]]]
         rank = np.empty(len(order), dtype=np.intp)
-        rank[order] = np.cumsum(starts) - 1
+        rank[order] = np.cumsum(starts[:-1]) - 1
         # ridge -> {candidate: side of the candidate's apex}, candidates
         # ascending: the run of ridge r in sorted order
         owner = (order // d1).tolist()
         side = _apex_sides(self.signed, self.d).ravel()[order].tolist()
-        cuts = np.flatnonzero(np.append(starts, True)).tolist()
+        cuts = cuts.tolist()
         self.sides = [
             dict(zip(owner[a:b], side[a:b])) for a, b in zip(cuts, cuts[1:])
         ]

@@ -81,7 +81,8 @@ from .seeds import (
 from .staircase import certify_cell_regular, multi_staircase_count
 
 
-SEEDS = ("i3d2", "i3d1", "minimal", "unimodular")  # the first two are block seeds
+# The block seeds of the seeds catalog, most colors first, then the cubes.
+SEEDS = (*sorted(_SEEDS, key=lambda name: -_SEEDS[name][0]), "minimal", "unimodular")
 
 
 @dataclass
@@ -104,7 +105,7 @@ class PipelineSpec:
             raise ValueError("dim, l and samples must be positive")
         if self.seed not in SEEDS:
             raise ValueError(f"unknown seed {self.seed!r}, not one of {SEEDS}")
-        if self.seed in SEEDS[:2] and self.l != 3:
+        if self.seed in _SEEDS and self.l != 3:
             raise ValueError(f"block seed {self.seed} requires l == 3")
         # The base is a minimal cube, and a step without a block seed takes
         # a minimal cube of dimension l (a unimodular one for that seed).
@@ -159,8 +160,8 @@ def _pick_seed(spec: PipelineSpec, n: int) -> tuple[str, int, Triangulation]:
     if spec.seed == "unimodular":
         return "unimodular", 1, unimodular_cube(spec.l)
     want_m = min(_SEEDS.get(spec.seed, (1,))[0], n)
-    for name in SEEDS[:2]:  # most colors first
-        if _SEEDS[name][0] <= want_m:
+    for name in SEEDS:  # block seeds first, most colors first
+        if name in _SEEDS and _SEEDS[name][0] <= want_m:
             return name, _SEEDS[name][0], cayley_seed(name)
     return "minimal", 1, minimal_cube(spec.l)
 

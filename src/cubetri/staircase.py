@@ -19,9 +19,10 @@ triangulation of simplex(k) x simplex(l) included
 :func:`coloring.staircase_triangulation`). :func:`multi_staircases` is
 the gather for one cell, the per-cell recompute that
 :class:`verification.StructuredChecker` holds a product's runs against.
-The counts (:func:`lift_count`, :func:`multi_staircase_count`) size a
-product without building it, and :func:`staircase_block_regular`
-certifies that a block's staircases tile it.
+:func:`multi_staircase_count` counts a cell's multi-staircases without
+building them, which sizes a product (:func:`coloring.product_size`), and
+:func:`staircase_block_regular` certifies that a block's staircases tile
+it.
 """
 
 from __future__ import annotations
@@ -65,30 +66,14 @@ def monotone_paths(nrows: int, ncols: int) -> tuple[tuple[tuple[int, int], ...],
     return tuple(out)
 
 
-def lift_count(k: int, l: int) -> int:
-    """Number of monotone staircases in an l-row, k-column block.
-
-    The degenerate conventions make the closed-form size formula exact when
-    a color is absent from a cell: a single-row block always contributes 1,
-    and an empty column set kills the term unless the block is a single row.
-    """
-    if l == 1:
-        return 1
-    if k == 0:
-        return 0
-    return math.comb(k + l - 2, l - 1)
-
-
 def multi_staircase_count(lvec: list[int], kvec: list[int]) -> int:
-    """Product over blocks of the per-block staircase counts."""
+    """Product over blocks of the per-block staircase counts: an l-row,
+    k-column block has C(k+l-2, l-1) monotone staircases."""
     if len(lvec) != len(kvec):
         raise ValueError("block count mismatch")
     if any(l < 1 for l in lvec) or any(k < 1 for k in kvec):
         raise ValueError("block sizes must be positive")
-    total = 1
-    for l, k in zip(lvec, kvec):
-        total *= lift_count(k, l)
-    return total
+    return math.prod(math.comb(k + l - 2, l - 1) for l, k in zip(lvec, kvec))
 
 
 @dataclass

@@ -326,7 +326,7 @@ def test_scaled_cells_match_lift_cells_per_cell():
     # combinatorial factor must give the same integer, cell by cell
     from fractions import Fraction
 
-    from cubetri.staircase import LiftedCell, lift_count, multi_staircases
+    from cubetri.staircase import LiftedCell, multi_staircase_count, multi_staircases
 
     t0 = cayley_seed("i3d1")
     sub = seed_i3d1()
@@ -346,7 +346,7 @@ def test_scaled_cells_match_lift_cells_per_cell():
         assert count == lc.end - lc.start
         comb_lift = 1
         for k, t in zip(kvec, dims):
-            comb_lift *= lift_count(k, t + 1)
+            comb_lift *= multi_staircase_count([t + 1], [k])
         assert count == comb_lift
         det_from_lift = Fraction(count * t0.volume_of(s), comb_lift)
         assert det_from_scaled == det_from_lift == t0.volume_of(s)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ from helpers import enumerated_expected_size, reference_validate_face_to_face
 
 from cubetri.coloring import (
     Coloring,
+    ProductCells,
     exact_expected_size,
     lift_triangulation,
     make_coloring,
@@ -14,9 +16,15 @@ from cubetri.coloring import (
     size_bound,
     triangulate_product,
 )
-from cubetri.complexes import weighted_size
+from cubetri.complexes import expected_volume, weighted_size
 from cubetri.geometry import cube_config, product_config, simplex_config
-from cubetri.seeds import cayley_seed, minimal_cube, square_seed_m2, unimodular_cube
+from cubetri.seeds import (
+    cayley_seed,
+    minimal_cube,
+    square_family,
+    square_seed_m2,
+    unimodular_cube,
+)
 from cubetri.verification import StructuredChecker
 from cubetri.cayley import mixed_to_triangulation
 
@@ -236,3 +244,31 @@ def test_a_cube_triangulation_is_its_own_m1_seed(make_t0, q_dim):
     assert product_size(t_q, t0, coloring) == got.size
     lifted = lift_triangulation(t0, (q_dim + 1,))
     assert lifted == lift_triangulation(relabelled, (q_dim + 1,))
+
+
+def _colorings_of(q_dim, m):
+    """Every coloring of minimal_cube(q_dim) with m colors, or 50 seeded
+    random ones of the 6,561 for q_dim = 3 and m = 3."""
+    nv = 2**q_dim
+    if m**nv <= 256:
+        return [Coloring(c, m) for c in itertools.product(range(m), repeat=nv)]
+    return [make_coloring(nv, m, "random", rng_seed=s) for s in range(50)]
+
+
+@pytest.mark.parametrize("q_dim, m", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_product_size_counts_the_rows_under_every_coloring(q_dim, m):
+    # The closed form, the generator's run starts and the rows it writes
+    # agree, and the rows fill the volume, colorings with an absent color
+    # included: there a T_0 cell survives iff each absent color's block is
+    # one vertex.
+    from cubetri.verification import volume_total
+
+    t_q = minimal_cube(q_dim)
+    block = cayley_seed({2: "i3d1", 3: "i3d2"}[m])
+    for t0 in (block, mixed_to_triangulation(square_family(m))):
+        for coloring in _colorings_of(q_dim, m):
+            size = product_size(t_q, t0, coloring)
+            assert size == ProductCells(t_q, t0, coloring).starts[-1], coloring
+            tri = triangulate_product(t_q, t0, coloring)
+            assert size == tri.size, coloring
+            assert volume_total(tri) == expected_volume(tri.config), coloring

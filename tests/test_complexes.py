@@ -10,6 +10,7 @@ from helpers import type_weight
 from cubetri.coloring import staircase_triangulation
 from cubetri.complexes import (
     Triangulation,
+    _runs,
     efficiency,
     factor_blocks,
     ridge_report,
@@ -256,3 +257,20 @@ def test_only_full_dimensional_rows_have_a_weight(label):
     for rows in ([(0, 1)], [(0, 1, 2, 3)]):
         with pytest.raises(ValueError, match="vertices, not 3"):
             weighted_size(Triangulation(cfg, rows))
+
+
+@pytest.mark.parametrize("n, width", [(0, 0), (0, 3), (5, 0), (200, 1), (200, 3)])
+def test_runs_group_equal_rows_like_a_dict(n, width):
+    # Random rows with repeats, and the edge cases: no rows, and rows of no
+    # columns (a point's ridges), which are all equal.
+    rows = np.random.default_rng(n + width).integers(0, 3, (n, width), np.uint16)
+    groups: dict = {}
+    for i, row in enumerate(map(tuple, rows.tolist())):
+        groups.setdefault(row, []).append(i)
+    cols = list(rows.T)
+    order, starts = _runs(cols, n)
+    assert cols == [] and starts[n]
+    cuts = np.flatnonzero(starts)
+    assert [order[a:b].tolist() for a, b in zip(cuts, cuts[1:])] == [
+        groups[row] for row in sorted(groups)
+    ]

@@ -213,6 +213,17 @@ def test_cli_report_checks_its_largest_build_first(capsys):
     assert "only the last step may be streamed" in lines[0] and captured.out == ""
 
 
+@pytest.mark.parametrize("max_dim", ["0", "-3"])
+def test_cli_report_rejects_a_max_dim_below_1(capsys, max_dim):
+    from cubetri.cli import main
+
+    assert main(["report", "table", "--max-dim", max_dim]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert lines == ["invalid spec: max-dim must be positive"]
+    assert captured.out == ""
+
+
 def test_unimodular_seed_builds_steps_past_l_3():
     tri, rep = build_cube_recursive(PipelineSpec(dim=5, l=4, seed="unimodular"))
     assert tri.size == math.factorial(5) and rep.ok

@@ -12,7 +12,6 @@ from cubetri.geometry import ambient_normalized_volume
 from cubetri.staircase import (
     LiftedCell,
     certify_cell_regular,
-    lift_count,
     monotone_paths,
     multi_staircase_count,
     multi_staircases,
@@ -77,12 +76,6 @@ def test_multi_staircase_count_examples():
         for l, k in zip(lvec, kvec):
             brute *= len(monotone_paths(l, k))
         assert multi_staircase_count(lvec, kvec) == brute
-
-
-def test_lift_count_degenerate_conventions():
-    assert lift_count(0, 1) == 1
-    assert lift_count(0, 2) == 0
-    assert lift_count(5, 1) == 1
 
 
 def test_lift_cell_example():

@@ -62,26 +62,63 @@ def test_the_unused_import_check_sees_one(tmp_path):
     assert unused_imports(module) == ["module.py:2 math", "module.py:4 Fraction"]
 
 
-def callers(name: str) -> set[str]:
-    """``module.function`` for each function of the package that calls
-    ``name``, as a bare name or an attribute (``module`` for a call outside
-    any function)."""
+def owners(match) -> set[str]:
+    """``module.function`` for each function of the package that holds a
+    node for which ``match`` holds (``module`` for one outside any
+    function)."""
     found = set()
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = f"{where.split('.')[0]}.{node.name}"
-        if isinstance(node, ast.Call):
-            func = node.func
-            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if called == name:
-                found.add(where)
+        if match(node):
+            found.add(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
     for path in PACKAGE.glob("*.py"):
         visit(ast.parse(path.read_text()), path.stem)
     return found
+
+
+def callers(name: str) -> set[str]:
+    """The :func:`owners` of a call of ``name``, as a bare name or an
+    attribute."""
+
+    def calls(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name
+
+    return owners(calls)
+
+
+def counts_colors(node) -> bool:
+    """The per-color count of a sigma's vertices:
+    ``colors[:, :, None] == np.arange(m)``, under any names."""
+    return (
+        isinstance(node, ast.Compare)
+        and isinstance(node.left, ast.Subscript)
+        and ast.unparse(node.left.slice).strip("()") == ":, :, None"
+        and any(
+            getattr(getattr(c, "func", None), "attr", None) == "arange"
+            for c in node.comparators
+        )
+    )
+
+
+def slices_seeds(node) -> bool:
+    """A slice of ``SEEDS``, such as ``SEEDS[:2]`` for its block seeds."""
+    return (
+        isinstance(node, ast.Subscript)
+        and isinstance(node.slice, ast.Slice)
+        and "SEEDS" in (getattr(node.value, "id", None), getattr(node.value, "attr", None))
+    )
+
+
+def literal(text: str):
+    return lambda node: isinstance(node, ast.Constant) and node.value == text
 
 
 def identifiers(path: Path) -> set[str]:
@@ -101,10 +138,14 @@ def identifiers(path: Path) -> set[str]:
 
 
 def test_each_decision_has_one_owner():
-    """The oracle takes its ridges and facets from the certificate, and a
-    label with no simplex factor is P x simplex(0) through
-    ``complexes.simplex_factor``: the second owners stay gone."""
-    gone = {"facet_incidence", "_cube_as_point_product", "by_ridge"}
+    """The oracle takes its ridges and facets from the certificate, a label
+    with no simplex factor is P x simplex(0) through
+    ``complexes.simplex_factor``, the product sizes take the surviving T_0
+    cells from the generator's rule, and the block seeds are named in the
+    seeds catalog alone: the second owners stay gone."""
+    gone = {
+        "facet_incidence", "_cube_as_point_product", "by_ridge", "lift_count", "_lvecs"
+    }
     found = {
         f"{path.name}: {name}"
         for path in PACKAGE.glob("*.py")
@@ -115,6 +156,11 @@ def test_each_decision_has_one_owner():
     assert callers("facet_inequalities") - {"geometry.facet_inequalities"} == {
         "complexes._facet_masks"
     }
+    # runs of equal rows: the duplicate scan, the ridge buckets, the oracle
+    assert callers("lexsort") == {"complexes._runs"}
+    assert owners(counts_colors) == {"coloring._color_groups"}
+    assert {where.split(".")[0] for where in owners(literal("i3d1"))} == {"seeds"}
+    assert owners(slices_seeds) == set()
 
 
 def test_the_owner_checks_see_a_second_owner(tmp_path, monkeypatch):
@@ -125,10 +171,19 @@ def test_the_owner_checks_see_a_second_owner(tmp_path, monkeypatch):
         "class E:\n"
         "    def __init__(self):\n"
         "        self.by_ridge = {}  # by_ridge in a comment is not code\n"
+        "def duplicates(rows):\n"
+        "    return np.lexsort(rows.T[::-1])\n"
+        "def sizes(c, k):\n"
+        "    return (c[:, :, None] == np.arange(k)).sum(axis=1)\n"
+        "SEEDS = ('i3d2', 'i3d1', 'minimal')\n"
+        "BLOCK = pipeline.SEEDS[:2]\n"
     )
     assert identifiers(module) >= {"facet_incidence", "by_ridge"}
     monkeypatch.setattr(sys.modules[__name__], "PACKAGE", tmp_path)
     assert callers("facet_inequalities") == {"module.facet_incidence"}
+    assert callers("lexsort") == {"module.duplicates"}
+    assert owners(counts_colors) == {"module.sizes"}
+    assert owners(literal("i3d1")) == owners(slices_seeds) == {"module"}
 
 
 def spec_uses(cli_path: Path, pipeline_path: Path) -> tuple[dict, set[str]]:
