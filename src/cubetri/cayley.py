@@ -22,7 +22,6 @@ from .complexes import (
     ValidityReport,
     Violation,
     _census,
-    factor_blocks,
     ridge_violations,
     simplex_costs,
     simplex_factor,
@@ -63,9 +62,8 @@ def triangulation_to_mixed(tri: Triangulation) -> MixedSubdivision:
     """Fine mixed subdivision corresponding to a triangulation of
     P x simplex(m-1)."""
     left, m = simplex_factor(tri.config)
-    base = PointConfiguration(left)
-    cells = tuple(MixedCell(factor_blocks(s, m)) for s in tri.simplices)
-    return MixedSubdivision(base, m, cells)
+    cells = tuple(map(MixedCell, tri.blocks))
+    return MixedSubdivision(PointConfiguration(left), m, cells)
 
 
 def _cayley_simplex(cell: MixedCell, base: PointConfiguration, m: int) -> Simplex:

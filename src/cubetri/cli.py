@@ -9,7 +9,8 @@
     cubetri oracle min-weighted --config NAME [--objective weighted|cardinality]
 
 ``verify`` certifies a file by the volume census and the ridge check,
-both linear in its size. A file that cannot be read or decoded, or whose
+both linear in its size; a file in the writer's layout is read block by
+block, never whole. A file that cannot be read or decoded, or whose
 ``dim`` or simplices the reader rejects (an entry that is not an integer
 index of a point, or simplices of different sizes), prints one
 ``invalid file: ...`` line. ``expect`` prints the exact expected size over
@@ -100,7 +101,7 @@ def _cmd_build(args, spec: PipelineSpec) -> int:
 def _cmd_verify(args, path: str) -> int:
     try:
         with open(path) as fh:
-            tri = triangulation_from_json(fh.read())
+            tri = triangulation_from_json(fh)
     except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
         print(f"invalid file: {exc}")
         return 1

@@ -50,7 +50,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .complexes import Triangulation, factor_blocks, index_rows, simplex_factor
+from .complexes import Triangulation, index_rows, simplex_factor
 from .geometry import (
     PointConfiguration,
     ProductLabel,
@@ -105,16 +105,6 @@ class CellProvenance:
     end: int
 
 
-def product_blocks(t0: Triangulation) -> list[tuple[tuple[int, ...], ...]]:
-    """Per-simplex factor blocks of a triangulation of P x simplex(m-1).
-
-    Block i of a simplex holds the base-point indices of its vertices over
-    the i-th simplex vertex, in canonical order.
-    """
-    _, m = simplex_factor(t0.config)
-    return [factor_blocks(s, m) for s in t0.simplices]
-
-
 def _check_inputs(t_q: Triangulation, t0: Triangulation, coloring: Coloring) -> int:
     _, m = simplex_factor(t0.config)
     if coloring.m != m:
@@ -143,7 +133,8 @@ def _color_groups(
 
 
 def _block_sizes(blocks_list) -> tuple[tuple[int, ...], ...]:
-    """The block sizes of each T_0 cell, from :func:`product_blocks`."""
+    """The block sizes of each T_0 cell, from its factor blocks
+    (:attr:`Triangulation.blocks`)."""
     return tuple(tuple(map(len, blocks)) for blocks in blocks_list)
 
 
@@ -194,7 +185,7 @@ class ProductCells:
         n_points = len(self.config.points)
         # Each sigma's vertices by color, in index order within a color.
         self._by_color = index_rows(np.sort(colors * nq + sig, axis=1) % nq, n_points)
-        blocks_list = product_blocks(t0)
+        blocks_list = t0.blocks
         lvecs = _block_sizes(blocks_list)
         width = self.config.dim + 1
         self.signatures: dict = {}  # (lvec, kvec) -> simplices per cell
@@ -326,8 +317,9 @@ def staircase_triangulation(k: int, l: int) -> Triangulation:
 
 def _cell_types(t0: Triangulation) -> tuple[tuple[tuple[int, ...], int], ...]:
     """(block sizes, cells) for each distinct block-size vector of T_0's
-    cells (:func:`product_blocks`): what a closed-form size needs of T_0."""
-    return tuple(Counter(_block_sizes(product_blocks(t0))).items())
+    cells (:attr:`Triangulation.blocks`): what a closed-form size needs of
+    T_0."""
+    return tuple(Counter(_block_sizes(t0.blocks)).items())
 
 
 @lru_cache(maxsize=None)

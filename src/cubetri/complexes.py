@@ -4,7 +4,9 @@ A simplex is a sorted row of indices into a :class:`PointConfiguration`.
 A :class:`Triangulation` holds its simplices as one index array, the form
 the generator, the file reader and writer, the census, the duplicate scan
 and the ridge check all take; simplices of different sizes are rejected
-where they enter. A tuple of tuples built from it on first use is the form
+where they enter. Rows that arrive sorted and in the index dtype, as the
+generator and the reader give them, are kept as given, with no copy. A
+tuple of tuples built from it on first use is the form
 the pair scan takes. Validity is decided exactly on vertex coordinates:
 
 * dissection = volumes sum to the ambient volume and all pairs of cells
@@ -37,27 +39,32 @@ the pseudo-manifold property in De Loera, Rambau and Santos,
 *Triangulations* (Springer, 2010), §4.5. Every caller takes the one
 census, :func:`_census` (or :func:`_tally` on a chunk's signed volumes),
 and then :func:`ridge_violations`, the ridge part alone, on the census's
-signed volumes. Equal ridges are matched as runs of equal rows
-(:func:`_runs`, one stable lexicographic sort), which also finds the
-duplicate simplices. The oracle's search grows cells under the same ridge
-conditions, on the same census, ridge names (:func:`_ridge_rows`) and
-their runs, apex sides (:func:`_apex_sides`) and facet test
-(:func:`_facet_masks`).
+signed volumes (only their signs are read). Equal ridges are matched as
+runs of equal rows (:func:`_runs`, one stable lexicographic sort), and
+equal simplices, the duplicates, the same way. The oracle's search grows
+cells under the same ridge conditions, on the same census, ridge names
+(:func:`_ridge_rows`) and their runs, apex sides (:func:`_apex_sides`)
+and facet test (:func:`_facet_masks`).
 
 Every step and check holds one bounded, narrow slice of its data at a
-time, besides the index rows themselves: the census takes chunks of
-``CENSUS_CHUNK`` rows, the ridge check matches the ridges in buckets of
-first-vertex ranges of about ``RIDGE_BUCKET`` ridges, one index-dtype
-column per vertex position, and the reader parses ``READ_BLOCK``
-characters at a time.
+time, besides the index rows and one int8 (or, past int8, int64) volume
+per row: the census takes chunks of ``CENSUS_CHUNK`` rows, and the ridge
+check and the duplicate scan sort buckets of at most ``RIDGE_BUCKET``
+ridges or rows, one index-dtype column per vertex position. A bucket is
+a range of first vertices; a first vertex with more than ``RIDGE_BUCKET``
+alone is cut by the second vertex, which equal ridges (and equal rows)
+share too, so no bucket splits a group, and only the items of one first
+and second vertex can overfill one (:func:`_bucket_cuts`).
 
 Files hold one simplex per line (:class:`TriangulationWriter`), so a step
 too large to keep in memory is written chunk by chunk in the same format.
 :func:`triangulation_from_json` reads a file in exactly that layout
-straight to an index array, block by block, and any other JSON layout
-through ``json.loads``; both reject an index that is not an ``int`` of
-range ``[0, len(points))``, simplices of different sizes and a ``dim``
-that is not the label's.
+straight to an index array, ``READ_BLOCK`` characters at a time; from a
+file handle it never holds the whole text, in two passes (count the
+rows, then fill one array). Any other JSON layout goes through
+``json.loads`` on the whole text; both reject an index that is not an
+``int`` of range ``[0, len(points))``, simplices of different sizes and a
+``dim`` that is not the label's, with the same message.
 """
 
 from __future__ import annotations
@@ -93,11 +100,16 @@ class Triangulation:
 
     An integer array and an iterable of index tuples pass the same checks:
     one 2-d integer array (tuples of different sizes are rejected), every
-    index one of the points. :attr:`simplices` is the rows as a tuple of
-    tuples, built on first use; equality compares configuration and rows.
+    index one of the points. An array already in the index dtype whose
+    rows are sorted (:func:`_rows_sorted`), as the generator and the
+    reader give them, becomes :attr:`rows` itself, made read-only, with
+    no copy; any other input is converted and sorted, which gives the same
+    rows. :attr:`simplices` is the rows as a tuple of tuples and
+    :attr:`blocks` their factor blocks, each built on first use; equality
+    compares configuration and rows.
     """
 
-    __slots__ = ("config", "rows", "_simplices")
+    __slots__ = ("config", "rows", "_simplices", "_blocks")
 
     def __init__(self, config: PointConfiguration, simplices):
         self.config = config
@@ -109,15 +121,25 @@ class Triangulation:
             simplices.min() < 0 or simplices.max() >= len(config.points)
         ):
             raise ValueError("simplex index out of range")
-        self.rows = np.sort(index_rows(simplices, len(config.points)), axis=1)
+        rows = np.ascontiguousarray(index_rows(simplices, len(config.points)))
+        self.rows = rows if _rows_sorted(rows) else np.sort(rows, axis=1)
         self.rows.flags.writeable = False
-        self._simplices = None
+        self._simplices = self._blocks = None
 
     @property
     def simplices(self) -> tuple[Simplex, ...]:
         if self._simplices is None:
             self._simplices = tuple(map(tuple, self.rows.tolist()))
         return self._simplices
+
+    @property
+    def blocks(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Each simplex's :func:`factor_blocks` over the simplex factor of
+        the configuration (:func:`simplex_factor`), built on first use."""
+        if self._blocks is None:
+            _, m = simplex_factor(self.config)
+            self._blocks = tuple(factor_blocks(s, m) for s in self.simplices)
+        return self._blocks
 
     @property
     def size(self) -> int:
@@ -137,6 +159,16 @@ class Triangulation:
 
     def volume_of(self, s: Simplex) -> int:
         return normalized_volume(self.points_of(s))
+
+
+def _rows_sorted(rows: np.ndarray) -> bool:
+    """Whether every row is ascending, so that ``np.sort(rows, axis=1)``
+    would return the same rows; checked ``CENSUS_CHUNK`` rows at a time."""
+    for start in range(0, len(rows), CENSUS_CHUNK):
+        chunk = rows[start : start + CENSUS_CHUNK]
+        if not (chunk[:, 1:] >= chunk[:, :-1]).all():
+            return False
+    return True
 
 
 def _tuple_rows(simplices, width: int) -> np.ndarray:
@@ -249,14 +281,27 @@ def _census(tri: Triangulation):
     """The census part of every report: (full-dimensional simplices as index
     rows, their signed volumes, total volume, violations). The violations
     name each simplex that is not full-dimensional, then each degenerate
-    one, then a total that is not the label's volume."""
+    one, then a total that is not the label's volume.
+
+    The volumes are taken ``CENSUS_CHUNK`` rows at a time and kept as int8
+    while they fit, as every unimodular simplex's does, and as int64 from
+    the first chunk that does not."""
     full = tri.rows
     violations = []
     if full.shape[1] != tri.config.dim + 1:
         violations = [Violation("not-full-dimensional", (s,)) for s in tri.simplices]
         full = full[:0]
-    vols = signed_volumes(tri.config.points, full)
-    total, degenerate = _tally(vols)
+    points = linalg.int_array(tri.config.points)
+    vols = np.zeros(len(full), dtype=np.int8)
+    total, degenerate = 0, []
+    for start in range(0, len(full), CENSUS_CHUNK):
+        part = signed_volumes(points, full[start : start + CENSUS_CHUNK])
+        if vols.dtype == np.int8 and not (-128 <= part.min() and part.max() < 128):
+            vols = vols.astype(np.int64)
+        vols[start : start + len(part)] = part
+        part_total, part_degenerate = _tally(part)
+        total += part_total
+        degenerate += [start + i for i in part_degenerate]
     violations.extend(
         Violation("degenerate", (tuple(full[i].tolist()),)) for i in degenerate
     )
@@ -270,12 +315,28 @@ def _census(tri: Triangulation):
 
 def duplicate_simplices(tri: Triangulation) -> list[Violation]:
     """A ``duplicate`` violation for each repeat of an earlier simplex, in
-    order: each row of a run of equal rows (:func:`_runs`) but its first."""
+    order: each row of a run of equal rows (:func:`_runs`) but its first.
+
+    Equal rows share their first two vertices, so the runs are found in
+    buckets of at most ``RIDGE_BUCKET`` rows (:func:`_bucket_ids`, a row
+    keyed by its first two vertices), unless the rows of one first and
+    second vertex alone are more."""
     rows = tri.rows
-    order, starts = _runs(list(rows.T), len(rows))
+    if not rows.shape[1]:  # empty rows are all equal
+        picks = [np.arange(len(rows))]
+    elif len(rows):
+        groups = (((0, 1 if rows.shape[1] > 1 else None), 1),)
+        buckets, ids = _bucket_ids(rows, len(tri.config.points), groups)
+        picks = (np.flatnonzero(ids[0] == b) for b in range(buckets))
+    else:
+        return []
+    repeats = [np.zeros(0, dtype=np.intp)]
+    for pick in picks:
+        order, starts = _runs(list(rows[pick].T), len(pick))
+        repeats.append(pick[order[~starts[:-1]]])
     return [
         Violation("duplicate", (tuple(rows[i].tolist()),))
-        for i in np.sort(order[~starts[:-1]]).tolist()
+        for i in np.sort(np.concatenate(repeats)).tolist()
     ]
 
 
@@ -396,7 +457,7 @@ def _index_dtype(n_points: int):
     return np.uint16 if n_points < 2**16 else np.int64
 
 
-RIDGE_BUCKET = 1 << 18  # ridges matched at a time: bounds the ridge check's memory
+RIDGE_BUCKET = 1 << 17  # ridges (or rows) matched at a time: bounds the working memory
 
 
 def ridge_violations(
@@ -406,7 +467,8 @@ def ridge_violations(
 
     ``simplices`` are full-dimensional simplices of ``config``
     as sorted index rows (tuples or one (N, d+1) array), and
-    ``signed_vols`` their signed volumes (:func:`signed_volumes`). Pairs
+    ``signed_vols`` their signed volumes (:func:`signed_volumes`), of
+    which only the signs are read, so the signs alone will do. Pairs
     the ridges by sorting them: a ridge in more than two simplices is
     ``ridge-overused``, one in a single simplex and on no facet
     ``open-interior-ridge``, and two simplices on the same side of their
@@ -414,12 +476,15 @@ def ridge_violations(
     order of each ridge's first occurrence. Sides come from the signed
     volumes (:func:`_apex_sides`), so no determinant is taken per ridge.
 
-    Equal ridges share their first vertex, so the ridges are sorted in
-    buckets of first-vertex ranges (:func:`_ridge_buckets`), as in the
-    distribution pass of an external sort (Knuth, *TAOCP* vol. 3, §5.4).
-    A bucket holds at most ``RIDGE_BUCKET`` ridges, or one vertex's if it
-    alone has more, and never splits a group of equal ridges, so the
-    working memory is that of one bucket (:func:`_bucket_violations`).
+    Equal ridges share their first two vertices, so the ridges are sorted
+    in buckets of ranges of first vertices, and of second vertices within
+    a first vertex whose ridges alone exceed ``RIDGE_BUCKET``
+    (:func:`_ridge_buckets`), as in the distribution pass of an external
+    sort (Knuth, *TAOCP* vol. 3, §5.4). A bucket never splits a group of
+    equal ridges and holds at most ``RIDGE_BUCKET`` ridges, unless the
+    ridges of one first and second vertex (at d = 1, of one vertex) alone
+    are more, so the working memory is that of one bucket
+    (:func:`_bucket_violations`).
     """
     d = config.dim
     simp = index_rows(simplices, len(config.points)).reshape(-1, d + 1)
@@ -432,48 +497,114 @@ def ridge_violations(
     return [v for _, v in found]
 
 
+def _ridge_groups(d1: int) -> tuple:
+    """The ridges of a sorted simplex of d1 vertices by their first two
+    vertices, as (columns of the simplex, ridges) per group: the ridge
+    without position 0, the one without position 1 and, for d >= 2, the
+    d-1 without a later position. At d = 1 a ridge is one vertex."""
+    if d1 == 2:
+        return (((1, None), 1), ((0, None), 1))
+    return (((1, 2), 1), ((0, 2), 1), ((0, 1), d1 - 2))
+
+
 def _ridge_buckets(simp: np.ndarray, n_points: int):
     """The buckets of :func:`ridge_violations` as pairs (rows, valid): the
     ascending indices of the simplices that own the bucket's ridges, and a
     (rows, d+1) mask whose entry [r, j] tells whether the ridge without
-    position j of simplex rows[r] is in the bucket. Ridge j of a sorted
-    simplex starts at its vertex 0 for j >= 1 and at its vertex 1 for
-    j = 0; bucket b holds the ridges that start at vertices
-    cuts[b]..cuts[b+1]-1 (:func:`_bucket_cuts`)."""
+    position j of simplex rows[r] is in the bucket (:func:`_bucket_ids`
+    of the :func:`_ridge_groups`)."""
     n, d1 = simp.shape
     if not n:
         return
     if d1 == 1:  # a point's one ridge, the empty one, is the same for all
         yield np.arange(n), np.ones((n, 1), dtype=bool)
         return
-    cuts = _bucket_cuts(simp, n_points)
-    bucket = np.searchsorted(cuts, np.arange(n_points), side="right") - 1
-    bucket = bucket.astype(np.min_scalar_type(len(cuts)))
-    head, second = bucket[simp[:, 0]], bucket[simp[:, 1]]
-    for b in range(len(cuts) - 1):
-        in_head, in_second = head == b, second == b
-        rows = np.flatnonzero(in_head | in_second)
+    buckets, ids = _bucket_ids(simp, n_points, _ridge_groups(d1))
+    for b in range(buckets):
+        here = ids[0] == b
+        for g in range(1, len(ids)):
+            here |= ids[g] == b
+        rows = np.flatnonzero(here)
+        del here  # not held while the bucket is matched
         valid = np.empty((len(rows), d1), dtype=bool)
-        valid[:, 0] = in_second[rows]
-        valid[:, 1:] = in_head[rows, None]
+        for g in range(len(ids)):  # group g is position g; the last, 2..d
+            valid[:, g : g + 1 if g < 2 else None] = ids[g, rows, None] == b
         yield rows, valid
 
 
-def _bucket_cuts(simp: np.ndarray, n_points: int) -> list[int]:
-    """Ascending first vertices of the buckets, then ``n_points``. A bucket
-    takes vertices while its ridges stay within ``RIDGE_BUCKET``, and at
-    least the next vertex that starts a ridge."""
-    per_vertex = (simp.shape[1] - 1) * np.bincount(simp[:, 0], minlength=n_points)
-    per_vertex += np.bincount(simp[:, 1], minlength=n_points)
-    cum = np.cumsum(per_vertex)
-    cuts = [0]
-    done = 0  # ridges that start before the last cut
+def _bucket_ids(simp: np.ndarray, n_points: int, groups) -> tuple[int, np.ndarray]:
+    """(buckets, ids) for the keyed items of ``groups``, pairs
+    ((a, b), times) that give each row ``times`` items keyed by its
+    columns a and b: ``ids[g, i]`` is the bucket of row i's items of group
+    g. An item's key is first * n_points + second, with first = row[a] and
+    second = row[b] (0 when b is None), so equal items have equal keys and
+    keys ascend with the lexicographic order of (first, second). Bucket k
+    holds the keys cuts[k]..cuts[k+1]-1 (:func:`_bucket_cuts`). The keys
+    are taken ``CENSUS_CHUNK`` rows at a time."""
+    cuts = _bucket_cuts(simp, n_points, groups)
+    ids = np.empty((len(groups), len(simp)), np.min_scalar_type(len(cuts)))
+    for start in range(0, len(simp), CENSUS_CHUNK):
+        part = simp[start : start + CENSUS_CHUNK].astype(np.int64)
+        for g, ((a, b), _) in enumerate(groups):
+            key = part[:, a] * n_points + (part[:, b] if b is not None else 0)
+            ids[g, start : start + len(part)] = np.searchsorted(cuts, key, "right") - 1
+    return len(cuts) - 1, ids
+
+
+def _bucket_cuts(simp: np.ndarray, n_points: int, groups) -> np.ndarray:
+    """Ascending keys that start the buckets of :func:`_bucket_ids`, then
+    ``n_points ** 2``, past every key.
+
+    The units of the cut are the first vertices, except that a first
+    vertex whose items alone exceed ``RIDGE_BUCKET`` is cut into its
+    (first, second) vertex pairs when every group has a second column. A
+    bucket takes units while its items stay within ``RIDGE_BUCKET``, and
+    at least the next unit that has one. Equal items share
+    a unit, so no bucket splits a group of equal items, and a bucket holds
+    more than ``RIDGE_BUCKET`` items only when one unit does."""
+    per_vertex = np.zeros(n_points, dtype=np.int64)
+    for (a, _), times in groups:
+        per_vertex += times * np.bincount(simp[:, a], minlength=n_points)
+    splits = all(b is not None for (_, b), _ in groups)
+    big = np.flatnonzero(per_vertex > RIDGE_BUCKET) if splits else []
+    by_second = _second_counts(simp, big, n_points, groups) if len(big) else None
+    vertex_keys = np.arange(n_points, dtype=np.int64) * n_points
+    keys, counts, prev = [], [], 0
+    for r, v in enumerate(big):
+        keys += [vertex_keys[prev:v], v * n_points + np.arange(n_points)]
+        counts += [per_vertex[prev:v], by_second[r]]
+        prev = v + 1
+    keys.append(vertex_keys[prev:])
+    counts.append(per_vertex[prev:])
+    cum = np.cumsum(np.concatenate(counts))
+    firsts = [0]  # the first unit of each bucket, then the end of the last
+    done = 0  # the items of the units before the last bucket's end
     while done < cum[-1]:
         hi = np.searchsorted(cum, [done + RIDGE_BUCKET, done], side="right")
-        cuts.append(int(max(hi[0], hi[1] + 1)))
-        done = int(cum[cuts[-1] - 1])
-    cuts[-1] = n_points  # the vertices past it start no ridge
-    return cuts
+        end = int(max(hi[0], hi[1] + 1))
+        firsts.append(end)
+        done = int(cum[end - 1])
+    # The last bucket ends past the units that hold an item.
+    return np.append(np.concatenate(keys)[firsts[:-1]], np.int64(n_points) ** 2)
+
+
+def _second_counts(simp: np.ndarray, vertices, n_points: int, groups) -> np.ndarray:
+    """(len(vertices), n_points) counts: entry [r, w] is the number of
+    items of ``groups`` (:func:`_bucket_ids`) whose first vertex is
+    vertices[r] and whose second is w, counted ``CENSUS_CHUNK`` rows at a
+    time."""
+    rank = np.full(n_points, -1, dtype=np.int64)
+    rank[vertices] = np.arange(len(vertices))
+    size = len(vertices) * n_points
+    counts = np.zeros(size, dtype=np.int64)
+    for start in range(0, len(simp), CENSUS_CHUNK):
+        part = simp[start : start + CENSUS_CHUNK]
+        for (a, b), times in groups:
+            first = rank[part[:, a]]
+            at = np.flatnonzero(first >= 0)
+            keys = first[at] * n_points + part[at, b]
+            counts += times * np.bincount(keys, minlength=size)
+    return counts.reshape(len(vertices), n_points)
 
 
 def _bucket_violations(
@@ -487,8 +618,8 @@ def _bucket_violations(
     one bucket of :func:`_ridge_buckets`; ridge k = i (d+1) + j is sorted
     simplex i without its position j.
 
-    The bucket's d ridge columns are built by slice assignment in the
-    index dtype, in ascending flat order, so the runs of equal ridges
+    The bucket's d ridge columns are built from repeated vertex columns in
+    the index dtype, in ascending flat order, so the runs of equal ridges
     (:func:`_runs`) list each group in first-occurrence order. The groups
     of one, two and more ridges come from the run starts one and two
     places on. A single ridge lies on a facet when the facet bitmasks of
@@ -499,27 +630,35 @@ def _bucket_violations(
     d = d1 - 1
     sub = simp[rows]
     n = int(np.count_nonzero(valid))
+    # Ridge r of the bucket is in simplex rows[owner] and drops position j,
+    # the k-th valid one of its row: 0 if valid, then 1 if valid, then 2..d
+    # all or none (:func:`_ridge_groups`).
+    has0 = valid[:, 0]
+    has1 = valid[:, 1] if d else np.zeros(len(valid), dtype=bool)
+    per_row = has0.astype(np.intp) + has1 + max(d - 1, 0) * valid[:, -1]
+    before = np.cumsum(per_row) - per_row
     # Column c of the ridge without position j is vertex c of the simplex
-    # for j > c and vertex c+1 for j <= c.
+    # for j > c and vertex c+1 for j <= c; each vertex column is repeated
+    # once per ridge of its row.
+    dropped = np.tile(np.arange(d1, dtype=np.uint8), len(rows))[valid.ravel()]
     cols = []
-    block = np.empty(valid.shape, dtype=simp.dtype)
+    vertex = np.repeat(sub[:, 0], per_row)
     for c in range(d):
-        block[:, : c + 1] = sub[:, c + 1, None]
-        block[:, c + 1 :] = sub[:, c, None]
-        cols.append(block[valid])
-    del block
+        following = np.repeat(sub[:, c + 1], per_row)
+        cols.append(np.where(dropped > c, vertex, following))
+        vertex = following
+    del dropped, vertex
     order, starts = _runs(cols, n)
     first, last = starts[:n], starts[1:]  # sorted ridge p opens, closes a group
     bad = first & ~last
     bad[:-1] &= ~starts[2:]  # more than two ridges
-    # Ridge r of the bucket is in simplex rows[owner] and drops position j;
-    # a row holds its ridge 0 or not, then its ridges 1..d or none.
-    per_row = valid[:, 0] + d * valid[:, -1]
-    before = np.cumsum(per_row) - per_row
 
     def locate(r):
         owner = np.searchsorted(before, r, side="right") - 1
-        return owner, r - before[owner] + ~valid[owner, 0]
+        k = r - before[owner]
+        h0, h1 = has0[owner], has1[owner]
+        later = np.where(h1 & (k == h0), 1, k + 2 - h0 - h1)
+        return owner, np.where(h0 & (k == 0), 0, later)
 
     # A point has no facet, and its one ridge, the empty one, is its boundary.
     single = np.flatnonzero(first & last) if d else np.zeros(0, np.intp)
@@ -698,7 +837,10 @@ def triangulation_to_json(tri: Triangulation) -> str:
     return buf.getvalue()
 
 
-READ_BLOCK = 1 << 18  # characters of the body parsed at a time
+# Characters of the body parsed at a time. A block's transient working set
+# (its translated copy, the int64 values, and the re-encode check's token
+# array, list and string) is about seven times its characters.
+READ_BLOCK = 1 << 17
 _BRACKETS_AS_SPACES = str.maketrans("[],\n", "    ")
 
 
@@ -736,83 +878,155 @@ def _check_simplices(simplices) -> None:
                 raise ValueError(f"simplex index {i!r} is not an integer")
 
 
-def _read_layout(text: str) -> Triangulation | None:
-    """The triangulation of a file in exactly the writer's layout, or None.
-
-    The header line is parsed with ``json`` and must re-encode to itself.
-    The body is parsed in blocks of about ``READ_BLOCK`` characters, each
-    with brackets and commas turned to spaces by one ``np.fromstring``;
-    every index must be in range, and each block must re-encode through
-    the writer to exactly its own text. So a file this accepts is the
-    writer's output for the rows it returns, and ``json.loads`` would read
-    the same rows from it.
-    """
-    head_end = text.find("\n") + 1
-    if not (
-        text.startswith('{"dim": ')
-        and text.endswith(_FOOTER)
-        and text.endswith('"simplices": [\n', 0, head_end)
-    ):
+def _layout_config(head: str) -> PointConfiguration | None:
+    """The configuration of a header line in exactly the writer's layout,
+    or None. The line is parsed with ``json`` and must re-encode to
+    itself."""
+    if not (head.startswith('{"dim": ') and head.endswith('"simplices": [\n')):
         return None
     try:
-        config = _config_of(json.loads(text[:head_end] + "]}"))
+        config = _config_of(json.loads(head + "]}"))
     except (ValueError, KeyError, TypeError):
         return None
-    if _header(config) != text[:head_end]:
+    return config if _header(config) == head else None
+
+
+def _parse_block(block: str, d1: int, tables) -> np.ndarray | None:
+    """The rows of one block of a body in the writer's layout (whole rows
+    joined by ``,\n``), or None. Brackets and commas become spaces for one
+    ``np.fromstring``; every index must be in range, and the rows must
+    re-encode through the writer's ``tables`` to exactly the block."""
+    try:
+        vals = np.fromstring(
+            block.translate(_BRACKETS_AS_SPACES), dtype=np.int64, sep=" "
+        )
+    except ValueError:
         return None
-    body_end = len(text) - len(_FOOTER)
+    k = len(vals) // d1
+    if k == 0 or len(vals) != k * d1 or vals.min() < 0 or vals.max() >= len(tables[0]):
+        return None
+    vals = vals.reshape(k, d1)
+    return vals if _encode_rows(tables, vals) == block else None
+
+
+def _read_rows(config: PointConfiguration, n_rows: int, blocks) -> Triangulation | None:
+    """The triangulation of a body of ``n_rows`` rows given as blocks of
+    whole rows (:func:`_parse_block`), or None. So a file this accepts is
+    the writer's output for the rows it returns, and ``json.loads`` would
+    read the same rows from it."""
     d1, n = config.dim + 1, len(config.points)
-    n_rows = text.count("\n", head_end, body_end) + 1 if body_end > head_end else 0
     rows = np.empty((n_rows, d1), dtype=_index_dtype(n))
     tables = _row_tables(n)
-    lo = head_end
     done = 0
-    while lo < body_end:
-        hi = text.find(",\n", lo + READ_BLOCK, body_end)
-        hi = body_end if hi < 0 else hi
-        block = text[lo:hi]
-        try:
-            vals = np.fromstring(
-                block.translate(_BRACKETS_AS_SPACES), dtype=np.int64, sep=" "
-            )
-        except ValueError:
+    for block in blocks:
+        vals = _parse_block(block, d1, tables)
+        if vals is None or done + len(vals) > n_rows:
             return None
-        k = len(vals) // d1
-        if (
-            k == 0
-            or len(vals) != k * d1
-            or done + k > n_rows
-            or vals.min() < 0
-            or vals.max() >= n
-        ):
-            return None
-        vals = vals.reshape(k, d1)
-        if _encode_rows(tables, vals) != block:
-            return None
-        rows[done : done + k] = vals
-        done += k
-        lo = hi + 2
-    if done != n_rows:
+        rows[done : done + len(vals)] = vals
+        done += len(vals)
+    return Triangulation(config, rows) if done == n_rows else None
+
+
+def _read_text(text: str) -> Triangulation | None:
+    """The triangulation of a text in exactly the writer's layout, or None;
+    the body goes to :func:`_read_rows` in blocks of about ``READ_BLOCK``
+    characters."""
+    head_end = text.find("\n") + 1
+    config = _layout_config(text[:head_end]) if text.endswith(_FOOTER) else None
+    if config is None:
         return None
-    return Triangulation(config, rows)
+    body_end = len(text) - len(_FOOTER)
+    n_rows = text.count("\n", head_end, body_end) + 1 if body_end > head_end else 0
+
+    def blocks():
+        lo = head_end
+        while lo < body_end:
+            hi = text.find(",\n", lo + READ_BLOCK, body_end)
+            hi = body_end if hi < 0 else hi
+            yield text[lo:hi]
+            lo = hi + 2
+
+    return _read_rows(config, n_rows, blocks())
 
 
-def triangulation_from_json(text: str) -> Triangulation:
-    """Read a triangulation file.
+def _read_handle(fh: TextIO) -> Triangulation | None:
+    """The triangulation of a seekable text file handle in exactly the
+    writer's layout, read from its position in two passes of reads of at
+    most ``READ_BLOCK`` characters after the header line; or None, with the
+    handle back at that position (and unread when it cannot seek). The
+    first pass counts the body's rows and checks the footer, so the second
+    fills one array of that size through :func:`_read_rows`: the file's
+    text is never held whole. A file that cannot be decoded is None too,
+    so that reading it again raises the error."""
+    if not fh.seekable():
+        return None
+    start = fh.tell()
+    try:
+        tri = _read_handle_layout(fh)
+    except ValueError:  # UnicodeDecodeError
+        tri = None
+    if tri is None:
+        fh.seek(start)
+    return tri
 
-    A file in the writer's layout is parsed straight to an index array
-    (:func:`_read_layout`); any other JSON text goes through
-    ``json.loads``. Either way a ValueError rejects text that is not an
-    object with the keys ``dim``, ``label``, ``points`` and
+
+def _read_handle_layout(fh: TextIO) -> Triangulation | None:
+    config = _layout_config(fh.readline())
+    if config is None:
+        return None
+    body = fh.tell()
+    size = newlines = 0
+    tail = ""
+    for data in iter(lambda: fh.read(READ_BLOCK), ""):
+        size += len(data)
+        newlines += data.count("\n")
+        tail = (tail + data)[-len(_FOOTER) :]
+    if tail != _FOOTER:
+        return None
+    # The footer holds two of the newlines; rows are joined by the others.
+    body_size = size - len(_FOOTER)
+    fh.seek(body)
+
+    def blocks():
+        left, carry = body_size, ""
+        while left > 0:
+            data = fh.read(min(READ_BLOCK, left))
+            if not data:
+                return  # the file shrank; the row count then disagrees
+            left -= len(data)
+            block, carry = carry + data, ""
+            if left > 0:  # keep the last, maybe partial, row for the next read
+                cut = block.rfind(",\n")
+                if cut < 0:
+                    carry = block
+                    continue
+                block, carry = block[:cut], block[cut + 2 :]
+            yield block
+
+    return _read_rows(config, newlines - 1 if body_size > 0 else 0, blocks())
+
+
+def triangulation_from_json(source: str | TextIO) -> Triangulation:
+    """Read a triangulation file from its text or from a text file handle.
+
+    A file in the writer's layout is parsed straight to an index array,
+    block by block (:func:`_read_rows`): from a seekable handle without
+    ever holding its whole text (:func:`_read_handle`), from a text by
+    slices of it (:func:`_read_text`). Any other JSON text goes through
+    ``json.loads`` on the whole text. Either way a ValueError rejects text
+    that is not an object with the keys ``dim``, ``label``, ``points`` and
     ``simplices``, a label that is not a string, points out of the
     label's canonical order, a ``dim`` that is not the label's, simplices
     of different sizes and any entry that is not an ``int`` index of a
     point, and equal files give equal triangulations.
     """
-    tri = _read_layout(text)
+    if isinstance(source, str):
+        text, tri = source, _read_text(source)
+    else:
+        text, tri = None, _read_handle(source)
     if tri is not None:
         return tri
-    obj = json.loads(text)
+    obj = json.loads(source.read() if text is None else text)
     if type(obj) is not dict or not {"dim", "label", "points", "simplices"} <= obj.keys():
         raise ValueError("not an object with the keys dim, label, points and simplices")
     config = _config_of(obj)

@@ -253,15 +253,17 @@ def int_array(values) -> np.ndarray:
 def batch_det(mats: np.ndarray) -> np.ndarray:
     """Signed determinants of a batch of square integer matrices, exactly.
 
-    ``mats`` has shape (N, n, n). The batch is copied to the (n, n, N)
-    layout of :func:`batch_last_det` in the dtype :func:`exact_dtype` picks
-    for its largest absolute entry, and the result is int64; when neither
+    ``mats`` has shape (N, n, n); ValueError for matrices that are not
+    square. The batch is copied to the (n, n, N) layout of
+    :func:`batch_last_det` in the dtype :func:`exact_dtype` picks for its
+    largest absolute entry, and the result is int64; when neither
     int32 nor int64 is wide enough (entries beyond int64 included), the
     copy and the result are object arrays of Python ints.
     """
     mats = int_array(mats)
     N, n, n2 = mats.shape
-    assert n == n2
+    if n != n2:
+        raise ValueError(f"matrices of shape {n} x {n2} are not square")
     c = max(int(mats.max()), -int(mats.min())) if mats.size else 0
     dtype = exact_dtype(c, n) or object
     # astype copies, so the caller's array is never overwritten.

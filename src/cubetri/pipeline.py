@@ -11,9 +11,11 @@ of :class:`coloring.ProductCells`. It takes the step's simplices as
 integer arrays in slices of consecutive sigmas of about ``CENSUS_CHUNK``
 rows, in the cell-by-cell order (one gather of the engine's template table
 gives it). Each slice goes as the same array to the volume census, to
-the file writer and, on a kept step, to the step's triangulation, which
-holds its simplices as one index array: no simplex becomes a Python
-tuple on the way. Materialization is only a memory policy: the
+the file writer and, on a kept step, into the step's one index array of
+the step's known size, which the triangulation keeps without a copy: no
+simplex becomes a Python tuple on the way. The sampled sizes and the
+cells take T_0's factor blocks from T_0 (:attr:`Triangulation.blocks`),
+which derives them once. Materialization is only a memory policy: the
 simplices are kept when the step's dimension is at most
 ``materialize_max_dim``, and otherwise the step is streamed. Only the last
 step may be streamed: a spec whose middle step lands above
@@ -60,6 +62,7 @@ from .complexes import (
     CENSUS_CHUNK,
     Triangulation,
     TriangulationWriter,
+    _index_dtype,
     _tally,
     efficiency,
     ridge_violations,
@@ -191,20 +194,25 @@ def _product_step(
     """One product step: generates the cells in chunks of about
     ``CENSUS_CHUNK`` simplices (:meth:`ProductCells.chunks`) and feeds each
     chunk to the volume census and (with ``out_path``) to the file writer.
-    The simplices are kept only when ``keep``. With ``certify`` (a kept
-    step), the ridge certificate runs on the kept rows and the census's
-    signed volumes; otherwise each distinct cell signature is certified
-    once for the dissection tier."""
+    The simplices are kept only when ``keep``, written chunk by chunk into
+    one array of the step's size. With ``certify`` (a kept step), the ridge
+    certificate runs on the kept rows and the signs of the census's
+    volumes, kept the same way as int8; otherwise each distinct cell
+    signature is certified once for the dissection tier."""
     cells = ProductCells(t_q, t0, coloring)
     cfg = cells.config
     points = np.asarray(cfg.points, dtype=np.int64)
+    total_rows = int(cells.starts[-1])
+    if keep:
+        rows = np.empty((total_rows, cfg.dim + 1), _index_dtype(len(cfg.points)))
+    if certify:  # the ridge check takes only the volumes' signs
+        signs = np.empty(total_rows, dtype=np.int8)
     step = _Step()
     volume = zeros = 0
-    kept: list = []  # chunks, when keeping
-    vols_kept: list = []  # their signed volumes, when certifying
     with open(out_path, "w") if out_path else contextlib.nullcontext() as fh:
         writer = TriangulationWriter(fh, cfg) if fh else None
         for chunk in cells.chunks(CENSUS_CHUNK):
+            at = step.size
             step.size += len(chunk)
             vols = signed_volumes(points, chunk)
             total, degenerate = _tally(vols)
@@ -213,16 +221,16 @@ def _product_step(
             if writer is not None:
                 writer.write(chunk)
             if keep:
-                kept.append(chunk)
+                rows[at : step.size] = chunk
             if certify:
-                vols_kept.append(vols)
+                signs[at : step.size] = np.sign(vols)
         if writer is not None:
             writer.close()
     step.volume_ok = volume == ambient_normalized_volume(cfg.label) and zeros == 0
     if keep:
-        step.tri = Triangulation(cfg, np.concatenate(kept))
+        step.tri = Triangulation(cfg, rows)
     if certify:
-        ridges = ridge_violations(cfg, step.tri.rows, np.concatenate(vols_kept))
+        ridges = ridge_violations(cfg, step.tri.rows, signs)
         step.face_to_face = step.dissection = step.volume_ok and not ridges
     else:
         step.dissection = step.volume_ok and all(
@@ -272,7 +280,11 @@ def build_cube_recursive(spec: PipelineSpec):
         certify = keep and new_dim <= spec.face_check_max_dim
         out_path = spec.out if new_dim == spec.dim else None
         step = _product_step(current, t0, best, keep, certify, out_path)
-        assert step.size == best_size
+        if step.size != best_size:  # an explicit check, kept under python -O
+            raise AssertionError(
+                f"step to d={new_dim} emitted {step.size} simplices, "
+                f"product_size gave {best_size}"
+            )
         steps.append(
             StepReport(
                 cur,

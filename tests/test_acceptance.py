@@ -28,7 +28,6 @@ from cubetri.cayley import (
 from cubetri.coloring import (
     exact_expected_size,
     lift_triangulation,
-    product_blocks,
     size_bound,
     staircase_triangulation,
 )
@@ -161,7 +160,7 @@ def test_criterion_5_lift_size_identity():
         lifted = lift_triangulation(base, kvec)
         closed = sum(
             multi_staircase_count([len(b) for b in bl], kvec)
-            for bl in product_blocks(base)
+            for bl in base.blocks
         )
         ok &= lifted.size == closed
         tri, prov, coloring = lift_provenance(base, kvec)

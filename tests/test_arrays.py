@@ -17,6 +17,7 @@ from helpers import reference_from_json, reference_to_json
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cubetri import complexes
 from cubetri.cli import main
 from cubetri.coloring import ProductCells, make_coloring
 from cubetri.complexes import (
@@ -403,3 +404,180 @@ def test_verify_rejects_an_unreadable_file(tmp_path, capsys, name, mode):
     lines = captured.out.splitlines()
     assert len(lines) == 1 and lines[0].startswith("invalid file: ")
     assert "Traceback" not in captured.err
+
+
+# -- verify reads a handle in blocks ------------------------------------------------
+
+
+# The line ``verify`` prints for each rejected file above; the parent of the
+# streamed reader printed the same.
+NO_KEYS = "not an object with the keys dim, label, points and simplices"
+INVALID_MESSAGES = {
+    "bool": "simplex index True is not an integer",
+    "dim": "dim 5 is not the label's 4",
+    "float": "simplex index 0.5 is not an integer",
+    "label 5": "label 5 is not a string",
+    "len(points)": "simplex index out of range",
+    "list": NO_KEYS,
+    "minus one": "simplex index out of range",
+    "no label": NO_KEYS,
+    "no points": NO_KEYS,
+    "no simplices": NO_KEYS,
+    **{label: f"points array does not hold the {label} points" for label in HUGE_LABELS},
+}
+
+
+def _verify_lines(tmp_path, capsys, data: bytes) -> tuple[int, list[str]]:
+    path = tmp_path / "file.json"
+    path.write_bytes(data)
+    code = main(["verify", os.fspath(path)])
+    return code, capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_MESSAGES))
+@pytest.mark.parametrize("layout", (0, 1))
+def test_verify_keeps_every_invalid_file_message(tmp_path, capsys, name, layout):
+    if name in HUGE_LABELS:
+        text = _huge_label_file(name, layout)
+    else:
+        text = BAD_D4[name][layout]
+    code, lines = _verify_lines(tmp_path, capsys, text.encode())
+    assert (code, lines) == (1, [f"invalid file: {INVALID_MESSAGES[name]}"])
+
+
+def test_verify_keeps_the_ragged_and_undecodable_messages(outputs, tmp_path, capsys):
+    cube = minimal_cube(3)
+    ragged = reference_to_json(cube.config, cube.simplices + ((0, 1, 2),))
+    assert _verify_lines(tmp_path, capsys, ragged.encode()) == (1, [
+        "invalid file: simplices of different sizes: (0, 1, 2) and (1, 2, 4, 7)"
+    ])
+    # A bad byte past the first blocks: the position is the file's, as
+    # decoding the whole text gives it.
+    data = outputs[8][1].encode()
+    at = 300_000
+    assert len(data) > at > 2 * complexes.READ_BLOCK
+    for bad in (b"\xff\xfe{", data[:at] + b"\xff" + data[at:]):
+        where = 0 if len(bad) < 10 else at
+        assert _verify_lines(tmp_path, capsys, bad) == (1, [
+            f"invalid file: 'utf-8' codec can't decode byte 0xff in position "
+            f"{where}: invalid start byte"
+        ])
+
+
+class _RecordingHandle:
+    """A text file handle that records the length of every read."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.reads: list[tuple[str, int]] = []
+
+    def read(self, size=-1):
+        data = self.fh.read(size)
+        self.reads.append(("read", len(data)))
+        return data
+
+    def readline(self, size=-1):
+        data = self.fh.readline(size)
+        self.reads.append(("readline", len(data)))
+        return data
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def test_verify_reads_a_d8_file_block_by_block(outputs, tmp_path, capsys, monkeypatch):
+    from cubetri import cli
+
+    text = outputs[8][2]
+    path = tmp_path / "d8.json"
+    path.write_text(text)
+    handles = []
+
+    def recording_open(*args, **kwargs):
+        handles.append(_RecordingHandle(open(*args, **kwargs)))
+        return handles[-1]
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    assert main(["verify", os.fspath(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "volume census: True (volume 40320, 0 violations)",
+        "ridges: True (0 violations)",
+    ]
+    (handle,) = handles
+    header = len(text[: text.index("\n") + 1])
+    reads = [size for kind, size in handle.reads if kind == "read"]
+    assert {size for kind, size in handle.reads if kind == "readline"} == {header}
+    assert max(reads) <= complexes.READ_BLOCK < len(text) - header
+    # the text after the header, then the body again without the footer,
+    # each in more than one read
+    body = len(text) - header - len("\n]}\n")
+    assert sum(reads) == (body + 4) + body and len(reads) > 4
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_handle_reader_reads_as_the_text_reader(outputs, dim, monkeypatch):
+    monkeypatch.setattr(complexes, "READ_BLOCK", 997)  # many blocks, odd cuts
+    tri, kept, streamed = outputs[dim]
+    for text in (kept, streamed, *_layouts(kept).values()):
+        assert _same(triangulation_from_json(io.StringIO(text)), tri)
+    # the writer's layout is read by the streamed reader, not json.loads
+    for text in (kept, streamed):
+        assert _same(complexes._read_handle(io.StringIO(text)), tri)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.sampled_from(SMALL_TEXTS),
+    st.sampled_from(("drop", "insert", "replace", "none")),
+    st.floats(0, 1, exclude_max=True),
+    st.sampled_from("[],\n -.0123456789"),
+    st.sampled_from((7, 64, 1 << 17)),
+)
+def test_handle_outcome_matches_the_text_outcome(text, edit, where, char, block):
+    start = text.index('"points"')
+    at = start + int(where * (len(text) - start))
+    if edit == "drop":
+        text = text[:at] + text[at + 1 :]
+    elif edit == "insert":
+        text = text[:at] + char + text[at:]
+    elif edit == "replace":
+        text = text[:at] + char + text[at + 1 :]
+    def outcome(source):
+        try:
+            return triangulation_from_json(source)
+        except Exception as exc:  # noqa: BLE001 - any failure is an outcome
+            return type(exc), str(exc)
+
+    old, complexes.READ_BLOCK = complexes.READ_BLOCK, block
+    try:
+        want, got = outcome(text), outcome(io.StringIO(text))
+    finally:
+        complexes.READ_BLOCK = old
+    if isinstance(want, Triangulation):
+        assert isinstance(got, Triangulation) and _same(got, want)
+    else:
+        assert got == want, text
+
+
+def test_sorted_index_rows_are_held_without_a_copy(monkeypatch):
+    tri = build_cube_recursive(_spec(5))[0]
+    rows = np.array(tri.rows)  # a writable uint16 copy, rows ascending
+    held = Triangulation(tri.config, rows)
+    assert np.shares_memory(held.rows, rows) and held == tri
+    assert not held.rows.flags.writeable
+    # One unsorted row, in the last of several chunks of the check, or rows
+    # of another dtype: the rows np.sort gives, in a copy.
+    monkeypatch.setattr(complexes, "CENSUS_CHUNK", 7)
+    for bad in (np.array(tri.rows), np.array(tri.rows, dtype=np.int64)):
+        if bad.dtype == np.uint16:
+            bad[-1, [0, -1]] = bad[-1, [-1, 0]]
+        got = Triangulation(tri.config, bad)
+        assert not np.shares_memory(got.rows, bad)
+        assert np.array_equal(got.rows, np.sort(bad, axis=1)) and got == tri

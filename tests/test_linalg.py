@@ -459,3 +459,8 @@ def test_pair_predicates_basic():
     far = [(5, 5), (6, 5), (5, 6)]
     assert simplices_interiors_disjoint(a, far)
     assert simplices_face_to_face(a, far)
+
+
+def test_batch_det_rejects_matrices_that_are_not_square():
+    with pytest.raises(ValueError, match="not square"):
+        batch_det(np.zeros((2, 2, 3), dtype=np.int64))

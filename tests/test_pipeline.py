@@ -1,7 +1,11 @@
 import hashlib
 import math
 import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -467,3 +471,52 @@ def test_a_build_with_no_product_step_writes_its_file(tmp_path, capsys, dim):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("volume census: True")
     assert lines[1].startswith("ridges: True")
+
+
+def test_a_step_derives_the_seed_blocks_once(monkeypatch):
+    """Three sampled colorings and the chosen one's cells take T_0's
+    factor blocks from one derivation: one factor_blocks call per cell."""
+    from cubetri import coloring, complexes
+    from cubetri.complexes import Triangulation
+    from cubetri.seeds import cayley_seed
+
+    seed = cayley_seed("i3d2")
+    fresh = Triangulation(seed.config, seed.rows)  # no blocks derived yet
+    monkeypatch.setattr(pipeline, "cayley_seed", lambda name: fresh)
+    calls = []
+    real = complexes.factor_blocks
+
+    def counted(s, m):
+        calls.append(s)
+        return real(s, m)
+
+    monkeypatch.setattr(complexes, "factor_blocks", counted)
+    # and any module that binds the name itself
+    monkeypatch.setattr(coloring, "factor_blocks", counted, raising=False)
+    _, rep = build_cube_recursive(PipelineSpec(dim=5, samples=3, rng_seed=1))
+    (step,) = rep.steps
+    assert step.seed_used == "i3d2" and len(step.sample_sizes) == 3 and rep.ok
+    assert len(calls) == fresh.size == 38
+
+
+def test_a_size_mismatch_fails_the_build_under_python_O():
+    """The check that a step emitted product_size's count is an explicit
+    raise, which ``python -O`` keeps."""
+    script = textwrap.dedent("""
+        from cubetri import pipeline
+        real = pipeline.product_size
+        pipeline.product_size = lambda *args: real(*args) + 1
+        try:
+            pipeline.build_cube_recursive(pipeline.PipelineSpec(dim=4))
+        except AssertionError as exc:
+            print("raised:", exc)
+        else:
+            print("built")
+    """)
+    src = os.fspath(Path(__file__).resolve().parents[1] / "src")
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("raised: step to d=4 emitted 16 simplices"), run.stdout

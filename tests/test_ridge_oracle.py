@@ -330,6 +330,27 @@ def test_corrupted_kept_row_fails_the_run(monkeypatch):
     assert report.ok is False
     assert not same_verdict(tri)
 
+    # A certified d=7 build whose last step comes in several chunks, with
+    # the swap in the last chunk of that step.
+    chunks = []
+
+    def corrupted_last(self, lo, hi):
+        rows = real(self, lo, hi)
+        if self.config.dim == 7:
+            chunks.append(len(rows))
+            if hi == len(self.starts) - 1:
+                rows[-1] = _equal_volume_swap(self.config.points, rows[-1].tolist())
+        return rows
+
+    monkeypatch.setattr(pipeline, "CENSUS_CHUNK", 256)
+    monkeypatch.setattr(ProductCells, "simplex_rows", corrupted_last)
+    tri, report = build_cube_recursive(PipelineSpec(dim=7))
+    assert len(chunks) > 2 and sum(chunks) == tri.size
+    first, last = report.steps
+    assert first.face_to_face is True and last.volume_ok
+    assert last.face_to_face is False and last.dissection_certified is False
+    assert report.ok is False
+
 
 def test_ridge_tier_runs_on_certified_kept_steps_only(monkeypatch):
     calls = []

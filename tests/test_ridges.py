@@ -232,10 +232,15 @@ def small_chunks(monkeypatch):
     monkeypatch.setattr(complexes, "CENSUS_CHUNK", 3)
 
 
+def _ridge_cuts(rows, n_points):
+    groups = complexes._ridge_groups(rows.shape[1])
+    return complexes._bucket_cuts(rows, n_points, groups)
+
+
 @pytest.mark.parametrize("kind", [None, "drop", "duplicate", "overlap"])
 def test_small_buckets_agree_on_pipeline_outputs(pipeline_outputs, small_chunks, kind):
     for d, tri in pipeline_outputs.items():
-        cuts = complexes._bucket_cuts(tri.rows, len(tri.config.points))
+        cuts = _ridge_cuts(tri.rows, len(tri.config.points))
         assert len(cuts) > 2  # 2 buckets at d=4, 37 at d=7
         if kind is None:
             assert assert_agrees(tri).is_face_to_face
@@ -247,13 +252,106 @@ def test_small_buckets_agree_on_a_duplicate_at_a_bucket_cut(
     pipeline_outputs, small_chunks
 ):
     for d, tri in pipeline_outputs.items():
-        rows = tri.rows
-        cuts = complexes._bucket_cuts(rows, len(tri.config.points))[1:-1]
-        at_cut = np.flatnonzero(np.isin(rows[:, 0], cuts))
+        rows, n = tri.rows, len(tri.config.points)
+        cuts = _ridge_cuts(rows, n)[1:-1]  # first * n + second
+        at_cut = np.flatnonzero(np.isin(rows[:, 0], cuts // n))
         assert len(at_cut)
         for i in (at_cut[0], at_cut[-1]):
             doubled = Triangulation(tri.config, np.concatenate([rows, rows[i : i + 1]]))
             assert not assert_agrees(doubled).is_dissection
+
+
+def _bucket_sizes(rows, n_points):
+    """(ridges, distinct (first, second) vertex pairs) of each bucket."""
+    d1 = rows.shape[1]
+    out = []
+    for owners, valid in complexes._ridge_buckets(rows, n_points):
+        r, j = np.nonzero(valid)
+        ridges = complexes._ridge_rows(rows, owners[r] * d1 + j)
+        out.append((len(ridges), len({tuple(x) for x in ridges[:, :2].tolist()})))
+    return out
+
+
+def _pair_counts(rows):
+    """Ridges per first vertex and per (first, second) vertex pair."""
+    d1 = rows.shape[1]
+    ridges = complexes._ridge_rows(rows, np.arange(len(rows) * d1))
+    _, per_vertex = np.unique(ridges[:, 0], return_counts=True)
+    _, per_pair = np.unique(ridges[:, :2], axis=0, return_counts=True)
+    return per_vertex.max(), per_pair.max()
+
+
+def test_buckets_hold_at_most_the_bucket_size(pipeline_outputs, d8_output, monkeypatch):
+    outputs = {**pipeline_outputs, 8: d8_output}
+    # Buckets of 50 ridges: only the ridges of one (first, second) pair,
+    # which no bucket splits, may be more.
+    monkeypatch.setattr(complexes, "RIDGE_BUCKET", 50)
+    for d, tri in outputs.items():
+        n = len(tri.config.points)
+        vertex_max, pair_max = _pair_counts(tri.rows)
+        assert vertex_max > 50 or d == 4
+        for ridges, pairs in _bucket_sizes(tri.rows, n):
+            assert ridges <= 50 or pairs == 1, d
+    # Buckets of the largest pair's ridges, below the largest vertex's:
+    # every bucket holds at most that many.
+    for d, tri in outputs.items():
+        vertex_max, pair_max = _pair_counts(tri.rows)
+        if pair_max < vertex_max:
+            monkeypatch.setattr(complexes, "RIDGE_BUCKET", int(pair_max))
+            sizes = _bucket_sizes(tri.rows, len(tri.config.points))
+            assert max(r for r, _ in sizes) <= pair_max and len(sizes) > 1, d
+
+
+def _equal_volume_swap(tri, i):
+    """The rows of ``tri`` with simplex i replaced by another simplex of
+    the same volume that is not one of them."""
+    rows, pts = tri.rows.tolist(), tri.config.points
+    present = set(map(tuple, rows))
+    vol = tri.volume_of(rows[i])
+    for out in rows[i]:
+        for new in range(len(pts)):
+            t = tuple(sorted(set(rows[i]) - {out} | {new}))
+            if new not in rows[i] and t not in present and tri.volume_of(t) == vol:
+                rows[i] = list(t)
+                return Triangulation(tri.config, rows)
+    raise AssertionError("no equal-volume replacement")
+
+
+def test_tampering_at_a_second_vertex_cut_agrees(pipeline_outputs, monkeypatch):
+    """Drop, duplicate or replace by an equal-volume simplex the simplex
+    owning the last ridge before a cut inside one first vertex, and the
+    one owning the first ridge from it: the violation lists, order
+    included, equal the one-bucket run's and the scalar check's."""
+    seen = 0
+    for d in (5, 6):
+        tri = pipeline_outputs[d]
+        rows, n = tri.rows, len(tri.config.points)
+        monkeypatch.setattr(complexes, "RIDGE_BUCKET", 50)
+        cuts = _ridge_cuts(rows, n)
+        inner = [int(c) for c in cuts[1:-1] if c % n]
+        assert inner, d
+        ridges = complexes._ridge_rows(rows, np.arange(len(rows) * (d + 1)))
+        keys = ridges[:, 0].astype(np.int64) * n + ridges[:, 1]
+        for cut in inner[:2]:
+            below = keys[keys < cut].max()
+            at = keys[keys >= cut].min()
+            edges = [int(np.flatnonzero(keys == k)[0]) // (d + 1) for k in (below, at)]
+            for i in edges:
+                kept = np.delete(rows, i, axis=0)
+                doubled = np.concatenate([rows, rows[i : i + 1]])
+                for bad in (
+                    Triangulation(tri.config, kept),
+                    Triangulation(tri.config, doubled),
+                    _equal_volume_swap(tri, i),
+                ):
+                    monkeypatch.setattr(complexes, "RIDGE_BUCKET", 50)
+                    small = assert_agrees(bad)
+                    assert not small.is_face_to_face
+                    monkeypatch.setattr(complexes, "RIDGE_BUCKET", 1 << 40)
+                    one = ridge_report(bad)
+                    assert repr(small.violations) == repr(one.violations)
+                    seen += 1
+    assert seen == 2 * 2 * 2 * 3
 
 
 def test_more_than_64_facets(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import lift_provenance, two_triangle_prism
 
-from cubetri.coloring import lift_triangulation, product_blocks, staircase_triangulation
+from cubetri.coloring import lift_triangulation, staircase_triangulation
 from cubetri.complexes import triangulation_to_json, validate_face_to_face
 from cubetri.geometry import ambient_normalized_volume
 from cubetri.staircase import (
@@ -97,7 +97,7 @@ def test_lift_cell_type11_has_four_staircases():
     t2 = mixed_to_triangulation(square_seed_m2())
     diamond = next(
         t_idx
-        for t_idx, blocks in enumerate(product_blocks(t2))
+        for t_idx, blocks in enumerate(t2.blocks)
         if all(len(b) == 2 for b in blocks)
     )
     tri, prov, _ = lift_provenance(t2, (2, 2))
@@ -133,7 +133,7 @@ def test_lift_size_matches_closed_form_i3d1():
     from cubetri.seeds import cayley_seed
 
     t0 = cayley_seed("i3d1")
-    blocks = product_blocks(t0)
+    blocks = t0.blocks
     closed = sum(
         multi_staircase_count([len(b) for b in bl], [2, 1]) for bl in blocks
     )
@@ -148,7 +148,7 @@ def test_lifted_simplex_volume_equals_base_volume():
 
     t0 = cayley_seed("i3d1")
     lifted = lift_triangulation(t0, (3, 2))
-    blocks = product_blocks(t0)
+    blocks = t0.blocks
     pos = 0
     for s, bl in zip(t0.simplices, blocks):
         count = multi_staircase_count([len(b) for b in bl], [3, 2])

@@ -23,7 +23,6 @@ from cubetri.coloring import (
     _check_inputs,
     lift_triangulation,
     make_coloring,
-    product_blocks,
     product_size,
     triangulate_product,
 )
@@ -58,7 +57,7 @@ def reference_product_cells(t_q, t0, coloring):
     """(provenance, simplices) per (sigma, tau) cell, in output order."""
     m = _check_inputs(t_q, t0, coloring)
     nq = len(t_q.config.points)
-    blocks_list = product_blocks(t0)
+    blocks_list = t0.blocks
     start = 0
     for sigma in t_q.simplices:
         sigma_by_color = [[] for _ in range(m)]

@@ -5,7 +5,8 @@ is looked up by, and ``perfbench/workloads.py`` calls the package with
 options, classes and seeds of its own; a rename, move or removal in
 ``cubetri`` should fail here rather than in a benchmark run. The package's
 modules also import nothing they leave unused, so a removal does not
-leave its imports behind, and each ``build cube`` flag is a spec field
+leave its imports behind, hold no ``assert`` statement, whose check
+``python -O`` would strip, and each ``build cube`` flag is a spec field
 that the pipeline reads.
 """
 
@@ -48,6 +49,23 @@ def test_package_modules_leave_no_import_unused():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     assert len(modules) > 5
     assert [u for path in modules for u in unused_imports(path)] == []
+
+
+def assert_statements(path: Path) -> list[str]:
+    """``file:line`` of each ``assert`` statement, which ``python -O``
+    strips, in ``path``."""
+    tree = ast.parse(path.read_text())
+    nodes = ast.walk(tree)
+    return [f"{path.name}:{n.lineno}" for n in nodes if isinstance(n, ast.Assert)]
+
+
+def test_package_modules_hold_no_assert_statement(tmp_path):
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 5
+    assert [a for path in modules for a in assert_statements(path)] == []
+    module = tmp_path / "module.py"
+    module.write_text("def f(x):\n    assert x, 'stripped by -O'\n")
+    assert assert_statements(module) == ["module.py:2"]
 
 
 def test_the_unused_import_check_sees_one(tmp_path):
