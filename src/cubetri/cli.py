@@ -7,6 +7,7 @@
     cubetri expect --q-dim N [--seed NAME] [--samples S] [--rng-seed N]
     cubetri seeds show NAME [--out PATH]
     cubetri oracle min-weighted --config NAME [--objective weighted|cardinality]
+                                [--out PATH]
 
 ``verify`` certifies a file by the volume census and the ridge check,
 both linear in its size; a file in the writer's layout is read block by

@@ -215,11 +215,12 @@ def signed_volumes(points, rows) -> np.ndarray:
     their absolute values are the normalized volumes.
 
     Every entry p_r[c] - p_0[c] is at most the range (max - min) of
-    coordinate c over ``points``, so one guard on the largest range
-    (:func:`linalg.exact_dtype`) picks the dtype of the whole census: int32,
-    int64, or Python ints (``object``) when neither is wide enough. Each
-    chunk of ``CENSUS_CHUNK`` rows, which bounds the working memory, is
-    written straight into the (d, d, N) layout of
+    coordinate c over ``points``, so one guard on the largest range and on
+    d (:func:`linalg.exact_dtype`) picks the dtype of the whole census for
+    the kernel that runs at order d: the narrowest of int8..int64 (int8 for
+    cube simplices up to d = 5), or Python ints (``object``) when none is
+    wide enough. Each chunk of ``CENSUS_CHUNK`` rows, which bounds the
+    working memory, is written straight into the (d, d, N) layout of
     :func:`linalg.batch_last_det`: rows vertex differences, columns
     coordinates, batch last. Row r is the (d, N) block of vertex r's
     coordinates, taken from a (d, points) table by the chunk's own column
@@ -255,8 +256,8 @@ def signed_volumes(points, rows) -> np.ndarray:
 
 def _tally(vols: np.ndarray) -> tuple[int, list[int]]:
     # The int64 sum is exact while N max|v| < 2**63. Census volumes of the
-    # int32 path are below 2**31 (linalg.exact_dtype), so only points with
-    # huge coordinates can need Python's sum.
+    # int8..int32 paths are below 2**31 (linalg.exact_dtype), so only points
+    # with huge coordinates can need Python's sum.
     big = max(int(vols.max()), -int(vols.min())) if len(vols) else 0
     if big * len(vols) < 2**63:
         total = int(np.abs(vols).sum())

@@ -6,12 +6,13 @@ integer determinant for the volume census and ridge orientations, and a
 phase-1 simplex solver with integer pivoting used as an exact linear
 feasibility oracle.
 
-The batched determinant is one fraction-free elimination on a batch-last
-(n, n, N) array (:func:`batch_last_det`), in int32 or int64 as one guard
-proves exact (:func:`exact_dtype`), else in Python ints. On the integer
-dtypes its exact divisions are a shift and a multiplication by an inverse
-modulo 2^b, not ``//``. The scalar :func:`det_bareiss` is the tests'
-reference for it.
+The batched determinant works on a batch-last (n, n, N) array
+(:func:`batch_last_det`), in the narrowest of int8..int64 that one guard
+proves exact (:func:`exact_dtype`), else in Python ints. Orders up to
+``MINOR_MAX_N`` take a Laplace expansion along the rows, with no pivot and
+no division; larger ones take a fraction-free elimination, whose exact
+divisions are a shift and a multiplication by an inverse modulo 2^b, not
+``//``. The scalar :func:`det_bareiss` is the tests' reference for both.
 
 The pair predicates (face to face, disjoint interiors of simplices or of
 polytopes), and with them the LP and the barycentric rows, serve only the
@@ -28,9 +29,19 @@ and the benchmark's tracer call the polytope predicate.
 
 from __future__ import annotations
 
+from functools import cache
+from itertools import combinations
 from operator import index, mul
 
 import numpy as np
+
+# batch_last_det expands by minors up to this order, and eliminates beyond:
+# on cube census chunks the expansion took 0.34 against 0.89 ms at n = 7
+# (2,155 matrices), and 6.6 against 4.4 ms in int32 at n = 8 (8,192).
+MINOR_MAX_N = 7
+# Matrices per pass of the expansion: at n = 7 a pass holds 0.9 MB, less
+# than the elimination of a census chunk, and a d=7 census is one pass.
+MINOR_SLICE = 3072
 
 
 def det_bareiss(rows: list[list[int]]) -> int:
@@ -96,46 +107,132 @@ def rank_int(rows: list[list[int]]) -> int:
 
 
 def exact_dtype(c: int, n: int):
-    """The narrower of int32 and int64 in which :func:`batch_last_det` is
-    exact on n x n matrices with integer entries |a| <= c, or None when
-    neither is wide enough (callers then run it on Python ints, ``object``).
+    """The narrowest of int8, int16, int32 and int64 in which
+    :func:`batch_last_det` is exact on n x n matrices with integer entries
+    |a| <= c, or None when none is wide enough (callers then run it on
+    Python ints, ``object``): a signed type of b bits holds every value
+    formed when the bound below is under 2^(b-1).
 
-    Proof. By Sylvester's identity, each entry that Bareiss elimination
-    (*Math. Comp.* 22, 1968) holds after step k, row swaps included, is a
-    minor of order k+2 of the input, up to sign. Before its exact division,
-    step k forms a_kk a_ij - a_ik a_kj from entries of step k-1: two
-    products of minors of order k+1 <= n-1 and their difference. The
-    divisor, a_kk of step k-1, is a nonzero integer, so a quotient is no
-    larger than its dividend. Hadamard's bound makes a minor of order j at
-    most (c sqrt(j))^j, which for c >= 1 and j <= n-1 is at most
-    (c^2 (n-1))^((n-1)/2). So every product is at most (c^2 (n-1))^(n-1)
-    and every value formed at most 2 (c^2 (n-1))^(n-1) (for c = 0 all are
-    0). For n >= 2 that bound is at least c, so it covers the input too;
-    for n <= 1 nothing is eliminated and the entries themselves must fit.
-    A signed type of b bits holds every value when the bound is below
-    2^(b-1).
+    Proof. Hadamard's inequality makes a minor of order j at most
+    H(j) = (c^2 j)^(j/2), nondecreasing in j for c >= 1 (for c = 0 every
+    value is 0). The expansion (:func:`_expand_minors`, n <= MINOR_MAX_N)
+    forms products a M of an entry and a minor of order j <= n-1, and sums
+    of at most j+1 of them, the last a minor of order j+1: every value is
+    at most n c H(n-1), compared as its square, an integer. That bound, c
+    at n = 1, also serves the elimination below n = 2, where neither kernel
+    forms more than the entries.
 
-    The exact division (:func:`_divide_exactly`) forms no other value: it
-    shifts the dividend right by the divisor's t trailing zero bits, which
-    is exact and no larger, then multiplies by an inverse modulo 2^b with
-    wrap-around. That product is the quotient modulo 2^b, and the quotient,
-    an entry of step k, lies in (-2^(b-1), 2^(b-1)) by the bound above, so
-    it is the quotient itself.
+    Beyond, the elimination (:func:`_eliminate`) runs. By Sylvester's
+    identity, each entry that Bareiss elimination (*Math. Comp.* 22, 1968)
+    holds after step k, row swaps included, is a minor of order k+2 of the
+    input, up to sign. Step k forms a_kk a_ij - a_ik a_kj from entries of
+    step k-1, two products of minors of order k+1 <= n-1, then divides it
+    exactly by a nonzero a_kk of step k-1, which makes it no larger. So
+    every value formed is at most 2 H(n-1)^2 = 2 (c^2 (n-1))^(n-1), at
+    least c for n >= 2. Its exact division (:func:`_divide_exactly`) shifts
+    the dividend right by the divisor's trailing zero bits, exact and no
+    larger, then multiplies by an inverse modulo 2^b with wrap-around: that
+    is the quotient modulo 2^b, which the bound puts in
+    (-2^(b-1), 2^(b-1)), so the quotient itself.
+
+    For n >= 2, n c H(n-1) <= 2 (c^2 (n-1))^(n-1), so a dtype exact for
+    the elimination is exact for the expansion: for c >= 1 that is
+    n <= 2 c^(n-2) (n-1)^((n-1)/2), and 2 (n-1)^((n-1)/2) is 2 at n = 2
+    and at least 2 (n-1) >= n beyond.
     """
-    bound = c if n < 2 else 2 * (c * c * (n - 1)) ** (n - 1)
-    for dtype in (np.int32, np.int64):
-        if bound < 2 ** (np.iinfo(dtype).bits - 1):
+    x = c * c * (n - 1)
+    if n < 2 or n <= MINOR_MAX_N:  # below 2 either kernel forms only entries
+        square = (n * c) ** 2 * x ** (n - 1) if n else 0
+    else:
+        square = 4 * x ** (2 * n - 2)
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        if square < 4 ** (np.iinfo(dtype).bits - 1):
             return dtype
     return None
 
 
 def batch_last_det(m: np.ndarray) -> np.ndarray:
     """Signed determinants of the matrices m[:, :, b] of a C-contiguous
-    (n, n, N) integer array, by vectorized Bareiss elimination in m's own
-    dtype, as int64 (as Python ints for an ``object`` array). Overwrites m.
-    Exact when m's dtype is ``object`` or at least as wide as the one
-    :func:`exact_dtype` picks for its entries. Each row swap flips the sign
-    of its matrix; a 0x0 matrix has determinant 1.
+    (n, n, N) integer array, computed in m's own dtype, as int64 (as Python
+    ints for an ``object`` array). Exact when m's dtype is ``object`` or at
+    least as wide as the one :func:`exact_dtype` picks for its entries; a
+    0x0 matrix has determinant 1. May overwrite m. Orders up to
+    ``MINOR_MAX_N`` take :func:`_expand_minors`, ``MINOR_SLICE`` matrices
+    a pass; larger ones take :func:`_eliminate`.
+    """
+    n, _, N = m.shape
+    if not m.flags.c_contiguous:
+        raise ValueError("batch_last_det needs a C-contiguous array")
+    if n == 0:
+        return np.ones(N, dtype=np.int64)
+    if n > MINOR_MAX_N:
+        return _eliminate(m)
+    out = np.empty(N, dtype=object if m.dtype == object else np.int64)
+    for start in range(0, N, MINOR_SLICE):
+        stop = start + MINOR_SLICE
+        out[start:stop] = _expand_minors(m[:, :, start:stop])
+    return out
+
+
+@cache
+def _minor_terms(n: int) -> list:
+    """Per level r = 2..n-1 of :func:`_expand_minors`, one
+    (cols, subs, positive) per term t, a positive one first: for the
+    subsets S of size r in lexicographic order, s_t and the position of
+    S minus s_t in level r-1."""
+    levels = []
+    position = {(j,): j for j in range(n)}
+    for r in range(2, n):
+        subsets = list(combinations(range(n), r))
+        terms = [
+            (
+                np.array([s[t] for s in subsets]),
+                np.array([position[s[:t] + s[t + 1 :]] for s in subsets]),
+                (r - 1 + t) % 2 == 0,
+            )
+            for t in range(r)
+        ]
+        levels.append(sorted(terms, key=lambda term: not term[2]))
+        position = {s: i for i, s in enumerate(subsets)}
+    return levels
+
+
+def _expand_minors(m: np.ndarray) -> np.ndarray:
+    """Determinants of the matrices m[:, :, b] of an (n, n, N) array,
+    n >= 1, by Laplace expansion along the rows, with no pivot and no
+    division. Level r holds the r x r minors of the first r rows in m's
+    dtype, one row of a (C(n, r), N) array per column subset
+    S = {s_0 < ... < s_(r-1)}:
+    M_r(S) = sum_t (-1)^(r-1+t) a[r-1, s_t] M_(r-1)(S minus s_t),
+    accumulated term by term in four numpy calls. Level n sums its n
+    products in int64 (or Python ints); S minus t is row n-1-t of level n-1.
+    """
+    n = len(m)
+    if n == 1:
+        return m[0, 0]
+    minors = m[0]
+    for row, terms in zip(m[1:-1], _minor_terms(n)):
+        (cols, subs, _), *rest = terms
+        out = row.take(cols, axis=0)
+        out *= minors.take(subs, axis=0)
+        for cols, subs, positive in rest:
+            term = row.take(cols, axis=0)
+            term *= minors.take(subs, axis=0)
+            if positive:
+                out += term
+            else:
+                out -= term
+        minors = out
+    products = m[-1] * minors[::-1]
+    first = (n - 1) % 2  # the first positive term
+    return products[first::2].sum(axis=0) - products[1 - first :: 2].sum(axis=0)
+
+
+def _eliminate(m: np.ndarray) -> np.ndarray:
+    """Signed determinants of the matrices m[:, :, b] of a C-contiguous
+    (n, n, N) integer array, n >= 1, by vectorized Bareiss elimination in
+    m's dtype, as :func:`batch_last_det` returns them. Overwrites m. Each
+    row swap flips the sign of its matrix.
 
     With the batch index last, each step works on contiguous rows of N
     entries. Step k scans column k below the diagonal of the whole batch in
@@ -149,10 +246,6 @@ def batch_last_det(m: np.ndarray) -> np.ndarray:
     the previous pivot (:func:`_divide_exactly`).
     """
     n, _, N = m.shape
-    if not m.flags.c_contiguous:
-        raise ValueError("batch_last_det needs a C-contiguous array")
-    if n == 0:
-        return np.ones(N, dtype=np.int64)
     flat = m.reshape(-1)
     alive = np.ones(N, dtype=bool)
     sign = np.ones(N, dtype=np.int64)
@@ -256,9 +349,10 @@ def batch_det(mats: np.ndarray) -> np.ndarray:
     ``mats`` has shape (N, n, n); ValueError for matrices that are not
     square. The batch is copied to the (n, n, N) layout of
     :func:`batch_last_det` in the dtype :func:`exact_dtype` picks for its
-    largest absolute entry, and the result is int64; when neither
-    int32 nor int64 is wide enough (entries beyond int64 included), the
-    copy and the result are object arrays of Python ints.
+    order and largest absolute entry (so the kernel that runs is exact),
+    and the result is int64; when no integer dtype is wide enough (entries
+    beyond int64 included), the copy and the result are object arrays of
+    Python ints.
     """
     mats = int_array(mats)
     N, n, n2 = mats.shape

@@ -153,16 +153,25 @@ def small_default_references() -> dict:
 
 
 def path_edges(n: int) -> list[int]:
-    """The last entry bound c that :func:`linalg.exact_dtype` sends to int32
-    for n x n matrices, the first past it, and the same for int64."""
+    """The last entry bound c that :func:`linalg.exact_dtype` sends to int8
+    for n x n matrices and the first past it, then the same for int16,
+    int32 and int64: eight bounds, nondecreasing."""
+    dtypes = (np.int8, np.int16, np.int32, np.int64)
     edges = []
-    for ok in ((np.int32,), (np.int32, np.int64)):
+    for width in range(1, 5):
         lo, hi = 0, 2**64  # exact_dtype(lo, n) is in ok, exact_dtype(hi, n) not
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if exact_dtype(mid, n) in ok else (lo, mid)
+            lo, hi = (mid, hi) if exact_dtype(mid, n) in dtypes[:width] else (lo, mid)
         edges += [lo, hi]
     return edges
+
+
+def eliminating():
+    """A context in which ``linalg.MINOR_MAX_N`` is 0, so that
+    :func:`linalg.batch_last_det` eliminates at every order and
+    :func:`linalg.exact_dtype` guards the elimination."""
+    return mock.patch.object(linalg, "MINOR_MAX_N", 0)
 
 
 # -- mixed cells realized as polytopes: the reference for validate_mixed ----

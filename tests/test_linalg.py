@@ -1,16 +1,22 @@
 import hashlib
+import itertools
 import random
+import tracemalloc
 import warnings
+from contextlib import nullcontext
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import path_edges
+from helpers import eliminating, path_edges
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubetri.complexes import signed_volumes
+from cubetri import linalg
+from cubetri.complexes import CENSUS_CHUNK, signed_volumes
 from cubetri.linalg import (
+    MINOR_MAX_N,
     batch_abs_det,
     batch_det,
     batch_last_det,
@@ -136,32 +142,72 @@ def test_batch_det_of_empty_matrices_is_one():
 
 
 def test_exact_dtype_at_its_bound():
-    # 2 (c^2 (n-1))^(n-1) < 2^(bits-1): for n = 2 that is 2 c^2 < 2^31 up
-    # to c = 2^15 - 1, and 2 c^2 < 2^63 up to c = 2^31 - 1.
+    # The expansion, n <= MINOR_MAX_N: n c H(n-1) < 2^(bits-1). For n = 2
+    # that is 2 c^2, as for the elimination: below 2^7 up to c = 7, 2^15 up
+    # to c = 127, 2^31 up to c = 2^15 - 1 and 2^63 up to c = 2^31 - 1.
+    assert exact_dtype(7, 2) is np.int8
+    assert exact_dtype(8, 2) is np.int16
+    assert exact_dtype(127, 2) is np.int16
+    assert exact_dtype(128, 2) is np.int32
     assert exact_dtype(2**15 - 1, 2) is np.int32
     assert exact_dtype(2**15, 2) is np.int64
     assert exact_dtype(2**31 - 1, 2) is np.int64
     assert exact_dtype(2**31, 2) is None
-    # n = 3: 8 c^4 < 2^31 up to c = 2^7 - 1, and < 2^63 up to c = 2^15 - 1
-    assert exact_dtype(2**7 - 1, 3) is np.int32
-    assert exact_dtype(2**7, 3) is np.int64
-    assert exact_dtype(2**15 - 1, 3) is np.int64
-    assert exact_dtype(2**15, 3) is None
+    # n = 3: 6 c^3, below 2^7 up to c = 2, 2^15 up to 17, 2^31 up to 710
+    # and 2^63 up to 1,154,107
+    for c, dtype in [
+        (2, np.int8), (3, np.int16), (17, np.int16), (18, np.int32),
+        (2**7 - 1, np.int32), (2**7, np.int32), (710, np.int32),
+        (711, np.int64), (2**15 - 1, np.int64), (2**15, np.int64),
+        (1154107, np.int64), (1154108, None),
+    ]:
+        assert exact_dtype(c, 3) is dtype, c
+    # The elimination's bound 2 (c^2 (n-1))^(n-1) at n = 3: 8 c^4 < 2^31
+    # up to c = 2^7 - 1, and < 2^63 up to c = 2^15 - 1.
+    with eliminating():
+        assert exact_dtype(2**7 - 1, 3) is np.int32
+        assert exact_dtype(2**7, 3) is np.int64
+        assert exact_dtype(2**15 - 1, 3) is np.int64
+        assert exact_dtype(2**15, 3) is None
+        assert exact_dtype(1, 7) is np.int32
+    # Cube censuses, c = 1: the expansion's bound is 80 at n = 5 and 1,512
+    # at n = 7; the elimination's is 2 * 7^7 at n = 8.
+    assert [exact_dtype(1, n) for n in range(11)] == [np.int8] * 6 + [np.int16] * 2 + [
+        np.int32
+    ] * 3
     # n = 10, the d=10 census: 2 * 9^9 < 2^31 at c = 1, and c = 2 is past it
     assert exact_dtype(1, 10) is np.int32
     assert exact_dtype(2, 10) is np.int64
-    # nothing is eliminated for n <= 1, so only the entries must fit
+    # for n <= 1 either kernel forms only the entries, so only they must fit
+    assert exact_dtype(127, 1) is np.int8
+    assert exact_dtype(128, 1) is np.int16
     assert exact_dtype(2**31 - 1, 1) is np.int32
     assert exact_dtype(2**31, 1) is np.int64
     assert exact_dtype(2**63, 1) is None
-    assert exact_dtype(0, 0) is np.int32
+    assert exact_dtype(0, 0) is np.int8
+
+
+def test_a_dtype_exact_for_the_elimination_is_exact_for_the_expansion():
+    # For n >= 2, n c H(n-1) <= 2 (c^2 (n-1))^(n-1), compared as squares:
+    # n^2 c^2 x^(n-1) <= 4 x^(2(n-1)) with x = c^2 (n-1); equal at n = 2.
+    for n in range(2, 40):
+        for c in (*range(40), 2**20, 2**40):
+            x = c * c * (n - 1)
+            assert (n * c) ** 2 * x ** (n - 1) <= 4 * x ** (2 * n - 2)
+    widths = [np.int8, np.int16, np.int32, np.int64, None]
+    for n in range(2, MINOR_MAX_N + 1):
+        for c in path_edges(n):
+            with eliminating():
+                wide = widths.index(exact_dtype(c, n))
+            assert widths.index(exact_dtype(c, n)) <= wide
 
 
 def test_batch_det_is_exact_on_either_side_of_each_bound():
-    # [[c, c], [-c, c]] reaches the bound 2 c^2 in its one elimination
-    # step: at c = 2^15 that is 2^31, one past int32, and at c = 2^31 it
-    # is 2^63, one past int64.
-    for c in (2**15 - 1, 2**15, 2**31 - 1):
+    # [[c, c], [-c, c]] reaches the bound 2 c^2 of either kernel: at c = 8
+    # that is 2^7, one past int8, at c = 128 it is 2^15, one past int16, at
+    # c = 2^15 it is 2^31, one past int32, and at c = 2^31 it is 2^63, one
+    # past int64.
+    for c in (7, 8, 127, 128, 2**15 - 1, 2**15, 2**31 - 1):
         got = batch_det(np.array([[[c, c], [-c, c]], [[c, -c], [c, c]]]))
         assert got.dtype == np.int64
         assert got.tolist() == [2 * c * c] * 2
@@ -182,15 +228,18 @@ def test_batch_det_takes_entries_beyond_int64_to_python_ints():
 
 def test_batch_det_matches_scalar_at_each_path_edge():
     # Random matrices whose largest entry is the last c of each path and
-    # the first c past it: int32, int64, then Python ints.
+    # the first c past it: int8, int16, int32, int64, then Python ints;
+    # the expansion's paths, then the elimination's where it runs at every
+    # order.
     rng = np.random.default_rng(5)
-    for n in (3, 4, 6):
-        for c in path_edges(n):
-            mats = rng.integers(-c, c + 1, size=(300, n, n))
-            mats[:, 0, 0] = c  # the guard sees exactly c
-            mats[::5, :, n - 1] = 0  # and some matrices die
-            got = batch_det(mats)
-            assert [int(v) for v in got] == [det_bareiss(m.tolist()) for m in mats]
+    for n, guard in itertools.product((3, 4, 6), (nullcontext, eliminating)):
+        with guard():
+            for c in path_edges(n):
+                mats = rng.integers(-c, c + 1, size=(300, n, n))
+                mats[:, 0, 0] = c  # the guard sees exactly c
+                mats[::5, :, n - 1] = 0  # and some matrices die
+                got = batch_det(mats)
+                assert [int(v) for v in got] == [det_bareiss(m.tolist()) for m in mats]
 
 
 def _big_matrices(rng, n, count):
@@ -221,7 +270,8 @@ def test_the_python_int_path_matches_the_scalar_reference():
         got = batch_det(mats)
         assert got.dtype == object and got.tolist() == want
         last = np.ascontiguousarray(np.array(mats, dtype=object).transpose(1, 2, 0))
-        assert batch_last_det(last).tolist() == want
+        assert batch_last_det(last.copy()).tolist() == want
+        assert linalg._eliminate(last).tolist() == want
     assert swapped > 20 and singular > 20
     # A census whose span only Python ints can hold: small simplices among
     # points that include one far point, which sets the span.
@@ -267,10 +317,16 @@ def _bareiss_trace(rows):
 
 
 def _assert_exact(mats):
+    """batch_det, and the elimination in the dtype its guard picks, equal
+    the scalar reference."""
     mats = np.asarray(mats)
     got = batch_det(mats)
     assert got.dtype == np.int64
-    assert [int(v) for v in got] == [det_bareiss(m.tolist()) for m in mats]
+    want = [det_bareiss(m.tolist()) for m in mats]
+    assert [int(v) for v in got] == want
+    with eliminating():
+        dtype = exact_dtype(int(np.abs(mats).max()), mats.shape[1])
+    assert _kernel(mats, dtype, linalg._eliminate) == want
 
 
 def test_batch_det_swaps_only_the_matrices_that_need_it():
@@ -327,35 +383,54 @@ def test_batch_det_of_one_matrix_and_of_1x1_matrices():
     assert batch_det(np.zeros((1, 0, 0), dtype=np.int64)).tolist() == [1]
 
 
-def _kernel(mats, dtype):
-    """batch_last_det of (N, n, n) matrices in ``dtype``, as Python ints,
-    with every warning an error."""
+def _kernel(mats, dtype, kernel=batch_last_det):
+    """``kernel`` (batch_last_det or one it calls) of (N, n, n) matrices in
+    ``dtype``, as Python ints, with every warning an error."""
     last = np.ascontiguousarray(np.asarray(mats).transpose(1, 2, 0)).astype(dtype)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return batch_last_det(last).tolist()
+        return kernel(last).tolist()
+
+
+def _kernels(c, n):
+    """(kernel, dtype) for batch_last_det and for the elimination, each in
+    the dtype its guard picks for entries up to c and in int64."""
+    with eliminating():
+        dtype = exact_dtype(c, n)
+    return {
+        (batch_last_det, exact_dtype(c, n)),
+        (batch_last_det, np.int64),
+        (linalg._eliminate, dtype),
+        (linalg._eliminate, np.int64),
+    }
 
 
 @settings(max_examples=80, deadline=None)
 @given(
     n=st.integers(1, 10),
-    wide=st.booleans(),
+    width=st.integers(0, 3),
     seed=st.integers(0, 2**32 - 1),
     zeros=st.sampled_from([0.0, 0.3, 0.6]),
 )
-def test_batch_last_det_is_exact_at_the_largest_admitted_entry(n, wide, seed, zeros):
-    # At the last c exact_dtype sends to int32 (or to int64), the kernel in
-    # that dtype equals the scalar reference. Half the batch has every
-    # entry at +-c, the size Hadamard's bound is reached at, and zeros make
-    # pivots vanish, so rows swap and some matrices die.
-    c = path_edges(n)[2 if wide else 0]
-    dtype = np.int64 if wide else np.int32
-    assert exact_dtype(c, n) is dtype
+def test_batch_last_det_is_exact_at_the_largest_admitted_entry(n, width, seed, zeros):
+    # At the last c exact_dtype sends to int8 (int16, int32, int64) or to
+    # a narrower dtype (a dtype may admit no c of its own), the kernel in
+    # that dtype equals the scalar reference; so does the elimination at
+    # the last c its own guard admits. Half the batch has every entry at
+    # +-c, the size Hadamard's bound is reached at, and zeros make pivots
+    # vanish, so rows swap and some matrices die.
+    dtypes = (np.int8, np.int16, np.int32, np.int64)
+    dtype = dtypes[width]
     rng = np.random.default_rng(seed)
-    mats = rng.integers(-c, c, size=(16, n, n), endpoint=True)
-    mats[:8] = c * rng.choice([-1, 1], size=(8, n, n))
-    mats[rng.random(mats.shape) < zeros] = 0
-    assert _kernel(mats, dtype) == [det_bareiss(m.tolist()) for m in mats]
+    for kernel, guard in ((batch_last_det, nullcontext), (linalg._eliminate, eliminating)):
+        with guard():
+            c = path_edges(n)[2 * width]
+            assert exact_dtype(c, n) in dtypes[: width + 1]
+            assert exact_dtype(c + 1, n) not in dtypes[: width + 1]
+        mats = rng.integers(-c, c, size=(16, n, n), endpoint=True)
+        mats[:8] = c * rng.choice([-1, 1], size=(8, n, n))
+        mats[rng.random(mats.shape) < zeros] = 0
+        assert _kernel(mats, dtype, kernel) == [det_bareiss(m.tolist()) for m in mats]
 
 
 def test_batch_last_det_with_a_zero_pivot_at_every_step():
@@ -376,8 +451,8 @@ def test_batch_last_det_with_a_zero_pivot_at_every_step():
         want = [(-1) ** (n - 1) * int(p) for p in diag.prod(axis=1)]
         want += [int(p) for p in diag.prod(axis=1)]
         assert [det_bareiss(m.tolist()) for m in mats] == want
-        for dtype in {exact_dtype(4, n), np.int64}:
-            assert _kernel(mats, dtype) == want
+        for kernel, dtype in _kernels(4, n):
+            assert _kernel(mats, dtype, kernel) == want
 
 
 def test_batch_last_det_divides_by_even_and_negative_pivots():
@@ -394,16 +469,17 @@ def test_batch_last_det_divides_by_even_and_negative_pivots():
     mats = lower @ upper
     want = [int(p) for p in diag.prod(axis=1)]
     assert [det_bareiss(m.tolist()) for m in mats] == want
-    dtype = exact_dtype(int(np.abs(mats).max()), n)
-    assert dtype is not None
-    for dtype in {dtype, np.int64}:
-        assert _kernel(mats, dtype) == want
+    assert exact_dtype(int(np.abs(mats).max()), n) is not None
+    for kernel, dtype in _kernels(int(np.abs(mats).max()), n):
+        assert _kernel(mats, dtype, kernel) == want
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
 def test_batch_last_det_dead_matrices_among_live_ones(dtype):
-    # A zero column kills a matrix at some step; every step sees deaths,
-    # next to live matrices that swap rows, in both integer dtypes.
+    # A zero column kills a matrix at some step of the elimination; every
+    # step sees deaths, next to live matrices that swap rows, in both
+    # integer dtypes, and the expansion agrees in the same dtypes and in
+    # the narrower one its guard picks.
     rng = np.random.default_rng(8)
     n = 7
     mats = rng.integers(-1, 2, size=(420, n, n))
@@ -412,10 +488,66 @@ def test_batch_last_det_dead_matrices_among_live_ones(dtype):
     trace = [_bareiss_trace(m.tolist()) for m in mats]
     assert set(range(n - 1)) <= {death for _, death in trace}
     assert any(swaps and death is None for swaps, death in trace)
-    assert exact_dtype(1, n) is np.int32
-    got = _kernel(mats, dtype)
+    assert exact_dtype(1, n) is np.int16
+    with eliminating():
+        assert exact_dtype(1, n) is np.int32
+    got = _kernel(mats, dtype, linalg._eliminate)
     assert got == [det_bareiss(m.tolist()) for m in mats]
     assert got[::2] == [0] * 210
+    assert _kernel(mats, dtype) == _kernel(mats, np.int16) == got
+
+
+def test_both_kernels_agree_across_minor_max_n():
+    # Either kernel runs at every order 1..10, on both sides of
+    # MINOR_MAX_N, in the dtype the elimination's guard picks (exact for
+    # the expansion too), on empty, single and census-sized batches, with
+    # entries up to c; both equal the scalar reference where it is taken.
+    # The expansion runs through batch_last_det with MINOR_MAX_N raised to
+    # 10, so that it takes MINOR_SLICE matrices a pass at every order.
+    rng = np.random.default_rng(10)
+    for n in range(1, 11):
+        for c in (0, 1, 2, 3):
+            with eliminating():
+                dtype = exact_dtype(c, n)
+            for N in (0, 1, CENSUS_CHUNK):
+                mats = rng.integers(-c, c, size=(N, n, n), endpoint=True)
+                mats[::3, :, 0] = 0  # dead matrices, and swaps below them
+                with mock.patch.object(linalg, "MINOR_MAX_N", 10):
+                    got = _kernel(mats, dtype)
+                assert got == _kernel(mats, dtype, linalg._eliminate), (n, c, N)
+                assert got[:40] == [det_bareiss(m.tolist()) for m in mats[:40]]
+                assert _kernel(mats, exact_dtype(c, n)) == got
+        # Python ints: entries of up to 70 bits
+        for N in (0, 1, 24):
+            high, low = rng.integers(-9, 10, size=(2, N, n, n)).astype(object)
+            mats = high * 2**70 + low
+            want = [det_bareiss(m.tolist()) for m in mats]
+            for kernel in (linalg._expand_minors, linalg._eliminate, batch_last_det):
+                assert _kernel(mats, object, kernel) == want, (n, N)
+
+
+def test_the_expansion_holds_no_more_than_the_elimination():
+    # Working memory of one census chunk of 7-cube simplices, vertex
+    # differences with entries -1..1: the expansion in its int16 takes no
+    # more than the elimination in its int32.
+    rng = np.random.default_rng(11)
+    n = 7
+    vertices = rng.integers(0, 2, size=(CENSUS_CHUNK, n + 1, n))
+    mats = vertices[:, 1:] - vertices[:, :1]
+    narrow = exact_dtype(1, n)
+    with eliminating():
+        wide = exact_dtype(1, n)
+    peaks = []
+    for kernel, dtype in ((batch_last_det, narrow), (linalg._eliminate, wide)):
+        last = np.ascontiguousarray(mats.transpose(1, 2, 0)).astype(dtype)
+        kernel(last.copy())  # the expansion's tables are built once
+        tracemalloc.start()
+        try:
+            kernel(last)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
 
 
 # SHA-256 of the little-endian int64 signed volumes of the default d=7

@@ -160,7 +160,9 @@ def test_each_decision_has_one_owner():
     with no simplex factor is P x simplex(0) through
     ``complexes.simplex_factor``, the product sizes take the surviving T_0
     cells from the generator's rule, and the block seeds are named in the
-    seeds catalog alone: the second owners stay gone."""
+    seeds catalog alone: the second owners stay gone. The census and
+    ``batch_det`` alone ask the overflow guard for a dtype, and
+    ``batch_last_det`` alone picks the kernel it guards."""
     gone = {
         "facet_incidence", "_cube_as_point_product", "by_ridge", "lift_count", "_lvecs"
     }
@@ -179,6 +181,11 @@ def test_each_decision_has_one_owner():
     assert owners(counts_colors) == {"coloring._color_groups"}
     assert {where.split(".")[0] for where in owners(literal("i3d1"))} == {"seeds"}
     assert owners(slices_seeds) == set()
+    # the one overflow guard, and the one place that picks the kernel it
+    # guards
+    assert callers("exact_dtype") == {"complexes.signed_volumes", "linalg.batch_det"}
+    assert callers("_eliminate") == {"linalg.batch_last_det"}
+    assert callers("_expand_minors") == {"linalg.batch_last_det"}
 
 
 def test_the_owner_checks_see_a_second_owner(tmp_path, monkeypatch):
@@ -195,6 +202,9 @@ def test_the_owner_checks_see_a_second_owner(tmp_path, monkeypatch):
         "    return (c[:, :, None] == np.arange(k)).sum(axis=1)\n"
         "SEEDS = ('i3d2', 'i3d1', 'minimal')\n"
         "BLOCK = pipeline.SEEDS[:2]\n"
+        "def volumes(g, c):\n"
+        "    g = g.astype(linalg.exact_dtype(c, len(g)))\n"
+        "    return linalg._eliminate(g) if len(g) > 7 else _expand_minors(g)\n"
     )
     assert identifiers(module) >= {"facet_incidence", "by_ridge"}
     monkeypatch.setattr(sys.modules[__name__], "PACKAGE", tmp_path)
@@ -202,6 +212,8 @@ def test_the_owner_checks_see_a_second_owner(tmp_path, monkeypatch):
     assert callers("lexsort") == {"module.duplicates"}
     assert owners(counts_colors) == {"module.sizes"}
     assert owners(literal("i3d1")) == owners(slices_seeds) == {"module"}
+    assert callers("exact_dtype") == callers("_eliminate") == {"module.volumes"}
+    assert callers("_expand_minors") == {"module.volumes"}
 
 
 def spec_uses(cli_path: Path, pipeline_path: Path) -> tuple[dict, set[str]]:
