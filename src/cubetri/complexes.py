@@ -215,12 +215,14 @@ def signed_volumes(points, rows) -> np.ndarray:
     their absolute values are the normalized volumes.
 
     Every entry p_r[c] - p_0[c] is at most the range (max - min) of
-    coordinate c over ``points``, so one guard on the largest range and on
-    d (:func:`linalg.exact_dtype`) picks the dtype of the whole census for
-    the kernel that runs at order d: the narrowest of int8..int64 (int8 for
-    cube simplices up to d = 5), or Python ints (``object``) when none is
-    wide enough. Each chunk of ``CENSUS_CHUNK`` rows, which bounds the
-    working memory, is written straight into the (d, d, N) layout of
+    coordinate c over ``points``, so the largest range bounds every entry
+    of the census. The block is built in the dtype
+    :func:`linalg.exact_dtype` picks for that bound and d: int8 for cube
+    simplices up to d = ``linalg.MINOR_MAX_N``, the elimination's width
+    beyond, or Python ints (``object``) when no integer dtype is wide
+    enough; :func:`linalg.batch_last_det` then runs each level of its work
+    in the width the bound proves exact for it. Each chunk of ``CENSUS_CHUNK`` rows, which bounds
+    the working memory, is written straight into the (d, d, N) layout of
     :func:`linalg.batch_last_det`: rows vertex differences, columns
     coordinates, batch last. Row r is the (d, N) block of vertex r's
     coordinates, taken from a (d, points) table by the chunk's own column
@@ -235,7 +237,7 @@ def signed_volumes(points, rows) -> np.ndarray:
     d = pts.shape[1]
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     span = max((int(b) - int(a) for a, b in zip(lo, hi)), default=0)
-    dtype = linalg.exact_dtype(span, d) or object
+    dtype = linalg.exact_dtype(span, d)
     if dtype is object:  # then the shift below might not fit int64
         pts = pts.astype(object)
     # Shifted to a zero minimum, every coordinate lies in [0, span] and
@@ -248,16 +250,16 @@ def signed_volumes(points, rows) -> np.ndarray:
         for r in range(d):
             np.subtract(table.take(chunk[:, r + 1], axis=1), base, out=g[r])
         try:
-            out[start : start + len(chunk)] = linalg.batch_last_det(g)
+            out[start : start + len(chunk)] = linalg.batch_last_det(g, span)
         except OverflowError:
             raise OverflowError("a signed volume int64 cannot hold") from None
     return out
 
 
 def _tally(vols: np.ndarray) -> tuple[int, list[int]]:
-    # The int64 sum is exact while N max|v| < 2**63. Census volumes of the
-    # int8..int32 paths are below 2**31 (linalg.exact_dtype), so only points
-    # with huge coordinates can need Python's sum.
+    # The int64 sum is exact while N max|v| < 2**63. Census volumes whose
+    # last level is int8..int32 are below 2**31 (linalg.exact_dtype), so
+    # only points with huge coordinates can need Python's sum.
     big = max(int(vols.max()), -int(vols.min())) if len(vols) else 0
     if big * len(vols) < 2**63:
         total = int(np.abs(vols).sum())

@@ -7,12 +7,14 @@ phase-1 simplex solver with integer pivoting used as an exact linear
 feasibility oracle.
 
 The batched determinant works on a batch-last (n, n, N) array
-(:func:`batch_last_det`), in the narrowest of int8..int64 that one guard
-proves exact (:func:`exact_dtype`), else in Python ints. Orders up to
-``MINOR_MAX_N`` take a Laplace expansion along the rows, with no pivot and
-no division; larger ones take a fraction-free elimination, whose exact
-divisions are a shift and a multiplication by an inverse modulo 2^b, not
-``//``. The scalar :func:`det_bareiss` is the tests' reference for both.
+(:func:`batch_last_det`). Orders up to ``MINOR_MAX_N`` take a Laplace
+expansion along the rows, with no pivot and no division, each level of
+minors in the narrowest of int8..int64 that Hadamard's bound proves exact
+for it, else in Python ints; larger ones take a fraction-free elimination
+in one such dtype, whose exact divisions are a shift and a multiplication
+by an inverse modulo 2^b, not ``//``. One rule, :func:`exact_dtype`, picks
+every width. The scalar :func:`det_bareiss` is the tests' reference for
+both.
 
 The pair predicates (face to face, disjoint interiors of simplices or of
 polytopes), and with them the LP and the barycentric rows, serve only the
@@ -29,18 +31,20 @@ and the benchmark's tracer call the polytope predicate.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations
 from operator import index, mul
 
 import numpy as np
 
-# batch_last_det expands by minors up to this order, and eliminates beyond:
-# on cube census chunks the expansion took 0.34 against 0.89 ms at n = 7
-# (2,155 matrices), and 6.6 against 4.4 ms in int32 at n = 8 (8,192).
-MINOR_MAX_N = 7
-# Matrices per pass of the expansion: at n = 7 a pass holds 0.9 MB, less
-# than the elimination of a census chunk, and a d=7 census is one pass.
+# batch_last_det expands by minors up to this order, and eliminates beyond.
+# On cube censuses (2 cores, each level in its own dtype) the expansion took
+# 0.34 against 0.89 ms at n = 7 (2,155 matrices) and 6.0-11.0 against
+# 13.0-25.1 ms for the int32 elimination at n = 8 (16,282); at n = 9 it
+# took 6.9-7.3 against 7.9 ms a chunk of 8,192, too close to switch.
+MINOR_MAX_N = 8
+# Matrices per pass of the expansion: at n = 8 a pass peaks under 1 MB,
+# less than the elimination of a census chunk; 2,048 timed within noise.
 MINOR_SLICE = 3072
 
 
@@ -106,59 +110,78 @@ def rank_int(rows: list[list[int]]) -> int:
     return rank
 
 
-def exact_dtype(c: int, n: int):
-    """The narrowest of int8, int16, int32 and int64 in which
-    :func:`batch_last_det` is exact on n x n matrices with integer entries
-    |a| <= c, or None when none is wide enough (callers then run it on
-    Python ints, ``object``): a signed type of b bits holds every value
-    formed when the bound below is under 2^(b-1).
+def exact_dtype(c: int, n: int, level: int = 1):
+    """The dtype in which :func:`batch_last_det` holds level ``level``
+    (1..n) of its work on n x n matrices with integer entries |a| <= c:
+    the narrowest of int8, int16, int32 and int64 that holds every value
+    formed there, or ``object`` (Python ints) when none does. Level 1 is
+    the (n, n, N) block it takes, so callers build the block in
+    ``exact_dtype(c, n)``. A signed type of b bits holds every value below
+    a bound under 2^(b-1), compared as the bound's square, an integer.
 
     Proof. Hadamard's inequality makes a minor of order j at most
     H(j) = (c^2 j)^(j/2), nondecreasing in j for c >= 1 (for c = 0 every
     value is 0). The expansion (:func:`_expand_minors`, n <= MINOR_MAX_N)
-    forms products a M of an entry and a minor of order j <= n-1, and sums
-    of at most j+1 of them, the last a minor of order j+1: every value is
-    at most n c H(n-1), compared as its square, an integer. That bound, c
-    at n = 1, also serves the elimination below n = 2, where neither kernel
-    forms more than the entries.
+    holds the entries at level 1, at most c. Level r >= 2 forms products
+    a M of an entry and a minor of order r-1, and sums of at most r of
+    them, the last a minor of order r: every value is at most r c H(r-1),
+    which grows with r and is at least c, so the levels only widen. At
+    level r = n the sums, at most n c H(n-1) too, are taken in int64 or
+    Python ints.
 
-    Beyond, the elimination (:func:`_eliminate`) runs. By Sylvester's
-    identity, each entry that Bareiss elimination (*Math. Comp.* 22, 1968)
-    holds after step k, row swaps included, is a minor of order k+2 of the
-    input, up to sign. Step k forms a_kk a_ij - a_ik a_kj from entries of
-    step k-1, two products of minors of order k+1 <= n-1, then divides it
-    exactly by a nonzero a_kk of step k-1, which makes it no larger. So
-    every value formed is at most 2 H(n-1)^2 = 2 (c^2 (n-1))^(n-1), at
-    least c for n >= 2. Its exact division (:func:`_divide_exactly`) shifts
-    the dividend right by the divisor's trailing zero bits, exact and no
-    larger, then multiplies by an inverse modulo 2^b with wrap-around: that
-    is the quotient modulo 2^b, which the bound puts in
-    (-2^(b-1), 2^(b-1)), so the quotient itself.
+    Beyond, the elimination (:func:`_eliminate`) runs, every level in one
+    dtype. By Sylvester's identity, each entry that Bareiss elimination
+    (*Math. Comp.* 22, 1968) holds after step k, row swaps included, is a
+    minor of order k+2 of the input, up to sign. Step k forms
+    a_kk a_ij - a_ik a_kj from entries of step k-1, two products of minors
+    of order k+1 <= n-1, then divides it exactly by a nonzero a_kk of step
+    k-1, which makes it no larger. So every value formed is at most
+    2 H(n-1)^2 = 2 (c^2 (n-1))^(n-1), at least c for n >= 2. Its exact
+    division (:func:`_divide_exactly`) shifts the dividend right by the
+    divisor's trailing zero bits, exact and no larger, then multiplies by
+    an inverse modulo 2^b with wrap-around: that is the quotient modulo
+    2^b, which the bound puts in (-2^(b-1), 2^(b-1)), so the quotient
+    itself. Below n = 2 neither kernel forms more than the entries.
 
-    For n >= 2, n c H(n-1) <= 2 (c^2 (n-1))^(n-1), so a dtype exact for
-    the elimination is exact for the expansion: for c >= 1 that is
-    n <= 2 c^(n-2) (n-1)^((n-1)/2), and 2 (n-1)^((n-1)/2) is 2 at n = 2
-    and at least 2 (n-1) >= n beyond.
+    For n >= 2 and r <= n, r c H(r-1) <= n c H(n-1) <= 2 (c^2 (n-1))^(n-1),
+    so the elimination's dtype is at least as wide as every level of the
+    expansion: for c >= 1 the last is n <= 2 c^(n-2) (n-1)^((n-1)/2), and
+    2 (n-1)^((n-1)/2) is 2 at n = 2 and at least 2 (n-1) >= n beyond.
     """
-    x = c * c * (n - 1)
-    if n < 2 or n <= MINOR_MAX_N:  # below 2 either kernel forms only entries
-        square = (n * c) ** 2 * x ** (n - 1) if n else 0
+    return _level_dtypes(c, n, n <= MINOR_MAX_N)[level - 1]
+
+
+@lru_cache(maxsize=1024)
+def _level_dtypes(c: int, n: int, expand: bool) -> tuple:
+    """:func:`exact_dtype` at levels 1..max(n, 1), for the expansion or for
+    the elimination, computed once per (c, n)."""
+    x = c * c
+    if expand:
+        squares = [x] + [r * r * x * (x * (r - 1)) ** (r - 1) for r in range(2, n + 1)]
     else:
-        square = 4 * x ** (2 * n - 2)
+        squares = [x if n < 2 else 4 * (x * (n - 1)) ** (2 * n - 2)] * max(n, 1)
+    return tuple(_narrowest(square) for square in squares)
+
+
+def _narrowest(square: int):
+    """The narrowest of int8..int64 that holds every integer whose square
+    is at most ``square``, else ``object``."""
     for dtype in (np.int8, np.int16, np.int32, np.int64):
         if square < 4 ** (np.iinfo(dtype).bits - 1):
             return dtype
-    return None
+    return object
 
 
-def batch_last_det(m: np.ndarray) -> np.ndarray:
+def batch_last_det(m: np.ndarray, c: int) -> np.ndarray:
     """Signed determinants of the matrices m[:, :, b] of a C-contiguous
-    (n, n, N) integer array, computed in m's own dtype, as int64 (as Python
-    ints for an ``object`` array). Exact when m's dtype is ``object`` or at
-    least as wide as the one :func:`exact_dtype` picks for its entries; a
-    0x0 matrix has determinant 1. May overwrite m. Orders up to
+    (n, n, N) integer array whose entries are at most c in absolute value,
+    as int64, or as Python ints (``object``) when :func:`exact_dtype` puts
+    the last level there or m is an ``object`` array; a 0x0 matrix has
+    determinant 1. Exact when m's dtype is ``object`` or at least as wide
+    as ``exact_dtype(c, n)``. May overwrite m. Orders up to
     ``MINOR_MAX_N`` take :func:`_expand_minors`, ``MINOR_SLICE`` matrices
-    a pass; larger ones take :func:`_eliminate`.
+    a pass, each level in the dtype :func:`exact_dtype` picks for it;
+    larger ones take :func:`_eliminate` in m's dtype.
     """
     n, _, N = m.shape
     if not m.flags.c_contiguous:
@@ -167,10 +190,12 @@ def batch_last_det(m: np.ndarray) -> np.ndarray:
         return np.ones(N, dtype=np.int64)
     if n > MINOR_MAX_N:
         return _eliminate(m)
-    out = np.empty(N, dtype=object if m.dtype == object else np.int64)
+    dtypes = _level_dtypes(c, n, True)
+    wide = m.dtype == object or dtypes[-1] is object
+    out = np.empty(N, dtype=object if wide else np.int64)
     for start in range(0, N, MINOR_SLICE):
         stop = start + MINOR_SLICE
-        out[start:stop] = _expand_minors(m[:, :, start:stop])
+        out[start:stop] = _expand_minors(m[:, :, start:stop], dtypes)
     return out
 
 
@@ -197,21 +222,24 @@ def _minor_terms(n: int) -> list:
     return levels
 
 
-def _expand_minors(m: np.ndarray) -> np.ndarray:
+def _expand_minors(m: np.ndarray, dtypes: tuple) -> np.ndarray:
     """Determinants of the matrices m[:, :, b] of an (n, n, N) array,
     n >= 1, by Laplace expansion along the rows, with no pivot and no
-    division. Level r holds the r x r minors of the first r rows in m's
-    dtype, one row of a (C(n, r), N) array per column subset
+    division. Level r holds the r x r minors of the first r rows in
+    dtypes[r-1], one row of a (C(n, r), N) array per column subset
     S = {s_0 < ... < s_(r-1)}:
     M_r(S) = sum_t (-1)^(r-1+t) a[r-1, s_t] M_(r-1)(S minus s_t),
-    accumulated term by term in four numpy calls. Level n sums its n
-    products in int64 (or Python ints); S minus t is row n-1-t of level n-1.
+    accumulated term by term in four numpy calls. Row r-1 of m and level
+    r-1 are cast to dtypes[r-1] only where their dtype differs. Level n
+    forms its n products in dtypes[n-1] and sums them in int64 (or Python
+    ints); S minus t is row n-1-t of level n-1.
     """
     n = len(m)
     if n == 1:
         return m[0, 0]
     minors = m[0]
-    for row, terms in zip(m[1:-1], _minor_terms(n)):
+    for row, terms, dtype in zip(m[1:-1], _minor_terms(n), dtypes[1:-1]):
+        row, minors = _cast(row, dtype), _cast(minors, dtype)
         (cols, subs, _), *rest = terms
         out = row.take(cols, axis=0)
         out *= minors.take(subs, axis=0)
@@ -223,9 +251,14 @@ def _expand_minors(m: np.ndarray) -> np.ndarray:
             else:
                 out -= term
         minors = out
-    products = m[-1] * minors[::-1]
+    products = _cast(m[-1], dtypes[-1]) * _cast(minors[::-1], dtypes[-1])
     first = (n - 1) % 2  # the first positive term
     return products[first::2].sum(axis=0) - products[1 - first :: 2].sum(axis=0)
+
+
+def _cast(a: np.ndarray, dtype) -> np.ndarray:
+    """``a`` in ``dtype``: itself when it is already, else a copy."""
+    return a if a.dtype == dtype else a.astype(dtype)
 
 
 def _eliminate(m: np.ndarray) -> np.ndarray:
@@ -306,6 +339,13 @@ def _divide_exactly(a: np.ndarray, divisor: np.ndarray) -> None:
     step x <- x (2 - u x) doubles the number of correct low bits of the
     inverse, and x = u is right in 3 (u u = 1 mod 8 for every odd u), so
     4 steps reach 32 bits and 5 reach 64.
+
+    The divisor is never 0. :func:`_eliminate` divides by the pivots of the
+    step before: ``prev`` starts at 1, a dead matrix pivots on 1, and a
+    live matrix's pivot is nonzero, since a zero pivot is swapped for the
+    first nonzero entry below it or its matrix dies. So a divisor's square
+    is 1 or at least 4, and the check for units below would pick the same
+    divisors as ``divisor * divisor <= 1``.
     """
     # The divisor is a minor, so its square is within exact_dtype's bound.
     # Dividing exactly by a unit is multiplying by it.
@@ -349,19 +389,18 @@ def batch_det(mats: np.ndarray) -> np.ndarray:
     ``mats`` has shape (N, n, n); ValueError for matrices that are not
     square. The batch is copied to the (n, n, N) layout of
     :func:`batch_last_det` in the dtype :func:`exact_dtype` picks for its
-    order and largest absolute entry (so the kernel that runs is exact),
-    and the result is int64; when no integer dtype is wide enough (entries
-    beyond int64 included), the copy and the result are object arrays of
-    Python ints.
+    order and largest absolute entry, and the result is int64; when no
+    integer dtype is wide enough (entries beyond int64 included), the
+    result is an object array of Python ints.
     """
     mats = int_array(mats)
     N, n, n2 = mats.shape
     if n != n2:
         raise ValueError(f"matrices of shape {n} x {n2} are not square")
     c = max(int(mats.max()), -int(mats.min())) if mats.size else 0
-    dtype = exact_dtype(c, n) or object
     # astype copies, so the caller's array is never overwritten.
-    return batch_last_det(mats.transpose(1, 2, 0).astype(dtype, order="C"))
+    block = mats.transpose(1, 2, 0).astype(exact_dtype(c, n), order="C")
+    return batch_last_det(block, c)
 
 
 def batch_abs_det(mats: np.ndarray) -> np.ndarray:

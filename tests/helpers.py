@@ -152,17 +152,20 @@ def small_default_references() -> dict:
         }
 
 
-def path_edges(n: int) -> list[int]:
-    """The last entry bound c that :func:`linalg.exact_dtype` sends to int8
-    for n x n matrices and the first past it, then the same for int16,
-    int32 and int64: eight bounds, nondecreasing."""
+def path_edges(n: int, level: int | None = None) -> list[int]:
+    """The last entry bound c for which :func:`linalg.exact_dtype` puts
+    level ``level`` (default n, the widest) of n x n matrices in int8 and
+    the first past it, then the same for int16, int32 and int64: eight
+    bounds, nondecreasing."""
     dtypes = (np.int8, np.int16, np.int32, np.int64)
+    level = level or n
     edges = []
     for width in range(1, 5):
-        lo, hi = 0, 2**64  # exact_dtype(lo, n) is in ok, exact_dtype(hi, n) not
+        lo, hi = 0, 2**64  # lo's dtype is in dtypes[:width], hi's not
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if exact_dtype(mid, n) in dtypes[:width] else (lo, mid)
+            ok = exact_dtype(mid, n, level) in dtypes[:width]
+            lo, hi = (mid, hi) if ok else (lo, mid)
         edges += [lo, hi]
     return edges
 

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from helpers import type_weight
 
+from cubetri import complexes
 from cubetri.coloring import staircase_triangulation
 from cubetri.complexes import (
     Triangulation,
+    _census,
     _runs,
     efficiency,
     factor_blocks,
@@ -89,6 +91,39 @@ def test_zero_dimensional_census():
     assert report.is_dissection and report.volume_total == 1
     assert volume_total(tri) == 1
     assert batch_volumes_of(tri.config.points, list(tri.simplices)) == (1, 0)
+
+
+@pytest.mark.parametrize(
+    "chunks, dtype",
+    [
+        ([[127, -5]], np.int8),
+        ([[128, 1]], np.int64),
+        ([[-128, 3]], np.int8),
+        ([[-129, 3]], np.int64),
+        ([[-128, 127], [127, -128]], np.int8),
+        ([[5, -7], [128, 2]], np.int64),
+        ([[5, -128], [-129, 2]], np.int64),
+        ([[127, 0], [300, -2], [-1, 1]], np.int64),
+    ],
+)
+def test_the_census_keeps_volumes_as_int8_only_while_they_fit(
+    monkeypatch, chunks, dtype
+):
+    # _census keeps the volumes as int8 while every chunk's lie in
+    # [-128, 127], and as int64 from the first chunk that does not, with
+    # the earlier chunks' volumes carried over. signed_volumes is stubbed
+    # to give volumes at the int8 edge, which no cube simplex has.
+    monkeypatch.setattr(complexes, "CENSUS_CHUNK", 2)
+    parts = iter(np.array(part, dtype=np.int64) for part in chunks)
+    monkeypatch.setattr(complexes, "signed_volumes", lambda points, rows: next(parts))
+    rows = [(0, 1, 3)] * (2 * len(chunks))
+    full, vols, total, violations = _census(Triangulation(cube_config(2), rows))
+    want = [v for part in chunks for v in part]
+    assert vols.dtype == dtype and vols.tolist() == want
+    assert total == sum(map(abs, want)) and len(full) == len(want)
+    assert [v.kind for v in violations] == ["degenerate"] * want.count(0) + [
+        "volume-mismatch"
+    ]
 
 
 def test_face_to_face_shared_diagonal():

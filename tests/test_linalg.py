@@ -142,48 +142,65 @@ def test_batch_det_of_empty_matrices_is_one():
 
 
 def test_exact_dtype_at_its_bound():
-    # The expansion, n <= MINOR_MAX_N: n c H(n-1) < 2^(bits-1). For n = 2
-    # that is 2 c^2, as for the elimination: below 2^7 up to c = 7, 2^15 up
-    # to c = 127, 2^31 up to c = 2^15 - 1 and 2^63 up to c = 2^31 - 1.
-    assert exact_dtype(7, 2) is np.int8
-    assert exact_dtype(8, 2) is np.int16
-    assert exact_dtype(127, 2) is np.int16
-    assert exact_dtype(128, 2) is np.int32
-    assert exact_dtype(2**15 - 1, 2) is np.int32
-    assert exact_dtype(2**15, 2) is np.int64
-    assert exact_dtype(2**31 - 1, 2) is np.int64
-    assert exact_dtype(2**31, 2) is None
-    # n = 3: 6 c^3, below 2^7 up to c = 2, 2^15 up to 17, 2^31 up to 710
+    # The expansion, n <= MINOR_MAX_N, at level r >= 2: r c H(r-1) <
+    # 2^(bits-1). For r = 2 that is 2 c^2, as for the elimination at n = 2:
+    # below 2^7 up to c = 7, 2^15 up to c = 127, 2^31 up to c = 2^15 - 1
+    # and 2^63 up to c = 2^31 - 1.
+    for n in (2, 3, 8):
+        assert exact_dtype(7, n, 2) is np.int8
+        assert exact_dtype(8, n, 2) is np.int16
+        assert exact_dtype(127, n, 2) is np.int16
+        assert exact_dtype(128, n, 2) is np.int32
+        assert exact_dtype(2**15 - 1, n, 2) is np.int32
+        assert exact_dtype(2**15, n, 2) is np.int64
+        assert exact_dtype(2**31 - 1, n, 2) is np.int64
+        assert exact_dtype(2**31, n, 2) is object
+    # r = 3: 6 c^3, below 2^7 up to c = 2, 2^15 up to 17, 2^31 up to 710
     # and 2^63 up to 1,154,107
     for c, dtype in [
         (2, np.int8), (3, np.int16), (17, np.int16), (18, np.int32),
         (2**7 - 1, np.int32), (2**7, np.int32), (710, np.int32),
         (711, np.int64), (2**15 - 1, np.int64), (2**15, np.int64),
-        (1154107, np.int64), (1154108, None),
+        (1154107, np.int64), (1154108, object),
     ]:
-        assert exact_dtype(c, 3) is dtype, c
+        assert exact_dtype(c, 3, 3) is dtype, c
+        assert exact_dtype(c, 7, 3) is dtype, c
+    # Level 1 is the block, which holds only the entries.
+    for n in (1, 3, 8):
+        assert exact_dtype(127, n) is np.int8
+        assert exact_dtype(128, n) is np.int16
+        assert exact_dtype(2**31 - 1, n) is np.int32
+        assert exact_dtype(2**31, n) is np.int64
+        assert exact_dtype(2**63 - 1, n) is np.int64
+        assert exact_dtype(2**63, n) is object
     # The elimination's bound 2 (c^2 (n-1))^(n-1) at n = 3: 8 c^4 < 2^31
-    # up to c = 2^7 - 1, and < 2^63 up to c = 2^15 - 1.
+    # up to c = 2^7 - 1, and < 2^63 up to c = 2^15 - 1; every level and
+    # the block take it.
     with eliminating():
-        assert exact_dtype(2**7 - 1, 3) is np.int32
-        assert exact_dtype(2**7, 3) is np.int64
-        assert exact_dtype(2**15 - 1, 3) is np.int64
-        assert exact_dtype(2**15, 3) is None
+        for level in (1, 2, 3):
+            assert exact_dtype(2**7 - 1, 3, level) is np.int32
+            assert exact_dtype(2**7, 3, level) is np.int64
+            assert exact_dtype(2**15 - 1, 3, level) is np.int64
+            assert exact_dtype(2**15, 3, level) is object
         assert exact_dtype(1, 7) is np.int32
-    # Cube censuses, c = 1: the expansion's bound is 80 at n = 5 and 1,512
-    # at n = 7; the elimination's is 2 * 7^7 at n = 8.
-    assert [exact_dtype(1, n) for n in range(11)] == [np.int8] * 6 + [np.int16] * 2 + [
-        np.int32
-    ] * 3
+        assert exact_dtype(1, 8) is np.int32
+    # Cube censuses, c = 1: the block is int8 up to n = 8; level r's bound
+    # r H(r-1) is 80 at r = 5, 335 at r = 6 and 7,260 at r = 8; the
+    # elimination's is 2 * 8^8 at n = 9.
+    int8, int16, int32 = np.int8, np.int16, np.int32
+    assert [exact_dtype(1, n) for n in range(11)] == [int8] * 9 + [int32] * 2
+    assert [exact_dtype(1, n, n) for n in range(1, 11)] == (
+        [int8] * 5 + [int16] * 3 + [int32] * 2
+    )
+    assert [exact_dtype(1, 8, r) for r in range(1, 9)] == [int8] * 5 + [int16] * 3
     # n = 10, the d=10 census: 2 * 9^9 < 2^31 at c = 1, and c = 2 is past it
     assert exact_dtype(1, 10) is np.int32
     assert exact_dtype(2, 10) is np.int64
     # for n <= 1 either kernel forms only the entries, so only they must fit
-    assert exact_dtype(127, 1) is np.int8
-    assert exact_dtype(128, 1) is np.int16
-    assert exact_dtype(2**31 - 1, 1) is np.int32
-    assert exact_dtype(2**31, 1) is np.int64
-    assert exact_dtype(2**63, 1) is None
+    with eliminating():
+        assert exact_dtype(127, 1) is np.int8
+        assert exact_dtype(128, 1) is np.int16
+        assert exact_dtype(2**63, 1) is object
     assert exact_dtype(0, 0) is np.int8
 
 
@@ -194,12 +211,16 @@ def test_a_dtype_exact_for_the_elimination_is_exact_for_the_expansion():
         for c in (*range(40), 2**20, 2**40):
             x = c * c * (n - 1)
             assert (n * c) ** 2 * x ** (n - 1) <= 4 * x ** (2 * n - 2)
-    widths = [np.int8, np.int16, np.int32, np.int64, None]
+    # So the elimination's dtype is at least as wide as every level of the
+    # expansion, whose levels only widen.
+    widths = [np.int8, np.int16, np.int32, np.int64, object]
     for n in range(2, MINOR_MAX_N + 1):
-        for c in path_edges(n):
-            with eliminating():
-                wide = widths.index(exact_dtype(c, n))
-            assert widths.index(exact_dtype(c, n)) <= wide
+        for level in range(1, n + 1):
+            for c in path_edges(n, level):
+                with eliminating():
+                    wide = widths.index(exact_dtype(c, n))
+                levels = [widths.index(exact_dtype(c, n, r)) for r in range(1, n + 1)]
+                assert levels == sorted(levels) and levels[-1] <= wide
 
 
 def test_batch_det_is_exact_on_either_side_of_each_bound():
@@ -270,7 +291,8 @@ def test_the_python_int_path_matches_the_scalar_reference():
         got = batch_det(mats)
         assert got.dtype == object and got.tolist() == want
         last = np.ascontiguousarray(np.array(mats, dtype=object).transpose(1, 2, 0))
-        assert batch_last_det(last.copy()).tolist() == want
+        c = max(abs(v) for m in mats for row in m for v in row)
+        assert batch_last_det(last.copy(), c).tolist() == want
         assert linalg._eliminate(last).tolist() == want
     assert swapped > 20 and singular > 20
     # A census whose span only Python ints can hold: small simplices among
@@ -281,7 +303,7 @@ def test_the_python_int_path_matches_the_scalar_reference():
         # the origin, then e_1 .. e_(d-1): with the far point a simplex of
         # volume 2^200
         pts += [tuple(int(i == k) for i in range(d)) for k in range(-1, d - 1)]
-        assert exact_dtype(2**200, d) is None
+        assert exact_dtype(2**200, d) is object
         rows = [rng.sample(range(12), d + 1) for _ in range(200)]
         want = [
             det_bareiss([[a - b for a, b in zip(pts[v], pts[s[0]])] for v in s[1:]])
@@ -384,11 +406,16 @@ def test_batch_det_of_one_matrix_and_of_1x1_matrices():
 
 
 def _kernel(mats, dtype, kernel=batch_last_det):
-    """``kernel`` (batch_last_det or one it calls) of (N, n, n) matrices in
-    ``dtype``, as Python ints, with every warning an error."""
-    last = np.ascontiguousarray(np.asarray(mats).transpose(1, 2, 0)).astype(dtype)
+    """``kernel`` (batch_last_det, bounded by the largest |entry|, or one it
+    calls with no bound) of (N, n, n) matrices in ``dtype``, as Python
+    ints, with every warning an error."""
+    mats = np.asarray(mats)
+    last = np.ascontiguousarray(mats.transpose(1, 2, 0)).astype(dtype)
+    c = int(np.abs(mats).max()) if mats.size else 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        if kernel is batch_last_det:
+            return kernel(last, c).tolist()
         return kernel(last).tolist()
 
 
@@ -413,24 +440,63 @@ def _kernels(c, n):
     zeros=st.sampled_from([0.0, 0.3, 0.6]),
 )
 def test_batch_last_det_is_exact_at_the_largest_admitted_entry(n, width, seed, zeros):
-    # At the last c exact_dtype sends to int8 (int16, int32, int64) or to
-    # a narrower dtype (a dtype may admit no c of its own), the kernel in
-    # that dtype equals the scalar reference; so does the elimination at
-    # the last c its own guard admits. Half the batch has every entry at
-    # +-c, the size Hadamard's bound is reached at, and zeros make pivots
-    # vanish, so rows swap and some matrices die.
+    # At the last c exact_dtype sends the widest level to int8 (int16,
+    # int32, int64) or to a narrower dtype (a dtype may admit no c of its
+    # own), the kernel on a block in the dtype exact_dtype picks for it
+    # equals the scalar reference; so does the elimination at the last c
+    # its own guard admits. Half the batch has every entry at +-c, the size
+    # Hadamard's bound is reached at, and zeros make pivots vanish, so rows
+    # swap and some matrices die.
     dtypes = (np.int8, np.int16, np.int32, np.int64)
-    dtype = dtypes[width]
     rng = np.random.default_rng(seed)
     for kernel, guard in ((batch_last_det, nullcontext), (linalg._eliminate, eliminating)):
         with guard():
             c = path_edges(n)[2 * width]
-            assert exact_dtype(c, n) in dtypes[: width + 1]
-            assert exact_dtype(c + 1, n) not in dtypes[: width + 1]
+            assert exact_dtype(c, n, n) in dtypes[: width + 1]
+            assert exact_dtype(c + 1, n, n) not in dtypes[: width + 1]
+            block = exact_dtype(c, n)
         mats = rng.integers(-c, c, size=(16, n, n), endpoint=True)
         mats[:8] = c * rng.choice([-1, 1], size=(8, n, n))
         mats[rng.random(mats.shape) < zeros] = 0
-        assert _kernel(mats, dtype, kernel) == [det_bareiss(m.tolist()) for m in mats]
+        assert _kernel(mats, block, kernel) == [det_bareiss(m.tolist()) for m in mats]
+
+
+def _sylvester(k: int) -> np.ndarray:
+    """The 2^k x 2^k Hadamard matrix of Sylvester's construction: its
+    leading r x r minors reach Hadamard's bound r^(r/2) at r = 1, 2, 4, 8."""
+    h = np.ones((1, 1), dtype=np.int64)
+    for _ in range(k):
+        h = np.block([[h, h], [h, -h]])
+    return h
+
+
+def test_batch_last_det_at_every_width_edge():
+    # For each order the expansion runs at and each of its levels, the last
+    # c at which that level's width is int8 (int16, int32, int64) and the
+    # first past it, where the level steps up. At both, batch_last_det on a
+    # block in the dtype exact_dtype picks equals the scalar reference on
+    # the largest admitted entries: +-c everywhere, the leading block of
+    # Sylvester's Hadamard matrix times c with rows and columns signed at
+    # random, and entries of 0, +-c/2 and +-c, so that rows swap and some
+    # matrices are singular.
+    rng = np.random.default_rng(12)
+    hadamard = _sylvester(3)
+    dtypes = (np.int8, np.int16, np.int32, np.int64, object)
+    for n in range(1, MINOR_MAX_N + 1):
+        for level in range(1, n + 1):
+            edges = path_edges(n, level)
+            for step, c in enumerate(edges):
+                width = dtypes.index(exact_dtype(c, n, level))
+                assert width <= step // 2 if step % 2 == 0 else width > step // 2
+                signs = rng.choice([-1, 1], size=(3, 2, n, 1))
+                lead = hadamard[:n, :n] * signs[:, 0] * signs[:, 1].transpose(0, 2, 1)
+                halves = rng.choice([-2, -1, 0, 0, 1, 2], size=(6, n, n)).astype(object)
+                signed = rng.choice([-1, 1], size=(6, n, n))
+                mats = np.concatenate([signed, lead]).astype(object) * c
+                mats = np.concatenate([mats, halves * c // 2])
+                want = [det_bareiss(m.tolist()) for m in mats]
+                got = _kernel(mats, exact_dtype(c, n))
+                assert got == want, (n, level, c)
 
 
 def test_batch_last_det_with_a_zero_pivot_at_every_step():
@@ -478,8 +544,8 @@ def test_batch_last_det_divides_by_even_and_negative_pivots():
 def test_batch_last_det_dead_matrices_among_live_ones(dtype):
     # A zero column kills a matrix at some step of the elimination; every
     # step sees deaths, next to live matrices that swap rows, in both
-    # integer dtypes, and the expansion agrees in the same dtypes and in
-    # the narrower one its guard picks.
+    # integer dtypes, and the expansion agrees on blocks in the same dtypes
+    # and in the narrower one its guard picks.
     rng = np.random.default_rng(8)
     n = 7
     mats = rng.integers(-1, 2, size=(420, n, n))
@@ -488,13 +554,13 @@ def test_batch_last_det_dead_matrices_among_live_ones(dtype):
     trace = [_bareiss_trace(m.tolist()) for m in mats]
     assert set(range(n - 1)) <= {death for _, death in trace}
     assert any(swaps and death is None for swaps, death in trace)
-    assert exact_dtype(1, n) is np.int16
+    assert exact_dtype(1, n) is np.int8
     with eliminating():
         assert exact_dtype(1, n) is np.int32
     got = _kernel(mats, dtype, linalg._eliminate)
     assert got == [det_bareiss(m.tolist()) for m in mats]
     assert got[::2] == [0] * 210
-    assert _kernel(mats, dtype) == _kernel(mats, np.int16) == got
+    assert _kernel(mats, dtype) == _kernel(mats, np.int8) == got
 
 
 def test_both_kernels_agree_across_minor_max_n():
@@ -522,32 +588,37 @@ def test_both_kernels_agree_across_minor_max_n():
             high, low = rng.integers(-9, 10, size=(2, N, n, n)).astype(object)
             mats = high * 2**70 + low
             want = [det_bareiss(m.tolist()) for m in mats]
-            for kernel in (linalg._expand_minors, linalg._eliminate, batch_last_det):
+            for kernel in (linalg._eliminate, batch_last_det):
                 assert _kernel(mats, object, kernel) == want, (n, N)
+            with mock.patch.object(linalg, "MINOR_MAX_N", 10):
+                assert _kernel(mats, object) == want, (n, N)
 
 
 def test_the_expansion_holds_no_more_than_the_elimination():
-    # Working memory of one census chunk of 7-cube simplices, vertex
-    # differences with entries -1..1: the expansion in its int16 takes no
-    # more than the elimination in its int32.
+    # Working memory of one census chunk of n-cube simplices, n = 7, 8,
+    # vertex differences with entries -1..1: the expansion on its int8
+    # block, each level in its own width, takes no more than the
+    # elimination in its int32.
     rng = np.random.default_rng(11)
-    n = 7
-    vertices = rng.integers(0, 2, size=(CENSUS_CHUNK, n + 1, n))
-    mats = vertices[:, 1:] - vertices[:, :1]
-    narrow = exact_dtype(1, n)
-    with eliminating():
-        wide = exact_dtype(1, n)
-    peaks = []
-    for kernel, dtype in ((batch_last_det, narrow), (linalg._eliminate, wide)):
-        last = np.ascontiguousarray(mats.transpose(1, 2, 0)).astype(dtype)
-        kernel(last.copy())  # the expansion's tables are built once
-        tracemalloc.start()
-        try:
-            kernel(last)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[0] <= peaks[1]
+    for n in (7, 8):
+        vertices = rng.integers(0, 2, size=(CENSUS_CHUNK, n + 1, n))
+        mats = vertices[:, 1:] - vertices[:, :1]
+        narrow = exact_dtype(1, n)
+        with eliminating():
+            wide = exact_dtype(1, n)
+        assert (narrow, wide) == (np.int8, np.int32)
+        peaks = []
+        for kernel, dtype in ((batch_last_det, narrow), (linalg._eliminate, wide)):
+            last = np.ascontiguousarray(mats.transpose(1, 2, 0)).astype(dtype)
+            args = (1,) if kernel is batch_last_det else ()
+            kernel(last.copy(), *args)  # the expansion's tables are built once
+            tracemalloc.start()
+            try:
+                kernel(last, *args)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1], n
 
 
 # SHA-256 of the little-endian int64 signed volumes of the default d=7

@@ -510,11 +510,18 @@ def _assert_census_exact(points, rows):
 def test_census_matches_scalar_on_pipeline_outputs(pipeline_outputs, d8_output):
     tris = dict(pipeline_outputs)
     tris[8] = d8_output
-    # cube censuses run in int8 up to d = 5, in int16 at d = 6, 7 (the
-    # expansion) and in int32 at d = 8 (the elimination)
-    census_dtype = {4: np.int8, 5: np.int8, 6: np.int16, 7: np.int16, 8: np.int32}
+    # cube censuses take the expansion on an int8 block up to d = 8, with
+    # levels 1..5 in int8 and levels 6..d in int16
+    int8, int16 = np.int8, np.int16
+    census_dtypes = {
+        4: [int8] * 4,
+        5: [int8] * 5,
+        6: [int8] * 5 + [int16],
+        7: [int8] * 5 + [int16] * 2,
+        8: [int8] * 5 + [int16] * 3,
+    }
     for d, tri in tris.items():
-        assert exact_dtype(1, d) is census_dtype[d]
+        assert [exact_dtype(1, d, r) for r in range(1, d + 1)] == census_dtypes[d]
         vols = _assert_census_exact(tri.config.points, tri.rows)
         assert (vols > 0).any() and (vols < 0).any()
 

@@ -161,8 +161,9 @@ def test_each_decision_has_one_owner():
     ``complexes.simplex_factor``, the product sizes take the surviving T_0
     cells from the generator's rule, and the block seeds are named in the
     seeds catalog alone: the second owners stay gone. The census and
-    ``batch_det`` alone ask the overflow guard for a dtype, and
-    ``batch_last_det`` alone picks the kernel it guards."""
+    ``batch_det`` alone ask the overflow guard for a block's dtype,
+    ``batch_last_det`` alone picks the kernel and its levels' dtypes, and
+    one function holds the width rule."""
     gone = {
         "facet_incidence", "_cube_as_point_product", "by_ridge", "lift_count", "_lvecs"
     }
@@ -182,8 +183,11 @@ def test_each_decision_has_one_owner():
     assert {where.split(".")[0] for where in owners(literal("i3d1"))} == {"seeds"}
     assert owners(slices_seeds) == set()
     # the one overflow guard, and the one place that picks the kernel it
-    # guards
+    # guards; the width rule itself has one owner
     assert callers("exact_dtype") == {"complexes.signed_volumes", "linalg.batch_det"}
+    assert callers("_level_dtypes") == {"linalg.exact_dtype", "linalg.batch_last_det"}
+    assert callers("iinfo") == {"linalg._narrowest"}
+    assert callers("_narrowest") == {"linalg._level_dtypes"}
     assert callers("_eliminate") == {"linalg.batch_last_det"}
     assert callers("_expand_minors") == {"linalg.batch_last_det"}
 
@@ -203,6 +207,7 @@ def test_the_owner_checks_see_a_second_owner(tmp_path, monkeypatch):
         "SEEDS = ('i3d2', 'i3d1', 'minimal')\n"
         "BLOCK = pipeline.SEEDS[:2]\n"
         "def volumes(g, c):\n"
+        "    assert np.iinfo(np.int8).bits == 8\n"
         "    g = g.astype(linalg.exact_dtype(c, len(g)))\n"
         "    return linalg._eliminate(g) if len(g) > 7 else _expand_minors(g)\n"
     )
@@ -213,6 +218,7 @@ def test_the_owner_checks_see_a_second_owner(tmp_path, monkeypatch):
     assert owners(counts_colors) == {"module.sizes"}
     assert owners(literal("i3d1")) == owners(slices_seeds) == {"module"}
     assert callers("exact_dtype") == callers("_eliminate") == {"module.volumes"}
+    assert callers("iinfo") == {"module.volumes"}
     assert callers("_expand_minors") == {"module.volumes"}
 
 
