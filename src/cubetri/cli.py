@@ -22,7 +22,9 @@ m = 2 triangulation of I^3 x simplex(2)), 2 for i3d1 and 1 for minimal
 and unimodular, clamped to the vertex count of a simplex of the cube the
 step refines.
 
-Exit code 0 iff every requested validation passed; 2 for a spec that
+Exit code 0 iff every requested validation passed: ``build``, ``report
+table`` and ``expect`` exit 1 when a build fails a check, the last two
+with one ``verification failed at d=D`` line and no table; 2 for a spec that
 ``build``, ``report table``, ``expect``, ``seeds show`` or ``oracle``
 rejects, with one ``invalid spec: ...`` line before any work. Such specs
 include an ``--out`` that is a directory or lies in a missing one, and a
@@ -53,6 +55,7 @@ from .oracle import SearchProblem, min_weighted_size
 from .pipeline import (
     SEEDS,
     PipelineSpec,
+    VerificationFailed,
     _pick_seed,
     build_cube_recursive,
     report_table,
@@ -148,7 +151,8 @@ def _expect_spec(args) -> PipelineSpec:
 
 
 def _cmd_expect(args, spec: PipelineSpec) -> int:
-    t_q = build_cube_recursive(spec)[0]
+    t_q, report = build_cube_recursive(spec)
+    report.check()
     n = args.q_dim + 1
     seed_name, m, t0 = _pick_seed(replace(spec, seed=args.seed), n)  # as build does
     bound = size_bound(t_q.size, weighted_size(t0), n, m, spec.l)
@@ -263,7 +267,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"invalid spec: {exc}", file=sys.stderr)
         return 2
-    return args.func(args, checked)
+    try:
+        return args.func(args, checked)
+    except VerificationFailed as exc:  # from report table and expect
+        print(exc)
+        return 1
 
 
 if __name__ == "__main__":

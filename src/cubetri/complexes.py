@@ -21,8 +21,10 @@ certificate on it first; only a refusal runs the pair scan,
 violations. The pair scan uses the certificate-first predicates of
 :mod:`linalg`, with each simplex's barycentric rows computed once per
 scan, and is the tests' reference.
-Every volume total goes through one census, :func:`signed_volumes`:
-batched signed integer determinants over fixed-size chunks of index rows.
+Every census has one owner, :func:`volume_census`: batched signed
+integer determinants (:func:`signed_volumes`) over chunks of index rows,
+which a pipeline step feeds as it generates them and :func:`_census`
+as slices of a triangulation's rows.
 
 :func:`ridge_report` is the certificate that needs neither provenance nor
 a pair scan. It holds for full-dimensional simplices S_1..S_N in a
@@ -37,9 +39,8 @@ the simplices tile P. With every interior ridge matched this way they
 form a triangulation; this is the characterization of triangulations by
 the pseudo-manifold property in De Loera, Rambau and Santos,
 *Triangulations* (Springer, 2010), §4.5. Every caller takes the one
-census, :func:`_census` (or :func:`_tally` on a chunk's signed volumes),
-and then :func:`ridge_violations`, the ridge part alone, on the census's
-signed volumes (only their signs are read). Equal ridges are matched as
+census and then :func:`ridge_violations`, the ridge part alone, on the
+census's signed volumes (only their signs are read). Equal ridges are matched as
 runs of equal rows (:func:`_runs`, one stable lexicographic sort), and
 equal simplices, the duplicates, the same way. The oracle's search grows
 cells under the same ridge conditions, on the same census, ridge names
@@ -59,9 +60,10 @@ and second vertex can overfill one (:func:`_bucket_cuts`).
 Files hold one simplex per line (:class:`TriangulationWriter`), so a step
 too large to keep in memory is written chunk by chunk in the same format.
 :func:`triangulation_from_json` reads a file in exactly that layout
-straight to an index array, ``READ_BLOCK`` characters at a time; from a
-file handle it never holds the whole text, in two passes (count the
-rows, then fill one array). Any other JSON layout goes through
+straight to an index array through one reader, :func:`_read_layout`,
+``READ_BLOCK`` characters at a time, from a text or a file handle alike,
+in two passes (count the rows, then fill one array), so from a handle it
+never holds the whole text. Any other JSON layout goes through
 ``json.loads`` on the whole text; both reject an index that is not an
 ``int`` of range ``[0, len(points))``, simplices of different sizes and a
 ``dim`` that is not the label's, with the same message.
@@ -280,40 +282,52 @@ def batch_volumes_of(points, simplex_rows) -> tuple[int, int]:
     return total, len(degenerate)
 
 
+def volume_census(config: PointConfiguration, chunks, n_rows: int):
+    """The volume census of full-dimensional simplices of ``config`` given
+    as chunks of index rows, ``n_rows`` in all: (their signed volumes,
+    total volume, violations). The violations name each degenerate
+    simplex, then a total that is not the label's volume. Volumes of rows
+    the chunks fall short of stay 0.
+
+    Each chunk goes through :func:`signed_volumes` once, and the volumes
+    are kept as int8 while they fit, as every unimodular simplex's does,
+    and as int64 from the first chunk that does not."""
+    points = linalg.int_array(config.points)
+    vols = np.zeros(n_rows, dtype=np.int8)
+    total, at, violations = 0, 0, []
+    for chunk in chunks:
+        part = signed_volumes(points, chunk)
+        if vols.dtype == np.int8 and not (-128 <= part.min() and part.max() < 128):
+            vols = vols.astype(np.int64)
+        vols[at : at + len(part)] = part
+        at += len(part)
+        part_total, degenerate = _tally(part)
+        total += part_total
+        violations += [
+            Violation("degenerate", (tuple(chunk[i].tolist()),)) for i in degenerate
+        ]
+    expected = expected_volume(config)
+    if total != expected:
+        violations.append(
+            Violation("volume-mismatch", (), f"got {total}, expected {expected}")
+        )
+    return vols, total, violations
+
+
 def _census(tri: Triangulation):
     """The census part of every report: (full-dimensional simplices as index
     rows, their signed volumes, total volume, violations). The violations
-    name each simplex that is not full-dimensional, then each degenerate
-    one, then a total that is not the label's volume.
-
-    The volumes are taken ``CENSUS_CHUNK`` rows at a time and kept as int8
-    while they fit, as every unimodular simplex's does, and as int64 from
-    the first chunk that does not."""
+    name each simplex that is not full-dimensional, then those of
+    :func:`volume_census`, which takes the rows ``CENSUS_CHUNK`` at a
+    time."""
     full = tri.rows
     violations = []
     if full.shape[1] != tri.config.dim + 1:
         violations = [Violation("not-full-dimensional", (s,)) for s in tri.simplices]
         full = full[:0]
-    points = linalg.int_array(tri.config.points)
-    vols = np.zeros(len(full), dtype=np.int8)
-    total, degenerate = 0, []
-    for start in range(0, len(full), CENSUS_CHUNK):
-        part = signed_volumes(points, full[start : start + CENSUS_CHUNK])
-        if vols.dtype == np.int8 and not (-128 <= part.min() and part.max() < 128):
-            vols = vols.astype(np.int64)
-        vols[start : start + len(part)] = part
-        part_total, part_degenerate = _tally(part)
-        total += part_total
-        degenerate += [start + i for i in part_degenerate]
-    violations.extend(
-        Violation("degenerate", (tuple(full[i].tolist()),)) for i in degenerate
-    )
-    expected = expected_volume(tri.config)
-    if total != expected:
-        violations.append(
-            Violation("volume-mismatch", (), f"got {total}, expected {expected}")
-        )
-    return full, vols, total, violations
+    chunks = (full[i : i + CENSUS_CHUNK] for i in range(0, len(full), CENSUS_CHUNK))
+    vols, total, found = volume_census(tri.config, chunks, len(full))
+    return full, vols, total, violations + found
 
 
 def duplicate_simplices(tri: Triangulation) -> list[Violation]:
@@ -930,42 +944,76 @@ def _read_rows(config: PointConfiguration, n_rows: int, blocks) -> Triangulation
     return Triangulation(config, rows) if done == n_rows else None
 
 
-def _read_text(text: str) -> Triangulation | None:
-    """The triangulation of a text in exactly the writer's layout, or None;
-    the body goes to :func:`_read_rows` in blocks of about ``READ_BLOCK``
-    characters."""
-    head_end = text.find("\n") + 1
-    config = _layout_config(text[:head_end]) if text.endswith(_FOOTER) else None
+def _read_layout(head: str, pieces) -> Triangulation | None:
+    """The triangulation of a text in exactly the writer's layout, or None,
+    from its header line ``head`` and ``pieces(limit)``, which gives the
+    text after that line afresh on each call, the first ``limit``
+    characters of it, in pieces of at most ``READ_BLOCK`` characters.
+
+    A first pass counts the newlines and checks the footer, so the second
+    fills one array of the body's rows through :func:`_read_rows`: it takes
+    the body alone and cuts each piece after its last whole row, carrying
+    the rest over to the next. The text is never held whole."""
+    config = _layout_config(head)
     if config is None:
         return None
-    body_end = len(text) - len(_FOOTER)
-    n_rows = text.count("\n", head_end, body_end) + 1 if body_end > head_end else 0
+    size = newlines = 0
+    tail = ""
+    for data in pieces(math.inf):
+        size += len(data)
+        newlines += data.count("\n")
+        tail = (tail + data[-len(_FOOTER) :])[-len(_FOOTER) :]
+    if tail != _FOOTER:
+        return None
+    # The footer holds two of the newlines; rows are joined by the others.
+    body_size = size - len(_FOOTER)
 
     def blocks():
-        lo = head_end
-        while lo < body_end:
-            hi = text.find(",\n", lo + READ_BLOCK, body_end)
-            hi = body_end if hi < 0 else hi
-            yield text[lo:hi]
-            lo = hi + 2
+        carry = ""
+        for data in pieces(body_size):
+            block, joint, carry = (carry + data).rpartition(",\n")
+            del data  # not held while the block is parsed
+            if joint:
+                yield block
+        if carry:  # the last row
+            yield carry
 
-    return _read_rows(config, n_rows, blocks())
+    return _read_rows(config, newlines - 1 if body_size > 0 else 0, blocks())
+
+
+def _read_text(text: str) -> Triangulation | None:
+    """:func:`_read_layout` on a text, by slices of it."""
+    body = text.find("\n") + 1
+
+    def pieces(limit):
+        end = min(len(text), body + limit)
+        for lo in range(body, end, READ_BLOCK):
+            yield text[lo : min(lo + READ_BLOCK, end)]
+
+    return _read_layout(text[:body], pieces)
 
 
 def _read_handle(fh: TextIO) -> Triangulation | None:
-    """The triangulation of a seekable text file handle in exactly the
-    writer's layout, read from its position in two passes of reads of at
-    most ``READ_BLOCK`` characters after the header line; or None, with the
-    handle back at that position (and unread when it cannot seek). The
-    first pass counts the body's rows and checks the footer, so the second
-    fills one array of that size through :func:`_read_rows`: the file's
-    text is never held whole. A file that cannot be decoded is None too,
-    so that reading it again raises the error."""
+    """:func:`_read_layout` on a seekable text file handle, from its
+    position, by reads of at most ``READ_BLOCK`` characters after the
+    header line; or None, with the handle back at that position (and unread
+    when it cannot seek). A file that cannot be decoded is None too, so
+    that reading it again raises the error."""
     if not fh.seekable():
         return None
     start = fh.tell()
     try:
-        tri = _read_handle_layout(fh)
+        head = fh.readline()
+        body = fh.tell()
+
+        def pieces(limit):
+            fh.seek(body)
+            # reads stop at the end, or early if the file shrank between passes
+            while limit > 0 and (data := fh.read(min(READ_BLOCK, limit))):
+                limit -= len(data)
+                yield data
+
+        tri = _read_layout(head, pieces)
     except ValueError:  # UnicodeDecodeError
         tri = None
     if tri is None:
@@ -973,49 +1021,13 @@ def _read_handle(fh: TextIO) -> Triangulation | None:
     return tri
 
 
-def _read_handle_layout(fh: TextIO) -> Triangulation | None:
-    config = _layout_config(fh.readline())
-    if config is None:
-        return None
-    body = fh.tell()
-    size = newlines = 0
-    tail = ""
-    for data in iter(lambda: fh.read(READ_BLOCK), ""):
-        size += len(data)
-        newlines += data.count("\n")
-        tail = (tail + data)[-len(_FOOTER) :]
-    if tail != _FOOTER:
-        return None
-    # The footer holds two of the newlines; rows are joined by the others.
-    body_size = size - len(_FOOTER)
-    fh.seek(body)
-
-    def blocks():
-        left, carry = body_size, ""
-        while left > 0:
-            data = fh.read(min(READ_BLOCK, left))
-            if not data:
-                return  # the file shrank; the row count then disagrees
-            left -= len(data)
-            block, carry = carry + data, ""
-            if left > 0:  # keep the last, maybe partial, row for the next read
-                cut = block.rfind(",\n")
-                if cut < 0:
-                    carry = block
-                    continue
-                block, carry = block[:cut], block[cut + 2 :]
-            yield block
-
-    return _read_rows(config, newlines - 1 if body_size > 0 else 0, blocks())
-
-
 def triangulation_from_json(source: str | TextIO) -> Triangulation:
     """Read a triangulation file from its text or from a text file handle.
 
-    A file in the writer's layout is parsed straight to an index array,
-    block by block (:func:`_read_rows`): from a seekable handle without
-    ever holding its whole text (:func:`_read_handle`), from a text by
-    slices of it (:func:`_read_text`). Any other JSON text goes through
+    A file in the writer's layout is parsed straight to an index array by
+    one reader (:func:`_read_layout`), which takes a seekable handle by
+    reads (:func:`_read_handle`) and a text by slices (:func:`_read_text`),
+    block by block, never whole. Any other JSON text goes through
     ``json.loads`` on the whole text. Either way a ValueError rejects text
     that is not an object with the keys ``dim``, ``label``, ``points`` and
     ``simplices``, a label that is not a string, points out of the

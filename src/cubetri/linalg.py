@@ -12,9 +12,9 @@ expansion along the rows, with no pivot and no division, each level of
 minors in the narrowest of int8..int64 that Hadamard's bound proves exact
 for it, else in Python ints; larger ones take a fraction-free elimination
 in one such dtype, whose exact divisions are a shift and a multiplication
-by an inverse modulo 2^b, not ``//``. One rule, :func:`exact_dtype`, picks
-every width. The scalar :func:`det_bareiss` is the tests' reference for
-both.
+by an inverse modulo 2^b, not ``//``. One rule, proved at
+:func:`exact_dtype`, picks every width. The scalar :func:`det_bareiss`
+is the tests' reference for both.
 
 The pair predicates (face to face, disjoint interiors of simplices or of
 polytopes), and with them the LP and the barycentric rows, serve only the
@@ -110,14 +110,14 @@ def rank_int(rows: list[list[int]]) -> int:
     return rank
 
 
-def exact_dtype(c: int, n: int, level: int = 1):
-    """The dtype in which :func:`batch_last_det` holds level ``level``
-    (1..n) of its work on n x n matrices with integer entries |a| <= c:
-    the narrowest of int8, int16, int32 and int64 that holds every value
-    formed there, or ``object`` (Python ints) when none does. Level 1 is
-    the (n, n, N) block it takes, so callers build the block in
-    ``exact_dtype(c, n)``. A signed type of b bits holds every value below
-    a bound under 2^(b-1), compared as the bound's square, an integer.
+def exact_dtype(c: int, n: int):
+    """The dtype of the (n, n, N) block that :func:`batch_last_det` takes
+    for n x n matrices with integer entries |a| <= c, its level 1; each
+    level r (1..n) of its work is held in the narrowest of int8, int16,
+    int32 and int64 that holds every value formed there, or ``object``
+    (Python ints) when none does (:func:`_level_dtypes`). A signed type
+    of b bits holds every value below a bound under 2^(b-1), compared as
+    the bound's square, an integer.
 
     Proof. Hadamard's inequality makes a minor of order j at most
     H(j) = (c^2 j)^(j/2), nondecreasing in j for c >= 1 (for c = 0 every
@@ -148,13 +148,14 @@ def exact_dtype(c: int, n: int, level: int = 1):
     expansion: for c >= 1 the last is n <= 2 c^(n-2) (n-1)^((n-1)/2), and
     2 (n-1)^((n-1)/2) is 2 at n = 2 and at least 2 (n-1) >= n beyond.
     """
-    return _level_dtypes(c, n, n <= MINOR_MAX_N)[level - 1]
+    return _level_dtypes(c, n, n <= MINOR_MAX_N)[0]
 
 
 @lru_cache(maxsize=1024)
 def _level_dtypes(c: int, n: int, expand: bool) -> tuple:
-    """:func:`exact_dtype` at levels 1..max(n, 1), for the expansion or for
-    the elimination, computed once per (c, n)."""
+    """The dtypes of levels 1..max(n, 1) of :func:`batch_last_det`'s work,
+    for the expansion or for the elimination, by the bounds proved in
+    :func:`exact_dtype`; computed once per (c, n)."""
     x = c * c
     if expand:
         squares = [x] + [r * r * x * (x * (r - 1)) ** (r - 1) for r in range(2, n + 1)]
@@ -175,12 +176,12 @@ def _narrowest(square: int):
 def batch_last_det(m: np.ndarray, c: int) -> np.ndarray:
     """Signed determinants of the matrices m[:, :, b] of a C-contiguous
     (n, n, N) integer array whose entries are at most c in absolute value,
-    as int64, or as Python ints (``object``) when :func:`exact_dtype` puts
+    as int64, or as Python ints (``object``) when :func:`_level_dtypes` puts
     the last level there or m is an ``object`` array; a 0x0 matrix has
     determinant 1. Exact when m's dtype is ``object`` or at least as wide
     as ``exact_dtype(c, n)``. May overwrite m. Orders up to
     ``MINOR_MAX_N`` take :func:`_expand_minors`, ``MINOR_SLICE`` matrices
-    a pass, each level in the dtype :func:`exact_dtype` picks for it;
+    a pass, each level in the dtype :func:`_level_dtypes` gives it;
     larger ones take :func:`_eliminate` in m's dtype.
     """
     n, _, N = m.shape

@@ -35,7 +35,7 @@ from cubetri.geometry import (
     product_config,
     simplex_config,
 )
-from cubetri.linalg import det_bareiss, exact_dtype, polytopes_interiors_disjoint
+from cubetri.linalg import det_bareiss, polytopes_interiors_disjoint
 from cubetri.oracle import enumerate_triangulations
 from cubetri.pipeline import PipelineSpec, build_cube_recursive
 
@@ -152,11 +152,20 @@ def small_default_references() -> dict:
         }
 
 
+def level_dtype(c: int, n: int, level: int):
+    """The dtype of level ``level`` (1..n) of :func:`linalg.batch_last_det`'s
+    work on n x n matrices with entries |a| <= c, for the kernel that the
+    current ``linalg.MINOR_MAX_N`` picks (:func:`eliminating` lowers it),
+    from :func:`linalg._level_dtypes`; level 1 is :func:`linalg.exact_dtype`,
+    the block's."""
+    return linalg._level_dtypes(c, n, n <= linalg.MINOR_MAX_N)[level - 1]
+
+
 def path_edges(n: int, level: int | None = None) -> list[int]:
-    """The last entry bound c for which :func:`linalg.exact_dtype` puts
-    level ``level`` (default n, the widest) of n x n matrices in int8 and
-    the first past it, then the same for int16, int32 and int64: eight
-    bounds, nondecreasing."""
+    """The last entry bound c for which :func:`level_dtype` puts level
+    ``level`` (default n, the widest) of n x n matrices in int8 and the
+    first past it, then the same for int16, int32 and int64: eight bounds,
+    nondecreasing."""
     dtypes = (np.int8, np.int16, np.int32, np.int64)
     level = level or n
     edges = []
@@ -164,7 +173,7 @@ def path_edges(n: int, level: int | None = None) -> list[int]:
         lo, hi = 0, 2**64  # lo's dtype is in dtypes[:width], hi's not
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            ok = exact_dtype(mid, n, level) in dtypes[:width]
+            ok = level_dtype(mid, n, level) in dtypes[:width]
             lo, hi = (mid, hi) if ok else (lo, mid)
         edges += [lo, hi]
     return edges

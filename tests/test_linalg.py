@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import eliminating, path_edges
+from helpers import eliminating, level_dtype, path_edges
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -147,14 +147,14 @@ def test_exact_dtype_at_its_bound():
     # below 2^7 up to c = 7, 2^15 up to c = 127, 2^31 up to c = 2^15 - 1
     # and 2^63 up to c = 2^31 - 1.
     for n in (2, 3, 8):
-        assert exact_dtype(7, n, 2) is np.int8
-        assert exact_dtype(8, n, 2) is np.int16
-        assert exact_dtype(127, n, 2) is np.int16
-        assert exact_dtype(128, n, 2) is np.int32
-        assert exact_dtype(2**15 - 1, n, 2) is np.int32
-        assert exact_dtype(2**15, n, 2) is np.int64
-        assert exact_dtype(2**31 - 1, n, 2) is np.int64
-        assert exact_dtype(2**31, n, 2) is object
+        assert level_dtype(7, n, 2) is np.int8
+        assert level_dtype(8, n, 2) is np.int16
+        assert level_dtype(127, n, 2) is np.int16
+        assert level_dtype(128, n, 2) is np.int32
+        assert level_dtype(2**15 - 1, n, 2) is np.int32
+        assert level_dtype(2**15, n, 2) is np.int64
+        assert level_dtype(2**31 - 1, n, 2) is np.int64
+        assert level_dtype(2**31, n, 2) is object
     # r = 3: 6 c^3, below 2^7 up to c = 2, 2^15 up to 17, 2^31 up to 710
     # and 2^63 up to 1,154,107
     for c, dtype in [
@@ -163,8 +163,8 @@ def test_exact_dtype_at_its_bound():
         (711, np.int64), (2**15 - 1, np.int64), (2**15, np.int64),
         (1154107, np.int64), (1154108, object),
     ]:
-        assert exact_dtype(c, 3, 3) is dtype, c
-        assert exact_dtype(c, 7, 3) is dtype, c
+        assert level_dtype(c, 3, 3) is dtype, c
+        assert level_dtype(c, 7, 3) is dtype, c
     # Level 1 is the block, which holds only the entries.
     for n in (1, 3, 8):
         assert exact_dtype(127, n) is np.int8
@@ -178,10 +178,10 @@ def test_exact_dtype_at_its_bound():
     # the block take it.
     with eliminating():
         for level in (1, 2, 3):
-            assert exact_dtype(2**7 - 1, 3, level) is np.int32
-            assert exact_dtype(2**7, 3, level) is np.int64
-            assert exact_dtype(2**15 - 1, 3, level) is np.int64
-            assert exact_dtype(2**15, 3, level) is object
+            assert level_dtype(2**7 - 1, 3, level) is np.int32
+            assert level_dtype(2**7, 3, level) is np.int64
+            assert level_dtype(2**15 - 1, 3, level) is np.int64
+            assert level_dtype(2**15, 3, level) is object
         assert exact_dtype(1, 7) is np.int32
         assert exact_dtype(1, 8) is np.int32
     # Cube censuses, c = 1: the block is int8 up to n = 8; level r's bound
@@ -189,10 +189,10 @@ def test_exact_dtype_at_its_bound():
     # elimination's is 2 * 8^8 at n = 9.
     int8, int16, int32 = np.int8, np.int16, np.int32
     assert [exact_dtype(1, n) for n in range(11)] == [int8] * 9 + [int32] * 2
-    assert [exact_dtype(1, n, n) for n in range(1, 11)] == (
+    assert [level_dtype(1, n, n) for n in range(1, 11)] == (
         [int8] * 5 + [int16] * 3 + [int32] * 2
     )
-    assert [exact_dtype(1, 8, r) for r in range(1, 9)] == [int8] * 5 + [int16] * 3
+    assert [level_dtype(1, 8, r) for r in range(1, 9)] == [int8] * 5 + [int16] * 3
     # n = 10, the d=10 census: 2 * 9^9 < 2^31 at c = 1, and c = 2 is past it
     assert exact_dtype(1, 10) is np.int32
     assert exact_dtype(2, 10) is np.int64
@@ -219,7 +219,7 @@ def test_a_dtype_exact_for_the_elimination_is_exact_for_the_expansion():
             for c in path_edges(n, level):
                 with eliminating():
                     wide = widths.index(exact_dtype(c, n))
-                levels = [widths.index(exact_dtype(c, n, r)) for r in range(1, n + 1)]
+                levels = [widths.index(level_dtype(c, n, r)) for r in range(1, n + 1)]
                 assert levels == sorted(levels) and levels[-1] <= wide
 
 
@@ -452,8 +452,8 @@ def test_batch_last_det_is_exact_at_the_largest_admitted_entry(n, width, seed, z
     for kernel, guard in ((batch_last_det, nullcontext), (linalg._eliminate, eliminating)):
         with guard():
             c = path_edges(n)[2 * width]
-            assert exact_dtype(c, n, n) in dtypes[: width + 1]
-            assert exact_dtype(c + 1, n, n) not in dtypes[: width + 1]
+            assert level_dtype(c, n, n) in dtypes[: width + 1]
+            assert level_dtype(c + 1, n, n) not in dtypes[: width + 1]
             block = exact_dtype(c, n)
         mats = rng.integers(-c, c, size=(16, n, n), endpoint=True)
         mats[:8] = c * rng.choice([-1, 1], size=(8, n, n))
@@ -486,7 +486,7 @@ def test_batch_last_det_at_every_width_edge():
         for level in range(1, n + 1):
             edges = path_edges(n, level)
             for step, c in enumerate(edges):
-                width = dtypes.index(exact_dtype(c, n, level))
+                width = dtypes.index(level_dtype(c, n, level))
                 assert width <= step // 2 if step % 2 == 0 else width > step // 2
                 signs = rng.choice([-1, 1], size=(3, 2, n, 1))
                 lead = hadamard[:n, :n] * signs[:, 0] * signs[:, 1].transpose(0, 2, 1)

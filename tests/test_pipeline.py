@@ -11,6 +11,7 @@ import pytest
 
 from cubetri import pipeline
 from cubetri.complexes import (
+    Violation,
     efficiency,
     triangulation_from_json,
     triangulation_to_json,
@@ -138,6 +139,32 @@ def test_cli_smoke(tmp_path, capsys):
     with open(csvp) as fh:
         assert "0.8159" in fh.read()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "table", "--max-dim", "5"],
+        ["report", "table", "--max-dim", "5", "--out", "{out}"],
+        ["expect", "--q-dim", "4", "--samples", "2"],
+    ],
+)
+def test_a_failed_certificate_fails_report_table_and_expect(
+    monkeypatch, capsys, tmp_path, argv
+):
+    # One ridge violation fails the certificate of the step to d=4, which
+    # both commands build: each exits 1 with one line naming d=4, and
+    # prints or writes no table, as build exits 1.
+    from cubetri.cli import main
+
+    bad = [Violation("ridge-overused", ())]
+    monkeypatch.setattr(pipeline, "ridge_violations", lambda *args: bad)
+    assert main(["build", "cube", "--dim", "4"]) == 1
+    capsys.readouterr()
+    out = tmp_path / "table.csv"
+    assert main([arg.format(out=out) for arg in argv]) == 1
+    assert capsys.readouterr().out.splitlines() == ["verification failed at d=4"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -14,8 +14,10 @@ ridge part on the step's own rows and census, so a corrupted row must
 fail the run even when the volume census cannot see it.
 """
 
+import argparse
 import functools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,11 +30,12 @@ from helpers import (
 )
 from test_ridges import tampered
 
-from cubetri import complexes, linalg, pipeline
+from cubetri import cli, complexes, linalg, pipeline
 from cubetri.cli import main
 from cubetri.coloring import Coloring, ProductCells, triangulate_product
 from cubetri.complexes import (
     Triangulation,
+    _census,
     ridge_report,
     triangulation_to_json,
     validate_dissection,
@@ -301,15 +304,17 @@ def test_agrees_on_drawn_tamperings_of_the_d4_output(kind, data):
 # -- the pipeline's ridge tier ---------------------------------------------------
 
 
-def _equal_volume_swap(points, s):
-    """Another sorted simplex of the same volume: one vertex of s replaced."""
-    vol = normalized_volume([points[i] for i in s])
+def _swap_vertex(points, s, vol=None):
+    """Another sorted simplex of volume ``vol`` (by default, of s's own
+    volume): one vertex of s replaced."""
+    if vol is None:
+        vol = normalized_volume([points[i] for i in s])
     for out in s:
         for new in range(len(points)):
             t = sorted(set(s) - {out} | {new})
             if new not in s and normalized_volume([points[i] for i in t]) == vol:
                 return t
-    raise AssertionError("no equal-volume replacement")
+    raise AssertionError(f"no replacement of volume {vol}")
 
 
 def test_corrupted_kept_row_fails_the_run(monkeypatch):
@@ -318,7 +323,7 @@ def test_corrupted_kept_row_fails_the_run(monkeypatch):
     def corrupted(self, lo, hi):
         rows = real(self, lo, hi)
         if lo == 0:
-            rows[0] = _equal_volume_swap(self.config.points, rows[0].tolist())
+            rows[0] = _swap_vertex(self.config.points, rows[0].tolist())
         return rows
 
     monkeypatch.setattr(ProductCells, "simplex_rows", corrupted)
@@ -339,7 +344,7 @@ def test_corrupted_kept_row_fails_the_run(monkeypatch):
         if self.config.dim == 7:
             chunks.append(len(rows))
             if hi == len(self.starts) - 1:
-                rows[-1] = _equal_volume_swap(self.config.points, rows[-1].tolist())
+                rows[-1] = _swap_vertex(self.config.points, rows[-1].tolist())
         return rows
 
     monkeypatch.setattr(pipeline, "CENSUS_CHUNK", 256)
@@ -350,6 +355,77 @@ def test_corrupted_kept_row_fails_the_run(monkeypatch):
     assert first.face_to_face is True and last.volume_ok
     assert last.face_to_face is False and last.dissection_certified is False
     assert report.ok is False
+
+
+def _d7_run(monkeypatch, edit, materialize_max_dim):
+    """(report, build's exit code) of a d=7 build with ``edit(points, rows)``
+    in place of the first chunk's rows of its last step, which
+    ``materialize_max_dim`` keeps (7) or streams (4)."""
+    real = ProductCells.simplex_rows
+
+    def edited(self, lo, hi):
+        rows = real(self, lo, hi)
+        if self.config.dim == 7 and lo == 0:
+            return edit(self.config.points, rows)
+        return rows
+
+    monkeypatch.setattr(ProductCells, "simplex_rows", edited)
+    spec = PipelineSpec(dim=7, materialize_max_dim=materialize_max_dim)
+    tri, report = build_cube_recursive(spec)
+    assert (tri is None) == (materialize_max_dim < 7)
+    return report, cli._cmd_build(argparse.Namespace(out=None), spec)
+
+
+def _degenerate_first(points, rows):
+    rows[0] = _swap_vertex(points, rows[0].tolist(), 0)
+    return rows
+
+
+@pytest.mark.parametrize("materialize_max_dim", [4, 7], ids=["streamed", "kept"])
+@pytest.mark.parametrize(
+    "edit",
+    [_degenerate_first, lambda points, rows: rows[1:]],
+    ids=["degenerate", "dropped"],
+)
+def test_a_step_fails_the_run_on_its_census(
+    monkeypatch, capsys, edit, materialize_max_dim
+):
+    # A streamed step has no ridge check: its census alone must see a row
+    # replaced by a degenerate one, or a row dropped. A kept step fails the
+    # same way, with a dropped row left as a failed census, not an error.
+    report, code = _d7_run(monkeypatch, edit, materialize_max_dim)
+    first, last = report.steps
+    assert first.ok and last.bound_ok
+    assert last.face_to_face is (None if materialize_max_dim < 7 else False)
+    assert last.volume_ok is False and last.dissection_certified is False
+    assert report.ok is False and code == 1
+    with pytest.raises(pipeline.VerificationFailed, match="failed at d=7$"):
+        report.check()
+
+
+def test_a_kept_step_takes_the_census_of_its_rows(monkeypatch):
+    # Over the pipeline's chunks of 256 rows, the step's census gives the
+    # volumes (int8) and total that _census gives on the kept rows in
+    # chunks of CENSUS_CHUNK.
+    real = complexes.volume_census
+    seen = []
+
+    def recorded(config, chunks, n_rows):
+        sizes = []
+        got = real(config, (sizes.append(len(c)) or c for c in chunks), n_rows)
+        seen.append((config, sizes, got))
+        return got
+
+    monkeypatch.setattr(pipeline, "CENSUS_CHUNK", 256)
+    monkeypatch.setattr(pipeline, "volume_census", recorded)
+    for dim in range(4, 8):
+        tri, report = build_cube_recursive(PipelineSpec(dim=dim))
+        config, sizes, (vols, total, violations) = seen[-1]
+        assert config == tri.config and sum(sizes) == tri.size and report.ok
+        assert len(sizes) > 2 or dim < 7
+        _, want, want_total, want_violations = _census(tri)
+        assert vols.dtype == want.dtype == np.int8 and np.array_equal(vols, want)
+        assert total == want_total and violations == want_violations == []
 
 
 def test_ridge_tier_runs_on_certified_kept_steps_only(monkeypatch):

@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 import pytest
-from helpers import cell_points, path_edges, reference_to_json
+from helpers import cell_points, level_dtype, path_edges, reference_to_json
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -41,7 +41,7 @@ from cubetri.geometry import (
     minkowski_config,
     simplex_config,
 )
-from cubetri.linalg import batch_abs_det, batch_det, det_bareiss, exact_dtype
+from cubetri.linalg import batch_abs_det, batch_det, det_bareiss
 from cubetri.pipeline import PipelineSpec, build_cube_recursive
 from cubetri.seeds import (
     cayley_seed,
@@ -521,7 +521,7 @@ def test_census_matches_scalar_on_pipeline_outputs(pipeline_outputs, d8_output):
         8: [int8] * 5 + [int16] * 3,
     }
     for d, tri in tris.items():
-        assert [exact_dtype(1, d, r) for r in range(1, d + 1)] == census_dtypes[d]
+        assert [level_dtype(1, d, r) for r in range(1, d + 1)] == census_dtypes[d]
         vols = _assert_census_exact(tri.config.points, tri.rows)
         assert (vols > 0).any() and (vols < 0).any()
 

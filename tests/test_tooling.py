@@ -101,13 +101,17 @@ def owners(match) -> set[str]:
 
 def callers(name: str) -> set[str]:
     """The :func:`owners` of a call of ``name``, as a bare name or an
-    attribute."""
+    attribute, or of a call that passes it on, as an argument (as to
+    ``map``) or a keyword's value (as ``key=``)."""
+
+    def named(node):
+        return name in (getattr(node, "id", None), getattr(node, "attr", None))
 
     def calls(node):
         if not isinstance(node, ast.Call):
             return False
-        func = node.func
-        return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name
+        passed = [*node.args, *(kw.value for kw in node.keywords)]
+        return any(map(named, [node.func, *passed]))
 
     return owners(calls)
 
@@ -163,9 +167,11 @@ def test_each_decision_has_one_owner():
     seeds catalog alone: the second owners stay gone. The census and
     ``batch_det`` alone ask the overflow guard for a block's dtype,
     ``batch_last_det`` alone picks the kernel and its levels' dtypes, and
-    one function holds the width rule."""
+    one function holds the width rule. One census stores and tallies a
+    step's volumes, and one reader parses the writer's layout."""
     gone = {
-        "facet_incidence", "_cube_as_point_product", "by_ridge", "lift_count", "_lvecs"
+        "facet_incidence", "_cube_as_point_product", "by_ridge", "lift_count", "_lvecs",
+        "_read_handle_layout",
     }
     found = {
         f"{path.name}: {name}"
@@ -190,6 +196,14 @@ def test_each_decision_has_one_owner():
     assert callers("_narrowest") == {"linalg._level_dtypes"}
     assert callers("_eliminate") == {"linalg.batch_last_det"}
     assert callers("_expand_minors") == {"linalg.batch_last_det"}
+    # one census for the steps and the reports: the pipeline neither takes
+    # nor tallies volumes itself
+    takes = callers("signed_volumes") | callers("_tally")
+    assert [where for where in takes if where.startswith("pipeline")] == []
+    assert callers("volume_census") == {"complexes._census", "pipeline._product_step"}
+    # the layout reader: texts and file handles alike
+    assert callers("_read_rows") == callers("_layout_config") == {"complexes._read_layout"}
+    assert callers("_read_layout") == {"complexes._read_text", "complexes._read_handle"}
 
 
 def test_the_owner_checks_see_a_second_owner(tmp_path, monkeypatch):
@@ -210,6 +224,10 @@ def test_the_owner_checks_see_a_second_owner(tmp_path, monkeypatch):
         "    assert np.iinfo(np.int8).bits == 8\n"
         "    g = g.astype(linalg.exact_dtype(c, len(g)))\n"
         "    return linalg._eliminate(g) if len(g) > 7 else _expand_minors(g)\n"
+        "def widths(squares):\n"
+        "    return tuple(map(_narrowest, squares))\n"
+        "def step_volumes(points, chunks):\n"
+        "    return sorted(chunks, key=complexes.signed_volumes)\n"
     )
     assert identifiers(module) >= {"facet_incidence", "by_ridge"}
     monkeypatch.setattr(sys.modules[__name__], "PACKAGE", tmp_path)
@@ -220,6 +238,9 @@ def test_the_owner_checks_see_a_second_owner(tmp_path, monkeypatch):
     assert callers("exact_dtype") == callers("_eliminate") == {"module.volumes"}
     assert callers("iinfo") == {"module.volumes"}
     assert callers("_expand_minors") == {"module.volumes"}
+    # a function passed on, to map or as key=, has a caller too
+    assert callers("_narrowest") == {"module.widths"}
+    assert callers("signed_volumes") == {"module.step_volumes"}
 
 
 def spec_uses(cli_path: Path, pipeline_path: Path) -> tuple[dict, set[str]]:
