@@ -10,26 +10,19 @@ each absent color's block is one vertex. All per-cell lifts are derived
 from the one global coloring and the canonical vertex orders, which is
 what makes neighbouring cells agree on shared faces.
 
-The sigmas of T_Q are grouped by their per-color count vectors in one
-place (:func:`_color_groups`), and the surviving T_0 cells of a count
-vector come from one rule (:func:`_surviving_cells`). The generator and
-the closed-form sizes (:func:`product_size`, :func:`exact_expected_size`)
-both take them from there, the sizes with the per-cell staircase counts
-of :func:`staircase.multi_staircase_count`.
+The sigmas of T_Q are grouped by their per-color count vectors, their
+keys, in one place (:func:`_color_groups`), and the T_0 cells that
+survive on each key come from one (keys, cells) mask (:func:`_survivors`).
+The generator and the closed-form sizes (:func:`product_size`,
+:func:`exact_expected_size`) share both. The sizes take a small table of
+C(k+l-2, l-1) (:func:`_key_sizes`) and never read a staircase, so the
+pipeline's size check holds an enumeration against a closed form.
 
-One engine, :class:`ProductCells`, generates every product. A cell's
-simplices depend only on its signature (lvec, kvec) up to relabelling its
-rows and columns, so each signature's index template is built once
-(:func:`staircase.signature_template`) and the per-signature certificate
-is checked once per signature, not per cell. The simplices of T_Q with
-one per-color count vector share their T_0 cells and templates, so every
-group's template rows sit in one table, and a sigma's rows are its
-group's run of it. One gather of that table and of the sigmas' vertices,
-and one sort of each row, yields the rows of any run of consecutive
-sigmas already in the cell-by-cell order. The rows come in slices of
-consecutive sigmas of a bounded number of simplices
-(:meth:`ProductCells.chunks`; the pipeline uses the census's
-``CENSUS_CHUNK``), so a streamed step never holds all of its rows at once.
+One engine, :class:`ProductCells`, generates every product from one
+path table per distinct block (:func:`staircase.block_paths`), with no
+Python per cell, in slices of consecutive sigmas of a bounded number of
+simplices (:meth:`ProductCells.chunks`; the pipeline uses the census's
+``CENSUS_CHUNK``), so a streamed step never holds all of its rows.
 
 The block lift (:func:`lift_triangulation`) and the staircase
 triangulation of simplex(k) x simplex(l) (:func:`staircase_triangulation`)
@@ -42,11 +35,10 @@ import itertools
 import math
 import random
 from bisect import bisect_right
-from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -57,7 +49,7 @@ from .geometry import (
     as_cube_if_product_of_cubes,
     simplex_config,
 )
-from .staircase import multi_staircase_count, signature_template
+from .staircase import block_paths, multi_staircase_count
 
 
 @dataclass(frozen=True)
@@ -116,38 +108,37 @@ def _check_inputs(t_q: Triangulation, t0: Triangulation, coloring: Coloring) -> 
 
 def _color_groups(
     t_q: Triangulation, t0: Triangulation, coloring: Coloring
-) -> tuple[np.ndarray, list, np.ndarray, list[int]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The simplices of T_Q grouped by their per-color count vectors, once
     the inputs are checked: (colors, keys, group, times). ``colors`` holds
     the color of each vertex of each sigma, ``keys`` the distinct count
-    vectors in ascending order, ``group[s]`` sigma s's key and ``times``
-    how many sigmas have each key."""
+    vectors in ascending order, one per row, ``group[s]`` sigma s's key and
+    ``times`` how many sigmas have each key. A vector is grouped by one
+    code, its counts as digits in base n + 1 (Python ints past int64)."""
     m = _check_inputs(t_q, t0, coloring)
     colors = np.array(coloring.colors, dtype=np.intp)[t_q.rows]
     counts = (colors[:, :, None] == np.arange(m)).sum(axis=1)
-    keys, group, times = np.unique(
-        counts, axis=0, return_inverse=True, return_counts=True
+    radix = colors.shape[1] + 1
+    digits = [radix**e for e in range(m - 1, -1, -1)]
+    code = counts @ np.array(digits, dtype=np.int64 if radix**m <= 2**63 else object)
+    _, first, group, times = np.unique(
+        code, return_index=True, return_inverse=True, return_counts=True
     )
-    # The inverse's shape for axis=0 changed across numpy 2.0.x; flatten it.
-    return colors, keys.tolist(), group.reshape(-1), times.tolist()
+    return colors, counts[first], group, times
 
 
-def _block_sizes(blocks_list) -> tuple[tuple[int, ...], ...]:
-    """The block sizes of each T_0 cell, from its factor blocks
+def _block_sizes(t0: Triangulation) -> np.ndarray:
+    """The (cells, m) block sizes of T_0's cells, from their factor blocks
     (:attr:`Triangulation.blocks`)."""
-    return tuple(tuple(map(len, blocks)) for blocks in blocks_list)
+    return np.array([list(map(len, blocks)) for blocks in t0.blocks])
 
 
-def _surviving_cells(lvecs, key) -> tuple[tuple[int, ...], list[int]]:
-    """(present, cells) on a sigma with per-color counts ``key``, given the
-    block sizes ``lvecs`` of the T_0 cells: the colors present in sigma,
-    and the T_0 cells of the restriction of T_0 to their face. A cell
-    survives iff each absent color's block is one vertex; its blocks of
-    the present colors are its rows."""
-    present = tuple(i for i, k in enumerate(key) if k)
-    absent = [i for i, k in enumerate(key) if not k]
-    cells = [t for t, lvec in enumerate(lvecs) if all(lvec[i] == 1 for i in absent)]
-    return present, cells
+def _survivors(sizes: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The (keys, cells) mask of the T_0 cells, of block sizes ``sizes``,
+    that survive on a sigma with per-color counts ``keys[g]``: the cells of
+    T_0 on the face of its present colors, each absent color's block one
+    vertex."""
+    return ~((keys[:, None, :] == 0) & (sizes != 1)).any(axis=2)
 
 
 def product_output_config(t_q: Triangulation, t0: Triangulation) -> PointConfiguration:
@@ -160,62 +151,75 @@ def product_output_config(t_q: Triangulation, t0: Triangulation) -> PointConfigu
 
 class ProductCells:
     """The cells P x sigma of T_Q x T_0 under a coloring, generated from
-    per-signature templates (:func:`staircase.signature_template`).
+    one path table per distinct block (:func:`staircase.block_paths`).
 
-    T_Q's simplices are grouped by their per-color count vector. Within a
-    group the present colors, hence the restricted T_0 cells and their
-    templates, are the same. One template table holds every group's rows,
-    group after group: the row values of each template vertex and the
-    position of its column in a sigma's vertices by color. A sigma's rows
-    are its group's run of the table, so the sorted index rows of any run
-    of consecutive sigmas come from one gather of the table and of the
-    sigmas' vertices, and one ``sort(axis=1)``. The order is therefore
-    sigma by sigma, T_0 cell by T_0 cell, then template order. The table's
-    row values and the sigmas' vertices are held in the output's index
-    dtype (:func:`complexes.index_rows`: ``uint16`` below 65,536 points),
-    so a slice of rows is gathered and sorted in it.
+    The cells of a (key, surviving T_0 cell) pair are the product of its
+    blocks' tables in ``itertools.product`` order. One table, gathered from
+    the pairs' arrays, holds the rows of every pair, key by key and cell by
+    cell: the row value of each vertex and the position of its column in a
+    sigma's vertices by color. A sigma's rows are its key's run of it, so
+    the sorted index rows of consecutive sigmas come from one gather of the
+    table and the sigmas' vertices, in the output's index dtype
+    (:func:`complexes.index_rows`), and one ``sort(axis=1)``.
     """
 
     def __init__(self, t_q: Triangulation, t0: Triangulation, coloring: Coloring):
-        colors, keys, self._group, _ = _color_groups(t_q, t0, coloring)
-        self.t_q = t_q
+        colors, self._keys, self._group, _ = _color_groups(t_q, t0, coloring)
+        self.t_q, self._t0 = t_q, t0
         self.config = product_output_config(t_q, t0)
         nq = len(t_q.config.points)
-        sig = t_q.rows.astype(np.intp)
         n_points = len(self.config.points)
-        # Each sigma's vertices by color, in index order within a color.
-        self._by_color = index_rows(np.sort(colors * nq + sig, axis=1) % nq, n_points)
-        blocks_list = t0.blocks
-        lvecs = _block_sizes(blocks_list)
         width = self.config.dim + 1
-        self.signatures: dict = {}  # (lvec, kvec) -> simplices per cell
-        # Per group: (kvec, cells), each cell (tau index, rows, offset,
-        # count); its template rows are _count rows from _first.
-        self._cells: list = []
-        rowvals = [np.zeros((0, width), dtype=np.intp)]
-        colpos = [np.zeros((0, width), dtype=np.intp)]
-        sizes = []
-        for key in keys:
-            present, survivors = _surviving_cells(lvecs, key)
-            kvec = tuple(key[i] for i in present)
-            cells = []
-            offset = 0
-            for t_idx in survivors:
-                rows = tuple(blocks_list[t_idx][i] for i in present)
-                lvec = tuple(len(r) for r in rows)
-                tr, tc = signature_template(lvec, kvec)
-                rv = np.array([p for r in rows for p in r], dtype=np.intp)
-                rowvals.append(rv[tr] * nq)
-                colpos.append(tc)
-                cells.append((t_idx, rows, offset, len(tr)))
-                self.signatures[(lvec, kvec)] = len(tr)
-                offset += len(tr)
-            self._cells.append((kvec, cells))
-            sizes.append(offset)
-        self._rowvals = index_rows(np.concatenate(rowvals), n_points)
-        self._colpos = np.concatenate(colpos)
-        self._count = np.array(sizes, dtype=np.intp)
-        self._first = np.cumsum(self._count) - self._count
+        # Each sigma's vertices by color, in index order within a color.
+        by_color = np.sort(colors * nq + t_q.rows, axis=1) % nq
+        self._by_color = index_rows(by_color, n_points)
+        self._sizes = _block_sizes(t0)
+        # The (key, T_0 cell) pairs, key by key, and the (l, k) of their
+        # blocks; an absent color's is one row and no column.
+        self._key, self._cell = _survivors(self._sizes, self._keys).nonzero()
+        ls, ks = self._sizes[self._cell], self._keys[self._key]
+        present = ks > 0
+        radix = int(ks.max(initial=0)) + 1
+        code = ls * radix + ks
+        distinct = np.flatnonzero(np.bincount(code[present]))  # ascending
+        self.blocks = [divmod(c, radix) for c in distinct.tolist()]
+        tables = [block_paths(l, k)[..., 0] for l, k in self.blocks]  # rows
+        which = np.where(present, np.searchsorted(distinct, code), len(tables))
+        n_paths = np.array([len(t) for t in tables] + [1])[which]
+        self._pair_count = n_paths.prod(axis=1)
+        self._rows_at = rows_at = np.concatenate(([0], np.cumsum(self._pair_count)))
+        # A pair's block of color i spans w[i] of its columns, one per step.
+        w = np.where(present, ls + ks - 1, 0)
+
+        def at(a):  # each column's entry of a
+            return np.repeat(a.ravel(), w.ravel()).reshape(-1, width)
+
+        step = np.arange(width) - at(np.cumsum(w, axis=1) - w)
+        table_at = np.cumsum([0] + [t.size for t in tables])
+        # Every index is below ``bound``: a pair's rows have at least as
+        # many vertices as its blocks' tables.
+        bound = max(rows_at[-1] * width, t0.rows.size)
+        stride, period, first, pitch, base_at, col_at = (
+            index_rows(a, bound)
+            for a in (
+                at(np.cumprod(n_paths[:, ::-1], axis=1)[:, ::-1] // n_paths),
+                at(n_paths),
+                at(table_at[which]) + step,
+                at(w),
+                at(np.cumsum(ls, axis=1) - ls) + self._cell[:, None] * t0.rows.shape[1],
+                at(np.cumsum(ks, axis=1) - ks) + step,
+            )
+        )
+        flat = index_rows(np.concatenate([t.ravel() for t in tables] + [[0]]), bound)
+        base = [[p * nq for b in bl for p in b] for bl in t0.blocks]
+        # Row u of a pair takes path u // stride % period of each block.
+        pair = np.repeat(np.arange(len(n_paths)), self._pair_count)
+        u = index_rows(np.arange(rows_at[-1]) - rows_at[pair], bound)
+        h = flat[first[pair] + (u[:, None] // stride[pair] % period[pair]) * pitch[pair]]
+        self._rowvals = index_rows(base, n_points).reshape(-1)[base_at[pair] + h]
+        self._colpos = col_at[pair] - h  # column = step - row
+        by_key = rows_at[np.searchsorted(self._key, np.arange(len(self._keys) + 1))]
+        self._first, self._count = by_key[:-1], np.diff(by_key)
         per_sigma = self._count[self._group]
         self.starts = np.concatenate(([0], np.cumsum(per_sigma))).astype(np.intp)
 
@@ -248,18 +252,33 @@ class ProductCells:
             yield self.simplex_rows(lo, hi)
             lo = hi
 
+    @cached_property
+    def signatures(self) -> dict:
+        """(lvec, kvec) -> simplices per cell of each distinct cell
+        signature, the block sizes of the present colors, first seen first."""
+        out: dict = {}
+        ls, ks = self._sizes[self._cell].tolist(), self._keys[self._key].tolist()
+        for lvec, kvec, n in zip(ls, ks, self._pair_count.tolist()):
+            sig = tuple(l for l, k in zip(lvec, kvec) if k), tuple(filter(None, kvec))
+            out.setdefault(sig, n)
+        return out
+
     def provenance(self) -> list[CellProvenance]:
-        """One record per (sigma, tau) cell, in output order."""
+        """One record per (sigma, tau) cell, in output order: the pairs of
+        each sigma's key, each at its offset in the sigma's run."""
+        blocks, keys = self._t0.blocks, self._keys.tolist()
+        runs: list = [[] for _ in keys]  # per key: (cell, rows, offset, count)
+        offsets = (self._rows_at[:-1] - self._first[self._key]).tolist()
+        counts = self._pair_count.tolist()
+        for g, t, a, n in zip(self._key.tolist(), self._cell.tolist(), offsets, counts):
+            runs[g].append((t, tuple(b for b, k in zip(blocks[t], keys[g]) if k), a, n))
         out = []
-        for s_idx, sigma in enumerate(self.t_q.simplices):
-            kvec, cells = self._cells[self._group[s_idx]]
-            flat = self._by_color[s_idx].tolist()
-            bounds = list(itertools.accumulate(kvec, initial=0))
-            cols = tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
-            base = int(self.starts[s_idx])
-            for t_idx, rows, offset, count in cells:
-                start = base + offset
-                out.append(CellProvenance(sigma, t_idx, rows, cols, start, start + count))
+        sigmas = zip(self.t_q.simplices, self._group.tolist(), self._by_color.tolist())
+        for (sigma, g, flat), s0 in zip(sigmas, self.starts.tolist()):
+            ends = itertools.accumulate(keys[g])
+            cols = tuple(tuple(flat[e - k : e]) for e, k in zip(ends, keys[g]) if k)
+            for t, rows, a, n in runs[g]:
+                out.append(CellProvenance(sigma, t, rows, cols, s0 + a, s0 + a + n))
         return out
 
 
@@ -315,38 +334,26 @@ def staircase_triangulation(k: int, l: int) -> Triangulation:
     return lift_triangulation(t0, (l + 1,))
 
 
-def _cell_types(t0: Triangulation) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """(block sizes, cells) for each distinct block-size vector of T_0's
-    cells (:attr:`Triangulation.blocks`): what a closed-form size needs of
-    T_0."""
-    return tuple(Counter(_block_sizes(t0.blocks)).items())
-
-
-@lru_cache(maxsize=None)
-def _sigma_size(cell_types, key: tuple[int, ...]) -> int:
-    """Simplices over one sigma of T_Q with per-color counts ``key``: the
-    sum over the surviving T_0 cells (:func:`_surviving_cells`) of the
-    staircase count of their blocks of the present colors
-    (:func:`staircase.multi_staircase_count`), one count per distinct
-    block-size vector (:func:`_cell_types`). Cached, as the steps and the
-    expectation ask for a few keys many times."""
-    present, survivors = _surviving_cells([lvec for lvec, _ in cell_types], key)
-    kvec = [key[i] for i in present]
-    total = 0
-    for lvec, cells in (cell_types[t] for t in survivors):
-        total += cells * multi_staircase_count([lvec[i] for i in present], kvec)
-    return total
+def _key_sizes(sizes: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The closed-form simplices over a sigma of each count vector of
+    ``keys``, for T_0 cells of block sizes ``sizes``: the sum over the
+    surviving cells (:func:`_survivors`) of the product over present colors
+    of their blocks' staircase counts (:func:`staircase.multi_staircase_count`),
+    as Python ints."""
+    ks, ls = range(keys.max(initial=0) + 1), range(1, sizes.max(initial=1) + 1)
+    comb = [[multi_staircase_count([l], [k]) if k else 1 for k in ks] for l in ls]
+    per_cell = np.array(comb, dtype=object)[sizes - 1, keys[:, None]].prod(axis=2)
+    return (per_cell * _survivors(sizes, keys)).sum(axis=1)
 
 
 def product_size(
     t_q: Triangulation, t0: Triangulation, coloring: Coloring
 ) -> int:
-    """Closed-form size of triangulate_product: the per-sigma size term
-    of each distinct per-color count vector of T_Q's simplices, times the
-    number of simplices that have it."""
+    """Closed-form size of triangulate_product: the per-sigma size of each
+    distinct per-color count vector of T_Q's simplices
+    (:func:`_key_sizes`), times the number of simplices that have it."""
     _, keys, _, times = _color_groups(t_q, t0, coloring)
-    types = _cell_types(t0)
-    return sum(n * _sigma_size(types, tuple(key)) for key, n in zip(keys, times))
+    return int((times * _key_sizes(_block_sizes(t0), keys)).sum())
 
 
 def size_bound(tq_size: int, t0_weighted: Fraction, n: int, m: int, l: int) -> Fraction:
@@ -358,21 +365,17 @@ def size_bound(tq_size: int, t0_weighted: Fraction, n: int, m: int, l: int) -> F
     return tq_size * Fraction(t0_weighted) * (Fraction(n, m) + l) ** l
 
 
-def _multinomial_expectation(n: int, m: int, cell_types) -> Fraction:
-    """E over uniform colorings of one n-vertex sigma of
-    :func:`_sigma_size`."""
-    total = Fraction(0)
-    denom = m**n
-    for kvec in itertools.product(range(n + 1), repeat=m - 1):
-        rest = n - sum(kvec)
-        if rest < 0:
-            continue
-        full = kvec + (rest,)
-        weight = math.factorial(n)
-        for k in full:
-            weight //= math.factorial(k)
-        total += Fraction(weight * _sigma_size(cell_types, full), denom)
-    return total
+def _multinomial_expectation(n: int, m: int, sizes: np.ndarray) -> Fraction:
+    """E over uniform colorings of one n-vertex sigma of its size
+    (:func:`_key_sizes`), for T_0 cells of block sizes ``sizes``."""
+    keys = [
+        (*kvec, n - sum(kvec))
+        for kvec in itertools.product(range(n + 1), repeat=m - 1)
+        if sum(kvec) <= n
+    ]
+    weights = [math.factorial(n) // math.prod(map(math.factorial, key)) for key in keys]
+    sizes_by_key = _key_sizes(sizes, np.array(keys))
+    return Fraction(sum(w * size for w, size in zip(weights, sizes_by_key)), m**n)
 
 
 def exact_expected_size(t_q: Triangulation, t0: Triangulation, m: int) -> Fraction:
@@ -385,7 +388,7 @@ def exact_expected_size(t_q: Triangulation, t0: Triangulation, m: int) -> Fracti
     """
     _check_inputs(t_q, t0, make_coloring(len(t_q.config.points), m))
     n = t_q.config.dim + 1
-    return t_q.size * _multinomial_expectation(n, m, _cell_types(t0))
+    return t_q.size * _multinomial_expectation(n, m, _block_sizes(t0))
 
 
 @dataclass

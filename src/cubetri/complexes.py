@@ -286,8 +286,9 @@ def volume_census(config: PointConfiguration, chunks, n_rows: int):
     """The volume census of full-dimensional simplices of ``config`` given
     as chunks of index rows, ``n_rows`` in all: (their signed volumes,
     total volume, violations). The violations name each degenerate
-    simplex, then a total that is not the label's volume. Volumes of rows
-    the chunks fall short of stay 0.
+    simplex, then a row count other than ``n_rows``, then a total that is
+    not the label's volume. Volumes of rows the chunks fall short of stay
+    0; rows past ``n_rows`` are counted, not kept.
 
     Each chunk goes through :func:`signed_volumes` once, and the volumes
     are kept as int8 while they fit, as every unimodular simplex's does,
@@ -299,13 +300,15 @@ def volume_census(config: PointConfiguration, chunks, n_rows: int):
         part = signed_volumes(points, chunk)
         if vols.dtype == np.int8 and not (-128 <= part.min() and part.max() < 128):
             vols = vols.astype(np.int64)
-        vols[at : at + len(part)] = part
+        vols[at : at + len(part)] = part[: max(n_rows - at, 0)]
         at += len(part)
         part_total, degenerate = _tally(part)
         total += part_total
         violations += [
             Violation("degenerate", (tuple(chunk[i].tolist()),)) for i in degenerate
         ]
+    if at != n_rows:
+        violations.append(Violation("row-count", (), f"got {at} rows, expected {n_rows}"))
     expected = expected_volume(config)
     if total != expected:
         violations.append(

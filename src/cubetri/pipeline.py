@@ -6,21 +6,18 @@ refine the product through the block seed and a coloring, one step at a
 time. Each step multiplies the size by roughly the seed's weighted size
 times (n/m + l)^l, which is what drives the asymptotic efficiency.
 
-Every step is one loop (:func:`_product_step`) over the template engine
-of :class:`coloring.ProductCells`. It takes the step's simplices as
-integer arrays in slices of consecutive sigmas of about ``CENSUS_CHUNK``
-rows, in the cell-by-cell order (one gather of the engine's template table
-gives it). Each slice goes as the same array to the volume census of
-:mod:`complexes` (:func:`complexes.volume_census`, the one that
-``verify`` and every report take), to the file writer and, on a kept
-step, into the step's one index array of the step's known size, which
-the triangulation keeps without a copy: no simplex becomes a Python tuple
-on the way. The sampled sizes and the cells take T_0's factor blocks
-from T_0 (:attr:`Triangulation.blocks`), which derives them once.
-Materialization is only a memory policy: the simplices are kept when the
-step's dimension is at most ``materialize_max_dim``, and otherwise the
-step is streamed. Only the last
-step may be streamed: a spec whose middle step lands above
+Every step is one loop (:func:`_product_step`) over the cell engine of
+:class:`coloring.ProductCells`. It takes the step's simplices as integer
+arrays in slices of consecutive sigmas of about ``CENSUS_CHUNK`` rows, in
+the cell-by-cell order. Each slice goes as the same array to the volume
+census of :mod:`complexes` (:func:`complexes.volume_census`, the one that
+``verify`` and every report take, which also counts the rows against the
+step's size), to the file writer and, on a kept step, into the step's
+one index array, which the triangulation keeps without a copy: no
+simplex becomes a Python tuple on the way. Materialization is only a
+memory policy: the simplices are kept when the step's dimension is at
+most ``materialize_max_dim``, and otherwise the step is streamed. Only
+the last step may be streamed: a spec whose middle step lands above
 ``materialize_max_dim`` is rejected. Either way the same bytes are written.
 
 Validation policy per step (all exact):
@@ -34,9 +31,9 @@ Validation policy per step (all exact):
   inputs, and its verdict is the step's face-to-face and dissection
   verdict;
 * on the steps the ridge check does not cover, a dissection certificate:
-  the regularity certificate and the count identity of each distinct cell
-  signature (checked once per signature), the volume census of every
-  emitted simplex, and the inductively verified validity of the inputs.
+  the per-block certificate of each distinct block (l, k) of the step's
+  cells (:func:`_blocks_certified`), the volume census of every emitted
+  simplex, and the inductively verified validity of the inputs.
 
 The balanced coloring is always kept among the sampled candidates, so the
 identity lift at the first step (where the big factor is a segment) is
@@ -83,7 +80,7 @@ from .seeds import (
     minimal_cube,
     unimodular_cube,
 )
-from .staircase import certify_cell_regular, multi_staircase_count
+from .staircase import block_paths, multi_staircase_count, staircase_block_regular
 
 
 # The block seeds of the seeds catalog, most colors first, then the cubes.
@@ -186,13 +183,15 @@ def _pick_seed(spec: PipelineSpec, n: int) -> tuple[str, int, Triangulation]:
     return "minimal", 1, minimal_cube(spec.l)
 
 
-def _signature_certified(signature, count: int) -> bool:
-    """The per-signature certificate: every block's staircases are strictly
-    regular, and the signature's template holds as many simplices as the
-    closed form says."""
-    lvec, kvec = signature
-    return certify_cell_regular(lvec, kvec) and count == multi_staircase_count(
-        lvec, kvec
+def _blocks_certified(blocks) -> bool:
+    """The per-block certificate: each distinct block (l, k) of a step's
+    cells has strictly regular staircases, C(l+k-2, l-1) in its table. A
+    cell's multi-staircases are the product of its blocks' tables, so each
+    cell's count identity follows."""
+    return all(
+        staircase_block_regular(l, k)
+        and len(block_paths(l, k)) == multi_staircase_count([l], [k])
+        for l, k in blocks
     )
 
 
@@ -215,14 +214,14 @@ def _product_step(
     simplices are kept only when ``keep``, written chunk by chunk into one
     array of the step's size. With ``certify`` (a kept step), the ridge
     certificate runs on the kept rows and the census's volumes; otherwise
-    each distinct cell signature is certified once for the dissection
-    tier."""
+    each distinct block of the step's cells is certified once for the
+    dissection tier (:func:`_blocks_certified`)."""
     cells = ProductCells(t_q, t0, coloring)
     cfg = cells.config
     step = _Step(size=int(cells.starts[-1]))
     if keep:  # zeros: a row the cells fail to emit is still a valid index row
         rows = np.zeros((step.size, cfg.dim + 1), _index_dtype(len(cfg.points)))
-    emitted = 0
+    emitted = 0  # rows kept; the census counts them all
     with open(out_path, "w") if out_path else contextlib.nullcontext() as fh:
         writer = TriangulationWriter(fh, cfg) if fh else None
 
@@ -235,24 +234,21 @@ def _product_step(
                 if writer is not None:
                     writer.write(chunk)
                 if keep:
-                    rows[emitted : emitted + len(chunk)] = chunk
-                emitted += len(chunk)
+                    rows[emitted : emitted + len(chunk)] = chunk[: step.size - emitted]
+                emitted = min(emitted + len(chunk), step.size)
 
         vols, _, violations = volume_census(cfg, chunks(), step.size)
         if writer is not None:
             writer.close()
-    # the census saw every row the cells announce
-    step.volume_ok = not violations and emitted == step.size
+    # the census counts the rows against the step's size
+    step.volume_ok = not violations
     if keep:
         step.tri = Triangulation(cfg, rows)
     if certify:
         ridges = ridge_violations(cfg, step.tri.rows, vols)
         step.face_to_face = step.dissection = step.volume_ok and not ridges
     else:
-        step.dissection = step.volume_ok and all(
-            _signature_certified(sig, count)
-            for sig, count in cells.signatures.items()
-        )
+        step.dissection = step.volume_ok and _blocks_certified(cells.blocks)
     return step
 
 

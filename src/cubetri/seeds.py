@@ -25,7 +25,7 @@ the target box (the Cayley trick), then that triangulation's weighted
 size. The square family for any
 number of summands is generated as the block lift of the optimal
 two-square seed (:func:`coloring.lift_triangulation`, one product of the
-template cell engine) and is valid by construction.
+cell engine) and is valid by construction.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Multi-staircases of one lifted cell: templates, counts and regularity.
+"""Multi-staircases of one lifted cell: block tables, counts and regularity.
 
 A cell of a lifted product decomposes into blocks, one per factor vertex
 (or color); block i is a grid with rows a chain of base vertices and
@@ -7,27 +7,22 @@ lattice path in every block, and the multi-staircases of a cell triangulate
 it. Row order inside a block is the canonical base order, column order the
 canonical target order, so outputs are reproducible byte for byte.
 
-The multi-staircases of a cell depend only on its signature (lvec, kvec),
-the block sizes, up to relabelling rows and columns. Each signature's
-template (:func:`signature_template`, cached) lists them once as row and
-column positions; a cell's simplices are one gather of its row and column
-values through the template and a sort of each row.
-:class:`coloring.ProductCells` runs that gather for many cells at once,
-and every product comes from it: the block lift and the staircase
-triangulation of simplex(k) x simplex(l) included
-(:func:`coloring.lift_triangulation`,
-:func:`coloring.staircase_triangulation`). :func:`multi_staircases` is
-the gather for one cell, the per-cell recompute that
-:class:`verification.StructuredChecker` holds a product's runs against.
-:func:`multi_staircase_count` counts a cell's multi-staircases without
-building them, which sizes a product (:func:`coloring.product_size`), and
+A block's staircases depend only on its size (l, k), so each distinct
+block has one table of them (:func:`block_paths`, cached), and a cell's
+multi-staircases are the cartesian product of its blocks' tables in
+``itertools.product`` order. :class:`coloring.ProductCells` runs that
+product for every cell of a step at once, and every product comes from
+it. :func:`multi_staircases` is the product for one cell, the per-cell
+recompute that :class:`verification.StructuredChecker` holds a product's
+runs against. :func:`multi_staircase_count` counts a cell's
+multi-staircases without building them, and
 :func:`staircase_block_regular` certifies that a block's staircases tile
-it.
+it: with the count of a block's table, the pipeline's per-block
+certificate.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -91,44 +86,25 @@ class LiftedCell:
 
 
 @lru_cache(maxsize=None)
-def signature_template(
-    lvec: tuple[int, ...], kvec: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The multi-staircases of every cell with signature (lvec, kvec).
-
-    Returns two read-only (T, V) arrays, T the number of multi-staircases
-    and V = sum(l + k - 1) their vertex count: the row position and the
-    column position of each vertex, counted across blocks (block i's rows
-    come after the l_1 + ... + l_{i-1} rows of the blocks before it, and
-    likewise its columns). Template rows follow ``itertools.product`` over
-    the blocks' :func:`monotone_paths`, which is the output order of a
-    cell's simplices.
-    """
-    row_off = list(itertools.accumulate(lvec, initial=0))
-    col_off = list(itertools.accumulate(kvec, initial=0))
-    per_block = [monotone_paths(l, k) for l, k in zip(lvec, kvec)]
-    rows: list[list[int]] = []
-    cols: list[list[int]] = []
-    for combo in itertools.product(*per_block):
-        rows.append([r + h for r, path in zip(row_off, combo) for h, _ in path])
-        cols.append([c + j for c, path in zip(col_off, combo) for _, j in path])
-    width = sum(lvec) + sum(kvec) - len(lvec)
-    tr = np.array(rows, dtype=np.intp).reshape(len(rows), width)
-    tc = np.array(cols, dtype=np.intp).reshape(len(cols), width)
-    tr.flags.writeable = tc.flags.writeable = False
-    return tr, tc
+def block_paths(l: int, k: int) -> np.ndarray:
+    """The staircases of an l-row, k-column block as one read-only
+    (P, l + k - 1, 2) array, in :func:`monotone_paths` order: the (row,
+    column) position of each vertex of each of its P staircases."""
+    paths = np.array(monotone_paths(l, k), dtype=np.intp).reshape(-1, l + k - 1, 2)
+    paths.flags.writeable = False
+    return paths
 
 
 def multi_staircases(cell: LiftedCell) -> list[Simplex]:
     """All multi-staircases of one lifted cell, as sorted vertex-index
-    tuples in template order: one gather of the cell's row and column
-    values through its :func:`signature_template`."""
-    lvec = tuple(len(r) for r in cell.rows)
-    kvec = tuple(len(c) for c in cell.cols)
-    tr, tc = signature_template(lvec, kvec)
-    rowvals = np.array([p for r in cell.rows for p in r], dtype=np.intp)
-    colvals = np.array([q for c in cell.cols for q in c], dtype=np.intp)
-    out = rowvals[tr] * cell.n_target + colvals[tc]
+    tuples: each block's staircases gathered from its :func:`block_paths`
+    table, then their cartesian product in ``itertools.product`` order,
+    first block slowest."""
+    out = np.zeros((1, 0), dtype=np.intp)
+    for rows, cols in zip(cell.rows, cell.cols):
+        h, j = np.moveaxis(block_paths(len(rows), len(cols)), 2, 0)
+        block = np.array(rows)[h] * cell.n_target + np.array(cols)[j]
+        out = np.hstack((np.repeat(out, len(h), axis=0), np.tile(block, (len(out), 1))))
     out.sort(axis=1)
     return list(map(tuple, out.tolist()))
 
@@ -144,11 +120,11 @@ def staircase_block_regular(l: int, k: int) -> bool:
     exact separating functional (difference of the two potentials), so the
     staircases meet face to face and tile the block.
     """
-    for path in monotone_paths(l, k):
+    for path in block_paths(l, k).tolist():
         a = [None] * l
         b = [None] * k
         a[0] = 0
-        on_path = set(path)
+        on_path = set(map(tuple, path))
         for h, j in path:
             if b[j] is None:
                 b[j] = (h - j) ** 2 - a[h]

@@ -11,7 +11,13 @@ from unittest import mock
 import numpy as np
 
 from cubetri.cayley import MixedCell, MixedSubdivision, mixed_to_triangulation
-from cubetri.coloring import Coloring, product_size, triangulate_product
+from cubetri.coloring import (
+    CellProvenance,
+    Coloring,
+    _check_inputs,
+    product_size,
+    triangulate_product,
+)
 from cubetri import linalg
 from cubetri.complexes import (
     Triangulation,
@@ -38,6 +44,7 @@ from cubetri.geometry import (
 from cubetri.linalg import det_bareiss, polytopes_interiors_disjoint
 from cubetri.oracle import enumerate_triangulations
 from cubetri.pipeline import PipelineSpec, build_cube_recursive
+from cubetri.staircase import monotone_paths
 
 
 def two_triangle_prism() -> Triangulation:
@@ -293,6 +300,48 @@ def reference_validate_mixed(sub: MixedSubdivision) -> ValidityReport:
     ok = not violations
     vt = int(total) if total.denominator == 1 else total
     return ValidityReport(ok, False, vt, violations)
+
+
+def reference_cell_records(t_q: Triangulation, t0: Triangulation, coloring: Coloring):
+    """(signatures, provenance) of ``ProductCells`` by the per-signature
+    rule: one pass over the per-color count vectors of T_Q's sigmas in
+    ascending order and, in each, over the T_0 cells whose absent colors'
+    blocks are one vertex each, a cell's count the product of its blocks'
+    ``len(monotone_paths(l, k))``; then one pass over the sigmas, each
+    with the cells of its count vector at their offsets in its run. The
+    reference for the pair arrays of ``ProductCells``."""
+    m = _check_inputs(t_q, t0, coloring)
+    counts = [
+        tuple(sum(coloring.colors[q] == i for q in sigma) for i in range(m))
+        for sigma in t_q.simplices
+    ]
+    signatures: dict = {}
+    runs = {}  # count vector -> (its cells, as (tau, rows, offset, count), size)
+    for key in sorted(set(counts)):
+        present = [i for i in range(m) if key[i]]
+        kvec = tuple(key[i] for i in present)
+        cells, offset = [], 0
+        for t_idx, blocks in enumerate(t0.blocks):
+            if any(len(blocks[i]) != 1 for i in range(m) if not key[i]):
+                continue
+            rows = tuple(blocks[i] for i in present)
+            lvec = tuple(map(len, rows))
+            count = math.prod(len(monotone_paths(l, k)) for l, k in zip(lvec, kvec))
+            signatures.setdefault((lvec, kvec), count)
+            cells.append((t_idx, rows, offset, count))
+            offset += count
+        runs[key] = cells, offset
+    provenance, start = [], 0
+    for sigma, key in zip(t_q.simplices, counts):
+        by_color = sorted(sigma, key=lambda q: (coloring.colors[q], q))
+        bounds = list(itertools.accumulate(k for k in key if k))
+        cols = tuple(tuple(by_color[a:b]) for a, b in zip([0] + bounds, bounds))
+        cells, size = runs[key]
+        for t_idx, rows, offset, count in cells:
+            a = start + offset
+            provenance.append(CellProvenance(sigma, t_idx, rows, cols, a, a + count))
+        start += size
+    return signatures, provenance
 
 
 def lift_provenance(t0: Triangulation, kvec):

@@ -35,6 +35,7 @@ from cubetri.cli import main
 from cubetri.coloring import Coloring, ProductCells, triangulate_product
 from cubetri.complexes import (
     Triangulation,
+    Violation,
     _census,
     ridge_report,
     triangulation_to_json,
@@ -401,6 +402,39 @@ def test_a_step_fails_the_run_on_its_census(
     assert report.ok is False and code == 1
     with pytest.raises(pipeline.VerificationFailed, match="failed at d=7$"):
         report.check()
+
+
+@pytest.mark.parametrize("chunk", [8192, 256])
+@pytest.mark.parametrize("materialize_max_dim", [4, 7], ids=["streamed", "kept"])
+def test_an_over_long_step_fails_the_run_on_its_census(
+    monkeypatch, capsys, materialize_max_dim, chunk
+):
+    # One row more than the step announces, in its first chunk of rows (of
+    # several with 256-row chunks): the census counts it, names both
+    # counts, and fails the step as it fails a short one. No store of the
+    # step's volumes or kept rows overflows on the way.
+    real = pipeline.volume_census
+    censuses = []
+
+    def recorded(config, chunks, n_rows):
+        censuses.append(real(config, chunks, n_rows))
+        return censuses[-1]
+
+    monkeypatch.setattr(pipeline, "volume_census", recorded)
+    monkeypatch.setattr(pipeline, "CENSUS_CHUNK", chunk)
+    def one_more(points, rows):
+        return np.concatenate((rows, rows[:1]))
+
+    report, code = _d7_run(monkeypatch, one_more, materialize_max_dim)
+    first, last = report.steps
+    assert first.ok and last.bound_ok
+    assert last.volume_ok is False and last.dissection_certified is False
+    assert report.ok is False and code == 1
+    vols, _, violations = censuses[1]
+    assert len(vols) == last.size
+    counts = f"got {last.size + 1} rows, expected {last.size}"
+    assert Violation("row-count", (), counts) in violations
+    assert "volume_ok=False" in capsys.readouterr().out
 
 
 def test_a_kept_step_takes_the_census_of_its_rows(monkeypatch):

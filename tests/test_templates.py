@@ -7,14 +7,24 @@ T_Q and the restricted T_0 cells of each). The template engine must give
 the same simplices in the same order, and the same provenance, for every
 product the pipeline or a caller can ask for: both seeds, the minimal and
 unimodular cubes, balanced, random and explicit colorings (including ones
-that leave colors absent from some cells), and chunked generation.
+that leave colors absent from some cells), and chunked generation. The
+engine's per-signature records (``signatures``, ``provenance()``) must
+equal those of the per-signature rule it replaced, and a step must build
+each distinct block's table and certificate once, and nothing per cell.
 """
 
+import functools
 import itertools
+import sys
+from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from helpers import reference_cell_records
+
+from cubetri import pipeline, staircase
 
 from cubetri.coloring import (
     CellProvenance,
@@ -32,9 +42,10 @@ from cubetri.pipeline import PipelineSpec, build_cube_recursive
 from cubetri.seeds import cayley_seed, minimal_cube, unimodular_cube
 from cubetri.staircase import (
     LiftedCell,
+    block_paths,
     monotone_paths,
     multi_staircases,
-    signature_template,
+    staircase_block_regular,
 )
 from cubetri.verification import StructuredChecker
 
@@ -213,12 +224,18 @@ def test_multi_staircases_matches_reference_per_cell():
     assert multi_staircases(cell) == reference_multi_staircases(cell)
 
 
-def test_templates_are_cached_and_read_only():
-    tr, tc = signature_template((2, 3), (3, 2))
-    assert signature_template((2, 3), (3, 2))[0] is tr
-    assert tr.shape == tc.shape == (len(monotone_paths(2, 3)) * len(monotone_paths(3, 2)), 8)
+def test_block_tables_are_cached_and_read_only():
+    paths = block_paths(2, 3)
+    assert block_paths(2, 3) is paths
+    assert paths.shape == (len(monotone_paths(2, 3)), 4, 2)
+    assert paths.tolist() == [list(map(list, path)) for path in monotone_paths(2, 3)]
     with pytest.raises(ValueError):
-        tr[0, 0] = 1
+        paths[0, 0, 0] = 1
+    # a cell of signature ((2, 3), (3, 2)) is the product of two tables
+    cell = LiftedCell(((0, 1), (2, 3, 4)), ((0, 1, 2), (3, 4)), 5)
+    simplices = multi_staircases(cell)
+    assert len(simplices) == len(block_paths(2, 3)) * len(block_paths(3, 2))
+    assert {len(s) for s in simplices} == {8}
 
 
 def test_structured_checker_catches_swapped_simplices_inside_a_cell():
@@ -239,3 +256,129 @@ def test_structured_checker_catches_swapped_simplices_inside_a_cell():
     kinds = [v.kind for v in report.violations]
     assert kinds == ["cell-simplices-mismatch"]
     assert report.violations[0].members == (cell.sigma, cell.tau_index)
+
+
+# -- the records and the per-block work of a step ---------------------------------
+
+
+@functools.cache
+def default_steps():
+    """(t_q, t0, coloring) of every step of the default d = 4..8 builds."""
+    steps = []
+    real = pipeline.ProductCells
+
+    def recorded(t_q, t0, coloring):
+        steps.append((t_q, t0, coloring))
+        return real(t_q, t0, coloring)
+
+    with mock.patch.object(pipeline, "ProductCells", recorded):
+        for d in range(4, 9):
+            build_cube_recursive(PipelineSpec(dim=d, samples=3, rng_seed=1))
+    return steps
+
+
+def clear_staircase_caches():
+    for cached in (monotone_paths, block_paths, staircase_block_regular):
+        cached.cache_clear()
+
+
+@pytest.fixture
+def cold_staircases():
+    clear_staircase_caches()
+    yield
+    clear_staircase_caches()
+
+
+def types(x):
+    """The types of x and of everything inside it, nested as x is."""
+    if isinstance(x, tuple):
+        return tuple, tuple(map(types, x))
+    return type(x)
+
+
+def minimal_cube_cases():
+    for seed_name, q_dim in itertools.product(SEEDS, (1, 2, 3)):
+        t0, t_q = seed(seed_name), minimal_cube(q_dim)
+        _, m = simplex_factor(t0.config)
+        for coloring in colorings(len(t_q.config.points), m):
+            yield t_q, t0, coloring
+
+
+@pytest.mark.parametrize("cases", ["default builds", "minimal cubes"])
+def test_records_match_the_per_signature_rule(cases, cold_staircases):
+    steps = default_steps() if cases == "default builds" else minimal_cube_cases()
+    for t_q, t0, coloring in steps:
+        clear_staircase_caches()
+        cold = ProductCells(t_q, t0, coloring)
+        signatures, provenance = reference_cell_records(t_q, t0, coloring)
+        for cells in (cold, ProductCells(t_q, t0, coloring)):  # then warm
+            got = list(cells.signatures.items())
+            assert got == list(signatures.items())
+            assert list(map(types, got)) == list(map(types, signatures.items()))
+            records = cells.provenance()
+            assert records == provenance
+            for name in PROV_FIELDS:
+                want = [types(getattr(r, name)) for r in provenance]
+                assert [types(getattr(r, name)) for r in records] == want, name
+
+
+def test_a_step_builds_each_block_once_and_nothing_per_cell(
+    monkeypatch, cold_staircases
+):
+    # The streamed d=8 step with cold caches: one table and one regularity
+    # certificate per distinct block (l, k), and no Python function (but
+    # the recursion of monotone_paths) called once per (key, T_0 cell) pair.
+    t_q, t0, coloring = default_steps()[-1]
+    assert t_q.config.dim == 5 and simplex_factor(t0.config)[1] == 3
+    signatures, provenance = reference_cell_records(t_q, t0, coloring)
+    blocks = {b for lvec, kvec in signatures for b in zip(lvec, kvec)}
+    colors = [tuple(sorted(coloring.colors[q] for q in r.sigma)) for r in provenance]
+    pairs = {(key, r.tau_index) for key, r in zip(colors, provenance)}
+    assert len(pairs) == 414
+    clear_staircase_caches()
+    tables, certificates = Counter(), Counter()
+    for owner, name, seen in (
+        (staircase, "monotone_paths", tables),
+        (pipeline, "staircase_block_regular", certificates),
+    ):
+
+        def counted(l, k, real=getattr(owner, name), seen=seen):
+            seen[l, k] += 1
+            return real(l, k)
+
+        monkeypatch.setattr(owner, name, counted)
+    calls = Counter()
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code.co_name != "walk":
+            calls[frame.f_code] += 1
+
+    sys.setprofile(count)
+    try:
+        step = pipeline._product_step(t_q, t0, coloring, keep=False, certify=False)
+    finally:
+        sys.setprofile(None)
+    assert step.volume_ok and step.dissection and step.size == 16282
+    assert tables == certificates == Counter(blocks)
+    assert set(tables.values()) == {1}
+    busiest = max(calls.values())
+    assert busiest < len(pairs), [c.co_name for c, n in calls.items() if n == busiest]
+
+
+@pytest.mark.parametrize("dim", [8, 7], ids=["streamed-d8", "kept-d7"])
+def test_a_lost_staircase_fails_the_build(monkeypatch, cold_staircases, dim):
+    # The (2, 3) block of the last step's cells loses a staircase: the
+    # enumeration and its closed-form size no longer agree, and the block
+    # fails its certificate.
+    real = staircase.monotone_paths
+
+    def one_short(l, k):
+        paths = real(l, k)
+        return paths[:-1] if (l, k) == (2, 3) else paths
+
+    monkeypatch.setattr(staircase, "monotone_paths", one_short)
+    assert not pipeline._blocks_certified([(2, 3)])
+    spec = PipelineSpec(dim=dim, samples=3, rng_seed=1, materialize_max_dim=7)
+    sizes_differ = f"step to d={dim} emitted .* product_size gave"
+    with pytest.raises(AssertionError, match=sizes_differ):
+        build_cube_recursive(spec)

@@ -116,6 +116,35 @@ def callers(name: str) -> set[str]:
     return owners(calls)
 
 
+def reachable(start: str) -> set[str]:
+    """The names that the package's functions named ``start`` call,
+    directly or through the package's functions of the names they call
+    (a class stands for every call in its body), as :func:`callers`
+    counts calls. Names, not modules: a function of any module counts."""
+    calls: dict = {}
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = calls.setdefault(node.name, set())
+                for call in (c for c in ast.walk(node) if isinstance(c, ast.Call)):
+                    for n in [call.func, *call.args, *(k.value for k in call.keywords)]:
+                        names.add(getattr(n, "id", None) or getattr(n, "attr", None))
+    seen, todo = set(), [start]
+    while todo:
+        for name in calls.get(todo.pop(), set()) - seen:
+            seen.add(name)
+            todo.append(name)
+    return seen
+
+
+def methods(module: str, cls: str) -> set[str]:
+    """The :func:`owners` names of the functions in class ``cls`` of
+    ``module``."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    (node,) = (n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls)
+    return {f"{module}.{n.name}" for n in ast.walk(node) if isinstance(n, ast.FunctionDef)}
+
+
 def counts_colors(node) -> bool:
     """The per-color count of a sigma's vertices:
     ``colors[:, :, None] == np.arange(m)``, under any names."""
@@ -168,10 +197,13 @@ def test_each_decision_has_one_owner():
     ``batch_det`` alone ask the overflow guard for a block's dtype,
     ``batch_last_det`` alone picks the kernel and its levels' dtypes, and
     one function holds the width rule. One census stores and tallies a
-    step's volumes, and one reader parses the writer's layout."""
+    step's volumes, and one reader parses the writer's layout. The cells
+    read the staircases from one table per block, and the closed-form sizes
+    never read them."""
     gone = {
         "facet_incidence", "_cube_as_point_product", "by_ridge", "lift_count", "_lvecs",
-        "_read_handle_layout",
+        "_read_handle_layout", "signature_template", "_sigma_size", "_cell_types",
+        "_signature_certified", "_surviving_cells",
     }
     found = {
         f"{path.name}: {name}"
@@ -186,6 +218,13 @@ def test_each_decision_has_one_owner():
     # runs of equal rows: the duplicate scan, the ridge buckets, the oracle
     assert callers("lexsort") == {"complexes._runs"}
     assert owners(counts_colors) == {"coloring._color_groups"}
+    assert callers("_survivors") == {"coloring.__init__", "coloring._key_sizes"}
+    # the staircases of a block come from its table, and the closed form of
+    # their count is never read by the engine nor reaches the tables
+    assert callers("monotone_paths") == {"staircase.block_paths"}
+    closed_form = callers("multi_staircase_count") | callers("comb")
+    assert methods("coloring", "ProductCells") & closed_form == set()
+    assert reachable("product_size") & {"monotone_paths", "block_paths"} == set()
     assert {where.split(".")[0] for where in owners(literal("i3d1"))} == {"seeds"}
     assert owners(slices_seeds) == set()
     # the one overflow guard, and the one place that picks the kernel it
@@ -228,6 +267,13 @@ def test_the_owner_checks_see_a_second_owner(tmp_path, monkeypatch):
         "    return tuple(map(_narrowest, squares))\n"
         "def step_volumes(points, chunks):\n"
         "    return sorted(chunks, key=complexes.signed_volumes)\n"
+        "def product_size(t_q, t0):\n"
+        "    return sum(Sizes(t0).sizes)\n"
+        "class Sizes:\n"
+        "    def __init__(self, t0):\n"
+        "        self.sizes = [len(_table(2, k)) for k in range(3)]\n"
+        "def _table(l, k):\n"
+        "    return np.array(staircase.monotone_paths(l, k))\n"
     )
     assert identifiers(module) >= {"facet_incidence", "by_ridge"}
     monkeypatch.setattr(sys.modules[__name__], "PACKAGE", tmp_path)
@@ -241,6 +287,9 @@ def test_the_owner_checks_see_a_second_owner(tmp_path, monkeypatch):
     # a function passed on, to map or as key=, has a caller too
     assert callers("_narrowest") == {"module.widths"}
     assert callers("signed_volumes") == {"module.step_volumes"}
+    # a call through a class and a helper reaches the staircases
+    assert reachable("product_size") >= {"Sizes", "_table", "monotone_paths"}
+    assert methods("module", "Sizes") == {"module.__init__"}
 
 
 def spec_uses(cli_path: Path, pipeline_path: Path) -> tuple[dict, set[str]]:
