@@ -22,11 +22,12 @@ m = 2 triangulation of I^3 x simplex(2)), 2 for i3d1 and 1 for minimal
 and unimodular, clamped to the vertex count of a simplex of the cube the
 step refines.
 
-Exit code 0 iff every requested validation passed: ``build``, ``report
-table`` and ``expect`` exit 1 when a build fails a check, the last two
-with one ``verification failed at d=D`` line and no table; 2 for a spec that
-``build``, ``report table``, ``expect``, ``seeds show`` or ``oracle``
-rejects, with one ``invalid spec: ...`` line before any work. Such specs
+Exit code 0 iff every requested validation passed: 1 when a build fails
+a check (``build`` after its step lines; ``report table`` and ``expect``
+with one ``verification failed at d=D`` line and no table) or a seed
+fails its own (one ``verification failed at seed NAME: ...`` line, from
+``seeds show`` too); 2 for a spec that ``build``, ``report table``,
+``expect``, ``seeds show`` or ``oracle`` rejects, with one ``invalid spec: ...`` line before any work. Such specs
 include an ``--out`` that is a directory or lies in a missing one, and a
 build (for ``report table``, its largest) whose middle step would be
 streamed.
@@ -260,16 +261,16 @@ def main(argv: list[str] | None = None) -> int:
     p_min.set_defaults(func=_cmd_oracle, check=_search_problem)
 
     args = parser.parse_args(argv)
-    # Each spec is checked once, before any work; the command takes the result.
     try:
-        _check_out(getattr(args, "out", None))
-        checked = args.check(args)
-    except ValueError as exc:
-        print(f"invalid spec: {exc}", file=sys.stderr)
-        return 2
-    try:
+        # Each spec is checked once, before any work; the command takes the result.
+        try:
+            _check_out(getattr(args, "out", None))
+            checked = args.check(args)
+        except ValueError as exc:
+            print(f"invalid spec: {exc}", file=sys.stderr)
+            return 2
         return args.func(args, checked)
-    except VerificationFailed as exc:  # from report table and expect
+    except VerificationFailed as exc:  # a failed step or seed, in any phase
         print(exc)
         return 1
 

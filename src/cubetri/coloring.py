@@ -16,7 +16,8 @@ survive on each key come from one (keys, cells) mask (:func:`_survivors`).
 The generator and the closed-form sizes (:func:`product_size`,
 :func:`exact_expected_size`) share both. The sizes take a small table of
 C(k+l-2, l-1) (:func:`_key_sizes`) and never read a staircase, so the
-pipeline's size check holds an enumeration against a closed form.
+pipeline's volume census, which counts a step's rows against
+:func:`product_size`, holds an enumeration against a closed form.
 
 One engine, :class:`ProductCells`, generates every product from one
 path table per distinct block (:func:`staircase.block_paths`), with no
@@ -38,7 +39,6 @@ from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -173,11 +173,11 @@ class ProductCells:
         # Each sigma's vertices by color, in index order within a color.
         by_color = np.sort(colors * nq + t_q.rows, axis=1) % nq
         self._by_color = index_rows(by_color, n_points)
-        self._sizes = _block_sizes(t0)
+        sizes = _block_sizes(t0)
         # The (key, T_0 cell) pairs, key by key, and the (l, k) of their
         # blocks; an absent color's is one row and no column.
-        self._key, self._cell = _survivors(self._sizes, self._keys).nonzero()
-        ls, ks = self._sizes[self._cell], self._keys[self._key]
+        self._key, self._cell = _survivors(sizes, self._keys).nonzero()
+        ls, ks = sizes[self._cell], self._keys[self._key]
         present = ks > 0
         radix = int(ks.max(initial=0)) + 1
         code = ls * radix + ks
@@ -251,17 +251,6 @@ class ProductCells:
             hi = min(max(hi, lo + 1), n)
             yield self.simplex_rows(lo, hi)
             lo = hi
-
-    @cached_property
-    def signatures(self) -> dict:
-        """(lvec, kvec) -> simplices per cell of each distinct cell
-        signature, the block sizes of the present colors, first seen first."""
-        out: dict = {}
-        ls, ks = self._sizes[self._cell].tolist(), self._keys[self._key].tolist()
-        for lvec, kvec, n in zip(ls, ks, self._pair_count.tolist()):
-            sig = tuple(l for l, k in zip(lvec, kvec) if k), tuple(filter(None, kvec))
-            out.setdefault(sig, n)
-        return out
 
     def provenance(self) -> list[CellProvenance]:
         """One record per (sigma, tau) cell, in output order: the pairs of

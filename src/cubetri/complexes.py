@@ -204,6 +204,11 @@ class ValidityReport:
         return self.is_dissection
 
 
+class VerificationFailed(Exception):
+    """A build or a seed failed a check; the message is one line naming
+    the step's dimension or the seed."""
+
+
 def expected_volume(config: PointConfiguration) -> int:
     return ambient_normalized_volume(config.label)
 
@@ -797,7 +802,7 @@ class TriangulationWriter:
     """Writes the triangulation file format incrementally: a header with
     the configuration, then one simplex per line, then a footer.
 
-    Each chunk is an (N, k) index array, encoded through tables of the
+    Each chunk is an (N, k) index array, encoded through a table of the
     indices' decimal strings (:func:`_encode_rows`), so it gives the bytes
     ``json.dumps`` gives for the same rows.
     """
@@ -805,7 +810,7 @@ class TriangulationWriter:
     def __init__(self, fh: TextIO, config: PointConfiguration):
         self.fh = fh
         self.first = True
-        self.tables = _row_tables(len(config.points))
+        self.table = _row_tables(len(config.points))
         fh.write(_header(config))
 
     def write(self, simplices: np.ndarray) -> None:
@@ -813,7 +818,7 @@ class TriangulationWriter:
             return
         if not self.first:
             self.fh.write(",\n")
-        self.fh.write(_encode_rows(self.tables, simplices))
+        self.fh.write(_encode_rows(self.table, simplices))
         self.first = False
 
     def close(self) -> None:
@@ -831,21 +836,22 @@ def _header(config: PointConfiguration) -> str:
     )
 
 
-def _row_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each index's decimal string followed by ``", "`` (inside a row) and
-    by ``"],\\n["`` (ending one), as object arrays indexed by the index."""
-    inner = np.array([f"{i}, " for i in range(n)], dtype=object)
-    last = np.array([f"{i}],\n[" for i in range(n)], dtype=object)
-    return inner, last
+def _row_tables(n: int) -> np.ndarray:
+    """The 2n tokens of the file's rows, as one object array: entry i < n
+    is index i's decimal string followed by ``", "`` (inside a row), and
+    entry n + i the same followed by ``"],\\n["`` (ending one)."""
+    inner = [f"{i}, " for i in range(n)]
+    return np.array(inner + [f"{i}],\n[" for i in range(n)], dtype=object)
 
 
-def _encode_rows(tables: tuple[np.ndarray, np.ndarray], rows: np.ndarray) -> str:
+def _encode_rows(table: np.ndarray, rows: np.ndarray) -> str:
     """Rows ``[a, b, c]`` one per line, joined by ``,\\n``: the body of a
-    file, or one chunk of it. One gather through :func:`_row_tables` and
-    one join."""
-    inner, last = tables
-    tokens = inner[rows]
-    tokens[:, -1] = last[rows[:, -1]]
+    file, or one chunk of it. One gather through :func:`_row_tables`, with
+    the last column offset by n, and one join."""
+    at = rows.astype(_index_dtype(len(table)))  # a copy, as narrow as 2n allows
+    at[:, -1] += len(table) // 2
+    tokens = table[at]
+    del at  # not held while the tokens are joined
     return "[" + "".join(tokens.ravel().tolist())[:-4] + "]"
 
 
@@ -911,11 +917,11 @@ def _layout_config(head: str) -> PointConfiguration | None:
     return config if _header(config) == head else None
 
 
-def _parse_block(block: str, d1: int, tables) -> np.ndarray | None:
+def _parse_block(block: str, d1: int, table) -> np.ndarray | None:
     """The rows of one block of a body in the writer's layout (whole rows
     joined by ``,\n``), or None. Brackets and commas become spaces for one
     ``np.fromstring``; every index must be in range, and the rows must
-    re-encode through the writer's ``tables`` to exactly the block."""
+    re-encode through the writer's ``table`` to exactly the block."""
     try:
         vals = np.fromstring(
             block.translate(_BRACKETS_AS_SPACES), dtype=np.int64, sep=" "
@@ -923,10 +929,10 @@ def _parse_block(block: str, d1: int, tables) -> np.ndarray | None:
     except ValueError:
         return None
     k = len(vals) // d1
-    if k == 0 or len(vals) != k * d1 or vals.min() < 0 or vals.max() >= len(tables[0]):
+    if k == 0 or len(vals) != k * d1 or vals.min() < 0 or vals.max() >= len(table) // 2:
         return None
     vals = vals.reshape(k, d1)
-    return vals if _encode_rows(tables, vals) == block else None
+    return vals if _encode_rows(table, vals) == block else None
 
 
 def _read_rows(config: PointConfiguration, n_rows: int, blocks) -> Triangulation | None:
@@ -936,10 +942,10 @@ def _read_rows(config: PointConfiguration, n_rows: int, blocks) -> Triangulation
     read the same rows from it."""
     d1, n = config.dim + 1, len(config.points)
     rows = np.empty((n_rows, d1), dtype=_index_dtype(n))
-    tables = _row_tables(n)
+    table = _row_tables(n)
     done = 0
     for block in blocks:
-        vals = _parse_block(block, d1, tables)
+        vals = _parse_block(block, d1, table)
         if vals is None or done + len(vals) > n_rows:
             return None
         rows[done : done + len(vals)] = vals

@@ -11,20 +11,21 @@ Every step is one loop (:func:`_product_step`) over the cell engine of
 arrays in slices of consecutive sigmas of about ``CENSUS_CHUNK`` rows, in
 the cell-by-cell order. Each slice goes as the same array to the volume
 census of :mod:`complexes` (:func:`complexes.volume_census`, the one that
-``verify`` and every report take, which also counts the rows against the
-step's size), to the file writer and, on a kept step, into the step's
-one index array, which the triangulation keeps without a copy: no
-simplex becomes a Python tuple on the way. Materialization is only a
-memory policy: the simplices are kept when the step's dimension is at
-most ``materialize_max_dim``, and otherwise the step is streamed. Only
-the last step may be streamed: a spec whose middle step lands above
-``materialize_max_dim`` is rejected. Either way the same bytes are written.
+``verify`` and every report take), to the file writer and, on a kept
+step, into the step's one index array, which the triangulation keeps
+without a copy: no simplex becomes a Python tuple on the way.
+Materialization is only a memory policy: the simplices are kept when the
+step's dimension is at most ``materialize_max_dim``, and otherwise the
+step is streamed. Only the last step may be streamed: a spec whose middle
+step lands above ``materialize_max_dim`` is rejected. Either way the same
+bytes are written.
 
 Validation policy per step (all exact):
 
 * volume census always (batched signed integer determinants, chunked):
-  the step's rows, all of them and no others, hold no degenerate simplex
-  and sum to the label's volume;
+  the step's rows, as many as the coloring's closed-form size
+  (:func:`coloring.product_size`: the one check of the enumeration against
+  it), hold no degenerate simplex and sum to the label's volume;
 * on kept steps up to ``face_check_max_dim`` (default 9, every kept step
   by default), the ridge certificate of :mod:`complexes` on the kept rows
   and the census's signed volumes. It trusts neither provenance nor the
@@ -63,6 +64,7 @@ from .complexes import (
     CENSUS_CHUNK,
     Triangulation,
     TriangulationWriter,
+    VerificationFailed,
     _index_dtype,
     efficiency,
     ridge_violations,
@@ -161,18 +163,14 @@ class PipelineReport:
                 raise VerificationFailed(f"verification failed at d={st.dim_to}")
 
 
-class VerificationFailed(Exception):
-    """A build failed a check; the message names the step's dimension."""
-
-
 def _pick_seed(spec: PipelineSpec, n: int) -> tuple[str, int, Triangulation]:
     """Seed triangulation and colors m for one step. A block seed's m is
     its summand count in the seeds catalog, clamped so that m <= n: the
     block seed of most colors within that, else a minimal cube with
     m = 1. A cube triangulation is its own seed with m = 1.
 
-    A seed that fails its build-time verification raises AssertionError,
-    which fails the run.
+    A seed that fails its build-time verification raises
+    :class:`VerificationFailed` naming the seed, which fails the run.
     """
     if spec.seed == "unimodular":
         return "unimodular", 1, unimodular_cube(spec.l)
@@ -197,7 +195,6 @@ def _blocks_certified(blocks) -> bool:
 
 @dataclass
 class _Step:
-    size: int = 0
     volume_ok: bool = False
     face_to_face: bool | None = None  # only when certified by the ridges
     dissection: bool = False
@@ -205,22 +202,23 @@ class _Step:
 
 
 def _product_step(
-    t_q, t0, coloring, keep: bool, certify: bool, out_path=None
+    t_q, t0, coloring, size: int, keep: bool, certify: bool, out_path=None
 ) -> _Step:
     """One product step: generates the cells in chunks of about
     ``CENSUS_CHUNK`` simplices (:meth:`ProductCells.chunks`) and feeds them
     to the volume census of :mod:`complexes` (:func:`volume_census`),
+    which counts them against ``size``, the coloring's closed-form size,
     writing each chunk to the file (with ``out_path``) on the way. The
     simplices are kept only when ``keep``, written chunk by chunk into one
-    array of the step's size. With ``certify`` (a kept step), the ridge
+    array of ``size`` rows. With ``certify`` (a kept step), the ridge
     certificate runs on the kept rows and the census's volumes; otherwise
     each distinct block of the step's cells is certified once for the
     dissection tier (:func:`_blocks_certified`)."""
     cells = ProductCells(t_q, t0, coloring)
     cfg = cells.config
-    step = _Step(size=int(cells.starts[-1]))
+    step = _Step()
     if keep:  # zeros: a row the cells fail to emit is still a valid index row
-        rows = np.zeros((step.size, cfg.dim + 1), _index_dtype(len(cfg.points)))
+        rows = np.zeros((size, cfg.dim + 1), _index_dtype(len(cfg.points)))
     emitted = 0  # rows kept; the census counts them all
     with open(out_path, "w") if out_path else contextlib.nullcontext() as fh:
         writer = TriangulationWriter(fh, cfg) if fh else None
@@ -234,13 +232,12 @@ def _product_step(
                 if writer is not None:
                     writer.write(chunk)
                 if keep:
-                    rows[emitted : emitted + len(chunk)] = chunk[: step.size - emitted]
-                emitted = min(emitted + len(chunk), step.size)
+                    rows[emitted : emitted + len(chunk)] = chunk[: size - emitted]
+                emitted = min(emitted + len(chunk), size)
 
-        vols, _, violations = volume_census(cfg, chunks(), step.size)
+        vols, _, violations = volume_census(cfg, chunks(), size)
         if writer is not None:
             writer.close()
-    # the census counts the rows against the step's size
     step.volume_ok = not violations
     if keep:
         step.tri = Triangulation(cfg, rows)
@@ -290,12 +287,7 @@ def build_cube_recursive(spec: PipelineSpec):
         keep = new_dim <= spec.materialize_max_dim
         certify = keep and new_dim <= spec.face_check_max_dim
         out_path = spec.out if new_dim == spec.dim else None
-        step = _product_step(current, t0, best, keep, certify, out_path)
-        if step.size != best_size:  # an explicit check, kept under python -O
-            raise AssertionError(
-                f"step to d={new_dim} emitted {step.size} simplices, "
-                f"product_size gave {best_size}"
-            )
+        step = _product_step(current, t0, best, best_size, keep, certify, out_path)
         steps.append(
             StepReport(
                 cur,

@@ -46,6 +46,7 @@ from .coloring import lift_triangulation
 from .complexes import (
     Simplex,
     Triangulation,
+    VerificationFailed,
     weighted_efficiency_from,
     weighted_size,
 )
@@ -233,18 +234,22 @@ def _seed(name: str) -> tuple[MixedSubdivision, Triangulation]:
     """The named seed and its Cayley triangulation, built once: its cell
     census, then :func:`cayley.validate_mixed`'s certificate, which builds
     the triangulation it checks, then that triangulation's weighted size.
-    Only a checked seed is cached, so a failed check raises on every call."""
+    Only a checked seed is cached, so a failed check raises
+    :class:`VerificationFailed` naming the seed on every call."""
     m, cells, census, weighted = _SEEDS[name]
+    failed = f"verification failed at seed {name}"
     sub = MixedSubdivision(cube_config(3), m, tuple(MixedCell(c) for c in cells))
     got = _census(sub)
     if got != census:
-        raise AssertionError(f"{name}: cell census {got}, expected {census}")
+        raise VerificationFailed(f"{failed}: cell census {got}, expected {census}")
     report, tri = _checked_cayley(sub)
     if not report.is_dissection:
-        raise AssertionError(f"{name}: invalid subdivision: {report.violations[:5]}")
+        raise VerificationFailed(
+            f"{failed}: invalid subdivision: {report.violations[:5]}"
+        )
     ws = weighted_size(tri)
     if ws != weighted:
-        raise AssertionError(f"{name}: weighted size {ws}, expected {weighted}")
+        raise VerificationFailed(f"{failed}: weighted size {ws}, expected {weighted}")
     return sub, tri
 
 

@@ -303,8 +303,8 @@ def reference_validate_mixed(sub: MixedSubdivision) -> ValidityReport:
 
 
 def reference_cell_records(t_q: Triangulation, t0: Triangulation, coloring: Coloring):
-    """(signatures, provenance) of ``ProductCells`` by the per-signature
-    rule: one pass over the per-color count vectors of T_Q's sigmas in
+    """The ``provenance()`` of ``ProductCells`` by the per-signature rule:
+    one pass over the per-color count vectors of T_Q's sigmas in
     ascending order and, in each, over the T_0 cells whose absent colors'
     blocks are one vertex each, a cell's count the product of its blocks'
     ``len(monotone_paths(l, k))``; then one pass over the sigmas, each
@@ -315,7 +315,6 @@ def reference_cell_records(t_q: Triangulation, t0: Triangulation, coloring: Colo
         tuple(sum(coloring.colors[q] == i for q in sigma) for i in range(m))
         for sigma in t_q.simplices
     ]
-    signatures: dict = {}
     runs = {}  # count vector -> (its cells, as (tau, rows, offset, count), size)
     for key in sorted(set(counts)):
         present = [i for i in range(m) if key[i]]
@@ -327,7 +326,6 @@ def reference_cell_records(t_q: Triangulation, t0: Triangulation, coloring: Colo
             rows = tuple(blocks[i] for i in present)
             lvec = tuple(map(len, rows))
             count = math.prod(len(monotone_paths(l, k)) for l, k in zip(lvec, kvec))
-            signatures.setdefault((lvec, kvec), count)
             cells.append((t_idx, rows, offset, count))
             offset += count
         runs[key] = cells, offset
@@ -341,7 +339,7 @@ def reference_cell_records(t_q: Triangulation, t0: Triangulation, coloring: Colo
             a = start + offset
             provenance.append(CellProvenance(sigma, t_idx, rows, cols, a, a + count))
         start += size
-    return signatures, provenance
+    return provenance
 
 
 def lift_provenance(t0: Triangulation, kvec):

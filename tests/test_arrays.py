@@ -159,6 +159,21 @@ def test_chunk_boundary_inside_one_sigma():
     assert text == reference_to_json(cells.config, rows.tolist())
 
 
+@pytest.mark.parametrize("n", [3, 32767, 32768, 40000])
+def test_one_token_table_encodes_rows_of_any_index_dtype(n):
+    # The last column gathers its tokens at n and above: past 32767 points
+    # that offset no longer fits the rows' uint16, and the rows stay as given.
+    table = complexes._row_tables(n)
+    assert len(table) == 2 * n
+    assert (table[0], table[n - 1], table[n]) == ("0, ", f"{n - 1}, ", "0],\n[")
+    for dtype in (np.uint16, np.int64):
+        rows = np.array([[0, n - 2, n - 1], [0, 1, n - 1], [0, 1, 2]], dtype) % n
+        before = rows.copy()
+        text = complexes._encode_rows(table, rows)
+        assert text == ",\n".join(map(json.dumps, rows.tolist()))
+        assert np.array_equal(rows, before)
+
+
 def _write_chunks(config, chunks) -> str:
     buf = io.StringIO()
     writer = TriangulationWriter(buf, config)

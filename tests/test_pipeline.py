@@ -19,6 +19,7 @@ from cubetri.complexes import (
 )
 from cubetri.pipeline import (
     PipelineSpec,
+    VerificationFailed,
     build_cube_haiman,
     build_cube_recursive,
     haiman_baseline_sizes,
@@ -56,17 +57,38 @@ def test_build_d7_dissection_tier():
     assert rep.steps[0].face_to_face is True
 
 
-def test_failed_seed_verification_fails_the_build(monkeypatch):
+def test_failed_seed_verification_fails_the_build(monkeypatch, capsys):
     real = pipeline.cayley_seed
 
     def failing(name):
         if name == "i3d2":
-            raise AssertionError("i3d2: invalid subdivision")
+            raise VerificationFailed(
+                f"verification failed at seed {name}: invalid subdivision"
+            )
         return real(name)
 
     monkeypatch.setattr(pipeline, "cayley_seed", failing)
-    with pytest.raises(AssertionError, match="i3d2"):
+    with pytest.raises(VerificationFailed, match="seed i3d2: invalid subdivision"):
         build_cube_recursive(PipelineSpec(dim=5))
+
+
+@pytest.mark.parametrize(
+    "argv", [["seeds", "show", "i3d2"], ["build", "cube", "--dim", "5"]]
+)
+def test_a_failed_seed_fails_the_command_in_one_line(monkeypatch, capsys, argv):
+    # i3d2 with a wrong weighted size: the spec check of seeds show and the
+    # build's first step both meet the seed's own check, and exit 1.
+    from cubetri import seeds
+    from cubetri.cli import main
+
+    m, cells, census, _ = seeds._SEEDS["i3d2"]
+    monkeypatch.setitem(seeds._SEEDS, "i3d2", (m, cells, census, Fraction(1)))
+    seeds._seed.cache_clear()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    (line,) = captured.out.splitlines()
+    assert line == "verification failed at seed i3d2: weighted size 44/3, expected 1"
+    assert captured.err == ""
 
 
 def test_sampling_keeps_best():
@@ -527,18 +549,35 @@ def test_a_step_derives_the_seed_blocks_once(monkeypatch):
 
 
 def test_a_size_mismatch_fails_the_build_under_python_O():
-    """The check that a step emitted product_size's count is an explicit
-    raise, which ``python -O`` keeps."""
+    """The census counts a step's rows against product_size's closed form
+    with no assert statement, so ``python -O`` keeps the check: a closed
+    form one too large at the kept d=4 step, and a lost staircase of the
+    (2, 3) block at the streamed d=8 and the kept d=7 step, each fail
+    their step, with no exception."""
     script = textwrap.dedent("""
-        from cubetri import pipeline
-        real = pipeline.product_size
-        pipeline.product_size = lambda *args: real(*args) + 1
-        try:
-            pipeline.build_cube_recursive(pipeline.PipelineSpec(dim=4))
-        except AssertionError as exc:
-            print("raised:", exc)
-        else:
-            print("built")
+        from cubetri import pipeline, staircase
+        from cubetri.pipeline import PipelineSpec, build_cube_recursive
+
+        def failed(spec):
+            _, report = build_cube_recursive(spec)
+            last = report.steps[-1]
+            return (last.dim_to, last.size, last.volume_ok,
+                    last.dissection_certified, last.ok, report.ok)
+
+        real_size = pipeline.product_size
+        pipeline.product_size = lambda *args: real_size(*args) + 1
+        print(__debug__, failed(PipelineSpec(dim=4)))
+        pipeline.product_size = real_size
+        real_paths = staircase.monotone_paths
+        def one_short(l, k):
+            return real_paths(l, k)[: -1 if (l, k) == (2, 3) else None]
+
+        staircase.monotone_paths = one_short
+        staircase.block_paths.cache_clear()
+        staircase.staircase_block_regular.cache_clear()
+        for dim in (8, 7):
+            spec = PipelineSpec(dim=dim, samples=3, rng_seed=1, materialize_max_dim=7)
+            print(failed(spec))
     """)
     src = os.fspath(Path(__file__).resolve().parents[1] / "src")
     run = subprocess.run(
@@ -546,4 +585,8 @@ def test_a_size_mismatch_fails_the_build_under_python_O():
         env={**os.environ, "PYTHONPATH": src}, timeout=300,
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout.startswith("raised: step to d=4 emitted 16 simplices"), run.stdout
+    assert run.stdout.splitlines() == [
+        "False (4, 17, False, False, False, False)",
+        "(8, 16282, False, False, False, False)",
+        "(7, 2155, False, False, False, False)",
+    ]

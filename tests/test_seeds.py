@@ -14,6 +14,7 @@ from cubetri.cayley import (
     validate_mixed,
 )
 from cubetri.complexes import (
+    VerificationFailed,
     validate_face_to_face,
     weighted_efficiency_from,
     weighted_size,
@@ -137,7 +138,7 @@ def test_failed_seed_verification_raises_on_every_call(monkeypatch):
     _, cells, census, _ = seeds._SEEDS["i3d1"]
     monkeypatch.setitem(seeds._SEEDS, "broken", (2, cells, census, Fraction(5)))
     for _ in range(2):
-        with pytest.raises(AssertionError, match="broken: weighted size"):
+        with pytest.raises(VerificationFailed, match="broken: weighted size"):
             cayley_seed("broken")
     with pytest.raises(ValueError, match="unknown seed"):
         cayley_seed("i3d3")
@@ -169,7 +170,7 @@ def test_a_seed_with_one_vertex_changed_fails_on_every_call(monkeypatch):
     bad = (((0,), (0, 1, 2, 5)),) + cells[1:]
     monkeypatch.setitem(seeds._SEEDS, "broken", (m, bad, census, weighted))
     for _ in range(2):
-        with pytest.raises(AssertionError, match="broken: invalid subdivision"):
+        with pytest.raises(VerificationFailed, match="broken: invalid subdivision"):
             cayley_seed("broken")
     sub = MixedSubdivision(cube_config(3), m, tuple(map(MixedCell, bad)))
     assert not reference_validate_mixed(sub).is_dissection
@@ -185,7 +186,7 @@ def test_a_seed_with_a_cell_off_the_cube_fails_until_restored(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setitem(seeds._SEEDS, "i3d1", (m, bad, census, weighted))
         for _ in range(2):
-            with pytest.raises(AssertionError, match="i3d1: invalid subdivision"):
+            with pytest.raises(VerificationFailed, match="i3d1: invalid subdivision"):
                 cayley_seed("i3d1")
     assert cayley_seed("i3d1").size == 16
     assert validate_mixed(seed_i3d1()).is_dissection

@@ -8,9 +8,9 @@ the same simplices in the same order, and the same provenance, for every
 product the pipeline or a caller can ask for: both seeds, the minimal and
 unimodular cubes, balanced, random and explicit colorings (including ones
 that leave colors absent from some cells), and chunked generation. The
-engine's per-signature records (``signatures``, ``provenance()``) must
-equal those of the per-signature rule it replaced, and a step must build
-each distinct block's table and certificate once, and nothing per cell.
+engine's cell records (``provenance()``) must equal those of the
+per-signature rule it replaced, and a step must build each distinct
+block's table and certificate once, and nothing per cell.
 """
 
 import functools
@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from helpers import reference_cell_records
 
 from cubetri import pipeline, staircase
-
+from cubetri.cli import main
 from cubetri.coloring import (
     CellProvenance,
     Coloring,
@@ -310,11 +310,8 @@ def test_records_match_the_per_signature_rule(cases, cold_staircases):
     for t_q, t0, coloring in steps:
         clear_staircase_caches()
         cold = ProductCells(t_q, t0, coloring)
-        signatures, provenance = reference_cell_records(t_q, t0, coloring)
+        provenance = reference_cell_records(t_q, t0, coloring)
         for cells in (cold, ProductCells(t_q, t0, coloring)):  # then warm
-            got = list(cells.signatures.items())
-            assert got == list(signatures.items())
-            assert list(map(types, got)) == list(map(types, signatures.items()))
             records = cells.provenance()
             assert records == provenance
             for name in PROV_FIELDS:
@@ -330,8 +327,10 @@ def test_a_step_builds_each_block_once_and_nothing_per_cell(
     # the recursion of monotone_paths) called once per (key, T_0 cell) pair.
     t_q, t0, coloring = default_steps()[-1]
     assert t_q.config.dim == 5 and simplex_factor(t0.config)[1] == 3
-    signatures, provenance = reference_cell_records(t_q, t0, coloring)
-    blocks = {b for lvec, kvec in signatures for b in zip(lvec, kvec)}
+    provenance = reference_cell_records(t_q, t0, coloring)
+    blocks = {(len(r), len(c)) for p in provenance for r, c in zip(p.rows, p.cols)}
+    size = product_size(t_q, t0, coloring)
+    assert size == 16282
     colors = [tuple(sorted(coloring.colors[q] for q in r.sigma)) for r in provenance]
     pairs = {(key, r.tau_index) for key, r in zip(colors, provenance)}
     assert len(pairs) == 414
@@ -355,21 +354,20 @@ def test_a_step_builds_each_block_once_and_nothing_per_cell(
 
     sys.setprofile(count)
     try:
-        step = pipeline._product_step(t_q, t0, coloring, keep=False, certify=False)
+        step = pipeline._product_step(
+            t_q, t0, coloring, size, keep=False, certify=False
+        )
     finally:
         sys.setprofile(None)
-    assert step.volume_ok and step.dissection and step.size == 16282
+    assert step.volume_ok and step.dissection
     assert tables == certificates == Counter(blocks)
     assert set(tables.values()) == {1}
     busiest = max(calls.values())
     assert busiest < len(pairs), [c.co_name for c, n in calls.items() if n == busiest]
 
 
-@pytest.mark.parametrize("dim", [8, 7], ids=["streamed-d8", "kept-d7"])
-def test_a_lost_staircase_fails_the_build(monkeypatch, cold_staircases, dim):
-    # The (2, 3) block of the last step's cells loses a staircase: the
-    # enumeration and its closed-form size no longer agree, and the block
-    # fails its certificate.
+def lose_a_staircase(monkeypatch):
+    """Drop the last staircase of the (2, 3) block (caches cold)."""
     real = staircase.monotone_paths
 
     def one_short(l, k):
@@ -377,8 +375,34 @@ def test_a_lost_staircase_fails_the_build(monkeypatch, cold_staircases, dim):
         return paths[:-1] if (l, k) == (2, 3) else paths
 
     monkeypatch.setattr(staircase, "monotone_paths", one_short)
+
+
+@pytest.mark.parametrize("dim", [8, 7], ids=["streamed-d8", "kept-d7"])
+def test_a_lost_staircase_fails_the_build(monkeypatch, cold_staircases, dim):
+    # The (2, 3) block of the last step's cells loses a staircase: the
+    # enumeration falls short of its closed-form size, so the step's census
+    # fails it, with no exception, and the block fails its certificate.
+    lose_a_staircase(monkeypatch)
     assert not pipeline._blocks_certified([(2, 3)])
     spec = PipelineSpec(dim=dim, samples=3, rng_seed=1, materialize_max_dim=7)
-    sizes_differ = f"step to d={dim} emitted .* product_size gave"
-    with pytest.raises(AssertionError, match=sizes_differ):
-        build_cube_recursive(spec)
+    tri, report = build_cube_recursive(spec)
+    first, last = report.steps
+    assert first.ok and (tri is None) == (dim == 8)
+    assert last.dim_to == dim and last.size == report.sizes[dim]
+    assert last.volume_ok is False and last.dissection_certified is False
+    assert last.ok is False and report.ok is False
+
+
+def test_a_lost_staircase_fails_build_on_the_command_line(
+    monkeypatch, capsys, cold_staircases
+):
+    lose_a_staircase(monkeypatch)
+    argv = ["build", "cube", "--dim", "8", "--samples", "3", "--rng-seed", "1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0].startswith("step 2->5:") and "volume_ok=True" in lines[0]
+    assert lines[1].startswith("step 5->8: seed=i3d2 m=3 size=16282 ")
+    assert "volume_ok=False" in lines[1] and "dissection=False" in lines[1]
+    assert lines[2] == "final size for dimension 8: 16282"
+    assert "Traceback" not in captured.out + captured.err

@@ -172,6 +172,30 @@ def literal(text: str):
     return lambda node: isinstance(node, ast.Constant) and node.value == text
 
 
+def raises(name: str):
+    """A ``raise`` of the exception ``name``, called or not."""
+
+    def match(node):
+        exc = getattr(node, "exc", None) if isinstance(node, ast.Raise) else None
+        exc = exc.func if isinstance(exc, ast.Call) else exc
+        return name in (getattr(exc, "id", None), getattr(exc, "attr", None))
+
+    return match
+
+
+def compares_a_size(node) -> bool:
+    """An equality test with a size on a side, such as ``step.size !=
+    best_size``: a name or attribute there that ends in ``size``."""
+    if not isinstance(node, ast.Compare):
+        return False
+    if not any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
+        return False
+    sides = [n for side in [node.left, *node.comparators] for n in ast.walk(side)]
+    return any(
+        (getattr(n, "id", None) or getattr(n, "attr", "")).endswith("size") for n in sides
+    )
+
+
 def identifiers(path: Path) -> set[str]:
     """Every name the code of ``path`` binds or reads: names, attributes,
     functions, classes and arguments; comments and strings are not code."""
@@ -197,9 +221,10 @@ def test_each_decision_has_one_owner():
     ``batch_det`` alone ask the overflow guard for a block's dtype,
     ``batch_last_det`` alone picks the kernel and its levels' dtypes, and
     one function holds the width rule. One census stores and tallies a
-    step's volumes, and one reader parses the writer's layout. The cells
-    read the staircases from one table per block, and the closed-form sizes
-    never read them."""
+    step's volumes and counts its rows against the closed-form size, which
+    no step compares with its rows itself or asserts, and one reader parses
+    the writer's layout. The cells read the staircases from one table per
+    block, and the closed-form sizes never read them."""
     gone = {
         "facet_incidence", "_cube_as_point_product", "by_ridge", "lift_count", "_lvecs",
         "_read_handle_layout", "signature_template", "_sigma_size", "_cell_types",
@@ -240,6 +265,11 @@ def test_each_decision_has_one_owner():
     takes = callers("signed_volumes") | callers("_tally")
     assert [where for where in takes if where.startswith("pipeline")] == []
     assert callers("volume_census") == {"complexes._census", "pipeline._product_step"}
+    # and only the census counts a step's rows: a mismatch fails the step
+    assert owners(literal("row-count")) == {"complexes.volume_census"}
+    step = {"pipeline.build_cube_recursive", "pipeline._product_step"}
+    assert owners(compares_a_size) & step == set()
+    assert owners(raises("AssertionError")) & step == set()
     # the layout reader: texts and file handles alike
     assert callers("_read_rows") == callers("_layout_config") == {"complexes._read_layout"}
     assert callers("_read_layout") == {"complexes._read_text", "complexes._read_handle"}
@@ -274,6 +304,10 @@ def test_the_owner_checks_see_a_second_owner(tmp_path, monkeypatch):
         "        self.sizes = [len(_table(2, k)) for k in range(3)]\n"
         "def _table(l, k):\n"
         "    return np.array(staircase.monotone_paths(l, k))\n"
+        "def build_cube_recursive(spec):\n"
+        "    if step.size != best_size:\n"
+        "        raise AssertionError('sizes differ')\n"
+        "    return Violation('row-count', ())\n"
     )
     assert identifiers(module) >= {"facet_incidence", "by_ridge"}
     monkeypatch.setattr(sys.modules[__name__], "PACKAGE", tmp_path)
@@ -289,6 +323,10 @@ def test_the_owner_checks_see_a_second_owner(tmp_path, monkeypatch):
     assert callers("signed_volumes") == {"module.step_volumes"}
     # a call through a class and a helper reaches the staircases
     assert reachable("product_size") >= {"Sizes", "_table", "monotone_paths"}
+    # a second size check, raised rather than failing the step
+    assert owners(compares_a_size) == {"module.build_cube_recursive"}
+    assert owners(raises("AssertionError")) == {"module.build_cube_recursive"}
+    assert owners(literal("row-count")) == {"module.build_cube_recursive"}
     assert methods("module", "Sizes") == {"module.__init__"}
 
 
