@@ -97,6 +97,9 @@ def _cmd_build(args, spec: PipelineSpec) -> int:
             f"volume_ok={st.volume_ok} face_to_face={f2f} "
             f"dissection={st.dissection_certified}"
         )
+    if spec.dim not in report.sizes:
+        print(f"stopped at the failed step to d={report.steps[-1].dim_to}")
+        return 1
     print(f"final size for dimension {spec.dim}: {report.sizes[spec.dim]}")
     if args.out:
         print(f"wrote {args.out}")

@@ -22,8 +22,9 @@ pipeline's volume census, which counts a step's rows against
 One engine, :class:`ProductCells`, generates every product from one
 path table per distinct block (:func:`staircase.block_paths`), with no
 Python per cell, in slices of consecutive sigmas of a bounded number of
-simplices (:meth:`ProductCells.chunks`; the pipeline uses the census's
-``CENSUS_CHUNK``), so a streamed step never holds all of its rows.
+simplices (:meth:`ProductCells.chunks`; the pipeline takes the census's
+batch, :func:`complexes.census_batch`, 2,048 rows up to d = 8 and 8,192
+beyond), so a streamed step never holds all of its rows.
 
 The block lift (:func:`lift_triangulation`) and the staircase
 triangulation of simplex(k) x simplex(l) (:func:`staircase_triangulation`)

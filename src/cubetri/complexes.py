@@ -49,7 +49,10 @@ and facet test (:func:`_facet_masks`).
 
 Every step and check holds one bounded, narrow slice of its data at a
 time, besides the index rows and one int8 (or, past int8, int64) volume
-per row: the census takes chunks of ``CENSUS_CHUNK`` rows, and the ridge
+per row. Every pass over the rows takes batches of :func:`census_batch`
+rows, the census kernel's own slice: ``linalg.MINOR_SLICE`` = 2,048 up
+to d = ``linalg.MINOR_MAX_N`` = 8, where it expands by minors, and
+``CENSUS_CHUNK`` = 8,192 beyond, where it eliminates. The ridge
 check and the duplicate scan sort buckets of at most ``RIDGE_BUCKET``
 ridges or rows, one index-dtype column per vertex position. A bucket is
 a range of first vertices; a first vertex with more than ``RIDGE_BUCKET``
@@ -165,9 +168,11 @@ class Triangulation:
 
 def _rows_sorted(rows: np.ndarray) -> bool:
     """Whether every row is ascending, so that ``np.sort(rows, axis=1)``
-    would return the same rows; checked ``CENSUS_CHUNK`` rows at a time."""
-    for start in range(0, len(rows), CENSUS_CHUNK):
-        chunk = rows[start : start + CENSUS_CHUNK]
+    would return the same rows; checked :func:`census_batch` rows at a
+    time."""
+    batch = census_batch(rows.shape[1] - 1)
+    for start in range(0, len(rows), batch):
+        chunk = rows[start : start + batch]
         if not (chunk[:, 1:] >= chunk[:, :-1]).all():
             return False
     return True
@@ -213,7 +218,17 @@ def expected_volume(config: PointConfiguration) -> int:
     return ambient_normalized_volume(config.label)
 
 
-CENSUS_CHUNK = 8192  # rows per batch: bounds the census's working memory
+# Rows per batch where the census eliminates (d > linalg.MINOR_MAX_N), which
+# pays a cost per chunk: 2,048-row batches slowed the d=10 build by 15%.
+CENSUS_CHUNK = 8192
+
+
+def census_batch(d: int) -> int:
+    """Rows per batch of every pass over the rows of a d-dimensional step
+    or triangulation: the census kernel's own slice, ``linalg.MINOR_SLICE``
+    where it expands by minors (d <= ``linalg.MINOR_MAX_N``), and
+    ``CENSUS_CHUNK`` where it eliminates."""
+    return linalg.MINOR_SLICE if d <= linalg.MINOR_MAX_N else CENSUS_CHUNK
 
 
 def signed_volumes(points, rows) -> np.ndarray:
@@ -228,8 +243,9 @@ def signed_volumes(points, rows) -> np.ndarray:
     simplices up to d = ``linalg.MINOR_MAX_N``, the elimination's width
     beyond, or Python ints (``object``) when no integer dtype is wide
     enough; :func:`linalg.batch_last_det` then runs each level of its work
-    in the width the bound proves exact for it. Each chunk of ``CENSUS_CHUNK`` rows, which bounds
-    the working memory, is written straight into the (d, d, N) layout of
+    in the width the bound proves exact for it. Each chunk of
+    :func:`census_batch` rows, which bounds the working memory, is
+    written straight into the (d, d, N) layout of
     :func:`linalg.batch_last_det`: rows vertex differences, columns
     coordinates, batch last. Row r is the (d, N) block of vertex r's
     coordinates, taken from a (d, points) table by the chunk's own column
@@ -250,8 +266,9 @@ def signed_volumes(points, rows) -> np.ndarray:
     # Shifted to a zero minimum, every coordinate lies in [0, span] and
     # fits dtype. Entry (c, p) is coordinate c of point p.
     table = (pts - lo).T.astype(dtype, order="C")
-    for start in range(0, len(rows), CENSUS_CHUNK):
-        chunk = np.asarray(rows[start : start + CENSUS_CHUNK])
+    batch = census_batch(d)
+    for start in range(0, len(rows), batch):
+        chunk = np.asarray(rows[start : start + batch])
         g = np.empty((d, d, len(chunk)), dtype=dtype)
         base = table.take(chunk[:, 0], axis=1)  # (d, N) coordinates of p_0
         for r in range(d):
@@ -326,14 +343,15 @@ def _census(tri: Triangulation):
     """The census part of every report: (full-dimensional simplices as index
     rows, their signed volumes, total volume, violations). The violations
     name each simplex that is not full-dimensional, then those of
-    :func:`volume_census`, which takes the rows ``CENSUS_CHUNK`` at a
+    :func:`volume_census`, which takes the rows :func:`census_batch` at a
     time."""
     full = tri.rows
     violations = []
     if full.shape[1] != tri.config.dim + 1:
         violations = [Violation("not-full-dimensional", (s,)) for s in tri.simplices]
         full = full[:0]
-    chunks = (full[i : i + CENSUS_CHUNK] for i in range(0, len(full), CENSUS_CHUNK))
+    batch = census_batch(tri.config.dim)
+    chunks = (full[i : i + batch] for i in range(0, len(full), batch))
     vols, total, found = volume_census(tri.config, chunks, len(full))
     return full, vols, total, violations + found
 
@@ -565,13 +583,17 @@ def _bucket_ids(simp: np.ndarray, n_points: int, groups) -> tuple[int, np.ndarra
     second = row[b] (0 when b is None), so equal items have equal keys and
     keys ascend with the lexicographic order of (first, second). Bucket k
     holds the keys cuts[k]..cuts[k+1]-1 (:func:`_bucket_cuts`). The keys
-    are taken ``CENSUS_CHUNK`` rows at a time."""
+    are taken :func:`census_batch` rows at a time, each from its two
+    columns alone in int64."""
     cuts = _bucket_cuts(simp, n_points, groups)
     ids = np.empty((len(groups), len(simp)), np.min_scalar_type(len(cuts)))
-    for start in range(0, len(simp), CENSUS_CHUNK):
-        part = simp[start : start + CENSUS_CHUNK].astype(np.int64)
+    batch = census_batch(simp.shape[1] - 1)
+    for start in range(0, len(simp), batch):
+        part = simp[start : start + batch]
         for g, ((a, b), _) in enumerate(groups):
-            key = part[:, a] * n_points + (part[:, b] if b is not None else 0)
+            key = part[:, a].astype(np.int64) * n_points
+            if b is not None:
+                key += part[:, b]
             ids[g, start : start + len(part)] = np.searchsorted(cuts, key, "right") - 1
     return len(cuts) - 1, ids
 
@@ -616,14 +638,15 @@ def _bucket_cuts(simp: np.ndarray, n_points: int, groups) -> np.ndarray:
 def _second_counts(simp: np.ndarray, vertices, n_points: int, groups) -> np.ndarray:
     """(len(vertices), n_points) counts: entry [r, w] is the number of
     items of ``groups`` (:func:`_bucket_ids`) whose first vertex is
-    vertices[r] and whose second is w, counted ``CENSUS_CHUNK`` rows at a
-    time."""
+    vertices[r] and whose second is w, counted :func:`census_batch` rows
+    at a time."""
     rank = np.full(n_points, -1, dtype=np.int64)
     rank[vertices] = np.arange(len(vertices))
     size = len(vertices) * n_points
     counts = np.zeros(size, dtype=np.int64)
-    for start in range(0, len(simp), CENSUS_CHUNK):
-        part = simp[start : start + CENSUS_CHUNK]
+    batch = census_batch(simp.shape[1] - 1)
+    for start in range(0, len(simp), batch):
+        part = simp[start : start + batch]
         for (a, b), times in groups:
             first = rank[part[:, a]]
             at = np.flatnonzero(first >= 0)
@@ -865,8 +888,9 @@ def triangulation_to_json(tri: Triangulation) -> str:
 
 # Characters of the body parsed at a time. A block's transient working set
 # (its translated copy, the int64 values, and the re-encode check's token
-# array, list and string) is about seven times its characters.
-READ_BLOCK = 1 << 17
+# array, list and string) is about seven times its characters: 0.76 MiB at
+# 2^17 against 0.20 MiB at 2^15, about 700 rows of a d=8 file a block.
+READ_BLOCK = 1 << 15
 _BRACKETS_AS_SPACES = str.maketrans("[],\n", "    ")
 
 

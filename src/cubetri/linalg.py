@@ -43,9 +43,10 @@ import numpy as np
 # 13.0-25.1 ms for the int32 elimination at n = 8 (16,282); at n = 9 it
 # took 6.9-7.3 against 7.9 ms a chunk of 8,192, too close to switch.
 MINOR_MAX_N = 8
-# Matrices per pass of the expansion: at n = 8 a pass peaks under 1 MB,
-# less than the elimination of a census chunk; 2,048 timed within noise.
-MINOR_SLICE = 3072
+# Matrices per pass of the expansion, and rows per batch where the census
+# expands (complexes.census_batch): at n = 8 a pass of 2,048 peaks near
+# 0.75 MiB, and timed within noise of 3,072.
+MINOR_SLICE = 2048
 
 
 def det_bareiss(rows: list[list[int]]) -> int:

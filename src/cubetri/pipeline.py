@@ -8,7 +8,8 @@ times (n/m + l)^l, which is what drives the asymptotic efficiency.
 
 Every step is one loop (:func:`_product_step`) over the cell engine of
 :class:`coloring.ProductCells`. It takes the step's simplices as integer
-arrays in slices of consecutive sigmas of about ``CENSUS_CHUNK`` rows, in
+arrays in slices of consecutive sigmas of about
+:func:`complexes.census_batch` rows (2,048 up to d = 8, 8,192 beyond), in
 the cell-by-cell order. Each slice goes as the same array to the volume
 census of :mod:`complexes` (:func:`complexes.volume_census`, the one that
 ``verify`` and every report take), to the file writer and, on a kept
@@ -61,11 +62,11 @@ from .coloring import (
     triangulate_product,
 )
 from .complexes import (
-    CENSUS_CHUNK,
     Triangulation,
     TriangulationWriter,
     VerificationFailed,
     _index_dtype,
+    census_batch,
     efficiency,
     ridge_violations,
     triangulation_to_json,
@@ -205,8 +206,8 @@ def _product_step(
     t_q, t0, coloring, size: int, keep: bool, certify: bool, out_path=None
 ) -> _Step:
     """One product step: generates the cells in chunks of about
-    ``CENSUS_CHUNK`` simplices (:meth:`ProductCells.chunks`) and feeds them
-    to the volume census of :mod:`complexes` (:func:`volume_census`),
+    :func:`census_batch` simplices (:meth:`ProductCells.chunks`) and feeds
+    them to the volume census of :mod:`complexes` (:func:`volume_census`),
     which counts them against ``size``, the coloring's closed-form size,
     writing each chunk to the file (with ``out_path``) on the way. The
     simplices are kept only when ``keep``, written chunk by chunk into one
@@ -220,6 +221,7 @@ def _product_step(
     if keep:  # zeros: a row the cells fail to emit is still a valid index row
         rows = np.zeros((size, cfg.dim + 1), _index_dtype(len(cfg.points)))
     emitted = 0  # rows kept; the census counts them all
+    batch = census_batch(cfg.dim)
     with open(out_path, "w") if out_path else contextlib.nullcontext() as fh:
         writer = TriangulationWriter(fh, cfg) if fh else None
 
@@ -227,7 +229,7 @@ def _product_step(
             # the census takes each chunk before the file does: the other
             # order raised the d=8 build's peak RSS by about 0.35 MB
             nonlocal emitted
-            for chunk in cells.chunks(CENSUS_CHUNK):
+            for chunk in cells.chunks(batch):
                 yield chunk
                 if writer is not None:
                     writer.write(chunk)
@@ -253,8 +255,11 @@ def build_cube_recursive(spec: PipelineSpec):
     """Build a triangulation of the target cube by repeated product steps.
 
     Returns (triangulation_or_None, PipelineReport); the triangulation is
-    None when the final step exceeded the materialization threshold. With
-    no step (dim <= l) the base is the output, and ``spec.out`` gets it.
+    None when the final step exceeded the materialization threshold or
+    never ran: the build stops at the first step that is not ok, so no
+    step builds on failed rows, the report ends there and ``spec.out``
+    (the final step's) is not written. With no step (dim <= l) the base
+    is the output, and ``spec.out`` gets it.
     """
     l = spec.l
     base_dim = ((spec.dim - 1) % l) + 1
@@ -305,6 +310,10 @@ def build_cube_recursive(spec: PipelineSpec):
         )
         sizes[new_dim] = best_size
         current = step.tri  # None only when the last step was streamed
+        if not steps[-1].ok:
+            break
+    if spec.dim not in sizes:  # stopped before the final step
+        current = None
     return current, PipelineReport(steps, sizes, all(st.ok for st in steps))
 
 

@@ -18,7 +18,7 @@ from cubetri.coloring import (
     product_size,
     triangulate_product,
 )
-from cubetri import linalg
+from cubetri import complexes, linalg
 from cubetri.complexes import (
     Triangulation,
     ValidityReport,
@@ -191,6 +191,14 @@ def eliminating():
     :func:`linalg.batch_last_det` eliminates at every order and
     :func:`linalg.exact_dtype` guards the elimination."""
     return mock.patch.object(linalg, "MINOR_MAX_N", 0)
+
+
+def census_batches(monkeypatch, rows: int) -> None:
+    """Make :func:`complexes.census_batch` give ``rows`` at every d: the
+    expansion's slice, which it gives up to ``linalg.MINOR_MAX_N``, and
+    the elimination's chunk alike."""
+    monkeypatch.setattr(linalg, "MINOR_SLICE", rows)
+    monkeypatch.setattr(complexes, "CENSUS_CHUNK", rows)
 
 
 # -- mixed cells realized as polytopes: the reference for validate_mixed ----

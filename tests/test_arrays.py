@@ -3,21 +3,23 @@
 The array reader must read every file exactly as the ``json.loads``
 reader it replaces (``helpers.reference_from_json``) does, and the table
 writer must write the bytes of the ``json.dumps`` writer
-(``helpers.reference_to_json``).
+(``helpers.reference_to_json``). A d=8 step, and a read and check of its
+file, hold one batch of rows and one block of text at a time.
 """
 
 import io
 import json
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import reference_from_json, reference_to_json
+from helpers import census_batches, reference_from_json, reference_to_json
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cubetri import complexes
+from cubetri import complexes, pipeline
 from cubetri.cli import main
 from cubetri.coloring import ProductCells, make_coloring
 from cubetri.complexes import (
@@ -26,6 +28,7 @@ from cubetri.complexes import (
     duplicate_simplices,
     triangulation_from_json,
     triangulation_to_json,
+    validate_dissection,
 )
 from cubetri.geometry import PointConfiguration, parse_label, point_count
 from cubetri.pipeline import PipelineSpec, build_cube_recursive
@@ -589,10 +592,81 @@ def test_sorted_index_rows_are_held_without_a_copy(monkeypatch):
     assert not held.rows.flags.writeable
     # One unsorted row, in the last of several chunks of the check, or rows
     # of another dtype: the rows np.sort gives, in a copy.
-    monkeypatch.setattr(complexes, "CENSUS_CHUNK", 7)
+    census_batches(monkeypatch, 7)
     for bad in (np.array(tri.rows), np.array(tri.rows, dtype=np.int64)):
         if bad.dtype == np.uint16:
             bad[-1, [0, -1]] = bad[-1, [-1, 0]]
         got = Triangulation(tri.config, bad)
         assert not np.shares_memory(got.rows, bad)
         assert np.array_equal(got.rows, np.sort(bad, axis=1)) and got == tri
+
+
+# -- each pass holds one batch at a time -------------------------------------------
+
+# Bounds on the bytes a d=8 pass holds above its start (tracemalloc, which
+# sees numpy's buffers). At 2,048-row batches and 2^15-character blocks the
+# streamed step peaked at 0.95 MiB and the read and check at 0.81 MiB;
+# with 8,192-row batches at 1.84 and 1.36 MiB, and with 2^17-character
+# blocks the read and check at 1.18 MiB.
+STEP_BOUND = 1.25 * 2**20
+READ_BOUND = 1.0 * 2**20
+
+
+def _traced_peak(run) -> int:
+    """The bytes ``run()`` held at its peak above what was held when it
+    started, less the bytes it keeps, which it returns; a first call warms
+    the caches."""
+    run()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        kept = run()
+        return tracemalloc.get_traced_memory()[1] - start - kept
+    finally:
+        tracemalloc.stop()
+
+
+def _plant_batches(monkeypatch, rows):
+    """The batch rule giving ``rows`` rows at every d, with the expansion's
+    own slice left as it is."""
+    for module in (complexes, pipeline):
+        monkeypatch.setattr(module, "census_batch", lambda d: rows)
+
+
+def test_a_streamed_d8_step_holds_one_batch_at_a_time(monkeypatch, tmp_path):
+    steps = []
+    real = pipeline.ProductCells
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "ProductCells", lambda *args: steps.append(args) or real(*args))
+        _, report = build_cube_recursive(_spec(8, materialize_max_dim=7))
+    t_q, t0, coloring = steps[-1]
+    out = os.fspath(tmp_path / "d8.json")
+
+    def step():
+        done = pipeline._product_step(
+            t_q, t0, coloring, report.sizes[8], keep=False, certify=False, out_path=out
+        )
+        assert done.volume_ok and done.dissection and done.tri is None
+        return 0
+
+    assert _traced_peak(step) < STEP_BOUND
+    _plant_batches(monkeypatch, complexes.CENSUS_CHUNK)
+    assert _traced_peak(step) > STEP_BOUND
+
+
+def test_reading_and_checking_a_d8_text_holds_one_block_at_a_time(
+    outputs, monkeypatch
+):
+    tri, text, _ = outputs[8]
+
+    def read_and_check():
+        got = triangulation_from_json(text)
+        assert validate_dissection(got, pairwise=False).is_dissection and got == tri
+        return got.rows.nbytes
+
+    assert _traced_peak(read_and_check) < READ_BOUND
+    with monkeypatch.context() as m:
+        _plant_batches(m, complexes.CENSUS_CHUNK)
+        assert _traced_peak(read_and_check) > READ_BOUND
+    monkeypatch.setattr(complexes, "READ_BLOCK", 1 << 17)
+    assert _traced_peak(read_and_check) > READ_BOUND

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import type_weight
+from helpers import census_batches, type_weight
 
 from cubetri import complexes
 from cubetri.coloring import staircase_triangulation
@@ -113,7 +113,7 @@ def test_the_census_keeps_volumes_as_int8_only_while_they_fit(
     # [-128, 127], and as int64 from the first chunk that does not, with
     # the earlier chunks' volumes carried over. signed_volumes is stubbed
     # to give volumes at the int8 edge, which no cube simplex has.
-    monkeypatch.setattr(complexes, "CENSUS_CHUNK", 2)
+    census_batches(monkeypatch, 2)
     parts = iter(np.array(part, dtype=np.int64) for part in chunks)
     monkeypatch.setattr(complexes, "signed_volumes", lambda points, rows: next(parts))
     rows = [(0, 1, 3)] * (2 * len(chunks))

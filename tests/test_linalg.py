@@ -569,7 +569,9 @@ def test_both_kernels_agree_across_minor_max_n():
     # the expansion too), on empty, single and census-sized batches, with
     # entries up to c; both equal the scalar reference where it is taken.
     # The expansion runs through batch_last_det with MINOR_MAX_N raised to
-    # 10, so that it takes MINOR_SLICE matrices a pass at every order.
+    # 10, so that it takes MINOR_SLICE matrices a pass at every order, and
+    # several passes on the CENSUS_CHUNK matrices of an eliminating census.
+    assert CENSUS_CHUNK >= 2 * linalg.MINOR_SLICE
     rng = np.random.default_rng(10)
     for n in range(1, 11):
         for c in (0, 1, 2, 3):

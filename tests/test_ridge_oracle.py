@@ -348,7 +348,7 @@ def test_corrupted_kept_row_fails_the_run(monkeypatch):
                 rows[-1] = _swap_vertex(self.config.points, rows[-1].tolist())
         return rows
 
-    monkeypatch.setattr(pipeline, "CENSUS_CHUNK", 256)
+    monkeypatch.setattr(pipeline, "census_batch", lambda d: 256)
     monkeypatch.setattr(ProductCells, "simplex_rows", corrupted_last)
     tri, report = build_cube_recursive(PipelineSpec(dim=7))
     assert len(chunks) > 2 and sum(chunks) == tri.size
@@ -421,7 +421,7 @@ def test_an_over_long_step_fails_the_run_on_its_census(
         return censuses[-1]
 
     monkeypatch.setattr(pipeline, "volume_census", recorded)
-    monkeypatch.setattr(pipeline, "CENSUS_CHUNK", chunk)
+    monkeypatch.setattr(pipeline, "census_batch", lambda d: chunk)
     def one_more(points, rows):
         return np.concatenate((rows, rows[:1]))
 
@@ -440,7 +440,7 @@ def test_an_over_long_step_fails_the_run_on_its_census(
 def test_a_kept_step_takes_the_census_of_its_rows(monkeypatch):
     # Over the pipeline's chunks of 256 rows, the step's census gives the
     # volumes (int8) and total that _census gives on the kept rows in
-    # chunks of CENSUS_CHUNK.
+    # batches of census_batch (2,048 rows: two at d=7).
     real = complexes.volume_census
     seen = []
 
@@ -450,7 +450,7 @@ def test_a_kept_step_takes_the_census_of_its_rows(monkeypatch):
         seen.append((config, sizes, got))
         return got
 
-    monkeypatch.setattr(pipeline, "CENSUS_CHUNK", 256)
+    monkeypatch.setattr(pipeline, "census_batch", lambda d: 256)
     monkeypatch.setattr(pipeline, "volume_census", recorded)
     for dim in range(4, 8):
         tri, report = build_cube_recursive(PipelineSpec(dim=dim))

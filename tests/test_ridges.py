@@ -17,7 +17,13 @@ import warnings
 
 import numpy as np
 import pytest
-from helpers import cell_points, level_dtype, path_edges, reference_to_json
+from helpers import (
+    cell_points,
+    census_batches,
+    level_dtype,
+    path_edges,
+    reference_to_json,
+)
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -227,9 +233,9 @@ def test_agrees_under_shuffles(pipeline_outputs, data):
 @pytest.fixture
 def small_chunks(monkeypatch):
     """Buckets of about 50 ridges, which split every output above d=3 into
-    many, and census chunks of 3 rows."""
+    many, and census batches of 3 rows at every d."""
     monkeypatch.setattr(complexes, "RIDGE_BUCKET", 50)
-    monkeypatch.setattr(complexes, "CENSUS_CHUNK", 3)
+    census_batches(monkeypatch, 3)
 
 
 def _ridge_cuts(rows, n_points):

@@ -406,3 +406,39 @@ def test_a_lost_staircase_fails_build_on_the_command_line(
     assert "volume_ok=False" in lines[1] and "dissection=False" in lines[1]
     assert lines[2] == "final size for dimension 8: 16282"
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_a_lost_staircase_stops_the_build_at_its_step(
+    monkeypatch, tmp_path, capsys, cold_staircases
+):
+    # At d=10 the kept 4->7 step loses a staircase of its (2, 3) block and
+    # fails its census. The build stops there: no 7->10 step is built on
+    # the failed rows, so there is no triangulation, no size for d=10 and
+    # no file, and build exits 1 after the lines of the steps that ran.
+    lose_a_staircase(monkeypatch)
+    built = []
+    real = ProductCells.__init__
+
+    def counted(self, t_q, t0, coloring):
+        built.append(t_q.config.dim)
+        real(self, t_q, t0, coloring)
+
+    monkeypatch.setattr(ProductCells, "__init__", counted)
+    out = tmp_path / "d10.json"
+    spec = PipelineSpec(dim=10, samples=3, rng_seed=1, out=str(out))
+    tri, report = build_cube_recursive(spec)
+    assert tri is None and built == [1, 4] and not out.exists()
+    first, last = report.steps
+    assert first.ok and last.dim_to == 7 and last.size == report.sizes[7]
+    assert last.volume_ok is False and last.ok is False and report.ok is False
+    assert 10 not in report.sizes
+    with pytest.raises(pipeline.VerificationFailed, match="failed at d=7$"):
+        report.check()
+    argv = ["build", "cube", "--dim", "10", "--samples", "3", "--rng-seed", "1"]
+    assert main([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert [line.split(":")[0] for line in lines[:2]] == ["step 1->4", "step 4->7"]
+    assert "volume_ok=False" in lines[1] and "dissection=False" in lines[1]
+    assert lines[2:] == ["stopped at the failed step to d=7"]
+    assert not out.exists() and "Traceback" not in captured.out + captured.err

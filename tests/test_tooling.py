@@ -172,6 +172,17 @@ def literal(text: str):
     return lambda node: isinstance(node, ast.Constant) and node.value == text
 
 
+def reads(name: str):
+    """A read of ``name``, as a bare name or an attribute; binding it is
+    not a read."""
+
+    def match(node):
+        named = getattr(node, "id", None) or getattr(node, "attr", None)
+        return named == name and isinstance(getattr(node, "ctx", None), ast.Load)
+
+    return match
+
+
 def raises(name: str):
     """A ``raise`` of the exception ``name``, called or not."""
 
@@ -224,7 +235,9 @@ def test_each_decision_has_one_owner():
     step's volumes and counts its rows against the closed-form size, which
     no step compares with its rows itself or asserts, and one reader parses
     the writer's layout. The cells read the staircases from one table per
-    block, and the closed-form sizes never read them."""
+    block, and the closed-form sizes never read them. One rule,
+    ``census_batch``, sizes the batches of every pass over a step's rows
+    from the census kernel, and no pass reads a batch size of its own."""
     gone = {
         "facet_incidence", "_cube_as_point_product", "by_ridge", "lift_count", "_lvecs",
         "_read_handle_layout", "signature_template", "_sigma_size", "_cell_types",
@@ -273,6 +286,16 @@ def test_each_decision_has_one_owner():
     # the layout reader: texts and file handles alike
     assert callers("_read_rows") == callers("_layout_config") == {"complexes._read_layout"}
     assert callers("_read_layout") == {"complexes._read_text", "complexes._read_handle"}
+    # the batch rule: the elimination's chunk and the expansion's slice as a
+    # batch size are read by the rule alone (the expansion reads its slice)
+    assert owners(reads("CENSUS_CHUNK")) == {"complexes.census_batch"}
+    assert owners(reads("MINOR_SLICE")) == {
+        "complexes.census_batch", "linalg.batch_last_det"
+    }
+    assert callers("census_batch") == {
+        "pipeline._product_step", "complexes.signed_volumes", "complexes._census",
+        "complexes._rows_sorted", "complexes._bucket_ids", "complexes._second_counts",
+    }
 
 
 def test_the_owner_checks_see_a_second_owner(tmp_path, monkeypatch):
@@ -308,6 +331,12 @@ def test_the_owner_checks_see_a_second_owner(tmp_path, monkeypatch):
         "    if step.size != best_size:\n"
         "        raise AssertionError('sizes differ')\n"
         "    return Violation('row-count', ())\n"
+        "CENSUS_CHUNK = 4096\n"
+        "def batches(rows):\n"
+        "    step = linalg.MINOR_SLICE\n"
+        "    return [rows[i : i + CENSUS_CHUNK] for i in range(0, len(rows), step)]\n"
+        "def census(config, rows):\n"
+        "    return batches(rows[:: census_batch(config.dim)])\n"
     )
     assert identifiers(module) >= {"facet_incidence", "by_ridge"}
     monkeypatch.setattr(sys.modules[__name__], "PACKAGE", tmp_path)
@@ -328,6 +357,11 @@ def test_the_owner_checks_see_a_second_owner(tmp_path, monkeypatch):
     assert owners(raises("AssertionError")) == {"module.build_cube_recursive"}
     assert owners(literal("row-count")) == {"module.build_cube_recursive"}
     assert methods("module", "Sizes") == {"module.__init__"}
+    # a pass that sizes its own batches; binding the constant is no read
+    assert owners(reads("CENSUS_CHUNK")) == owners(reads("MINOR_SLICE")) == {
+        "module.batches"
+    }
+    assert callers("census_batch") == {"module.census"}
 
 
 def spec_uses(cli_path: Path, pipeline_path: Path) -> tuple[dict, set[str]]:
